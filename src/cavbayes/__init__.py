@@ -26,7 +26,6 @@ from .errors import (
     UnsupportedCombination,
 )
 from .ml import (
-    HermiteExpansion,
     MlPovm,
     conditional_pdf,
     gaussian_cmax,

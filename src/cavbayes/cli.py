@@ -23,7 +23,6 @@ import configparser
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -215,21 +214,17 @@ _SWEEP_COLUMNS = {
         "cr_bound",
         "mse",
     ],
-    "ml_cost": ["axis", "c_max"],
+    "ml_cost": ["axis", "cost_max"],
     "ml_avg_estimate": ["axis", "avg_estimate"],
     "ml_cr_bound": ["axis", "mse", "cr_bound"],
     "dissipative_cost": ["axis", "c_min"],
 }
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> Table:
+def run_sweep(spec: SweepSpec) -> Table:
     """Evaluate the configured quantity over the axis grid, in axis order."""
     values = np.linspace(spec.lo, spec.hi, spec.n_points)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda v: _sweep_row(spec, float(v)), values))
-    else:
-        rows = [_sweep_row(spec, float(v)) for v in values]
+    rows = [_sweep_row(spec, float(v)) for v in values]
     return Table(columns=list(_SWEEP_COLUMNS[spec.quantity]), rows=rows)
 
 
@@ -411,17 +406,27 @@ def verify_all(seed: int = 0, corrupt_povm_scale: float = 1.0) -> dict:
         )
     checks.append(_check("ml_gaussian_cost_quadrature", worst < 1e-8, error=worst))
 
-    # bound constants: quadrature against the error-function evaluation
+    # bound constants: quadrature against the error-function evaluation, and
+    # the pointwise cap strictly below both fixed-interval constants
     worst = 0.0
     alt_gap = 0.0
+    cap_ratio = math.inf
     for (g0, sig, tc) in ((1.0, 1.0, math.pi / 4.0), (1.0, 0.5, 0.9), (2.0, 0.7, 0.33)):
         p = Prior.gaussian(g0, sig)
         c1q, c2q = ml_mod.gaussian_bound_constants(p, tc)
         c1e, c2e = ml_mod.gaussian_bound_constants_erf(p, tc)
         worst = max(worst, abs(c1q - c1e), abs(c2q - c2e))
+        cap_ratio = min(cap_ratio, min(c1q, c2q) / ml_mod.gaussian_cmax(p, tc))
         c1a, c2a = ml_mod._gaussian_bound_constants_erf_alt(p, tc)
         alt_gap = max(alt_gap, abs(c1q - c1a), abs(c2q - c2a))
-    checks.append(_check("ml_bound_constants_erf", worst < 1e-8, error=worst))
+    checks.append(
+        _check(
+            "ml_bound_constants_erf",
+            worst < 1e-8 and cap_ratio > 1.0,
+            error=worst,
+            min_bound_over_cap=cap_ratio,
+        )
+    )
     notes.append(
         "real-part erf combination for (c1,c2) deviates from the defining "
         f"integrals by up to {alt_gap:.3e}; reported, not asserted"
@@ -698,7 +703,6 @@ def main(argv: Optional[list] = None) -> int:
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--seed", type=int, default=0, help="seed for verify")
-    common.add_argument("--threads", type=int, default=1, help="sweep worker threads")
     parser = argparse.ArgumentParser(
         prog="cavbayes",
         description="Bayesian coupling-strength estimation for a driven qubit-cavity transit",
@@ -730,7 +734,7 @@ def main(argv: Optional[list] = None) -> int:
             if "sweep" not in cfg:
                 print("config error: sweep section missing", file=sys.stderr)
                 return 1
-            table = run_sweep(cfg["sweep"], threads=max(1, args.threads))
+            table = run_sweep(cfg["sweep"])
         elif args.command == "state":
             table = _cmd_state(cfg, args)
         elif args.command == "mmse":

@@ -10,11 +10,14 @@ over measurement densities (f_I, f_z) generating the POVM
 
 (the off-diagonal components drop out of the cost and are fixed to zero).
 The maximizer aligns f_z with the oscillatory part of the likelihood, leaving
-one free scale c.  POVM positivity on every compact interval then forces
-pointwise |f_z(x)| <= f_I(x); the production normalization constant is the
-largest scale satisfying that, cross-checked against (and never exceeding)
-the looser fixed-interval constants c1/c2 derived from the half-period
-integral inequalities.
+one free scale c.  POVM positivity on every compact interval is equivalent to
+the pointwise condition |f_z(x)| <= f_I(x): the zero-width interval limit is
+the pointwise condition itself, and conversely f_I +- f_z is then a
+nonnegative density of total mass one, so every interval mass lies in
+[0, 1].  The production normalization constant of each prior is therefore
+the closed-form pointwise cap.  The Gaussian fixed-interval constants c1/c2
+from the half-period integral inequalities are kept as reference
+implementations for verification; they never fall below the cap.
 
 Interval integrals of f_I +- f_z are available in closed form (error function
 with complex argument for the Gaussian prior), which makes positivity audits
@@ -27,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import erf
 
 from . import priors as priors_mod
@@ -36,14 +38,12 @@ from .priors import Prior, density
 
 __all__ = [
     "MlPovm",
-    "HermiteExpansion",
     "gaussian_cmax",
     "gaussian_bound_constants",
     "gaussian_bound_constants_erf",
     "gaussian_ml_povm",
     "gaussian_cost_max",
     "uniform_cmax",
-    "uniform_cmax_pointwise",
     "uniform_ml_povm",
     "uniform_cost_max",
     "conditional_pdf",
@@ -51,8 +51,6 @@ __all__ = [
     "ml_mse",
     "average_cost_quadrature",
     "interval_audit",
-    "hermite_function",
-    "cosine_hermite_coefficients",
 ]
 
 _SIN_FLOOR = 1e-14
@@ -182,9 +180,12 @@ def gaussian_bound_constants(prior: Prior, tau_c: float) -> tuple[float, float]:
         I1 = int_0^{pi/a} e^{-x^2/2} sin(a x) dx,
         y  = sigma |sin(2 g0 tau_c)|,
 
-    evaluated by adaptive quadrature.  These are necessary conditions only;
-    the production constant additionally enforces pointwise positivity.
+    evaluated by adaptive quadrature.  These are necessary conditions only
+    and never fall below the pointwise cap of :func:`gaussian_cmax`; they are
+    a reference for verification, not a production path.
     """
+    from scipy import integrate
+
     sin_b = _gaussian_sin_or_raise(prior, tau_c)
     a = 2.0 * prior.sigma * tau_c
     upper = math.pi / a
@@ -242,20 +243,18 @@ def _gaussian_bound_constants_erf_alt(prior: Prior, tau_c: float) -> tuple[float
 def gaussian_cmax(prior: Prior, tau_c: float) -> float:
     """Largest POVM-valid scale of the traceless component, Gaussian prior.
 
-    Interval positivity for every compact interval is equivalent to the
-    pointwise condition |f_z| <= f_I on the whole line, which caps the scale
-    at 1 / (sqrt(2 pi) sigma |sin(2 g0 tau_c)|): both densities share the
-    Gaussian envelope, so the binding points are where |sin(2 tau_c (x-g0))|
-    reaches one.  The fixed-interval constants c1/c2 are looser and only
-    clip the result when they happen to fall below the pointwise cap.
+    The pointwise cap 1 / (sqrt(2 pi) sigma |sin(2 g0 tau_c)|): both
+    densities share the Gaussian envelope, so |f_z| <= f_I binds where
+    |sin(2 tau_c (x - g0))| reaches one.  The fixed-interval constants of
+    :func:`gaussian_bound_constants` never bind: c1/cap = sqrt(2 pi) I0/I1 > 1
+    because sin(a x) < 1 on the half-period window, and c2 >= c1 because
+    I0 <= 1/2.
 
     Raises :class:`SinVanishes` when sin(2 g0 tau_c) = 0; callers then use a
     vanishing f_z with the scale reported as +inf.
     """
     sin_b = _gaussian_sin_or_raise(prior, tau_c)
-    c1, c2 = gaussian_bound_constants(prior, tau_c)
-    pointwise = 1.0 / (math.sqrt(2.0 * math.pi) * prior.sigma * abs(sin_b))
-    return min(c1, c2, pointwise)
+    return 1.0 / (math.sqrt(2.0 * math.pi) * prior.sigma * abs(sin_b))
 
 
 def gaussian_ml_povm(prior: Prior, tau_c: float, gamma_tau_f: float = 0.0) -> MlPovm:
@@ -300,92 +299,29 @@ def gaussian_cost_max(povm: MlPovm) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Uniform prior: normalization constant by constrained minimax
+# Uniform prior: normalization constant
 
 
-def _uniform_minimax_candidates(prior: Prior, tau_c: float, grid: int):
-    """Admissible-scale candidates min(x, 1-x)/|h| over the interval family.
+def uniform_cmax(prior: Prior, tau_c: float) -> float:
+    """Largest POVM-valid scale of the traceless component, uniform prior.
 
-    Intervals [a, b] inside the support are parametrized by the scaled width
-    x = (b-a)/(2 sqrt(3) sigma) in [0, 1] and midpoint y = (a+b)/(2 g0); the
-    two endpoint constraints on int (f_I +- f_z) read 0 <= x +- c h(x,y) <= 1
-    with
+    The pointwise cap 1/(2 sqrt(3) sigma max_x |cos(2 x tau_c) - K|) over the
+    support, K the support average of the cosine.  It binds for every compact
+    interval: under |f_z| <= f_I, f_I +- f_z is a nonnegative density of
+    total mass one, so each interval mass lies in [0, 1], and the zero-width
+    interval limit is the pointwise condition itself.  The maximum is taken
+    over the support endpoints and the interior stationary points of the
+    cosine.
 
-        h = [sin(A x) cos(B y) - x sin(A) cos(B)] / tau_c,
-        A = 2 sqrt(3) sigma tau_c,  B = 2 g0 tau_c.
-
-    The x -> 0 and x -> 1 edges are 0/0 limits handled analytically; the
-    x -> 0 family is the pointwise positivity condition and is the one that
-    binds.
-    """
-    g0, sig = prior.g0, prior.sigma
-    big_a = 2.0 * math.sqrt(3.0) * sig * tau_c
-    big_b = 2.0 * g0 * tau_c
-    sa, ca = math.sin(big_a), math.cos(big_a)
-    sb, cb = math.sin(big_b), math.cos(big_b)
-    ratio = math.sqrt(3.0) * sig / g0  # (width of y range)/(1 - x)
-
-    cands = []
-
-    # interior grid
-    xs = np.linspace(0.0, 1.0, grid + 2)[1:-1]
-    for x in xs:
-        y_half = ratio * (1.0 - x)
-        ys = np.linspace(1.0 - y_half, 1.0 + y_half, grid)
-        h = (np.sin(big_a * x) * np.cos(big_b * ys) - x * sa * cb) / tau_c
-        habs = np.abs(h)
-        mask = habs > 1e-300
-        if np.any(mask):
-            cands.append(float(np.min(min(x, 1.0 - x) / habs[mask])))
-
-    def max_abs_cos_combo(coef_cos: float, offset: float, y_lo: float, y_hi: float):
-        # max over y in [y_lo, y_hi] of |coef_cos * cos(B y) - offset|
-        ys = [y_lo, y_hi]
-        if big_b != 0.0:
-            k_lo = math.ceil(big_b * y_lo / math.pi)
-            k_hi = math.floor(big_b * y_hi / math.pi)
-            ys += [k * math.pi / big_b for k in range(k_lo, k_hi + 1)]
-        return max(abs(coef_cos * math.cos(big_b * y) - offset) for y in ys)
-
-    # x -> 0 edge: c <= tau_c / |A cos(B y) - sin A cos B|, y over full range
-    m0 = max_abs_cos_combo(big_a, sa * cb, 1.0 - ratio, 1.0 + ratio)
-    if m0 > 1e-300:
-        cands.append(tau_c / m0)
-
-    # x -> 1 edge: width shrinks with 1-x while the midpoint wanders by
-    # +-ratio (1-x); since B ratio = A the worst linearization gives
-    # c <= tau_c / (A |sin A sin B| + |sin A cos B - A cos A cos B|)
-    m1 = big_a * abs(sa * sb) + abs(sa * cb - big_a * ca * cb)
-    if m1 > 1e-300:
-        cands.append(tau_c / m1)
-
-    return cands
-
-
-def uniform_cmax(prior: Prior, tau_c: float, grid: int = 400) -> float:
-    """Largest POVM-valid scale for the uniform prior, by minimax search.
-
-    Evaluates the interval-family constraints on a ``grid`` x ``grid`` mesh
-    plus the analytic zero-width and full-width edge limits; every constraint
-    is linear in the scale, so the minimax reduces to the smallest admissible
-    ratio.  The zero-width family (pointwise positivity) is the binding one,
-    and its extrema over the midpoint are located exactly, which keeps the
-    special cases sharp.  Scale zero is always feasible.
+    Raises :class:`SinVanishes` at tau_c = 0, where the cosine is constant,
+    f_z vanishes identically and the scale is unbounded.
     """
     if prior.kind != priors_mod.UNIFORM:
         raise ValueError("uniform_cmax requires a uniform prior")
-    if tau_c <= 0:
-        raise ValueError("tau_c must be positive")
-    cands = _uniform_minimax_candidates(prior, tau_c, grid)
-    return min(cands) if cands else math.inf
-
-
-def uniform_cmax_pointwise(prior: Prior, tau_c: float) -> float:
-    """Pointwise-positivity cap 1/(2 sqrt(3) sigma max_x |cos(2 x tau_c) - K|).
-
-    Independent of the minimax search; the maximum over the support is taken
-    over the endpoints and the interior stationary points of the cosine.
-    """
+    if tau_c < 0:
+        raise ValueError("tau_c must be nonnegative")
+    if tau_c == 0:
+        raise SinVanishes("tau_c = 0: traceless component unconstrained")
     sig = prior.sigma
     k = _uniform_offset(prior, tau_c)
     lo, hi = prior.support
@@ -581,89 +517,4 @@ def interval_audit(
         n_violations=violations,
         worst_low=worst_low,
         worst_high=worst_high,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Hermite-function machinery behind the Gaussian optimizer
-
-
-def hermite_function(n: int, x):
-    """Orthonormal Hermite function psi_n(x) = e^{-x^2/2} H_n(x) / norm.
-
-    Stable three-term recurrence; vectorized over x.
-    """
-    x = np.asarray(x, dtype=float)
-    h_prev = np.pi ** (-0.25) * np.exp(-(x**2) / 2.0)
-    if n == 0:
-        return h_prev
-    h_cur = math.sqrt(2.0) * x * h_prev
-    for m in range(1, n):
-        h_next = math.sqrt(2.0 / (m + 1)) * x * h_cur - math.sqrt(m / (m + 1)) * h_prev
-        h_prev, h_cur = h_cur, h_next
-    return h_cur
-
-
-@dataclass(frozen=True)
-class HermiteExpansion:
-    """Coefficients of cos(2 sigma tau_c x + 2 g0 tau_c) e^{-x^2/2} over psi_n."""
-
-    g0: float
-    sigma: float
-    tau_c: float
-    coefficients: tuple
-
-    def partial_sum(self, x, parity: str = "all"):
-        """Partial sum over the stored coefficients; parity in {all,odd,even}."""
-        x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
-        for n, coef in enumerate(self.coefficients):
-            if parity == "odd" and n % 2 == 0:
-                continue
-            if parity == "even" and n % 2 == 1:
-                continue
-            if coef != 0.0:
-                total = total + coef * hermite_function(n, x)
-        return total
-
-
-def cosine_hermite_coefficients(
-    g0: float, sigma: float, tau_c: float, n_basis: int = 40
-) -> HermiteExpansion:
-    """Projection coefficients of the shifted cosine onto Hermite functions.
-
-    gamma_n = pi^{1/4} (2 sigma tau_c)^n e^{-sigma^2 tau_c^2} / sqrt(2^n n!)
-              * (-1)^{n/2} cos(2 g0 tau_c)        for even n,
-              * (-1)^{(n+1)/2} sin(2 g0 tau_c)    for odd n.
-
-    Magnitudes are accumulated in log space; the tail must have decayed below
-    1e-12 at the truncation order.
-    """
-    q = 2.0 * sigma * tau_c
-    phase = 2.0 * g0 * tau_c
-    coeffs = []
-    tail_mag = 0.0
-    for n in range(n_basis + 1):
-        if q == 0.0:
-            mag = 1.0 if n == 0 else 0.0
-        else:
-            log_mag = (
-                0.25 * math.log(math.pi)
-                + n * math.log(q)
-                - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1))
-                - sigma**2 * tau_c**2
-            )
-            mag = math.exp(log_mag)
-        tail_mag = mag
-        if n % 2 == 0:
-            coef = mag * (-1.0) ** (n // 2) * math.cos(phase)
-        else:
-            coef = mag * (-1.0) ** ((n + 1) // 2) * math.sin(phase)
-        coeffs.append(coef)
-    if tail_mag >= 1e-12:
-        raise ValueError(
-            f"basis truncation {n_basis} too small: tail magnitude {tail_mag}"
-        )
-    return HermiteExpansion(
-        g0=g0, sigma=sigma, tau_c=tau_c, coefficients=tuple(coeffs)
     )

@@ -204,17 +204,13 @@ def closed_form_abc(prior: Prior, tau_c: float) -> tuple[float, float, float]:
 def closed_form_gammas(prior: Prior, tau_c: float, gamma_tau_f: float) -> GammaTriple:
     """Moment operators from the closed-form entries (resonant vacuum path)."""
     a, b, c = closed_form_abc(prior, tau_c)
-    g0, var = moments_of(prior)
+    g0, var = priors_mod.moments(prior)
     damp = math.exp(-gamma_tau_f)
     return GammaTriple(
         gamma0=Hermitian2(ee=a * damp, gg=1.0 - a * damp),
         gamma1=Hermitian2(ee=b * damp, gg=g0 - b * damp),
         gamma2=Hermitian2(ee=c * damp, gg=g0**2 + var - c * damp),
     )
-
-
-def moments_of(prior: Prior) -> tuple[float, float]:
-    return prior.g0, prior.sigma**2
 
 
 def mmse_estimator(gammas: GammaTriple, gamma_tau_f: float = 0.0) -> MmseResult:
@@ -244,7 +240,7 @@ def limit_eigenvalue_tau0(prior: Prior) -> float:
     Both prior families share the limit g0 (3 sigma^2 + g0^2)/(sigma^2 + g0^2)
     even though the estimator itself is undefined at exactly zero time.
     """
-    g0, var = moments_of(prior)
+    g0, var = priors_mod.moments(prior)
     return g0 * (3.0 * var + g0**2) / (var + g0**2)
 
 
@@ -272,7 +268,7 @@ def min_cost_closed_form(prior: Prior, tau_c: float, gamma_tau_f: float) -> floa
     m2 = (g0 - b e^{-u})/(1 - a e^{-u}) and u the flight exponent.
     """
     a, b, _ = closed_form_abc(prior, tau_c)
-    g0, var = moments_of(prior)
+    g0, var = priors_mod.moments(prior)
     eu = math.exp(-gamma_tau_f)
     m2 = (g0 - b * eu) / (1.0 - a * eu)
     return g0**2 + var - b**2 * eu / a - m2**2 * (1.0 - a * eu)

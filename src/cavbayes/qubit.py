@@ -59,15 +59,6 @@ class Hermitian2:
     def trace(self) -> float:
         return self.ee + self.gg
 
-    def __add__(self, other: "Hermitian2") -> "Hermitian2":
-        return Hermitian2(self.ee + other.ee, self.gg + other.gg, self.eg + other.eg)
-
-    def __sub__(self, other: "Hermitian2") -> "Hermitian2":
-        return Hermitian2(self.ee - other.ee, self.gg - other.gg, self.eg - other.eg)
-
-    def scale(self, s: float) -> "Hermitian2":
-        return Hermitian2(s * self.ee, s * self.gg, s * self.eg)
-
 
 @dataclass(frozen=True)
 class QubitState:

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -90,9 +93,9 @@ def test_ml_sweep_requires_resonant_vacuum():
         spec("mmse_cost", "tau_c", 2.0, 0.1, 10)
 
 
-def test_threaded_sweep_matches_serial():
-    s = spec("mmse_cost", "tau_c", 0.1, 2.5, 24)
-    assert run_sweep(s, threads=4).rows == run_sweep(s, threads=1).rows
+def test_ml_cost_sweep_header():
+    table = run_sweep(spec("ml_cost", "tau_c", 0.1, 2.0, 5, prior=UNIF))
+    assert table.columns == ["axis", "cost_max"]
 
 
 def test_tau_star_examples():
@@ -183,7 +186,7 @@ def test_point_subcommands_run(tmp_path, capsys):
     assert "rho_ee" in out and "c_min" in out and "c_max" in out
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[sweep]\nquantity = mmse_cost\naxis = g_over_g0\nlo = 0\nhi = 1\nn_points = 4\n")
     assert main(["sweep", "--config", str(bad)]) == 1  # unsupported combination
@@ -194,6 +197,34 @@ def test_exit_codes(tmp_path):
 
     missing = tmp_path / "nope.ini"
     assert main(["mmse", "--config", str(missing)]) == 1
+
+    # uniform-prior likelihood POVM at zero interaction time: unbounded scale
+    zero_ml = tmp_path / "zero_ml.ini"
+    zero_ml.write_text("[prior]\nkind = uniform\n[scenario]\ng0_tau_c = 0.0\n")
+    zero_sweep = tmp_path / "zero_sweep.ini"
+    zero_sweep.write_text(
+        "[prior]\nkind = uniform\n"
+        "[sweep]\nquantity = ml_cost\naxis = tau_c\nlo = 0\nhi = 1\nn_points = 4\n"
+    )
+    capsys.readouterr()
+    for argv in (["ml", "--config", str(zero_ml)], ["sweep", "--config", str(zero_sweep)]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_import_skips_scipy_integrate():
+    # the production path needs no adaptive quadrature; only the reference
+    # fixed-interval constants import scipy.integrate, lazily
+    import cavbayes
+
+    src = os.path.dirname(os.path.dirname(cavbayes.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, cavbayes, cavbayes.cli; "
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_verify_all_passes_and_is_deterministic():

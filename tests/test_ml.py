@@ -1,4 +1,4 @@
-"""Likelihood-optimal POVMs: constants, costs, positivity, Hermite machinery."""
+"""Likelihood-optimal POVMs: constants, costs, positivity."""
 
 import dataclasses
 import math
@@ -11,18 +11,15 @@ from cavbayes.errors import SinVanishes
 from cavbayes.ml import (
     average_cost_quadrature,
     conditional_pdf,
-    cosine_hermite_coefficients,
     gaussian_average_estimate_closed_forms,
     gaussian_bound_constants,
     gaussian_bound_constants_erf,
     gaussian_cmax,
     gaussian_cost_max,
     gaussian_ml_povm,
-    hermite_function,
     interval_audit,
     ml_average_estimate,
     uniform_cmax,
-    uniform_cmax_pointwise,
     uniform_cost_max,
     uniform_ml_povm,
 )
@@ -77,7 +74,7 @@ def test_cmax_never_exceeds_fixed_interval_constants():
         except SinVanishes:
             continue
         c1, c2 = gaussian_bound_constants(p, tc)
-        assert c <= min(c1, c2) + 1e-12
+        assert c < min(c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +124,14 @@ def test_average_cost_increases_with_scale():
 def test_uniform_special_case_constant():
     p = special_case_prior()
     tc = math.pi / 4.0
-    assert uniform_cmax(p, tc) == pytest.approx(2.0 * tc / math.pi, abs=1e-10)
-    assert uniform_cmax_pointwise(p, tc) == pytest.approx(2.0 * tc / math.pi, abs=1e-12)
+    assert uniform_cmax(p, tc) == pytest.approx(2.0 * tc / math.pi, abs=1e-12)
+
+
+def test_uniform_cmax_rejects_zero_interaction_time():
+    with pytest.raises(SinVanishes):
+        uniform_cmax(special_case_prior(), 0.0)
+    with pytest.raises(ValueError):
+        uniform_cmax(GAUSS, 0.5)
 
 
 def test_uniform_small_spread_loosens_constraint():
@@ -136,41 +139,48 @@ def test_uniform_small_spread_loosens_constraint():
     # grows past the special-case value
     tc = math.pi / 4.0
     ref = 2.0 * tc / math.pi
-    narrow = uniform_cmax(Prior.uniform(1.0, 0.05), tc)
+    p = Prior.uniform(1.0, 0.05)
+    narrow = uniform_cmax(p, tc)
     assert narrow > ref
-    assert narrow == pytest.approx(uniform_cmax_pointwise(Prior.uniform(1.0, 0.05), tc), rel=1e-6)
+    # independent cap: dense-grid maximum of |cos(2 x tau_c) - mean|
+    xs = np.linspace(*p.support, 200001)
+    cosine = np.cos(2.0 * tc * xs)
+    peak = np.max(np.abs(cosine - integrate.trapezoid(cosine, xs) / (xs[-1] - xs[0])))
+    assert narrow == pytest.approx(1.0 / (2.0 * math.sqrt(3.0) * p.sigma * peak), rel=1e-6)
 
 
-def test_uniform_minimax_matches_pointwise_cap():
-    rng = np.random.default_rng(9)
-    for _ in range(15):
-        p = Prior.uniform(rng.uniform(0.5, 2.0), rng.uniform(0.2, 1.2))
-        tc = rng.uniform(0.3, 2.5)
-        assert uniform_cmax(p, tc) == pytest.approx(
-            uniform_cmax_pointwise(p, tc), rel=1e-6
-        )
-
-
-def test_uniform_random_constraint_scan():
-    # direct check of the interval-endpoint inequalities on random (x, y)
-    p = special_case_prior()
-    tc = math.pi / 4.0
+def _interval_violations(p, tc, c, n, seed):
+    # interval-endpoint inequalities 0 <= x +- c h(x, y) <= 1 at random
+    # scaled width x and midpoint y over every interval inside the support
     big_a = 2.0 * math.sqrt(3.0) * p.sigma * tc
     big_b = 2.0 * p.g0 * tc
     ratio = math.sqrt(3.0) * p.sigma / p.g0
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, n)
+    y = 1.0 + ratio * (1.0 - x) * rng.uniform(-1.0, 1.0, n)
+    h = (np.sin(big_a * x) * np.cos(big_b * y) - x * math.sin(big_a) * math.cos(big_b)) / tc
+    lower = x - c * np.abs(h)
+    upper = x + c * np.abs(h)
+    return int(np.sum((lower < -1e-12) | (upper > 1.0 + 1e-12)))
 
-    def violations(c, n, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(0.0, 1.0, n)
-        y = 1.0 + ratio * (1.0 - x) * rng.uniform(-1.0, 1.0, n)
-        h = (np.sin(big_a * x) * np.cos(big_b * y) - x * math.sin(big_a) * math.cos(big_b)) / tc
-        lower = x - c * np.abs(h)
-        upper = x + c * np.abs(h)
-        return int(np.sum((lower < -1e-12) | (upper > 1.0 + 1e-12)))
 
+def test_uniform_random_constraint_scan():
+    p = special_case_prior()
+    tc = math.pi / 4.0
     c_max = uniform_cmax(p, tc)
-    assert violations(c_max, 10**5, 21) == 0
-    assert violations(1.02 * c_max, 10**5, 21) > 0
+    assert _interval_violations(p, tc, c_max, 10**5, 21) == 0
+    assert _interval_violations(p, tc, 1.02 * c_max, 10**5, 21) > 0
+
+
+@pytest.mark.parametrize(
+    "sigma,tc",
+    [(0.54, 2.423), (1.258, 0.781), (0.98, 5.842), (0.444, 0.488), (0.931, 1.243)],
+)
+def test_uniform_random_constraint_scan_random_draws(sigma, tc):
+    p = Prior.uniform(1.0, sigma)
+    c_max = uniform_cmax(p, tc)
+    assert _interval_violations(p, tc, c_max, 10**5, 21) == 0
+    assert _interval_violations(p, tc, 1.02 * c_max, 10**5, 21) > 0
 
 
 def test_uniform_densities_and_completeness():
@@ -300,43 +310,3 @@ def test_povm_validity_on_random_draws():
             if not interval_audit(povm, 500, seed=1000 + i, scale=1.05).passed:
                 detected += 1
     assert detected >= int(0.95 * 2 * n_draws)
-
-
-# ---------------------------------------------------------------------------
-# Hermite machinery
-
-
-def test_hermite_functions_orthonormal():
-    xs = np.linspace(-12.0, 12.0, 4001)
-    w = np.gradient(xs)
-    for m, n in ((0, 0), (3, 3), (2, 5), (7, 7), (4, 9)):
-        inner = np.sum(w * hermite_function(m, xs) * hermite_function(n, xs))
-        assert inner == pytest.approx(1.0 if m == n else 0.0, abs=1e-8)
-
-
-def test_expansion_coefficients_match_direct_projection():
-    exp = cosine_hermite_coefficients(1.0, 1.0, math.pi / 4.0, n_basis=40)
-    for n in range(21):
-        ref = integrate.quad(
-            lambda x: math.cos(2.0 * x * math.pi / 4.0 + math.pi / 2.0)
-            * math.exp(-x * x / 2.0)
-            * float(hermite_function(n, np.array([x]))[0]),
-            -12.0,
-            12.0,
-            limit=400,
-        )[0]
-        assert exp.coefficients[n] == pytest.approx(ref, abs=1e-10)
-
-
-def test_odd_partial_sum_converges_to_sine_product():
-    g0, sigma, tc = 1.0, 1.0, math.pi / 4.0
-    exp = cosine_hermite_coefficients(g0, sigma, tc, n_basis=40)
-    xs = np.linspace(-5.0, 5.0, 801)
-    got = exp.partial_sum(xs, parity="odd")
-    target = -math.sin(2.0 * g0 * tc) * np.sin(2.0 * sigma * xs * tc) * np.exp(-(xs**2) / 2.0)
-    assert np.max(np.abs(got - target)) < 1e-6
-
-
-def test_expansion_requires_decayed_tail():
-    with pytest.raises(ValueError):
-        cosine_hermite_coefficients(1.0, 2.0, 2.0, n_basis=10)
