@@ -29,7 +29,7 @@ from .dynamics import FieldState, Scenario, reduced_state
 from .errors import SingularSLD
 from .mmse import MmseResult, mse_of_estimator
 from .priors import Prior
-from .qubit import Hermitian2, eigendecompose
+from .qubit import Hermitian2, QubitState, eigendecompose
 
 __all__ = ["BoundReport", "sld", "sld_general", "cr_bound_mmse", "cr_bound_ml"]
 
@@ -103,16 +103,24 @@ def _rho_derivative(
 
 
 def sld_general(
-    g: float, scenario: Scenario, field: FieldState, step: Optional[float] = None
+    g: float,
+    scenario: Scenario,
+    field: FieldState,
+    step: Optional[float] = None,
+    rho: Optional[QubitState] = None,
+    drho: Optional[np.ndarray] = None,
 ) -> Hermitian2:
     """L for a general scenario, built in the eigenbasis of rho(g).
 
     L_ij = 2 (d rho)_ij / (p_i + p_j); entries with p_i + p_j below 1e-12 are
-    set to zero (support convention at rank deficiency).
+    set to zero (support convention at rank deficiency).  A caller holding
+    rho(g) or its derivative already passes them in as ``rho`` / ``drho``.
     """
-    rho = reduced_state(g, scenario, field)
+    if rho is None:
+        rho = reduced_state(g, scenario, field)
     w, v = eigendecompose(rho.matrix)
-    drho = _rho_derivative(g, scenario, field, step)
+    if drho is None:
+        drho = _rho_derivative(g, scenario, field, step)
     dr_eig = v.conj().T @ drho @ v
     pair = w[:, None] + w[None, :]
     l_eig = np.where(pair > 1e-12, 2.0 * dr_eig / np.where(pair > 1e-12, pair, 1.0), 0.0)
@@ -204,10 +212,11 @@ def cr_bound_mmse(
             sld_diag = None  # bound taken as the regular limit of the ratio
         return _report(g, mse, xprime, fisher, sld_diag)
 
+    rho_state = reduced_state(g, scenario, field)
     drho = _rho_derivative(g, scenario, field)
     xprime = float(np.trace(result.m_min.as_array() @ drho).real)
-    l_op = sld_general(g, scenario, field)
-    rho = reduced_state(g, scenario, field).as_array()
+    l_op = sld_general(g, scenario, field, rho=rho_state, drho=drho)
+    rho = rho_state.as_array()
     l_arr = l_op.as_array()
     fisher = float(np.trace(rho @ l_arr @ l_arr).real)
     w, _ = eigendecompose(l_op)

@@ -132,73 +132,95 @@ def _mmse_result(prior: Prior, scenario: Scenario, field: FieldState):
     return mmse_mod.mmse_estimator(gammas, scenario.tau_f_gamma)
 
 
-def _dissipative_cost(prior: Prior, scenario: Scenario, tau: float) -> float:
-    gammas = mmse_mod.gamma_moments_dissipative(
-        prior, tau, scenario.gamma_cav, scenario.kappa
+def _mmse_results(prior: Prior, scenarios: list, field: FieldState):
+    """Estimators at every scenario: moments reduced point by point, so only
+    one quadrature rule is alive at a time, then one batched solve."""
+    gammas = mmse_mod.GammaTriple.stack(
+        [mmse_mod.gamma_moments(prior, sc, field) for sc in scenarios]
+    )
+    return mmse_mod.mmse_estimator(gammas, [sc.tau_f_gamma for sc in scenarios])
+
+
+def _dissipative_costs(prior: Prior, scenario: Scenario, taus) -> np.ndarray:
+    gammas = mmse_mod.GammaTriple.stack(
+        [
+            mmse_mod.gamma_moments_dissipative(
+                prior, float(tau), scenario.gamma_cav, scenario.kappa
+            )
+            for tau in taus
+        ]
     )
     return mmse_mod.mmse_estimator(gammas).c_min
 
 
-def _sweep_row(spec: SweepSpec, value: float) -> list:
+_AXIS_FIELDS = {"tau_c": "tau_c", "delta": "delta", "gamma_tau_f": "tau_f_gamma"}
+
+
+def _at(spec: SweepSpec, value: float) -> Scenario:
+    """The pinned scenario with the sweep axis set to ``value``."""
+    if spec.axis not in _AXIS_FIELDS:
+        return spec.scenario
+    return _with(spec.scenario, **{_AXIS_FIELDS[spec.axis]: value})
+
+
+def _ml_row(spec: SweepSpec, value: float) -> list:
     prior = spec.prior
-    scenario = spec.scenario
-    fld = spec.resolved_field()
+    scenario = _at(spec, value)
     q = spec.quantity
-
-    if spec.axis == "tau_c":
-        scenario = _with(scenario, tau_c=value)
-    elif spec.axis == "delta":
-        scenario = _with(scenario, delta=value)
-    elif spec.axis == "gamma_tau_f":
-        scenario = _with(scenario, tau_f_gamma=value)
-
-    if q == "dissipative_cost":
-        return [value, _dissipative_cost(prior, scenario, scenario.tau_c)]
-
-    if q.startswith("ml_"):
-        build = (
-            ml_mod.gaussian_ml_povm
+    build = (
+        ml_mod.gaussian_ml_povm
+        if prior.kind == priors_mod.GAUSSIAN
+        else ml_mod.uniform_ml_povm
+    )
+    povm = build(prior, scenario.tau_c, scenario.tau_f_gamma)
+    if q == "ml_cost":
+        cost = (
+            ml_mod.gaussian_cost_max(povm)
             if prior.kind == priors_mod.GAUSSIAN
-            else ml_mod.uniform_ml_povm
+            else ml_mod.uniform_cost_max(povm)
         )
-        povm = build(prior, scenario.tau_c, scenario.tau_f_gamma)
-        if q == "ml_cost":
-            cost = (
-                ml_mod.gaussian_cost_max(povm)
-                if prior.kind == priors_mod.GAUSSIAN
-                else ml_mod.uniform_cost_max(povm)
-            )
-            return [value, cost]
-        if q == "ml_avg_estimate":
-            g = value * prior.g0 if spec.axis == "g_over_g0" else prior.g0
-            return [value, ml_mod.ml_average_estimate(povm, g, scenario.tau_f_gamma)]
-        g = value * prior.g0
-        rep = bounds_mod.cr_bound_ml(povm, g, scenario.tau_f_gamma)
-        return [value, rep.mse, rep.lower_bound]
-
-    # mmse_* quantities share the estimator at the pinned scenario
-    result = _mmse_result(prior, scenario, fld)
-    if q in ("mmse_cost", "mmse_eigenvalues"):
-        return [value, result.estimates[0], result.estimates[1], result.c_min]
+        return [value, cost]
+    if q == "ml_avg_estimate":
+        g = value * prior.g0 if spec.axis == "g_over_g0" else prior.g0
+        return [value, ml_mod.ml_average_estimate(povm, g, scenario.tau_f_gamma)]
     g = value * prior.g0
-    if q == "mmse_avg_estimate":
+    rep = bounds_mod.cr_bound_ml(povm, g, scenario.tau_f_gamma)
+    return [value, rep.mse, rep.lower_bound]
+
+
+def _mmse_rows(spec: SweepSpec, values: list) -> list:
+    prior, q = spec.prior, spec.quantity
+    scenarios = [_at(spec, v) for v in values]
+    if q == "dissipative_cost":
+        costs = _dissipative_costs(prior, spec.scenario, [sc.tau_c for sc in scenarios])
+        return [[v, float(c)] for v, c in zip(values, costs)]
+
+    fld = spec.resolved_field()
+    if q in ("mmse_cost", "mmse_eigenvalues"):
+        res = _mmse_results(prior, scenarios, fld)
         return [
-            value,
+            [v, float(lo), float(hi), float(c)]
+            for v, lo, hi, c in zip(values, *res.estimates, res.c_min)
+        ]
+
+    # g_over_g0: one estimator at the pinned scenario serves every row
+    scenario = spec.scenario
+    result = _mmse_result(prior, scenario, fld)
+    rows = []
+    for v in values:
+        g = v * prior.g0
+        row = [
+            v,
             result.estimates[0],
             result.estimates[1],
             result.c_min,
             mmse_mod.average_estimate(result, g, scenario, fld),
         ]
-    rep = bounds_mod.cr_bound_mmse(result, g, prior, scenario, fld)
-    return [
-        value,
-        result.estimates[0],
-        result.estimates[1],
-        result.c_min,
-        mmse_mod.average_estimate(result, g, scenario, fld),
-        rep.lower_bound,
-        rep.mse,
-    ]
+        if q == "mmse_cr_bound":
+            rep = bounds_mod.cr_bound_mmse(result, g, prior, scenario, fld)
+            row += [rep.lower_bound, rep.mse]
+        rows.append(row)
+    return rows
 
 
 _SWEEP_COLUMNS = {
@@ -222,9 +244,17 @@ _SWEEP_COLUMNS = {
 
 
 def run_sweep(spec: SweepSpec) -> Table:
-    """Evaluate the configured quantity over the axis grid, in axis order."""
-    values = np.linspace(spec.lo, spec.hi, spec.n_points)
-    rows = [_sweep_row(spec, float(v)) for v in values]
+    """Evaluate the configured quantity over the axis grid, in axis order.
+
+    MMSE quantities over ``tau_c``, ``delta`` and ``gamma_tau_f`` and the
+    dissipative cost take one batched solve over the whole axis; likelihood
+    quantities are evaluated row by row.
+    """
+    values = [float(v) for v in np.linspace(spec.lo, spec.hi, spec.n_points)]
+    if spec.quantity.startswith("ml_"):
+        rows = [_ml_row(spec, v) for v in values]
+    else:
+        rows = _mmse_rows(spec, values)
     return Table(columns=list(_SWEEP_COLUMNS[spec.quantity]), rows=rows)
 
 
@@ -269,18 +299,20 @@ def find_tau_star(
     g0 = prior.g0
 
     if scenario.is_unitary_transit:
-        def cost(tau: float) -> float:
-            return _mmse_result(prior, _with(scenario, tau_c=tau), fld).c_min
+        def costs(taus) -> np.ndarray:
+            scenarios = [_with(scenario, tau_c=float(t)) for t in taus]
+            return _mmse_results(prior, scenarios, fld).c_min
     else:
-        def cost(tau: float) -> float:
-            return _dissipative_cost(prior, scenario, tau)
+        def costs(taus) -> np.ndarray:
+            return _dissipative_costs(prior, scenario, taus)
 
     taus = np.linspace(0.05 / g0, 3.0 / g0, coarse_points)
-    costs = [cost(float(t)) for t in taus]
-    best = int(np.argmin(costs))
+    best = int(np.argmin(costs(taus)))
     lo = taus[max(0, best - 1)]
     hi = taus[min(len(taus) - 1, best + 1)]
-    return _golden_section(cost, float(lo), float(hi), tol / g0)
+    return _golden_section(
+        lambda tau: float(costs([tau])[0]), float(lo), float(hi), tol / g0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +723,7 @@ def _cmd_tau_star(cfg: dict, args) -> Table:
     if scenario.is_unitary_transit:
         c_at = _mmse_result(prior, _with(scenario, tau_c=tau), field_for(scenario)).c_min
     else:
-        c_at = _dissipative_cost(prior, scenario, tau)
+        c_at = float(_dissipative_costs(prior, scenario, [tau])[0])
     table = Table(columns=["g0_tau_star", "c_min_at_tau_star"])
     table.rows.append([tau * prior.g0, c_at])
     return table

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -105,7 +106,7 @@ class FieldState:
         if mass > 1.0 + 1e-12:
             raise ValueError(f"field norm {mass} exceeds 1")
 
-    @property
+    @cached_property
     def captured_mass(self) -> float:
         return float(sum(abs(c) ** 2 for c in self.coefficients))
 
@@ -224,10 +225,12 @@ def reduced_state(g: float, scenario: Scenario, field: FieldState) -> QubitState
     return QubitState(Hermitian2(ee=ee, gg=1.0 - ee, eg=complex(a_eg[0])))
 
 
-def _excited_fraction(g: float, t: float, gamma: float, kappa: float) -> float:
+def _excited_fraction(
+    g_values: np.ndarray, t: float, gamma: float, kappa: float
+) -> np.ndarray:
     """Excited-state population of the damped resonant vacuum model.
 
-    Evaluated from
+    Evaluated elementwise over ``g_values`` from
 
         f(t) = e^{-(gamma+kappa)t/2} [ cosh(s) + 2 g^2 t^2 C2(s)
                                        + (kappa-gamma)(t/2) S1(s) ],
@@ -237,25 +240,32 @@ def _excited_fraction(g: float, t: float, gamma: float, kappa: float) -> float:
     S1(s) = sinh(s)/s.  Series expansions take over for |s| small so the
     Omega -> 0 point is regular; this grouping is an algebraically equivalent
     rearrangement of the standard damped-Rabi solution and satisfies f(0) = 1
-    identically.
+    identically.  Raises ArithmeticError if any value keeps an imaginary
+    residue of 1e-12 or more.
     """
-    omega = np.sqrt(complex((gamma - kappa) ** 2 - 16.0 * g**2))
+    g = np.asarray(g_values, dtype=float)
+    omega = np.sqrt(((gamma - kappa) ** 2 - 16.0 * g**2).astype(complex))
     s = omega * t / 2.0
-    if abs(s) < 1e-4:
-        s2 = s * s
-        c2 = 0.5 + s2 / 24.0 + s2 * s2 / 720.0
-        s1 = 1.0 + s2 / 6.0 + s2 * s2 / 120.0
-        cosh_s = 1.0 + s2 / 2.0 + s2 * s2 / 24.0
-    else:
-        c2 = (np.cosh(s) - 1.0) / (s * s)
-        s1 = np.sinh(s) / s
-        cosh_s = np.cosh(s)
+    s2 = s * s
+    series = np.abs(s) < 1e-4
+    # the closed forms divide by s: evaluate them away from the series points
+    s_far = np.where(series, 1.0, s)
+    c2 = np.where(
+        series,
+        0.5 + s2 / 24.0 + s2 * s2 / 720.0,
+        (np.cosh(s_far) - 1.0) / (s_far * s_far),
+    )
+    s1 = np.where(series, 1.0 + s2 / 6.0 + s2 * s2 / 120.0, np.sinh(s_far) / s_far)
+    cosh_s = np.where(series, 1.0 + s2 / 2.0 + s2 * s2 / 24.0, np.cosh(s))
     val = np.exp(-(gamma + kappa) * t / 2.0) * (
         cosh_s + 2.0 * g**2 * t**2 * c2 + (kappa - gamma) * (t / 2.0) * s1
     )
-    if abs(val.imag) >= 1e-12:
-        raise ArithmeticError(f"imaginary residue {val.imag} in excited fraction")
-    return float(val.real)
+    residue = np.abs(val.imag)
+    if np.any(residue >= 1e-12):
+        raise ArithmeticError(
+            f"imaginary residue {val.imag[np.argmax(residue)]} in excited fraction"
+        )
+    return val.real
 
 
 def dissipative_state(g: float, t: float, gamma: float, kappa: float) -> QubitState:
@@ -269,7 +279,7 @@ def dissipative_state(g: float, t: float, gamma: float, kappa: float) -> QubitSt
         raise InvalidRate(f"rates must be nonnegative, got gamma={gamma} kappa={kappa}")
     if t < 0:
         raise ValueError("time must be nonnegative")
-    f = _excited_fraction(g, t, gamma, kappa)
+    f = float(_excited_fraction(np.array([g]), t, gamma, kappa)[0])
     f = min(max(f, 0.0), 1.0)
     return QubitState(Hermitian2(ee=f, gg=1.0 - f))
 
@@ -280,6 +290,4 @@ def dissipative_populations(
     """Vectorized excited population of the dissipative variant."""
     if gamma < 0 or kappa < 0:
         raise InvalidRate(f"rates must be nonnegative, got gamma={gamma} kappa={kappa}")
-    return np.array(
-        [_excited_fraction(float(g), t, gamma, kappa) for g in np.atleast_1d(g_values)]
-    )
+    return _excited_fraction(np.atleast_1d(g_values), t, gamma, kappa)

@@ -349,24 +349,55 @@ def uniform_ml_povm(prior: Prior, tau_c: float, gamma_tau_f: float = 0.0) -> MlP
     )
 
 
+def _uniform_cost_bracket(big_a: float, big_b: float) -> float:
+    """1/2 - sin^2(A) cos^2(B)/A^2 + sin(2A) cos(2B)/(4A), free of cancellation.
+
+    Regrouped as T(A) + sin^2(B) s (s - cos A) with s = sin(A)/A and
+    T(A) = 1/2 + sin(2A)/(4A) - s^2.  As A -> 0, T and s - cos A vanish as
+    A^4/45 and A^2/3 while c_max grows as 1/A^2, so below A = 1 both are
+    summed from their Taylor series instead of differenced:
+
+        T(A)      = sum_{n>=3} (-1)^(n+1) (n-2) (2A)^(2n-2) / (2n)!,
+        s - cos A = sum_{k>=1} (-1)^(k+1) 2k A^(2k) / (2k+1)!.
+    """
+    if big_a >= 1.0:
+        return (
+            0.5
+            - (math.sin(big_a) * math.cos(big_b)) ** 2 / big_a**2
+            + math.sin(2.0 * big_a) * math.cos(2.0 * big_b) / (4.0 * big_a)
+        )
+    x2 = 4.0 * big_a**2
+    power = x2 * x2 / 720.0  # (2A)^(2n-2) / (2n)! at n = 3
+    t_sum, n = 0.0, 3
+    while power * (n - 2) > 1e-18 * t_sum:
+        t_sum += (-1) ** (n + 1) * (n - 2) * power
+        power *= x2 / ((2 * n + 1) * (2 * n + 2))
+        n += 1
+    a2 = big_a**2
+    power = a2 / 6.0  # A^(2k) / (2k+1)! at k = 1
+    gap, k = 0.0, 1
+    while 2 * k * power > 1e-18 * gap:
+        gap += (-1) ** (k + 1) * 2 * k * power
+        power *= a2 / ((2 * k + 2) * (2 * k + 3))
+        k += 1
+    s = math.sin(big_a) / big_a
+    return t_sum + math.sin(big_b) ** 2 * s * gap
+
+
 def uniform_cost_max(povm: MlPovm) -> float:
     """Maximized average cost for the uniform-prior POVM.
 
     Closed form with A = 2 sqrt(3) sigma tau_c, B = 2 g0 tau_c:
 
         1/(2 sqrt(3) sigma) + c_max e^{-u} [ 1/2
-            - sin^2(A) cos^2(B) / A^2 + sin(2A) cos(2B) / (4A) ].
+            - sin^2(A) cos^2(B) / A^2 + sin(2A) cos(2B) / (4A) ],
+
+    the bracket evaluated by :func:`_uniform_cost_bracket`.
     """
     if povm.prior.kind != priors_mod.UNIFORM:
         raise ValueError("uniform_cost_max requires a uniform-prior POVM")
     g0, sig, tc = povm.prior.g0, povm.prior.sigma, povm.tau_c
-    big_a = 2.0 * math.sqrt(3.0) * sig * tc
-    big_b = 2.0 * g0 * tc
-    bracket = (
-        0.5
-        - (math.sin(big_a) * math.cos(big_b)) ** 2 / big_a**2
-        + math.sin(2.0 * big_a) * math.cos(2.0 * big_b) / (4.0 * big_a)
-    )
+    bracket = _uniform_cost_bracket(2.0 * math.sqrt(3.0) * sig * tc, 2.0 * g0 * tc)
     return 1.0 / (2.0 * math.sqrt(3.0) * sig) + povm.c_max * math.exp(
         -povm.gamma_tau_f
     ) * bracket

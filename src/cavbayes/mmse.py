@@ -55,6 +55,16 @@ class GammaTriple:
     gamma1: Hermitian2
     gamma2: Hermitian2
 
+    @staticmethod
+    def stack(triples) -> "GammaTriple":
+        """Batch of the single triples ``triples``, in order."""
+        return GammaTriple(
+            *(
+                Hermitian2.stack([getattr(t, name) for t in triples])
+                for name in ("gamma0", "gamma1", "gamma2")
+            )
+        )
+
 
 @dataclass(frozen=True)
 class MmseResult:
@@ -62,12 +72,22 @@ class MmseResult:
 
     ``estimates`` are the eigenvalues of the estimator in ascending order;
     ``projectors[:, k]`` is the measurement direction yielding estimate k.
+    The result of a batch of moment operators holds every field with a
+    leading batch axis; :meth:`row` is the result of one batch entry.
     """
 
     m_min: Hermitian2
     estimates: tuple[float, float]
     projectors: np.ndarray
     c_min: float
+
+    def row(self, i: int) -> "MmseResult":
+        return MmseResult(
+            m_min=self.m_min.row(i),
+            estimates=(float(self.estimates[0][i]), float(self.estimates[1][i])),
+            projectors=self.projectors[i],
+            c_min=float(self.c_min[i]),
+        )
 
     def branch_estimates(self) -> tuple[float, float]:
         """(excited-branch, ground-branch) estimates.
@@ -88,6 +108,29 @@ def _oscillation_rate(scenario: Scenario, field: FieldState) -> float:
     return 2.0 * scenario.tau_c * math.sqrt(n_top)
 
 
+def _prior_moments(
+    prior: Prior, rule: priors_mod.QuadratureRule, a_ee: np.ndarray, a_eg=None
+) -> GammaTriple:
+    """G_k = sum over nodes of w z(g) g^k rho(g), k = 0, 1, 2.
+
+    ``a_ee`` and ``a_eg`` are the excited population and coherence of rho on
+    the nodes (``a_eg=None`` for diagonal states).  The three moments of an
+    entry are reduced together, row by row, in the same summation order as
+    one reduction per moment.
+    """
+    wz = rule.weights * density(prior, rule.nodes)
+    wk = np.stack([wz * rule.nodes**k for k in (0, 1, 2)])
+    ee = np.sum(wk * a_ee, axis=1)
+    gg = np.sum(wk * (1.0 - a_ee), axis=1)
+    eg = np.zeros(3) if a_eg is None else np.sum(wk * a_eg, axis=1)
+    return GammaTriple(
+        *(
+            Hermitian2(ee=float(ee[k]), gg=float(gg[k]), eg=complex(eg[k]))
+            for k in range(3)
+        )
+    )
+
+
 def gamma_moments(
     prior: Prior,
     scenario: Scenario,
@@ -105,16 +148,7 @@ def gamma_moments(
         )
     rule = priors_mod.quadrature(prior, n_points)
     a_ee, a_eg = detector_matrix_elements(rule.nodes, scenario, field)
-    wz = rule.weights * density(prior, rule.nodes)
-
-    out = []
-    for k in (0, 1, 2):
-        wk = wz * rule.nodes**k
-        ee = float(np.sum(wk * a_ee))
-        gg = float(np.sum(wk * (1.0 - a_ee)))
-        eg = complex(np.sum(wk * a_eg))
-        out.append(Hermitian2(ee=ee, gg=gg, eg=eg))
-    return GammaTriple(*out)
+    return _prior_moments(prior, rule, a_ee, a_eg)
 
 
 def gamma_moments_dissipative(
@@ -129,14 +163,7 @@ def gamma_moments_dissipative(
         n_points = priors_mod.nodes_for_oscillation(prior, 2.0 * tau_c)
     rule = priors_mod.quadrature(prior, n_points)
     pops = dissipative_populations(rule.nodes, tau_c, gamma, kappa)
-    wz = rule.weights * density(prior, rule.nodes)
-    out = []
-    for k in (0, 1, 2):
-        wk = wz * rule.nodes**k
-        out.append(
-            Hermitian2(ee=float(np.sum(wk * pops)), gg=float(np.sum(wk * (1.0 - pops))))
-        )
-    return GammaTriple(*out)
+    return _prior_moments(prior, rule, pops)
 
 
 def closed_form_abc(prior: Prior, tau_c: float) -> tuple[float, float, float]:
@@ -213,7 +240,7 @@ def closed_form_gammas(prior: Prior, tau_c: float, gamma_tau_f: float) -> GammaT
     )
 
 
-def mmse_estimator(gammas: GammaTriple, gamma_tau_f: float = 0.0) -> MmseResult:
+def mmse_estimator(gammas: GammaTriple, gamma_tau_f=0.0) -> MmseResult:
     """Solve for the optimal estimator and its average cost.
 
     The flight damping is already folded into the moment operators;
@@ -222,16 +249,26 @@ def mmse_estimator(gammas: GammaTriple, gamma_tau_f: float = 0.0) -> MmseResult:
     moment operator by the same exp(-gamma tau_f), leaving their ratios
     (hence the estimator) well conditioned, so genuinely ill-posed inputs
     are flagged relative to that known scale rather than in absolute terms.
+
+    A batch of moment operators (see :meth:`GammaTriple.stack`) is solved in
+    one call, with ``gamma_tau_f`` a scalar or one value per entry; a single
+    triple is solved as a batch of one.
     """
-    floor = 1e-14 * min(1.0, math.exp(-gamma_tau_f))
+    batch = gammas.gamma0.is_batch
+    if not batch:
+        gammas = GammaTriple.stack([gammas])
+    floor = 1e-14 * np.minimum(1.0, np.exp(-np.asarray(gamma_tau_f, dtype=float)))
     m = solve_symmetric_product(gammas.gamma0, gammas.gamma1, pair_floor=floor)
     w, v = eigendecompose(m)
     m_arr = m.as_array()
     g0_arr = gammas.gamma0.as_array()
-    c_min = float(np.trace(gammas.gamma2.as_array() - m_arr @ g0_arr @ m_arr).real)
-    return MmseResult(
-        m_min=m, estimates=(float(w[0]), float(w[1])), projectors=v, c_min=c_min
+    c_min = np.trace(
+        gammas.gamma2.as_array() - m_arr @ g0_arr @ m_arr, axis1=-2, axis2=-1
+    ).real
+    result = MmseResult(
+        m_min=m, estimates=(w[:, 0], w[:, 1]), projectors=v, c_min=c_min
     )
+    return result if batch else result.row(0)
 
 
 def limit_eigenvalue_tau0(prior: Prior) -> float:

@@ -16,6 +16,7 @@ integrands cos(2 g tau) keep at least ~8 nodes per period.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,13 +124,26 @@ def moments(prior: Prior) -> tuple[float, float]:
     return prior.g0, prior.sigma**2
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_base() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of one panel on [-1, 1].
+
+    Built once and shared by every composite rule, so the arrays are frozen:
+    a rule only ever reads them into fresh node and weight arrays.
+    """
+    x, w = np.polynomial.legendre.leggauss(_PANEL_POINTS)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _composite_legendre(
     lo: float, hi: float, n_points: int, max_panel_width: float | None = None
 ) -> QuadratureRule:
     panels = max(1, math.ceil(n_points / _PANEL_POINTS))
     if max_panel_width is not None:
         panels = max(panels, math.ceil((hi - lo) / max_panel_width))
-    base_x, base_w = np.polynomial.legendre.leggauss(_PANEL_POINTS)
+    base_x, base_w = _legendre_base()
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

@@ -119,6 +119,35 @@ def test_general_scenario_bound_holds():
         assert rep.mse >= rep.lower_bound - 1e-9
 
 
+def test_numeric_bound_evaluates_state_six_times(monkeypatch):
+    # rho(g) once, d rho/dg from four shifted states, one more inside the
+    # conditional MSE; the SLD reuses rho and d rho
+    from cavbayes import bounds, dynamics
+
+    calls = []
+    real_elements = dynamics.detector_matrix_elements
+    real_sld = bounds.sld_general
+
+    def count_elements(*args, **kwargs):
+        calls.append("state")
+        return real_elements(*args, **kwargs)
+
+    def count_sld(*args, **kwargs):
+        calls.append("sld")
+        return real_sld(*args, **kwargs)
+
+    sc = Scenario(tau_c=0.9, delta=0.4, alpha=1.2, tau_f_gamma=0.2)
+    fld = field_for(sc)
+    res = mmse_estimator(gamma_moments(GAUSS, sc, fld))
+    before = cr_bound_mmse(res, 0.8, GAUSS, sc, fld)
+    monkeypatch.setattr(dynamics, "detector_matrix_elements", count_elements)
+    monkeypatch.setattr(bounds, "sld_general", count_sld)
+    after = cr_bound_mmse(res, 0.8, GAUSS, sc, fld)
+    assert calls.count("state") == 6
+    assert calls.count("sld") == 1
+    assert after == before
+
+
 def test_ml_bound_zero_when_uninformative():
     povm = gaussian_ml_povm(GAUSS, math.pi / 2.0, 0.0)  # f_z == 0
     rep = cr_bound_ml(povm, 0.8, 0.0)
