@@ -29,7 +29,7 @@ from .dynamics import FieldState, Scenario, reduced_state
 from .errors import SingularSLD
 from .mmse import MmseResult, mse_of_estimator
 from .priors import Prior
-from .qubit import Hermitian2, QubitState, eigendecompose
+from .qubit import Hermitian2, QubitState, eigendecompose, square, trace_product
 
 __all__ = ["BoundReport", "sld", "sld_general", "cr_bound_mmse", "cr_bound_ml"]
 
@@ -39,7 +39,10 @@ class BoundReport:
     """Conditional MSE of a strategy at one coupling value, with its bounds.
 
     ``sld_diag`` holds the eigenvalues of L, or None when the pure-state edge
-    makes L singular and the bound was taken by one-sided limit.
+    makes L singular and the bound was taken by one-sided limit.  The report
+    of a batch of couplings holds one entry per coupling in every field (an
+    array, or a tuple for ``sld_diag`` and ``bound_display``); :meth:`row`
+    is the report of one coupling.
     """
 
     g: float
@@ -51,27 +54,52 @@ class BoundReport:
     bound_abs_sensitivity: float  # |x'| / Tr{rho L^2}, report-only
     bound_display: Optional[float] = None  # ML-Gaussian display variant
 
+    def row(self, i: int) -> "BoundReport":
+        return BoundReport(
+            g=float(self.g[i]),
+            mse=float(self.mse[i]),
+            lower_bound=float(self.lower_bound[i]),
+            sld_diag=self.sld_diag[i],
+            sensitivity=float(self.sensitivity[i]),
+            fisher=float(self.fisher[i]),
+            bound_abs_sensitivity=float(self.bound_abs_sensitivity[i]),
+            bound_display=self.bound_display[i],
+        )
 
-def _diagonal_sld_entries(
-    g: float, tau_c: float, gamma_tau_f: float
-) -> tuple[float, float]:
-    """Diagonal L for the resonant vacuum family diag(P, 1-P).
 
-    P = cos^2(g tau_c) e^{-u}; the entries are P'/P and -P'/(1-P):
+def _diagonal_family(g: np.ndarray, tau_c: float, gamma_tau_f: float):
+    """P', Tr{rho L^2} and L for the resonant vacuum family diag(P, 1-P).
 
-        L_ee = -2 tau_c tan(g tau_c),
-        L_gg = tau_c sin(2 g tau_c) e^{-u} / (1 - cos^2(g tau_c) e^{-u}).
+    Over a g array, with c = cos(g tau_c), s = sin(g tau_c), u the flight
+    exponent and P = c^2 e^{-u}:
+
+        P'          = -2 tau_c s c e^{-u},
+        L_ee        = P'/P       = -2 tau_c s / c,
+        L_gg        = -P'/(1-P)  = 2 tau_c s c e^{-u} / (1 - c^2 e^{-u}),
+        Tr{rho L^2} = 4 tau_c^2 s^2 e^{-u} / (1 - c^2 e^{-u}).
+
+    The Fisher entry stays finite at the pure-state edge c = 0, where L_ee
+    diverges.  Returns ``(dp, fisher, l_ee, l_gg, singular)``.  ``singular``
+    marks the couplings where c or the ground denominator is within 1e-12 of
+    zero, so a branch of L diverges and its entries mean nothing; where the
+    denominator vanishes the family is stationary, and dp and the Fisher
+    entry are zero.
     """
-    c = math.cos(g * tau_c)
+    c = np.cos(g * tau_c)
+    s = np.sin(g * tau_c)
     eu = math.exp(-gamma_tau_f)
-    denom = 1.0 - c * c * eu
-    if abs(c) <= 1e-12:
-        raise SingularSLD(f"cos(g tau_c) = {c}: excited branch of L diverges")
-    if denom <= 1e-12:
-        raise SingularSLD(f"1 - cos^2(g tau_c) e^(-u) = {denom}: ground branch of L diverges")
-    l_ee = -2.0 * tau_c * math.tan(g * tau_c)
-    l_gg = tau_c * math.sin(2.0 * g * tau_c) * eu / denom
-    return l_ee, l_gg
+    c_eu = c * eu
+    denom = 1.0 - c * c_eu
+    singular = (np.abs(c) <= 1e-12) | (denom <= 1e-12)
+    safe = np.where(singular, 1.0, denom)
+    dp = -2.0 * tau_c * s * c_eu
+    fisher = 4.0 * tau_c**2 * eu * s * s / safe
+    stationary = denom <= 0.0
+    if stationary.any():
+        dp, fisher = np.where(stationary, 0.0, dp), np.where(stationary, 0.0, fisher)
+    l_ee = -2.0 * tau_c * s / np.where(singular, 1.0, c)
+    l_gg = -dp / safe
+    return dp, fisher, l_ee, l_gg, singular
 
 
 def sld(g: float, tau_c: float, gamma_tau_f: float) -> Hermitian2:
@@ -82,102 +110,105 @@ def sld(g: float, tau_c: float, gamma_tau_f: float) -> Hermitian2:
     underflows); bound evaluations there fall back to the regular limit of
     the bound itself.
     """
-    l_ee, l_gg = _diagonal_sld_entries(g, tau_c, gamma_tau_f)
-    return Hermitian2(ee=l_ee, gg=l_gg)
-
-
-def _rho_derivative(
-    g: float, scenario: Scenario, field: FieldState, step: Optional[float] = None
-) -> np.ndarray:
-    """d rho / dg by central differences with one Richardson refinement."""
-    h = 1e-6 * max(abs(g), 1.0) if step is None else step
-
-    def diff(hh: float) -> np.ndarray:
-        hi = reduced_state(g + hh, scenario, field).as_array()
-        lo = reduced_state(g - hh, scenario, field).as_array()
-        return (hi - lo) / (2.0 * hh)
-
-    d1 = diff(h)
-    d2 = diff(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    _, _, l_ee, l_gg, singular = _diagonal_family(np.array([g]), tau_c, gamma_tau_f)
+    if singular[0]:
+        raise SingularSLD(
+            f"cos(g tau_c) or 1 - cos^2(g tau_c) e^(-u) vanishes at g tau_c = "
+            f"{g * tau_c}: a branch of L diverges"
+        )
+    return Hermitian2(ee=float(l_ee[0]), gg=float(l_gg[0]))
 
 
 def sld_general(
-    g: float,
+    g,
     scenario: Scenario,
     field: FieldState,
-    step: Optional[float] = None,
     rho: Optional[QubitState] = None,
-    drho: Optional[np.ndarray] = None,
+    drho: Optional[Hermitian2] = None,
 ) -> Hermitian2:
     """L for a general scenario, built in the eigenbasis of rho(g).
 
     L_ij = 2 (d rho)_ij / (p_i + p_j); entries with p_i + p_j below 1e-12 are
-    set to zero (support convention at rank deficiency).  A caller holding
-    rho(g) or its derivative already passes them in as ``rho`` / ``drho``.
+    set to zero (support convention at rank deficiency).  d rho/dg is the
+    exact derivative from the state kernel.  An array ``g`` gives the batch
+    of L, one per coupling.  A caller holding rho(g) and d rho/dg (of the
+    shape of ``g``) passes them in as ``rho`` / ``drho``.
     """
-    if rho is None:
-        rho = reduced_state(g, scenario, field)
-    w, v = eigendecompose(rho.matrix)
-    if drho is None:
-        drho = _rho_derivative(g, scenario, field, step)
-    dr_eig = v.conj().T @ drho @ v
-    pair = w[:, None] + w[None, :]
-    l_eig = np.where(pair > 1e-12, 2.0 * dr_eig / np.where(pair > 1e-12, pair, 1.0), 0.0)
-    l_mat = v @ l_eig @ v.conj().T
-    l_mat = 0.5 * (l_mat + l_mat.conj().T)
-    return Hermitian2(ee=l_mat[0, 0].real, gg=l_mat[1, 1].real, eg=l_mat[0, 1])
+    if rho is None or drho is None:
+        rho, drho = reduced_state(g, scenario, field, derivative=True)
+    batch = np.ndim(g) > 0
+    m, d = (rho.matrix, drho) if batch else (
+        Hermitian2.stack([rho.matrix]),
+        Hermitian2.stack([drho]),
+    )
+    w, v = eigendecompose(m)
+    vh = v.conj().swapaxes(-1, -2)
+    dr_eig = vh @ d.as_array() @ v
+    pair = w[:, :, None] + w[:, None, :]
+    keep = pair > 1e-12
+    l_eig = np.where(keep, 2.0 * dr_eig / np.where(keep, pair, 1.0), 0.0)
+    l_mat = v @ l_eig @ vh
+    out = Hermitian2(
+        ee=l_mat[:, 0, 0].real,
+        gg=l_mat[:, 1, 1].real,
+        eg=0.5 * (l_mat[:, 0, 1] + np.conj(l_mat[:, 1, 0])),  # scrub asymmetry
+    )
+    return out if batch else out.row(0)
 
 
-def _fisher_diagonal(g: float, tau_c: float, gamma_tau_f: float) -> float:
-    """Tr{rho L^2} for the resonant vacuum family, in its regular form.
-
-    Equals 4 tau_c^2 sin^2(g tau_c) e^{-u} / (1 - cos^2(g tau_c) e^{-u});
-    finite at the pure-state edge even where L itself diverges.
-    """
-    eu = math.exp(-gamma_tau_f)
-    s2 = math.sin(g * tau_c) ** 2
-    denom = 1.0 - (1.0 - s2) * eu
-    if denom <= 0.0:
-        raise SingularSLD("state family stationary: no information in rho(g)")
-    return 4.0 * tau_c**2 * s2 * eu / denom
-
-
-def _report(
-    g: float, mse: float, xprime: float, fisher: float, sld_diag, display=None
-) -> BoundReport:
-    if fisher <= 0.0:
-        lower = 0.0
-        first = 0.0
-    else:
-        lower = xprime**2 / fisher
-        first = abs(xprime) / fisher
+def _report(g, mse, xprime, fisher, sld_diag, display=None) -> BoundReport:
+    """Batch report; a zero Fisher entry gives zero bounds."""
+    informative = fisher > 0.0
+    safe = np.where(informative, fisher, 1.0)
+    if display is None:
+        display = (None,) * len(g)
     return BoundReport(
         g=g,
         mse=mse,
-        lower_bound=lower,
+        lower_bound=np.where(informative, xprime**2 / safe, 0.0),
         sld_diag=sld_diag,
         sensitivity=xprime,
         fisher=fisher,
-        bound_abs_sensitivity=first,
+        bound_abs_sensitivity=np.where(informative, np.abs(xprime) / safe, 0.0),
         bound_display=display,
     )
 
 
+def _diagonal_report(g, mse, slope, tau_c, gamma_tau_f, display=None) -> BoundReport:
+    """Batch report on the resonant vacuum family, whose L is diagonal.
+
+    The response slope is x'(g) = ``slope`` P'(g).  A stationary family has
+    x' = 0 as well and gets zero bounds; where L diverges ``sld_diag`` is
+    None and the bound is the regular limit of the ratio.
+    """
+    dp, fisher, l_ee, l_gg, singular = _diagonal_family(g, tau_c, gamma_tau_f)
+    sld_diag = tuple(
+        None if bad else (float(a), float(b)) for a, b, bad in zip(l_ee, l_gg, singular)
+    )
+    return _report(g, mse, slope * dp, fisher, sld_diag, display)
+
+
 def cr_bound_mmse(
     result: MmseResult,
-    g: float,
+    g,
     prior: Prior,
     scenario: Scenario,
     field: Optional[FieldState] = None,
     method: str = "auto",
+    rho: Optional[QubitState] = None,
+    drho: Optional[Hermitian2] = None,
 ) -> BoundReport:
     """Bound report for the quadratic-cost estimator at true coupling g.
 
     Resonant vacuum scenarios use the analytic response slope
     x'(g) = (m_e - m_g) P'(g) of the diagonal estimator; general scenarios
-    differentiate rho numerically and use x' = Tr{M d rho}.  ``method``
-    forces one path ("closed" / "numeric") for cross-validation.
+    take the exact d rho/dg from the state kernel and use x' = Tr{M d rho}.
+    ``method`` forces one path ("closed" / "numeric") for cross-validation.
+
+    An array ``g`` gives a batch report (see :meth:`BoundReport.row`) from
+    one state evaluation; a scalar is a batch of one.  A caller holding the
+    batch states rho and d rho/dg at ``np.atleast_1d(g)`` passes them as
+    ``rho`` / ``drho``.
     """
     del prior  # the prior enters through the estimator itself
     if field is None:
@@ -194,76 +225,67 @@ def cr_bound_mmse(
         diagonal = False
     elif method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    mse = mse_of_estimator(result, g, scenario, field)
+    batch = np.ndim(g) > 0
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    if rho is None or (drho is None and not diagonal):
+        states = reduced_state(g, scenario, field, derivative=not diagonal)
+        rho, drho = (states, None) if diagonal else states
+    mse = mse_of_estimator(result, g, scenario, field, rho=rho)
     tc, u = scenario.tau_c, scenario.tau_f_gamma
 
     if diagonal:
-        m_e, m_g = result.m_min.ee, result.m_min.gg
-        dp = -tc * math.sin(2.0 * g * tc) * math.exp(-u)
-        xprime = (m_e - m_g) * dp
-        try:
-            fisher = _fisher_diagonal(g, tc, u)
-        except SingularSLD:
-            # stationary family: x' vanishes identically there too
-            return _report(g, mse, 0.0, 0.0, None)
-        try:
-            sld_diag = _diagonal_sld_entries(g, tc, u)
-        except SingularSLD:
-            sld_diag = None  # bound taken as the regular limit of the ratio
-        return _report(g, mse, xprime, fisher, sld_diag)
-
-    rho_state = reduced_state(g, scenario, field)
-    drho = _rho_derivative(g, scenario, field)
-    xprime = float(np.trace(result.m_min.as_array() @ drho).real)
-    l_op = sld_general(g, scenario, field, rho=rho_state, drho=drho)
-    rho = rho_state.as_array()
-    l_arr = l_op.as_array()
-    fisher = float(np.trace(rho @ l_arr @ l_arr).real)
-    w, _ = eigendecompose(l_op)
-    return _report(g, mse, xprime, fisher, (float(w[0]), float(w[1])))
+        rep = _diagonal_report(g, mse, result.m_min.ee - result.m_min.gg, tc, u)
+    else:
+        xprime = trace_product(result.m_min, drho)
+        l_op = sld_general(g, scenario, field, rho=rho, drho=drho)
+        fisher = trace_product(square(l_op), rho.matrix)
+        w, _ = eigendecompose(l_op)
+        sld_diag = tuple((float(lo), float(hi)) for lo, hi in w)
+        rep = _report(g, mse, xprime, fisher, sld_diag)
+    return rep if batch else rep.row(0)
 
 
-def cr_bound_ml(povm: ml_mod.MlPovm, g: float, gamma_tau_f: float) -> BoundReport:
+def _display_bound(povm: ml_mod.MlPovm, g: float, gamma_tau_f: float) -> Optional[float]:
+    """The Gaussian-prior display variant of the likelihood bound at one g."""
+    if povm.prior.kind != priors_mod.GAUSSIAN or not math.isfinite(povm.c_max):
+        return None
+    tc, sig = povm.tau_c, povm.prior.sigma
+    eu = math.exp(-gamma_tau_f)
+    s2 = math.sin(g * tc) ** 2
+    if s2 == 0.0:
+        return None
+    return (
+        (1.0 - (1.0 - s2) * eu)
+        / s2
+        * abs(math.sin(2.0 * g * tc))
+        * 2.0
+        * math.sqrt(5.0 * math.pi)
+        * sig**2
+        * math.exp(-2.0 * sig**2 * tc**2)
+        * abs(povm._fz_scale)
+    )
+
+
+def cr_bound_ml(povm: ml_mod.MlPovm, g, gamma_tau_f: float) -> BoundReport:
     """Bound report for the likelihood strategy at true coupling g.
 
     The response slope is x'(g) = 2 P'(g) int x f_z(x) dx with the first-
     moment integral of f_z taken by quadrature; the MSE is the quadrature of
     (x - g)^2 against the conditional density.  For the Gaussian prior the
     display variant 2 sqrt(5 pi) sigma^2 e^{-2 sigma^2 tau_c^2} |c sin| form
-    is attached for comparison.
+    is attached for comparison.  An array ``g`` gives a batch report (see
+    :meth:`BoundReport.row`) sharing one first-moment integral; a scalar is
+    a batch of one.
     """
+    batch = np.ndim(g) > 0
+    g = np.atleast_1d(np.asarray(g, dtype=float))
     tc = povm.tau_c
-    mse = ml_mod.ml_mse(povm, g, gamma_tau_f)
+    mse = np.array([ml_mod.ml_mse(povm, x, gamma_tau_f) for x in g.tolist()])
 
     rule = priors_mod.quadrature(
         povm.prior, priors_mod.nodes_for_oscillation(povm.prior, 2.0 * tc)
     )
     first_moment_fz = rule.integrate(rule.nodes * povm.f_z(rule.nodes))
-    dp = -tc * math.sin(2.0 * g * tc) * math.exp(-gamma_tau_f)
-    xprime = 2.0 * dp * first_moment_fz
-    try:
-        fisher = _fisher_diagonal(g, tc, gamma_tau_f)
-    except SingularSLD:
-        return _report(g, mse, 0.0, 0.0, None)
-    try:
-        sld_diag = _diagonal_sld_entries(g, tc, gamma_tau_f)
-    except SingularSLD:
-        sld_diag = None
-
-    display = None
-    if povm.prior.kind == priors_mod.GAUSSIAN and math.isfinite(povm.c_max):
-        sig = povm.prior.sigma
-        eu = math.exp(-gamma_tau_f)
-        s2 = math.sin(g * tc) ** 2
-        if s2 > 0.0:
-            display = (
-                (1.0 - (1.0 - s2) * eu)
-                / s2
-                * abs(math.sin(2.0 * g * tc))
-                * 2.0
-                * math.sqrt(5.0 * math.pi)
-                * sig**2
-                * math.exp(-2.0 * sig**2 * tc**2)
-                * abs(povm._fz_scale)
-            )
-    return _report(g, mse, xprime, fisher, sld_diag, display)
+    display = tuple(_display_bound(povm, x, gamma_tau_f) for x in g.tolist())
+    rep = _diagonal_report(g, mse, 2.0 * first_moment_fz, tc, gamma_tau_f, display)
+    return rep if batch else rep.row(0)

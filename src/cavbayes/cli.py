@@ -163,29 +163,39 @@ def _at(spec: SweepSpec, value: float) -> Scenario:
     return _with(spec.scenario, **{_AXIS_FIELDS[spec.axis]: value})
 
 
-def _ml_row(spec: SweepSpec, value: float) -> list:
-    prior = spec.prior
-    scenario = _at(spec, value)
-    q = spec.quantity
+def _ml_povm(prior: Prior, scenario: Scenario) -> ml_mod.MlPovm:
     build = (
         ml_mod.gaussian_ml_povm
         if prior.kind == priors_mod.GAUSSIAN
         else ml_mod.uniform_ml_povm
     )
-    povm = build(prior, scenario.tau_c, scenario.tau_f_gamma)
-    if q == "ml_cost":
+    return build(prior, scenario.tau_c, scenario.tau_f_gamma)
+
+
+def _ml_row(spec: SweepSpec, value: float) -> list:
+    prior = spec.prior
+    scenario = _at(spec, value)
+    povm = _ml_povm(prior, scenario)
+    if spec.quantity == "ml_cost":
         cost = (
             ml_mod.gaussian_cost_max(povm)
             if prior.kind == priors_mod.GAUSSIAN
             else ml_mod.uniform_cost_max(povm)
         )
         return [value, cost]
-    if q == "ml_avg_estimate":
-        g = value * prior.g0 if spec.axis == "g_over_g0" else prior.g0
-        return [value, ml_mod.ml_average_estimate(povm, g, scenario.tau_f_gamma)]
-    g = value * prior.g0
+    # ml_avg_estimate
+    g = value * prior.g0 if spec.axis == "g_over_g0" else prior.g0
+    return [value, ml_mod.ml_average_estimate(povm, g, scenario.tau_f_gamma)]
+
+
+def _ml_bound_rows(spec: SweepSpec, values: list) -> list:
+    """ml_cr_bound sweeps the true coupling g: one POVM at the pinned
+    scenario and one batched bound report serve every row."""
+    scenario = spec.scenario
+    povm = _ml_povm(spec.prior, scenario)
+    g = np.array(values) * spec.prior.g0
     rep = bounds_mod.cr_bound_ml(povm, g, scenario.tau_f_gamma)
-    return [value, rep.mse, rep.lower_bound]
+    return [[v, float(m), float(b)] for v, m, b in zip(values, rep.mse, rep.lower_bound)]
 
 
 def _mmse_rows(spec: SweepSpec, values: list) -> list:
@@ -206,21 +216,25 @@ def _mmse_rows(spec: SweepSpec, values: list) -> list:
     # g_over_g0: one estimator at the pinned scenario serves every row
     scenario = spec.scenario
     result = _mmse_result(prior, scenario, fld)
-    rows = []
-    for v in values:
-        g = v * prior.g0
-        row = [
-            v,
-            result.estimates[0],
-            result.estimates[1],
-            result.c_min,
-            mmse_mod.average_estimate(result, g, scenario, fld),
-        ]
-        if q == "mmse_cr_bound":
-            rep = bounds_mod.cr_bound_mmse(result, g, prior, scenario, fld)
-            row += [rep.lower_bound, rep.mse]
-        rows.append(row)
-    return rows
+    g = np.array(values) * prior.g0
+    columns = _conditional_columns(
+        result, g, prior, scenario, fld, bound=q == "mmse_cr_bound"
+    )
+    head = [result.estimates[0], result.estimates[1], result.c_min]
+    return [[v, *head, *(float(c[i]) for c in columns)] for i, v in enumerate(values)]
+
+
+def _conditional_columns(
+    result, g: np.ndarray, prior: Prior, scenario: Scenario, fld: FieldState, bound: bool
+) -> list:
+    """avg_estimate at the couplings ``g`` and, with ``bound``, cr_bound and
+    mse: every column from one state evaluation over all couplings."""
+    if not bound:
+        return [mmse_mod.average_estimate(result, g, scenario, fld)]
+    rho, drho = reduced_state(g, scenario, fld, derivative=True)
+    rep = bounds_mod.cr_bound_mmse(result, g, prior, scenario, fld, rho=rho, drho=drho)
+    avg = mmse_mod.average_estimate(result, g, scenario, fld, rho=rho)
+    return [avg, rep.lower_bound, rep.mse]
 
 
 _SWEEP_COLUMNS = {
@@ -247,11 +261,15 @@ def run_sweep(spec: SweepSpec) -> Table:
     """Evaluate the configured quantity over the axis grid, in axis order.
 
     MMSE quantities over ``tau_c``, ``delta`` and ``gamma_tau_f`` and the
-    dissipative cost take one batched solve over the whole axis; likelihood
+    dissipative cost take one batched solve over the whole axis; quantities
+    over ``g_over_g0`` with an MMSE estimator, and the likelihood bound, take
+    one batched evaluation over all couplings; the other likelihood
     quantities are evaluated row by row.
     """
     values = [float(v) for v in np.linspace(spec.lo, spec.hi, spec.n_points)]
-    if spec.quantity.startswith("ml_"):
+    if spec.quantity == "ml_cr_bound":
+        rows = _ml_bound_rows(spec, values)
+    elif spec.quantity.startswith("ml_"):
         rows = [_ml_row(spec, v) for v in values]
     else:
         rows = _mmse_rows(spec, values)
@@ -467,23 +485,18 @@ def verify_all(seed: int = 0, corrupt_povm_scale: float = 1.0) -> dict:
     # accuracy bounds hold for every strategy/prior pair
     violations = 0
     worst_gap = 0.0
+    g_grid = np.linspace(0.2, 1.8, 25)
     for prior in (gauss, unif):
         sc = Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2)
         result = _mmse_result(prior, sc, vac)
-        build = (
-            ml_mod.gaussian_ml_povm
-            if prior.kind == priors_mod.GAUSSIAN
-            else ml_mod.uniform_ml_povm
-        )
-        povm = build(prior, sc.tau_c, sc.tau_f_gamma)
-        for g in np.linspace(0.2, 1.8, 25):
-            rep_m = bounds_mod.cr_bound_mmse(result, float(g), prior, sc, vac)
-            rep_l = bounds_mod.cr_bound_ml(povm, float(g), sc.tau_f_gamma)
-            for rep in (rep_m, rep_l):
-                gap = rep.mse - rep.lower_bound
-                worst_gap = min(worst_gap, gap)
-                if gap < -1e-9:
-                    violations += 1
+        povm = _ml_povm(prior, sc)
+        for rep in (
+            bounds_mod.cr_bound_mmse(result, g_grid, prior, sc, vac),
+            bounds_mod.cr_bound_ml(povm, g_grid, sc.tau_f_gamma),
+        ):
+            gap = rep.mse - rep.lower_bound
+            worst_gap = min(worst_gap, float(gap.min()))
+            violations += int(np.count_nonzero(gap < -1e-9))
     checks.append(
         _check("cr_inequality_grid", violations == 0, worst_gap=worst_gap)
     )
@@ -676,8 +689,8 @@ def _cmd_mmse(cfg: dict, args) -> Table:
     prior, scenario = cfg["prior"], cfg["scenario"]
     fld = field_for(scenario)
     result = _mmse_result(prior, scenario, fld)
-    g = cfg["g"] * prior.g0
-    rep = bounds_mod.cr_bound_mmse(result, g, prior, scenario, fld)
+    g = np.array([cfg["g"] * prior.g0])
+    avg, bound, mse = _conditional_columns(result, g, prior, scenario, fld, bound=True)
     table = Table(
         columns=[
             "eig_lo",
@@ -693,9 +706,9 @@ def _cmd_mmse(cfg: dict, args) -> Table:
             result.estimates[0],
             result.estimates[1],
             result.c_min,
-            mmse_mod.average_estimate(result, g, scenario, fld),
-            rep.lower_bound,
-            rep.mse,
+            float(avg[0]),
+            float(bound[0]),
+            float(mse[0]),
         ]
     )
     return table

@@ -48,6 +48,13 @@ __all__ = [
 CAPTURE_THRESHOLD = 0.99
 #: extra levels kept above the capture point
 CUTOFF_MARGIN = 10
+#: phase l tau below which sin(l tau)/l and its derivative ratio come from
+#: their Taylor series
+_SERIES_PHASE = 0.1
+_TINY = 1e-300
+#: rounding excess of the dissipative excited fraction over [0, 1] that is
+#: clamped away; a larger excess is an error
+CLAMP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -158,17 +165,57 @@ def _check_truncation(field: FieldState) -> None:
         )
 
 
+def _derivative_ratio(ratio, cos, lam2, phase, tc):
+    """R = (t cos(l t) - S)/l^2 for S = sin(l t)/l (``ratio``), regular at l = 0.
+
+    At l = 0 the quotient S = sin(l t)/l reads 0 instead of its limit t;
+    the state itself never notices, since S enters it there only multiplied
+    by g or by Delta^2/4, both zero, but the derivative does.  So at phases
+    x = l t below ``_SERIES_PHASE`` S (in place) and R are summed from
+
+        S = t sum_{k>=0} (-1)^k x^(2k) / (2k+1)!,
+        R = t^3 sum_{k>=1} (-1)^k 2k x^(2k-2) / (2k+1)!,
+
+    truncated where the next term is below 1e-17 of the sum (S -> t and
+    R -> -t^3/3).  Above it the quotient loses at most 3 eps / x^2 of R to
+    cancellation.
+    """
+    rem = (tc * cos - ratio) / np.maximum(lam2, _TINY)
+    small = phase < _SERIES_PHASE
+    if small.any():
+        x2 = phase[small] ** 2
+        ratio[small] = tc * (1 - x2 / 6 * (1 - x2 / 20 * (1 - x2 / 42 * (1 - x2 / 72))))
+        rem[small] = tc**3 * (
+            -1 / 3 + x2 / 30 * (1 - x2 / 28 * (1 - x2 / 54 * (1 - x2 / 88)))
+        )
+    return rem
+
+
 def detector_matrix_elements(
     g_values: np.ndarray,
     scenario: Scenario,
     field: FieldState,
-) -> tuple[np.ndarray, np.ndarray]:
+    derivative: bool = False,
+) -> tuple[np.ndarray, ...]:
     """Vectorized (a_ee, a_eg) of the detector-time state over a g grid.
 
     Sums the photon-ladder contributions for every coupling value at once;
-    used by the moment integrals and the Monte-Carlo paths.  Flight damping
-    is applied as exp(-gamma tau_f) on the population and exp(-gamma tau_f/2)
-    on the coherence.
+    used by the moment integrals, the state and bound evaluations and the
+    Monte-Carlo paths.  Flight damping is applied as exp(-gamma tau_f) on
+    the population and exp(-gamma tau_f/2) on the coherence.
+
+    Sector n holds cos^2(l_n t) + (Delta^2/4) S_n^2 with S_n = sin(l_n t)/l_n;
+    the coherence pairs the bracket cos(l_{m+1} t) - i (Delta/2) S_{m+1} with
+    the swing g sqrt(m) S_m.  cos and sin are evaluated once over the ladder
+    and the sine only where something reads it.  With ``derivative=True``
+    the exact g-derivatives (da_ee, da_eg) follow from the same arrays, with
+    d l_n/dg = g n / l_n and R_n = (t cos(l_n t) - S_n)/l_n^2:
+
+        dP_n/dg      = 2 g n S_n (Delta^2/4 R_n - t cos(l_n t)),
+        d bracket/dg = -g (m+1) [t S_{m+1} + i (Delta/2) R_{m+1}],
+        d swing/dg   = sqrt(m) (S_m + g^2 m R_m),
+
+    and the four arrays (a_ee, a_eg, da_ee, da_eg) are returned.
     """
     if not scenario.is_unitary_transit:
         raise ValueError("unitary transit path requires kappa = gamma_cav = 0")
@@ -178,51 +225,89 @@ def detector_matrix_elements(
     coeff = np.asarray(field.coefficients, dtype=complex)
     n_max = len(coeff) - 1
     tc, delta = scenario.tau_c, scenario.delta
+    quarter = delta**2 / 4
 
-    # populations: sectors n = 1 .. n_max+1 hold amplitude a_{n-1}
+    # sectors n = 1 .. n_max+1 hold amplitude a_{n-1}; column j is n = j + 1
     ns = np.arange(1, n_max + 2)
-    lam = np.sqrt(delta**2 / 4 + np.outer(g_values**2, ns))
-    lam_safe = np.maximum(lam, 1e-300)
+    g2n = np.outer(g_values**2, ns)
+    lam2 = quarter + g2n
+    lam = np.sqrt(lam2)
+    phase = lam * tc
+    cos = np.cos(phase)
     weight = np.abs(coeff) ** 2
-    sector = np.cos(lam * tc) ** 2 + (delta**2 / 4) * (
-        np.sin(lam * tc) / lam_safe
-    ) ** 2
-    a_ee = sector @ weight
-
-    # coherences pair c_{e,m} (sector m+1) with c_{g,m} (sector m), m = 1..n_max
-    if n_max >= 1:
-        ms = np.arange(1, n_max + 1)
-        lam_m = lam[:, :-1][:, ms - 1]  # l_m
-        lam_m1 = lam[:, ms]  # l_{m+1}
-        bracket = np.cos(lam_m1 * tc) - 1j * (delta / 2) * (
-            np.sin(lam_m1 * tc) / np.maximum(lam_m1, 1e-300)
-        )
-        # g sqrt(m) sin(l_m t)/l_m, stable at l_m -> 0 via sinc
-        swing = (
-            g_values[:, None]
-            * np.sqrt(ms)[None, :]
-            * tc
-            * np.sinc(lam_m * tc / np.pi)
-        )
-        pair_amp = coeff[ms] * np.conj(coeff[ms - 1])
-        a_eg = (bracket * 1j * swing) @ pair_amp
-    else:
-        a_eg = np.zeros_like(a_ee, dtype=complex)
-
     damp = math.exp(-scenario.tau_f_gamma)
-    return a_ee * damp, a_eg * math.sqrt(damp)
+    root_damp = math.sqrt(damp)
+
+    if not (delta or n_max or derivative):  # resonant vacuum: cos^2 alone
+        return (cos * cos) @ weight * damp, np.zeros(len(g_values), dtype=complex)
+
+    ratio = np.sin(phase) / np.maximum(lam, _TINY)
+    if derivative and (delta or n_max):  # R enters only through these
+        rem = _derivative_ratio(ratio, cos, lam2, phase, tc)
+    sector = cos * cos
+    if delta:
+        sector += quarter * ratio * ratio
+    a_ee = sector @ weight * damp
+
+    # coherences pair c_{e,m} (sector m+1) with c_{g,m} (sector m), m = 1..n_max:
+    # i bracket swing = (Delta/2) S_{m+1} swing + i cos(l_{m+1} t) swing, so
+    # the ladder sums run over real arrays against the real and imaginary
+    # parts of the pair amplitudes
+    if n_max:
+        pair_amp = coeff[1:] * np.conj(coeff[:-1])
+        pair_parts = pair_amp.view(float).reshape(-1, 2)
+
+        def ladder_sum(re, im):
+            # (re + i im) @ pair_amp for real re (or None) and im
+            total = (im @ pair_parts).view(complex)[:, 0] * 1j
+            if re is not None:
+                total += (re @ pair_parts).view(complex)[:, 0]
+            return total * root_damp
+
+        s_m, s_m1, c_m1 = ratio[:, :-1], ratio[:, 1:], cos[:, 1:]
+        swing = np.outer(g_values, np.sqrt(ns[:-1])) * s_m
+        a_eg = ladder_sum(delta / 2 * s_m1 * swing if delta else None, c_m1 * swing)
+    else:
+        a_eg = np.zeros(len(g_values), dtype=complex)
+    if not derivative:
+        return a_ee, a_eg
+
+    g_col = g_values[:, None]
+    slope = quarter * rem - tc * cos if delta else -tc * cos
+    da_ee = (2.0 * g_col * ns * ratio * slope) @ weight * damp
+    if n_max:
+        # i d(bracket swing) = g (m+1) [(Delta/2) R_{m+1} - i t S_{m+1}] swing
+        #                      + [(Delta/2) S_{m+1} + i cos(l_{m+1} t)] d swing
+        d_swing = np.sqrt(ns[:-1]) * (s_m + g2n[:, :-1] * rem[:, :-1])
+        g_up = g_col * ns[1:]
+        da_eg = ladder_sum(
+            delta / 2 * (g_up * rem[:, 1:] * swing + s_m1 * d_swing) if delta else None,
+            c_m1 * d_swing - tc * g_up * s_m1 * swing,
+        )
+    else:
+        da_eg = np.zeros_like(a_eg)
+    return a_ee, a_eg, da_ee, da_eg
 
 
-def reduced_state(g: float, scenario: Scenario, field: FieldState) -> QubitState:
+def reduced_state(g, scenario: Scenario, field: FieldState, derivative: bool = False):
     """Two-level state at the detector for coupling ``g``.
 
     Traces the field out of the jointly evolved state and applies the
     free-flight decay factors.  Unit trace and positivity are enforced by the
-    returned :class:`QubitState`.
+    returned :class:`QubitState`.  An array ``g`` gives the batch of states,
+    one entry per coupling, from one kernel call.  With ``derivative=True``
+    the exact d rho/dg (a traceless :class:`Hermitian2` of the same shape)
+    is returned along with the state.
     """
-    a_ee, a_eg = detector_matrix_elements(np.array([g]), scenario, field)
-    ee = float(a_ee[0])
-    return QubitState(Hermitian2(ee=ee, gg=1.0 - ee, eg=complex(a_eg[0])))
+    elements = detector_matrix_elements(g, scenario, field, derivative=derivative)
+    if np.ndim(g) == 0:
+        elements = [x[0].item() for x in elements]
+    a_ee, a_eg = elements[:2]
+    state = QubitState(Hermitian2(ee=a_ee, gg=1.0 - a_ee, eg=a_eg))
+    if not derivative:
+        return state
+    da_ee, da_eg = elements[2:]
+    return state, Hermitian2(ee=da_ee, gg=-da_ee, eg=da_eg)
 
 
 def _excited_fraction(
@@ -273,13 +358,17 @@ def dissipative_state(g: float, t: float, gamma: float, kappa: float) -> QubitSt
 
     Resonant interaction, initial state |e>|0>.  ``gamma`` is the qubit decay
     rate, ``kappa`` the cavity damping rate.  Reduces to the unitary vacuum
-    result cos^2(g t) when both rates vanish.
+    result cos^2(g t) when both rates vanish.  Rounding may carry f(t) past
+    [0, 1] by at most ``CLAMP_TOL``, which is clamped; anything further
+    raises ArithmeticError.
     """
     if gamma < 0 or kappa < 0:
         raise InvalidRate(f"rates must be nonnegative, got gamma={gamma} kappa={kappa}")
     if t < 0:
         raise ValueError("time must be nonnegative")
     f = float(_excited_fraction(np.array([g]), t, gamma, kappa)[0])
+    if not -CLAMP_TOL <= f <= 1.0 + CLAMP_TOL:
+        raise ArithmeticError(f"excited fraction {f!r} outside [0, 1] beyond {CLAMP_TOL}")
     f = min(max(f, 0.0), 1.0)
     return QubitState(Hermitian2(ee=f, gg=1.0 - f))
 

@@ -156,6 +156,32 @@ def _uniform_offset(prior: Prior, tau_c: float) -> float:
     return math.sin(big_a) * math.cos(big_b) / big_a
 
 
+def _uniform_offset_excess(prior: Prior, tau_c: float) -> float:
+    """K - 1 for the support average K of cos(2 x tau_c), free of cancellation.
+
+    K = s(A) cos(B) with s(A) = sin(A)/A, so
+
+        K - 1 = (s(A) - 1) cos(B) - 2 sin^2(B/2),
+
+    and below A = 1 the term s(A) - 1 = sum_{k>=1} (-1)^k A^(2k)/(2k+1)! is
+    summed until its terms drop below 1e-17 of the sum.
+    """
+    big_a = 2.0 * math.sqrt(3.0) * prior.sigma * tau_c
+    big_b = 2.0 * prior.g0 * tau_c
+    if abs(big_a) >= 1.0:
+        s_minus_one = math.sin(big_a) / big_a - 1.0
+    else:
+        a2 = big_a * big_a
+        term, s_minus_one, k = 1.0, 0.0, 0
+        while True:
+            k += 1
+            term *= -a2 / ((2 * k) * (2 * k + 1))
+            s_minus_one += term
+            if abs(term) <= 1e-17 * abs(s_minus_one):
+                break
+    return s_minus_one * math.cos(big_b) - 2.0 * math.sin(big_b / 2.0) ** 2
+
+
 # ---------------------------------------------------------------------------
 # Gaussian prior: normalization constants
 
@@ -323,13 +349,15 @@ def uniform_cmax(prior: Prior, tau_c: float) -> float:
     if tau_c == 0:
         raise SinVanishes("tau_c = 0: traceless component unconstrained")
     sig = prior.sigma
-    k = _uniform_offset(prior, tau_c)
+    k_excess = _uniform_offset_excess(prior, tau_c)
     lo, hi = prior.support
     xs = [lo, hi]
     k_lo = math.ceil(2.0 * tau_c * lo / math.pi)
     k_hi = math.floor(2.0 * tau_c * hi / math.pi)
     xs += [j * math.pi / (2.0 * tau_c) for j in range(k_lo, k_hi + 1)]
-    peak = max(abs(math.cos(2.0 * tau_c * x) - k) for x in xs)
+    # cos(2 x tau_c) - K = -2 sin^2(x tau_c) - (K - 1): both terms keep their
+    # relative precision as tau_c -> 0, where the difference itself is O(tau^2)
+    peak = max(abs(2.0 * math.sin(tau_c * x) ** 2 + k_excess) for x in xs)
     if peak < 1e-300:
         return math.inf
     return 1.0 / (2.0 * math.sqrt(3.0) * sig * peak)

@@ -30,7 +30,13 @@ from .dynamics import (
     reduced_state,
 )
 from .priors import Prior, density
-from .qubit import Hermitian2, eigendecompose, solve_symmetric_product
+from .qubit import (
+    Hermitian2,
+    eigendecompose,
+    solve_symmetric_product,
+    square,
+    trace_product,
+)
 
 __all__ = [
     "GammaTriple",
@@ -282,20 +288,33 @@ def limit_eigenvalue_tau0(prior: Prior) -> float:
 
 
 def average_estimate(
-    result: MmseResult, g: float, scenario: Scenario, field: FieldState
-) -> float:
-    """Mean recorded estimate conditioned on the true coupling, Tr{M rho(g)}."""
-    rho = reduced_state(g, scenario, field).as_array()
-    return float(np.trace(result.m_min.as_array() @ rho).real)
+    result: MmseResult, g, scenario: Scenario, field: FieldState, rho=None
+):
+    """Mean recorded estimate conditioned on the true coupling, Tr{M rho(g)}.
+
+    ``g`` may be an array of couplings, one output per entry.  A caller
+    holding the states rho(g) (of the same shape as ``g``) passes them as
+    ``rho``.
+    """
+    if rho is None:
+        rho = reduced_state(g, scenario, field)
+    avg = trace_product(result.m_min, rho.matrix)
+    return avg if np.ndim(g) else float(avg)
 
 
 def mse_of_estimator(
-    result: MmseResult, g: float, scenario: Scenario, field: FieldState
-) -> float:
-    """Conditional mean-squared error Tr{(M - g I)^2 rho(g)}."""
-    rho = reduced_state(g, scenario, field).as_array()
-    dev = result.m_min.as_array() - g * np.eye(2)
-    return float(np.trace(dev @ dev @ rho).real)
+    result: MmseResult, g, scenario: Scenario, field: FieldState, rho=None
+):
+    """Conditional mean-squared error Tr{(M - g I)^2 rho(g)}.
+
+    ``g`` and ``rho`` as in :func:`average_estimate`.
+    """
+    if rho is None:
+        rho = reduced_state(g, scenario, field)
+    m = result.m_min
+    dev = Hermitian2(ee=m.ee - g, gg=m.gg - g, eg=m.eg)
+    mse = trace_product(square(dev), rho.matrix)
+    return mse if np.ndim(g) else float(mse)
 
 
 def min_cost_closed_form(prior: Prior, tau_c: float, gamma_tau_f: float) -> float:

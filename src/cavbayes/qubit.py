@@ -29,11 +29,14 @@ __all__ = [
     "QubitState",
     "eigendecompose",
     "solve_symmetric_product",
+    "square",
+    "trace_product",
 ]
 
 _PHASE_TOL = 1e-300
-#: largest entries outside this range are rescaled by a power of two before
-#: eigenvectors are normalized, so squaring them neither under- nor overflows
+#: a matrix whose largest entry lies below this range is rescaled by a power
+#: of two before its eigenvalues are taken, and one above it before its
+#: eigenvectors are normalized, so squares neither under- nor overflow
 _SAFE_SCALE = (2.0**-500, 2.0**500)
 _EYE = np.eye(2, dtype=complex)
 _SWAP = _EYE[::-1].copy()
@@ -88,7 +91,7 @@ class Hermitian2:
 
     @property
     def is_batch(self) -> bool:
-        return np.ndim(self.ee) > 0
+        return getattr(self.ee, "ndim", 0) > 0
 
     def row(self, i: int) -> "Hermitian2":
         """Matrix ``i`` of a batch."""
@@ -111,16 +114,24 @@ def _as_batch(m: Hermitian2) -> Hermitian2:
 
 @dataclass(frozen=True)
 class QubitState:
-    """Unit-trace, positive-semidefinite 2x2 density matrix."""
+    """Unit-trace, positive-semidefinite 2x2 density matrix.
+
+    Over a batch :class:`Hermitian2` it is a batch of states, and every
+    entry is checked.
+    """
 
     matrix: Hermitian2
 
     def __post_init__(self):
-        if abs(self.matrix.trace - 1.0) > 1e-12:
-            raise ValueError(f"trace {self.matrix.trace!r} differs from 1")
         m = self.matrix
-        mean, _, r = _split(m.ee, m.gg, abs(m.eg))
-        lo = mean - r
+        trace = m.trace
+        if m.is_batch:  # the entry farthest from unit trace stands for all
+            lo = np.min(0.5 * trace - np.hypot(0.5 * (m.ee - m.gg), np.abs(m.eg)))
+            trace = trace[np.argmax(np.abs(trace - 1.0))]
+        else:
+            lo = 0.5 * trace - math.hypot(0.5 * (m.ee - m.gg), abs(m.eg))
+        if abs(trace - 1.0) > 1e-12:
+            raise ValueError(f"trace {float(trace)!r} differs from 1")
         if lo < -1e-12:
             raise ValueError(f"state not positive semidefinite (min eigenvalue {lo})")
 
@@ -130,6 +141,17 @@ class QubitState:
     @property
     def excited_population(self) -> float:
         return self.matrix.ee
+
+
+def trace_product(a: Hermitian2, b: Hermitian2):
+    """Tr{A B}, real for Hermitian A and B; elementwise over batches."""
+    return a.ee * b.ee + a.gg * b.gg + 2.0 * (a.eg * np.conj(b.eg)).real
+
+
+def square(m: Hermitian2) -> Hermitian2:
+    """M^2 of a Hermitian matrix (or of each matrix of a batch)."""
+    eg2 = m.eg.real**2 + m.eg.imag**2
+    return Hermitian2(ee=m.ee**2 + eg2, gg=m.gg**2 + eg2, eg=m.eg * (m.ee + m.gg))
 
 
 def _split(ee, gg, eg_abs):
@@ -167,6 +189,16 @@ def eigendecompose(m: Hermitian2) -> tuple[np.ndarray, np.ndarray]:
     b = _as_batch(m)
     ee, gg, eg = b.ee, b.gg, b.eg
     eg_abs = np.hypot(eg.real, eg.imag)  # = abs() of each entry, bit for bit
+    top = np.maximum(np.maximum(np.abs(ee), np.abs(gg)), eg_abs)
+    # subnormal entries keep too few bits for the split and the vectors:
+    # such matrices are scaled up exactly, their eigenvalues scaled back
+    tiny = top < _SAFE_SCALE[0]
+    if tiny.any():
+        up = np.where(tiny, -np.frexp(top)[1], 0)
+        ee, gg = np.ldexp(ee, up), np.ldexp(gg, up)
+        eg = np.ldexp(eg.real, up) + 1j * np.ldexp(eg.imag, up)
+        eg_abs = np.hypot(eg.real, eg.imag)
+        top = np.ldexp(top, up)
     # diagonal: exact eigenvalues straight from the entries (the trace/radius
     # formula would cancel a tiny entry against a large one), basis vectors
     # ordered to match ascending eigenvalues
@@ -174,6 +206,8 @@ def eigendecompose(m: Hermitian2) -> tuple[np.ndarray, np.ndarray]:
     w_diag = np.stack([np.minimum(ee, gg), np.maximum(ee, gg)], axis=-1)
     v_diag = np.where((ee > gg)[:, None, None], _SWAP, _EYE)
     if diag.all():
+        if tiny.any():
+            w_diag = np.ldexp(w_diag, -up[:, None])
         return (w_diag, v_diag) if m.is_batch else (w_diag[0], v_diag[0])
 
     mean, half_diff, r = _split(ee, gg, eg_abs)
@@ -203,8 +237,7 @@ def eigendecompose(m: Hermitian2) -> tuple[np.ndarray, np.ndarray]:
         cand[1, near, :, 0] = hd_s + r_s
         cand[1, near, :, 1] = np.conj(eg_s)
 
-    top = np.maximum(np.maximum(np.abs(ee), np.abs(gg)), eg_abs)
-    if top.min() < _SAFE_SCALE[0] or top.max() > _SAFE_SCALE[1]:
+    if top.max() > _SAFE_SCALE[1]:
         # a power-of-two rescale changes no bit of the unit vectors
         shift = -np.frexp(np.abs(cand).max(axis=(0, 2, 3)))[1][:, None, None]
         cand.real, cand.imag = np.ldexp(cand.real, shift), np.ldexp(cand.imag, shift)
@@ -223,6 +256,8 @@ def eigendecompose(m: Hermitian2) -> tuple[np.ndarray, np.ndarray]:
     v = vec.swapaxes(-1, -2)  # v[n, component, k]
     w[diag] = w_diag[diag]
     v[diag] = v_diag[diag]
+    if tiny.any():
+        w = np.ldexp(w, -up[:, None])
     return (w, v) if m.is_batch else (w[0], v[0])
 
 

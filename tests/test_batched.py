@@ -185,6 +185,27 @@ def test_pinned_estimator_resolved_once_per_g_sweep(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("field_kind", ["vacuum", "coherent_detuned"])
+@pytest.mark.parametrize("quantity", ["mmse_avg_estimate", "mmse_cr_bound"])
+def test_g_sweep_evaluates_state_once(quantity, field_kind, monkeypatch):
+    # every row of a g_over_g0 sweep comes from one state-kernel call, with
+    # the derivative only where the bound needs it
+    from cavbayes import dynamics
+
+    calls = []
+    real = dynamics.detector_matrix_elements
+
+    def spy(g_values, *args, derivative=False):
+        calls.append((len(g_values), derivative))
+        return real(g_values, *args, derivative=derivative)
+
+    monkeypatch.setattr(dynamics, "detector_matrix_elements", spy)
+    scenario = Scenario(tau_c=0.9, tau_f_gamma=0.2, **FIELDS[field_kind])
+    spec = SweepSpec(quantity, "g_over_g0", 0.3, 1.7, 11, PRIORS["gaussian"], scenario)
+    assert len(run_sweep(spec).rows) == 11
+    assert calls == [(11, quantity == "mmse_cr_bound")]
+
+
 # ---------------------------------------------------------------------------
 # dissipative populations
 
@@ -239,9 +260,9 @@ def test_dissipative_populations_reject_imaginary_residue(monkeypatch):
 
 
 def _hermitian_batches(min_size=1, max_size=12):
-    # normal floats only: a subnormal entry lacks the relative precision the
-    # closed-form eigenvectors are built from
-    entry = st.floats(-3.0, 3.0, allow_subnormal=False)
+    # subnormal entries included: such matrices are rescaled before their
+    # eigenvalues are taken
+    entry = st.floats(-3.0, 3.0, allow_subnormal=True)
     return st.lists(st.tuples(entry, entry, entry, entry), min_size=min_size, max_size=max_size)
 
 
@@ -301,6 +322,27 @@ def test_near_degenerate_weight_keeps_orthonormal_basis(split, coupling):
     g0_arr = g0.as_array()
     residual = g0_arr @ m + m @ g0_arr - 2.0 * g1.as_array()
     assert np.max(np.abs(residual)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        Hermitian2(0.0, 0.0, 5e-324 * (1 + 1j)),
+        Hermitian2(1e-310, -3e-310, 2e-310 - 1e-311j),
+        Hermitian2(2.0**-600, 0.0, 1j * 2.0**-601),
+    ],
+)
+def test_subnormal_matrix_keeps_orthonormal_basis(m):
+    w, v = eigendecompose(m)
+    assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-15)
+    scale = np.max(np.abs(m.as_array()))
+    assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - m.as_array())) <= 1e-15 * scale + 5e-324
+    # the rescale touches that row only: its neighbours keep their bits
+    batch = Hermitian2.stack([Hermitian2(0.3, 0.7, 0.2j), m, Hermitian2(1.0, -1.0, 0.5)])
+    wb, vb = eigendecompose(batch)
+    for i, row in enumerate([Hermitian2(0.3, 0.7, 0.2j), m, Hermitian2(1.0, -1.0, 0.5)]):
+        w1, v1 = eigendecompose(row)
+        assert np.array_equal(w1, wb[i]) and np.array_equal(v1, vb[i])
 
 
 def test_mixed_batch_rows_equal_single_calls():

@@ -54,7 +54,7 @@ def test_numeric_sld_matches_analytic_derivative():
     for g in (0.5, 1.0, 1.7):
         l_num = sld_general(g, sc, VACUUM).as_array()
         l_ref = sld(g, sc.tau_c, sc.tau_f_gamma).as_array()
-        assert np.max(np.abs(l_num - l_ref)) < 1e-6
+        assert np.max(np.abs(l_num - l_ref)) < 1e-12
 
 
 def test_inconclusive_times_give_zero_bound():
@@ -119,9 +119,9 @@ def test_general_scenario_bound_holds():
         assert rep.mse >= rep.lower_bound - 1e-9
 
 
-def test_numeric_bound_evaluates_state_six_times(monkeypatch):
-    # rho(g) once, d rho/dg from four shifted states, one more inside the
-    # conditional MSE; the SLD reuses rho and d rho
+def test_numeric_bound_evaluates_state_once(monkeypatch):
+    # rho(g) and its exact derivative come from one kernel call, which also
+    # serves the conditional MSE and the SLD
     from cavbayes import bounds, dynamics
 
     calls = []
@@ -129,11 +129,11 @@ def test_numeric_bound_evaluates_state_six_times(monkeypatch):
     real_sld = bounds.sld_general
 
     def count_elements(*args, **kwargs):
-        calls.append("state")
+        calls.append(("state", kwargs.get("derivative", False)))
         return real_elements(*args, **kwargs)
 
     def count_sld(*args, **kwargs):
-        calls.append("sld")
+        calls.append(("sld", None))
         return real_sld(*args, **kwargs)
 
     sc = Scenario(tau_c=0.9, delta=0.4, alpha=1.2, tau_f_gamma=0.2)
@@ -143,9 +143,30 @@ def test_numeric_bound_evaluates_state_six_times(monkeypatch):
     monkeypatch.setattr(dynamics, "detector_matrix_elements", count_elements)
     monkeypatch.setattr(bounds, "sld_general", count_sld)
     after = cr_bound_mmse(res, 0.8, GAUSS, sc, fld)
-    assert calls.count("state") == 6
-    assert calls.count("sld") == 1
+    assert calls == [("state", True), ("sld", None)]
     assert after == before
+
+
+def test_batched_bound_rows_equal_scalar_calls():
+    # a batch of couplings is the scalar call row by row, on both paths
+    g = np.linspace(0.3, 1.7, 6)
+    cases = [
+        (Scenario(tau_c=0.9, delta=0.4, alpha=1.2, tau_f_gamma=0.2), "auto"),
+        (Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2), "closed"),
+        (Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2), "numeric"),
+    ]
+    for sc, method in cases:
+        fld = field_for(sc)
+        res = mmse_estimator(gamma_moments(GAUSS, sc, fld))
+        batch = cr_bound_mmse(res, g, GAUSS, sc, fld, method=method)
+        for i, gi in enumerate(g):
+            single = cr_bound_mmse(res, float(gi), GAUSS, sc, fld, method=method)
+            row = batch.row(i)
+            assert row.sld_diag == pytest.approx(single.sld_diag, rel=1e-14, abs=1e-14)
+            for name in ("g", "mse", "lower_bound", "sensitivity", "fisher"):
+                assert getattr(row, name) == pytest.approx(
+                    getattr(single, name), rel=1e-14, abs=1e-15
+                ), (method, name)
 
 
 def test_ml_bound_zero_when_uninformative():

@@ -1,13 +1,17 @@
 """Transit dynamics against joint-space and master-equation oracles."""
 
+import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cavbayes.dynamics import (
     FieldState,
     Scenario,
+    detector_matrix_elements,
     dissipative_state,
     field_for,
     rabi_frequency,
@@ -178,3 +182,115 @@ def test_scenario_validation():
         Scenario(tau_c=-1.0)
     with pytest.raises(ValueError):
         Scenario(tau_c=1.0, tau_f_gamma=-0.5)
+
+
+# ---------------------------------------------------------------------------
+# exact d rho/dg of the state kernel
+
+
+def _mp_elements(g, tc, delta, coefficients, u):
+    """(a_ee, a_eg) of the detector-time state in mpmath arithmetic."""
+    quarter = mp.mpf(delta) ** 2 / 4
+    t = mp.mpf(tc)
+    c = [mp.mpc(x) for x in coefficients]
+    n_top = len(c)
+    lam = [None] + [mp.sqrt(quarter + g**2 * n) for n in range(1, n_top + 1)]
+    swing = [None] + [t * mp.sinc(lm * t) for lm in lam[1:]]
+    a_ee = sum(
+        abs(c[n - 1]) ** 2 * (mp.cos(lam[n] * t) ** 2 + quarter * swing[n] ** 2)
+        for n in range(1, n_top + 1)
+    )
+    a_eg = mp.mpc(0)
+    for m in range(1, n_top):
+        bracket = mp.cos(lam[m + 1] * t) - 1j * (mp.mpf(delta) / 2) * swing[m + 1]
+        a_eg += 1j * bracket * g * mp.sqrt(m) * swing[m] * c[m] * mp.conj(c[m - 1])
+    damp = mp.exp(-mp.mpf(u))
+    return a_ee * damp, a_eg * mp.sqrt(damp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tc=st.floats(0.0, 3.0),
+    delta=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    alpha_abs=st.floats(0.0, 2.0),
+    alpha_phase=st.floats(0.0, 2.0 * math.pi),
+    cutoff=st.integers(0, 14),
+    u=st.floats(0.0, 1.0),
+    g=st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 2.5)),
+)
+def test_kernel_derivative_matches_high_precision_reference(
+    tc, delta, alpha_abs, alpha_phase, cutoff, u, g
+):
+    fld = FieldState.coherent(alpha_abs * cmath.exp(1j * alpha_phase), cutoff)
+    assume(1.0 - fld.captured_mass <= 0.01)
+    sc = Scenario(tau_c=tc, delta=delta, tau_f_gamma=u)
+    got = detector_matrix_elements(np.array([g]), sc, fld, derivative=True)
+    with mp.workdps(40):
+        ref = _mp_elements(mp.mpf(g), tc, delta, fld.coefficients, u)
+        d_ref = [
+            mp.diff(lambda x, k=k: _mp_elements(x, tc, delta, fld.coefficients, u)[k], g)
+            for k in (0, 1)
+        ]
+        for value, exact in zip(got, ref + tuple(d_ref)):
+            assert abs(value[0] - complex(exact)) <= 1e-14
+
+
+def test_kernel_derivative_is_regular_at_zero_coupling():
+    # resonant: every l_n vanishes at g = 0 and the series take over
+    fld = FieldState.coherent(1.1 + 0.4j, 12)
+    sc = Scenario(tau_c=0.9, tau_f_gamma=0.3)
+    g = np.array([0.0, 1e-300, 1e-160, 1e-8])
+    for part in detector_matrix_elements(g, sc, fld, derivative=True):
+        assert np.all(np.isfinite(part))
+    state, drho = reduced_state(g, sc, fld, derivative=True)
+    # d a_ee/dg is odd in g, and at g = 0 every captured level stays excited
+    assert drho.ee[0] == 0.0
+    assert state.matrix.ee[0] == pytest.approx(fld.captured_mass * math.exp(-0.3), abs=1e-15)
+
+
+def test_batched_state_rows_equal_scalar_calls():
+    sc = Scenario(tau_c=1.3, delta=0.6, alpha=1.5, fock_cutoff=12, tau_f_gamma=0.2)
+    fld = field_for(sc)
+    g = np.linspace(0.0, 2.0, 9)
+    states, drho = reduced_state(g, sc, fld, derivative=True)
+    for i, gi in enumerate(g):
+        one, d_one = reduced_state(float(gi), sc, fld, derivative=True)
+        # the same code, up to the rounding of the ladder sum's BLAS kernel
+        for got, ref in (
+            (one.matrix.ee, states.matrix.ee[i]),
+            (one.matrix.eg, states.matrix.eg[i]),
+            (d_one.ee, drho.ee[i]),
+            (d_one.eg, drho.eg[i]),
+        ):
+            assert got == pytest.approx(ref, rel=1e-15, abs=1e-16)
+        assert d_one.gg == -d_one.ee
+
+
+def test_dissipative_rounding_excess_is_clamped(monkeypatch):
+    from cavbayes import dynamics
+
+    for raw, clamped in ((1.0 + 5e-13, 1.0), (-5e-13, 0.0)):
+        monkeypatch.setattr(dynamics, "_excited_fraction", lambda *a, raw=raw: np.array([raw]))
+        assert dissipative_state(1.0, 1.0, 0.2, 0.3).excited_population == clamped
+
+
+def test_dissipative_excess_beyond_tolerance_raises(monkeypatch):
+    from cavbayes import dynamics
+
+    for raw in (1.0 + 1e-9, -1e-9):
+        monkeypatch.setattr(dynamics, "_excited_fraction", lambda *a, raw=raw: np.array([raw]))
+        with pytest.raises(ArithmeticError):
+            dissipative_state(1.0, 1.0, 0.2, 0.3)
+
+
+def test_dissipative_excess_exits_with_numeric_error(monkeypatch, tmp_path, capsys):
+    from cavbayes import dynamics
+    from cavbayes.cli import main
+
+    cfg = tmp_path / "damped.ini"
+    cfg.write_text("[scenario]\ng0_tau_c = 1.0\nkappa_over_g0 = 0.3\ngamma_over_g0 = 0.2\n")
+    assert main(["state", "--config", str(cfg)]) == 0
+    monkeypatch.setattr(dynamics, "_excited_fraction", lambda *a: np.array([1.0 + 1e-9]))
+    capsys.readouterr()
+    assert main(["state", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith("numeric error:")

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -210,25 +211,41 @@ def test_uniform_generic_cost_closed_vs_quadrature():
     )
 
 
+def _uniform_cap_reference(sig, t):
+    """c_max of the uniform prior, in the working precision of ``sig``, ``t``."""
+    big_a, big_b = 2 * mp.sqrt(3) * sig * t, 2 * t
+    k = mp.sin(big_a) * mp.cos(big_b) / big_a
+    lo, hi = 1 - mp.sqrt(3) * sig, 1 + mp.sqrt(3) * sig
+    xs = [lo, hi] + [
+        j * mp.pi / (2 * t)
+        for j in range(int(mp.ceil(2 * t * lo / mp.pi)), int(mp.floor(2 * t * hi / mp.pi)) + 1)
+    ]
+    return 1 / (2 * mp.sqrt(3) * sig * max(abs(mp.cos(2 * t * x) - k) for x in xs))
+
+
 def _uniform_cost_reference(sigma: float, tc: float, u: float) -> float:
     """The uniform-prior cost in 50-digit arithmetic, cap and bracket alike."""
-    mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         sig, t = mp.mpf(sigma), mp.mpf(tc)
         big_a, big_b = 2 * mp.sqrt(3) * sig * t, 2 * t
-        k = mp.sin(big_a) * mp.cos(big_b) / big_a
-        lo, hi = 1 - mp.sqrt(3) * sig, 1 + mp.sqrt(3) * sig
-        xs = [lo, hi] + [
-            j * mp.pi / (2 * t)
-            for j in range(int(mp.ceil(2 * t * lo / mp.pi)), int(mp.floor(2 * t * hi / mp.pi)) + 1)
-        ]
-        c_max = 1 / (2 * mp.sqrt(3) * sig * max(abs(mp.cos(2 * t * x) - k) for x in xs))
+        c_max = _uniform_cap_reference(sig, t)
         bracket = (
             mp.mpf(1) / 2
             - (mp.sin(big_a) * mp.cos(big_b)) ** 2 / big_a**2
             + mp.sin(2 * big_a) * mp.cos(2 * big_b) / (4 * big_a)
         )
         return float(1 / (2 * mp.sqrt(3) * sig) + c_max * mp.exp(-mp.mpf(u)) * bracket)
+
+
+@pytest.mark.parametrize("sigma", [0.2, 0.55, 1.0, 1.5])
+def test_uniform_cmax_matches_high_precision_reference(sigma):
+    # cos(2 x tau) - K is O(tau^2) while both terms are near one; the cap
+    # must hold full relative precision down to g0 tau = 1e-8
+    for tc in np.geomspace(1e-8, 3.0, 40):
+        tc = float(tc)
+        with mp.workdps(50):
+            ref = float(_uniform_cap_reference(mp.mpf(sigma), mp.mpf(tc)))
+        assert uniform_cmax(Prior.uniform(1.0, sigma), tc) == pytest.approx(ref, rel=1e-12), tc
 
 
 @pytest.mark.parametrize("sigma", [0.2, 0.55, 1.0, 1.5])
