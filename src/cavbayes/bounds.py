@@ -10,9 +10,7 @@ slope x'(g) = d E[estimate | g]/dg obeys
 the first power has circulated for this system; it is computed alongside
 (``bound_abs_sensitivity``) because several closed-form displays use it, but
 numerical checks show it can exceed the conditional MSE, so it is reported
-and never asserted.  For the likelihood strategy a second display variant
-with a 2 sqrt(5 pi) sigma^2 prefactor is also surfaced (``bound_display``)
-for the same reason.
+and never asserted.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from . import ml as ml_mod
-from . import priors as priors_mod
 from .dynamics import FieldState, Scenario, reduced_state
 from .errors import SingularSLD
 from .mmse import MmseResult, mse_of_estimator
@@ -41,8 +38,8 @@ class BoundReport:
     ``sld_diag`` holds the eigenvalues of L, or None when the pure-state edge
     makes L singular and the bound was taken by one-sided limit.  The report
     of a batch of couplings holds one entry per coupling in every field (an
-    array, or a tuple for ``sld_diag`` and ``bound_display``); :meth:`row`
-    is the report of one coupling.
+    array, or a tuple for ``sld_diag``); :meth:`row` is the report of one
+    coupling.
     """
 
     g: float
@@ -52,7 +49,6 @@ class BoundReport:
     sensitivity: float  # x'(g)
     fisher: float  # Tr{rho L^2}
     bound_abs_sensitivity: float  # |x'| / Tr{rho L^2}, report-only
-    bound_display: Optional[float] = None  # ML-Gaussian display variant
 
     def row(self, i: int) -> "BoundReport":
         return BoundReport(
@@ -63,7 +59,6 @@ class BoundReport:
             sensitivity=float(self.sensitivity[i]),
             fisher=float(self.fisher[i]),
             bound_abs_sensitivity=float(self.bound_abs_sensitivity[i]),
-            bound_display=self.bound_display[i],
         )
 
 
@@ -156,12 +151,10 @@ def sld_general(
     return out if batch else out.row(0)
 
 
-def _report(g, mse, xprime, fisher, sld_diag, display=None) -> BoundReport:
+def _report(g, mse, xprime, fisher, sld_diag) -> BoundReport:
     """Batch report; a zero Fisher entry gives zero bounds."""
     informative = fisher > 0.0
     safe = np.where(informative, fisher, 1.0)
-    if display is None:
-        display = (None,) * len(g)
     return BoundReport(
         g=g,
         mse=mse,
@@ -170,11 +163,10 @@ def _report(g, mse, xprime, fisher, sld_diag, display=None) -> BoundReport:
         sensitivity=xprime,
         fisher=fisher,
         bound_abs_sensitivity=np.where(informative, np.abs(xprime) / safe, 0.0),
-        bound_display=display,
     )
 
 
-def _diagonal_report(g, mse, slope, tau_c, gamma_tau_f, display=None) -> BoundReport:
+def _diagonal_report(g, mse, slope, tau_c, gamma_tau_f) -> BoundReport:
     """Batch report on the resonant vacuum family, whose L is diagonal.
 
     The response slope is x'(g) = ``slope`` P'(g).  A stationary family has
@@ -185,7 +177,7 @@ def _diagonal_report(g, mse, slope, tau_c, gamma_tau_f, display=None) -> BoundRe
     sld_diag = tuple(
         None if bad else (float(a), float(b)) for a, b, bad in zip(l_ee, l_gg, singular)
     )
-    return _report(g, mse, slope * dp, fisher, sld_diag, display)
+    return _report(g, mse, slope * dp, fisher, sld_diag)
 
 
 def cr_bound_mmse(
@@ -245,47 +237,19 @@ def cr_bound_mmse(
     return rep if batch else rep.row(0)
 
 
-def _display_bound(povm: ml_mod.MlPovm, g: float, gamma_tau_f: float) -> Optional[float]:
-    """The Gaussian-prior display variant of the likelihood bound at one g."""
-    if povm.prior.kind != priors_mod.GAUSSIAN or not math.isfinite(povm.c_max):
-        return None
-    tc, sig = povm.tau_c, povm.prior.sigma
-    eu = math.exp(-gamma_tau_f)
-    s2 = math.sin(g * tc) ** 2
-    if s2 == 0.0:
-        return None
-    return (
-        (1.0 - (1.0 - s2) * eu)
-        / s2
-        * abs(math.sin(2.0 * g * tc))
-        * 2.0
-        * math.sqrt(5.0 * math.pi)
-        * sig**2
-        * math.exp(-2.0 * sig**2 * tc**2)
-        * abs(povm._fz_scale)
-    )
-
-
 def cr_bound_ml(povm: ml_mod.MlPovm, g, gamma_tau_f: float) -> BoundReport:
     """Bound report for the likelihood strategy at true coupling g.
 
     The response slope is x'(g) = 2 P'(g) int x f_z(x) dx with the first-
     moment integral of f_z taken by quadrature; the MSE is the quadrature of
-    (x - g)^2 against the conditional density.  For the Gaussian prior the
-    display variant 2 sqrt(5 pi) sigma^2 e^{-2 sigma^2 tau_c^2} |c sin| form
-    is attached for comparison.  An array ``g`` gives a batch report (see
-    :meth:`BoundReport.row`) sharing one first-moment integral; a scalar is
-    a batch of one.
+    (x - g)^2 against the conditional density, on the same rule.  An array
+    ``g`` gives a batch report (see :meth:`BoundReport.row`) from one
+    batched MSE evaluation; a scalar is a batch of one.
     """
     batch = np.ndim(g) > 0
     g = np.atleast_1d(np.asarray(g, dtype=float))
-    tc = povm.tau_c
-    mse = np.array([ml_mod.ml_mse(povm, x, gamma_tau_f) for x in g.tolist()])
-
-    rule = priors_mod.quadrature(
-        povm.prior, priors_mod.nodes_for_oscillation(povm.prior, 2.0 * tc)
-    )
+    mse = ml_mod.ml_mse(povm, g, gamma_tau_f)
+    rule = povm.rule
     first_moment_fz = rule.integrate(rule.nodes * povm.f_z(rule.nodes))
-    display = tuple(_display_bound(povm, x, gamma_tau_f) for x in g.tolist())
-    rep = _diagonal_report(g, mse, 2.0 * first_moment_fz, tc, gamma_tau_f, display)
+    rep = _diagonal_report(g, mse, 2.0 * first_moment_fz, povm.tau_c, gamma_tau_f)
     return rep if batch else rep.row(0)

@@ -23,7 +23,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
@@ -113,20 +113,6 @@ class Table:
     rows: list = dc_field(default_factory=list)
 
 
-def _with(scenario: Scenario, **updates) -> Scenario:
-    base = dict(
-        tau_c=scenario.tau_c,
-        tau_f_gamma=scenario.tau_f_gamma,
-        delta=scenario.delta,
-        alpha=scenario.alpha,
-        kappa=scenario.kappa,
-        gamma_cav=scenario.gamma_cav,
-        fock_cutoff=scenario.fock_cutoff,
-    )
-    base.update(updates)
-    return Scenario(**base)
-
-
 def _mmse_result(prior: Prior, scenario: Scenario, field: FieldState):
     gammas = mmse_mod.gamma_moments(prior, scenario, field)
     return mmse_mod.mmse_estimator(gammas, scenario.tau_f_gamma)
@@ -160,42 +146,33 @@ def _at(spec: SweepSpec, value: float) -> Scenario:
     """The pinned scenario with the sweep axis set to ``value``."""
     if spec.axis not in _AXIS_FIELDS:
         return spec.scenario
-    return _with(spec.scenario, **{_AXIS_FIELDS[spec.axis]: value})
+    return replace(spec.scenario, **{_AXIS_FIELDS[spec.axis]: value})
 
 
-def _ml_povm(prior: Prior, scenario: Scenario) -> ml_mod.MlPovm:
-    build = (
-        ml_mod.gaussian_ml_povm
-        if prior.kind == priors_mod.GAUSSIAN
-        else ml_mod.uniform_ml_povm
-    )
-    return build(prior, scenario.tau_c, scenario.tau_f_gamma)
-
-
-def _ml_row(spec: SweepSpec, value: float) -> list:
-    prior = spec.prior
-    scenario = _at(spec, value)
-    povm = _ml_povm(prior, scenario)
-    if spec.quantity == "ml_cost":
-        cost = (
-            ml_mod.gaussian_cost_max(povm)
-            if prior.kind == priors_mod.GAUSSIAN
-            else ml_mod.uniform_cost_max(povm)
-        )
-        return [value, cost]
-    # ml_avg_estimate
-    g = value * prior.g0 if spec.axis == "g_over_g0" else prior.g0
-    return [value, ml_mod.ml_average_estimate(povm, g, scenario.tau_f_gamma)]
-
-
-def _ml_bound_rows(spec: SweepSpec, values: list) -> list:
-    """ml_cr_bound sweeps the true coupling g: one POVM at the pinned
-    scenario and one batched bound report serve every row."""
-    scenario = spec.scenario
-    povm = _ml_povm(spec.prior, scenario)
-    g = np.array(values) * spec.prior.g0
-    rep = bounds_mod.cr_bound_ml(povm, g, scenario.tau_f_gamma)
-    return [[v, float(m), float(b)] for v, m, b in zip(values, rep.mse, rep.lower_bound)]
+def _ml_rows(spec: SweepSpec, values: list) -> list:
+    """Likelihood rows.  Along ``g_over_g0`` the POVM is fixed, so one POVM
+    at the pinned scenario and one batched call serve every row; along
+    ``tau_c`` and ``gamma_tau_f`` each row builds its own POVM."""
+    prior, q = spec.prior, spec.quantity
+    if spec.axis == "g_over_g0":
+        u = spec.scenario.tau_f_gamma
+        povm = ml_mod.ml_povm(prior, spec.scenario.tau_c, u)
+        g = np.array(values) * prior.g0
+        if q == "ml_cr_bound":
+            rep = bounds_mod.cr_bound_ml(povm, g, u)
+            columns = [rep.mse, rep.lower_bound]
+        else:
+            columns = [ml_mod.ml_average_estimate(povm, g, u)]
+        return [[v, *(float(c[i]) for c in columns)] for i, v in enumerate(values)]
+    rows = []
+    for v in values:
+        sc = _at(spec, v)
+        povm = ml_mod.ml_povm(prior, sc.tau_c, sc.tau_f_gamma)
+        if q == "ml_cost":
+            rows.append([v, ml_mod.cost_max(povm)])
+        else:
+            rows.append([v, ml_mod.ml_average_estimate(povm, prior.g0, sc.tau_f_gamma)])
+    return rows
 
 
 def _mmse_rows(spec: SweepSpec, values: list) -> list:
@@ -261,16 +238,14 @@ def run_sweep(spec: SweepSpec) -> Table:
     """Evaluate the configured quantity over the axis grid, in axis order.
 
     MMSE quantities over ``tau_c``, ``delta`` and ``gamma_tau_f`` and the
-    dissipative cost take one batched solve over the whole axis; quantities
-    over ``g_over_g0`` with an MMSE estimator, and the likelihood bound, take
-    one batched evaluation over all couplings; the other likelihood
-    quantities are evaluated row by row.
+    dissipative cost take one batched solve over the whole axis; every
+    quantity over ``g_over_g0`` takes one batched evaluation over all
+    couplings; likelihood quantities over ``tau_c`` and ``gamma_tau_f``
+    build one POVM per row.
     """
     values = [float(v) for v in np.linspace(spec.lo, spec.hi, spec.n_points)]
-    if spec.quantity == "ml_cr_bound":
-        rows = _ml_bound_rows(spec, values)
-    elif spec.quantity.startswith("ml_"):
-        rows = [_ml_row(spec, v) for v in values]
+    if spec.quantity.startswith("ml_"):
+        rows = _ml_rows(spec, values)
     else:
         rows = _mmse_rows(spec, values)
     return Table(columns=list(_SWEEP_COLUMNS[spec.quantity]), rows=rows)
@@ -298,6 +273,15 @@ def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
+def _tau_costs(prior: Prior, scenario: Scenario, fld: FieldState, taus) -> np.ndarray:
+    """Average minimum cost at each interaction time in ``taus``, the rest of
+    ``scenario`` pinned: one batched solve."""
+    if scenario.is_unitary_transit:
+        scenarios = [replace(scenario, tau_c=float(t)) for t in taus]
+        return _mmse_results(prior, scenarios, fld).c_min
+    return _dissipative_costs(prior, scenario, taus)
+
+
 def find_tau_star(
     prior: Prior,
     scenario: Scenario,
@@ -315,21 +299,15 @@ def find_tau_star(
     """
     fld = field if field is not None else field_for(scenario)
     g0 = prior.g0
-
-    if scenario.is_unitary_transit:
-        def costs(taus) -> np.ndarray:
-            scenarios = [_with(scenario, tau_c=float(t)) for t in taus]
-            return _mmse_results(prior, scenarios, fld).c_min
-    else:
-        def costs(taus) -> np.ndarray:
-            return _dissipative_costs(prior, scenario, taus)
-
     taus = np.linspace(0.05 / g0, 3.0 / g0, coarse_points)
-    best = int(np.argmin(costs(taus)))
+    best = int(np.argmin(_tau_costs(prior, scenario, fld, taus)))
     lo = taus[max(0, best - 1)]
     hi = taus[min(len(taus) - 1, best + 1)]
     return _golden_section(
-        lambda tau: float(costs([tau])[0]), float(lo), float(hi), tol / g0
+        lambda tau: float(_tau_costs(prior, scenario, fld, [tau])[0]),
+        float(lo),
+        float(hi),
+        tol / g0,
     )
 
 
@@ -413,8 +391,8 @@ def verify_all(seed: int = 0, corrupt_povm_scale: float = 1.0) -> dict:
     checks.append(_check("anchor_quarter_period", err < 1e-12, error=err))
 
     # POVM validity and the corrupted-constant smoke test
-    for prior, build in ((gauss, ml_mod.gaussian_ml_povm), (unif, ml_mod.uniform_ml_povm)):
-        povm = build(prior, math.pi / 4.0, 0.0)
+    for prior in (gauss, unif):
+        povm = ml_mod.ml_povm(prior, math.pi / 4.0, 0.0)
         tot_i, tot_z = povm.completeness()
         ok = abs(tot_i - 1.0) < 1e-9 and abs(tot_z) < 1e-9
         audit = ml_mod.interval_audit(
@@ -441,18 +419,16 @@ def verify_all(seed: int = 0, corrupt_povm_scale: float = 1.0) -> dict:
     sp_prior = Prior.uniform(1.0, 1.0 / math.sqrt(3.0))
     sp_tc = math.pi / 4.0
     c_num = ml_mod.uniform_cmax(sp_prior, sp_tc)
-    povm_sp = ml_mod.uniform_ml_povm(sp_prior, sp_tc, 0.0)
-    cost_sp = ml_mod.uniform_cost_max(povm_sp)
+    cost_sp = ml_mod.cost_max(ml_mod.ml_povm(sp_prior, sp_tc, 0.0))
     err = max(abs(c_num - 2.0 * sp_tc / math.pi), abs(cost_sp - 0.75))
     checks.append(_check("ml_uniform_special_case", err < 1e-6, error=err))
 
     # Gaussian likelihood cost: closed form against direct quadrature
     worst = 0.0
     for tc in (0.3, math.pi / 4.0, 1.1, 2.0):
-        povm = ml_mod.gaussian_ml_povm(gauss, tc, 0.3)
+        povm = ml_mod.ml_povm(gauss, tc, 0.3)
         worst = max(
-            worst,
-            abs(ml_mod.gaussian_cost_max(povm) - ml_mod.average_cost_quadrature(povm)),
+            worst, abs(ml_mod.cost_max(povm) - ml_mod.average_cost_quadrature(povm))
         )
     checks.append(_check("ml_gaussian_cost_quadrature", worst < 1e-8, error=worst))
 
@@ -489,7 +465,7 @@ def verify_all(seed: int = 0, corrupt_povm_scale: float = 1.0) -> dict:
     for prior in (gauss, unif):
         sc = Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2)
         result = _mmse_result(prior, sc, vac)
-        povm = _ml_povm(prior, sc)
+        povm = ml_mod.ml_povm(prior, sc.tau_c, sc.tau_f_gamma)
         for rep in (
             bounds_mod.cr_bound_mmse(result, g_grid, prior, sc, vac),
             bounds_mod.cr_bound_ml(povm, g_grid, sc.tau_f_gamma),
@@ -518,7 +494,7 @@ def verify_all(seed: int = 0, corrupt_povm_scale: float = 1.0) -> dict:
 
     z_max = 0.0
     for g in (0.7, 1.0, 1.3):
-        povm = ml_mod.gaussian_ml_povm(gauss, math.pi / 4.0, 0.0)
+        povm = ml_mod.ml_povm(gauss, math.pi / 4.0, 0.0)
         rep = oracle_mod.mc_estimate_distribution(
             povm, g, Scenario(tau_c=math.pi / 4.0), 10**5, seed
         )
@@ -533,7 +509,7 @@ def verify_all(seed: int = 0, corrupt_povm_scale: float = 1.0) -> dict:
     checks.append(_check("dissipative_zero_rate_limit", worst < 1e-10, error=worst))
 
     # informational: mean-estimate closed forms (derived vs display variant)
-    povm = ml_mod.gaussian_ml_povm(gauss, math.pi / 4.0, 0.0)
+    povm = ml_mod.ml_povm(gauss, math.pi / 4.0, 0.0)
     quad_mean = ml_mod.ml_average_estimate(povm, 1.0, 0.0)
     derived, alt = ml_mod.gaussian_average_estimate_closed_forms(povm, 1.0, 0.0)
     checks.append(
@@ -716,27 +692,20 @@ def _cmd_mmse(cfg: dict, args) -> Table:
 
 def _cmd_ml(cfg: dict, args) -> Table:
     prior, scenario = cfg["prior"], cfg["scenario"]
-    if prior.kind == priors_mod.GAUSSIAN:
-        povm = ml_mod.gaussian_ml_povm(prior, scenario.tau_c, scenario.tau_f_gamma)
-        cost = ml_mod.gaussian_cost_max(povm)
-    else:
-        povm = ml_mod.uniform_ml_povm(prior, scenario.tau_c, scenario.tau_f_gamma)
-        cost = ml_mod.uniform_cost_max(povm)
+    povm = ml_mod.ml_povm(prior, scenario.tau_c, scenario.tau_f_gamma)
     g = cfg["g"] * prior.g0
     table = Table(columns=["c_max", "cost_max", "avg_estimate"])
-    table.rows.append(
-        [povm.c_max, cost, ml_mod.ml_average_estimate(povm, g, scenario.tau_f_gamma)]
-    )
+    cost = ml_mod.cost_max(povm)
+    avg = ml_mod.ml_average_estimate(povm, g, scenario.tau_f_gamma)
+    table.rows.append([povm.c_max, cost, avg])
     return table
 
 
 def _cmd_tau_star(cfg: dict, args) -> Table:
     prior, scenario = cfg["prior"], cfg["scenario"]
-    tau = find_tau_star(prior, scenario)
-    if scenario.is_unitary_transit:
-        c_at = _mmse_result(prior, _with(scenario, tau_c=tau), field_for(scenario)).c_min
-    else:
-        c_at = float(_dissipative_costs(prior, scenario, [tau])[0])
+    fld = field_for(scenario)
+    tau = find_tau_star(prior, scenario, fld)
+    c_at = float(_tau_costs(prior, scenario, fld, [tau])[0])
     table = Table(columns=["g0_tau_star", "c_min_at_tau_star"])
     table.rows.append([tau * prior.g0, c_at])
     return table

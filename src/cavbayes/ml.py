@@ -26,6 +26,7 @@ over arbitrary interval collections exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,8 @@ __all__ = [
     "uniform_cmax",
     "uniform_ml_povm",
     "uniform_cost_max",
+    "ml_povm",
+    "cost_max",
     "conditional_pdf",
     "ml_average_estimate",
     "ml_mse",
@@ -80,6 +83,12 @@ class MlPovm:
     def window(self) -> tuple[float, float]:
         return self.prior.window
 
+    @functools.cached_property
+    def rule(self) -> priors_mod.QuadratureRule:
+        """Prior-window rule resolving the oscillation of f_z, built once."""
+        n = priors_mod.nodes_for_oscillation(self.prior, 2.0 * self.tau_c)
+        return priors_mod.quadrature(self.prior, n)
+
     def f_i(self, x):
         x = np.asarray(x, dtype=float)
         if self.prior.kind == priors_mod.GAUSSIAN:
@@ -98,7 +107,10 @@ class MlPovm:
                 * np.exp(-((x - g0) ** 2) / (2.0 * sig**2))
             )
         else:
-            out = self._fz_scale * (np.cos(2.0 * tc * x) - _uniform_offset(self.prior, tc))
+            # cos(2 x tau_c) - K = -2 sin^2(x tau_c) - (K - 1): both terms keep
+            # their relative precision as tau_c -> 0, where c_max grows as 1/tau^2
+            k_excess = _uniform_offset_excess(self.prior, tc)
+            out = -self._fz_scale * (2.0 * np.sin(tc * x) ** 2 + k_excess)
         return out if out.ndim else float(out)
 
     def interval_integral(self, lo, hi, sign: int = 1, scale: float = 1.0):
@@ -118,10 +130,10 @@ class MlPovm:
             )
         else:
             part_i = (hi - lo) / (2.0 * math.sqrt(3.0) * sig)
-            k = _uniform_offset(self.prior, tc)
-            part_z = self._fz_scale * (
-                (np.sin(2.0 * tc * hi) - np.sin(2.0 * tc * lo)) / (2.0 * tc)
-                - k * (hi - lo)
+            # the primitive of -2 sin^2(x tau_c) - (K - 1), as in f_z
+            part_z = -self._fz_scale * (
+                (_y_minus_sin(2.0 * tc * hi) - _y_minus_sin(2.0 * tc * lo)) / (2.0 * tc)
+                + _uniform_offset_excess(self.prior, tc) * (hi - lo)
             )
         out = part_i + sign * scale * part_z
         return out if out.ndim else float(out)
@@ -147,13 +159,21 @@ def _gaussian_sine_band(t_lo, t_hi, sigma: float, k: float):
     return scale * (erf((t_hi - shift) / rt2s) - erf((t_lo - shift) / rt2s)).imag
 
 
-def _uniform_offset(prior: Prior, tau_c: float) -> float:
-    # support-average of cos(2 x tau_c); subtracting it makes f_z traceless
-    big_a = 2.0 * math.sqrt(3.0) * prior.sigma * tau_c
-    big_b = 2.0 * prior.g0 * tau_c
-    if abs(big_a) < 1e-30:
-        return math.cos(big_b)
-    return math.sin(big_a) * math.cos(big_b) / big_a
+def _y_minus_sin(y):
+    """y - sin(y), summed from its series below |y| = 1, where it cancels.
+
+    The nine terms sum_{k=1}^{9} (-1)^(k+1) y^(2k+1)/(2k+1)! leave a tail
+    below 1e-19 of the sum there.
+    """
+    small = np.abs(y) < 1.0
+    y_small = np.where(small, y, 0.0)
+    y2 = y_small * y_small
+    term = y_small * y2 / 6.0
+    series = term
+    for k in range(2, 10):
+        term = term * (-y2 / ((2 * k) * (2 * k + 1)))
+        series = series + term
+    return np.where(small, series, y - np.sin(y))
 
 
 def _uniform_offset_excess(prior: Prior, tau_c: float) -> float:
@@ -431,37 +451,55 @@ def uniform_cost_max(povm: MlPovm) -> float:
     ) * bracket
 
 
+def ml_povm(prior: Prior, tau_c: float, gamma_tau_f: float) -> MlPovm:
+    """Optimal POVM for either prior kind (:func:`gaussian_ml_povm`,
+    :func:`uniform_ml_povm`)."""
+    if prior.kind == priors_mod.GAUSSIAN:
+        return gaussian_ml_povm(prior, tau_c, gamma_tau_f)
+    return uniform_ml_povm(prior, tau_c, gamma_tau_f)
+
+
+def cost_max(povm: MlPovm) -> float:
+    """Maximized average cost for either prior kind (:func:`gaussian_cost_max`,
+    :func:`uniform_cost_max`)."""
+    if povm.prior.kind == priors_mod.GAUSSIAN:
+        return gaussian_cost_max(povm)
+    return uniform_cost_max(povm)
+
+
 # ---------------------------------------------------------------------------
 # Conditional law of the estimate and derived quantities
 
 
-def conditional_pdf(povm: MlPovm, g: float, g_tilde, gamma_tau_f: float):
+def conditional_pdf(povm: MlPovm, g, g_tilde, gamma_tau_f: float):
     """Density of the recorded estimate given the true coupling.
 
     p(x | g) = f_I(x) + f_z(x) (2 cos^2(g tau_c) e^{-u} - 1); vectorized over
-    the estimate argument.
+    the estimate argument.  An array ``g`` adds leading axes, one density
+    per coupling.
     """
-    contrast = 2.0 * math.cos(g * povm.tau_c) ** 2 * math.exp(-gamma_tau_f) - 1.0
-    return povm.f_i(g_tilde) + contrast * povm.f_z(g_tilde)
+    g = np.asarray(g, dtype=float)
+    contrast = 2.0 * np.cos(g * povm.tau_c) ** 2 * math.exp(-gamma_tau_f) - 1.0
+    return povm.f_i(g_tilde) + np.multiply.outer(contrast, povm.f_z(g_tilde))
 
 
-def _estimate_rule(povm: MlPovm) -> priors_mod.QuadratureRule:
-    n = priors_mod.nodes_for_oscillation(povm.prior, 2.0 * povm.tau_c)
-    return priors_mod.quadrature(povm.prior, n)
+def ml_average_estimate(povm: MlPovm, g, gamma_tau_f: float):
+    """Mean recorded estimate, int x p(x|g) dx by quadrature.
 
-
-def ml_average_estimate(povm: MlPovm, g: float, gamma_tau_f: float) -> float:
-    """Mean recorded estimate, int x p(x|g) dx by quadrature."""
-    rule = _estimate_rule(povm)
+    An array ``g`` gives one mean per entry from one (g x nodes) density; a
+    scalar gives a float through the same code.
+    """
+    rule = povm.rule
     p = conditional_pdf(povm, g, rule.nodes, gamma_tau_f)
     return rule.integrate(rule.nodes * p)
 
 
-def ml_mse(povm: MlPovm, g: float, gamma_tau_f: float) -> float:
-    """Conditional mean-squared error int (x - g)^2 p(x|g) dx."""
-    rule = _estimate_rule(povm)
+def ml_mse(povm: MlPovm, g, gamma_tau_f: float):
+    """Conditional mean-squared error int (x - g)^2 p(x|g) dx; ``g`` as in
+    :func:`ml_average_estimate`."""
+    rule = povm.rule
     p = conditional_pdf(povm, g, rule.nodes, gamma_tau_f)
-    return rule.integrate((rule.nodes - g) ** 2 * p)
+    return rule.integrate(np.subtract.outer(g, rule.nodes) ** 2 * p)
 
 
 def gaussian_average_estimate_closed_forms(
@@ -496,7 +534,7 @@ def average_cost_quadrature(povm: MlPovm) -> float:
     appears because the delta-valued cost rewards probability mass placed at
     the true value.
     """
-    rule = _estimate_rule(povm)
+    rule = povm.rule
     contrast = (
         2.0 * np.cos(rule.nodes * povm.tau_c) ** 2 * math.exp(-povm.gamma_tau_f) - 1.0
     )

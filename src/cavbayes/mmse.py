@@ -49,7 +49,6 @@ __all__ = [
     "limit_eigenvalue_tau0",
     "average_estimate",
     "mse_of_estimator",
-    "min_cost_closed_form",
 ]
 
 
@@ -162,11 +161,9 @@ def gamma_moments_dissipative(
     tau_c: float,
     gamma: float,
     kappa: float,
-    n_points: int | None = None,
 ) -> GammaTriple:
     """Moment operators for the in-cavity damped variant (diagonal states)."""
-    if n_points is None:
-        n_points = priors_mod.nodes_for_oscillation(prior, 2.0 * tau_c)
+    n_points = priors_mod.nodes_for_oscillation(prior, 2.0 * tau_c)
     rule = priors_mod.quadrature(prior, n_points)
     pops = dissipative_populations(rule.nodes, tau_c, gamma, kappa)
     return _prior_moments(prior, rule, pops)
@@ -316,15 +313,3 @@ def mse_of_estimator(
     mse = trace_product(square(dev), rho.matrix)
     return mse if np.ndim(g) else float(mse)
 
-
-def min_cost_closed_form(prior: Prior, tau_c: float, gamma_tau_f: float) -> float:
-    """Average minimum cost on the resonant-vacuum closed-form path.
-
-    Equals g0^2 + sigma^2 - b^2 e^{-u}/a - m2^2 (1 - a e^{-u}) with
-    m2 = (g0 - b e^{-u})/(1 - a e^{-u}) and u the flight exponent.
-    """
-    a, b, _ = closed_form_abc(prior, tau_c)
-    g0, var = priors_mod.moments(prior)
-    eu = math.exp(-gamma_tau_f)
-    m2 = (g0 - b * eu) / (1.0 - a * eu)
-    return g0**2 + var - b**2 * eu / a - m2**2 * (1.0 - a * eu)

@@ -95,9 +95,11 @@ class QuadratureRule:
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Integral of a function sampled on the nodes."""
-        return float(np.sum(self.weights * values))
+    def integrate(self, values: np.ndarray):
+        """Integral of a function sampled on the nodes; a (..., nodes) array
+        gives one integral per row."""
+        out = np.sum(self.weights * values, axis=-1)
+        return out if out.ndim else float(out)
 
     def expect(self, prior: "Prior", values: np.ndarray) -> float:
         """Prior expectation of a function sampled on the nodes."""

@@ -206,6 +206,30 @@ def test_g_sweep_evaluates_state_once(quantity, field_kind, monkeypatch):
     assert calls == [(11, quantity == "mmse_cr_bound")]
 
 
+@pytest.mark.parametrize("prior_kind", ["gaussian", "uniform"])
+@pytest.mark.parametrize("quantity", ["ml_avg_estimate", "ml_cr_bound"])
+def test_ml_g_sweep_builds_one_povm_and_one_rule(quantity, prior_kind, monkeypatch):
+    # the POVM does not depend on the true coupling: every row of a
+    # g_over_g0 sweep comes from one POVM and one quadrature rule
+    from cavbayes import ml as ml_mod
+
+    calls = []
+    for module, name in (
+        (ml_mod, "gaussian_ml_povm"),
+        (ml_mod, "uniform_ml_povm"),
+        (priors_mod, "quadrature"),
+    ):
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    scenario = Scenario(tau_c=0.9, tau_f_gamma=0.2)
+    spec = SweepSpec(quantity, "g_over_g0", 0.3, 1.7, 11, PRIORS[prior_kind], scenario)
+    assert len(run_sweep(spec).rows) == 11
+    assert sorted(calls) == sorted([f"{prior_kind}_ml_povm", "quadrature"])
+
+
 # ---------------------------------------------------------------------------
 # dissipative populations
 

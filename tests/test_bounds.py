@@ -8,7 +8,7 @@ import pytest
 from cavbayes.bounds import cr_bound_ml, cr_bound_mmse, sld, sld_general
 from cavbayes.dynamics import FieldState, Scenario, field_for
 from cavbayes.errors import SingularSLD
-from cavbayes.ml import gaussian_ml_povm, uniform_ml_povm
+from cavbayes.ml import gaussian_ml_povm, ml_povm, uniform_ml_povm
 from cavbayes.mmse import closed_form_gammas, gamma_moments, mmse_estimator
 from cavbayes.priors import Prior
 
@@ -167,6 +167,19 @@ def test_batched_bound_rows_equal_scalar_calls():
                 assert getattr(row, name) == pytest.approx(
                     getattr(single, name), rel=1e-14, abs=1e-15
                 ), (method, name)
+
+
+@pytest.mark.parametrize("prior", [GAUSS, UNIF], ids=["gaussian", "uniform"])
+def test_batched_ml_bound_rows_equal_scalar_calls(prior):
+    u = 0.35
+    povm = ml_povm(prior, 0.9, u)
+    g = np.linspace(0.2, 1.8, 7)
+    batch = cr_bound_ml(povm, g, u)
+    for i, gi in enumerate(g):
+        single, row = cr_bound_ml(povm, float(gi), u), batch.row(i)
+        assert row.sld_diag == pytest.approx(single.sld_diag, rel=1e-14)
+        for name in ("g", "mse", "lower_bound", "sensitivity", "fisher"):
+            assert getattr(row, name) == pytest.approx(getattr(single, name), rel=1e-14), name
 
 
 def test_ml_bound_zero_when_uninformative():

@@ -1,5 +1,6 @@
 """Scenario runner: sweeps, config handling, output formats, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -109,11 +110,11 @@ def test_tau_star_examples():
 
     sc1 = Scenario(tau_c=1.0, alpha=1.0)
     tau1 = find_tau_star(GAUSS, sc1)
-    from cavbayes.cli import _mmse_result, _with
+    from cavbayes.cli import _mmse_result
     from cavbayes.dynamics import field_for
 
     c0 = mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=find_tau_star(GAUSS, Scenario(tau_c=1.0))), VACUUM)).c_min
-    c1 = _mmse_result(GAUSS, _with(sc1, tau_c=tau1), field_for(sc1)).c_min
+    c1 = _mmse_result(GAUSS, dataclasses.replace(sc1, tau_c=tau1), field_for(sc1)).c_min
     assert c1 > c0
 
 

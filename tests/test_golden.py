@@ -4,10 +4,12 @@ Each ``tests/data/golden/<name>.ini`` is run through the CLI (``tau-star``
 for names starting with ``tau_star``, ``sweep`` otherwise) and must
 reproduce ``<name>.csv`` to 1e-12 relative in every number, with identical
 headers and row counts.  The references cover every MMSE sweep quantity and
-axis, both priors, vacuum, detuned, coherent and dissipative fields, one
-``ml_cost`` and one ``ml_cr_bound`` sweep, and ``tau-star`` for the three
-field kinds.  Regenerate them only for a change that is meant to move the
-numbers, and say why in the change log.
+axis, both priors, vacuum, detuned, coherent and dissipative fields, five
+likelihood sweeps (``ml_cost`` over ``tau_c`` with the uniform
+prior, ``ml_avg_estimate`` over ``g_over_g0`` with the uniform and over
+``tau_c`` with the Gaussian prior, ``ml_cr_bound`` with both priors), and
+``tau-star`` for the three field kinds.  Regenerate them only for a change
+that is meant to move the numbers, and say why in the change log.
 """
 
 import csv

@@ -20,6 +20,8 @@ from cavbayes.ml import (
     gaussian_ml_povm,
     interval_audit,
     ml_average_estimate,
+    ml_mse,
+    ml_povm,
     uniform_cmax,
     uniform_cost_max,
     uniform_ml_povm,
@@ -260,8 +262,75 @@ def test_uniform_cost_matches_high_precision_reference(sigma, u):
         assert cost == pytest.approx(ref, rel=1e-12), tc
 
 
+def _uniform_mean_reference(povm, g: float, u: float) -> float:
+    """Mean estimate of a uniform-prior POVM with its own c_max, 50 digits.
+
+    int x f_z dx is taken from the primitive of x (cos(2 x tau) - K).
+    """
+    p = povm.prior
+    with mp.workdps(50):
+        c, t, sig = mp.mpf(povm.c_max), mp.mpf(povm.tau_c), mp.mpf(p.sigma)
+        big_a = 2 * mp.sqrt(3) * sig * t
+        k = mp.sin(big_a) * mp.cos(2 * mp.mpf(p.g0) * t) / big_a
+        lo, hi = (mp.mpf(x) for x in p.support)
+
+        def primitive(x):
+            y = 2 * t * x
+            return x * mp.sin(y) / (2 * t) + mp.cos(y) / (4 * t * t) - k * x * x / 2
+
+        contrast = 2 * mp.cos(mp.mpf(g) * t) ** 2 * mp.exp(-mp.mpf(u)) - 1
+        return float((lo + hi) / 2 + contrast * c * (primitive(hi) - primitive(lo)))
+
+
+@pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0, 1.5])
+def test_uniform_fz_matches_high_precision_reference(sigma):
+    # cos(2 x tau) - K is O(tau^2) while c_max grows as 1/tau^2; f_z and the
+    # mean estimate must hold full precision down to g0 tau = 1e-8
+    p = Prior.uniform(1.0, sigma)
+    xs = np.linspace(*p.support, 41)
+    f_i = 1.0 / (2.0 * math.sqrt(3.0) * sigma)
+    for tc in np.geomspace(1e-8, 3.0, 40):
+        povm = uniform_ml_povm(p, float(tc), 0.0)
+        with mp.workdps(50):
+            c, t = mp.mpf(povm.c_max), mp.mpf(povm.tau_c)
+            big_a = 2 * mp.sqrt(3) * mp.mpf(sigma) * t
+            k = mp.sin(big_a) * mp.cos(2 * t) / big_a
+            ref = np.array([float(c * (mp.cos(2 * t * mp.mpf(x)) - k)) for x in xs])
+        assert np.max(np.abs(povm.f_z(xs) - ref)) <= 1e-14 * f_i, tc
+        mean = ml_average_estimate(povm, 0.7, 0.3)
+        assert mean == pytest.approx(_uniform_mean_reference(povm, 0.7, 0.3), rel=1e-13), tc
+
+
+@pytest.mark.parametrize("tc", [1e-4, 1e-6, 1e-8])
+def test_uniform_povm_valid_at_short_interaction_times(tc):
+    # the interval masses of f_z cancel to O(tau^2) against c_max ~ 1/tau^2:
+    # completeness and the audit must not report rounding as a violation
+    povm = uniform_ml_povm(Prior.uniform(1.0, 0.5), tc, 0.0)
+    tot_i, tot_z = povm.completeness()
+    assert tot_i == pytest.approx(1.0, abs=1e-12)
+    assert abs(tot_z) <= 1e-12
+    assert interval_audit(povm, n_intervals=2000, seed=0).passed
+    assert not interval_audit(povm, n_intervals=2000, seed=0, scale=1.05).passed
+
+
 # ---------------------------------------------------------------------------
 # conditional law and mean estimate
+
+
+@pytest.mark.parametrize("prior", [GAUSS, Prior.uniform(1.0, 0.6)], ids=["gaussian", "uniform"])
+def test_batched_likelihood_rows_equal_scalar_calls(prior):
+    # an array of couplings is the scalar call entry by entry
+    u = 0.35
+    povm = ml_povm(prior, 0.9, u)
+    g = np.linspace(0.2, 1.8, 7)
+    for fn in (ml_average_estimate, ml_mse):
+        batch = fn(povm, g, u)
+        assert batch.shape == g.shape
+        for gi, row in zip(g, batch):
+            single = fn(povm, float(gi), u)
+            assert isinstance(single, float)
+            assert row == pytest.approx(single, rel=1e-14)
+    assert conditional_pdf(povm, g, povm.rule.nodes, u).shape == (7, len(povm.rule.nodes))
 
 
 def test_conditional_pdf_prior_recovery_when_uninformative():
