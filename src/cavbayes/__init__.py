@@ -28,6 +28,7 @@ from .errors import (
 from .ml import (
     MlPovm,
     conditional_pdf,
+    f_z_moments,
     gaussian_cmax,
     gaussian_cost_max,
     gaussian_ml_povm,

@@ -25,7 +25,6 @@ from . import ml as ml_mod
 from .dynamics import FieldState, Scenario, reduced_state
 from .errors import SingularSLD
 from .mmse import MmseResult, mse_of_estimator
-from .priors import Prior
 from .qubit import Hermitian2, QubitState, eigendecompose, square, trace_product
 
 __all__ = ["BoundReport", "sld", "sld_general", "cr_bound_mmse", "cr_bound_ml"]
@@ -73,27 +72,22 @@ def _diagonal_family(g: np.ndarray, tau_c: float, gamma_tau_f: float):
         L_gg        = -P'/(1-P)  = 2 tau_c s c e^{-u} / (1 - c^2 e^{-u}),
         Tr{rho L^2} = 4 tau_c^2 s^2 e^{-u} / (1 - c^2 e^{-u}).
 
-    The Fisher entry stays finite at the pure-state edge c = 0, where L_ee
-    diverges.  Returns ``(dp, fisher, l_ee, l_gg, singular)``.  ``singular``
-    marks the couplings where c or the ground denominator is within 1e-12 of
-    zero, so a branch of L diverges and its entries mean nothing; where the
-    denominator vanishes the family is stationary, and dp and the Fisher
-    entry are zero.
+    The ground denominator is formed as (1 - e^{-u}) + e^{-u} s^2, free of
+    the cancellation of 1 - c^2 as g tau_c -> 0 at u = 0.  The Fisher entry
+    stays finite where c or the denominator vanishes, though a branch of L
+    diverges.  Returns ``(dp, fisher, l_ee, l_gg, singular)``; ``singular``
+    marks the couplings where c or the denominator is within 1e-12 of zero,
+    so the entries of L there mean nothing.
     """
     c = np.cos(g * tau_c)
     s = np.sin(g * tau_c)
     eu = math.exp(-gamma_tau_f)
-    c_eu = c * eu
-    denom = 1.0 - c * c_eu
+    denom = -math.expm1(-gamma_tau_f) + eu * s * s
     singular = (np.abs(c) <= 1e-12) | (denom <= 1e-12)
-    safe = np.where(singular, 1.0, denom)
-    dp = -2.0 * tau_c * s * c_eu
-    fisher = 4.0 * tau_c**2 * eu * s * s / safe
-    stationary = denom <= 0.0
-    if stationary.any():
-        dp, fisher = np.where(stationary, 0.0, dp), np.where(stationary, 0.0, fisher)
+    dp = -2.0 * tau_c * s * c * eu
+    fisher = 4.0 * tau_c**2 * eu * s * s / np.where(denom > 0.0, denom, 1.0)
     l_ee = -2.0 * tau_c * s / np.where(singular, 1.0, c)
-    l_gg = -dp / safe
+    l_gg = -dp / np.where(singular, 1.0, denom)
     return dp, fisher, l_ee, l_gg, singular
 
 
@@ -183,7 +177,6 @@ def _diagonal_report(g, mse, slope, tau_c, gamma_tau_f) -> BoundReport:
 def cr_bound_mmse(
     result: MmseResult,
     g,
-    prior: Prior,
     scenario: Scenario,
     field: Optional[FieldState] = None,
     method: str = "auto",
@@ -202,7 +195,6 @@ def cr_bound_mmse(
     batch states rho and d rho/dg at ``np.atleast_1d(g)`` passes them as
     ``rho`` / ``drho``.
     """
-    del prior  # the prior enters through the estimator itself
     if field is None:
         field = FieldState.vacuum()
     diagonal = (
@@ -240,16 +232,15 @@ def cr_bound_mmse(
 def cr_bound_ml(povm: ml_mod.MlPovm, g, gamma_tau_f: float) -> BoundReport:
     """Bound report for the likelihood strategy at true coupling g.
 
-    The response slope is x'(g) = 2 P'(g) int x f_z(x) dx with the first-
-    moment integral of f_z taken by quadrature; the MSE is the quadrature of
-    (x - g)^2 against the conditional density, on the same rule.  An array
-    ``g`` gives a batch report (see :meth:`BoundReport.row`) from one
-    batched MSE evaluation; a scalar is a batch of one.
+    The mean estimate is g0 + c(g) m1 with c(g) = 2 P(g) - 1, so the response
+    slope is x'(g) = 2 P'(g) m1; m1 = int x f_z dx and the MSE come from the
+    exact f_z moments of :func:`ml.f_z_moments`, with no quadrature.  An
+    array ``g`` gives a batch report (see :meth:`BoundReport.row`); a scalar
+    is a batch of one.
     """
     batch = np.ndim(g) > 0
     g = np.atleast_1d(np.asarray(g, dtype=float))
     mse = ml_mod.ml_mse(povm, g, gamma_tau_f)
-    rule = povm.rule
-    first_moment_fz = rule.integrate(rule.nodes * povm.f_z(rule.nodes))
-    rep = _diagonal_report(g, mse, 2.0 * first_moment_fz, povm.tau_c, gamma_tau_f)
+    m1, _ = ml_mod.f_z_moments(povm)
+    rep = _diagonal_report(g, mse, 2.0 * m1, povm.tau_c, gamma_tau_f)
     return rep if batch else rep.row(0)

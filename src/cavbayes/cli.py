@@ -194,22 +194,20 @@ def _mmse_rows(spec: SweepSpec, values: list) -> list:
     scenario = spec.scenario
     result = _mmse_result(prior, scenario, fld)
     g = np.array(values) * prior.g0
-    columns = _conditional_columns(
-        result, g, prior, scenario, fld, bound=q == "mmse_cr_bound"
-    )
+    columns = _conditional_columns(result, g, scenario, fld, bound=q == "mmse_cr_bound")
     head = [result.estimates[0], result.estimates[1], result.c_min]
     return [[v, *head, *(float(c[i]) for c in columns)] for i, v in enumerate(values)]
 
 
 def _conditional_columns(
-    result, g: np.ndarray, prior: Prior, scenario: Scenario, fld: FieldState, bound: bool
+    result, g: np.ndarray, scenario: Scenario, fld: FieldState, bound: bool
 ) -> list:
     """avg_estimate at the couplings ``g`` and, with ``bound``, cr_bound and
     mse: every column from one state evaluation over all couplings."""
     if not bound:
         return [mmse_mod.average_estimate(result, g, scenario, fld)]
     rho, drho = reduced_state(g, scenario, fld, derivative=True)
-    rep = bounds_mod.cr_bound_mmse(result, g, prior, scenario, fld, rho=rho, drho=drho)
+    rep = bounds_mod.cr_bound_mmse(result, g, scenario, fld, rho=rho, drho=drho)
     avg = mmse_mod.average_estimate(result, g, scenario, fld, rho=rho)
     return [avg, rep.lower_bound, rep.mse]
 
@@ -218,15 +216,7 @@ _SWEEP_COLUMNS = {
     "mmse_eigenvalues": ["axis", "eig_lo", "eig_hi", "c_min"],
     "mmse_cost": ["axis", "eig_lo", "eig_hi", "c_min"],
     "mmse_avg_estimate": ["axis", "eig_lo", "eig_hi", "c_min", "avg_estimate"],
-    "mmse_cr_bound": [
-        "axis",
-        "eig_lo",
-        "eig_hi",
-        "c_min",
-        "avg_estimate",
-        "cr_bound",
-        "mse",
-    ],
+    "mmse_cr_bound": ["axis", "eig_lo", "eig_hi", "c_min", "avg_estimate", "cr_bound", "mse"],
     "ml_cost": ["axis", "cost_max"],
     "ml_avg_estimate": ["axis", "avg_estimate"],
     "ml_cr_bound": ["axis", "mse", "cr_bound"],
@@ -432,6 +422,15 @@ def verify_all(seed: int = 0, corrupt_povm_scale: float = 1.0) -> dict:
         )
     checks.append(_check("ml_gaussian_cost_quadrature", worst < 1e-8, error=worst))
 
+    # the exact f_z moments behind every likelihood row, against quadrature
+    worst = 0.0
+    for prior in (gauss, unif):
+        for tc in (0.3, math.pi / 4.0, 1.1, 2.0):
+            povm = ml_mod.ml_povm(prior, tc, 0.3)
+            (m1, m2), (q1, q2) = ml_mod.f_z_moments(povm), ml_mod.f_z_moments_quadrature(povm)
+            worst = max(worst, abs(m1 - q1), abs(m2 - q2))
+    checks.append(_check("ml_fz_moments_quadrature", worst < 1e-9, error=worst))
+
     # bound constants: quadrature against the error-function evaluation, and
     # the pointwise cap strictly below both fixed-interval constants
     worst = 0.0
@@ -467,7 +466,7 @@ def verify_all(seed: int = 0, corrupt_povm_scale: float = 1.0) -> dict:
         result = _mmse_result(prior, sc, vac)
         povm = ml_mod.ml_povm(prior, sc.tau_c, sc.tau_f_gamma)
         for rep in (
-            bounds_mod.cr_bound_mmse(result, g_grid, prior, sc, vac),
+            bounds_mod.cr_bound_mmse(result, g_grid, sc, vac),
             bounds_mod.cr_bound_ml(povm, g_grid, sc.tau_f_gamma),
         ):
             gap = rep.mse - rep.lower_bound
@@ -508,21 +507,15 @@ def verify_all(seed: int = 0, corrupt_povm_scale: float = 1.0) -> dict:
         worst = max(worst, abs(pop - math.cos(gt) ** 2))
     checks.append(_check("dissipative_zero_rate_limit", worst < 1e-10, error=worst))
 
-    # informational: mean-estimate closed forms (derived vs display variant)
+    # informational: display variant of the Gaussian mean estimate
     povm = ml_mod.ml_povm(gauss, math.pi / 4.0, 0.0)
-    quad_mean = ml_mod.ml_average_estimate(povm, 1.0, 0.0)
-    derived, alt = ml_mod.gaussian_average_estimate_closed_forms(povm, 1.0, 0.0)
-    checks.append(
-        _check(
-            "ml_mean_estimate_closed_form",
-            abs(quad_mean - derived) < 1e-8,
-            error=abs(quad_mean - derived),
-        )
+    gap = abs(
+        ml_mod.ml_average_estimate(povm, 0.7, 0.0)
+        - ml_mod._gaussian_average_estimate_display(povm, 0.7, 0.0)
     )
     notes.append(
         "display variant of the mean-estimate closed form deviates from "
-        f"quadrature by {abs(quad_mean - alt):.3e} at the reference point; "
-        "reported, not asserted"
+        f"the exact mean by {gap:.3e} at the reference point; reported, not asserted"
     )
 
     return {
@@ -666,26 +659,10 @@ def _cmd_mmse(cfg: dict, args) -> Table:
     fld = field_for(scenario)
     result = _mmse_result(prior, scenario, fld)
     g = np.array([cfg["g"] * prior.g0])
-    avg, bound, mse = _conditional_columns(result, g, prior, scenario, fld, bound=True)
-    table = Table(
-        columns=[
-            "eig_lo",
-            "eig_hi",
-            "c_min",
-            "avg_estimate",
-            "cr_bound",
-            "mse",
-        ]
-    )
+    columns = _conditional_columns(result, g, scenario, fld, bound=True)
+    table = Table(columns=["eig_lo", "eig_hi", "c_min", "avg_estimate", "cr_bound", "mse"])
     table.rows.append(
-        [
-            result.estimates[0],
-            result.estimates[1],
-            result.c_min,
-            float(avg[0]),
-            float(bound[0]),
-            float(mse[0]),
-        ]
+        [result.estimates[0], result.estimates[1], result.c_min, *(float(c[0]) for c in columns)]
     )
     return table
 
@@ -709,6 +686,9 @@ def _cmd_tau_star(cfg: dict, args) -> Table:
     table = Table(columns=["g0_tau_star", "c_min_at_tau_star"])
     table.rows.append([tau * prior.g0, c_at])
     return table
+
+
+_POINT_COMMANDS = {"state": _cmd_state, "mmse": _cmd_mmse, "ml": _cmd_ml, "tau-star": _cmd_tau_star}
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -749,14 +729,8 @@ def main(argv: Optional[list] = None) -> int:
                 print("config error: sweep section missing", file=sys.stderr)
                 return 1
             table = run_sweep(cfg["sweep"])
-        elif args.command == "state":
-            table = _cmd_state(cfg, args)
-        elif args.command == "mmse":
-            table = _cmd_mmse(cfg, args)
-        elif args.command == "ml":
-            table = _cmd_ml(cfg, args)
-        else:  # tau-star
-            table = _cmd_tau_star(cfg, args)
+        else:
+            table = _POINT_COMMANDS[args.command](cfg, args)
     except UnsupportedCombination as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -29,7 +29,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InvalidRate, TruncationTooSmall
 from .qubit import Hermitian2, QubitState
@@ -140,7 +139,8 @@ class FieldState:
             return FieldState(coefficients=tuple(coeff))
         n_max = _auto_cutoff(alpha) if cutoff is None else cutoff
         n = np.arange(n_max + 1)
-        log_mag = -abs(alpha) ** 2 / 2 + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1)
+        log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
+        log_mag = -abs(alpha) ** 2 / 2 + n * math.log(abs(alpha)) - 0.5 * log_fact
         phase = np.exp(1j * n * np.angle(alpha)) if alpha.imag or alpha.real < 0 else 1.0
         coeff = np.exp(log_mag) * phase
         return FieldState(coefficients=tuple(coeff))
@@ -358,25 +358,28 @@ def dissipative_state(g: float, t: float, gamma: float, kappa: float) -> QubitSt
 
     Resonant interaction, initial state |e>|0>.  ``gamma`` is the qubit decay
     rate, ``kappa`` the cavity damping rate.  Reduces to the unitary vacuum
-    result cos^2(g t) when both rates vanish.  Rounding may carry f(t) past
-    [0, 1] by at most ``CLAMP_TOL``, which is clamped; anything further
-    raises ArithmeticError.
+    result cos^2(g t) when both rates vanish.  The population is
+    :func:`dissipative_populations` at the one coupling ``g``.
     """
-    if gamma < 0 or kappa < 0:
-        raise InvalidRate(f"rates must be nonnegative, got gamma={gamma} kappa={kappa}")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    f = float(_excited_fraction(np.array([g]), t, gamma, kappa)[0])
-    if not -CLAMP_TOL <= f <= 1.0 + CLAMP_TOL:
-        raise ArithmeticError(f"excited fraction {f!r} outside [0, 1] beyond {CLAMP_TOL}")
-    f = min(max(f, 0.0), 1.0)
+    f = float(dissipative_populations(g, t, gamma, kappa)[0])
     return QubitState(Hermitian2(ee=f, gg=1.0 - f))
 
 
 def dissipative_populations(
     g_values: np.ndarray, t: float, gamma: float, kappa: float
 ) -> np.ndarray:
-    """Vectorized excited population of the dissipative variant."""
+    """Vectorized excited population of the dissipative variant.
+
+    Rounding may carry f(t) past [0, 1] by at most ``CLAMP_TOL``, which is
+    clamped; anything further raises ArithmeticError.
+    """
     if gamma < 0 or kappa < 0:
         raise InvalidRate(f"rates must be nonnegative, got gamma={gamma} kappa={kappa}")
-    return _excited_fraction(np.atleast_1d(g_values), t, gamma, kappa)
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    f = _excited_fraction(np.atleast_1d(g_values), t, gamma, kappa)
+    lo, hi = f.min(), f.max()
+    if lo < -CLAMP_TOL or hi > 1.0 + CLAMP_TOL:
+        bad = lo if lo < -CLAMP_TOL else hi
+        raise ArithmeticError(f"excited fraction {float(bad)!r} outside [0, 1] beyond {CLAMP_TOL}")
+    return f if 0.0 <= lo and hi <= 1.0 else np.clip(f, 0.0, 1.0)

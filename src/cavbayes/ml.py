@@ -19,19 +19,20 @@ the closed-form pointwise cap.  The Gaussian fixed-interval constants c1/c2
 from the half-period integral inequalities are kept as reference
 implementations for verification; they never fall below the cap.
 
-Interval integrals of f_I +- f_z are available in closed form (error function
-with complex argument for the Gaussian prior), which makes positivity audits
-over arbitrary interval collections exact.
+f_I is the prior density and int f_z = 0, so the mean estimate, its MSE and
+the bound slope need only the exact moments int x f_z and int x^2 f_z
+(:func:`f_z_moments`); quadrature remains in the verification oracles only.
+Interval integrals of f_I +- f_z are exact too (error function with complex
+argument for the Gaussian prior), so positivity audits over any intervals
+reflect the densities themselves; scipy is imported only inside them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from . import priors as priors_mod
 from .errors import SinVanishes
@@ -50,9 +51,11 @@ __all__ = [
     "ml_povm",
     "cost_max",
     "conditional_pdf",
+    "f_z_moments",
     "ml_average_estimate",
     "ml_mse",
     "average_cost_quadrature",
+    "f_z_moments_quadrature",
     "interval_audit",
 ]
 
@@ -82,12 +85,6 @@ class MlPovm:
     @property
     def window(self) -> tuple[float, float]:
         return self.prior.window
-
-    @functools.cached_property
-    def rule(self) -> priors_mod.QuadratureRule:
-        """Prior-window rule resolving the oscillation of f_z, built once."""
-        n = priors_mod.nodes_for_oscillation(self.prior, 2.0 * self.tau_c)
-        return priors_mod.quadrature(self.prior, n)
 
     def f_i(self, x):
         x = np.asarray(x, dtype=float)
@@ -119,6 +116,8 @@ class MlPovm:
         ``scale`` rescales f_z only (used by positivity audits probing
         inflated normalization constants).  Vectorized over interval arrays.
         """
+        from scipy.special import erf
+
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         g0, sig, tc = self.prior.g0, self.prior.sigma, self.tau_c
@@ -153,27 +152,51 @@ def _gaussian_sine_band(t_lo, t_hi, sigma: float, k: float):
     horizontal line in the complex plane; the primitive is the imaginary part
     of erf((u - i k sigma^2) / (sqrt(2) sigma)) up to constants.
     """
+    from scipy.special import erf
+
     shift = 1j * k * sigma**2
     scale = math.exp(-(k**2) * sigma**2 / 2.0) * sigma * math.sqrt(math.pi / 2.0)
     rt2s = math.sqrt(2.0) * sigma
     return scale * (erf((t_hi - shift) / rt2s) - erf((t_lo - shift) / rt2s)).imag
 
 
-def _y_minus_sin(y):
-    """y - sin(y), summed from its series below |y| = 1, where it cancels.
+def _odd_factorial_series(x, coef, k0: int):
+    """sum_{k>=k0} coef(k) x^(2k) / (2k+1)!, elementwise, for |x| <= 2.
 
-    The nine terms sum_{k=1}^{9} (-1)^(k+1) y^(2k+1)/(2k+1)! leave a tail
-    below 1e-19 of the sum there.
+    Sixteen terms are summed; for the coefficients used here, at most
+    quadratic in k, the dropped tail is below 1e-20 of the sum.
     """
+    x2 = x * x
+    power = x2**k0 / math.factorial(2 * k0 + 1)
+    total = 0.0
+    for k in range(k0, k0 + 16):
+        total = total + coef(k) * power
+        power = power * x2 / ((2 * k + 2) * (2 * k + 3))
+    return total
+
+
+def _y_minus_sin(y):
+    """y - sin(y), summed from its series below |y| = 1, where it cancels."""
     small = np.abs(y) < 1.0
     y_small = np.where(small, y, 0.0)
-    y2 = y_small * y_small
-    term = y_small * y2 / 6.0
-    series = term
-    for k in range(2, 10):
-        term = term * (-y2 / ((2 * k) * (2 * k + 1)))
-        series = series + term
+    series = y_small * _odd_factorial_series(y_small, lambda k: (-1) ** (k + 1), 1)
     return np.where(small, series, y - np.sin(y))
+
+
+def _s_minus_cos(x: float) -> float:
+    """sin(x)/x - cos(x) = sum_{k>=1} (-1)^(k+1) 2k x^(2k)/(2k+1)!, from the
+    series below x = 1, where it vanishes as x^2/3."""
+    if x >= 1.0:
+        return math.sin(x) / x - math.cos(x)
+    return _odd_factorial_series(x, lambda k: (-1) ** (k + 1) * 2 * k, 1)
+
+
+def _uniform_second_bracket(x: float) -> float:
+    """s - 3 (s - cos x)/x^2 with s = sin(x)/x; below x = 1, where it
+    vanishes as -x^2/15, it is sum_{k>=2} (-1)^(k+1) 4k(k-1) x^(2k-2)/(2k+1)!."""
+    if x >= 1.0:
+        return math.sin(x) / x - 3.0 * _s_minus_cos(x) / (x * x)
+    return _odd_factorial_series(x, lambda k: (-1) ** (k + 1) * 4 * k * (k - 1), 2) / (x * x)
 
 
 def _uniform_offset_excess(prior: Prior, tau_c: float) -> float:
@@ -183,22 +206,14 @@ def _uniform_offset_excess(prior: Prior, tau_c: float) -> float:
 
         K - 1 = (s(A) - 1) cos(B) - 2 sin^2(B/2),
 
-    and below A = 1 the term s(A) - 1 = sum_{k>=1} (-1)^k A^(2k)/(2k+1)! is
-    summed until its terms drop below 1e-17 of the sum.
+    and below A = 1 s(A) - 1 = sum_{k>=1} (-1)^k A^(2k)/(2k+1)! is summed.
     """
     big_a = 2.0 * math.sqrt(3.0) * prior.sigma * tau_c
     big_b = 2.0 * prior.g0 * tau_c
-    if abs(big_a) >= 1.0:
+    if big_a >= 1.0:
         s_minus_one = math.sin(big_a) / big_a - 1.0
     else:
-        a2 = big_a * big_a
-        term, s_minus_one, k = 1.0, 0.0, 0
-        while True:
-            k += 1
-            term *= -a2 / ((2 * k) * (2 * k + 1))
-            s_minus_one += term
-            if abs(term) <= 1e-17 * abs(s_minus_one):
-                break
+        s_minus_one = _odd_factorial_series(big_a, lambda k: (-1) ** k, 1)
     return s_minus_one * math.cos(big_b) - 2.0 * math.sin(big_b / 2.0) ** 2
 
 
@@ -254,6 +269,8 @@ def gaussian_bound_constants_erf(prior: Prior, tau_c: float) -> tuple[float, flo
         I1 = e^{-a^2/2} sqrt(2 pi)/2
              * Im[ erf((L - i a)/sqrt(2)) + erf(i a / sqrt(2)) ].
     """
+    from scipy.special import erf
+
     sin_b = _gaussian_sin_or_raise(prior, tau_c)
     a = 2.0 * prior.sigma * tau_c
     big_l = math.pi / a
@@ -271,6 +288,8 @@ def gaussian_bound_constants_erf(prior: Prior, tau_c: float) -> tuple[float, flo
 def _gaussian_bound_constants_erf_alt(prior: Prior, tau_c: float) -> tuple[float, float]:
     # real-part erf combination; disagrees with the defining integrals and is
     # surfaced in the verification report only, never asserted
+    from scipy.special import erf
+
     sin_b = _gaussian_sin_or_raise(prior, tau_c)
     q = prior.sigma * tau_c
     pref = 2.0 / (
@@ -284,6 +303,17 @@ def _gaussian_bound_constants_erf_alt(prior: Prior, tau_c: float) -> tuple[float
         + erf((math.pi - 4j * q * q) / (2.0 * math.sqrt(2.0) * q))
     ).real
     return pref * num1 / den, pref * (2.0 - num1) / den
+
+
+def _gaussian_average_estimate_display(povm: MlPovm, g: float, gamma_tau_f: float) -> float:
+    # mean estimate with a 4 sqrt(5 pi) c sigma^2 prefactor in place of the
+    # derived 2 sqrt(2 pi) c sigma^3; surfaced in the verification report
+    # only, never asserted
+    sig, tc = povm.prior.sigma, povm.tau_c
+    contrast = 1.0 - 2.0 * math.cos(g * tc) ** 2 * math.exp(-gamma_tau_f)
+    return povm.prior.g0 + 4.0 * math.sqrt(5.0 * math.pi) * sig**2 * tc * (
+        povm._fz_scale * math.exp(-2.0 * sig**2 * tc**2) * contrast
+    )
 
 
 def gaussian_cmax(prior: Prior, tau_c: float) -> float:
@@ -405,8 +435,9 @@ def _uniform_cost_bracket(big_a: float, big_b: float) -> float:
     A^4/45 and A^2/3 while c_max grows as 1/A^2, so below A = 1 both are
     summed from their Taylor series instead of differenced:
 
-        T(A)      = sum_{n>=3} (-1)^(n+1) (n-2) (2A)^(2n-2) / (2n)!,
-        s - cos A = sum_{k>=1} (-1)^(k+1) 2k A^(2k) / (2k+1)!.
+        T(A) = sum_{m>=2} (-1)^m (m-1)/(2m+2) (2A)^(2m) / (2m+1)!,
+
+    and s - cos A from :func:`_s_minus_cos`.
     """
     if big_a >= 1.0:
         return (
@@ -414,22 +445,9 @@ def _uniform_cost_bracket(big_a: float, big_b: float) -> float:
             - (math.sin(big_a) * math.cos(big_b)) ** 2 / big_a**2
             + math.sin(2.0 * big_a) * math.cos(2.0 * big_b) / (4.0 * big_a)
         )
-    x2 = 4.0 * big_a**2
-    power = x2 * x2 / 720.0  # (2A)^(2n-2) / (2n)! at n = 3
-    t_sum, n = 0.0, 3
-    while power * (n - 2) > 1e-18 * t_sum:
-        t_sum += (-1) ** (n + 1) * (n - 2) * power
-        power *= x2 / ((2 * n + 1) * (2 * n + 2))
-        n += 1
-    a2 = big_a**2
-    power = a2 / 6.0  # A^(2k) / (2k+1)! at k = 1
-    gap, k = 0.0, 1
-    while 2 * k * power > 1e-18 * gap:
-        gap += (-1) ** (k + 1) * 2 * k * power
-        power *= a2 / ((2 * k + 2) * (2 * k + 3))
-        k += 1
+    t_sum = _odd_factorial_series(2.0 * big_a, lambda m: (-1) ** m * (m - 1) / (2 * m + 2), 2)
     s = math.sin(big_a) / big_a
-    return t_sum + math.sin(big_b) ** 2 * s * gap
+    return t_sum + math.sin(big_b) ** 2 * s * _s_minus_cos(big_a)
 
 
 def uniform_cost_max(povm: MlPovm) -> float:
@@ -471,6 +489,12 @@ def cost_max(povm: MlPovm) -> float:
 # Conditional law of the estimate and derived quantities
 
 
+def _contrast(povm: MlPovm, g, gamma_tau_f: float):
+    """c(g) = 2 cos^2(g tau_c) e^{-u} - 1, the weight of f_z in p(x|g)."""
+    g = np.asarray(g, dtype=float)
+    return 2.0 * np.cos(g * povm.tau_c) ** 2 * math.exp(-gamma_tau_f) - 1.0
+
+
 def conditional_pdf(povm: MlPovm, g, g_tilde, gamma_tau_f: float):
     """Density of the recorded estimate given the true coupling.
 
@@ -478,53 +502,67 @@ def conditional_pdf(povm: MlPovm, g, g_tilde, gamma_tau_f: float):
     the estimate argument.  An array ``g`` adds leading axes, one density
     per coupling.
     """
-    g = np.asarray(g, dtype=float)
-    contrast = 2.0 * np.cos(g * povm.tau_c) ** 2 * math.exp(-gamma_tau_f) - 1.0
+    contrast = _contrast(povm, g, gamma_tau_f)
     return povm.f_i(g_tilde) + np.multiply.outer(contrast, povm.f_z(g_tilde))
 
 
-def ml_average_estimate(povm: MlPovm, g, gamma_tau_f: float):
-    """Mean recorded estimate, int x p(x|g) dx by quadrature.
+def f_z_moments(povm: MlPovm) -> tuple[float, float]:
+    """(m1, m2) = (int x f_z dx, int x^2 f_z dx), exactly.
 
-    An array ``g`` gives one mean per entry from one (g x nodes) density; a
-    scalar gives a float through the same code.
+    With k the stored f_z scale: for the Gaussian prior
+    m1 = -2 sqrt(2 pi) k sigma^3 tau_c e^{-2 sigma^2 tau_c^2} and m2 = 2 g0 m1;
+    for the uniform prior, with h = sqrt(3) sigma, x = 2 tau_c h,
+    s = sin(x)/x and B = 2 g0 tau_c,
+
+        m1 = -k sin(B) 2 h^2 (s - cos x) / x,
+        m2 = 2 g0 m1 + k cos(B) (4 h^3 / 3) (s - 3 (s - cos x) / x^2),
+
+    both brackets summed from their series below x = 1, where they vanish
+    as x^2 while k grows as 1/tau_c^2.
     """
-    rule = povm.rule
-    p = conditional_pdf(povm, g, rule.nodes, gamma_tau_f)
-    return rule.integrate(rule.nodes * p)
+    g0, sig, tc = povm.prior.g0, povm.prior.sigma, povm.tau_c
+    k = povm._fz_scale
+    if povm.prior.kind == priors_mod.GAUSSIAN:
+        m1 = -2.0 * math.sqrt(2.0 * math.pi) * k * sig**3 * tc * math.exp(
+            -2.0 * sig**2 * tc**2
+        )
+        return m1, 2.0 * g0 * m1
+    h = math.sqrt(3.0) * sig
+    x = 2.0 * tc * h
+    big_b = 2.0 * g0 * tc
+    m1 = -k * math.sin(big_b) * 2.0 * h * h * _s_minus_cos(x) / x
+    m2 = 2.0 * g0 * m1 + k * math.cos(big_b) * (4.0 * h**3 / 3.0) * (
+        _uniform_second_bracket(x)
+    )
+    return m1, m2
+
+
+def ml_average_estimate(povm: MlPovm, g, gamma_tau_f: float):
+    """Mean recorded estimate int x p(x|g) dx = g0 + c(g) m1.
+
+    An array ``g`` gives one mean per entry; a scalar gives a float.
+    """
+    m1, _ = f_z_moments(povm)
+    out = povm.prior.g0 + _contrast(povm, g, gamma_tau_f) * m1
+    return out if out.ndim else float(out)
 
 
 def ml_mse(povm: MlPovm, g, gamma_tau_f: float):
-    """Conditional mean-squared error int (x - g)^2 p(x|g) dx; ``g`` as in
+    """Conditional mean-squared error int (x - g)^2 p(x|g) dx
+    = sigma^2 + (g0 - g)^2 + c(g) (m2 - 2 g m1); ``g`` as in
     :func:`ml_average_estimate`."""
-    rule = povm.rule
-    p = conditional_pdf(povm, g, rule.nodes, gamma_tau_f)
-    return rule.integrate(np.subtract.outer(g, rule.nodes) ** 2 * p)
-
-
-def gaussian_average_estimate_closed_forms(
-    povm: MlPovm, g: float, gamma_tau_f: float
-) -> tuple[float, float]:
-    """(derived, alternative) closed forms of the Gaussian mean estimate.
-
-    The derived form follows from int x f_z(x) dx evaluated exactly:
-
-        g0 + 2 sqrt(2 pi) c sigma^3 tau_c e^{-2 sigma^2 tau_c^2 - u}
-             [e^u - 2 cos^2(g tau_c)] sin(2 g0 tau_c),
-
-    and agrees with the quadrature definition.  The alternative carries a
-    4 sqrt(5 pi) c sigma^2 prefactor instead; it is evaluated only so the
-    verification report can display the discrepancy.
-    """
-    g0, sig, tc = povm.prior.g0, povm.prior.sigma, povm.tau_c
-    u = gamma_tau_f
-    csin = povm._fz_scale  # c_max sin(2 g0 tau_c), 0 when unconstrained
-    common = math.exp(-2.0 * sig**2 * tc**2 - u) * (
-        math.exp(u) - 2.0 * math.cos(g * tc) ** 2
+    m1, m2 = f_z_moments(povm)
+    g = np.asarray(g, dtype=float)
+    out = (
+        povm.prior.sigma**2
+        + (povm.prior.g0 - g) ** 2
+        + _contrast(povm, g, gamma_tau_f) * (m2 - 2.0 * g * m1)
     )
-    derived = g0 + 2.0 * math.sqrt(2.0 * math.pi) * sig**3 * tc * csin * common
-    alt = g0 + 4.0 * math.sqrt(5.0 * math.pi) * sig**2 * tc * csin * common
-    return derived, alt
+    return out if out.ndim else float(out)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature oracles (verification only)
 
 
 def average_cost_quadrature(povm: MlPovm) -> float:
@@ -534,12 +572,20 @@ def average_cost_quadrature(povm: MlPovm) -> float:
     appears because the delta-valued cost rewards probability mass placed at
     the true value.
     """
-    rule = povm.rule
-    contrast = (
-        2.0 * np.cos(rule.nodes * povm.tau_c) ** 2 * math.exp(-povm.gamma_tau_f) - 1.0
-    )
+    n = priors_mod.nodes_for_oscillation(povm.prior, 2.0 * povm.tau_c)
+    rule = priors_mod.quadrature(povm.prior, n)
+    contrast = _contrast(povm, rule.nodes, povm.gamma_tau_f)
     p = povm.f_i(rule.nodes) + contrast * povm.f_z(rule.nodes)
     return rule.expect(povm.prior, p)
+
+
+def f_z_moments_quadrature(povm: MlPovm) -> tuple[float, float]:
+    """(int x f_z dx, int x^2 f_z dx) by quadrature over the prior window:
+    the oracle of :func:`f_z_moments`."""
+    n = priors_mod.nodes_for_oscillation(povm.prior, 2.0 * povm.tau_c)
+    rule = priors_mod.quadrature(povm.prior, n)
+    weighted = rule.nodes * povm.f_z(rule.nodes)
+    return rule.integrate(weighted), rule.integrate(rule.nodes * weighted)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 Everything here stays deliberately separate from the production paths: the
 moment operators are re-derived by midpoint Riemann sums, and the analytic
-average costs are checked by simulating the measurement record itself.
+average costs and the exact likelihood mean estimate are checked by
+simulating the measurement record itself.
 
 Randomness uses the counter-based Philox generator keyed by an explicit
 64-bit seed, with Gaussian draws produced by inverse-CDF mapping of uniforms
 (high-accuracy rational approximation of the normal quantile), so runs are
 reproducible across platforms and shard layouts.  Reductions use pairwise
-summation, making the totals independent of accumulation order.
+summation, making the totals independent of accumulation order.  scipy is
+imported only inside the samplers that use it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, ndtri
 
 from . import priors as priors_mod
 from .dynamics import FieldState, Scenario, detector_matrix_elements
@@ -56,7 +57,7 @@ class MlSampleReport:
     mean: float
     histogram: np.ndarray
     bin_edges: np.ndarray
-    quadrature_mean: float
+    analytic_mean: float
     standard_error: float
     z_score: float
     ks_statistic_vs_prior: float
@@ -69,6 +70,8 @@ def _generator(seed: int) -> np.random.Generator:
 
 def sample_prior(prior: Prior, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw couplings from the prior by inverse-CDF transform of uniforms."""
+    from scipy.special import ndtri
+
     u = rng.random(n)
     if prior.kind == priors_mod.GAUSSIAN:
         return prior.g0 + prior.sigma * ndtri(u)
@@ -135,10 +138,13 @@ def mc_estimate_distribution(
 
     The conditional density is tabulated on ``grid_points`` nodes over the
     support window, integrated to a CDF with the trapezoid rule, and inverted
-    by linear interpolation.  Reports the empirical mean against the
-    quadrature mean, and a Kolmogorov-Smirnov distance to the prior (useful
-    when f_z vanishes and the estimate distribution must collapse onto it).
+    by linear interpolation.  Reports the empirical mean against the exact
+    mean estimate of :func:`ml.ml_average_estimate`, and a Kolmogorov-Smirnov
+    distance to the prior (useful when f_z vanishes and the estimate
+    distribution must collapse onto it).
     """
+    from scipy.special import erf
+
     if n < 10**4:
         raise ValueError("need at least 1e4 samples for a stable z-score")
     rng = _generator(seed)
@@ -153,8 +159,8 @@ def mc_estimate_distribution(
 
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(n))
-    quad_mean = ml_average_estimate(povm, g, scenario.tau_f_gamma)
-    z = abs(mean - quad_mean) / stderr if stderr > 0 else math.inf
+    exact_mean = ml_average_estimate(povm, g, scenario.tau_f_gamma)
+    z = abs(mean - exact_mean) / stderr if stderr > 0 else math.inf
 
     hist, edges = np.histogram(samples, bins=bins, range=(lo, hi))
 
@@ -180,7 +186,7 @@ def mc_estimate_distribution(
         mean=mean,
         histogram=hist,
         bin_edges=edges,
-        quadrature_mean=quad_mean,
+        analytic_mean=exact_mean,
         standard_error=stderr,
         z_score=z,
         ks_statistic_vs_prior=ks,

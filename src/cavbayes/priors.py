@@ -28,7 +28,6 @@ GAUSSIAN = "gaussian"
 UNIFORM = "uniform"
 
 GAUSS_LEGENDRE_COMPOSITE = "gauss_legendre_composite"
-GAUSS_HERMITE_MAPPED = "gauss_hermite_mapped"
 
 #: Gaussian quadrature window half-width in units of sigma
 GAUSSIAN_TAIL_SIGMAS = 8.0
@@ -87,7 +86,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def __post_init__(self):
         if len(self.nodes) < MIN_NODES:
@@ -151,16 +149,7 @@ def _composite_legendre(
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     weights = (half[:, None] * base_w[None, :]).ravel()
-    return QuadratureRule(nodes=nodes, weights=weights, kind=GAUSS_LEGENDRE_COMPOSITE)
-
-
-def _mapped_hermite(prior: Prior, n_points: int) -> QuadratureRule:
-    # plain-weight form of Gauss-Hermite: nodes g0 + sqrt(2) sigma t, the
-    # Gaussian density divided back out so sum(w f) integrates f itself
-    t, w = np.polynomial.hermite.hermgauss(n_points)
-    nodes = prior.g0 + math.sqrt(2.0) * prior.sigma * t
-    weights = w / math.sqrt(math.pi) / density(prior, nodes)
-    return QuadratureRule(nodes=nodes, weights=weights, kind=GAUSS_HERMITE_MAPPED)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def quadrature(
@@ -173,13 +162,12 @@ def quadrature(
     than one prior standard deviation, which resolves the moderately
     oscillatory integrands arising at interaction times of a few periods;
     faster oscillations should size the rule via ``nodes_for_oscillation``.
+    The composite Gauss-Legendre rule is the only ``kind``.
     """
     if n_points < MIN_NODES:
         raise ValueError(f"n_points must be >= {MIN_NODES}")
-    if kind == GAUSS_HERMITE_MAPPED:
-        if prior.kind != GAUSSIAN:
-            raise ValueError("mapped Hermite rule requires a Gaussian prior")
-        return _mapped_hermite(prior, n_points)
+    if kind != GAUSS_LEGENDRE_COMPOSITE:
+        raise ValueError(f"unknown quadrature kind {kind!r}")
     lo, hi = prior.window
     return _composite_legendre(lo, hi, n_points, max_panel_width=prior.sigma)
 

@@ -70,17 +70,6 @@ class Hermitian2:
         return out
 
     @staticmethod
-    def from_array(m: np.ndarray, tol: float = 1e-10) -> "Hermitian2":
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected 2x2 matrix, got shape {m.shape}")
-        if abs(m[0, 1] - np.conj(m[1, 0])) > tol or max(
-            abs(m[0, 0].imag), abs(m[1, 1].imag)
-        ) > tol:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        return Hermitian2(ee=m[0, 0].real, gg=m[1, 1].real, eg=m[0, 1])
-
-    @staticmethod
     def stack(items) -> "Hermitian2":
         """Batch holding the single matrices ``items`` in order."""
         return Hermitian2(

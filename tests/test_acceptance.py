@@ -213,7 +213,7 @@ def test_criterion_10_cramer_rao_consistency():
             else uniform_ml_povm(prior, sc.tau_c, sc.tau_f_gamma)
         )
         for g in grid:
-            rep_m = cr_bound_mmse(res, float(g), prior, sc)
+            rep_m = cr_bound_mmse(res, float(g), sc)
             rep_l = cr_bound_ml(povm, float(g), sc.tau_f_gamma)
             for rep in (rep_m, rep_l):
                 assert rep.mse >= rep.lower_bound - 1e-9
@@ -223,7 +223,7 @@ def test_criterion_10_cramer_rao_consistency():
         res = mmse_estimator(closed_form_gammas(GAUSS, tc, 0.3))
         sc = Scenario(tau_c=tc, tau_f_gamma=0.3)
         for g in grid[::5]:
-            assert cr_bound_mmse(res, float(g), GAUSS, sc).lower_bound < 1e-12
+            assert cr_bound_mmse(res, float(g), sc).lower_bound < 1e-12
     report("10 cramer-rao consistency", f"smallest mse-bound gap {worst_gap:.3e}")
 
 

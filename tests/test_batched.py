@@ -83,7 +83,7 @@ def _scalar_rows(spec: SweepSpec) -> list:
             g = v * prior.g0
             row.append(mmse_mod.average_estimate(res, g, sc, fld))
             if spec.quantity == "mmse_cr_bound":
-                rep = bounds_mod.cr_bound_mmse(res, g, prior, sc, fld)
+                rep = bounds_mod.cr_bound_mmse(res, g, sc, fld)
                 row += [rep.lower_bound, rep.mse]
         rows.append(row)
     return rows
@@ -206,11 +206,8 @@ def test_g_sweep_evaluates_state_once(quantity, field_kind, monkeypatch):
     assert calls == [(11, quantity == "mmse_cr_bound")]
 
 
-@pytest.mark.parametrize("prior_kind", ["gaussian", "uniform"])
-@pytest.mark.parametrize("quantity", ["ml_avg_estimate", "ml_cr_bound"])
-def test_ml_g_sweep_builds_one_povm_and_one_rule(quantity, prior_kind, monkeypatch):
-    # the POVM does not depend on the true coupling: every row of a
-    # g_over_g0 sweep comes from one POVM and one quadrature rule
+def _spy_povm_and_rule_calls(monkeypatch) -> list:
+    """Record every POVM build and every quadrature rule, by name."""
     from cavbayes import ml as ml_mod
 
     calls = []
@@ -224,10 +221,48 @@ def test_ml_g_sweep_builds_one_povm_and_one_rule(quantity, prior_kind, monkeypat
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("prior_kind", ["gaussian", "uniform"])
+@pytest.mark.parametrize("quantity", ["ml_avg_estimate", "ml_cr_bound"])
+def test_ml_g_sweep_builds_one_povm_and_one_rule(quantity, prior_kind, monkeypatch):
+    # the POVM does not depend on the true coupling: every row of a
+    # g_over_g0 sweep comes from one POVM, and the exact f_z moments need
+    # no quadrature rule at all
+    calls = _spy_povm_and_rule_calls(monkeypatch)
     scenario = Scenario(tau_c=0.9, tau_f_gamma=0.2)
     spec = SweepSpec(quantity, "g_over_g0", 0.3, 1.7, 11, PRIORS[prior_kind], scenario)
     assert len(run_sweep(spec).rows) == 11
-    assert sorted(calls) == sorted([f"{prior_kind}_ml_povm", "quadrature"])
+    assert calls == [f"{prior_kind}_ml_povm"]
+
+
+_ML_SWEEPS = [
+    ("ml_cost", "tau_c", 0.05, 2.5),
+    ("ml_cost", "gamma_tau_f", 0.0, 2.0),
+    ("ml_avg_estimate", "tau_c", 0.05, 2.5),
+    ("ml_avg_estimate", "g_over_g0", 0.3, 1.7),
+    ("ml_cr_bound", "g_over_g0", 0.3, 1.7),
+]
+
+
+@pytest.mark.parametrize("prior_kind", ["gaussian", "uniform"])
+@pytest.mark.parametrize("quantity,axis,lo,hi", _ML_SWEEPS)
+def test_ml_sweeps_build_no_quadrature_rule(quantity, axis, lo, hi, prior_kind, monkeypatch):
+    calls = _spy_povm_and_rule_calls(monkeypatch)
+    scenario = Scenario(tau_c=0.9, tau_f_gamma=0.2)
+    spec = SweepSpec(quantity, axis, lo, hi, 7, PRIORS[prior_kind], scenario)
+    assert len(run_sweep(spec).rows) == 7
+    assert "quadrature" not in calls and calls
+
+
+@pytest.mark.parametrize("prior_kind", ["gaussian", "uniform"])
+def test_ml_command_builds_no_quadrature_rule(prior_kind, monkeypatch, tmp_path, capsys):
+    calls = _spy_povm_and_rule_calls(monkeypatch)
+    cfg = tmp_path / "ml.ini"
+    cfg.write_text(f"[prior]\nkind = {prior_kind}\n[scenario]\ng0_tau_c = 0.9\n")
+    assert main(["ml", "--config", str(cfg)]) == 0
+    assert calls == [f"{prior_kind}_ml_povm"]
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +354,8 @@ def test_batched_solve_satisfies_operator_equation(entries, shift):
     x = _batch(entries).as_array()
     g0_dense = x @ np.conj(np.swapaxes(x, -1, -2)) + shift * np.eye(2)
     g1_dense = _batch(entries[::-1]).as_array()
-    g0 = Hermitian2.stack([Hermitian2.from_array(a) for a in g0_dense])
-    g1 = Hermitian2.stack([Hermitian2.from_array(a) for a in g1_dense])
+    g0 = Hermitian2(ee=g0_dense[:, 0, 0].real, gg=g0_dense[:, 1, 1].real, eg=g0_dense[:, 0, 1])
+    g1 = Hermitian2(ee=g1_dense[:, 0, 0].real, gg=g1_dense[:, 1, 1].real, eg=g1_dense[:, 0, 1])
     m = solve_symmetric_product(g0, g1)
     m_dense = m.as_array()
     residual = g0_dense @ m_dense + m_dense @ g0_dense - 2.0 * g1_dense

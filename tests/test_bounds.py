@@ -62,7 +62,7 @@ def test_inconclusive_times_give_zero_bound():
         res = mmse_estimator(closed_form_gammas(GAUSS, tc, 0.3))
         sc = Scenario(tau_c=tc, tau_f_gamma=0.3)
         for g in np.linspace(0.2, 1.8, 21):
-            rep = cr_bound_mmse(res, float(g), GAUSS, sc)
+            rep = cr_bound_mmse(res, float(g), sc)
             assert rep.lower_bound < 1e-12
             assert rep.mse >= -1e-12
 
@@ -73,7 +73,7 @@ def test_quarter_period_report_values():
     # exceeds the MSE there (recorded, not asserted as a bound)
     res = mmse_estimator(closed_form_gammas(GAUSS, math.pi / 4.0, 0.0))
     sc = Scenario(tau_c=math.pi / 4.0)
-    rep = cr_bound_mmse(res, 1.0, GAUSS, sc)
+    rep = cr_bound_mmse(res, 1.0, sc)
     k = (math.pi / 2.0) * math.exp(-math.pi**2 / 8.0)
     assert rep.mse == pytest.approx(k**2, abs=1e-12)
     assert rep.lower_bound == pytest.approx(k**2, abs=1e-12)
@@ -88,7 +88,7 @@ def test_quarter_period_display_factor_off_mean():
     res = mmse_estimator(closed_form_gammas(GAUSS, math.pi / 4.0, 0.0))
     sc = Scenario(tau_c=math.pi / 4.0)
     for g in (0.6, 1.3):
-        rep = cr_bound_mmse(res, g, GAUSS, sc)
+        rep = cr_bound_mmse(res, g, sc)
         phase = math.pi * g / 4.0
         expected = (
             (1.0 - math.cos(phase) ** 2)
@@ -103,8 +103,8 @@ def test_closed_path_matches_numeric_path():
     res = mmse_estimator(closed_form_gammas(GAUSS, math.pi / 4.0, 0.2))
     sc = Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2)
     for g in (0.7, 1.0, 1.4):
-        closed = cr_bound_mmse(res, g, GAUSS, sc, method="closed")
-        numeric = cr_bound_mmse(res, g, GAUSS, sc, method="numeric")
+        closed = cr_bound_mmse(res, g, sc, method="closed")
+        numeric = cr_bound_mmse(res, g, sc, method="numeric")
         assert numeric.lower_bound == pytest.approx(closed.lower_bound, abs=1e-8)
         assert numeric.sensitivity == pytest.approx(closed.sensitivity, abs=1e-8)
         assert numeric.fisher == pytest.approx(closed.fisher, abs=1e-6)
@@ -115,7 +115,7 @@ def test_general_scenario_bound_holds():
     fld = field_for(sc)
     res = mmse_estimator(gamma_moments(GAUSS, sc, fld))
     for g in (0.6, 1.0, 1.5):
-        rep = cr_bound_mmse(res, g, GAUSS, sc, fld)
+        rep = cr_bound_mmse(res, g, sc, fld)
         assert rep.mse >= rep.lower_bound - 1e-9
 
 
@@ -139,10 +139,10 @@ def test_numeric_bound_evaluates_state_once(monkeypatch):
     sc = Scenario(tau_c=0.9, delta=0.4, alpha=1.2, tau_f_gamma=0.2)
     fld = field_for(sc)
     res = mmse_estimator(gamma_moments(GAUSS, sc, fld))
-    before = cr_bound_mmse(res, 0.8, GAUSS, sc, fld)
+    before = cr_bound_mmse(res, 0.8, sc, fld)
     monkeypatch.setattr(dynamics, "detector_matrix_elements", count_elements)
     monkeypatch.setattr(bounds, "sld_general", count_sld)
-    after = cr_bound_mmse(res, 0.8, GAUSS, sc, fld)
+    after = cr_bound_mmse(res, 0.8, sc, fld)
     assert calls == [("state", True), ("sld", None)]
     assert after == before
 
@@ -158,9 +158,9 @@ def test_batched_bound_rows_equal_scalar_calls():
     for sc, method in cases:
         fld = field_for(sc)
         res = mmse_estimator(gamma_moments(GAUSS, sc, fld))
-        batch = cr_bound_mmse(res, g, GAUSS, sc, fld, method=method)
+        batch = cr_bound_mmse(res, g, sc, fld, method=method)
         for i, gi in enumerate(g):
-            single = cr_bound_mmse(res, float(gi), GAUSS, sc, fld, method=method)
+            single = cr_bound_mmse(res, float(gi), sc, fld, method=method)
             row = batch.row(i)
             assert row.sld_diag == pytest.approx(single.sld_diag, rel=1e-14, abs=1e-14)
             for name in ("g", "mse", "lower_bound", "sensitivity", "fisher"):
@@ -226,7 +226,7 @@ def test_mmse_abs_sensitivity_variant_can_exceed_mse():
     sc = Scenario(tau_c=math.pi / 4.0)
     exceed = 0
     for g in np.linspace(0.2, 1.8, 50):
-        rep = cr_bound_mmse(res, float(g), GAUSS, sc)
+        rep = cr_bound_mmse(res, float(g), sc)
         assert rep.mse >= rep.lower_bound - 1e-9
         if rep.bound_abs_sensitivity > rep.mse + 1e-9:
             exceed += 1

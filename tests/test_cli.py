@@ -214,18 +214,52 @@ def test_exit_codes(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_import_skips_scipy_integrate():
-    # the production path needs no adaptive quadrature; only the reference
-    # fixed-interval constants import scipy.integrate, lazily
+_NO_SCIPY_RUNS = {
+    "state_coherent": "[scenario]\ng0_tau_c = 0.9\nalpha_abs = 1.5\n",
+    "state_dissipative": "[scenario]\ng0_tau_c = 0.9\nkappa_over_g0 = 0.3\n",
+    "mmse": "[prior]\nkind = uniform\n[scenario]\ng0_tau_c = 0.9\nalpha_abs = 1.2\n"
+    "delta_over_g0 = 0.3\n",
+    "ml_gaussian": "[scenario]\ng0_tau_c = 0.9\n",
+    "ml_uniform": "[prior]\nkind = uniform\n[scenario]\ng0_tau_c = 0.9\n",
+    "sweep_ml_cr_bound": "[sweep]\nquantity = ml_cr_bound\naxis = g_over_g0\nlo = 0.3\n"
+    "hi = 1.7\nn_points = 5\n",
+    "sweep_ml_avg_estimate": "[prior]\nkind = uniform\n[sweep]\nquantity = ml_avg_estimate\n"
+    "axis = tau_c\nlo = 0.1\nhi = 2\nn_points = 5\n",
+    "sweep_mmse_cost": "[scenario]\nalpha_abs = 1.0\n[sweep]\nquantity = mmse_cost\n"
+    "axis = delta\nlo = 0\nhi = 1\nn_points = 5\n",
+    "sweep_dissipative_cost": "[scenario]\nkappa_over_g0 = 0.2\n[sweep]\n"
+    "quantity = dissipative_cost\naxis = tau_c\nlo = 0.1\nhi = 2\nn_points = 5\n",
+    "tau-star": "[scenario]\nkappa_over_g0 = 0.2\n",
+}
+
+
+def test_import_skips_scipy_integrate(tmp_path):
+    # scipy serves the verification battery only: importing the CLI and
+    # running every production command loads no scipy module
     import cavbayes
 
+    runs = []
+    for name, text in _NO_SCIPY_RUNS.items():
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(text)
+        command = name.split("_")[0]
+        runs.append([command, "--config", str(cfg), "--out", str(tmp_path / f"{name}.csv")])
     src = os.path.dirname(os.path.dirname(cavbayes.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
-        "import sys, cavbayes, cavbayes.cli; "
-        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'"
+        "import json, sys\n"
+        "import cavbayes, cavbayes.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cavbayes.cli.main(argv) == 0, argv\n"
+        "    assert not scipy_modules(), (argv, scipy_modules())\n"
     )
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)], env=env, check=True, timeout=120
+    )
+    assert len(list(tmp_path.glob("*.csv"))) == len(_NO_SCIPY_RUNS)
 
 
 def test_verify_all_passes_and_is_deterministic():

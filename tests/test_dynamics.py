@@ -294,3 +294,28 @@ def test_dissipative_excess_exits_with_numeric_error(monkeypatch, tmp_path, caps
     capsys.readouterr()
     assert main(["state", "--config", str(cfg)]) == 3
     assert capsys.readouterr().err.startswith("numeric error:")
+
+
+def test_dissipative_sweep_excess_exits_with_numeric_error(monkeypatch, tmp_path, capsys):
+    # sweeps and tau-star share the range check of the single-state path
+    from cavbayes import dynamics
+    from cavbayes.cli import main
+
+    cfg = tmp_path / "damped_sweep.ini"
+    cfg.write_text(
+        "[scenario]\nkappa_over_g0 = 0.3\ngamma_over_g0 = 0.2\n"
+        "[sweep]\nquantity = dissipative_cost\naxis = tau_c\nlo = 0.1\nhi = 2\nn_points = 4\n"
+    )
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "ok.csv")]) == 0
+    real = dynamics._excited_fraction
+
+    def one_node_past_tolerance(g, *args):
+        f = real(g, *args).copy()
+        f[0] = 1.0 + 1e-9  # an edge node of the prior window
+        return f
+
+    monkeypatch.setattr(dynamics, "_excited_fraction", one_node_past_tolerance)
+    capsys.readouterr()
+    for command in ("sweep", "tau-star"):
+        assert main([command, "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith("numeric error:")

@@ -6,13 +6,18 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from cavbayes import ml as ml_mod
+from cavbayes.bounds import cr_bound_ml
+from cavbayes import priors as priors_mod
 from cavbayes.errors import SinVanishes
 from cavbayes.ml import (
     average_cost_quadrature,
     conditional_pdf,
-    gaussian_average_estimate_closed_forms,
+    f_z_moments,
+    f_z_moments_quadrature,
     gaussian_bound_constants,
     gaussian_bound_constants_erf,
     gaussian_cmax,
@@ -313,6 +318,76 @@ def test_uniform_povm_valid_at_short_interaction_times(tc):
     assert not interval_audit(povm, n_intervals=2000, seed=0, scale=1.05).passed
 
 
+def _conditional_quadrature(povm, g: float, u: float, weight) -> float:
+    """int weight(x) p(x|g) dx on a rule of 64 nodes per oscillation period."""
+    n = priors_mod.nodes_for_oscillation(povm.prior, 16.0 * povm.tau_c)
+    rule = priors_mod.quadrature(povm.prior, n)
+    return rule.integrate(weight(rule.nodes) * conditional_pdf(povm, g, rule.nodes, u))
+
+
+def _fz_moments_reference(povm) -> tuple[float, float]:
+    """(int x f_z, int x^2 f_z) in high precision, rounded to floats.
+
+    The uniform prior integrates c x^j (cos(2 x tau) - K) from its exact
+    primitives; the Gaussian prior integrates -k (y + g0)^j sin(2 tau y)
+    e^{-y^2 / (2 sigma^2)} by 20-digit tanh-sinh quadrature over +-12 sigma,
+    split at least once per half period.
+    """
+    p = povm.prior
+    with mp.workdps(60):
+        t, sig, g0 = mp.mpf(povm.tau_c), mp.mpf(p.sigma), mp.mpf(p.g0)
+        a = 2 * t
+        if p.kind == "uniform":
+            c, h = mp.mpf(povm.c_max), mp.sqrt(3) * sig
+            lo, hi = g0 - h, g0 + h
+            k = mp.sin(a * h) * mp.cos(a * g0) / (a * h)
+
+            def prim1(x):
+                return x * mp.sin(a * x) / a + mp.cos(a * x) / a**2
+
+            def prim2(x):
+                return (
+                    x**2 * mp.sin(a * x) / a
+                    + 2 * x * mp.cos(a * x) / a**2
+                    - 2 * mp.sin(a * x) / a**3
+                )
+
+            m1 = c * (prim1(hi) - prim1(lo) - k * (hi**2 - lo**2) / 2)
+            m2 = c * (prim2(hi) - prim2(lo) - k * (hi**3 - lo**3) / 3)
+            return float(m1), float(m2)
+        k = mp.mpf(povm._fz_scale)
+        pts = mp.linspace(-12 * sig, 12 * sig, max(8, int(24 * sig * a / mp.pi) + 2))
+        with mp.workdps(20):
+
+            def fz(y):
+                return -k * mp.sin(a * y) * mp.exp(-(y**2) / (2 * sig**2))
+
+            m1 = mp.quad(lambda y: (y + g0) * fz(y), pts)
+            m2 = mp.quad(lambda y: (y + g0) ** 2 * fz(y), pts)
+        return float(m1), float(m2)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+@pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0, 1.5])
+def test_fz_moments_match_high_precision_reference(kind, sigma):
+    # the uniform brackets vanish as x^2 while c_max grows as 1/tau^2: both
+    # moments must hold full relative precision down to g0 tau = 1e-8
+    n_tau = 25 if kind == "uniform" else 8
+    for tc in np.geomspace(1e-8, 3.0, n_tau):
+        povm = ml_povm(Prior(kind, 1.0, sigma), float(tc), 0.3)
+        got, want = f_z_moments(povm), _fz_moments_reference(povm)
+        for m, ref in zip(got, want):
+            assert m == pytest.approx(ref, rel=1e-14), tc
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+def test_fz_moments_match_quadrature_oracle(kind):
+    for tc in (0.3, math.pi / 4.0, 1.1, 2.0):
+        povm = ml_povm(Prior(kind, 1.0, 1.0), tc, 0.0)
+        for m, q in zip(f_z_moments(povm), f_z_moments_quadrature(povm)):
+            assert m == pytest.approx(q, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # conditional law and mean estimate
 
@@ -330,7 +405,32 @@ def test_batched_likelihood_rows_equal_scalar_calls(prior):
             single = fn(povm, float(gi), u)
             assert isinstance(single, float)
             assert row == pytest.approx(single, rel=1e-14)
-    assert conditional_pdf(povm, g, povm.rule.nodes, u).shape == (7, len(povm.rule.nodes))
+    xs = np.linspace(*povm.window, 50)
+    assert conditional_pdf(povm, g, xs, u).shape == (7, 50)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["gaussian", "uniform"]),
+    sigma=st.floats(0.1, 2.0),
+    log_tau=st.floats(-8.0, math.log10(4.0)),
+    u=st.floats(0.0, 2.0),
+    g=st.floats(0.0, 2.5),
+)
+def test_likelihood_rows_match_quadrature_and_respect_the_bound(kind, sigma, log_tau, u, g):
+    # the exact mean and MSE against quadrature of the conditional density,
+    # and the Braunstein-Caves inequality mse >= x'^2 / F
+    tc = 10.0**log_tau
+    povm = ml_povm(Prior(kind, 1.0, sigma), tc, u)
+    scale = 1.0 + sigma**2
+    mean = ml_average_estimate(povm, g, u)
+    assert mean == pytest.approx(_conditional_quadrature(povm, g, u, lambda x: x), abs=1e-12 * scale)
+    mse = ml_mse(povm, g, u)
+    quad = _conditional_quadrature(povm, g, u, lambda x: (x - g) ** 2)
+    assert mse == pytest.approx(quad, abs=1e-12 * scale**2)
+    rep = cr_bound_ml(povm, g, u)
+    assert rep.mse == mse
+    assert rep.mse >= rep.lower_bound * (1.0 - 1e-12)
 
 
 def test_conditional_pdf_prior_recovery_when_uninformative():
@@ -379,10 +479,10 @@ def test_uniform_special_case_average_estimate():
 def test_gaussian_mean_estimate_closed_form_matches_quadrature():
     povm = gaussian_ml_povm(GAUSS, math.pi / 4.0, 0.0)
     for g in (0.6, 1.0, 1.5):
-        quad = ml_average_estimate(povm, g, 0.0)
-        derived, display = gaussian_average_estimate_closed_forms(povm, g, 0.0)
-        assert quad == pytest.approx(derived, abs=1e-8)
+        quad = _conditional_quadrature(povm, g, 0.0, lambda x: x)
+        assert ml_average_estimate(povm, g, 0.0) == pytest.approx(quad, abs=1e-12)
         # the display variant deviates; it is reported, never asserted
+        display = ml_mod._gaussian_average_estimate_display(povm, g, 0.0)
         assert math.isfinite(display)
 
 

@@ -77,14 +77,14 @@ def test_uninformative_povm_samples_the_prior():
     n = 10**5
     rep = mc_estimate_distribution(povm, 1.0, Scenario(tau_c=math.pi / 2.0), n, SEED)
     assert rep.ks_statistic_vs_prior < 1.63 / math.sqrt(n)  # 1% level
-    assert rep.quadrature_mean == pytest.approx(1.0, abs=1e-9)
+    assert rep.analytic_mean == pytest.approx(1.0, abs=1e-9)
 
 
 def test_uniform_special_case_mean_estimate():
     prior = Prior.uniform(1.0, 1.0 / math.sqrt(3.0))
     povm = uniform_ml_povm(prior, math.pi / 4.0, 0.0)
     rep = mc_estimate_distribution(povm, 1.0, Scenario(tau_c=math.pi / 4.0), 10**5, SEED)
-    assert rep.quadrature_mean == pytest.approx(1.0, abs=1e-9)
+    assert rep.analytic_mean == pytest.approx(1.0, abs=1e-9)
     assert rep.z_score < 3.0
 
 

@@ -86,7 +86,8 @@ def test_solve_matches_integral_oracle(trial):
     g1_arr = 0.5 * (y + y.conj().T)
 
     m = solve_symmetric_product(
-        Hermitian2.from_array(g0_arr), Hermitian2.from_array(g1_arr)
+        Hermitian2(ee=g0_arr[0, 0].real, gg=g0_arr[1, 1].real, eg=g0_arr[0, 1]),
+        Hermitian2(ee=g1_arr[0, 0].real, gg=g1_arr[1, 1].real, eg=g1_arr[0, 1]),
     ).as_array()
     residual = g0_arr @ m + m @ g0_arr - 2 * g1_arr
     assert np.max(np.abs(residual)) < 1e-10
