@@ -41,13 +41,12 @@ from .mmse import (
     GammaTriple,
     MmseResult,
     average_estimate,
-    closed_form_abc,
     gamma_moments,
     limit_eigenvalue_tau0,
     mmse_estimator,
     mse_of_estimator,
 )
-from .oracle import McReport, brute_force_gamma, mc_estimate_distribution, mc_quadratic_cost
+from .oracle import McReport, mc_estimate_distribution, mc_quadratic_cost
 from .priors import Prior, QuadratureRule, density, moments, quadrature
 from .qubit import Hermitian2, QubitState, eigendecompose, solve_symmetric_product
 

@@ -67,7 +67,31 @@ _SUPPORTED_AXES = {
     "ml_cr_bound": ("g_over_g0",),
     "dissipative_cost": ("tau_c",),
 }
-_VACUUM_RESONANT_ONLY = ("ml_cost", "ml_avg_estimate", "ml_cr_bound", "dissipative_cost")
+#: float scenario knobs: config key -> Scenario field
+_SCENARIO_KEYS = {"g0_tau_c": "tau_c", "gamma_tau_f": "tau_f_gamma", "delta_over_g0": "delta",
+                  "kappa_over_g0": "kappa", "gamma_over_g0": "gamma_cav"}
+#: config keys each scenario family pins to zero, and their Scenario fields
+_FAMILIES = {
+    "unitary": ("kappa_over_g0", "gamma_over_g0"),
+    "resonant vacuum": ("kappa_over_g0", "gamma_over_g0", "delta_over_g0", "alpha_abs"),
+    "damped": ("delta_over_g0", "alpha_abs", "gamma_tau_f"),
+}
+_FAMILY_OF = {"mmse": "unitary", "ml": "resonant vacuum", "dissipative": "damped"}
+_KNOBS = {**_SCENARIO_KEYS, "alpha_abs": "alpha"}
+
+
+def _check_family(name: str, scenario: Scenario) -> None:
+    """Raise :class:`UnsupportedCombination` unless ``scenario`` is in the family
+    that ``name`` evaluates (``state`` and ``tau-star``: unitary or damped)."""
+    if name in ("state", "tau-star"):
+        family = "unitary" if scenario.is_unitary_transit else "damped"
+    else:
+        family = _FAMILY_OF.get(name.split("_")[0])
+    set_keys = [k for k in _FAMILIES.get(family, ()) if getattr(scenario, _KNOBS[k])]
+    if set_keys:
+        raise UnsupportedCombination(
+            f"{name} needs a {family} scenario: " + ", ".join(f"{k} must be 0" for k in set_keys)
+        )
 
 
 @dataclass(frozen=True)
@@ -97,11 +121,7 @@ class SweepSpec:
             raise UnsupportedCombination("sweep range must satisfy lo < hi")
         if self.n_points < 2:
             raise UnsupportedCombination("sweep needs at least 2 points")
-        if self.quantity in _VACUUM_RESONANT_ONLY:
-            if self.scenario.delta != 0.0 or abs(self.scenario.alpha) != 0.0:
-                raise UnsupportedCombination(
-                    f"{self.quantity} requires resonant interaction with a vacuum field"
-                )
+        _check_family(self.quantity, self.scenario)
 
     def resolved_field(self) -> FieldState:
         return self.field if self.field is not None else field_for(self.scenario)
@@ -113,14 +133,8 @@ class Table:
     rows: list = dc_field(default_factory=list)
 
 
-def _mmse_result(prior: Prior, scenario: Scenario, field: FieldState):
-    gammas = mmse_mod.gamma_moments(prior, scenario, field)
-    return mmse_mod.mmse_estimator(gammas, scenario.tau_f_gamma)
-
-
 def _mmse_results(prior: Prior, scenarios: list, field: FieldState):
-    """Estimators at every scenario: moments reduced point by point, so only
-    one quadrature rule is alive at a time, then one batched solve."""
+    """Estimators at every scenario: moments point by point, one batched solve."""
     gammas = mmse_mod.GammaTriple.stack(
         [mmse_mod.gamma_moments(prior, sc, field) for sc in scenarios]
     )
@@ -192,7 +206,7 @@ def _mmse_rows(spec: SweepSpec, values: list) -> list:
 
     # g_over_g0: one estimator at the pinned scenario serves every row
     scenario = spec.scenario
-    result = _mmse_result(prior, scenario, fld)
+    result = _mmse_results(prior, [scenario], fld).row(0)
     g = np.array(values) * prior.g0
     columns = _conditional_columns(result, g, scenario, fld, bound=q == "mmse_cr_bound")
     head = [result.estimates[0], result.estimates[1], result.c_min]
@@ -337,48 +351,35 @@ def verify_all(seed: int = 0, corrupt_povm_scale: float = 1.0) -> dict:
         err = max(abs(z - 1.0), abs(m1 - prior.g0), abs(m2 - prior.sigma**2))
         checks.append(_check(f"quadrature_moments_{prior.kind}", err < 1e-10, error=err))
 
-    # closed-form moment entries against quadrature
+    # exact resonant moments against quadrature: vacuum, and a coherent field on 8 draws
     rng = np.random.Generator(np.random.Philox(key=seed))
+    coherent = FieldState.coherent(1.0, cutoff=5)
     worst = 0.0
-    for _ in range(25):
+    for draw in range(25):
         g0 = rng.uniform(0.5, 2.0)
         sig = rng.uniform(0.3, 1.5) * g0
         tc = rng.uniform(0.05, 4.0) / g0
         u = rng.uniform(0.0, 2.0)
+        sc = Scenario(tau_c=tc, tau_f_gamma=u)
         for prior in (Prior.gaussian(g0, sig), Prior.uniform(g0, sig)):
-            sc = Scenario(tau_c=tc, tau_f_gamma=u)
-            num = mmse_mod.gamma_moments(prior, sc, vac)
-            ref = mmse_mod.closed_form_gammas(prior, tc, u)
-            worst = max(
-                worst,
-                abs(num.gamma0.ee - ref.gamma0.ee),
-                abs(num.gamma1.ee - ref.gamma1.ee),
-                abs(num.gamma2.ee - ref.gamma2.ee),
-            )
-    checks.append(_check("moments_closed_vs_quadrature", worst < 1e-9, error=worst))
+            for fld in (vac, coherent) if draw < 8 else (vac,):
+                exact = mmse_mod.gamma_moments(prior, sc, fld)
+                quad = mmse_mod.gamma_moments_quadrature(prior, sc, fld)
+                for name in ("gamma0", "gamma1", "gamma2"):
+                    a, b = getattr(exact, name), getattr(quad, name)
+                    worst = max(worst, abs(a.ee - b.ee), abs(a.gg - b.gg), abs(a.eg - b.eg))
+    checks.append(_check("moments_closed_vs_quadrature", worst < 1e-11, error=worst))
 
-    # anchors of the resonant vacuum Gaussian analysis
-    res_half = mmse_mod.mmse_estimator(
-        mmse_mod.closed_form_gammas(gauss, math.pi / 2.0, 0.0)
-    )
-    err = max(
-        abs(res_half.estimates[0] - 1.0),
-        abs(res_half.estimates[1] - 1.0),
-        abs(res_half.c_min - 1.0),
-    )
-    checks.append(_check("anchor_half_period", err < 1e-12, error=err))
-
-    res_q = mmse_mod.mmse_estimator(
-        mmse_mod.closed_form_gammas(gauss, math.pi / 4.0, 0.0)
-    )
+    # anchors of the resonant vacuum Gaussian analysis: (estimates, c_min)
     shift = (math.pi / 2.0) * math.exp(-math.pi**2 / 8.0)
-    cost_ref = 1.0 - (math.pi**2 / 4.0) * math.exp(-math.pi**2 / 4.0)
-    err = max(
-        abs(res_q.estimates[0] - (1.0 - shift)),
-        abs(res_q.estimates[1] - (1.0 + shift)),
-        abs(res_q.c_min - cost_ref),
-    )
-    checks.append(_check("anchor_quarter_period", err < 1e-12, error=err))
+    quarter_cost = 1.0 - (math.pi**2 / 4.0) * math.exp(-math.pi**2 / 4.0)
+    for name, tc, want in (
+        ("anchor_half_period", math.pi / 2.0, (1.0, 1.0, 1.0)),
+        ("anchor_quarter_period", math.pi / 4.0, (1.0 - shift, 1.0 + shift, quarter_cost)),
+    ):
+        res = _mmse_results(gauss, [Scenario(tau_c=tc)], vac).row(0)
+        err = max(abs(x - w) for x, w in zip((*res.estimates, res.c_min), want))
+        checks.append(_check(name, err < 1e-12, error=err))
 
     # POVM validity and the corrupted-constant smoke test
     for prior in (gauss, unif):
@@ -463,7 +464,7 @@ def verify_all(seed: int = 0, corrupt_povm_scale: float = 1.0) -> dict:
     g_grid = np.linspace(0.2, 1.8, 25)
     for prior in (gauss, unif):
         sc = Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2)
-        result = _mmse_result(prior, sc, vac)
+        result = _mmse_results(prior, [sc], vac).row(0)
         povm = ml_mod.ml_povm(prior, sc.tau_c, sc.tau_f_gamma)
         for rep in (
             bounds_mod.cr_bound_mmse(result, g_grid, sc, vac),
@@ -480,7 +481,7 @@ def verify_all(seed: int = 0, corrupt_povm_scale: float = 1.0) -> dict:
     z_max = 0.0
     for tc in (math.pi / 4.0, 0.6, 1.0):
         sc = Scenario(tau_c=tc)
-        result = _mmse_result(gauss, sc, vac)
+        result = _mmse_results(gauss, [sc], vac).row(0)
         rep = oracle_mod.mc_quadratic_cost(result, gauss, sc, vac, 10**5, seed)
         rep2 = oracle_mod.mc_quadratic_cost(result, gauss, sc, vac, 10**5, seed)
         if rep != rep2:
@@ -567,13 +568,9 @@ def load_config(path: Optional[str]) -> dict:
             math.sin(parser.getfloat("scenario", "alpha_phase")),
         )
         scenario = Scenario(
-            tau_c=parser.getfloat("scenario", "g0_tau_c"),
-            tau_f_gamma=parser.getfloat("scenario", "gamma_tau_f"),
-            delta=parser.getfloat("scenario", "delta_over_g0"),
             alpha=alpha,
-            kappa=parser.getfloat("scenario", "kappa_over_g0"),
-            gamma_cav=parser.getfloat("scenario", "gamma_over_g0"),
             fock_cutoff=cutoff,
+            **{attr: parser.getfloat("scenario", key) for key, attr in _SCENARIO_KEYS.items()},
         )
         cfg = {
             "prior": Prior(prior_kind, 1.0, sigma),
@@ -619,13 +616,9 @@ def _config_echo(cfg: dict) -> dict:
     echo = {
         "prior": {"kind": cfg["prior"].kind, "sigma_over_g0": cfg["prior"].sigma},
         "scenario": {
-            "g0_tau_c": scenario.tau_c,
-            "gamma_tau_f": scenario.tau_f_gamma,
-            "delta_over_g0": scenario.delta,
+            **{key: getattr(scenario, attr) for key, attr in _SCENARIO_KEYS.items()},
             "alpha_abs": abs(scenario.alpha),
             "alpha_phase": float(np.angle(scenario.alpha)) if scenario.alpha else 0.0,
-            "kappa_over_g0": scenario.kappa,
-            "gamma_over_g0": scenario.gamma_cav,
             "fock_cutoff": scenario.fock_cutoff if scenario.fock_cutoff is not None else "auto",
         },
     }
@@ -657,7 +650,7 @@ def _cmd_state(cfg: dict, args) -> Table:
 def _cmd_mmse(cfg: dict, args) -> Table:
     prior, scenario = cfg["prior"], cfg["scenario"]
     fld = field_for(scenario)
-    result = _mmse_result(prior, scenario, fld)
+    result = _mmse_results(prior, [scenario], fld).row(0)
     g = np.array([cfg["g"] * prior.g0])
     columns = _conditional_columns(result, g, scenario, fld, bound=True)
     table = Table(columns=["eig_lo", "eig_hi", "c_min", "avg_estimate", "cr_bound", "mse"])
@@ -730,6 +723,7 @@ def main(argv: Optional[list] = None) -> int:
                 return 1
             table = run_sweep(cfg["sweep"])
         else:
+            _check_family(args.command, cfg["scenario"])
             table = _POINT_COMMANDS[args.command](cfg, args)
     except UnsupportedCombination as exc:
         print(f"config error: {exc}", file=sys.stderr)

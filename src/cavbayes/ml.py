@@ -36,7 +36,7 @@ import numpy as np
 
 from . import priors as priors_mod
 from .errors import SinVanishes
-from .priors import Prior, density
+from .priors import Prior, _odd_factorial_series, density
 
 __all__ = [
     "MlPovm",
@@ -158,21 +158,6 @@ def _gaussian_sine_band(t_lo, t_hi, sigma: float, k: float):
     scale = math.exp(-(k**2) * sigma**2 / 2.0) * sigma * math.sqrt(math.pi / 2.0)
     rt2s = math.sqrt(2.0) * sigma
     return scale * (erf((t_hi - shift) / rt2s) - erf((t_lo - shift) / rt2s)).imag
-
-
-def _odd_factorial_series(x, coef, k0: int):
-    """sum_{k>=k0} coef(k) x^(2k) / (2k+1)!, elementwise, for |x| <= 2.
-
-    Sixteen terms are summed; for the coefficients used here, at most
-    quadratic in k, the dropped tail is below 1e-20 of the sum.
-    """
-    x2 = x * x
-    power = x2**k0 / math.factorial(2 * k0 + 1)
-    total = 0.0
-    for k in range(k0, k0 + 16):
-        total = total + coef(k) * power
-        power = power * x2 / ((2 * k + 2) * (2 * k + 3))
-    return total
 
 
 def _y_minus_sin(y):

@@ -8,10 +8,11 @@ measured in its own eigenbasis; the eigenvalues are the estimates and the
 attained average cost is  Tr{G2 - M G0 M}.  The moment operators G_k are
 built from the detector-time state, so flight damping is already folded in.
 
-For resonant interaction with a vacuum field the moments are diagonal and
-have closed-form entries (``closed_form_abc``); the general path integrates
-the reduced state against the prior numerically.  Both paths feed the same
-operator solve.
+At resonance every entry of G_k is a finite photon-ladder sum of the prior's
+exact moments M_k(omega) = int z(g) g^k e^{i omega g} dg
+(:func:`priors.characteristic_moments`), for any field; detuned moments and
+the in-cavity damped variant integrate the state against the prior by
+quadrature.  Every path feeds the same operator solve.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from . import priors as priors_mod
 from .dynamics import (
     FieldState,
     Scenario,
+    _check_truncation,
     detector_matrix_elements,
     dissipative_populations,
     reduced_state,
@@ -42,9 +44,8 @@ __all__ = [
     "GammaTriple",
     "MmseResult",
     "gamma_moments",
+    "gamma_moments_quadrature",
     "gamma_moments_dissipative",
-    "closed_form_abc",
-    "closed_form_gammas",
     "mmse_estimator",
     "limit_eigenvalue_tau0",
     "average_estimate",
@@ -107,10 +108,11 @@ class MmseResult:
         return self.estimates[1], self.estimates[0]
 
 
-def _oscillation_rate(scenario: Scenario, field: FieldState) -> float:
-    # highest angular frequency in g of cos(2 l_n tau_c) across the ladder
-    n_top = max(1, field.cutoff + 1)
-    return 2.0 * scenario.tau_c * math.sqrt(n_top)
+def _triple(ee, gg, eg) -> GammaTriple:
+    """GammaTriple from the length-3 entry arrays of G0, G1, G2."""
+    return GammaTriple(
+        *(Hermitian2(ee=float(ee[k]), gg=float(gg[k]), eg=complex(eg[k])) for k in range(3))
+    )
 
 
 def _prior_moments(
@@ -125,122 +127,80 @@ def _prior_moments(
     """
     wz = rule.weights * density(prior, rule.nodes)
     wk = np.stack([wz * rule.nodes**k for k in (0, 1, 2)])
-    ee = np.sum(wk * a_ee, axis=1)
-    gg = np.sum(wk * (1.0 - a_ee), axis=1)
     eg = np.zeros(3) if a_eg is None else np.sum(wk * a_eg, axis=1)
-    return GammaTriple(
-        *(
-            Hermitian2(ee=float(ee[k]), gg=float(gg[k]), eg=complex(eg[k]))
-            for k in range(3)
-        )
-    )
+    return _triple(np.sum(wk * a_ee, axis=1), np.sum(wk * (1.0 - a_ee), axis=1), eg)
+
+
+def _resonant_moments(prior: Prior, scenario: Scenario, field: FieldState) -> GammaTriple:
+    """Exact moment operators of a resonant unitary transit.
+
+    Sector n holds cos^2(g sqrt(n) tau) with weight w_n = |a_{n-1}|^2, and
+    coherence pair m holds cos(g sqrt(m+1) tau) sin(g sqrt(m) tau) with
+    amplitude p_m = a_m conj(a_{m-1}).  With u = gamma tau_f, W = sum w_n,
+    D_k = mu_k - Re M_k free of cancellation (:func:`priors.cosine_deficits`)
+    and omega_m^+- = (sqrt(m+1) +- sqrt(m)) tau, the entries are
+
+        ee = e^{-u} sum_n w_n (mu_k - D_k(2 sqrt(n) tau) / 2),
+        gg = mu_k (1 - e^{-u} W) + e^{-u} sum_n w_n D_k(2 sqrt(n) tau) / 2,
+        eg = i e^{-u/2} sum_m p_m [Im M_k(omega_m^+) - Im M_k(omega_m^-)] / 2.
+    """
+    _check_truncation(field)
+    coeff = np.asarray(field.coefficients, dtype=complex)
+    weight, pairs = np.abs(coeff) ** 2, coeff[1:] * np.conj(coeff[:-1])
+    roots = np.sqrt(np.arange(1, len(coeff) + 1))
+    tc, damp = scenario.tau_c, math.exp(-scenario.tau_f_gamma)
+    mu, mass = np.array([1.0, prior.g0, prior.g0**2 + prior.sigma**2]), float(np.sum(weight))
+    half_ladder = np.stack(priors_mod.cosine_deficits(prior, 2.0 * tc * roots)) @ weight / 2.0
+    eg = np.zeros(3, dtype=complex)
+    if len(pairs):
+        pair_sum = roots[1:] + roots[:-1]  # omega^- = tau / pair_sum, free of cancellation
+        m_k = np.stack(priors_mod.characteristic_moments(
+            prior, np.concatenate([tc * pair_sum, tc / pair_sum]))).imag
+        eg = 0.5j * math.sqrt(damp) * ((m_k[:, : len(pairs)] - m_k[:, len(pairs) :]) @ pairs)
+    rest = -math.expm1(-scenario.tau_f_gamma) + damp * (1.0 - mass)
+    return _triple(damp * (mu * mass - half_ladder), mu * rest + damp * half_ladder, eg)
 
 
 def gamma_moments(
-    prior: Prior,
-    scenario: Scenario,
-    field: FieldState,
-    n_points: int | None = None,
+    prior: Prior, scenario: Scenario, field: FieldState, n_points: int | None = None
 ) -> GammaTriple:
-    """Moment operators by prior quadrature of the detector-time state.
+    """Moment operators of the detector-time state.
 
-    The node count is raised automatically so the fastest Rabi oscillation
-    across the photon ladder is resolved; pass ``n_points`` to override.
+    Resonant unitary transits take the exact ladder sums of the prior's
+    characteristic moments, for any field and flight decay; detuned ones
+    integrate by quadrature (:func:`gamma_moments_quadrature`), and
+    ``n_points`` sizes only that quadrature.
+    """
+    if scenario.delta == 0.0 and scenario.is_unitary_transit:
+        return _resonant_moments(prior, scenario, field)
+    return gamma_moments_quadrature(prior, scenario, field, n_points)
+
+
+def gamma_moments_quadrature(
+    prior: Prior, scenario: Scenario, field: FieldState, n_points: int | None = None
+) -> GammaTriple:
+    """Moment operators by prior quadrature of the detector-time state: the
+    path at Delta != 0 and the oracle of the exact resonant path.
+
+    The node count is raised automatically so the fastest Rabi oscillation,
+    cos(2 l tau_c) at the ladder top, is resolved; ``n_points`` overrides it.
     """
     if n_points is None:
-        n_points = priors_mod.nodes_for_oscillation(
-            prior, _oscillation_rate(scenario, field)
-        )
+        rate = 2.0 * scenario.tau_c * math.sqrt(len(field.coefficients))
+        n_points = priors_mod.nodes_for_oscillation(prior, rate)
     rule = priors_mod.quadrature(prior, n_points)
     a_ee, a_eg = detector_matrix_elements(rule.nodes, scenario, field)
     return _prior_moments(prior, rule, a_ee, a_eg)
 
 
 def gamma_moments_dissipative(
-    prior: Prior,
-    tau_c: float,
-    gamma: float,
-    kappa: float,
+    prior: Prior, tau_c: float, gamma: float, kappa: float
 ) -> GammaTriple:
     """Moment operators for the in-cavity damped variant (diagonal states)."""
     n_points = priors_mod.nodes_for_oscillation(prior, 2.0 * tau_c)
     rule = priors_mod.quadrature(prior, n_points)
     pops = dissipative_populations(rule.nodes, tau_c, gamma, kappa)
     return _prior_moments(prior, rule, pops)
-
-
-def closed_form_abc(prior: Prior, tau_c: float) -> tuple[float, float, float]:
-    """Excited-row entries (a, b, c) of the moment operators, resonant vacuum.
-
-    These are the exact prior integrals of cos^2(g tau_c) weighted by
-    1, g, g^2.  Gaussian prior:
-
-        a = [1 + E cos(2 g0 t)]/2,                E = exp(-2 sigma^2 t^2),
-        b = [g0 + E(g0 cos(2 g0 t) - 2 sigma^2 t sin(2 g0 t))]/2,
-        c = (g0^2+sigma^2) a - 2 g0 sigma^2 t E sin(2 g0 t)
-            - 2 sigma^4 t^2 E cos(2 g0 t).
-
-    Uniform prior on [g0 - w, g0 + w], w = sqrt(3) sigma, with A = 2 w t and
-    B = 2 g0 t:
-
-        a = 1/2 + sin(A) cos(B) / (2 A),
-        b = g0/2 - sin(B) sin(A)/(8 w t^2)
-            + [w sin(B) cos(A) + g0 cos(B) sin(A)]/(4 w t),
-        c = (g0^2+sigma^2)/2 + (g0^2+3 sigma^2) sin(A) cos(B)/(4 w t)
-            + [w cos(A) cos(B) - g0 sin(A) sin(B)]/(4 w t^2)
-            - sin(A) cos(B)/(8 w t^3) + g0 sin(B) cos(A)/(2 t).
-
-    The ground-row entries follow from the moment identities
-    Tr G0 = 1, Tr G1 = g0, Tr G2 = g0^2 + sigma^2.
-    """
-    g0, sig = prior.g0, prior.sigma
-    t = tau_c
-    if prior.kind == priors_mod.GAUSSIAN:
-        e = math.exp(-2.0 * sig**2 * t**2)
-        cb = math.cos(2.0 * g0 * t)
-        sb = math.sin(2.0 * g0 * t)
-        a = (1.0 + e * cb) / 2.0
-        b = (g0 + e * (g0 * cb - 2.0 * sig**2 * t * sb)) / 2.0
-        c = (
-            (g0**2 + sig**2) * (1.0 + e * cb) / 2.0
-            - 2.0 * g0 * sig**2 * t * e * sb
-            - 2.0 * sig**4 * t**2 * e * cb
-        )
-        return a, b, c
-
-    w = math.sqrt(3.0) * sig
-    if t == 0.0:
-        return 1.0, g0, g0**2 + sig**2
-    big_a = 2.0 * w * t
-    big_b = 2.0 * g0 * t
-    sa, ca = math.sin(big_a), math.cos(big_a)
-    sb, cb = math.sin(big_b), math.cos(big_b)
-    a = 0.5 + sa * cb / (2.0 * big_a)
-    b = (
-        g0 / 2.0
-        - sb * sa / (8.0 * w * t**2)
-        + (w * sb * ca + g0 * cb * sa) / (4.0 * w * t)
-    )
-    c = (
-        (g0**2 + sig**2) / 2.0
-        + (g0**2 + 3.0 * sig**2) * sa * cb / (4.0 * w * t)
-        + (w * ca * cb - g0 * sa * sb) / (4.0 * w * t**2)
-        - sa * cb / (8.0 * w * t**3)
-        + g0 * sb * ca / (2.0 * t)
-    )
-    return a, b, c
-
-
-def closed_form_gammas(prior: Prior, tau_c: float, gamma_tau_f: float) -> GammaTriple:
-    """Moment operators from the closed-form entries (resonant vacuum path)."""
-    a, b, c = closed_form_abc(prior, tau_c)
-    g0, var = priors_mod.moments(prior)
-    damp = math.exp(-gamma_tau_f)
-    return GammaTriple(
-        gamma0=Hermitian2(ee=a * damp, gg=1.0 - a * damp),
-        gamma1=Hermitian2(ee=b * damp, gg=g0 - b * damp),
-        gamma2=Hermitian2(ee=c * damp, gg=g0**2 + var - c * damp),
-    )
 
 
 def mmse_estimator(gammas: GammaTriple, gamma_tau_f=0.0) -> MmseResult:

@@ -1,8 +1,7 @@
-"""Independent verification layer: sampling and brute-force re-derivations.
+"""Independent verification layer: sampling the measurement record.
 
 Everything here stays deliberately separate from the production paths: the
-moment operators are re-derived by midpoint Riemann sums, and the analytic
-average costs and the exact likelihood mean estimate are checked by
+analytic average costs and the exact likelihood mean estimate are checked by
 simulating the measurement record itself.
 
 Randomness uses the counter-based Philox generator keyed by an explicit
@@ -23,16 +22,14 @@ import numpy as np
 from . import priors as priors_mod
 from .dynamics import FieldState, Scenario, detector_matrix_elements
 from .ml import MlPovm, conditional_pdf, ml_average_estimate
-from .mmse import GammaTriple, MmseResult
-from .priors import Prior, density
-from .qubit import Hermitian2
+from .mmse import MmseResult
+from .priors import Prior
 
 __all__ = [
     "McReport",
     "MlSampleReport",
     "mc_quadratic_cost",
     "mc_estimate_distribution",
-    "brute_force_gamma",
     "sample_prior",
 ]
 
@@ -192,28 +189,3 @@ def mc_estimate_distribution(
         ks_statistic_vs_prior=ks,
         seed=seed,
     )
-
-
-def brute_force_gamma(
-    prior: Prior, scenario: Scenario, field: FieldState, n_grid: int
-) -> GammaTriple:
-    """Moment operators by midpoint Riemann sum, no quadrature machinery."""
-    if n_grid < 10**4:
-        raise ValueError("need at least 1e4 grid cells")
-    lo, hi = prior.window
-    step = (hi - lo) / n_grid
-    mids = lo + (np.arange(n_grid) + 0.5) * step
-    a_ee, a_eg = detector_matrix_elements(mids, scenario, field)
-    wz = density(prior, mids) * step
-
-    out = []
-    for k in (0, 1, 2):
-        wk = wz * mids**k
-        out.append(
-            Hermitian2(
-                ee=float(np.sum(wk * a_ee)),
-                gg=float(np.sum(wk * (1.0 - a_ee))),
-                eg=complex(np.sum(wk * a_eg)),
-            )
-        )
-    return GammaTriple(*out)

@@ -7,9 +7,12 @@ deviation ``sigma``:
 * uniform on [g0 - sqrt(3) sigma, g0 + sqrt(3) sigma] (the half-width makes
   the variance exactly sigma^2).
 
-Integrals against the prior are evaluated with composite Gauss-Legendre
-panels.  The Gaussian support is truncated at +-8 sigma, where the neglected
-tail mass (< 1e-15, and < 1e-13 after weighting by g^2) sits far below every
+The moments M_k(omega) = int z(g) g^k e^{i omega g} dg, k = 0, 1, 2, are
+exact (:func:`characteristic_moments`, :func:`cosine_deficits`).  Other
+integrals against the prior (detuned or dissipative moment operators,
+verification oracles) use composite Gauss-Legendre panels, and there the
+Gaussian support is truncated at +-8 sigma, where the neglected tail
+mass (< 1e-15, and < 1e-13 after weighting by g^2) sits far below every
 tolerance used downstream.  Node counts can be scaled up so oscillatory
 integrands cos(2 g tau) keep at least ~8 nodes per period.
 """
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Prior", "QuadratureRule", "density", "moments", "quadrature"]
+__all__ = ["Prior", "QuadratureRule", "density", "moments", "characteristic_moments",
+           "cosine_deficits", "quadrature"]
 
 GAUSSIAN = "gaussian"
 UNIFORM = "uniform"
@@ -37,6 +41,10 @@ _PANEL_POINTS = 16
 MIN_NODES = 64
 #: default node count
 DEFAULT_NODES = 256
+#: |x| below which the uniform law's s(x) = sin(x)/x terms come from series,
+#: and the coefficients (k = 1..16) of s - 1, x s' and x^2 (s'' + 1/3) there
+_SERIES_ARG = 1.0
+_SINC_COEF = [(-1) ** k * np.c_[[1.0, 2 * k, 2 * k * (2 * k - 1) * (k > 1)]] for k in range(1, 17)]
 
 
 @dataclass(frozen=True)
@@ -122,6 +130,85 @@ def density(prior: Prior, g) -> np.ndarray | float:
 def moments(prior: Prior) -> tuple[float, float]:
     """(mean, variance) — identical to (g0, sigma^2) for both families."""
     return prior.g0, prior.sigma**2
+
+
+def _odd_factorial_series(x, coef, k0: int):
+    """sum_{k>=k0} coef(k) x^(2k) / (2k+1)!, elementwise, for |x| <= 2.
+
+    Sixteen terms are summed; for the coefficients used here, at most
+    quadratic in k, the dropped tail is below 1e-20 of the sum.
+    """
+    x2 = x * x
+    power = x2**k0 / math.factorial(2 * k0 + 1)
+    total = 0.0
+    for k in range(k0, k0 + 16):
+        total = total + coef(k) * power
+        power = power * x2 / ((2 * k + 2) * (2 * k + 3))
+    return total
+
+
+def _centered_transform(prior: Prior, omega) -> tuple:
+    """(phi, 1 - phi, phi1, phi2, sigma^2 - phi2) over the array ``omega``.
+
+    phi = E e^{i omega y}, E y e^{i omega y} = i phi1 and
+    E y^2 e^{i omega y} = phi2 for y = g - g0, all real.  Uniform law:
+    phi = s, phi1 = -h s', phi2 = -h^2 s'' with h = sqrt(3) sigma and
+    s(x) = sin(x)/x at x = h omega.  The differences vanish as omega -> 0
+    and keep their digits through expm1 (Gaussian) or, below
+    |x| = ``_SERIES_ARG``, the series of s - 1, x s' and x^2 (s'' + 1/3).
+    """
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    var = prior.sigma**2
+    if prior.kind == GAUSSIAN:
+        a = var * omega * omega
+        e, one_minus = np.exp(-a / 2.0), -np.expm1(-a / 2.0)
+        return e, one_minus, var * omega * e, var * e * (1.0 - a), var * (one_minus + a * e)
+    h = math.sqrt(3.0) * prior.sigma
+    x = h * omega
+    small = np.abs(x) < _SERIES_ARG
+    xd = np.where(small, 1.0, x)
+    s = np.sin(xd) / xd
+    ds = (np.cos(xd) - s) / xd
+    s_less, d2s_third = s - 1.0, 1.0 / 3.0 - s - 2.0 * ds / xd
+    if small.any():
+        xs = x[small]
+        xs_d = np.where(xs == 0.0, 1.0, xs)  # every series vanishes at x = 0
+        series = _odd_factorial_series(xs, lambda k: _SINC_COEF[k - 1], 1)
+        s_less[small] = series[0]
+        s[small] = 1.0 + series[0]
+        ds[small] = series[1] / xs_d
+        d2s_third[small] = series[2] / xs_d**2
+    return s, -s_less, -h * ds, var - h * h * d2s_third, h * h * d2s_third
+
+
+def characteristic_moments(prior: Prior, omega) -> tuple:
+    """(M0, M1, M2), M_k = int z(g) g^k e^{i omega g} dg, over the array ``omega``.
+
+    Gaussian: e^{i omega g0 - sigma^2 omega^2/2} times 1, m and m^2 + sigma^2
+    with m = g0 + i sigma^2 omega.  Uniform: e^{i omega g0} times s,
+    g0 s - i h s' and g0^2 s - 2 i g0 h s' - h^2 s'' (see _centered_transform).
+    """
+    phi, _, phi1, phi2, _ = _centered_transform(prior, omega)
+    g0 = prior.g0
+    rot = np.exp(1j * g0 * np.asarray(omega, dtype=float))
+    return rot * phi, rot * (g0 * phi + 1j * phi1), rot * (g0 * g0 * phi + 2j * g0 * phi1 + phi2)
+
+
+def cosine_deficits(prior: Prior, omega) -> tuple:
+    """(D0, D1, D2), D_k = mu_k - Re M_k = int z g^k (1 - cos omega g) dg.
+
+    mu_k are the prior moments.  With theta = omega g0, every term of
+    D0 = (1 - phi) + phi (1 - cos theta), D1 = g0 D0 + phi1 sin theta and
+    D2 = g0^2 D0 + (sigma^2 - phi2) + phi2 (1 - cos theta) + 2 g0 phi1 sin theta
+    is nonnegative as omega -> 0, so none cancels (1 - cos = 2 sin^2(theta/2)).
+    """
+    phi, one_minus, phi1, phi2, var_minus = _centered_transform(prior, omega)
+    g0 = prior.g0
+    theta = g0 * np.asarray(omega, dtype=float)
+    versine, sine = 2.0 * np.sin(theta / 2.0) ** 2, np.sin(theta)
+    d0 = one_minus + phi * versine
+    d1 = g0 * d0 + phi1 * sine
+    return d0, d1, g0 * (d1 + phi1 * sine) + var_minus + phi2 * versine
 
 
 @functools.lru_cache(maxsize=None)

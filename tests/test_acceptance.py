@@ -28,9 +28,9 @@ from cavbayes.ml import (
     uniform_ml_povm,
 )
 from cavbayes.mmse import (
-    closed_form_gammas,
     gamma_moments,
     gamma_moments_dissipative,
+    gamma_moments_quadrature,
     limit_eigenvalue_tau0,
     mmse_estimator,
 )
@@ -53,13 +53,13 @@ def cost_unitary(prior, tau_c, alpha=0.0, delta=0.0, u=0.0):
 
 
 def test_criterion_01_full_swap_anchor():
-    res = mmse_estimator(closed_form_gammas(GAUSS, math.pi / 2.0, 0.0))
+    res = mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=math.pi / 2.0), VACUUM))
     assert res.estimates[0] == pytest.approx(1.0, abs=1e-12)
     assert res.estimates[1] == pytest.approx(1.0, abs=1e-12)
     assert abs(res.m_min.eg) < 1e-12
     assert res.c_min == pytest.approx(1.0, abs=1e-12)
 
-    res_q = mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=math.pi / 2.0), VACUUM))
+    res_q = mmse_estimator(gamma_moments_quadrature(GAUSS, Scenario(tau_c=math.pi / 2.0), VACUUM))
     assert res_q.estimates[0] == pytest.approx(1.0, abs=1e-8)
     assert res_q.estimates[1] == pytest.approx(1.0, abs=1e-8)
     assert res_q.c_min == pytest.approx(1.0, abs=1e-8)
@@ -69,8 +69,8 @@ def test_criterion_01_full_swap_anchor():
 def test_criterion_02_half_swap_anchor():
     k = (math.pi / 2.0) * math.exp(-math.pi**2 / 8.0)
     c_ref = 1.0 - (math.pi**2 / 4.0) * math.exp(-math.pi**2 / 4.0)
-    res_c = mmse_estimator(closed_form_gammas(GAUSS, math.pi / 4.0, 0.0))
-    res_q = mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=math.pi / 4.0), VACUUM))
+    res_c = mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=math.pi / 4.0), VACUUM))
+    res_q = mmse_estimator(gamma_moments_quadrature(GAUSS, Scenario(tau_c=math.pi / 4.0), VACUUM))
     for res, tol in ((res_c, 1e-12), (res_q, 1e-8)):
         assert res.estimates[0] == pytest.approx(1.0 - k, abs=tol)
         assert res.estimates[1] == pytest.approx(1.0 + k, abs=tol)
@@ -206,7 +206,7 @@ def test_criterion_10_cramer_rao_consistency():
     worst_gap = math.inf
     for prior in (GAUSS, UNIF):
         sc = Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2)
-        res = mmse_estimator(closed_form_gammas(prior, sc.tau_c, sc.tau_f_gamma))
+        res = mmse_estimator(gamma_moments(prior, sc, VACUUM))
         povm = (
             gaussian_ml_povm(prior, sc.tau_c, sc.tau_f_gamma)
             if prior.kind == "gaussian"
@@ -220,8 +220,8 @@ def test_criterion_10_cramer_rao_consistency():
                 worst_gap = min(worst_gap, rep.mse - rep.lower_bound)
 
     for tc in (math.pi / 2.0, math.pi):
-        res = mmse_estimator(closed_form_gammas(GAUSS, tc, 0.3))
         sc = Scenario(tau_c=tc, tau_f_gamma=0.3)
+        res = mmse_estimator(gamma_moments(GAUSS, sc, VACUUM))
         for g in grid[::5]:
             assert cr_bound_mmse(res, float(g), sc).lower_bound < 1e-12
     report("10 cramer-rao consistency", f"smallest mse-bound gap {worst_gap:.3e}")
@@ -231,7 +231,7 @@ def test_criterion_11_monte_carlo_concordance():
     z_scores = []
     for tc in (math.pi / 4.0, 0.6, 1.0):
         sc = Scenario(tau_c=tc)
-        res = mmse_estimator(closed_form_gammas(GAUSS, tc, 0.0))
+        res = mmse_estimator(gamma_moments(GAUSS, sc, VACUUM))
         rep = mc_quadratic_cost(res, GAUSS, sc, VACUUM, 10**5, SEED)
         again = mc_quadratic_cost(res, GAUSS, sc, VACUUM, 10**5, SEED)
         assert rep == again  # deterministic under the seed

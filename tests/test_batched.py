@@ -265,6 +265,36 @@ def test_ml_command_builds_no_quadrature_rule(prior_kind, monkeypatch, tmp_path,
     assert calls == [f"{prior_kind}_ml_povm"]
 
 
+_RESONANT_RUNS = {
+    "mmse_vacuum": ("mmse", "[scenario]\ng0_tau_c = 0.9\ngamma_tau_f = 0.2\n"),
+    "mmse_coherent": ("mmse", "[prior]\nkind = uniform\n[scenario]\nalpha_abs = 1.5\n"),
+    "sweep_mmse_cost": (
+        "sweep",
+        "[scenario]\nalpha_abs = 1.0\n"
+        "[sweep]\nquantity = mmse_cost\naxis = tau_c\nlo = 0.1\nhi = 2\nn_points = 6\n",
+    ),
+    "sweep_mmse_eigenvalues": (
+        "sweep",
+        "[prior]\nkind = uniform\n"
+        "[sweep]\nquantity = mmse_eigenvalues\naxis = gamma_tau_f\nlo = 0\nhi = 1\nn_points = 6\n",
+    ),
+    "tau_star_vacuum": ("tau-star", "[scenario]\ngamma_tau_f = 0.3\n"),
+    "tau_star_coherent": ("tau-star", "[prior]\nkind = uniform\n[scenario]\nalpha_abs = 1.2\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RESONANT_RUNS))
+def test_resonant_mmse_runs_build_no_quadrature_rule(name, monkeypatch, tmp_path, capsys):
+    # at Delta = 0 the moment operators are exact ladder sums of the prior's
+    # characteristic moments, for any field
+    calls = _spy_povm_and_rule_calls(monkeypatch)
+    command, text = _RESONANT_RUNS[name]
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg)]) == 0
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # dissipative populations
 
@@ -440,7 +470,7 @@ def test_batched_solve_names_first_degenerate_entry():
 
 def test_batched_estimator_rows_equal_single_solves():
     prior = Prior.uniform(1.0, 0.7)
-    triples = [mmse_mod.closed_form_gammas(prior, tc, u) for tc, u in ((0.3, 0.0), (0.9, 0.5), (1.7, 1.2))]
+    triples = [mmse_mod.gamma_moments(prior, Scenario(tau_c=tc, tau_f_gamma=u), FieldState.vacuum()) for tc, u in ((0.3, 0.0), (0.9, 0.5), (1.7, 1.2))]
     us = [0.0, 0.5, 1.2]
     batch = mmse_mod.mmse_estimator(mmse_mod.GammaTriple.stack(triples), us)
     for i, (gammas, u) in enumerate(zip(triples, us)):

@@ -9,7 +9,7 @@ from cavbayes.bounds import cr_bound_ml, cr_bound_mmse, sld, sld_general
 from cavbayes.dynamics import FieldState, Scenario, field_for
 from cavbayes.errors import SingularSLD
 from cavbayes.ml import gaussian_ml_povm, ml_povm, uniform_ml_povm
-from cavbayes.mmse import closed_form_gammas, gamma_moments, mmse_estimator
+from cavbayes.mmse import gamma_moments, mmse_estimator
 from cavbayes.priors import Prior
 
 VACUUM = FieldState.vacuum()
@@ -59,8 +59,8 @@ def test_numeric_sld_matches_analytic_derivative():
 
 def test_inconclusive_times_give_zero_bound():
     for tc in (math.pi / 2.0, math.pi):
-        res = mmse_estimator(closed_form_gammas(GAUSS, tc, 0.3))
         sc = Scenario(tau_c=tc, tau_f_gamma=0.3)
+        res = mmse_estimator(gamma_moments(GAUSS, sc, VACUUM))
         for g in np.linspace(0.2, 1.8, 21):
             rep = cr_bound_mmse(res, float(g), sc)
             assert rep.lower_bound < 1e-12
@@ -71,7 +71,7 @@ def test_quarter_period_report_values():
     # at the prior mean the quadratic bound is tight and the absolute-
     # sensitivity variant reproduces the closed display factor, which
     # exceeds the MSE there (recorded, not asserted as a bound)
-    res = mmse_estimator(closed_form_gammas(GAUSS, math.pi / 4.0, 0.0))
+    res = mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=math.pi / 4.0), VACUUM))
     sc = Scenario(tau_c=math.pi / 4.0)
     rep = cr_bound_mmse(res, 1.0, sc)
     k = (math.pi / 2.0) * math.exp(-math.pi**2 / 8.0)
@@ -85,7 +85,7 @@ def test_quarter_period_report_values():
 
 def test_quarter_period_display_factor_off_mean():
     # closed display: (1 - cos^2 e^{-u})/sin^2 * |sin(2 g tc)| * s^2 e^{-pi^2 s^2/8}/(2 - e^{-u})
-    res = mmse_estimator(closed_form_gammas(GAUSS, math.pi / 4.0, 0.0))
+    res = mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=math.pi / 4.0), VACUUM))
     sc = Scenario(tau_c=math.pi / 4.0)
     for g in (0.6, 1.3):
         rep = cr_bound_mmse(res, g, sc)
@@ -100,7 +100,7 @@ def test_quarter_period_display_factor_off_mean():
 
 
 def test_closed_path_matches_numeric_path():
-    res = mmse_estimator(closed_form_gammas(GAUSS, math.pi / 4.0, 0.2))
+    res = mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2), VACUUM))
     sc = Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2)
     for g in (0.7, 1.0, 1.4):
         closed = cr_bound_mmse(res, g, sc, method="closed")
@@ -222,7 +222,7 @@ def test_bound_invariant_under_outcome_relabeling():
 def test_mmse_abs_sensitivity_variant_can_exceed_mse():
     # the quadratic-form bound is the production lower bound precisely
     # because the first-power variant fails as a bound on this grid
-    res = mmse_estimator(closed_form_gammas(GAUSS, math.pi / 4.0, 0.0))
+    res = mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=math.pi / 4.0), VACUUM))
     sc = Scenario(tau_c=math.pi / 4.0)
     exceed = 0
     for g in np.linspace(0.2, 1.8, 50):

@@ -110,11 +110,10 @@ def test_tau_star_examples():
 
     sc1 = Scenario(tau_c=1.0, alpha=1.0)
     tau1 = find_tau_star(GAUSS, sc1)
-    from cavbayes.cli import _mmse_result
     from cavbayes.dynamics import field_for
 
     c0 = mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=find_tau_star(GAUSS, Scenario(tau_c=1.0))), VACUUM)).c_min
-    c1 = _mmse_result(GAUSS, dataclasses.replace(sc1, tau_c=tau1), field_for(sc1)).c_min
+    c1 = mmse_estimator(gamma_moments(GAUSS, dataclasses.replace(sc1, tau_c=tau1), field_for(sc1))).c_min
     assert c1 > c0
 
 
@@ -212,6 +211,51 @@ def test_exit_codes(tmp_path, capsys):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # every command and sweep quantity accepts only its scenario family
+    for name, (command, text) in _FAMILY_VIOLATIONS.items():
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, (name, err)
+
+
+_DAMPED = "[scenario]\nkappa_over_g0 = 0.3\n"
+_FAMILY_VIOLATIONS = {
+    "mmse_damped": ("mmse", _DAMPED),
+    "mmse_decaying_qubit": ("mmse", "[scenario]\ngamma_over_g0 = 0.2\n"),
+    "sweep_mmse_cost_damped": (
+        "sweep",
+        _DAMPED + "[sweep]\nquantity = mmse_cost\naxis = tau_c\nlo = 0.1\nhi = 1\nn_points = 4\n",
+    ),
+    "sweep_mmse_eigenvalues_decaying_qubit": (
+        "sweep",
+        "[scenario]\ngamma_over_g0 = 0.2\n"
+        "[sweep]\nquantity = mmse_eigenvalues\naxis = delta\nlo = 0\nhi = 1\nn_points = 4\n",
+    ),
+    "ml_detuned": ("ml", "[scenario]\ndelta_over_g0 = 0.5\n"),
+    "ml_coherent": ("ml", "[scenario]\nalpha_abs = 1.0\n"),
+    "ml_damped": ("ml", _DAMPED),
+    "sweep_ml_cost_damped": (
+        "sweep",
+        _DAMPED + "[sweep]\nquantity = ml_cost\naxis = tau_c\nlo = 0.1\nhi = 1\nn_points = 4\n",
+    ),
+    "sweep_ml_cr_bound_decaying_qubit": (
+        "sweep",
+        "[scenario]\ngamma_over_g0 = 0.2\n"
+        "[sweep]\nquantity = ml_cr_bound\naxis = g_over_g0\nlo = 0.3\nhi = 1.7\nn_points = 4\n",
+    ),
+    "state_damped_flight_decay": ("state", _DAMPED + "gamma_tau_f = 0.5\n"),
+    "tau_star_damped_flight_decay": ("tau-star", _DAMPED + "gamma_tau_f = 0.5\n"),
+    "tau_star_damped_detuned": ("tau-star", _DAMPED + "delta_over_g0 = 0.5\n"),
+    "state_damped_coherent": ("state", _DAMPED + "alpha_abs = 1.0\n"),
+    "sweep_dissipative_cost_flight_decay": (
+        "sweep",
+        "[scenario]\ngamma_tau_f = 0.5\n"
+        "[sweep]\nquantity = dissipative_cost\naxis = tau_c\nlo = 0.1\nhi = 1\nn_points = 4\n",
+    ),
+}
 
 
 _NO_SCIPY_RUNS = {
