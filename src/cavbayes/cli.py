@@ -134,21 +134,14 @@ class Table:
 
 
 def _mmse_results(prior: Prior, scenarios: list, field: FieldState):
-    """Estimators at every scenario: moments point by point, one batched solve."""
-    gammas = mmse_mod.GammaTriple.stack(
-        [mmse_mod.gamma_moments(prior, sc, field) for sc in scenarios]
-    )
+    """Estimators at every scenario: one moment call, one batched solve."""
+    gammas = mmse_mod.gamma_moments(prior, tuple(scenarios), field)
     return mmse_mod.mmse_estimator(gammas, [sc.tau_f_gamma for sc in scenarios])
 
 
 def _dissipative_costs(prior: Prior, scenario: Scenario, taus) -> np.ndarray:
-    gammas = mmse_mod.GammaTriple.stack(
-        [
-            mmse_mod.gamma_moments_dissipative(
-                prior, float(tau), scenario.gamma_cav, scenario.kappa
-            )
-            for tau in taus
-        ]
+    gammas = mmse_mod.gamma_moments_dissipative(
+        prior, np.asarray(taus, dtype=float), scenario.gamma_cav, scenario.kappa
     )
     return mmse_mod.mmse_estimator(gammas).c_min
 
@@ -242,10 +235,10 @@ def run_sweep(spec: SweepSpec) -> Table:
     """Evaluate the configured quantity over the axis grid, in axis order.
 
     MMSE quantities over ``tau_c``, ``delta`` and ``gamma_tau_f`` and the
-    dissipative cost take one batched solve over the whole axis; every
-    quantity over ``g_over_g0`` takes one batched evaluation over all
-    couplings; likelihood quantities over ``tau_c`` and ``gamma_tau_f``
-    build one POVM per row.
+    dissipative cost take one moment call and one batched solve over the
+    whole axis; every quantity over ``g_over_g0`` takes one batched
+    evaluation over all couplings; likelihood quantities over ``tau_c`` and
+    ``gamma_tau_f`` build one POVM per row.
     """
     values = [float(v) for v in np.linspace(spec.lo, spec.hi, spec.n_points)]
     if spec.quantity.startswith("ml_"):
@@ -279,7 +272,7 @@ def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
 
 def _tau_costs(prior: Prior, scenario: Scenario, fld: FieldState, taus) -> np.ndarray:
     """Average minimum cost at each interaction time in ``taus``, the rest of
-    ``scenario`` pinned: one batched solve."""
+    ``scenario`` pinned: one moment call and one batched solve."""
     if scenario.is_unitary_transit:
         scenarios = [replace(scenario, tau_c=float(t)) for t in taus]
         return _mmse_results(prior, scenarios, fld).c_min

@@ -310,45 +310,44 @@ def reduced_state(g, scenario: Scenario, field: FieldState, derivative: bool = F
     return state, Hermitian2(ee=da_ee, gg=-da_ee, eg=da_eg)
 
 
-def _excited_fraction(
-    g_values: np.ndarray, t: float, gamma: float, kappa: float
-) -> np.ndarray:
+def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np.ndarray:
     """Excited-state population of the damped resonant vacuum model.
 
-    Evaluated elementwise over ``g_values`` from
+    Evaluated elementwise over ``g_values`` broadcast against ``t`` (a
+    column of times gives one row per time) from
 
         f(t) = e^{-(gamma+kappa)t/2} [ cosh(s) + 2 g^2 t^2 C2(s)
                                        + (kappa-gamma)(t/2) S1(s) ],
 
     with s = Omega t / 2, Omega = sqrt((gamma-kappa)^2 - 16 g^2) taken as a
     principal-branch complex root, C2(s) = (cosh s - 1)/s^2 and
-    S1(s) = sinh(s)/s.  Series expansions take over for |s| small so the
-    Omega -> 0 point is regular; this grouping is an algebraically equivalent
-    rearrangement of the standard damped-Rabi solution and satisfies f(0) = 1
-    identically.  Raises ArithmeticError if any value keeps an imaginary
-    residue of 1e-12 or more.
+    S1(s) = sinh(s)/s; this grouping is an algebraically equivalent
+    rearrangement of the standard damped-Rabi solution and satisfies
+    f(0) = 1 identically.  With h = s/2 and q = sinh(h)/h every term comes
+    from sinh(h) and cosh(h) without cancellation near Omega = 0:
+    cosh s = 1 + 2 (h q)^2, C2 = q^2 / 2 and S1 = q cosh(h); q is summed
+    from its series below |h| = 5e-5, so the Omega -> 0 point is regular.
+    Raises ArithmeticError if any value keeps an imaginary residue of 1e-12
+    or more.
     """
     g = np.asarray(g_values, dtype=float)
     omega = np.sqrt(((gamma - kappa) ** 2 - 16.0 * g**2).astype(complex))
-    s = omega * t / 2.0
-    s2 = s * s
-    series = np.abs(s) < 1e-4
-    # the closed forms divide by s: evaluate them away from the series points
-    s_far = np.where(series, 1.0, s)
-    c2 = np.where(
-        series,
-        0.5 + s2 / 24.0 + s2 * s2 / 720.0,
-        (np.cosh(s_far) - 1.0) / (s_far * s_far),
-    )
-    s1 = np.where(series, 1.0 + s2 / 6.0 + s2 * s2 / 120.0, np.sinh(s_far) / s_far)
-    cosh_s = np.where(series, 1.0 + s2 / 2.0 + s2 * s2 / 24.0, np.cosh(s))
+    h = omega * (t / 4.0)
+    series = np.abs(h) < 5e-5
+    h_far = np.where(series, 1.0, h)  # the quotient divides by h
+    q = np.sinh(h_far) / h_far
+    if series.any():
+        h2 = h[series] ** 2
+        q[series] = 1.0 + h2 / 6.0 + h2 * h2 / 120.0
+    hq = h * q
     val = np.exp(-(gamma + kappa) * t / 2.0) * (
-        cosh_s + 2.0 * g**2 * t**2 * c2 + (kappa - gamma) * (t / 2.0) * s1
+        1.0 + 2.0 * hq * hq + (g * t) ** 2 * (q * q)
+        + (kappa - gamma) * (t / 2.0) * q * np.cosh(h)
     )
     residue = np.abs(val.imag)
     if np.any(residue >= 1e-12):
         raise ArithmeticError(
-            f"imaginary residue {val.imag[np.argmax(residue)]} in excited fraction"
+            f"imaginary residue {val.imag.flat[np.argmax(residue)]} in excited fraction"
         )
     return val.real
 
@@ -366,16 +365,18 @@ def dissipative_state(g: float, t: float, gamma: float, kappa: float) -> QubitSt
 
 
 def dissipative_populations(
-    g_values: np.ndarray, t: float, gamma: float, kappa: float
+    g_values: np.ndarray, t, gamma: float, kappa: float
 ) -> np.ndarray:
     """Vectorized excited population of the dissipative variant.
 
-    Rounding may carry f(t) past [0, 1] by at most ``CLAMP_TOL``, which is
-    clamped; anything further raises ArithmeticError.
+    ``t`` is one time, giving one population per coupling, or a column of
+    times, giving a (times x couplings) grid; the checks below hold over the
+    whole grid.  Rounding may carry f(t) past [0, 1] by at most
+    ``CLAMP_TOL``, which is clamped; anything further raises ArithmeticError.
     """
     if gamma < 0 or kappa < 0:
         raise InvalidRate(f"rates must be nonnegative, got gamma={gamma} kappa={kappa}")
-    if t < 0:
+    if np.any(np.asarray(t) < 0):
         raise ValueError("time must be nonnegative")
     f = _excited_fraction(np.atleast_1d(g_values), t, gamma, kappa)
     lo, hi = f.min(), f.max()

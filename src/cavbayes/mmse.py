@@ -8,11 +8,18 @@ measured in its own eigenbasis; the eigenvalues are the estimates and the
 attained average cost is  Tr{G2 - M G0 M}.  The moment operators G_k are
 built from the detector-time state, so flight damping is already folded in.
 
-At resonance every entry of G_k is a finite photon-ladder sum of the prior's
-exact moments M_k(omega) = int z(g) g^k e^{i omega g} dg
-(:func:`priors.characteristic_moments`), for any field; detuned moments and
-the in-cavity damped variant integrate the state against the prior by
-quadrature.  Every path feeds the same operator solve.
+Every moment call takes a whole sweep axis: :func:`gamma_moments` a tuple of
+scenarios and :func:`gamma_moments_dissipative` an array of interaction
+times, each returning the batch of triples that :func:`mmse_estimator`
+solves in one call.  A single scenario or time is the batch of one through
+the same code.  At resonance every entry of G_k is a finite photon-ladder
+sum of the prior's exact moments M_k(omega) = int z(g) g^k e^{i omega g} dg
+(:func:`priors.characteristic_moments`), for any field, evaluated over one
+(points x ladder) grid of omega.  Detuned moments and the in-cavity damped
+variant integrate the state against the prior by quadrature; points whose
+node counts agree share one rule and one density-weighted moment matrix.
+Every batch is processed in chunks of at most ``_CHUNK_ELEMENTS`` grid
+elements, so a long sweep holds no larger arrays than a short one.
 """
 
 from __future__ import annotations
@@ -52,24 +59,22 @@ __all__ = [
     "mse_of_estimator",
 ]
 
+#: (points x columns) elements one chunk of a batched moment call evaluates
+#: at once: ladder frequencies on the resonant path, nodes on the others
+_CHUNK_ELEMENTS = 4096
+
 
 @dataclass(frozen=True)
 class GammaTriple:
-    """Zeroth through second prior-moment operators of the detector state."""
+    """Zeroth through second prior-moment operators of the detector state.
+
+    With batch :class:`Hermitian2` entries it holds one triple per point of
+    a sweep axis.
+    """
 
     gamma0: Hermitian2
     gamma1: Hermitian2
     gamma2: Hermitian2
-
-    @staticmethod
-    def stack(triples) -> "GammaTriple":
-        """Batch of the single triples ``triples``, in order."""
-        return GammaTriple(
-            *(
-                Hermitian2.stack([getattr(t, name) for t in triples])
-                for name in ("gamma0", "gamma1", "gamma2")
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -108,31 +113,59 @@ class MmseResult:
         return self.estimates[1], self.estimates[0]
 
 
-def _triple(ee, gg, eg) -> GammaTriple:
-    """GammaTriple from the length-3 entry arrays of G0, G1, G2."""
-    return GammaTriple(
-        *(Hermitian2(ee=float(ee[k]), gg=float(gg[k]), eg=complex(eg[k])) for k in range(3))
-    )
+def _chunks(count: int, width: int) -> list:
+    """Slices of ``range(count)`` of at most max(1, _CHUNK_ELEMENTS // width) rows."""
+    step = max(1, _CHUNK_ELEMENTS // width)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def _prior_moments(
-    prior: Prior, rule: priors_mod.QuadratureRule, a_ee: np.ndarray, a_eg=None
-) -> GammaTriple:
-    """G_k = sum over nodes of w z(g) g^k rho(g), k = 0, 1, 2.
+def _entries(count: int) -> tuple:
+    """Empty (3, count) ee, gg and eg arrays: entry k of G_k at every point."""
+    return np.empty((3, count)), np.empty((3, count)), np.empty((3, count), dtype=complex)
 
-    ``a_ee`` and ``a_eg`` are the excited population and coherence of rho on
-    the nodes (``a_eg=None`` for diagonal states).  The three moments of an
-    entry are reduced together, row by row, in the same summation order as
-    one reduction per moment.
+
+def _triples(entries, single: bool) -> GammaTriple:
+    """The batch of triples from (3, points) entry arrays, or with ``single``
+    the one triple of their only point."""
+    ee, gg, eg = entries
+    if single:
+        return GammaTriple(
+            *(Hermitian2(ee=float(ee[k, 0]), gg=float(gg[k, 0]), eg=complex(eg[k, 0]))
+              for k in range(3))
+        )
+    return GammaTriple(*(Hermitian2(ee=ee[k], gg=gg[k], eg=eg[k]) for k in range(3)))
+
+
+def _integrate(prior: Prior, counts: list, points, states, out) -> None:
+    """Moment operators by prior quadrature, written to columns ``points`` of
+    ``out``; ``counts`` holds the node count of each point.
+
+    Points sharing a node count share one rule and its (3, nodes) weights
+    w z(g) g^k.  ``states(nodes, cols)`` gives the (cols x nodes) excited
+    populations and coherences (None for diagonal states) of one chunk of
+    them.  Each (k, point) sum runs along its own contiguous node axis, so a
+    point's entries do not depend on the other points of its chunk.
     """
-    wz = rule.weights * density(prior, rule.nodes)
-    wk = np.stack([wz * rule.nodes**k for k in (0, 1, 2)])
-    eg = np.zeros(3) if a_eg is None else np.sum(wk * a_eg, axis=1)
-    return _triple(np.sum(wk * a_ee, axis=1), np.sum(wk * (1.0 - a_ee), axis=1), eg)
+    groups = {}
+    for n, i in zip(counts, points):
+        groups.setdefault(n, []).append(i)
+    ee, gg, eg = out
+    for n, members in groups.items():
+        rule = priors_mod.quadrature(prior, n)
+        wz = rule.weights * density(prior, rule.nodes)
+        wk = np.stack([wz * rule.nodes**k for k in (0, 1, 2)])[:, None, :]
+        members = np.array(members)
+        for rows in _chunks(len(members), len(rule.nodes)):
+            cols = members[rows]
+            a_ee, a_eg = states(rule.nodes, cols)
+            ee[:, cols] = (wk * a_ee).sum(axis=-1)
+            gg[:, cols] = (wk * (1.0 - a_ee)).sum(axis=-1)
+            eg[:, cols] = 0.0 if a_eg is None else (wk * a_eg).sum(axis=-1)
 
 
-def _resonant_moments(prior: Prior, scenario: Scenario, field: FieldState) -> GammaTriple:
-    """Exact moment operators of a resonant unitary transit.
+def _resonant_moments(prior: Prior, scenarios, field: FieldState) -> tuple:
+    """(3, points) entry arrays of the exact moment operators of resonant
+    unitary transits.
 
     Sector n holds cos^2(g sqrt(n) tau) with weight w_n = |a_{n-1}|^2, and
     coherence pair m holds cos(g sqrt(m+1) tau) sin(g sqrt(m) tau) with
@@ -143,64 +176,120 @@ def _resonant_moments(prior: Prior, scenario: Scenario, field: FieldState) -> Ga
         ee = e^{-u} sum_n w_n (mu_k - D_k(2 sqrt(n) tau) / 2),
         gg = mu_k (1 - e^{-u} W) + e^{-u} sum_n w_n D_k(2 sqrt(n) tau) / 2,
         eg = i e^{-u/2} sum_m p_m [Im M_k(omega_m^+) - Im M_k(omega_m^-)] / 2.
+
+    The frequencies of all points form one (points x ladder) grid per chunk.
     """
     _check_truncation(field)
     coeff = np.asarray(field.coefficients, dtype=complex)
     weight, pairs = np.abs(coeff) ** 2, coeff[1:] * np.conj(coeff[:-1])
+    n_pairs = len(pairs)
     roots = np.sqrt(np.arange(1, len(coeff) + 1))
-    tc, damp = scenario.tau_c, math.exp(-scenario.tau_f_gamma)
-    mu, mass = np.array([1.0, prior.g0, prior.g0**2 + prior.sigma**2]), float(np.sum(weight))
-    half_ladder = np.stack(priors_mod.cosine_deficits(prior, 2.0 * tc * roots)) @ weight / 2.0
-    eg = np.zeros(3, dtype=complex)
-    if len(pairs):
-        pair_sum = roots[1:] + roots[:-1]  # omega^- = tau / pair_sum, free of cancellation
-        m_k = np.stack(priors_mod.characteristic_moments(
-            prior, np.concatenate([tc * pair_sum, tc / pair_sum]))).imag
-        eg = 0.5j * math.sqrt(damp) * ((m_k[:, : len(pairs)] - m_k[:, len(pairs) :]) @ pairs)
-    rest = -math.expm1(-scenario.tau_f_gamma) + damp * (1.0 - mass)
-    return _triple(damp * (mu * mass - half_ladder), mu * rest + damp * half_ladder, eg)
+    pair_sum = roots[1:] + roots[:-1]  # omega^- = tau / pair_sum, free of cancellation
+    tc, u = np.array([(sc.tau_c, sc.tau_f_gamma) for sc in scenarios]).T
+    mu, mass = np.array([[1.0], [prior.g0], [prior.g0**2 + prior.sigma**2]]), float(np.sum(weight))
+    half_ladder = np.empty((3, len(tc)))
+    coherence = np.empty((3, len(tc)), dtype=complex) if n_pairs else 0.0
+    for rows in _chunks(len(tc), max(len(coeff), 2 * n_pairs)):
+        t = tc[rows, None]
+        deficits = np.array(priors_mod.cosine_deficits(prior, 2.0 * t * roots))
+        half_ladder[:, rows] = (deficits * weight).sum(axis=-1) / 2.0
+        if n_pairs:
+            m_k = np.array(priors_mod.characteristic_moments(
+                prior, np.concatenate([t * pair_sum, t / pair_sum], axis=1))).imag
+            coherence[:, rows] = ((m_k[..., :n_pairs] - m_k[..., n_pairs:]) * pairs).sum(axis=-1)
+    damp, decayed = np.exp(-u), -np.expm1(-u)
+    rest = decayed + damp * (1.0 - mass)
+    ee = damp * (mu * mass - half_ladder)
+    gg = mu * rest + damp * half_ladder
+    eg = 0.5j * np.sqrt(damp) * coherence if n_pairs else np.zeros(ee.shape, dtype=complex)
+    return ee, gg, eg
+
+
+def _quadrature_moments(
+    prior: Prior, scenarios: tuple, points: np.ndarray, field: FieldState, n_points, out
+) -> None:
+    """Moment operators by prior quadrature of the scenarios ``points``,
+    written to those columns of ``out``; the state kernel runs point by
+    point over the nodes of its rule."""
+    roots = math.sqrt(len(field.coefficients))
+    counts = [
+        priors_mod.nodes_for_oscillation(prior, 2.0 * scenarios[i].tau_c * roots)
+        if n_points is None else n_points
+        for i in points
+    ]
+
+    def states(nodes, cols):
+        elements = [detector_matrix_elements(nodes, scenarios[i], field) for i in cols]
+        return np.array([a[0] for a in elements]), np.array([a[1] for a in elements])
+
+    _integrate(prior, counts, points, states, out)
 
 
 def gamma_moments(
-    prior: Prior, scenario: Scenario, field: FieldState, n_points: int | None = None
+    prior: Prior, scenario, field: FieldState, n_points: int | None = None
 ) -> GammaTriple:
     """Moment operators of the detector-time state.
 
-    Resonant unitary transits take the exact ladder sums of the prior's
+    ``scenario`` is one :class:`Scenario`, giving one triple, or a tuple of
+    them (a sweep axis), giving the batch of triples in order.  Resonant
+    unitary transits take the exact ladder sums of the prior's
     characteristic moments, for any field and flight decay; detuned ones
     integrate by quadrature (:func:`gamma_moments_quadrature`), and
     ``n_points`` sizes only that quadrature.
     """
-    if scenario.delta == 0.0 and scenario.is_unitary_transit:
-        return _resonant_moments(prior, scenario, field)
-    return gamma_moments_quadrature(prior, scenario, field, n_points)
+    single = not isinstance(scenario, tuple)
+    scenarios = (scenario,) if single else scenario
+    resonant = [sc.delta == 0.0 and sc.is_unitary_transit for sc in scenarios]
+    if all(resonant):
+        out = _resonant_moments(prior, scenarios, field)
+    else:
+        out = _entries(len(scenarios))
+        detuned = np.flatnonzero(np.logical_not(resonant))
+        _quadrature_moments(prior, scenarios, detuned, field, n_points, out)
+        if any(resonant):
+            points = np.flatnonzero(resonant)
+            exact = _resonant_moments(prior, [scenarios[i] for i in points], field)
+            for entry, part in zip(out, exact):
+                entry[:, points] = part
+    return _triples(out, single=single)
 
 
 def gamma_moments_quadrature(
-    prior: Prior, scenario: Scenario, field: FieldState, n_points: int | None = None
+    prior: Prior, scenario, field: FieldState, n_points: int | None = None
 ) -> GammaTriple:
     """Moment operators by prior quadrature of the detector-time state: the
     path at Delta != 0 and the oracle of the exact resonant path.
 
-    The node count is raised automatically so the fastest Rabi oscillation,
-    cos(2 l tau_c) at the ladder top, is resolved; ``n_points`` overrides it.
+    ``scenario`` is one scenario or a tuple of them, as in
+    :func:`gamma_moments`.  The node count is raised automatically so the
+    fastest Rabi oscillation, cos(2 l tau_c) at the ladder top, is resolved;
+    ``n_points`` overrides it.
     """
-    if n_points is None:
-        rate = 2.0 * scenario.tau_c * math.sqrt(len(field.coefficients))
-        n_points = priors_mod.nodes_for_oscillation(prior, rate)
-    rule = priors_mod.quadrature(prior, n_points)
-    a_ee, a_eg = detector_matrix_elements(rule.nodes, scenario, field)
-    return _prior_moments(prior, rule, a_ee, a_eg)
+    single = not isinstance(scenario, tuple)
+    scenarios = (scenario,) if single else scenario
+    out = _entries(len(scenarios))
+    _quadrature_moments(prior, scenarios, np.arange(len(scenarios)), field, n_points, out)
+    return _triples(out, single=single)
 
 
 def gamma_moments_dissipative(
-    prior: Prior, tau_c: float, gamma: float, kappa: float
+    prior: Prior, tau_c, gamma: float, kappa: float
 ) -> GammaTriple:
-    """Moment operators for the in-cavity damped variant (diagonal states)."""
-    n_points = priors_mod.nodes_for_oscillation(prior, 2.0 * tau_c)
-    rule = priors_mod.quadrature(prior, n_points)
-    pops = dissipative_populations(rule.nodes, tau_c, gamma, kappa)
-    return _prior_moments(prior, rule, pops)
+    """Moment operators for the in-cavity damped variant (diagonal states).
+
+    ``tau_c`` is one interaction time, giving one triple, or an array of
+    them, giving the batch of triples in order.  Times sharing a node count
+    share one rule, and each chunk of them one population grid.
+    """
+    taus = np.atleast_1d(np.asarray(tau_c, dtype=float))
+    counts = [priors_mod.nodes_for_oscillation(prior, 2.0 * float(t)) for t in taus]
+    out = _entries(len(taus))
+    _integrate(
+        prior, counts, range(len(taus)),
+        lambda nodes, cols: (dissipative_populations(nodes, taus[cols, None], gamma, kappa), None),
+        out,
+    )
+    return _triples(out, single=np.ndim(tau_c) == 0)
 
 
 def mmse_estimator(gammas: GammaTriple, gamma_tau_f=0.0) -> MmseResult:
@@ -213,13 +302,15 @@ def mmse_estimator(gammas: GammaTriple, gamma_tau_f=0.0) -> MmseResult:
     (hence the estimator) well conditioned, so genuinely ill-posed inputs
     are flagged relative to that known scale rather than in absolute terms.
 
-    A batch of moment operators (see :meth:`GammaTriple.stack`) is solved in
-    one call, with ``gamma_tau_f`` a scalar or one value per entry; a single
-    triple is solved as a batch of one.
+    A batch of moment operators (from one moment call over a sweep axis) is
+    solved in one call, with ``gamma_tau_f`` a scalar or one value per entry;
+    a single triple is solved as a batch of one.
     """
     batch = gammas.gamma0.is_batch
     if not batch:
-        gammas = GammaTriple.stack([gammas])
+        gammas = GammaTriple(
+            *(Hermitian2.stack([m]) for m in (gammas.gamma0, gammas.gamma1, gammas.gamma2))
+        )
     floor = 1e-14 * np.minimum(1.0, np.exp(-np.asarray(gamma_tau_f, dtype=float)))
     m = solve_symmetric_product(gammas.gamma0, gammas.gamma1, pair_floor=floor)
     w, v = eigendecompose(m)

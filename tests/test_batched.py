@@ -7,7 +7,9 @@ scalar path, and the batched 2x2 kernel to numpy's dense eigensolver.
 
 import cmath
 import math
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,20 +139,138 @@ def test_tau_star_unchanged(prior, scenario, expected):
     assert find_tau_star(prior, scenario) == pytest.approx(expected, rel=REL_TOL)
 
 
-def test_tau_star_coarse_scan_is_one_batch(monkeypatch):
-    # the coarse scan makes one solve over all its points, the golden
-    # section one solve per refinement step
+def _spy_batches(monkeypatch, module, name: str, size) -> list:
+    """Record ``size(args)`` of every call of ``module.name``."""
     sizes = []
-    real = mmse_mod.mmse_estimator
+    real = getattr(module, name)
 
-    def spy(gammas, gamma_tau_f=0.0):
-        sizes.append(np.size(gammas.gamma0.ee))
-        return real(gammas, gamma_tau_f)
+    def spy(*args, **kwargs):
+        sizes.append(size(*args))
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(mmse_mod, "mmse_estimator", spy)
-    find_tau_star(Prior.gaussian(1.0, 0.8), Scenario(tau_c=0.6), coarse_points=300)
-    assert sizes[0] == 300
-    assert set(sizes[1:]) == {1}
+    monkeypatch.setattr(module, name, spy)
+    return sizes
+
+
+def test_tau_star_coarse_scan_is_one_batch(monkeypatch):
+    # the coarse scan makes one moment call and one solve over all its
+    # points, the golden section one of each per refinement step, for a
+    # unitary and a damped scenario
+    solves = _spy_batches(monkeypatch, mmse_mod, "mmse_estimator", lambda g, *a: np.size(g.gamma0.ee))
+    moments = _spy_batches(
+        monkeypatch, mmse_mod, "gamma_moments", lambda p, sc, *a: len(sc) if isinstance(sc, tuple) else 0
+    )
+    damped = _spy_batches(
+        monkeypatch, mmse_mod, "gamma_moments_dissipative", lambda p, tc, *a: np.size(tc)
+    )
+    for scenario in (Scenario(tau_c=0.6), Scenario(tau_c=0.6, kappa=0.4, gamma_cav=0.7)):
+        for spy in (solves, moments, damped):
+            spy.clear()
+        find_tau_star(Prior.gaussian(1.0, 0.8), scenario, coarse_points=300)
+        calls, unused = (moments, damped) if scenario.is_unitary_transit else (damped, moments)
+        assert unused == []
+        assert calls[0] == solves[0] == 300
+        assert set(calls[1:]) == set(solves[1:]) == {1}
+        assert len(calls) == len(solves)
+
+
+_SWEEP_AXES = {
+    "mmse_cost_tau": ("mmse_cost", "tau_c", 0.05, 3.0, {"alpha": 2.5, "fock_cutoff": 27}),
+    "mmse_cost_u": ("mmse_cost", "gamma_tau_f", 0.0, 1.0, {"alpha": 2.5, "fock_cutoff": 27}),
+    "mmse_cost_delta": ("mmse_cost", "delta", 0.0, 3.0, {}),
+    "mmse_eigenvalues_tau": ("mmse_eigenvalues", "tau_c", 0.05, 3.0, {}),
+    "dissipative_cost": ("dissipative_cost", "tau_c", 0.05, 3.0, {"kappa": 0.3, "gamma_cav": 0.6}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_AXES))
+def test_sweep_makes_one_moment_call_in_bounded_chunks(name, monkeypatch):
+    # a 300-point sweep makes one moment call over the whole axis and one
+    # solve, and every (points x columns) block it evaluates stays within
+    # the chunk budget (all but the vacuum tau sweep need several chunks)
+    quantity, axis, lo, hi, knobs = _SWEEP_AXES[name]
+    moments = _spy_batches(monkeypatch, mmse_mod, "gamma_moments", lambda p, sc, *a: len(sc))
+    damped = _spy_batches(monkeypatch, mmse_mod, "gamma_moments_dissipative", lambda p, tc, *a: len(tc))
+    solves = _spy_batches(monkeypatch, mmse_mod, "mmse_estimator", lambda g, *a: len(g.gamma0.ee))
+    spies = [
+        _spy_batches(monkeypatch, priors_mod, fn, lambda p, omega: np.size(omega))
+        for fn in ("cosine_deficits", "characteristic_moments")
+    ] + [
+        _spy_batches(monkeypatch, mmse_mod, "dissipative_populations", lambda g, t, *a: g.size * t.size),
+    ]
+    chunk_sizes = []
+    real_chunks = mmse_mod._chunks
+
+    def chunks(count, width):
+        slices = real_chunks(count, width)
+        chunk_sizes.extend(len(range(count)[rows]) * width for rows in slices)
+        return slices
+
+    monkeypatch.setattr(mmse_mod, "_chunks", chunks)
+    scenario = Scenario(tau_c=0.6, tau_f_gamma=0.2 * (quantity != "dissipative_cost"), **knobs)
+    spec = SweepSpec(quantity, axis, lo, hi, 300, PRIORS["gaussian"], scenario)
+    assert len(run_sweep(spec).rows) == 300
+    assert moments + damped == solves == [300]
+    blocks = [size for spy in spies for size in spy] + chunk_sizes
+    assert blocks and max(blocks) <= mmse_mod._CHUNK_ELEMENTS
+    assert len(blocks) > 2 or name == "mmse_eigenvalues_tau"
+
+
+_FIELD_SIZES = st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 2.0 * math.pi), st.integers(0, 27))
+_POINTS = st.lists(
+    st.tuples(st.floats(1e-3, 3.0), st.floats(0.0, 1.0), st.one_of(st.just(0.0), st.floats(0.05, 3.0))),
+    min_size=1,
+    max_size=10,
+)
+
+
+def _moment_field(amplitude: float, phase: float, cutoff: int) -> FieldState:
+    # a cutoff too tight for the amplitude falls back to the automatic one
+    alpha = amplitude * cmath.exp(1j * phase)
+    fld = FieldState.coherent(alpha, cutoff)
+    return fld if fld.captured_mass >= 0.99 else FieldState.coherent(alpha)
+
+
+def _assert_rows_equal_single_calls(batch, singles):
+    for i, single in enumerate(singles):
+        for name in ("gamma0", "gamma1", "gamma2"):
+            b, one = getattr(batch, name), getattr(single, name)
+            assert (b.ee[i], b.gg[i], b.eg[i]) == (one.ee, one.gg, one.eg), (i, name)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["gaussian", "uniform"]),
+    sigma=st.floats(0.1, 2.0),
+    points=_POINTS,
+    field_size=_FIELD_SIZES,
+    budget=st.sampled_from([8192, 300, 1]),
+)
+def test_batch_rows_equal_batch_of_one(kind, sigma, points, field_size, budget):
+    # every row of a batched moment call, resonant and detuned points mixed
+    # and split over one or many chunks, is its batch-of-one call bit for bit
+    prior = Prior(kind, 1.0, sigma)
+    fld = _moment_field(*field_size)
+    scenarios = tuple(Scenario(tau_c=t, tau_f_gamma=u, delta=d) for t, u, d in points)
+    with mock.patch.object(mmse_mod, "_CHUNK_ELEMENTS", budget):
+        batch = mmse_mod.gamma_moments(prior, scenarios, fld)
+    _assert_rows_equal_single_calls(batch, [mmse_mod.gamma_moments(prior, sc, fld) for sc in scenarios])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["gaussian", "uniform"]),
+    sigma=st.floats(0.1, 2.0),
+    taus=st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=10),
+    rates=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+    budget=st.sampled_from([8192, 600, 1]),
+)
+def test_dissipative_batch_rows_equal_batch_of_one(kind, sigma, taus, rates, budget):
+    prior = Prior(kind, 1.0, sigma)
+    with mock.patch.object(mmse_mod, "_CHUNK_ELEMENTS", budget):
+        batch = mmse_mod.gamma_moments_dissipative(prior, np.array(taus), *rates)
+    singles = [mmse_mod.gamma_moments_dissipative(prior, t, *rates) for t in taus]
+    _assert_rows_equal_single_calls(batch, singles)
 
 
 @pytest.mark.parametrize("quantity", ["mmse_cost", "dissipative_cost"])
@@ -299,24 +419,17 @@ def test_resonant_mmse_runs_build_no_quadrature_rule(name, monkeypatch, tmp_path
 # dissipative populations
 
 
-def _scalar_excited_fraction(g: float, t: float, gamma: float, kappa: float) -> float:
-    """The damped-Rabi excited population for one coupling value."""
-    omega = np.sqrt(complex((gamma - kappa) ** 2 - 16.0 * g**2))
-    s = omega * t / 2.0
-    if abs(s) < 1e-4:
-        s2 = s * s
-        c2 = 0.5 + s2 / 24.0 + s2 * s2 / 720.0
-        s1 = 1.0 + s2 / 6.0 + s2 * s2 / 120.0
-        cosh_s = 1.0 + s2 / 2.0 + s2 * s2 / 24.0
-    else:
-        c2 = (np.cosh(s) - 1.0) / (s * s)
-        s1 = np.sinh(s) / s
-        cosh_s = np.cosh(s)
-    val = np.exp(-(gamma + kappa) * t / 2.0) * (
-        cosh_s + 2.0 * g**2 * t**2 * c2 + (kappa - gamma) * (t / 2.0) * s1
-    )
-    assert abs(val.imag) < 1e-12
-    return float(val.real)
+def _excited_fraction_reference(g: float, t: float, gamma: float, kappa: float) -> float:
+    """The damped-Rabi excited population for one coupling value, in 50-digit
+    arithmetic from the textbook grouping (cosh s - 1)/s^2 and sinh(s)/s."""
+    with mpmath.workdps(50):
+        g, t, gamma, kappa = (mpmath.mpf(x) for x in (g, t, gamma, kappa))
+        s = mpmath.sqrt(mpmath.mpc((gamma - kappa) ** 2 - 16 * g**2)) * t / 2
+        c2, s1 = ((mpmath.cosh(s) - 1) / s**2, mpmath.sinh(s) / s) if s else (0.5, 1)
+        val = mpmath.exp(-(gamma + kappa) * t / 2) * (
+            mpmath.cosh(s) + 2 * g**2 * t**2 * c2 + (kappa - gamma) * (t / 2) * s1
+        )
+        return float(val.real)
 
 
 @pytest.mark.parametrize("gamma,kappa,t", [(0.9, 0.1, 1.3), (0.2, 0.6, 2.5), (0.5, 0.5, 0.7), (3.0, 0.2, 4.0)])
@@ -329,12 +442,31 @@ def test_dissipative_populations_match_scalar_formula(gamma, kappa, t):
         ]
     )
     pops = dissipative_populations(nodes, t, gamma, kappa)
-    ref = np.array([_scalar_excited_fraction(float(g), t, gamma, kappa) for g in nodes])
+    ref = np.array([_excited_fraction_reference(float(g), t, gamma, kappa) for g in nodes])
     assert pops.shape == nodes.shape
     np.testing.assert_allclose(pops, ref, rtol=1e-14, atol=1e-15)
     # the single-coupling state reads the same formula
     f = dissipative_state(float(nodes[3]), t, gamma, kappa).excited_population
     assert f == pytest.approx(min(max(ref[3], 0.0), 1.0), abs=1e-15)
+    # a column of times gives one row per time, each equal to its own call
+    times = np.array([[0.0], [t / 3.0], [t]])
+    grid = dissipative_populations(nodes, times, gamma, kappa)
+    assert grid.shape == (3, len(nodes))
+    for row, tt in zip(grid, times[:, 0]):
+        assert np.array_equal(row, dissipative_populations(nodes, tt, gamma, kappa))
+
+
+@pytest.mark.parametrize("gamma,kappa,t", [(1.2, 0.2, 3.0), (0.9, 0.1, 1.3), (0.2, 0.6, 2.5), (3.0, 0.2, 4.0)])
+@pytest.mark.parametrize("regime", [1.0, -1.0])  # overdamped: Omega real; underdamped: imaginary
+def test_excited_fraction_near_critical_damping(gamma, kappa, t, regime):
+    # |s| = |Omega| t / 2 from 1e-6 to 1 on either side of critical damping,
+    # where (cosh s - 1)/s^2 would cancel: hold f to 1e-15 absolute
+    s = np.geomspace(1e-6, 1.0, 25)
+    g2 = ((gamma - kappa) ** 2 - regime * (2.0 * s / t) ** 2) / 16.0
+    g = np.sqrt(g2[g2 >= 0.0])
+    pops = dissipative_populations(g, t, gamma, kappa)
+    ref = np.array([_excited_fraction_reference(float(x), t, gamma, kappa) for x in g])
+    assert np.max(np.abs(pops - ref)) <= 1e-15
 
 
 def test_dissipative_populations_reject_imaginary_residue(monkeypatch):
@@ -470,11 +602,13 @@ def test_batched_solve_names_first_degenerate_entry():
 
 def test_batched_estimator_rows_equal_single_solves():
     prior = Prior.uniform(1.0, 0.7)
-    triples = [mmse_mod.gamma_moments(prior, Scenario(tau_c=tc, tau_f_gamma=u), FieldState.vacuum()) for tc, u in ((0.3, 0.0), (0.9, 0.5), (1.7, 1.2))]
     us = [0.0, 0.5, 1.2]
-    batch = mmse_mod.mmse_estimator(mmse_mod.GammaTriple.stack(triples), us)
-    for i, (gammas, u) in enumerate(zip(triples, us)):
-        single = mmse_mod.mmse_estimator(gammas, u)
+    scenarios = tuple(Scenario(tau_c=tc, tau_f_gamma=u) for tc, u in zip((0.3, 0.9, 1.7), us))
+    triples = mmse_mod.gamma_moments(prior, scenarios, FieldState.vacuum())
+    batch = mmse_mod.mmse_estimator(triples, us)
+    for i, u in enumerate(us):
+        row = mmse_mod.GammaTriple(*(m.row(i) for m in (triples.gamma0, triples.gamma1, triples.gamma2)))
+        single = mmse_mod.mmse_estimator(row, u)
         row = batch.row(i)
         assert row.estimates == single.estimates
         assert row.c_min == single.c_min

@@ -2,18 +2,21 @@
 
 import itertools
 import math
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cavbayes import priors as priors_mod
 from cavbayes.bounds import cr_bound_mmse
 from cavbayes.dynamics import CUTOFF_MARGIN, FieldState, Scenario, _auto_cutoff, field_for
 from cavbayes.errors import DegenerateGamma0
 from cavbayes.mmse import (
     average_estimate,
     gamma_moments,
+    gamma_moments_dissipative,
     gamma_moments_quadrature,
     limit_eigenvalue_tau0,
     mmse_estimator,
@@ -214,6 +217,60 @@ def test_mmse_invariants_across_scenarios(kind, sigma, log_tau, u, delta, alpha,
     assert -1e-12 <= res.c_min <= sigma**2 * (1.0 + 1e-12)
     rep = cr_bound_mmse(res, np.linspace(0.1, 2.0, 9), sc, fld)
     assert np.all(rep.mse >= rep.lower_bound - 1e-9)
+
+
+# detuned and dissipative moments over the benchmark ranges: sigma in
+# [0.2, 1.5], g0 tau <= 3, Delta <= 3, Fock cutoff <= 27
+_QUADRATURE_FIELDS = [FieldState.vacuum(), FieldState.coherent(1.5, 12), FieldState.coherent(3.0, 27)]
+_DETUNED = tuple(
+    Scenario(tau_c=t, tau_f_gamma=0.3, delta=d) for t in (0.05, 0.7, 1.6, 3.0) for d in (0.3, 1.5, 3.0)
+)
+_DAMPED_TIMES = np.array([0.05, 0.7, 1.6, 3.0])
+_DAMPED_RATES = [(0.05, 1.0), (1.0, 0.05), (0.5, 0.5)]
+
+
+def _quadrature_entries(prior: Prior) -> np.ndarray:
+    """Every entry of every detuned and dissipative moment operator above."""
+    triples = [gamma_moments_quadrature(prior, _DETUNED, fld) for fld in _QUADRATURE_FIELDS]
+    triples += [gamma_moments_dissipative(prior, _DAMPED_TIMES, *rates) for rates in _DAMPED_RATES]
+    return np.concatenate(
+        [getattr(getattr(t, name), e) for t in triples for name in MOMENTS for e in ("ee", "gg", "eg")]
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.2, 0.7, 1.5])
+def test_gaussian_window_budget(sigma, monkeypatch):
+    # the +-8 sigma window drops the tail mass 2 Q(8) and, weighted by g^2,
+    # 2 (g0^2 Q(8) + sigma^2 (8 phi(8) + Q(8))); a 12 sigma window moves no
+    # entry by more than that: under 1e-13 absolute up to sigma = 1, and
+    # 1.9e-13 at sigma = 1.5
+    prior = Prior.gaussian(1.0, sigma)
+    base = _quadrature_entries(prior)
+    monkeypatch.setattr(priors_mod, "GAUSSIAN_TAIL_SIGMAS", 12.0)
+    wide = _quadrature_entries(prior)
+    tail, phi = math.erfc(8.0 / math.sqrt(2.0)) / 2.0, math.exp(-32.0) / math.sqrt(2.0 * math.pi)
+    budget = 2.0 * (tail + sigma**2 * (8.0 * phi + tail)) + 1e-15 * (1.0 + sigma**2)
+    assert np.max(np.abs(wide - base)) <= budget
+    assert np.max(np.abs(wide - base)) <= (1e-13 if sigma <= 1.0 else 2e-13)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+@pytest.mark.parametrize("sigma", [0.2, 0.7, 1.5])
+def test_panel_rule_budget(kind, sigma):
+    # 8 nodes per period of the fastest oscillation, 16 Gauss-Legendre points
+    # per panel: the same panels with 32 points each move no entry by 1e-12
+    prior = Prior(kind, 1.0, sigma)
+    base = _quadrature_entries(prior)
+    real = priors_mod.quadrature
+    priors_mod._legendre_base.cache_clear()
+    try:
+        with mock.patch.object(priors_mod, "_PANEL_POINTS", 32), mock.patch.object(
+            priors_mod, "quadrature", lambda p, n: real(p, 2 * n)
+        ):
+            fine = _quadrature_entries(prior)
+    finally:
+        priors_mod._legendre_base.cache_clear()
+    assert np.max(np.abs(fine - base)) <= 1e-12
 
 
 def test_gamma_moments_near_delta_prior():
