@@ -4,7 +4,7 @@ All configuration values are dimensionless products in units of the prior
 mean (g0 tau_c, Delta/g0, sigma/g0, gamma tau_f, kappa/g0, ...), which is the
 scale used everywhere downstream; internally the prior mean is set to one.
 
-Subcommands
+Commands
     state     print the detector-time density matrix at one coupling value
     mmse      optimal quadratic-cost estimator at the configured scenario
     ml        likelihood-optimal POVM constants and cost
@@ -12,8 +12,10 @@ Subcommands
     tau-star  cost-minimizing interaction time
     verify    run the full verification battery (exit 2 on failure)
 
-Exit codes: 0 success, 1 config error, 2 verification failure,
-3 numeric error (degenerate scenario).
+Options (``--config``, ``--out``, ``--format``, ``--seed``) may come before
+or after the command.  Exit codes: 0 success, 1 config error (a non-finite
+config value included), 2 verification failure, 3 numeric error (degenerate
+scenario).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -105,7 +107,6 @@ class SweepSpec:
     n_points: int
     prior: Prior
     scenario: Scenario
-    field: Optional[FieldState] = None
 
     def __post_init__(self):
         if self.quantity not in QUANTITIES:
@@ -123,14 +124,11 @@ class SweepSpec:
             raise UnsupportedCombination("sweep needs at least 2 points")
         _check_family(self.quantity, self.scenario)
 
-    def resolved_field(self) -> FieldState:
-        return self.field if self.field is not None else field_for(self.scenario)
-
 
 @dataclass
 class Table:
     columns: list
-    rows: list = dc_field(default_factory=list)
+    rows: list
 
 
 def _mmse_results(prior: Prior, scenarios: list, field: FieldState):
@@ -149,11 +147,10 @@ def _dissipative_costs(prior: Prior, scenario: Scenario, taus) -> np.ndarray:
 _AXIS_FIELDS = {"tau_c": "tau_c", "delta": "delta", "gamma_tau_f": "tau_f_gamma"}
 
 
-def _at(spec: SweepSpec, value: float) -> Scenario:
-    """The pinned scenario with the sweep axis set to ``value``."""
-    if spec.axis not in _AXIS_FIELDS:
-        return spec.scenario
-    return replace(spec.scenario, **{_AXIS_FIELDS[spec.axis]: value})
+def _along(scenario: Scenario, axis: str, values) -> list:
+    """``scenario`` with the ``axis`` knob set to each of ``values``."""
+    name, pinned = _AXIS_FIELDS[axis], vars(scenario)
+    return [Scenario(**{**pinned, name: float(v)}) for v in values]
 
 
 def _ml_rows(spec: SweepSpec, values: list) -> list:
@@ -172,8 +169,7 @@ def _ml_rows(spec: SweepSpec, values: list) -> list:
             columns = [ml_mod.ml_average_estimate(povm, g, u)]
         return [[v, *(float(c[i]) for c in columns)] for i, v in enumerate(values)]
     rows = []
-    for v in values:
-        sc = _at(spec, v)
+    for v, sc in zip(values, _along(spec.scenario, spec.axis, values)):
         povm = ml_mod.ml_povm(prior, sc.tau_c, sc.tau_f_gamma)
         if q == "ml_cost":
             rows.append([v, ml_mod.cost_max(povm)])
@@ -183,40 +179,38 @@ def _ml_rows(spec: SweepSpec, values: list) -> list:
 
 
 def _mmse_rows(spec: SweepSpec, values: list) -> list:
-    prior, q = spec.prior, spec.quantity
-    scenarios = [_at(spec, v) for v in values]
-    if q == "dissipative_cost":
-        costs = _dissipative_costs(prior, spec.scenario, [sc.tau_c for sc in scenarios])
+    prior, q, scenario = spec.prior, spec.quantity, spec.scenario
+    if q == "dissipative_cost":  # swept along tau_c only
+        costs = _dissipative_costs(prior, scenario, values)
         return [[v, float(c)] for v, c in zip(values, costs)]
-
-    fld = spec.resolved_field()
     if q in ("mmse_cost", "mmse_eigenvalues"):
-        res = _mmse_results(prior, scenarios, fld)
+        scenarios = _along(scenario, spec.axis, values)
+        res = _mmse_results(prior, scenarios, field_for(scenario))
         return [
             [v, float(lo), float(hi), float(c)]
             for v, lo, hi, c in zip(values, *res.estimates, res.c_min)
         ]
+    rows = _pinned_rows(prior, scenario, values, bound=q == "mmse_cr_bound")
+    return [[v, *row] for v, row in zip(values, rows)]
 
-    # g_over_g0: one estimator at the pinned scenario serves every row
-    scenario = spec.scenario
+
+def _pinned_rows(prior: Prior, scenario: Scenario, g_over_g0: list, bound: bool) -> list:
+    """One row per coupling in ``g_over_g0`` of the estimator at the pinned
+    scenario: eig_lo, eig_hi, c_min, avg_estimate and, with ``bound``,
+    cr_bound and mse.  One estimator and one state evaluation over all
+    couplings serve every row; the ``mmse`` command is its row at one g."""
+    fld = field_for(scenario)
     result = _mmse_results(prior, [scenario], fld).row(0)
-    g = np.array(values) * prior.g0
-    columns = _conditional_columns(result, g, scenario, fld, bound=q == "mmse_cr_bound")
+    g = np.array(g_over_g0) * prior.g0
+    if bound:
+        rho, drho = reduced_state(g, scenario, fld, derivative=True)
+        rep = bounds_mod.cr_bound_mmse(result, g, scenario, fld, rho=rho, drho=drho)
+        avg = mmse_mod.average_estimate(result, g, scenario, fld, rho=rho)
+        columns = [avg, rep.lower_bound, rep.mse]
+    else:
+        columns = [mmse_mod.average_estimate(result, g, scenario, fld)]
     head = [result.estimates[0], result.estimates[1], result.c_min]
-    return [[v, *head, *(float(c[i]) for c in columns)] for i, v in enumerate(values)]
-
-
-def _conditional_columns(
-    result, g: np.ndarray, scenario: Scenario, fld: FieldState, bound: bool
-) -> list:
-    """avg_estimate at the couplings ``g`` and, with ``bound``, cr_bound and
-    mse: every column from one state evaluation over all couplings."""
-    if not bound:
-        return [mmse_mod.average_estimate(result, g, scenario, fld)]
-    rho, drho = reduced_state(g, scenario, fld, derivative=True)
-    rep = bounds_mod.cr_bound_mmse(result, g, scenario, fld, rho=rho, drho=drho)
-    avg = mmse_mod.average_estimate(result, g, scenario, fld, rho=rho)
-    return [avg, rep.lower_bound, rep.mse]
+    return [[*head, *(float(c[i]) for c in columns)] for i in range(len(g))]
 
 
 _SWEEP_COLUMNS = {
@@ -274,29 +268,27 @@ def _tau_costs(prior: Prior, scenario: Scenario, fld: FieldState, taus) -> np.nd
     """Average minimum cost at each interaction time in ``taus``, the rest of
     ``scenario`` pinned: one moment call and one batched solve."""
     if scenario.is_unitary_transit:
-        scenarios = [replace(scenario, tau_c=float(t)) for t in taus]
-        return _mmse_results(prior, scenarios, fld).c_min
+        return _mmse_results(prior, _along(scenario, "tau_c", taus), fld).c_min
     return _dissipative_costs(prior, scenario, taus)
 
 
-def find_tau_star(
-    prior: Prior,
-    scenario: Scenario,
-    field: Optional[FieldState] = None,
-    coarse_points: int = 300,
-    tol: float = 1e-4,
-) -> float:
+_TAU_SCAN_POINTS = 300
+_TAU_TOL = 1e-4
+
+
+def find_tau_star(prior: Prior, scenario: Scenario, field: Optional[FieldState] = None) -> float:
     """Interaction time minimizing the average minimum cost.
 
-    Scans g0 tau_c in [0.05, 3] on a coarse grid, then refines the best
-    bracket by golden-section search to ``tol`` (absolute, in units of
-    1/g0).  The coarse scan guards against the oscillatory cost landscape at
-    larger photon numbers.  Dissipative scenarios (kappa or in-cavity decay
-    nonzero) are supported through the damped state family.
+    Scans g0 tau_c in [0.05, 3] on a coarse grid of ``_TAU_SCAN_POINTS``,
+    then refines the best bracket by golden-section search to ``_TAU_TOL``
+    (absolute, in units of 1/g0).  The coarse scan guards against the
+    oscillatory cost landscape at larger photon numbers.  Dissipative
+    scenarios (kappa or in-cavity decay nonzero) are supported through the
+    damped state family.
     """
     fld = field if field is not None else field_for(scenario)
     g0 = prior.g0
-    taus = np.linspace(0.05 / g0, 3.0 / g0, coarse_points)
+    taus = np.linspace(0.05 / g0, 3.0 / g0, _TAU_SCAN_POINTS)
     best = int(np.argmin(_tau_costs(prior, scenario, fld, taus)))
     lo = taus[max(0, best - 1)]
     hi = taus[min(len(taus) - 1, best + 1)]
@@ -304,7 +296,7 @@ def find_tau_star(
         lambda tau: float(_tau_costs(prior, scenario, fld, [tau])[0]),
         float(lo),
         float(hi),
-        tol / g0,
+        _TAU_TOL / g0,
     )
 
 
@@ -541,7 +533,8 @@ _DEFAULTS = {
 
 
 def load_config(path: Optional[str]) -> dict:
-    """Flat key-value sections; unknown values raise :class:`ConfigError`."""
+    """Flat key-value sections; unknown or non-finite values raise
+    :class:`ConfigError`."""
     parser = configparser.ConfigParser()
     parser.read_dict(_DEFAULTS)
     if path is not None:
@@ -549,33 +542,37 @@ def load_config(path: Optional[str]) -> dict:
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
 
+    def number(section: str, key: str) -> float:
+        value = parser.getfloat(section, key)
+        if not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
+        return value
+
     try:
         prior_kind = parser.get("prior", "kind").strip().lower()
         if prior_kind not in (priors_mod.GAUSSIAN, priors_mod.UNIFORM):
             raise ConfigError(f"unknown prior kind {prior_kind!r}")
-        sigma = parser.getfloat("prior", "sigma_over_g0")
+        sigma = number("prior", "sigma_over_g0")
         cutoff_raw = parser.get("scenario", "fock_cutoff").strip().lower()
         cutoff = None if cutoff_raw in ("auto", "") else int(cutoff_raw)
-        alpha = parser.getfloat("scenario", "alpha_abs") * complex(
-            math.cos(parser.getfloat("scenario", "alpha_phase")),
-            math.sin(parser.getfloat("scenario", "alpha_phase")),
-        )
+        phase = number("scenario", "alpha_phase")
+        alpha = number("scenario", "alpha_abs") * complex(math.cos(phase), math.sin(phase))
         scenario = Scenario(
             alpha=alpha,
             fock_cutoff=cutoff,
-            **{attr: parser.getfloat("scenario", key) for key, attr in _SCENARIO_KEYS.items()},
+            **{attr: number("scenario", key) for key, attr in _SCENARIO_KEYS.items()},
         )
         cfg = {
             "prior": Prior(prior_kind, 1.0, sigma),
             "scenario": scenario,
-            "g": parser.getfloat("scenario", "g_over_g0"),
+            "g": number("scenario", "g_over_g0"),
         }
         if parser.has_section("sweep"):
             cfg["sweep"] = SweepSpec(
                 quantity=parser.get("sweep", "quantity").strip(),
                 axis=parser.get("sweep", "axis").strip(),
-                lo=parser.getfloat("sweep", "lo"),
-                hi=parser.getfloat("sweep", "hi"),
+                lo=number("sweep", "lo"),
+                hi=number("sweep", "hi"),
                 n_points=parser.getint("sweep", "n_points"),
                 prior=cfg["prior"],
                 scenario=scenario,
@@ -627,7 +624,7 @@ def _config_echo(cfg: dict) -> dict:
     return echo
 
 
-def _cmd_state(cfg: dict, args) -> Table:
+def _cmd_state(cfg: dict) -> Table:
     scenario = cfg["scenario"]
     g = cfg["g"] * cfg["prior"].g0
     if scenario.is_unitary_transit:
@@ -635,62 +632,46 @@ def _cmd_state(cfg: dict, args) -> Table:
     else:
         rho = dissipative_state(g, scenario.tau_c, scenario.gamma_cav, scenario.kappa)
     m = rho.matrix
-    table = Table(columns=["g_over_g0", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im"])
-    table.rows.append([cfg["g"], m.ee, m.gg, m.eg.real, m.eg.imag])
-    return table
-
-
-def _cmd_mmse(cfg: dict, args) -> Table:
-    prior, scenario = cfg["prior"], cfg["scenario"]
-    fld = field_for(scenario)
-    result = _mmse_results(prior, [scenario], fld).row(0)
-    g = np.array([cfg["g"] * prior.g0])
-    columns = _conditional_columns(result, g, scenario, fld, bound=True)
-    table = Table(columns=["eig_lo", "eig_hi", "c_min", "avg_estimate", "cr_bound", "mse"])
-    table.rows.append(
-        [result.estimates[0], result.estimates[1], result.c_min, *(float(c[0]) for c in columns)]
+    return Table(
+        columns=["g_over_g0", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im"],
+        rows=[[cfg["g"], m.ee, m.gg, m.eg.real, m.eg.imag]],
     )
-    return table
 
 
-def _cmd_ml(cfg: dict, args) -> Table:
+def _cmd_mmse(cfg: dict) -> Table:
+    rows = _pinned_rows(cfg["prior"], cfg["scenario"], [cfg["g"]], bound=True)
+    return Table(columns=_SWEEP_COLUMNS["mmse_cr_bound"][1:], rows=rows)
+
+
+def _cmd_ml(cfg: dict) -> Table:
     prior, scenario = cfg["prior"], cfg["scenario"]
     povm = ml_mod.ml_povm(prior, scenario.tau_c, scenario.tau_f_gamma)
-    g = cfg["g"] * prior.g0
-    table = Table(columns=["c_max", "cost_max", "avg_estimate"])
-    cost = ml_mod.cost_max(povm)
-    avg = ml_mod.ml_average_estimate(povm, g, scenario.tau_f_gamma)
-    table.rows.append([povm.c_max, cost, avg])
-    return table
+    avg = ml_mod.ml_average_estimate(povm, cfg["g"] * prior.g0, scenario.tau_f_gamma)
+    return Table(columns=["c_max", "cost_max", "avg_estimate"],
+                 rows=[[povm.c_max, ml_mod.cost_max(povm), avg]])
 
 
-def _cmd_tau_star(cfg: dict, args) -> Table:
+def _cmd_tau_star(cfg: dict) -> Table:
     prior, scenario = cfg["prior"], cfg["scenario"]
     fld = field_for(scenario)
     tau = find_tau_star(prior, scenario, fld)
     c_at = float(_tau_costs(prior, scenario, fld, [tau])[0])
-    table = Table(columns=["g0_tau_star", "c_min_at_tau_star"])
-    table.rows.append([tau * prior.g0, c_at])
-    return table
+    return Table(columns=["g0_tau_star", "c_min_at_tau_star"], rows=[[tau * prior.g0, c_at]])
 
 
 _POINT_COMMANDS = {"state": _cmd_state, "mmse": _cmd_mmse, "ml": _cmd_ml, "tau-star": _cmd_tau_star}
 
 
 def main(argv: Optional[list] = None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="INI config file")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--seed", type=int, default=0, help="seed for verify")
     parser = argparse.ArgumentParser(
         prog="cavbayes",
         description="Bayesian coupling-strength estimation for a driven qubit-cavity transit",
-        parents=[common],
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("state", "mmse", "ml", "sweep", "tau-star", "verify"):
-        sub.add_parser(name, parents=[common])
+    parser.add_argument("command", choices=("state", "mmse", "ml", "sweep", "tau-star", "verify"))
+    parser.add_argument("--config", default=None, help="INI config file")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--seed", type=int, default=0, help="seed for verify")
     args = parser.parse_args(argv)
 
     try:
@@ -717,7 +698,7 @@ def main(argv: Optional[list] = None) -> int:
             table = run_sweep(cfg["sweep"])
         else:
             _check_family(args.command, cfg["scenario"])
-            table = _POINT_COMMANDS[args.command](cfg, args)
+            table = _POINT_COMMANDS[args.command](cfg)
     except UnsupportedCombination as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

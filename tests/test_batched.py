@@ -166,7 +166,7 @@ def test_tau_star_coarse_scan_is_one_batch(monkeypatch):
     for scenario in (Scenario(tau_c=0.6), Scenario(tau_c=0.6, kappa=0.4, gamma_cav=0.7)):
         for spy in (solves, moments, damped):
             spy.clear()
-        find_tau_star(Prior.gaussian(1.0, 0.8), scenario, coarse_points=300)
+        find_tau_star(Prior.gaussian(1.0, 0.8), scenario)
         calls, unused = (moments, damped) if scenario.is_unitary_transit else (damped, moments)
         assert unused == []
         assert calls[0] == solves[0] == 300

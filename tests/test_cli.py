@@ -1,5 +1,6 @@
 """Scenario runner: sweeps, config handling, output formats, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -219,6 +220,97 @@ def test_exit_codes(tmp_path, capsys):
         assert main([command, "--config", str(cfg)]) == 1, name
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, (name, err)
+
+
+# every option parses the same before and after the command:
+# case -> (command, arguments after the command, option, exit code, check)
+_OPTION_CASES = {
+    "config": (
+        "state", [], ["--config", "{tmp}/point.ini"], 0,
+        lambda out, err, file: out.splitlines()[1].startswith("5.0000000000000000e-01,"),
+    ),
+    "config_missing": (
+        "state", [], ["--config", "{tmp}/missing.ini"], 1,
+        lambda out, err, file: out == "" and err.startswith("config error: "),
+    ),
+    "out": (
+        "state", [], ["--out", "{tmp}/out"], 0,
+        lambda out, err, file: out == "" and file.startswith(b"g_over_g0,rho_ee,"),
+    ),
+    "format": (
+        "state", [], ["--format", "json"], 0,
+        lambda out, err, file: json.loads(out)["columns"][0] == "g_over_g0",
+    ),
+    "seed": (
+        "verify", ["--out", "{tmp}/out"], ["--seed", "7"], 0,
+        lambda out, err, file: json.loads(file)["seed"] == 7,
+    ),
+}
+
+
+@pytest.mark.parametrize("position", ["before", "after"])
+@pytest.mark.parametrize("case", sorted(_OPTION_CASES))
+def test_options_parse_before_or_after_command(case, position, tmp_path, capsys):
+    command, rest, option, rc, check = _OPTION_CASES[case]
+    (tmp_path / "point.ini").write_text("[scenario]\ng0_tau_c = 0.9\ng_over_g0 = 0.5\n")
+    out = tmp_path / "out"
+
+    def run(argv):
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+        streams = capsys.readouterr()
+        written = out.read_bytes() if out.exists() else b""
+        out.unlink(missing_ok=True)
+        return code, streams.out, streams.err, written
+
+    argv = [*option, command, *rest] if position == "before" else [command, *rest, *option]
+    got = run(argv)
+    assert got[0] == rc and check(*got[1:])
+    assert got == run([command, *rest, *option])
+
+
+def test_one_argument_parser_per_request(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert main(["state"]) == 0
+    assert len(built) == 1
+
+
+_FLOAT_KEYS = [
+    ("prior", "sigma_over_g0"),
+    *(("scenario", key) for key in ("g0_tau_c", "gamma_tau_f", "delta_over_g0", "alpha_abs",
+                                    "alpha_phase", "kappa_over_g0", "gamma_over_g0", "g_over_g0")),
+    ("sweep", "lo"),
+    ("sweep", "hi"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", _FLOAT_KEYS)
+def test_non_finite_config_value_is_a_config_error(section, key, value, tmp_path, capsys):
+    sections = {"prior": {}, "scenario": {}}
+    command = "state"
+    if section == "sweep":
+        sections["sweep"] = {"quantity": "mmse_cost", "axis": "tau_c", "lo": "0.1", "hi": "1.5",
+                             "n_points": "4"}
+        command = "sweep"
+    sections[section][key] = value
+    path = tmp_path / "run.ini"
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+        for name, body in sections.items()
+    ))
+    capsys.readouterr()
+    assert main([command, "--config", str(path)]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert streams.err.startswith(f"config error: [{section}] {key} must be finite")
+    assert streams.err.count("\n") == 1
 
 
 _DAMPED = "[scenario]\nkappa_over_g0 = 0.3\n"
