@@ -22,8 +22,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -588,6 +591,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@contextlib.contextmanager
+def _out_file(path: str):
+    """Text stream writing ``path``.  An existing regular file is overwritten
+    in place and cut at the end of what was written, not truncated when
+    opened: on ext4 a truncation to zero makes the close start write-back
+    (``auto_da_alloc``), a blocking wait on every rewrite of an output file
+    whose cost follows the disk, not the computation."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline="\n") as fh:
+        yield fh
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def write_table(table: Table, fmt: str, out, config_echo: Optional[dict] = None):
     if fmt == "csv":
         out.write(",".join(table.columns) + "\n")
@@ -685,7 +702,7 @@ def main(argv: Optional[list] = None) -> int:
             report = verify_all(args.seed)
             text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
             if args.out:
-                with open(args.out, "w", newline="\n") as fh:
+                with _out_file(args.out) as fh:
                     fh.write(text)
             for c in report["checks"]:
                 print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}")
@@ -711,7 +728,7 @@ def main(argv: Optional[list] = None) -> int:
 
     echo = _config_echo(cfg)
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
+        with _out_file(args.out) as fh:
             write_table(table, args.format, fh, echo)
     else:
         write_table(table, args.format, sys.stdout, echo)

@@ -168,6 +168,26 @@ def test_sweep_csv_output_is_deterministic(tmp_path):
     assert "e" in first_value and len(first_value.split("e")[0].replace("-", "").replace(".", "")) == 17
 
 
+def test_out_rewrites_an_existing_file_exactly(tmp_path, monkeypatch):
+    # --out overwrites in place and cuts at the end, so a longer old file
+    # leaves no tail, and a non-regular target such as /dev/null still works;
+    # a truncating open would make ext4 flush the file on every close
+    path = tmp_path / "run.ini"
+    path.write_text(GOOD_CONFIG)
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(fresh)]) == 0
+    reused.write_bytes(b"stale\n" * 10_000)
+    flags, real_open = [], os.open
+    monkeypatch.setattr(os, "open", lambda p, f, *a: flags.append(f) or real_open(p, f, *a))
+    assert main(["sweep", "--config", str(path), "--out", str(reused)]) == 0
+    monkeypatch.undo()
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert main(["verify", "--seed", "7", "--out", str(reused)]) == 0
+    assert json.loads(reused.read_text())["passed"]
+    assert main(["sweep", "--config", str(path), "--out", os.devnull]) == 0
+
+
 def test_sweep_json_embeds_config(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(GOOD_CONFIG)
