@@ -1,4 +1,4 @@
-"""Scenario runner: config-driven point evaluations, sweeps, verification.
+"""Scenario runner: the command-line front end for config, dispatch and output.
 
 All configuration values are dimensionless products in units of the prior
 mean (g0 tau_c, Delta/g0, sigma/g0, gamma tau_f, kappa/g0, ...), which is the
@@ -10,12 +10,13 @@ Commands
     ml        likelihood-optimal POVM constants and cost
     sweep     one row per axis point of a configured quantity
     tau-star  cost-minimizing interaction time
-    verify    run the full verification battery (exit 2 on failure)
+    verify    run the verification battery of :mod:`oracle` (exit 2 on failure)
 
 Options (``--config``, ``--out``, ``--format``, ``--seed``) may come before
 or after the command.  Exit codes: 0 success, 1 config error (a non-finite
-config value included), 2 verification failure, 3 numeric error (degenerate
-scenario).
+config value, a negative ``tau_c`` or ``gamma_tau_f`` sweep range and a
+``verify`` seed outside [0, 2**128) included), 2 verification failure,
+3 numeric error (degenerate scenario).
 """
 
 from __future__ import annotations
@@ -36,16 +37,10 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import ml as ml_mod
 from . import mmse as mmse_mod
-from . import oracle as oracle_mod
 from . import priors as priors_mod
 from .dynamics import FieldState, Scenario, dissipative_state, field_for, reduced_state
-from .errors import (
-    CavbayesError,
-    ConfigError,
-    DegenerateGamma0,
-    SingularSLD,
-    UnsupportedCombination,
-)
+from .errors import CavbayesError, ConfigError, DegenerateGamma0, UnsupportedCombination
+from .oracle import verify_all
 from .priors import Prior
 
 __all__ = ["SweepSpec", "Table", "run_sweep", "find_tau_star", "verify_all", "main"]
@@ -61,6 +56,8 @@ QUANTITIES = (
     "dissipative_cost",
 )
 AXES = ("tau_c", "g_over_g0", "delta", "gamma_tau_f")
+#: axes whose values are times or decay exponents, never negative
+_NONNEGATIVE_AXES = ("tau_c", "gamma_tau_f")
 
 _SUPPORTED_AXES = {
     "mmse_eigenvalues": ("tau_c", "delta", "gamma_tau_f"),
@@ -123,6 +120,8 @@ class SweepSpec:
             )
         if not self.lo < self.hi:
             raise UnsupportedCombination("sweep range must satisfy lo < hi")
+        if self.axis in _NONNEGATIVE_AXES and self.lo < 0:
+            raise UnsupportedCombination(f"sweep axis {self.axis!r} needs lo >= 0, got {self.lo!r}")
         if self.n_points < 2:
             raise UnsupportedCombination("sweep needs at least 2 points")
         _check_family(self.quantity, self.scenario)
@@ -279,7 +278,7 @@ _TAU_SCAN_POINTS = 300
 _TAU_TOL = 1e-4
 
 
-def find_tau_star(prior: Prior, scenario: Scenario, field: Optional[FieldState] = None) -> float:
+def find_tau_star(prior: Prior, scenario: Scenario) -> float:
     """Interaction time minimizing the average minimum cost.
 
     Scans g0 tau_c in [0.05, 3] on a coarse grid of ``_TAU_SCAN_POINTS``,
@@ -289,7 +288,7 @@ def find_tau_star(prior: Prior, scenario: Scenario, field: Optional[FieldState] 
     scenarios (kappa or in-cavity decay nonzero) are supported through the
     damped state family.
     """
-    fld = field if field is not None else field_for(scenario)
+    fld = field_for(scenario)
     g0 = prior.g0
     taus = np.linspace(0.05 / g0, 3.0 / g0, _TAU_SCAN_POINTS)
     best = int(np.argmin(_tau_costs(prior, scenario, fld, taus)))
@@ -301,218 +300,6 @@ def find_tau_star(prior: Prior, scenario: Scenario, field: Optional[FieldState] 
         float(hi),
         _TAU_TOL / g0,
     )
-
-
-# ---------------------------------------------------------------------------
-# Verification battery
-
-
-def _check(name: str, passed: bool, **details) -> dict:
-    entry = {"name": name, "passed": bool(passed)}
-    entry.update({k: v for k, v in sorted(details.items())})
-    return entry
-
-
-def verify_all(seed: int = 0, corrupt_povm_scale: float = 1.0) -> dict:
-    """Run the oracle and invariant suite; returns a machine-readable report.
-
-    Deterministic for a fixed seed (byte-identical serialized report).
-    Informational comparisons (closed-form variants that are reported rather
-    than asserted) are emitted as notes and never fail the run.
-
-    ``corrupt_povm_scale`` inflates the POVM traceless component before the
-    positivity audit; values above one are a smoke test that must make the
-    audit (and hence the run) fail.
-    """
-    checks = []
-    notes = []
-    gauss = Prior.gaussian(1.0, 1.0)
-    unif = Prior.uniform(1.0, 1.0)
-    vac = FieldState.vacuum()
-
-    # quadrature reproduces the moments of both priors
-    for prior in (gauss, unif):
-        rule = priors_mod.quadrature(prior, 256)
-        z = rule.expect(prior, np.ones_like(rule.nodes))
-        m1 = rule.expect(prior, rule.nodes)
-        m2 = rule.expect(prior, (rule.nodes - prior.g0) ** 2)
-        err = max(abs(z - 1.0), abs(m1 - prior.g0), abs(m2 - prior.sigma**2))
-        checks.append(_check(f"quadrature_moments_{prior.kind}", err < 1e-10, error=err))
-
-    # exact resonant moments against quadrature: vacuum, and a coherent field on 8 draws
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    coherent = FieldState.coherent(1.0, cutoff=5)
-    worst = 0.0
-    for draw in range(25):
-        g0 = rng.uniform(0.5, 2.0)
-        sig = rng.uniform(0.3, 1.5) * g0
-        tc = rng.uniform(0.05, 4.0) / g0
-        u = rng.uniform(0.0, 2.0)
-        sc = Scenario(tau_c=tc, tau_f_gamma=u)
-        for prior in (Prior.gaussian(g0, sig), Prior.uniform(g0, sig)):
-            for fld in (vac, coherent) if draw < 8 else (vac,):
-                exact = mmse_mod.gamma_moments(prior, sc, fld)
-                quad = mmse_mod.gamma_moments_quadrature(prior, sc, fld)
-                for name in ("gamma0", "gamma1", "gamma2"):
-                    a, b = getattr(exact, name), getattr(quad, name)
-                    worst = max(worst, abs(a.ee - b.ee), abs(a.gg - b.gg), abs(a.eg - b.eg))
-    checks.append(_check("moments_closed_vs_quadrature", worst < 1e-11, error=worst))
-
-    # anchors of the resonant vacuum Gaussian analysis: (estimates, c_min)
-    shift = (math.pi / 2.0) * math.exp(-math.pi**2 / 8.0)
-    quarter_cost = 1.0 - (math.pi**2 / 4.0) * math.exp(-math.pi**2 / 4.0)
-    for name, tc, want in (
-        ("anchor_half_period", math.pi / 2.0, (1.0, 1.0, 1.0)),
-        ("anchor_quarter_period", math.pi / 4.0, (1.0 - shift, 1.0 + shift, quarter_cost)),
-    ):
-        res = _mmse_results(gauss, [Scenario(tau_c=tc)], vac).row(0)
-        err = max(abs(x - w) for x, w in zip((*res.estimates, res.c_min), want))
-        checks.append(_check(name, err < 1e-12, error=err))
-
-    # POVM validity and the corrupted-constant smoke test
-    for prior in (gauss, unif):
-        povm = ml_mod.ml_povm(prior, math.pi / 4.0, 0.0)
-        tot_i, tot_z = povm.completeness()
-        ok = abs(tot_i - 1.0) < 1e-9 and abs(tot_z) < 1e-9
-        audit = ml_mod.interval_audit(
-            povm, n_intervals=2000, seed=seed, scale=corrupt_povm_scale
-        )
-        inflated = ml_mod.interval_audit(povm, n_intervals=2000, seed=seed, scale=1.05)
-        checks.append(
-            _check(
-                f"povm_validity_{prior.kind}",
-                ok and audit.passed,
-                completeness_error=abs(tot_i - 1.0),
-                worst_interval=audit.worst_low,
-            )
-        )
-        checks.append(
-            _check(
-                f"povm_audit_detects_inflation_{prior.kind}",
-                not inflated.passed,
-                violations=inflated.n_violations,
-            )
-        )
-
-    # likelihood special case, uniform prior
-    sp_prior = Prior.uniform(1.0, 1.0 / math.sqrt(3.0))
-    sp_tc = math.pi / 4.0
-    c_num = ml_mod.uniform_cmax(sp_prior, sp_tc)
-    cost_sp = ml_mod.cost_max(ml_mod.ml_povm(sp_prior, sp_tc, 0.0))
-    err = max(abs(c_num - 2.0 * sp_tc / math.pi), abs(cost_sp - 0.75))
-    checks.append(_check("ml_uniform_special_case", err < 1e-6, error=err))
-
-    # Gaussian likelihood cost: closed form against direct quadrature
-    worst = 0.0
-    for tc in (0.3, math.pi / 4.0, 1.1, 2.0):
-        povm = ml_mod.ml_povm(gauss, tc, 0.3)
-        worst = max(
-            worst, abs(ml_mod.cost_max(povm) - ml_mod.average_cost_quadrature(povm))
-        )
-    checks.append(_check("ml_gaussian_cost_quadrature", worst < 1e-8, error=worst))
-
-    # the exact f_z moments behind every likelihood row, against quadrature
-    worst = 0.0
-    for prior in (gauss, unif):
-        for tc in (0.3, math.pi / 4.0, 1.1, 2.0):
-            povm = ml_mod.ml_povm(prior, tc, 0.3)
-            (m1, m2), (q1, q2) = ml_mod.f_z_moments(povm), ml_mod.f_z_moments_quadrature(povm)
-            worst = max(worst, abs(m1 - q1), abs(m2 - q2))
-    checks.append(_check("ml_fz_moments_quadrature", worst < 1e-9, error=worst))
-
-    # bound constants: quadrature against the error-function evaluation, and
-    # the pointwise cap strictly below both fixed-interval constants
-    worst = 0.0
-    alt_gap = 0.0
-    cap_ratio = math.inf
-    for (g0, sig, tc) in ((1.0, 1.0, math.pi / 4.0), (1.0, 0.5, 0.9), (2.0, 0.7, 0.33)):
-        p = Prior.gaussian(g0, sig)
-        c1q, c2q = ml_mod.gaussian_bound_constants(p, tc)
-        c1e, c2e = ml_mod.gaussian_bound_constants_erf(p, tc)
-        worst = max(worst, abs(c1q - c1e), abs(c2q - c2e))
-        cap_ratio = min(cap_ratio, min(c1q, c2q) / ml_mod.gaussian_cmax(p, tc))
-        c1a, c2a = ml_mod._gaussian_bound_constants_erf_alt(p, tc)
-        alt_gap = max(alt_gap, abs(c1q - c1a), abs(c2q - c2a))
-    checks.append(
-        _check(
-            "ml_bound_constants_erf",
-            worst < 1e-8 and cap_ratio > 1.0,
-            error=worst,
-            min_bound_over_cap=cap_ratio,
-        )
-    )
-    notes.append(
-        "real-part erf combination for (c1,c2) deviates from the defining "
-        f"integrals by up to {alt_gap:.3e}; reported, not asserted"
-    )
-
-    # accuracy bounds hold for every strategy/prior pair
-    violations = 0
-    worst_gap = 0.0
-    g_grid = np.linspace(0.2, 1.8, 25)
-    for prior in (gauss, unif):
-        sc = Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2)
-        result = _mmse_results(prior, [sc], vac).row(0)
-        povm = ml_mod.ml_povm(prior, sc.tau_c, sc.tau_f_gamma)
-        for rep in (
-            bounds_mod.cr_bound_mmse(result, g_grid, sc, vac),
-            bounds_mod.cr_bound_ml(povm, g_grid, sc.tau_f_gamma),
-        ):
-            gap = rep.mse - rep.lower_bound
-            worst_gap = min(worst_gap, float(gap.min()))
-            violations += int(np.count_nonzero(gap < -1e-9))
-    checks.append(
-        _check("cr_inequality_grid", violations == 0, worst_gap=worst_gap)
-    )
-
-    # Monte-Carlo concordance, deterministic under the seed
-    z_max = 0.0
-    for tc in (math.pi / 4.0, 0.6, 1.0):
-        sc = Scenario(tau_c=tc)
-        result = _mmse_results(gauss, [sc], vac).row(0)
-        rep = oracle_mod.mc_quadratic_cost(result, gauss, sc, vac, 10**5, seed)
-        rep2 = oracle_mod.mc_quadratic_cost(result, gauss, sc, vac, 10**5, seed)
-        if rep != rep2:
-            checks.append(_check("mc_determinism", False))
-            break
-        z_max = max(z_max, rep.z_score)
-    else:
-        checks.append(_check("mc_determinism", True))
-    checks.append(_check("mc_quadratic_cost_z", z_max < 4.0, z_max=z_max))
-
-    z_max = 0.0
-    for g in (0.7, 1.0, 1.3):
-        povm = ml_mod.ml_povm(gauss, math.pi / 4.0, 0.0)
-        rep = oracle_mod.mc_estimate_distribution(
-            povm, g, Scenario(tau_c=math.pi / 4.0), 10**5, seed
-        )
-        z_max = max(z_max, rep.z_score)
-    checks.append(_check("mc_ml_estimate_z", z_max < 4.0, z_max=z_max))
-
-    # dissipation-free limit agrees with the unitary path
-    worst = 0.0
-    for gt in np.linspace(0.0, 10.0, 41):
-        pop = dissipative_state(1.0, float(gt), 0.0, 0.0).excited_population
-        worst = max(worst, abs(pop - math.cos(gt) ** 2))
-    checks.append(_check("dissipative_zero_rate_limit", worst < 1e-10, error=worst))
-
-    # informational: display variant of the Gaussian mean estimate
-    povm = ml_mod.ml_povm(gauss, math.pi / 4.0, 0.0)
-    gap = abs(
-        ml_mod.ml_average_estimate(povm, 0.7, 0.0)
-        - ml_mod._gaussian_average_estimate_display(povm, 0.7, 0.0)
-    )
-    notes.append(
-        "display variant of the mean-estimate closed form deviates from "
-        f"the exact mean by {gap:.3e} at the reference point; reported, not asserted"
-    )
-
-    return {
-        "seed": seed,
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
-        "notes": notes,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +457,8 @@ def _cmd_ml(cfg: dict) -> Table:
 
 def _cmd_tau_star(cfg: dict) -> Table:
     prior, scenario = cfg["prior"], cfg["scenario"]
-    fld = field_for(scenario)
-    tau = find_tau_star(prior, scenario, fld)
-    c_at = float(_tau_costs(prior, scenario, fld, [tau])[0])
+    tau = find_tau_star(prior, scenario)
+    c_at = float(_tau_costs(prior, scenario, field_for(scenario), [tau])[0])
     return Table(columns=["g0_tau_star", "c_min_at_tau_star"], rows=[[tau * prior.g0, c_at]])
 
 
@@ -699,6 +485,8 @@ def main(argv: Optional[list] = None) -> int:
 
     try:
         if args.command == "verify":
+            if not 0 <= args.seed < 2**128:  # the range of a Philox key
+                raise ConfigError(f"--seed must be in [0, 2**128), got {args.seed}")
             report = verify_all(args.seed)
             text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
             if args.out:
@@ -716,10 +504,10 @@ def main(argv: Optional[list] = None) -> int:
         else:
             _check_family(args.command, cfg["scenario"])
             table = _POINT_COMMANDS[args.command](cfg)
-    except UnsupportedCombination as exc:
+    except (ConfigError, UnsupportedCombination) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DegenerateGamma0, SingularSLD, ArithmeticError) as exc:
+    except (DegenerateGamma0, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except CavbayesError as exc:

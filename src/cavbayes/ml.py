@@ -15,16 +15,23 @@ the pointwise condition |f_z(x)| <= f_I(x): the zero-width interval limit is
 the pointwise condition itself, and conversely f_I +- f_z is then a
 nonnegative density of total mass one, so every interval mass lies in
 [0, 1].  The production normalization constant of each prior is therefore
-the closed-form pointwise cap.  The Gaussian fixed-interval constants c1/c2
-from the half-period integral inequalities are kept as reference
-implementations for verification; they never fall below the cap.
+the closed-form pointwise cap.
 
 f_I is the prior density and int f_z = 0, so the mean estimate, its MSE and
 the bound slope need only the exact moments int x f_z and int x^2 f_z
-(:func:`f_z_moments`); quadrature remains in the verification oracles only.
-Interval integrals of f_I +- f_z are exact too (error function with complex
-argument for the Gaussian prior), so positivity audits over any intervals
-reflect the densities themselves; scipy is imported only inside them.
+(:func:`f_z_moments`).  Interval integrals of f_I +- f_z are exact too
+(error function with complex argument for the Gaussian prior), so
+positivity audits over any intervals reflect the densities themselves;
+scipy is imported only inside them.
+
+Two functions here serve verification only.  :func:`gaussian_bound_constants`
+gives the Gaussian fixed-interval constants c1/c2 of the half-period integral
+inequalities, which never fall below the cap; :func:`interval_audit` probes
+POVM positivity on random intervals.  They stay beside the cap and the
+interval integrals they test because the benchmark's layer tracer
+(``bench/layers.py``) reads them as ``ml.gaussian_bound_constants`` and
+``ml.interval_audit``.  Every other reference evaluation of the likelihood
+closed forms, and the battery that runs them, lives in :mod:`oracle`.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ __all__ = [
     "MlPovm",
     "gaussian_cmax",
     "gaussian_bound_constants",
-    "gaussian_bound_constants_erf",
     "gaussian_ml_povm",
     "gaussian_cost_max",
     "uniform_cmax",
@@ -54,8 +60,6 @@ __all__ = [
     "f_z_moments",
     "ml_average_estimate",
     "ml_mse",
-    "average_cost_quadrature",
-    "f_z_moments_quadrature",
     "interval_audit",
 ]
 
@@ -243,62 +247,6 @@ def gaussian_bound_constants(prior: Prior, tau_c: float) -> tuple[float, float]:
     )[0]
     y = prior.sigma * abs(sin_b)
     return i0 / (y * i1), (1.0 - i0) / (y * i1)
-
-
-def gaussian_bound_constants_erf(prior: Prior, tau_c: float) -> tuple[float, float]:
-    """(c1, c2) through the error function, no quadrature.
-
-    Independent evaluation of the same defining integrals:
-
-        I0 = erf(L/sqrt(2)) / 2,                      L = pi / a,
-        I1 = e^{-a^2/2} sqrt(2 pi)/2
-             * Im[ erf((L - i a)/sqrt(2)) + erf(i a / sqrt(2)) ].
-    """
-    from scipy.special import erf
-
-    sin_b = _gaussian_sin_or_raise(prior, tau_c)
-    a = 2.0 * prior.sigma * tau_c
-    big_l = math.pi / a
-    i0 = 0.5 * erf(big_l / math.sqrt(2.0))
-    i1 = (
-        math.exp(-a * a / 2.0)
-        * math.sqrt(2.0 * math.pi)
-        / 2.0
-        * (erf((big_l - 1j * a) / math.sqrt(2.0)) + erf(1j * a / math.sqrt(2.0))).imag
-    )
-    y = prior.sigma * abs(sin_b)
-    return i0 / (y * i1), (1.0 - i0) / (y * i1)
-
-
-def _gaussian_bound_constants_erf_alt(prior: Prior, tau_c: float) -> tuple[float, float]:
-    # real-part erf combination; disagrees with the defining integrals and is
-    # surfaced in the verification report only, never asserted
-    from scipy.special import erf
-
-    sin_b = _gaussian_sin_or_raise(prior, tau_c)
-    q = prior.sigma * tau_c
-    pref = 2.0 / (
-        math.sqrt(2.0 * math.pi * prior.sigma**2)
-        * abs(sin_b)
-        * math.exp(-2.0 * q * q)
-    )
-    num1 = erf(math.pi / (2.0 * math.sqrt(2.0) * q))
-    den = (
-        erf((math.pi + 4j * q * q) / (2.0 * math.sqrt(2.0) * q))
-        + erf((math.pi - 4j * q * q) / (2.0 * math.sqrt(2.0) * q))
-    ).real
-    return pref * num1 / den, pref * (2.0 - num1) / den
-
-
-def _gaussian_average_estimate_display(povm: MlPovm, g: float, gamma_tau_f: float) -> float:
-    # mean estimate with a 4 sqrt(5 pi) c sigma^2 prefactor in place of the
-    # derived 2 sqrt(2 pi) c sigma^3; surfaced in the verification report
-    # only, never asserted
-    sig, tc = povm.prior.sigma, povm.tau_c
-    contrast = 1.0 - 2.0 * math.cos(g * tc) ** 2 * math.exp(-gamma_tau_f)
-    return povm.prior.g0 + 4.0 * math.sqrt(5.0 * math.pi) * sig**2 * tc * (
-        povm._fz_scale * math.exp(-2.0 * sig**2 * tc**2) * contrast
-    )
 
 
 def gaussian_cmax(prior: Prior, tau_c: float) -> float:
@@ -547,33 +495,6 @@ def ml_mse(povm: MlPovm, g, gamma_tau_f: float):
 
 
 # ---------------------------------------------------------------------------
-# Quadrature oracles (verification only)
-
-
-def average_cost_quadrature(povm: MlPovm) -> float:
-    """Average cost by direct quadrature, int z(x) p(x|x) dx.
-
-    Independent of the closed forms; the diagonal of the conditional density
-    appears because the delta-valued cost rewards probability mass placed at
-    the true value.
-    """
-    n = priors_mod.nodes_for_oscillation(povm.prior, 2.0 * povm.tau_c)
-    rule = priors_mod.quadrature(povm.prior, n)
-    contrast = _contrast(povm, rule.nodes, povm.gamma_tau_f)
-    p = povm.f_i(rule.nodes) + contrast * povm.f_z(rule.nodes)
-    return rule.expect(povm.prior, p)
-
-
-def f_z_moments_quadrature(povm: MlPovm) -> tuple[float, float]:
-    """(int x f_z dx, int x^2 f_z dx) by quadrature over the prior window:
-    the oracle of :func:`f_z_moments`."""
-    n = priors_mod.nodes_for_oscillation(povm.prior, 2.0 * povm.tau_c)
-    rule = priors_mod.quadrature(povm.prior, n)
-    weighted = rule.nodes * povm.f_z(rule.nodes)
-    return rule.integrate(weighted), rule.integrate(rule.nodes * weighted)
-
-
-# ---------------------------------------------------------------------------
 # Positivity audit
 
 
@@ -581,8 +502,8 @@ def f_z_moments_quadrature(povm: MlPovm) -> tuple[float, float]:
 class AuditResult:
     n_intervals: int
     n_violations: int
-    worst_low: float  # most negative interval mass (>= -tol passes)
-    worst_high: float  # largest interval mass (<= 1 + tol passes)
+    worst_low: float  # most negative interval mass (>= -AUDIT_TOL passes)
+    worst_high: float  # largest interval mass (<= 1 + AUDIT_TOL passes)
 
     @property
     def passed(self) -> bool:
@@ -594,7 +515,6 @@ def interval_audit(
     n_intervals: int = 500,
     seed: int = 0,
     scale: float = 1.0,
-    tol: float = AUDIT_TOL,
 ) -> AuditResult:
     """Randomized positivity audit of the POVM on compact intervals.
 
@@ -639,7 +559,7 @@ def interval_audit(
         vals = povm.interval_integral(a, b, sign=sign, scale=scale)
         worst_low = min(worst_low, float(np.min(vals)))
         worst_high = max(worst_high, float(np.max(vals)))
-        violations += int(np.sum((vals < -tol) | (vals > 1.0 + tol)))
+        violations += int(np.sum((vals < -AUDIT_TOL) | (vals > 1.0 + AUDIT_TOL)))
     return AuditResult(
         n_intervals=n_intervals,
         n_violations=violations,

@@ -254,21 +254,18 @@ def gamma_moments(
     return _triples(out, single=single)
 
 
-def gamma_moments_quadrature(
-    prior: Prior, scenario, field: FieldState, n_points: int | None = None
-) -> GammaTriple:
+def gamma_moments_quadrature(prior: Prior, scenario, field: FieldState) -> GammaTriple:
     """Moment operators by prior quadrature of the detector-time state: the
     path at Delta != 0 and the oracle of the exact resonant path.
 
     ``scenario`` is one scenario or a tuple of them, as in
     :func:`gamma_moments`.  The node count is raised automatically so the
-    fastest Rabi oscillation, cos(2 l tau_c) at the ladder top, is resolved;
-    ``n_points`` overrides it.
+    fastest Rabi oscillation, cos(2 l tau_c) at the ladder top, is resolved.
     """
     single = not isinstance(scenario, tuple)
     scenarios = (scenario,) if single else scenario
     out = _entries(len(scenarios))
-    _quadrature_moments(prior, scenarios, np.arange(len(scenarios)), field, n_points, out)
+    _quadrature_moments(prior, scenarios, np.arange(len(scenarios)), field, None, out)
     return _triples(out, single=single)
 
 

@@ -229,12 +229,10 @@ def _legendre_base() -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _composite_legendre(
-    lo: float, hi: float, n_points: int, max_panel_width: float | None = None
-) -> QuadratureRule:
-    panels = max(1, math.ceil(n_points / _PANEL_POINTS))
-    if max_panel_width is not None:
-        panels = max(panels, math.ceil((hi - lo) / max_panel_width))
+def _composite_legendre(lo: float, hi: float, n_points: int, max_width: float) -> QuadratureRule:
+    """Panels of ``_PANEL_POINTS`` nodes, at least ``n_points`` nodes in all
+    and no panel wider than ``max_width``."""
+    panels = max(1, math.ceil(n_points / _PANEL_POINTS), math.ceil((hi - lo) / max_width))
     base_x, base_w = _legendre_base()
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -261,13 +259,12 @@ def quadrature(
     if kind != GAUSS_LEGENDRE_COMPOSITE:
         raise ValueError(f"unknown quadrature kind {kind!r}")
     lo, hi = prior.window
-    return _composite_legendre(lo, hi, n_points, max_panel_width=prior.sigma)
+    return _composite_legendre(lo, hi, n_points, prior.sigma)
 
 
-def nodes_for_oscillation(
-    prior: Prior, angular_rate: float, minimum: int = DEFAULT_NODES
-) -> int:
-    """Node count resolving cos(angular_rate * g) with >= 8 nodes per period.
+def nodes_for_oscillation(prior: Prior, angular_rate: float) -> int:
+    """Node count resolving cos(angular_rate * g) with >= 8 nodes per period,
+    and at least ``DEFAULT_NODES``.
 
     ``angular_rate`` is the largest angular frequency (in g) appearing in the
     integrand, e.g. 2 tau_c sqrt(n_max) for a photon ladder truncated at
@@ -275,7 +272,6 @@ def nodes_for_oscillation(
     """
     lo, hi = prior.window
     if angular_rate <= 0:
-        return max(minimum, MIN_NODES)
+        return DEFAULT_NODES
     period = 2 * math.pi / angular_rate
-    needed = math.ceil(8.0 * (hi - lo) / period)
-    return max(minimum, needed, MIN_NODES)
+    return max(DEFAULT_NODES, math.ceil(8.0 * (hi - lo) / period))

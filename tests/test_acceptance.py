@@ -19,7 +19,6 @@ from cavbayes.dynamics import (
     field_for,
 )
 from cavbayes.ml import (
-    average_cost_quadrature,
     gaussian_cost_max,
     gaussian_ml_povm,
     interval_audit,
@@ -34,7 +33,7 @@ from cavbayes.mmse import (
     limit_eigenvalue_tau0,
     mmse_estimator,
 )
-from cavbayes.oracle import mc_estimate_distribution, mc_quadratic_cost
+from cavbayes.oracle import average_cost_quadrature, mc_estimate_distribution, mc_quadratic_cost
 from cavbayes.priors import Prior
 
 VACUUM = FieldState.vacuum()

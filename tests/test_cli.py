@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from cavbayes import oracle
 from cavbayes.cli import (
     SweepSpec,
     find_tau_star,
@@ -331,6 +333,102 @@ def test_non_finite_config_value_is_a_config_error(section, key, value, tmp_path
     assert streams.out == ""
     assert streams.err.startswith(f"config error: [{section}] {key} must be finite")
     assert streams.err.count("\n") == 1
+
+
+_NONNEGATIVE_AXIS_SWEEPS = [
+    ("mmse_eigenvalues", "tau_c"),
+    ("mmse_cost", "tau_c"),
+    ("ml_cost", "tau_c"),
+    ("ml_avg_estimate", "tau_c"),
+    ("dissipative_cost", "tau_c"),
+    ("mmse_eigenvalues", "gamma_tau_f"),
+    ("mmse_cost", "gamma_tau_f"),
+    ("ml_cost", "gamma_tau_f"),
+]
+
+
+@pytest.mark.parametrize("quantity,axis", _NONNEGATIVE_AXIS_SWEEPS)
+def test_negative_time_sweep_range_is_a_config_error(quantity, axis, tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[sweep]\nquantity = {quantity}\naxis = {axis}\nlo = -1\nhi = 1\n"
+                    "n_points = 5\n")
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(path)]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert streams.err.startswith(f"config error: sweep axis '{axis}' needs lo >= 0")
+    assert streams.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+@pytest.mark.parametrize("position", ["before", "after"])
+def test_verify_seed_out_of_range_is_a_config_error(seed, position, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    options = ["--seed", seed, "--out", str(out)]
+    argv = [*options, "verify"] if position == "before" else ["verify", *options]
+    capsys.readouterr()
+    assert main(argv) == 1
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert streams.err.startswith("config error: --seed must be in [0, 2**128)")
+    assert streams.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed,position", [(0, "before"), (2**128 - 1, "after")])
+def test_verify_seed_range_ends_pass(seed, position, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    options = ["--seed", str(seed), "--out", str(out)]
+    argv = [*options, "verify"] if position == "before" else ["verify", *options]
+    assert main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["passed"] and report["seed"] == seed
+
+
+_PRODUCTION_RUNS = {
+    "state": "",
+    "mmse": "[scenario]\nalpha_abs = 0.8\n",
+    "ml": "",
+    "tau-star": "[prior]\nkind = uniform\n",
+    **{
+        f"sweep_{quantity}": f"[sweep]\nquantity = {quantity}\naxis = {axis}\nlo = 0.2\n"
+        "hi = 1.4\nn_points = 4\n"
+        for quantity, axis in (
+            ("mmse_eigenvalues", "delta"), ("mmse_cost", "tau_c"),
+            ("mmse_avg_estimate", "g_over_g0"), ("mmse_cr_bound", "g_over_g0"),
+            ("ml_cost", "gamma_tau_f"), ("ml_avg_estimate", "tau_c"),
+            ("ml_cr_bound", "g_over_g0"), ("dissipative_cost", "tau_c"),
+        )
+    },
+}
+
+
+def test_production_commands_do_not_call_oracle(tmp_path, monkeypatch, capsys):
+    # spy on every public oracle function at every binding site in the package
+    calls = []
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "cavbayes"]
+    for name in oracle.__all__:
+        fn = getattr(oracle, name)
+        if not inspect.isfunction(fn):
+            continue
+
+        def spy(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr in [a for a, value in vars(module).items() if value is fn]:
+                monkeypatch.setattr(module, attr, spy)
+
+    for name, text in _PRODUCTION_RUNS.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text)
+        command = name.split("_")[0]
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+        assert calls == [], (name, calls)
+    assert main(["verify", "--out", str(tmp_path / "report.json")]) == 0
+    assert "verify_all" in calls
+    capsys.readouterr()
 
 
 _DAMPED = "[scenario]\nkappa_over_g0 = 0.3\n"

@@ -8,11 +8,16 @@ axis, both priors, vacuum, detuned, coherent and dissipative fields, five
 likelihood sweeps (``ml_cost`` over ``tau_c`` with the uniform
 prior, ``ml_avg_estimate`` over ``g_over_g0`` with the uniform and over
 ``tau_c`` with the Gaussian prior, ``ml_cr_bound`` with both priors), and
-``tau-star`` for the three field kinds.  Regenerate them only for a change
-that is meant to move the numbers, and say why in the change log.
+``tau-star`` for the three field kinds.  ``verify_seed_7.json`` is the
+report of ``verify --seed 7``: its check names and order, pass flags and
+notes must match exactly, and every number to 1e-12 relative.  Regenerate
+them only for a change that is meant to move the numbers, and say why in
+the change log.
 """
 
 import csv
+import json
+import math
 import pathlib
 
 import pytest
@@ -53,3 +58,22 @@ def test_output_matches_golden(name, tmp_path):
             if x != y:
                 worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
     assert worst <= REL_TOL
+
+
+def test_verify_report_matches_golden(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--seed", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    ref = json.loads((GOLDEN / "verify_seed_7.json").read_text())
+    assert report.keys() == ref.keys()
+    assert (report["seed"], report["passed"]) == (ref["seed"], ref["passed"])
+    assert report["notes"] == ref["notes"]
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+        (c["name"], c["passed"]) for c in ref["checks"]
+    ]
+    for check, ref_check in zip(report["checks"], ref["checks"]):
+        assert check.keys() == ref_check.keys(), check["name"]
+        for key in check.keys() - {"name", "passed"}:
+            assert math.isclose(check[key], ref_check[key], rel_tol=REL_TOL, abs_tol=0.0), (
+                check["name"], key, check[key], ref_check[key])
