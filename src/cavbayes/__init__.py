@@ -6,13 +6,12 @@ strategies for Gaussian and uniform priors, their average costs, and
 accuracy lower bounds, plus sampling oracles and a scenario-runner CLI.
 """
 
-from .bounds import BoundReport, cr_bound_ml, cr_bound_mmse, sld, sld_general
+from .bounds import BoundReport, cr_bound_ml, cr_bound_mmse, sld_general
 from .dynamics import (
     FieldState,
     Scenario,
     dissipative_state,
     field_for,
-    rabi_frequency,
     reduced_state,
 )
 from .errors import (
@@ -20,7 +19,6 @@ from .errors import (
     ConfigError,
     DegenerateGamma0,
     InvalidRate,
-    SingularSLD,
     SinVanishes,
     TruncationTooSmall,
     UnsupportedCombination,

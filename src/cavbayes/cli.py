@@ -16,7 +16,7 @@ Options (``--config``, ``--out``, ``--format``, ``--seed``) may come before
 or after the command.  Exit codes: 0 success, 1 config error (a non-finite
 config value, a negative ``tau_c`` or ``gamma_tau_f`` sweep range and a
 ``verify`` seed outside [0, 2**128) included), 2 verification failure,
-3 numeric error (degenerate scenario).
+3 numeric error (degenerate scenario, or a NaN result from an overflow).
 """
 
 from __future__ import annotations
@@ -512,6 +512,11 @@ def main(argv: Optional[list] = None) -> int:
         return 3
     except CavbayesError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    # NaN passes every range check (its comparisons are false), so it is
+    # caught here; inf is a legal value (an unbounded c_max)
+    if np.isnan(np.asarray(table.rows, dtype=float)).any():
+        print("numeric error: the result holds NaN", file=sys.stderr)
         return 3
 
     echo = _config_echo(cfg)

@@ -36,7 +36,6 @@ from .qubit import Hermitian2, QubitState
 __all__ = [
     "Scenario",
     "FieldState",
-    "rabi_frequency",
     "reduced_state",
     "dissipative_state",
     "field_for",
@@ -149,13 +148,6 @@ class FieldState:
 def field_for(scenario: Scenario) -> FieldState:
     """Initial field implied by a scenario's coherent amplitude and cutoff."""
     return FieldState.coherent(scenario.alpha, scenario.fock_cutoff)
-
-
-def rabi_frequency(n: int, g: float, delta: float) -> float:
-    """Effective Rabi frequency sqrt(Delta^2/4 + g^2 n) of sector n >= 1."""
-    if n < 1:
-        raise ValueError("photon sector index must be >= 1")
-    return math.sqrt(delta**2 / 4 + g**2 * n)
 
 
 def _check_truncation(field: FieldState) -> None:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Production code raises these; the CLI exits 1 on :class:`ConfigError` and
+:class:`UnsupportedCombination` and 3 on every other :class:`CavbayesError`.
+"""
 
 
 class CavbayesError(Exception):
@@ -30,10 +34,6 @@ class SinVanishes(CavbayesError):
     the normalization constant is unbounded and the measurement carries no
     information beyond the prior.
     """
-
-
-class SingularSLD(CavbayesError):
-    """The symmetrized logarithmic derivative is singular (pure-state edge)."""
 
 
 class UnsupportedCombination(CavbayesError):

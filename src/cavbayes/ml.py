@@ -320,7 +320,8 @@ def uniform_cmax(prior: Prior, tau_c: float) -> float:
     total mass one, so each interval mass lies in [0, 1], and the zero-width
     interval limit is the pointwise condition itself.  The maximum is taken
     over the support endpoints and the interior stationary points of the
-    cosine.
+    cosine, where it is |K - 1| or |K + 1|, so the cost does not grow with
+    the number of periods in the support.
 
     Raises :class:`SinVanishes` at tau_c = 0, where the cosine is constant,
     f_z vanishes identically and the scale is unbounded.
@@ -334,13 +335,15 @@ def uniform_cmax(prior: Prior, tau_c: float) -> float:
     sig = prior.sigma
     k_excess = _uniform_offset_excess(prior, tau_c)
     lo, hi = prior.support
-    xs = [lo, hi]
-    k_lo = math.ceil(2.0 * tau_c * lo / math.pi)
-    k_hi = math.floor(2.0 * tau_c * hi / math.pi)
-    xs += [j * math.pi / (2.0 * tau_c) for j in range(k_lo, k_hi + 1)]
     # cos(2 x tau_c) - K = -2 sin^2(x tau_c) - (K - 1): both terms keep their
     # relative precision as tau_c -> 0, where the difference itself is O(tau^2)
-    peak = max(abs(2.0 * math.sin(tau_c * x) ** 2 + k_excess) for x in xs)
+    peak = max(abs(2.0 * math.sin(tau_c * x) ** 2 + k_excess) for x in (lo, hi))
+    # at the stationary points x = j pi / (2 tau_c), sin^2(x tau_c) is 0 for
+    # even j and 1 for odd j, so the first two in the support stand for all
+    k_lo = math.ceil(2.0 * tau_c * lo / math.pi)
+    k_hi = math.floor(2.0 * tau_c * hi / math.pi)
+    for j in range(k_lo, min(k_hi, k_lo + 1) + 1):
+        peak = max(peak, abs(2.0 * (j % 2) + k_excess))
     if peak < 1e-300:
         return math.inf
     return 1.0 / (2.0 * math.sqrt(3.0) * sig * peak)

@@ -5,7 +5,9 @@ closed forms against, and samplers of the measurement record.
 No production command (``state``, ``mmse``, ``ml``, ``sweep``, ``tau-star``)
 calls into this module.  The references re-derive the likelihood cost and
 f_z moments by quadrature and the Gaussian fixed-interval constants through
-the error function; the samplers check the analytic average costs and the
+the error function, and give the closed-form diagonal logarithmic
+derivative and the first-power variant of the accuracy bound, which only
+the tests read; the samplers check the analytic average costs and the
 exact likelihood mean estimate by simulating the record itself.
 
 Randomness uses the counter-based Philox generator keyed by an explicit
@@ -24,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import priors as priors_mod
-from .bounds import cr_bound_ml, cr_bound_mmse
+from .bounds import BoundReport, cr_bound_ml, cr_bound_mmse
 from .dynamics import FieldState, Scenario, detector_matrix_elements, dissipative_state
 from .ml import (MlPovm, _contrast, _gaussian_sin_or_raise, conditional_pdf, cost_max, f_z_moments,
                  gaussian_bound_constants, gaussian_cmax, interval_audit, ml_average_estimate,
                  ml_povm, uniform_cmax)
 from .mmse import MmseResult, gamma_moments, gamma_moments_quadrature, mmse_estimator
 from .priors import Prior
+from .qubit import Hermitian2
 
 __all__ = [
     "McReport",
@@ -41,6 +44,8 @@ __all__ = [
     "gaussian_bound_constants_erf",
     "average_cost_quadrature",
     "f_z_moments_quadrature",
+    "sld",
+    "first_power_bound",
     "verify_all",
 ]
 
@@ -281,6 +286,40 @@ def f_z_moments_quadrature(povm: MlPovm) -> tuple[float, float]:
     rule = priors_mod.quadrature(povm.prior, n)
     weighted = rule.nodes * povm.f_z(rule.nodes)
     return rule.integrate(weighted), rule.integrate(rule.nodes * weighted)
+
+
+# ---------------------------------------------------------------------------
+# Reference forms of the accuracy bound
+
+
+def sld(g: float, tau_c: float, gamma_tau_f: float) -> Hermitian2:
+    """Symmetrized logarithmic derivative of the resonant vacuum family.
+
+    rho(g) = diag(P, 1 - P) with P = cos^2(g tau_c) e^{-u} is diagonal, so
+    L = diag(P'/P, -P'/(1 - P)): the analytic reference of
+    :func:`bounds.sld_general`.  Raises ``ValueError`` at the pure-state
+    edge, where cos(g tau_c) or 1 - P vanishes and a branch of L diverges.
+    """
+    c = math.cos(g * tau_c)
+    p = c * c * math.exp(-gamma_tau_f)
+    if abs(c) <= 1e-12 or 1.0 - p <= 1e-12:
+        raise ValueError(f"L diverges at the pure-state edge g tau_c = {g * tau_c}")
+    dp = -tau_c * math.sin(2.0 * g * tau_c) * math.exp(-gamma_tau_f)
+    return Hermitian2(ee=dp / p, gg=-dp / (1.0 - p))
+
+
+def first_power_bound(report: BoundReport):
+    """|x'| / Tr{rho L^2} of a bound report, or 0 where Tr{rho L^2} = 0.
+
+    A variant of the bound carrying x' to the first power; several
+    closed-form displays use it, but it can exceed the conditional MSE, so
+    it is a reference for those displays and never a bound.
+    """
+    fisher = np.asarray(report.fisher)
+    informative = fisher > 0.0
+    ratio = np.abs(report.sensitivity) / np.where(informative, fisher, 1.0)
+    out = np.where(informative, ratio, 0.0)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,48 @@ def test_non_finite_config_value_is_a_config_error(section, key, value, tmp_path
     assert streams.err.count("\n") == 1
 
 
+_OVERFLOWING_RUNS = {
+    # g^2 n overflows in the state kernel
+    "state_huge_g": ("state", "[scenario]\ng_over_g0 = 1e160\n"),
+    "mmse_huge_g": ("mmse", "[scenario]\ng_over_g0 = 1e160\n"),
+    # (g t)^2 overflows in the dissipative populations
+    "dissipative_state_huge_tau": (
+        "state", "[scenario]\ng0_tau_c = 1e300\nkappa_over_g0 = 0.5\ngamma_over_g0 = 0.1\n"),
+    "mmse_avg_estimate_sweep_to_huge_g": (
+        "sweep", "[sweep]\nquantity = mmse_avg_estimate\naxis = g_over_g0\nlo = 1\n"
+                 "hi = 1e200\nn_points = 3\n"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING_RUNS))
+def test_nan_result_is_a_numeric_error(case, tmp_path, capsys):
+    # NaN passes every range check, so the finished table is checked for it
+    command, body = _OVERFLOWING_RUNS[case]
+    path = tmp_path / "run.ini"
+    path.write_text("[prior]\nkind = gaussian\nsigma_over_g0 = 0.5\n" + body)
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    streams = capsys.readouterr()
+    assert streams.out == ""
+    assert streams.err.startswith("numeric error:")
+    assert streams.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_infinite_result_is_written(tmp_path, capsys):
+    # c_max = inf is the documented value where sin(2 g0 tau_c) vanishes
+    path = tmp_path / "run.ini"
+    path.write_text("[prior]\nkind = gaussian\nsigma_over_g0 = 0.5\n"
+                    f"[scenario]\ng0_tau_c = {math.pi / 2.0!r}\n")
+    capsys.readouterr()
+    assert main(["ml", "--config", str(path)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "c_max,cost_max,avg_estimate"
+    assert row.startswith("inf,")
+
+
 _NONNEGATIVE_AXIS_SWEEPS = [
     ("mmse_eigenvalues", "tau_c"),
     ("mmse_cost", "tau_c"),

@@ -14,7 +14,6 @@ from cavbayes.dynamics import (
     detector_matrix_elements,
     dissipative_state,
     field_for,
-    rabi_frequency,
     reduced_state,
 )
 from cavbayes.errors import InvalidRate, TruncationTooSmall
@@ -23,14 +22,6 @@ from cavbayes.priors import Prior
 from conftest import master_equation_excited_population, schrodinger_reduced_state
 
 VACUUM = FieldState.vacuum()
-
-
-def test_rabi_frequency_values():
-    assert rabi_frequency(1, 1.0, 0.0) == pytest.approx(1.0)
-    assert rabi_frequency(4, 1.0, 0.0) == pytest.approx(2.0)
-    assert rabi_frequency(1, 1.0, 2.0) == pytest.approx(math.sqrt(2.0))
-    with pytest.raises(ValueError):
-        rabi_frequency(0, 1.0, 0.0)
 
 
 def test_full_swap_leaves_ground_state():

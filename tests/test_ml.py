@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from cavbayes import ml as ml_mod
 from cavbayes import oracle as oracle_mod
 from cavbayes.bounds import cr_bound_ml
 from cavbayes import priors as priors_mod
@@ -142,6 +144,42 @@ def test_uniform_cmax_rejects_zero_interaction_time():
         uniform_cmax(special_case_prior(), 0.0)
     with pytest.raises(ValueError):
         uniform_cmax(GAUSS, 0.5)
+
+
+def _uniform_cmax_enumerated(p, tc):
+    # the cap by evaluating every stationary point j pi / (2 tau_c) of the
+    # cosine inside the support, one by one
+    k_excess = ml_mod._uniform_offset_excess(p, tc)
+    lo, hi = p.support
+    k_lo = math.ceil(2.0 * tc * lo / math.pi)
+    k_hi = math.floor(2.0 * tc * hi / math.pi)
+    xs = [lo, hi] + [j * math.pi / (2.0 * tc) for j in range(k_lo, k_hi + 1)]
+    peak = max(abs(2.0 * math.sin(tc * x) ** 2 + k_excess) for x in xs)
+    return 1.0 / (2.0 * math.sqrt(3.0) * p.sigma * peak)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    g0=st.floats(0.2, 3.0),
+    sigma=st.floats(0.05, 2.0),
+    log_tau=st.floats(-8.0, 3.0),
+)
+def test_uniform_cmax_matches_stationary_point_enumeration(g0, sigma, log_tau):
+    p, tc = Prior.uniform(g0, sigma), 10.0**log_tau
+    assert uniform_cmax(p, tc) == pytest.approx(_uniform_cmax_enumerated(p, tc), rel=1e-14)
+
+
+def test_uniform_ml_at_long_interaction_time_returns_promptly():
+    # about 2e12 stationary points lie in the support at g0 tau = 1e12;
+    # the cap must not visit them one by one
+    p = Prior.uniform(1.0, 0.5)
+    start = time.perf_counter()
+    povm = ml_povm(p, 1e12, 0.0)
+    cost, avg = uniform_cost_max(povm), ml_average_estimate(povm, 1.0, 0.0)
+    assert time.perf_counter() - start < 1.0
+    # the support holds many periods, so K -> 0 and the cap is 1/(2 sqrt(3) sigma)
+    assert povm.c_max == pytest.approx(1.0 / (2.0 * math.sqrt(3.0) * p.sigma), rel=1e-9)
+    assert math.isfinite(cost) and math.isfinite(avg)
 
 
 def test_uniform_small_spread_loosens_constraint():
@@ -421,9 +459,15 @@ def test_batched_likelihood_rows_equal_scalar_calls(prior):
 )
 def test_likelihood_rows_match_quadrature_and_respect_the_bound(kind, sigma, log_tau, u, g):
     # the exact mean and MSE against quadrature of the conditional density,
-    # and the Braunstein-Caves inequality mse >= x'^2 / F
+    # the Braunstein-Caves inequality mse >= x'^2 / F, and a valid POVM:
+    # complete, with every sampled interval mass of f_I +- f_z in [0, 1]
     tc = 10.0**log_tau
     povm = ml_povm(Prior(kind, 1.0, sigma), tc, u)
+    if math.isfinite(povm.c_max):
+        tot_i, tot_z = povm.completeness()
+        assert tot_i == pytest.approx(1.0, abs=1e-12)
+        assert tot_z == pytest.approx(0.0, abs=1e-12)
+        assert interval_audit(povm, n_intervals=300).passed
     scale = 1.0 + sigma**2
     mean = ml_average_estimate(povm, g, u)
     assert mean == pytest.approx(_conditional_quadrature(povm, g, u, lambda x: x), abs=1e-12 * scale)
