@@ -7,23 +7,24 @@ slope x'(g) = d E[estimate | g]/dg obeys
     E[(estimate - g)^2 | g]  >=  |x'(g)|^2 / Tr{rho L^2}.
 
 Each report holds the conditional MSE, that bound, x' and Tr{rho L^2}, and
-nothing else.  The resonant vacuum family is diagonal and takes P' and the
-Fisher entry in closed form; every other family builds L in the eigenbasis
-of rho (:func:`sld_general`).  The closed-form diagonal L and the
-first-power variant |x'|/Tr{rho L^2} are test references in
-:mod:`cavbayes.oracle`.
+nothing else.  The MMSE bound and L take the state they measure, rho(g) and
+d rho/dg from :func:`dynamics.reduced_state`, and the likelihood bound the
+POVM, whose flight decay it reads; none rebuilds a state.  The resonant
+vacuum family is diagonal and takes P' and the Fisher entry in closed form;
+every other family builds L in the eigenbasis of rho (:func:`sld_general`).
+The closed-form diagonal L and the first-power variant |x'|/Tr{rho L^2} are
+test references in :mod:`cavbayes.oracle`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import ml as ml_mod
-from .dynamics import FieldState, Scenario, reduced_state
+from .dynamics import Scenario
 from .mmse import MmseResult, mse_of_estimator
 from .qubit import Hermitian2, QubitState, eigendecompose, square, trace_product
 
@@ -77,24 +78,15 @@ def _diagonal_family(g: np.ndarray, tau_c: float, gamma_tau_f: float):
     return dp, fisher
 
 
-def sld_general(
-    g,
-    scenario: Scenario,
-    field: FieldState,
-    rho: Optional[QubitState] = None,
-    drho: Optional[Hermitian2] = None,
-) -> Hermitian2:
-    """L for a general scenario, built in the eigenbasis of rho(g).
+def sld_general(rho: QubitState, drho: Hermitian2) -> Hermitian2:
+    """L of the state rho(g), built in its eigenbasis from d rho/dg.
 
     L_ij = 2 (d rho)_ij / (p_i + p_j); entries with p_i + p_j below 1e-12 are
-    set to zero (support convention at rank deficiency).  d rho/dg is the
-    exact derivative from the state kernel.  An array ``g`` gives the batch
-    of L, one per coupling.  A caller holding rho(g) and d rho/dg (of the
-    shape of ``g``) passes them in as ``rho`` / ``drho``.
+    set to zero (support convention at rank deficiency).  ``drho`` is the
+    exact derivative from the state kernel (:func:`dynamics.reduced_state`
+    with ``derivative=True``).  A batch of states gives the batch of L.
     """
-    if rho is None or drho is None:
-        rho, drho = reduced_state(g, scenario, field, derivative=True)
-    batch = np.ndim(g) > 0
+    batch = rho.matrix.is_batch
     m, d = (rho.matrix, drho) if batch else (
         Hermitian2.stack([rho.matrix]),
         Hermitian2.stack([drho]),
@@ -132,27 +124,17 @@ def _report(g, mse, xprime, fisher) -> BoundReport:
 
 
 def cr_bound_mmse(
-    result: MmseResult,
-    g,
-    scenario: Scenario,
-    field: Optional[FieldState] = None,
-    rho: Optional[QubitState] = None,
-    drho: Optional[Hermitian2] = None,
+    result: MmseResult, g, scenario: Scenario, rho: QubitState, drho: Hermitian2
 ) -> BoundReport:
     """Bound report for the quadratic-cost estimator at true coupling g.
 
+    ``rho`` and ``drho`` are the state and d rho/dg at ``g``, of its shape.
     Resonant vacuum scenarios with a diagonal estimator use the analytic
     response slope x'(g) = (m_e - m_g) P'(g) and Fisher entry of the
-    diagonal family; every other scenario takes the exact d rho/dg from the
-    state kernel, x' = Tr{M d rho} and L from :func:`sld_general`.
-
-    An array ``g`` gives a batch report (see :meth:`BoundReport.row`) from
-    one state evaluation; a scalar is a batch of one.  A caller holding the
-    batch states rho and d rho/dg at ``np.atleast_1d(g)`` passes them as
-    ``rho`` / ``drho``.
+    diagonal family; every other scenario takes x' = Tr{M d rho} and L from
+    :func:`sld_general`.  An array ``g`` gives a batch report (see
+    :meth:`BoundReport.row`); a scalar is a batch of one.
     """
-    if field is None:
-        field = FieldState.vacuum()
     diagonal = (
         scenario.delta == 0.0
         and abs(scenario.alpha) == 0.0
@@ -160,35 +142,33 @@ def cr_bound_mmse(
     )
     batch = np.ndim(g) > 0
     g = np.atleast_1d(np.asarray(g, dtype=float))
-    if rho is None or (drho is None and not diagonal):
-        states = reduced_state(g, scenario, field, derivative=not diagonal)
-        rho, drho = (states, None) if diagonal else states
-    mse = mse_of_estimator(result, g, scenario, field, rho=rho)
+    if not batch:
+        rho, drho = QubitState(Hermitian2.stack([rho.matrix])), Hermitian2.stack([drho])
+    mse = mse_of_estimator(result, g, rho)
 
     if diagonal:
         dp, fisher = _diagonal_family(g, scenario.tau_c, scenario.tau_f_gamma)
         xprime = (result.m_min.ee - result.m_min.gg) * dp
     else:
         xprime = trace_product(result.m_min, drho)
-        l_op = sld_general(g, scenario, field, rho=rho, drho=drho)
-        fisher = trace_product(square(l_op), rho.matrix)
+        fisher = trace_product(square(sld_general(rho, drho)), rho.matrix)
     rep = _report(g, mse, xprime, fisher)
     return rep if batch else rep.row(0)
 
 
-def cr_bound_ml(povm: ml_mod.MlPovm, g, gamma_tau_f: float) -> BoundReport:
+def cr_bound_ml(povm: ml_mod.MlPovm, g) -> BoundReport:
     """Bound report for the likelihood strategy at true coupling g.
 
     The mean estimate is g0 + c(g) m1 with c(g) = 2 P(g) - 1, so the response
     slope is x'(g) = 2 P'(g) m1; m1 = int x f_z dx and the MSE come from the
-    exact f_z moments of :func:`ml.f_z_moments`, with no quadrature.  An
-    array ``g`` gives a batch report (see :meth:`BoundReport.row`); a scalar
-    is a batch of one.
+    exact f_z moments of :func:`ml.f_z_moments`, with no quadrature, and the
+    flight decay u is the POVM's own.  An array ``g`` gives a batch report
+    (see :meth:`BoundReport.row`); a scalar is a batch of one.
     """
     batch = np.ndim(g) > 0
     g = np.atleast_1d(np.asarray(g, dtype=float))
-    mse = ml_mod.ml_mse(povm, g, gamma_tau_f)
+    mse = ml_mod.ml_mse(povm, g)
     m1, _ = ml_mod.f_z_moments(povm)
-    dp, fisher = _diagonal_family(g, povm.tau_c, gamma_tau_f)
+    dp, fisher = _diagonal_family(g, povm.tau_c, povm.gamma_tau_f)
     rep = _report(g, mse, 2.0 * m1 * dp, fisher)
     return rep if batch else rep.row(0)

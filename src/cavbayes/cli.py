@@ -14,8 +14,9 @@ Commands
 
 Options (``--config``, ``--out``, ``--format``, ``--seed``) may come before
 or after the command.  Exit codes: 0 success, 1 config error (a non-finite
-config value, a negative ``tau_c`` or ``gamma_tau_f`` sweep range and a
-``verify`` seed outside [0, 2**128) included), 2 verification failure,
+config value, a negative ``tau_c`` or ``gamma_tau_f`` sweep range, a sweep
+past ``MAX_SWEEP_POINTS``, a Fock ladder past ``dynamics.MAX_FOCK_CUTOFF``
+and a ``verify`` seed outside [0, 2**128) included), 2 verification failure,
 3 numeric error (degenerate scenario, or a NaN result from an overflow).
 """
 
@@ -38,7 +39,8 @@ from . import bounds as bounds_mod
 from . import ml as ml_mod
 from . import mmse as mmse_mod
 from . import priors as priors_mod
-from .dynamics import FieldState, Scenario, dissipative_state, field_for, reduced_state
+from .dynamics import (FieldState, Scenario, _auto_cutoff, dissipative_state, field_for,
+                       reduced_state)
 from .errors import CavbayesError, ConfigError, DegenerateGamma0, UnsupportedCombination
 from .oracle import verify_all
 from .priors import Prior
@@ -56,6 +58,8 @@ QUANTITIES = (
     "dissipative_cost",
 )
 AXES = ("tau_c", "g_over_g0", "delta", "gamma_tau_f")
+#: most points one sweep may hold
+MAX_SWEEP_POINTS = 10_000
 #: axes whose values are times or decay exponents, never negative
 _NONNEGATIVE_AXES = ("tau_c", "gamma_tau_f")
 
@@ -122,8 +126,8 @@ class SweepSpec:
             raise UnsupportedCombination("sweep range must satisfy lo < hi")
         if self.axis in _NONNEGATIVE_AXES and self.lo < 0:
             raise UnsupportedCombination(f"sweep axis {self.axis!r} needs lo >= 0, got {self.lo!r}")
-        if self.n_points < 2:
-            raise UnsupportedCombination("sweep needs at least 2 points")
+        if not 2 <= self.n_points <= MAX_SWEEP_POINTS:
+            raise UnsupportedCombination(f"sweep needs 2 to {MAX_SWEEP_POINTS} points")
         _check_family(self.quantity, self.scenario)
 
 
@@ -161,14 +165,13 @@ def _ml_rows(spec: SweepSpec, values: list) -> list:
     ``tau_c`` and ``gamma_tau_f`` each row builds its own POVM."""
     prior, q = spec.prior, spec.quantity
     if spec.axis == "g_over_g0":
-        u = spec.scenario.tau_f_gamma
-        povm = ml_mod.ml_povm(prior, spec.scenario.tau_c, u)
+        povm = ml_mod.ml_povm(prior, spec.scenario.tau_c, spec.scenario.tau_f_gamma)
         g = np.array(values) * prior.g0
         if q == "ml_cr_bound":
-            rep = bounds_mod.cr_bound_ml(povm, g, u)
+            rep = bounds_mod.cr_bound_ml(povm, g)
             columns = [rep.mse, rep.lower_bound]
         else:
-            columns = [ml_mod.ml_average_estimate(povm, g, u)]
+            columns = [ml_mod.ml_average_estimate(povm, g)]
         return [[v, *(float(c[i]) for c in columns)] for i, v in enumerate(values)]
     rows = []
     for v, sc in zip(values, _along(spec.scenario, spec.axis, values)):
@@ -176,7 +179,7 @@ def _ml_rows(spec: SweepSpec, values: list) -> list:
         if q == "ml_cost":
             rows.append([v, ml_mod.cost_max(povm)])
         else:
-            rows.append([v, ml_mod.ml_average_estimate(povm, prior.g0, sc.tau_f_gamma)])
+            rows.append([v, ml_mod.ml_average_estimate(povm, prior.g0)])
     return rows
 
 
@@ -206,11 +209,10 @@ def _pinned_rows(prior: Prior, scenario: Scenario, g_over_g0: list, bound: bool)
     g = np.array(g_over_g0) * prior.g0
     if bound:
         rho, drho = reduced_state(g, scenario, fld, derivative=True)
-        rep = bounds_mod.cr_bound_mmse(result, g, scenario, fld, rho=rho, drho=drho)
-        avg = mmse_mod.average_estimate(result, g, scenario, fld, rho=rho)
-        columns = [avg, rep.lower_bound, rep.mse]
+        rep = bounds_mod.cr_bound_mmse(result, g, scenario, rho, drho)
+        columns = [mmse_mod.average_estimate(result, rho), rep.lower_bound, rep.mse]
     else:
-        columns = [mmse_mod.average_estimate(result, g, scenario, fld)]
+        columns = [mmse_mod.average_estimate(result, reduced_state(g, scenario, fld))]
     head = [result.estimates[0], result.estimates[1], result.c_min]
     return [[*head, *(float(c[i]) for c in columns)] for i in range(len(g))]
 
@@ -352,6 +354,8 @@ def load_config(path: Optional[str]) -> dict:
             fock_cutoff=cutoff,
             **{attr: number("scenario", key) for key, attr in _SCENARIO_KEYS.items()},
         )
+        if cutoff is None:
+            _auto_cutoff(alpha)  # refuses a ladder past MAX_FOCK_CUTOFF before any run
         cfg = {
             "prior": Prior(prior_kind, 1.0, sigma),
             "scenario": scenario,
@@ -450,7 +454,7 @@ def _cmd_mmse(cfg: dict) -> Table:
 def _cmd_ml(cfg: dict) -> Table:
     prior, scenario = cfg["prior"], cfg["scenario"]
     povm = ml_mod.ml_povm(prior, scenario.tau_c, scenario.tau_f_gamma)
-    avg = ml_mod.ml_average_estimate(povm, cfg["g"] * prior.g0, scenario.tau_f_gamma)
+    avg = ml_mod.ml_average_estimate(povm, cfg["g"] * prior.g0)
     return Table(columns=["c_max", "cost_max", "avg_estimate"],
                  rows=[[povm.c_max, ml_mod.cost_max(povm), avg]])
 
@@ -496,14 +500,16 @@ def main(argv: Optional[list] = None) -> int:
                 print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}")
             return 0 if report["passed"] else 2
 
-        if args.command == "sweep":
-            if "sweep" not in cfg:
-                print("config error: sweep section missing", file=sys.stderr)
-                return 1
-            table = run_sweep(cfg["sweep"])
-        else:
-            _check_family(args.command, cfg["scenario"])
-            table = _POINT_COMMANDS[args.command](cfg)
+        if args.command == "sweep" and "sweep" not in cfg:
+            print("config error: sweep section missing", file=sys.stderr)
+            return 1
+        # no overflow warnings: a NaN result is refused below, and inf is legal
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "sweep":
+                table = run_sweep(cfg["sweep"])
+            else:
+                _check_family(args.command, cfg["scenario"])
+                table = _POINT_COMMANDS[args.command](cfg)
     except (ConfigError, UnsupportedCombination) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -46,6 +46,8 @@ __all__ = [
 CAPTURE_THRESHOLD = 0.99
 #: extra levels kept above the capture point
 CUTOFF_MARGIN = 10
+#: largest photon number of a field ladder, explicit or automatic (|alpha| <= 30 fits)
+MAX_FOCK_CUTOFF = 1024
 #: phase l tau below which sin(l tau)/l and its derivative ratio come from
 #: their Taylor series
 _SERIES_PHASE = 0.1
@@ -77,8 +79,8 @@ class Scenario:
         for name in ("tau_c", "tau_f_gamma", "kappa", "gamma_cav"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.fock_cutoff is not None and self.fock_cutoff < 0:
-            raise ValueError("fock_cutoff must be nonnegative")
+        if self.fock_cutoff is not None and not 0 <= self.fock_cutoff <= MAX_FOCK_CUTOFF:
+            raise ValueError(f"fock_cutoff must be in [0, {MAX_FOCK_CUTOFF}]")
 
     @property
     def is_unitary_transit(self) -> bool:
@@ -86,18 +88,21 @@ class Scenario:
 
 
 def _auto_cutoff(alpha: complex) -> int:
-    """Smallest N capturing >= 99% of the coherent mass, plus safety margin."""
+    """Smallest N capturing >= 99% of the coherent mass, plus safety margin.
+
+    The Poisson terms are formed in log space, so e^{-|alpha|^2} does not
+    underflow; raises ``ValueError`` past ``MAX_FOCK_CUTOFF``.
+    """
     mean = abs(alpha) ** 2
     if mean == 0.0:
         return 0
-    n = 0
-    term = math.exp(-mean)
-    mass = term
-    while mass < CAPTURE_THRESHOLD:
-        n += 1
-        term *= mean / n
-        mass += term
-    return n + CUTOFF_MARGIN
+    log_mean = math.log(mean)
+    mass = 0.0
+    for n in range(MAX_FOCK_CUTOFF - CUTOFF_MARGIN + 1):
+        mass += math.exp(n * log_mean - mean - math.lgamma(n + 1))
+        if mass >= CAPTURE_THRESHOLD:
+            return n + CUTOFF_MARGIN
+    raise ValueError(f"|alpha| = {abs(alpha)!r} needs a Fock ladder past {MAX_FOCK_CUTOFF}")
 
 
 @dataclass(frozen=True)

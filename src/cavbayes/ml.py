@@ -425,20 +425,20 @@ def cost_max(povm: MlPovm) -> float:
 # Conditional law of the estimate and derived quantities
 
 
-def _contrast(povm: MlPovm, g, gamma_tau_f: float):
-    """c(g) = 2 cos^2(g tau_c) e^{-u} - 1, the weight of f_z in p(x|g)."""
+def _contrast(povm: MlPovm, g):
+    """c(g) = 2 cos^2(g tau_c) e^{-u} - 1 at the POVM's u: the weight of f_z in p(x|g)."""
     g = np.asarray(g, dtype=float)
-    return 2.0 * np.cos(g * povm.tau_c) ** 2 * math.exp(-gamma_tau_f) - 1.0
+    return 2.0 * np.cos(g * povm.tau_c) ** 2 * math.exp(-povm.gamma_tau_f) - 1.0
 
 
-def conditional_pdf(povm: MlPovm, g, g_tilde, gamma_tau_f: float):
+def conditional_pdf(povm: MlPovm, g, g_tilde):
     """Density of the recorded estimate given the true coupling.
 
     p(x | g) = f_I(x) + f_z(x) (2 cos^2(g tau_c) e^{-u} - 1); vectorized over
     the estimate argument.  An array ``g`` adds leading axes, one density
     per coupling.
     """
-    contrast = _contrast(povm, g, gamma_tau_f)
+    contrast = _contrast(povm, g)
     return povm.f_i(g_tilde) + np.multiply.outer(contrast, povm.f_z(g_tilde))
 
 
@@ -473,17 +473,17 @@ def f_z_moments(povm: MlPovm) -> tuple[float, float]:
     return m1, m2
 
 
-def ml_average_estimate(povm: MlPovm, g, gamma_tau_f: float):
+def ml_average_estimate(povm: MlPovm, g):
     """Mean recorded estimate int x p(x|g) dx = g0 + c(g) m1.
 
     An array ``g`` gives one mean per entry; a scalar gives a float.
     """
     m1, _ = f_z_moments(povm)
-    out = povm.prior.g0 + _contrast(povm, g, gamma_tau_f) * m1
+    out = povm.prior.g0 + _contrast(povm, g) * m1
     return out if out.ndim else float(out)
 
 
-def ml_mse(povm: MlPovm, g, gamma_tau_f: float):
+def ml_mse(povm: MlPovm, g):
     """Conditional mean-squared error int (x - g)^2 p(x|g) dx
     = sigma^2 + (g0 - g)^2 + c(g) (m2 - 2 g m1); ``g`` as in
     :func:`ml_average_estimate`."""
@@ -492,7 +492,7 @@ def ml_mse(povm: MlPovm, g, gamma_tau_f: float):
     out = (
         povm.prior.sigma**2
         + (povm.prior.g0 - g) ** 2
-        + _contrast(povm, g, gamma_tau_f) * (m2 - 2.0 * g * m1)
+        + _contrast(povm, g) * (m2 - 2.0 * g * m1)
     )
     return out if out.ndim else float(out)
 

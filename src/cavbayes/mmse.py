@@ -6,7 +6,8 @@ The optimal quadratic-cost estimator is the Hermitian operator solving
 
 measured in its own eigenbasis; the eigenvalues are the estimates and the
 attained average cost is  Tr{G2 - M G0 M}.  The moment operators G_k are
-built from the detector-time state, so flight damping is already folded in.
+built from the detector-time state, so flight damping is already folded in;
+the conditional mean and MSE of an estimator take that state rho(g) itself.
 
 Every moment call takes a whole sweep axis: :func:`gamma_moments` a tuple of
 scenarios and :func:`gamma_moments_dissipative` an array of interaction
@@ -32,15 +33,14 @@ import numpy as np
 from . import priors as priors_mod
 from .dynamics import (
     FieldState,
-    Scenario,
     _check_truncation,
     detector_matrix_elements,
     dissipative_populations,
-    reduced_state,
 )
 from .priors import Prior, density
 from .qubit import (
     Hermitian2,
+    QubitState,
     eigendecompose,
     solve_symmetric_product,
     square,
@@ -332,32 +332,17 @@ def limit_eigenvalue_tau0(prior: Prior) -> float:
     return g0 * (3.0 * var + g0**2) / (var + g0**2)
 
 
-def average_estimate(
-    result: MmseResult, g, scenario: Scenario, field: FieldState, rho=None
-):
-    """Mean recorded estimate conditioned on the true coupling, Tr{M rho(g)}.
-
-    ``g`` may be an array of couplings, one output per entry.  A caller
-    holding the states rho(g) (of the same shape as ``g``) passes them as
-    ``rho``.
-    """
-    if rho is None:
-        rho = reduced_state(g, scenario, field)
+def average_estimate(result: MmseResult, rho: QubitState):
+    """Mean recorded estimate Tr{M rho(g)} in the detector state ``rho`` at
+    the true coupling; a batch of states gives one mean per entry."""
     avg = trace_product(result.m_min, rho.matrix)
-    return avg if np.ndim(g) else float(avg)
+    return avg if np.ndim(avg) else float(avg)
 
 
-def mse_of_estimator(
-    result: MmseResult, g, scenario: Scenario, field: FieldState, rho=None
-):
-    """Conditional mean-squared error Tr{(M - g I)^2 rho(g)}.
-
-    ``g`` and ``rho`` as in :func:`average_estimate`.
-    """
-    if rho is None:
-        rho = reduced_state(g, scenario, field)
+def mse_of_estimator(result: MmseResult, g, rho: QubitState):
+    """Conditional mean-squared error Tr{(M - g I)^2 rho(g)}, with ``rho``
+    the state at ``g`` and of its shape."""
     m = result.m_min
     dev = Hermitian2(ee=m.ee - g, gg=m.gg - g, eg=m.eg)
     mse = trace_product(square(dev), rho.matrix)
     return mse if np.ndim(g) else float(mse)
-

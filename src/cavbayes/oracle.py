@@ -8,7 +8,9 @@ f_z moments by quadrature and the Gaussian fixed-interval constants through
 the error function, and give the closed-form diagonal logarithmic
 derivative and the first-power variant of the accuracy bound, which only
 the tests read; the samplers check the analytic average costs and the
-exact likelihood mean estimate by simulating the record itself.
+exact likelihood mean estimate by simulating the record itself.  Like the
+likelihood evaluations, the estimate sampler and the display variant of
+the mean take the POVM and read its flight decay.
 
 Randomness uses the counter-based Philox generator keyed by an explicit
 seed, with Gaussian draws produced by inverse-CDF mapping of uniforms
@@ -27,7 +29,8 @@ import numpy as np
 
 from . import priors as priors_mod
 from .bounds import BoundReport, cr_bound_ml, cr_bound_mmse
-from .dynamics import FieldState, Scenario, detector_matrix_elements, dissipative_state
+from .dynamics import (FieldState, Scenario, detector_matrix_elements, dissipative_state,
+                       reduced_state)
 from .ml import (MlPovm, _contrast, _gaussian_sin_or_raise, conditional_pdf, cost_max, f_z_moments,
                  gaussian_bound_constants, gaussian_cmax, interval_audit, ml_average_estimate,
                  ml_povm, uniform_cmax)
@@ -143,9 +146,7 @@ def mc_quadratic_cost(
     )
 
 
-def mc_estimate_distribution(
-    povm: MlPovm, g: float, scenario: Scenario, n: int, seed: int
-) -> MlSampleReport:
+def mc_estimate_distribution(povm: MlPovm, g: float, n: int, seed: int) -> MlSampleReport:
     """Sample the recorded-estimate distribution by inverse-CDF on a grid.
 
     The conditional density is tabulated on ``_CDF_GRID_POINTS`` nodes over
@@ -163,7 +164,7 @@ def mc_estimate_distribution(
     rng = _generator(seed)
     lo, hi = povm.window
     grid = np.linspace(lo, hi, _CDF_GRID_POINTS)
-    pdf = np.clip(conditional_pdf(povm, g, grid, scenario.tau_f_gamma), 0.0, None)
+    pdf = np.clip(conditional_pdf(povm, g, grid), 0.0, None)
     cdf = np.concatenate(
         [[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))]
     )
@@ -172,7 +173,7 @@ def mc_estimate_distribution(
 
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(n))
-    exact_mean = ml_average_estimate(povm, g, scenario.tau_f_gamma)
+    exact_mean = ml_average_estimate(povm, g)
     z = abs(mean - exact_mean) / stderr if stderr > 0 else math.inf
 
     hist, edges = np.histogram(samples, bins=_HISTOGRAM_BINS, range=(lo, hi))
@@ -253,12 +254,12 @@ def _gaussian_bound_constants_erf_alt(prior: Prior, tau_c: float) -> tuple[float
     return pref * num1 / den, pref * (2.0 - num1) / den
 
 
-def _gaussian_average_estimate_display(povm: MlPovm, g: float, gamma_tau_f: float) -> float:
+def _gaussian_average_estimate_display(povm: MlPovm, g: float) -> float:
     # mean estimate with a 4 sqrt(5 pi) c sigma^2 prefactor in place of the
     # derived 2 sqrt(2 pi) c sigma^3; surfaced in the verification report
     # only, never asserted
     sig, tc = povm.prior.sigma, povm.tau_c
-    contrast = 1.0 - 2.0 * math.cos(g * tc) ** 2 * math.exp(-gamma_tau_f)
+    contrast = 1.0 - 2.0 * math.cos(g * tc) ** 2 * math.exp(-povm.gamma_tau_f)
     return povm.prior.g0 + 4.0 * math.sqrt(5.0 * math.pi) * sig**2 * tc * (
         povm._fz_scale * math.exp(-2.0 * sig**2 * tc**2) * contrast
     )
@@ -274,7 +275,7 @@ def average_cost_quadrature(povm: MlPovm) -> float:
     """
     n = priors_mod.nodes_for_oscillation(povm.prior, 2.0 * povm.tau_c)
     rule = priors_mod.quadrature(povm.prior, n)
-    contrast = _contrast(povm, rule.nodes, povm.gamma_tau_f)
+    contrast = _contrast(povm, rule.nodes)
     p = povm.f_i(rule.nodes) + contrast * povm.f_z(rule.nodes)
     return rule.expect(povm.prior, p)
 
@@ -450,10 +451,8 @@ def verify_all(seed: int = 0) -> dict:
         sc = Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2)
         result = mmse_estimator(gamma_moments(prior, sc, vac), sc.tau_f_gamma)
         povm = ml_povm(prior, sc.tau_c, sc.tau_f_gamma)
-        for rep in (
-            cr_bound_mmse(result, g_grid, sc, vac),
-            cr_bound_ml(povm, g_grid, sc.tau_f_gamma),
-        ):
+        rho, drho = reduced_state(g_grid, sc, vac, derivative=True)
+        for rep in (cr_bound_mmse(result, g_grid, sc, rho, drho), cr_bound_ml(povm, g_grid)):
             gap = rep.mse - rep.lower_bound
             worst_gap = min(worst_gap, float(gap.min()))
             violations += int(np.count_nonzero(gap < -1e-9))
@@ -477,7 +476,7 @@ def verify_all(seed: int = 0) -> dict:
     z_max = 0.0
     for g in (0.7, 1.0, 1.3):
         povm = ml_povm(gauss, math.pi / 4.0, 0.0)
-        rep = mc_estimate_distribution(povm, g, Scenario(tau_c=math.pi / 4.0), 10**5, seed)
+        rep = mc_estimate_distribution(povm, g, 10**5, seed)
         z_max = max(z_max, rep.z_score)
     checks.append(_check("mc_ml_estimate_z", z_max < 4.0, z_max=z_max))
 
@@ -490,9 +489,7 @@ def verify_all(seed: int = 0) -> dict:
 
     # informational: display variant of the Gaussian mean estimate
     povm = ml_povm(gauss, math.pi / 4.0, 0.0)
-    gap = abs(
-        ml_average_estimate(povm, 0.7, 0.0) - _gaussian_average_estimate_display(povm, 0.7, 0.0)
-    )
+    gap = abs(ml_average_estimate(povm, 0.7) - _gaussian_average_estimate_display(povm, 0.7))
     notes.append(
         "display variant of the mean-estimate closed form deviates from "
         f"the exact mean by {gap:.3e} at the reference point; reported, not asserted"

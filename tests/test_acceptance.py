@@ -17,6 +17,7 @@ from cavbayes.dynamics import (
     Scenario,
     dissipative_state,
     field_for,
+    reduced_state,
 )
 from cavbayes.ml import (
     gaussian_cost_max,
@@ -212,8 +213,9 @@ def test_criterion_10_cramer_rao_consistency():
             else uniform_ml_povm(prior, sc.tau_c, sc.tau_f_gamma)
         )
         for g in grid:
-            rep_m = cr_bound_mmse(res, float(g), sc)
-            rep_l = cr_bound_ml(povm, float(g), sc.tau_f_gamma)
+            rho, drho = reduced_state(float(g), sc, VACUUM, derivative=True)
+            rep_m = cr_bound_mmse(res, float(g), sc, rho, drho)
+            rep_l = cr_bound_ml(povm, float(g))
             for rep in (rep_m, rep_l):
                 assert rep.mse >= rep.lower_bound - 1e-9
                 worst_gap = min(worst_gap, rep.mse - rep.lower_bound)
@@ -222,7 +224,8 @@ def test_criterion_10_cramer_rao_consistency():
         sc = Scenario(tau_c=tc, tau_f_gamma=0.3)
         res = mmse_estimator(gamma_moments(GAUSS, sc, VACUUM))
         for g in grid[::5]:
-            assert cr_bound_mmse(res, float(g), sc).lower_bound < 1e-12
+            rho, drho = reduced_state(float(g), sc, VACUUM, derivative=True)
+            assert cr_bound_mmse(res, float(g), sc, rho, drho).lower_bound < 1e-12
     report("10 cramer-rao consistency", f"smallest mse-bound gap {worst_gap:.3e}")
 
 
@@ -237,9 +240,7 @@ def test_criterion_11_monte_carlo_concordance():
         z_scores.append(rep.z_score)
     for g in (0.7, 1.0, 1.3):
         povm = gaussian_ml_povm(GAUSS, math.pi / 4.0, 0.0)
-        rep = mc_estimate_distribution(
-            povm, g, Scenario(tau_c=math.pi / 4.0), 10**5, SEED
-        )
+        rep = mc_estimate_distribution(povm, g, 10**5, SEED)
         z_scores.append(rep.z_score)
     assert max(z_scores) < 4.0
     report("11 monte-carlo concordance", f"z-scores {[round(z, 2) for z in z_scores]}")

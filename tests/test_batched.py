@@ -24,6 +24,7 @@ from cavbayes.dynamics import (
     dissipative_populations,
     dissipative_state,
     field_for,
+    reduced_state,
 )
 from cavbayes.errors import DegenerateGamma0
 from cavbayes.priors import Prior
@@ -83,9 +84,10 @@ def _scalar_rows(spec: SweepSpec) -> list:
         row = [v, res.estimates[0], res.estimates[1], res.c_min]
         if spec.axis == "g_over_g0":
             g = v * prior.g0
-            row.append(mmse_mod.average_estimate(res, g, sc, fld))
+            rho, drho = reduced_state(g, sc, fld, derivative=True)
+            row.append(mmse_mod.average_estimate(res, rho))
             if spec.quantity == "mmse_cr_bound":
-                rep = bounds_mod.cr_bound_mmse(res, g, sc, fld)
+                rep = bounds_mod.cr_bound_mmse(res, g, sc, rho, drho)
                 row += [rep.lower_bound, rep.mse]
         rows.append(row)
     return rows

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cavbayes.bounds import cr_bound_ml, cr_bound_mmse, sld_general
 from cavbayes.dynamics import FieldState, Scenario, field_for, reduced_state
@@ -16,6 +17,11 @@ from cavbayes.qubit import square, trace_product
 VACUUM = FieldState.vacuum()
 GAUSS = Prior.gaussian(1.0, 1.0)
 UNIF = Prior.uniform(1.0, 1.0)
+
+
+def mmse_bound(res, g, sc, fld=VACUUM):
+    """cr_bound_mmse at the state and derivative of ``sc`` and ``fld`` at g."""
+    return cr_bound_mmse(res, g, sc, *reduced_state(g, sc, fld, derivative=True))
 
 
 def rho_diag(g, tc, u):
@@ -53,9 +59,31 @@ def test_sld_singular_at_pure_state_edge():
 def test_numeric_sld_matches_analytic_derivative():
     sc = Scenario(tau_c=0.8, tau_f_gamma=0.3)
     for g in (0.5, 1.0, 1.7):
-        l_num = sld_general(g, sc, VACUUM).as_array()
+        l_num = sld_general(*reduced_state(g, sc, VACUUM, derivative=True)).as_array()
         l_ref = sld(g, sc.tau_c, sc.tau_f_gamma).as_array()
         assert np.max(np.abs(l_num - l_ref)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    tc=st.floats(0.05, 3.0),
+    delta=st.one_of(st.just(0.0), st.floats(0.05, 3.0)),
+    alpha_abs=st.one_of(st.just(0.0), st.floats(0.2, 3.0)),
+    alpha_phase=st.floats(0.0, 2.0 * math.pi),
+    u=st.floats(0.0, 1.0),
+)
+def test_numeric_sld_defining_identity(tc, delta, alpha_abs, alpha_phase, u):
+    # the eigenbasis L of the coherent and detuned families, the ones the
+    # production bound builds it for, solves (L rho + rho L)/2 = d rho/dg
+    # wherever rho has full rank
+    assume(delta or alpha_abs)
+    sc = Scenario(tau_c=tc, delta=delta, alpha=alpha_abs * complex(math.cos(alpha_phase),
+                  math.sin(alpha_phase)), tau_f_gamma=u)
+    rho, drho = reduced_state(np.linspace(0.05, 2.5, 32), sc, field_for(sc), derivative=True)
+    r, l_op = rho.as_array(), sld_general(rho, drho).as_array()
+    full_rank = np.linalg.eigvalsh(r)[:, 0] > 1e-6
+    residual = 0.5 * (l_op @ r + r @ l_op) - drho.as_array()
+    assert np.max(np.abs(residual[full_rank]), initial=0.0) <= 1e-12
 
 
 def test_inconclusive_times_give_zero_bound():
@@ -63,7 +91,7 @@ def test_inconclusive_times_give_zero_bound():
         sc = Scenario(tau_c=tc, tau_f_gamma=0.3)
         res = mmse_estimator(gamma_moments(GAUSS, sc, VACUUM))
         for g in np.linspace(0.2, 1.8, 21):
-            rep = cr_bound_mmse(res, float(g), sc)
+            rep = mmse_bound(res, float(g), sc)
             assert rep.lower_bound < 1e-12
             assert rep.mse >= -1e-12
 
@@ -74,7 +102,7 @@ def test_quarter_period_report_values():
     # exceeds the MSE there (recorded, not asserted as a bound)
     res = mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=math.pi / 4.0), VACUUM))
     sc = Scenario(tau_c=math.pi / 4.0)
-    rep = cr_bound_mmse(res, 1.0, sc)
+    rep = mmse_bound(res, 1.0, sc)
     k = (math.pi / 2.0) * math.exp(-math.pi**2 / 8.0)
     assert rep.mse == pytest.approx(k**2, abs=1e-12)
     assert rep.lower_bound == pytest.approx(k**2, abs=1e-12)
@@ -87,7 +115,7 @@ def test_quarter_period_display_factor_off_mean():
     res = mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=math.pi / 4.0), VACUUM))
     sc = Scenario(tau_c=math.pi / 4.0)
     for g in (0.6, 1.3):
-        rep = cr_bound_mmse(res, g, sc)
+        rep = mmse_bound(res, g, sc)
         phase = math.pi * g / 4.0
         expected = (
             (1.0 - math.cos(phase) ** 2)
@@ -104,10 +132,10 @@ def test_closed_path_matches_numeric_path():
     res = mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2), VACUUM))
     sc = Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2)
     for g in (0.7, 1.0, 1.4):
-        closed = cr_bound_mmse(res, g, sc)
         rho, drho = reduced_state(g, sc, VACUUM, derivative=True)
+        closed = cr_bound_mmse(res, g, sc, rho, drho)
         xprime = trace_product(res.m_min, drho)
-        fisher = trace_product(square(sld_general(g, sc, VACUUM, rho=rho, drho=drho)), rho.matrix)
+        fisher = trace_product(square(sld_general(rho, drho)), rho.matrix)
         assert xprime**2 / fisher == pytest.approx(closed.lower_bound, abs=1e-8)
         assert xprime == pytest.approx(closed.sensitivity, abs=1e-8)
         assert fisher == pytest.approx(closed.fisher, abs=1e-6)
@@ -118,14 +146,14 @@ def test_general_scenario_bound_holds():
     fld = field_for(sc)
     res = mmse_estimator(gamma_moments(GAUSS, sc, fld))
     for g in (0.6, 1.0, 1.5):
-        rep = cr_bound_mmse(res, g, sc, fld)
+        rep = mmse_bound(res, g, sc, fld)
         assert rep.mse >= rep.lower_bound - 1e-9
 
 
 def test_numeric_bound_evaluates_state_once(monkeypatch):
-    # rho(g) and its exact derivative come from one kernel call, which also
-    # serves the conditional MSE and the SLD; rho is diagonalized once, to
-    # build L, and L itself never is
+    # rho(g) and its exact derivative come from the caller's one kernel
+    # call, which serves the conditional MSE and the SLD too; rho is
+    # diagonalized once, to build L, and L itself never is
     from cavbayes import bounds, dynamics
 
     calls = []
@@ -148,11 +176,11 @@ def test_numeric_bound_evaluates_state_once(monkeypatch):
     sc = Scenario(tau_c=0.9, delta=0.4, alpha=1.2, tau_f_gamma=0.2)
     fld = field_for(sc)
     res = mmse_estimator(gamma_moments(GAUSS, sc, fld))
-    before = cr_bound_mmse(res, 0.8, sc, fld)
+    before = mmse_bound(res, 0.8, sc, fld)
     monkeypatch.setattr(dynamics, "detector_matrix_elements", count_elements)
     monkeypatch.setattr(bounds, "sld_general", count_sld)
     monkeypatch.setattr(bounds, "eigendecompose", count_eig)
-    after = cr_bound_mmse(res, 0.8, sc, fld)
+    after = mmse_bound(res, 0.8, sc, fld)
     assert calls == [("state", True), ("sld", None), ("eig", None)]
     assert after == before
 
@@ -167,9 +195,9 @@ def test_batched_bound_rows_equal_scalar_calls():
     for sc in cases:
         fld = field_for(sc)
         res = mmse_estimator(gamma_moments(GAUSS, sc, fld))
-        batch = cr_bound_mmse(res, g, sc, fld)
+        batch = mmse_bound(res, g, sc, fld)
         for i, gi in enumerate(g):
-            single = cr_bound_mmse(res, float(gi), sc, fld)
+            single = mmse_bound(res, float(gi), sc, fld)
             row = batch.row(i)
             for name in ("g", "mse", "lower_bound", "sensitivity", "fisher"):
                 assert getattr(row, name) == pytest.approx(
@@ -182,23 +210,23 @@ def test_batched_ml_bound_rows_equal_scalar_calls(prior):
     u = 0.35
     povm = ml_povm(prior, 0.9, u)
     g = np.linspace(0.2, 1.8, 7)
-    batch = cr_bound_ml(povm, g, u)
+    batch = cr_bound_ml(povm, g)
     for i, gi in enumerate(g):
-        single, row = cr_bound_ml(povm, float(gi), u), batch.row(i)
+        single, row = cr_bound_ml(povm, float(gi)), batch.row(i)
         for name in ("g", "mse", "lower_bound", "sensitivity", "fisher"):
             assert getattr(row, name) == pytest.approx(getattr(single, name), rel=1e-14), name
 
 
 def test_ml_bound_zero_when_uninformative():
     povm = gaussian_ml_povm(GAUSS, math.pi / 2.0, 0.0)  # f_z == 0
-    rep = cr_bound_ml(povm, 0.8, 0.0)
+    rep = cr_bound_ml(povm, 0.8)
     assert rep.lower_bound == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ml_uniform_special_case_display_value():
     prior = Prior.uniform(1.0, 1.0 / math.sqrt(3.0))
     povm = uniform_ml_povm(prior, math.pi / 4.0, 0.0)
-    rep = cr_bound_ml(povm, 1.0, 0.0)
+    rep = cr_bound_ml(povm, 1.0)
     assert first_power_bound(rep) == pytest.approx(8.0 / math.pi**3, abs=1e-9)
     assert rep.mse == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert rep.mse >= rep.lower_bound - 1e-9
@@ -208,7 +236,7 @@ def test_ml_bounds_hold_on_grid():
     for prior, build in ((GAUSS, gaussian_ml_povm), (UNIF, uniform_ml_povm)):
         povm = build(prior, math.pi / 4.0, 0.2)
         for g in np.linspace(0.2, 1.8, 50):
-            rep = cr_bound_ml(povm, float(g), 0.2)
+            rep = cr_bound_ml(povm, float(g))
             assert rep.mse >= rep.lower_bound - 1e-9
 
 
@@ -233,7 +261,7 @@ def test_mmse_abs_sensitivity_variant_can_exceed_mse():
     sc = Scenario(tau_c=math.pi / 4.0)
     exceed = 0
     for g in np.linspace(0.2, 1.8, 50):
-        rep = cr_bound_mmse(res, float(g), sc)
+        rep = mmse_bound(res, float(g), sc)
         assert rep.mse >= rep.lower_bound - 1e-9
         if first_power_bound(rep) > rep.mse + 1e-9:
             exceed += 1

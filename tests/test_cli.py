@@ -235,6 +235,15 @@ def test_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # a sweep past the point ceiling is refused before its grid is built
+    many = tmp_path / "many.ini"
+    many.write_text(
+        "[sweep]\nquantity = mmse_cost\naxis = tau_c\nlo = 0.1\nhi = 1\nn_points = 1000000000000\n"
+    )
+    assert main(["sweep", "--config", str(many)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
     # every command and sweep quantity accepts only its scenario family
     for name, (command, text) in _FAMILY_VIOLATIONS.items():
         cfg = tmp_path / f"{name}.ini"
@@ -348,7 +357,6 @@ _OVERFLOWING_RUNS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(_OVERFLOWING_RUNS))
 def test_nan_result_is_a_numeric_error(case, tmp_path, capsys):
     # NaN passes every range check, so the finished table is checked for it
@@ -363,6 +371,52 @@ def test_nan_result_is_a_numeric_error(case, tmp_path, capsys):
     assert streams.err.startswith("numeric error:")
     assert streams.err.count("\n") == 1
     assert not out.exists()
+
+
+def _run_cli(argv, timeout=60):
+    """The CLI in a fresh interpreter, with the default warning filters."""
+    import cavbayes
+
+    src = os.path.dirname(os.path.dirname(cavbayes.__file__))
+    return subprocess.run([sys.executable, "-m", "cavbayes.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=timeout)
+
+
+def test_nan_refusal_writes_one_stderr_line(tmp_path):
+    # with the default warning filters, no numpy overflow warning may
+    # precede the refusal on stderr
+    for case, (command, body) in sorted(_OVERFLOWING_RUNS.items()):
+        path = tmp_path / f"{case}.ini"
+        path.write_text("[prior]\nkind = gaussian\nsigma_over_g0 = 0.5\n" + body)
+        proc = _run_cli([command, "--config", str(path)])
+        assert (proc.returncode, proc.stdout) == (3, ""), case
+        assert proc.stderr == "numeric error: the result holds NaN\n", case
+
+
+# the Fock ladder: scenario section -> exit code of ``state``
+_LADDER_RUNS = {
+    "alpha_30": ("alpha_abs = 30\n", 0),
+    "alpha_40": ("alpha_abs = 40\n", 1),
+    "huge_cutoff": ("fock_cutoff = 1000000000\n", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LADDER_RUNS))
+def test_fock_ladder_ceiling(case, tmp_path):
+    # the automatic ladder of |alpha| = 30 is found within seconds; a ladder
+    # past the ceiling is refused before it is built.  Each run has its own
+    # interpreter and a timeout, so a ladder search that never ends fails
+    body, rc = _LADDER_RUNS[case]
+    path = tmp_path / "run.ini"
+    path.write_text("[scenario]\n" + body)
+    proc = _run_cli(["state", "--config", str(path)], timeout=30)
+    assert proc.returncode == rc, proc.stderr
+    if rc == 0:
+        header, row = proc.stdout.splitlines()
+        assert all(math.isfinite(float(x)) for x in row.split(","))
+    else:
+        assert proc.stdout == "" and proc.stderr.startswith("config error: ")
+        assert proc.stderr.count("\n") == 1
 
 
 def test_infinite_result_is_written(tmp_path, capsys):

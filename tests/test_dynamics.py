@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cavbayes.dynamics import (
+    MAX_FOCK_CUTOFF,
     FieldState,
     Scenario,
     detector_matrix_elements,
@@ -116,6 +117,16 @@ def test_auto_cutoff_captures_mass():
         # margin of ten levels above the capture point
         bare = FieldState.coherent(alpha, cutoff=fld.cutoff - 10)
         assert bare.captured_mass >= 0.99
+
+
+def test_auto_cutoff_in_log_space_up_to_the_ceiling():
+    # e^{-|alpha|^2} underflows past |alpha| ~ 27.3; the log-space terms do not
+    fld = FieldState.coherent(30.0)
+    assert fld.captured_mass >= 0.99 and fld.cutoff <= MAX_FOCK_CUTOFF
+    with pytest.raises(ValueError):
+        FieldState.coherent(40.0)  # its ladder would pass the ceiling
+    with pytest.raises(ValueError):
+        Scenario(tau_c=1.0, fock_cutoff=MAX_FOCK_CUTOFF + 1)
 
 
 def test_undersized_ladder_rejected():

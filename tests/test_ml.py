@@ -175,7 +175,7 @@ def test_uniform_ml_at_long_interaction_time_returns_promptly():
     p = Prior.uniform(1.0, 0.5)
     start = time.perf_counter()
     povm = ml_povm(p, 1e12, 0.0)
-    cost, avg = uniform_cost_max(povm), ml_average_estimate(povm, 1.0, 0.0)
+    cost, avg = uniform_cost_max(povm), ml_average_estimate(povm, 1.0)
     assert time.perf_counter() - start < 1.0
     # the support holds many periods, so K -> 0 and the cap is 1/(2 sqrt(3) sigma)
     assert povm.c_max == pytest.approx(1.0 / (2.0 * math.sqrt(3.0) * p.sigma), rel=1e-9)
@@ -335,14 +335,14 @@ def test_uniform_fz_matches_high_precision_reference(sigma):
     xs = np.linspace(*p.support, 41)
     f_i = 1.0 / (2.0 * math.sqrt(3.0) * sigma)
     for tc in np.geomspace(1e-8, 3.0, 40):
-        povm = uniform_ml_povm(p, float(tc), 0.0)
+        povm = uniform_ml_povm(p, float(tc), 0.3)
         with mp.workdps(50):
             c, t = mp.mpf(povm.c_max), mp.mpf(povm.tau_c)
             big_a = 2 * mp.sqrt(3) * mp.mpf(sigma) * t
             k = mp.sin(big_a) * mp.cos(2 * t) / big_a
             ref = np.array([float(c * (mp.cos(2 * t * mp.mpf(x)) - k)) for x in xs])
         assert np.max(np.abs(povm.f_z(xs) - ref)) <= 1e-14 * f_i, tc
-        mean = ml_average_estimate(povm, 0.7, 0.3)
+        mean = ml_average_estimate(povm, 0.7)
         assert mean == pytest.approx(_uniform_mean_reference(povm, 0.7, 0.3), rel=1e-13), tc
 
 
@@ -358,11 +358,11 @@ def test_uniform_povm_valid_at_short_interaction_times(tc):
     assert not interval_audit(povm, n_intervals=2000, seed=0, scale=1.05).passed
 
 
-def _conditional_quadrature(povm, g: float, u: float, weight) -> float:
+def _conditional_quadrature(povm, g: float, weight) -> float:
     """int weight(x) p(x|g) dx on a rule of 64 nodes per oscillation period."""
     n = priors_mod.nodes_for_oscillation(povm.prior, 16.0 * povm.tau_c)
     rule = priors_mod.quadrature(povm.prior, n)
-    return rule.integrate(weight(rule.nodes) * conditional_pdf(povm, g, rule.nodes, u))
+    return rule.integrate(weight(rule.nodes) * conditional_pdf(povm, g, rule.nodes))
 
 
 def _fz_moments_reference(povm) -> tuple[float, float]:
@@ -439,14 +439,14 @@ def test_batched_likelihood_rows_equal_scalar_calls(prior):
     povm = ml_povm(prior, 0.9, u)
     g = np.linspace(0.2, 1.8, 7)
     for fn in (ml_average_estimate, ml_mse):
-        batch = fn(povm, g, u)
+        batch = fn(povm, g)
         assert batch.shape == g.shape
         for gi, row in zip(g, batch):
-            single = fn(povm, float(gi), u)
+            single = fn(povm, float(gi))
             assert isinstance(single, float)
             assert row == pytest.approx(single, rel=1e-14)
     xs = np.linspace(*povm.window, 50)
-    assert conditional_pdf(povm, g, xs, u).shape == (7, 50)
+    assert conditional_pdf(povm, g, xs).shape == (7, 50)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -469,12 +469,12 @@ def test_likelihood_rows_match_quadrature_and_respect_the_bound(kind, sigma, log
         assert tot_z == pytest.approx(0.0, abs=1e-12)
         assert interval_audit(povm, n_intervals=300).passed
     scale = 1.0 + sigma**2
-    mean = ml_average_estimate(povm, g, u)
-    assert mean == pytest.approx(_conditional_quadrature(povm, g, u, lambda x: x), abs=1e-12 * scale)
-    mse = ml_mse(povm, g, u)
-    quad = _conditional_quadrature(povm, g, u, lambda x: (x - g) ** 2)
+    mean = ml_average_estimate(povm, g)
+    assert mean == pytest.approx(_conditional_quadrature(povm, g, lambda x: x), abs=1e-12 * scale)
+    mse = ml_mse(povm, g)
+    quad = _conditional_quadrature(povm, g, lambda x: (x - g) ** 2)
     assert mse == pytest.approx(quad, abs=1e-12 * scale**2)
-    rep = cr_bound_ml(povm, g, u)
+    rep = cr_bound_ml(povm, g)
     assert rep.mse == mse
     assert rep.mse >= rep.lower_bound * (1.0 - 1e-12)
 
@@ -485,8 +485,8 @@ def test_conditional_pdf_prior_recovery_when_uninformative():
     from cavbayes.priors import density
 
     for g in (0.4, 1.0, 1.7):
-        assert np.max(np.abs(conditional_pdf(povm, g, xs, 0.0) - density(GAUSS, xs))) < 1e-15
-    assert ml_average_estimate(povm, 0.3, 0.0) == pytest.approx(1.0, abs=1e-9)
+        assert np.max(np.abs(conditional_pdf(povm, g, xs) - density(GAUSS, xs))) < 1e-15
+    assert ml_average_estimate(povm, 0.3) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_conditional_pdf_normalization():
@@ -496,7 +496,7 @@ def test_conditional_pdf_normalization():
         lo, hi = povm.window
         for g in rng.uniform(0.2, 1.8, 10):
             total = integrate.quad(
-                lambda x: conditional_pdf(povm, float(g), x, 0.2), lo, hi, limit=300
+                lambda x: conditional_pdf(povm, float(g), x), lo, hi, limit=300
             )[0]
             assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -505,30 +505,30 @@ def test_conditional_pdf_is_biased():
     povm = gaussian_ml_povm(GAUSS, math.pi / 4.0, 0.0)
     g = 0.7
     # not an even function of (estimate - true value)
-    left = conditional_pdf(povm, g, g - 0.5, 0.0)
-    right = conditional_pdf(povm, g, g + 0.5, 0.0)
+    left = conditional_pdf(povm, g, g - 0.5)
+    right = conditional_pdf(povm, g, g + 0.5)
     assert abs(left - right) > 1e-3
 
 
 def test_uniform_special_case_average_estimate():
     p = special_case_prior()
     povm = uniform_ml_povm(p, math.pi / 4.0, 0.0)
-    assert ml_average_estimate(povm, 1.0, 0.0) == pytest.approx(1.0, abs=1e-10)
+    assert ml_average_estimate(povm, 1.0) == pytest.approx(1.0, abs=1e-10)
     # generic g reproduces g0 + (4 g0/pi^2)(1 - 2 cos^2(pi g/(4 g0)))
     for g in (0.4, 1.3):
         expected = 1.0 + (4.0 / math.pi**2) * (
             1.0 - 2.0 * math.cos(math.pi * g / 4.0) ** 2
         )
-        assert ml_average_estimate(povm, g, 0.0) == pytest.approx(expected, abs=1e-9)
+        assert ml_average_estimate(povm, g) == pytest.approx(expected, abs=1e-9)
 
 
 def test_gaussian_mean_estimate_closed_form_matches_quadrature():
     povm = gaussian_ml_povm(GAUSS, math.pi / 4.0, 0.0)
     for g in (0.6, 1.0, 1.5):
-        quad = _conditional_quadrature(povm, g, 0.0, lambda x: x)
-        assert ml_average_estimate(povm, g, 0.0) == pytest.approx(quad, abs=1e-12)
+        quad = _conditional_quadrature(povm, g, lambda x: x)
+        assert ml_average_estimate(povm, g) == pytest.approx(quad, abs=1e-12)
         # the display variant deviates; it is reported, never asserted
-        display = oracle_mod._gaussian_average_estimate_display(povm, g, 0.0)
+        display = oracle_mod._gaussian_average_estimate_display(povm, g)
         assert math.isfinite(display)
 
 
@@ -539,7 +539,7 @@ def test_mean_estimate_reinforces_prior_at_long_interaction_times():
     for u in (0.0, 10.0):
         povm = gaussian_ml_povm(GAUSS, 3.0, u)
         for g in (0.3, 1.0, 1.8):
-            assert ml_average_estimate(povm, g, u) == pytest.approx(1.0, abs=1e-3)
+            assert ml_average_estimate(povm, g) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_mean_estimate_bias_survives_long_flight():
@@ -547,7 +547,7 @@ def test_mean_estimate_bias_survives_long_flight():
     # estimate distribution collapses onto f_I - f_z: a g-independent law
     # whose mean keeps a constant offset from the prior mean
     povm = gaussian_ml_povm(GAUSS, math.pi / 4.0, 10.0)
-    means = [ml_average_estimate(povm, g, 10.0) for g in (0.3, 1.0, 1.8)]
+    means = [ml_average_estimate(povm, g) for g in (0.3, 1.0, 1.8)]
     assert max(means) - min(means) < 1e-3  # no dependence on the true value
     assert abs(means[0] - 1.0) > 0.1  # but a persistent offset
 

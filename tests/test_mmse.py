@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from cavbayes import priors as priors_mod
 from cavbayes.bounds import cr_bound_mmse
-from cavbayes.dynamics import CUTOFF_MARGIN, FieldState, Scenario, _auto_cutoff, field_for
+from cavbayes.dynamics import (CUTOFF_MARGIN, FieldState, Scenario, _auto_cutoff, field_for,
+                               reduced_state)
 from cavbayes.errors import DegenerateGamma0
 from cavbayes.mmse import (
     average_estimate,
@@ -215,7 +216,8 @@ def test_mmse_invariants_across_scenarios(kind, sigma, log_tau, u, delta, alpha,
         assert getattr(gammas, name).trace == pytest.approx(mu_k, abs=1e-12 * mu_k)
     res = mmse_estimator(gammas, u)
     assert -1e-12 <= res.c_min <= sigma**2 * (1.0 + 1e-12)
-    rep = cr_bound_mmse(res, np.linspace(0.1, 2.0, 9), sc, fld)
+    g = np.linspace(0.1, 2.0, 9)
+    rep = cr_bound_mmse(res, g, sc, *reduced_state(g, sc, fld, derivative=True))
     assert np.all(rep.mse >= rep.lower_bound - 1e-9)
 
 
@@ -397,14 +399,14 @@ def test_coherent_field_short_time_branches():
 def test_average_estimate_unbiased_at_prior_mean():
     sc = Scenario(tau_c=math.pi / 4.0)
     res = mmse_estimator(gamma_moments(GAUSS, sc, VACUUM))
-    assert average_estimate(res, 1.0, sc, VACUUM) == pytest.approx(1.0, abs=1e-12)
+    assert average_estimate(res, reduced_state(1.0, sc, VACUUM)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_average_estimate_long_flight_reinforces_prior():
     sc = Scenario(tau_c=math.pi / 4.0, tau_f_gamma=50.0)
     res = mmse_estimator(gamma_moments(GAUSS, sc, VACUUM), sc.tau_f_gamma)
     for g in (0.3, 0.9, 1.6):
-        assert average_estimate(res, g, sc, VACUUM) == pytest.approx(1.0, abs=1e-9)
+        assert average_estimate(res, reduced_state(g, sc, VACUUM)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_average_estimate_uniform_closed_form():
@@ -417,14 +419,15 @@ def test_average_estimate_uniform_closed_form():
             expected = 1.0 + x * (2.0 * math.cos(math.pi * g / 4.0) ** 2 - 1.0) / (
                 2.0 * math.exp(u) - 1.0
             )
-            assert average_estimate(res, g, sc, VACUUM) == pytest.approx(expected, abs=1e-12)
+            avg = average_estimate(res, reduced_state(g, sc, VACUUM))
+            assert avg == pytest.approx(expected, abs=1e-12)
 
 
 def test_mse_vanishes_for_perfect_estimator():
     sc = Scenario(tau_c=math.pi / 2.0)
     res = mmse_estimator(gamma_moments(GAUSS, sc, VACUUM))
     # estimator is g0 I; zero error when the true coupling equals g0
-    assert mse_of_estimator(res, 1.0, sc, VACUUM) == pytest.approx(0.0, abs=1e-12)
+    assert mse_of_estimator(res, 1.0, reduced_state(1.0, sc, VACUUM)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mse_matches_spectral_decomposition():
@@ -432,12 +435,11 @@ def test_mse_matches_spectral_decomposition():
     fld = field_for(sc)
     res = mmse_estimator(gamma_moments(GAUSS, sc, fld))
     g = 1.2
-    from cavbayes.dynamics import reduced_state
-
-    rho = reduced_state(g, sc, fld).as_array()
+    state = reduced_state(g, sc, fld)
+    rho = state.as_array()
     w, v = eigendecompose(res.m_min)
     expected = sum(
         (w[k] - g) ** 2 * float(np.real(v[:, k].conj() @ rho @ v[:, k]))
         for k in range(2)
     )
-    assert mse_of_estimator(res, g, sc, fld) == pytest.approx(expected, abs=1e-12)
+    assert mse_of_estimator(res, g, state) == pytest.approx(expected, abs=1e-12)

@@ -72,7 +72,7 @@ def test_sample_size_guard():
 def test_uninformative_povm_samples_the_prior():
     povm = gaussian_ml_povm(GAUSS, math.pi / 2.0, 0.0)  # f_z == 0
     n = 10**5
-    rep = mc_estimate_distribution(povm, 1.0, Scenario(tau_c=math.pi / 2.0), n, SEED)
+    rep = mc_estimate_distribution(povm, 1.0, n, SEED)
     assert rep.ks_statistic_vs_prior < 1.63 / math.sqrt(n)  # 1% level
     assert rep.analytic_mean == pytest.approx(1.0, abs=1e-9)
 
@@ -80,13 +80,13 @@ def test_uninformative_povm_samples_the_prior():
 def test_uniform_special_case_mean_estimate():
     prior = Prior.uniform(1.0, 1.0 / math.sqrt(3.0))
     povm = uniform_ml_povm(prior, math.pi / 4.0, 0.0)
-    rep = mc_estimate_distribution(povm, 1.0, Scenario(tau_c=math.pi / 4.0), 10**5, SEED)
+    rep = mc_estimate_distribution(povm, 1.0, 10**5, SEED)
     assert rep.analytic_mean == pytest.approx(1.0, abs=1e-9)
     assert rep.z_score < 3.0
 
 
 def test_gaussian_mean_estimate_concordance():
     povm = gaussian_ml_povm(GAUSS, math.pi / 4.0, 0.0)
-    rep = mc_estimate_distribution(povm, 1.2, Scenario(tau_c=math.pi / 4.0), 10**5, SEED)
+    rep = mc_estimate_distribution(povm, 1.2, 10**5, SEED)
     assert rep.z_score < 3.0
     assert rep.histogram.sum() == rep.n_samples
