@@ -9,22 +9,23 @@ slope x'(g) = d E[estimate | g]/dg obeys
 Each report holds the conditional MSE, that bound, x' and Tr{rho L^2}, and
 nothing else.  The MMSE bound and L take the state they measure, rho(g) and
 d rho/dg from :func:`dynamics.reduced_state`, and the likelihood bound the
-POVM, whose flight decay it reads; none rebuilds a state.  The resonant
-vacuum family is diagonal and takes P' and the Fisher entry in closed form;
-every other family builds L in the eigenbasis of rho (:func:`sld_general`).
-The closed-form diagonal L and the first-power variant |x'|/Tr{rho L^2} are
-test references in :mod:`cavbayes.oracle`.
+POVM, whose flight decay it reads; none rebuilds a state.  Every MMSE report
+builds L in the eigenbasis of rho (:func:`sld_general`), for any field or
+detuning, and stays exact as rho nears a pure state.  The likelihood
+strategy is defined on the diagonal resonant vacuum family alone, so its
+report takes P' and the Fisher entry in closed form.  The closed-form
+diagonal L and the first-power variant |x'|/Tr{rho L^2} are test
+references in :mod:`cavbayes.oracle`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import ml as ml_mod
-from .dynamics import Scenario
 from .mmse import MmseResult, mse_of_estimator
 from .qubit import Hermitian2, QubitState, eigendecompose, square, trace_product
 
@@ -46,13 +47,7 @@ class BoundReport:
     fisher: float  # Tr{rho L^2}
 
     def row(self, i: int) -> "BoundReport":
-        return BoundReport(
-            g=float(self.g[i]),
-            mse=float(self.mse[i]),
-            lower_bound=float(self.lower_bound[i]),
-            sensitivity=float(self.sensitivity[i]),
-            fisher=float(self.fisher[i]),
-        )
+        return BoundReport(*(float(getattr(self, f.name)[i]) for f in fields(self)))
 
 
 def _diagonal_family(g: np.ndarray, tau_c: float, gamma_tau_f: float):
@@ -81,10 +76,13 @@ def _diagonal_family(g: np.ndarray, tau_c: float, gamma_tau_f: float):
 def sld_general(rho: QubitState, drho: Hermitian2) -> Hermitian2:
     """L of the state rho(g), built in its eigenbasis from d rho/dg.
 
-    L_ij = 2 (d rho)_ij / (p_i + p_j); entries with p_i + p_j below 1e-12 are
-    set to zero (support convention at rank deficiency).  ``drho`` is the
-    exact derivative from the state kernel (:func:`dynamics.reduced_state`
-    with ``derivative=True``).  A batch of states gives the batch of L.
+    L_ij = 2 (d rho)_ij / (p_i + p_j); only entries whose pair sum is not
+    positive are set to zero (support convention at rank deficiency).  Near
+    a pure state a small p_i still carries a finite Fisher term
+    |d rho_ii|^2 / p_i, so no larger cut is safe: dropping it would shrink
+    Tr{rho L^2} and lift the bound above the MSE.  ``drho`` is the exact
+    derivative from the state kernel (:func:`dynamics.reduced_state` with
+    ``derivative=True``).  A batch of states gives the batch of L.
     """
     batch = rho.matrix.is_batch
     m, d = (rho.matrix, drho) if batch else (
@@ -95,8 +93,13 @@ def sld_general(rho: QubitState, drho: Hermitian2) -> Hermitian2:
     vh = v.conj().swapaxes(-1, -2)
     dr_eig = vh @ d.as_array() @ v
     pair = w[:, :, None] + w[:, None, :]
-    keep = pair > 1e-12
-    l_eig = np.where(keep, 2.0 * dr_eig / np.where(keep, pair, 1.0), 0.0)
+    keep = pair > 0.0
+    # the parts are divided as reals: complex division takes 1/(p_i + p_j),
+    # which overflows for a subnormal pair sum and gives 0 * inf = NaN
+    l_eig = np.where(keep, 2.0 * dr_eig, 0.0)
+    safe = np.where(keep, pair, 1.0)
+    l_eig.real /= safe
+    l_eig.imag /= safe
     l_mat = v @ l_eig @ vh
     out = Hermitian2(
         ee=l_mat[:, 0, 0].real,
@@ -114,45 +117,28 @@ def _report(g, mse, xprime, fisher) -> BoundReport:
     regular limit of the ratio.
     """
     informative = fisher > 0.0
-    return BoundReport(
-        g=g,
-        mse=mse,
-        lower_bound=np.where(informative, xprime**2 / np.where(informative, fisher, 1.0), 0.0),
-        sensitivity=xprime,
-        fisher=fisher,
-    )
+    bound = np.where(informative, xprime**2 / np.where(informative, fisher, 1.0), 0.0)
+    return BoundReport(g, mse, bound, xprime, fisher)
 
 
-def cr_bound_mmse(
-    result: MmseResult, g, scenario: Scenario, rho: QubitState, drho: Hermitian2
-) -> BoundReport:
+def cr_bound_mmse(result: MmseResult, g, rho: QubitState, drho: Hermitian2) -> BoundReport:
     """Bound report for the quadratic-cost estimator at true coupling g.
 
     ``rho`` and ``drho`` are the state and d rho/dg at ``g``, of its shape.
-    Resonant vacuum scenarios with a diagonal estimator use the analytic
-    response slope x'(g) = (m_e - m_g) P'(g) and Fisher entry of the
-    diagonal family; every other scenario takes x' = Tr{M d rho} and L from
-    :func:`sld_general`.  An array ``g`` gives a batch report (see
-    :meth:`BoundReport.row`); a scalar is a batch of one.
+    The response slope is x'(g) = Tr{M d rho}, which for the traceless
+    d rho is (m_ee - m_gg) d rho_ee + 2 Re(m_eg conj(d rho_eg)), free of the
+    cancellation of the two diagonal products; the Fisher entry is
+    Tr{rho L^2} with L from :func:`sld_general`.  An array ``g`` gives a
+    batch report (see :meth:`BoundReport.row`); a scalar is a batch of one.
     """
-    diagonal = (
-        scenario.delta == 0.0
-        and abs(scenario.alpha) == 0.0
-        and abs(result.m_min.eg) < 1e-12
-    )
     batch = np.ndim(g) > 0
     g = np.atleast_1d(np.asarray(g, dtype=float))
     if not batch:
         rho, drho = QubitState(Hermitian2.stack([rho.matrix])), Hermitian2.stack([drho])
-    mse = mse_of_estimator(result, g, rho)
-
-    if diagonal:
-        dp, fisher = _diagonal_family(g, scenario.tau_c, scenario.tau_f_gamma)
-        xprime = (result.m_min.ee - result.m_min.gg) * dp
-    else:
-        xprime = trace_product(result.m_min, drho)
-        fisher = trace_product(square(sld_general(rho, drho)), rho.matrix)
-    rep = _report(g, mse, xprime, fisher)
+    m = result.m_min
+    xprime = (m.ee - m.gg) * drho.ee + 2.0 * (m.eg * np.conj(drho.eg)).real
+    fisher = trace_product(square(sld_general(rho, drho)), rho.matrix)
+    rep = _report(g, mse_of_estimator(result, g, rho), xprime, fisher)
     return rep if batch else rep.row(0)
 
 

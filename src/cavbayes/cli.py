@@ -209,7 +209,7 @@ def _pinned_rows(prior: Prior, scenario: Scenario, g_over_g0: list, bound: bool)
     g = np.array(g_over_g0) * prior.g0
     if bound:
         rho, drho = reduced_state(g, scenario, fld, derivative=True)
-        rep = bounds_mod.cr_bound_mmse(result, g, scenario, rho, drho)
+        rep = bounds_mod.cr_bound_mmse(result, g, rho, drho)
         columns = [mmse_mod.average_estimate(result, rho), rep.lower_bound, rep.mse]
     else:
         columns = [mmse_mod.average_estimate(result, reduced_state(g, scenario, fld))]

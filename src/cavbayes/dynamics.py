@@ -193,6 +193,7 @@ def detector_matrix_elements(
     scenario: Scenario,
     field: FieldState,
     derivative: bool = False,
+    ground: bool = False,
 ) -> tuple[np.ndarray, ...]:
     """Vectorized (a_ee, a_eg) of the detector-time state over a g grid.
 
@@ -204,15 +205,19 @@ def detector_matrix_elements(
     Sector n holds cos^2(l_n t) + (Delta^2/4) S_n^2 with S_n = sin(l_n t)/l_n;
     the coherence pairs the bracket cos(l_{m+1} t) - i (Delta/2) S_{m+1} with
     the swing g sqrt(m) S_m.  cos and sin are evaluated once over the ladder
-    and the sine only where something reads it.  With ``derivative=True``
-    the exact g-derivatives (da_ee, da_eg) follow from the same arrays, with
-    d l_n/dg = g n / l_n and R_n = (t cos(l_n t) - S_n)/l_n^2:
+    and the sine only where something reads it.  With ``ground=True``
+    a_gg = 1 - a_ee follows, free of cancellation as a_ee -> 1, as
+    (1 - e^{-u} W) + e^{-u} sum_n w_n g^2 n S_n^2 with W = sum_n w_n, since
+    1 - cos^2(l_n t) - (Delta^2/4) S_n^2 = g^2 n S_n^2.  With
+    ``derivative=True`` the exact g-derivatives (da_ee, da_eg) come last,
+    from the same arrays, with d l_n/dg = g n / l_n and
+    R_n = (t cos(l_n t) - S_n)/l_n^2:
 
         dP_n/dg      = 2 g n S_n (Delta^2/4 R_n - t cos(l_n t)),
         d bracket/dg = -g (m+1) [t S_{m+1} + i (Delta/2) R_{m+1}],
         d swing/dg   = sqrt(m) (S_m + g^2 m R_m),
 
-    and the four arrays (a_ee, a_eg, da_ee, da_eg) are returned.
+    so both flags give (a_ee, a_eg, a_gg, da_ee, da_eg).
     """
     if not scenario.is_unitary_transit:
         raise ValueError("unitary transit path requires kappa = gamma_cav = 0")
@@ -235,7 +240,7 @@ def detector_matrix_elements(
     damp = math.exp(-scenario.tau_f_gamma)
     root_damp = math.sqrt(damp)
 
-    if not (delta or n_max or derivative):  # resonant vacuum: cos^2 alone
+    if not (delta or n_max or derivative or ground):  # resonant vacuum: cos^2 alone
         return (cos * cos) @ weight * damp, np.zeros(len(g_values), dtype=complex)
 
     ratio = np.sin(phase) / np.maximum(lam, _TINY)
@@ -266,8 +271,12 @@ def detector_matrix_elements(
         a_eg = ladder_sum(delta / 2 * s_m1 * swing if delta else None, c_m1 * swing)
     else:
         a_eg = np.zeros(len(g_values), dtype=complex)
+    out = (a_ee, a_eg)
+    if ground:
+        rest = -math.expm1(-scenario.tau_f_gamma) + damp * (1.0 - weight.sum())
+        out += (rest + (g2n * ratio * ratio) @ weight * damp,)
     if not derivative:
-        return a_ee, a_eg
+        return out
 
     g_col = g_values[:, None]
     slope = quarter * rem - tc * cos if delta else -tc * cos
@@ -283,27 +292,28 @@ def detector_matrix_elements(
         )
     else:
         da_eg = np.zeros_like(a_eg)
-    return a_ee, a_eg, da_ee, da_eg
+    return out + (da_ee, da_eg)
 
 
 def reduced_state(g, scenario: Scenario, field: FieldState, derivative: bool = False):
     """Two-level state at the detector for coupling ``g``.
 
     Traces the field out of the jointly evolved state and applies the
-    free-flight decay factors.  Unit trace and positivity are enforced by the
-    returned :class:`QubitState`.  An array ``g`` gives the batch of states,
-    one entry per coupling, from one kernel call.  With ``derivative=True``
-    the exact d rho/dg (a traceless :class:`Hermitian2` of the same shape)
-    is returned along with the state.
+    free-flight decay factors; the ground population is the kernel's a_gg,
+    exact as the state nears |e><e|.  Unit trace and positivity are enforced
+    by the returned :class:`QubitState`.  An array ``g`` gives the batch of
+    states, one entry per coupling, from one kernel call.  With
+    ``derivative=True`` the exact d rho/dg (a traceless :class:`Hermitian2`
+    of the same shape) is returned along with the state.
     """
-    elements = detector_matrix_elements(g, scenario, field, derivative=derivative)
+    elements = detector_matrix_elements(g, scenario, field, derivative=derivative, ground=True)
     if np.ndim(g) == 0:
         elements = [x[0].item() for x in elements]
-    a_ee, a_eg = elements[:2]
-    state = QubitState(Hermitian2(ee=a_ee, gg=1.0 - a_ee, eg=a_eg))
+    a_ee, a_eg, a_gg = elements[:3]
+    state = QubitState(Hermitian2(ee=a_ee, gg=a_gg, eg=a_eg))
     if not derivative:
         return state
-    da_ee, da_eg = elements[2:]
+    da_ee, da_eg = elements[3:]
     return state, Hermitian2(ee=da_ee, gg=-da_ee, eg=da_eg)
 
 

@@ -75,16 +75,17 @@ AUDIT_TOL = 1e-9
 class MlPovm:
     """Measurement densities (f_I, f_z) of a likelihood-optimal POVM.
 
-    ``c_max`` is +inf when sin(2 g0 tau_c) = 0, in which case f_z vanishes
-    identically and the measurement returns prior draws.  The off-diagonal
-    densities are zero by convention (they never enter the average cost).
+    ``c_max`` is +inf when sin(2 g0 tau_c) = 0 (uniform prior: where
+    :func:`uniform_cmax` raises, tau_c = 0 included), in which case f_z
+    vanishes identically and the measurement returns prior draws.  The off-diagonal densities are zero by convention (they never
+    enter the average cost).
     """
 
     prior: Prior
     tau_c: float
     gamma_tau_f: float
     c_max: float
-    _fz_scale: float  # Gaussian: c sin(2 g0 tau_c); uniform: c itself
+    _fz_scale: float  # Gaussian: c sin(2 g0 tau_c); uniform: c itself (0 if c = inf)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -279,11 +280,8 @@ def gaussian_ml_povm(prior: Prior, tau_c: float, gamma_tau_f: float = 0.0) -> Ml
         c_max = gaussian_cmax(prior, tau_c)
         scale = c_max * math.sin(2.0 * prior.g0 * tau_c)
     except SinVanishes:
-        c_max = math.inf
-        scale = 0.0
-    return MlPovm(
-        prior=prior, tau_c=tau_c, gamma_tau_f=gamma_tau_f, c_max=c_max, _fz_scale=scale
-    )
+        c_max, scale = math.inf, 0.0
+    return MlPovm(prior=prior, tau_c=tau_c, gamma_tau_f=gamma_tau_f, c_max=c_max, _fz_scale=scale)
 
 
 def gaussian_cost_max(povm: MlPovm) -> float:
@@ -323,15 +321,14 @@ def uniform_cmax(prior: Prior, tau_c: float) -> float:
     cosine, where it is |K - 1| or |K + 1|, so the cost does not grow with
     the number of periods in the support.
 
-    Raises :class:`SinVanishes` at tau_c = 0, where the cosine is constant,
-    f_z vanishes identically and the scale is unbounded.
+    Raises :class:`SinVanishes` where the peak falls below 1e-300: at
+    tau_c = 0, where the cosine is constant, and below tau_c ~ 1e-150, where
+    the O(tau^2) peak underflows; f_z then vanishes and the scale is unbounded.
     """
     if prior.kind != priors_mod.UNIFORM:
         raise ValueError("uniform_cmax requires a uniform prior")
     if tau_c < 0:
         raise ValueError("tau_c must be nonnegative")
-    if tau_c == 0:
-        raise SinVanishes("tau_c = 0: traceless component unconstrained")
     sig = prior.sigma
     k_excess = _uniform_offset_excess(prior, tau_c)
     lo, hi = prior.support
@@ -345,7 +342,7 @@ def uniform_cmax(prior: Prior, tau_c: float) -> float:
     for j in range(k_lo, min(k_hi, k_lo + 1) + 1):
         peak = max(peak, abs(2.0 * (j % 2) + k_excess))
     if peak < 1e-300:
-        return math.inf
+        raise SinVanishes(f"tau_c = {tau_c!r}: traceless component unconstrained")
     return 1.0 / (2.0 * math.sqrt(3.0) * sig * peak)
 
 
@@ -353,14 +350,16 @@ def uniform_ml_povm(prior: Prior, tau_c: float, gamma_tau_f: float = 0.0) -> MlP
     """Optimal POVM densities for the uniform prior.
 
     f_I is the flat density; f_z = c_max [cos(2 x tau_c) - K] with K the
-    support-average of the cosine, so f_z integrates to zero exactly.
+    support-average of the cosine, so f_z integrates to zero exactly.  Where
+    :func:`uniform_cmax` finds no constraint, c_max = +inf and f_z == 0.
     """
     if prior.kind != priors_mod.UNIFORM:
         raise ValueError("uniform_ml_povm requires a uniform prior")
-    c_max = uniform_cmax(prior, tau_c)
-    return MlPovm(
-        prior=prior, tau_c=tau_c, gamma_tau_f=gamma_tau_f, c_max=c_max, _fz_scale=c_max
-    )
+    try:
+        c_max = scale = uniform_cmax(prior, tau_c)
+    except SinVanishes:
+        c_max, scale = math.inf, 0.0
+    return MlPovm(prior=prior, tau_c=tau_c, gamma_tau_f=gamma_tau_f, c_max=c_max, _fz_scale=scale)
 
 
 def _uniform_cost_bracket(big_a: float, big_b: float) -> float:
@@ -373,7 +372,7 @@ def _uniform_cost_bracket(big_a: float, big_b: float) -> float:
 
         T(A) = sum_{m>=2} (-1)^m (m-1)/(2m+2) (2A)^(2m) / (2m+1)!,
 
-    and s - cos A from :func:`_s_minus_cos`.
+    and s - cos A from :func:`_s_minus_cos`; at A = 0 the bracket is 0.
     """
     if big_a >= 1.0:
         return (
@@ -382,7 +381,7 @@ def _uniform_cost_bracket(big_a: float, big_b: float) -> float:
             + math.sin(2.0 * big_a) * math.cos(2.0 * big_b) / (4.0 * big_a)
         )
     t_sum = _odd_factorial_series(2.0 * big_a, lambda m: (-1) ** m * (m - 1) / (2 * m + 2), 2)
-    s = math.sin(big_a) / big_a
+    s = math.sin(big_a) / big_a if big_a else 1.0
     return t_sum + math.sin(big_b) ** 2 * s * _s_minus_cos(big_a)
 
 
@@ -394,13 +393,14 @@ def uniform_cost_max(povm: MlPovm) -> float:
         1/(2 sqrt(3) sigma) + c_max e^{-u} [ 1/2
             - sin^2(A) cos^2(B) / A^2 + sin(2A) cos(2B) / (4A) ],
 
-    the bracket evaluated by :func:`_uniform_cost_bracket`.
+    the bracket evaluated by :func:`_uniform_cost_bracket` and weighted by
+    the stored f_z scale, which is 0 where c_max = inf (at tau_c = 0).
     """
     if povm.prior.kind != priors_mod.UNIFORM:
         raise ValueError("uniform_cost_max requires a uniform-prior POVM")
     g0, sig, tc = povm.prior.g0, povm.prior.sigma, povm.tau_c
     bracket = _uniform_cost_bracket(2.0 * math.sqrt(3.0) * sig * tc, 2.0 * g0 * tc)
-    return 1.0 / (2.0 * math.sqrt(3.0) * sig) + povm.c_max * math.exp(
+    return 1.0 / (2.0 * math.sqrt(3.0) * sig) + povm._fz_scale * math.exp(
         -povm.gamma_tau_f
     ) * bracket
 
@@ -454,10 +454,12 @@ def f_z_moments(povm: MlPovm) -> tuple[float, float]:
         m2 = 2 g0 m1 + k cos(B) (4 h^3 / 3) (s - 3 (s - cos x) / x^2),
 
     both brackets summed from their series below x = 1, where they vanish
-    as x^2 while k grows as 1/tau_c^2.
+    as x^2 while k grows as 1/tau_c^2.  A zero scale (f_z == 0) gives (0, 0).
     """
     g0, sig, tc = povm.prior.g0, povm.prior.sigma, povm.tau_c
     k = povm._fz_scale
+    if k == 0.0:
+        return 0.0, 0.0
     if povm.prior.kind == priors_mod.GAUSSIAN:
         m1 = -2.0 * math.sqrt(2.0 * math.pi) * k * sig**3 * tc * math.exp(
             -2.0 * sig**2 * tc**2

@@ -452,7 +452,7 @@ def verify_all(seed: int = 0) -> dict:
         result = mmse_estimator(gamma_moments(prior, sc, vac), sc.tau_f_gamma)
         povm = ml_povm(prior, sc.tau_c, sc.tau_f_gamma)
         rho, drho = reduced_state(g_grid, sc, vac, derivative=True)
-        for rep in (cr_bound_mmse(result, g_grid, sc, rho, drho), cr_bound_ml(povm, g_grid)):
+        for rep in (cr_bound_mmse(result, g_grid, rho, drho), cr_bound_ml(povm, g_grid)):
             gap = rep.mse - rep.lower_bound
             worst_gap = min(worst_gap, float(gap.min()))
             violations += int(np.count_nonzero(gap < -1e-9))

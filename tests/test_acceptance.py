@@ -214,7 +214,7 @@ def test_criterion_10_cramer_rao_consistency():
         )
         for g in grid:
             rho, drho = reduced_state(float(g), sc, VACUUM, derivative=True)
-            rep_m = cr_bound_mmse(res, float(g), sc, rho, drho)
+            rep_m = cr_bound_mmse(res, float(g), rho, drho)
             rep_l = cr_bound_ml(povm, float(g))
             for rep in (rep_m, rep_l):
                 assert rep.mse >= rep.lower_bound - 1e-9
@@ -225,7 +225,7 @@ def test_criterion_10_cramer_rao_consistency():
         res = mmse_estimator(gamma_moments(GAUSS, sc, VACUUM))
         for g in grid[::5]:
             rho, drho = reduced_state(float(g), sc, VACUUM, derivative=True)
-            assert cr_bound_mmse(res, float(g), sc, rho, drho).lower_bound < 1e-12
+            assert cr_bound_mmse(res, float(g), rho, drho).lower_bound < 1e-12
     report("10 cramer-rao consistency", f"smallest mse-bound gap {worst_gap:.3e}")
 
 

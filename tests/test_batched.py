@@ -87,7 +87,7 @@ def _scalar_rows(spec: SweepSpec) -> list:
             rho, drho = reduced_state(g, sc, fld, derivative=True)
             row.append(mmse_mod.average_estimate(res, rho))
             if spec.quantity == "mmse_cr_bound":
-                rep = bounds_mod.cr_bound_mmse(res, g, sc, rho, drho)
+                rep = bounds_mod.cr_bound_mmse(res, g, rho, drho)
                 row += [rep.lower_bound, rep.mse]
         rows.append(row)
     return rows
@@ -317,9 +317,9 @@ def test_g_sweep_evaluates_state_once(quantity, field_kind, monkeypatch):
     calls = []
     real = dynamics.detector_matrix_elements
 
-    def spy(g_values, *args, derivative=False):
+    def spy(g_values, *args, derivative=False, **kwargs):
         calls.append((len(g_values), derivative))
-        return real(g_values, *args, derivative=derivative)
+        return real(g_values, *args, derivative=derivative, **kwargs)
 
     monkeypatch.setattr(dynamics, "detector_matrix_elements", spy)
     scenario = Scenario(tau_c=0.9, tau_f_gamma=0.2, **FIELDS[field_kind])

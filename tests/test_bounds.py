@@ -21,7 +21,7 @@ UNIF = Prior.uniform(1.0, 1.0)
 
 def mmse_bound(res, g, sc, fld=VACUUM):
     """cr_bound_mmse at the state and derivative of ``sc`` and ``fld`` at g."""
-    return cr_bound_mmse(res, g, sc, *reduced_state(g, sc, fld, derivative=True))
+    return cr_bound_mmse(res, g, *reduced_state(g, sc, fld, derivative=True))
 
 
 def rho_diag(g, tc, u):
@@ -62,6 +62,14 @@ def test_numeric_sld_matches_analytic_derivative():
         l_num = sld_general(*reduced_state(g, sc, VACUUM, derivative=True)).as_array()
         l_ref = sld(g, sc.tau_c, sc.tau_f_gamma).as_array()
         assert np.max(np.abs(l_num - l_ref)) < 1e-12
+    # within 1e-6 of the edge g tau = pi/2 (P -> 0) the excited pair sum 2P
+    # falls below 1e-12, and a cut there would drop the L_ee branch, of
+    # size 2 tau / |cos(g tau)| ~ 1e6 and more: compared relative to it
+    edge = math.pi / (2.0 * sc.tau_c)
+    for g in (edge - 1e-6, edge - 1e-7, edge + 1e-8, edge + 1e-6):
+        l_num = sld_general(*reduced_state(g, sc, VACUUM, derivative=True)).as_array()
+        l_ref = sld(g, sc.tau_c, sc.tau_f_gamma).as_array()
+        assert np.all(np.abs(l_num - l_ref) <= 1e-12 * np.abs(l_ref)), g
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -84,6 +92,46 @@ def test_numeric_sld_defining_identity(tc, delta, alpha_abs, alpha_phase, u):
     full_rank = np.linalg.eigvalsh(r)[:, 0] > 1e-6
     residual = 0.5 * (l_op @ r + r @ l_op) - drho.as_array()
     assert np.max(np.abs(residual[full_rank]), initial=0.0) <= 1e-12
+
+
+def _pure_state_edges(sc):
+    """Couplings below 4 g0 where the state of ``sc`` is pure at u = 0:
+    g = 0, and for a vacuum field l tau = k pi (l = sqrt(Delta^2/4 + g^2)),
+    with g tau = pi/2 + k pi too at resonance."""
+    edges = [0.0]
+    if sc.alpha == 0:
+        for k in range(1, 40):
+            lam = k * math.pi / sc.tau_c
+            if lam > sc.delta / 2.0:
+                edges.append(math.sqrt(lam**2 - sc.delta**2 / 4.0))
+            if sc.delta == 0.0:
+                edges.append((k - 0.5) * math.pi / sc.tau_c)
+    return [e for e in edges if e < 4.0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["gaussian", "uniform"]),
+    sigma=st.floats(0.2, 1.5),
+    tc=st.floats(0.1, 4.0),
+    u=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    family=st.sampled_from(["vacuum", "detuned", "coherent"]),
+    knob=st.floats(0.1, 2.0),
+)
+def test_bound_holds_near_pure_states(kind, sigma, tc, u, family, knob):
+    # within 1e-9 of every pure-state edge the eigenbasis L keeps the
+    # Fisher term of the small eigenvalue, so each bound row is finite and
+    # stays below the conditional MSE
+    sc = Scenario(tau_c=tc, tau_f_gamma=u, delta=knob if family == "detuned" else 0.0,
+                  alpha=knob if family == "coherent" else 0.0)
+    fld = field_for(sc)
+    res = mmse_estimator(gamma_moments(Prior(kind, 1.0, sigma), sc, fld), u)
+    offsets = (0.0, 1e-15, 1e-12, 1e-10, 1e-9)
+    g = np.array(sorted({abs(e + s * d) for e in _pure_state_edges(sc)
+                         for d in offsets for s in (-1, 1)}))
+    rep = mmse_bound(res, g, sc, fld)
+    assert np.all(np.isfinite(rep.lower_bound))
+    assert np.all(rep.lower_bound <= rep.mse * (1.0 + 1e-12)), g[np.argmax(rep.lower_bound / rep.mse)]
 
 
 def test_inconclusive_times_give_zero_bound():
@@ -126,19 +174,26 @@ def test_quarter_period_display_factor_off_mean():
         assert first_power_bound(rep) == pytest.approx(expected, abs=1e-12)
 
 
-def test_closed_path_matches_numeric_path():
-    # the resonant vacuum report takes x' and Tr{rho L^2} in closed form;
-    # the eigenbasis L of the general path gives the same numbers
-    res = mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2), VACUUM))
-    sc = Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2)
-    for g in (0.7, 1.0, 1.4):
-        rho, drho = reduced_state(g, sc, VACUUM, derivative=True)
-        closed = cr_bound_mmse(res, g, sc, rho, drho)
-        xprime = trace_product(res.m_min, drho)
-        fisher = trace_product(square(sld_general(rho, drho)), rho.matrix)
-        assert xprime**2 / fisher == pytest.approx(closed.lower_bound, abs=1e-8)
-        assert xprime == pytest.approx(closed.sensitivity, abs=1e-8)
-        assert fisher == pytest.approx(closed.fisher, abs=1e-6)
+def _near_pure_couplings(tc):
+    """Couplings at and within 1e-9 of the pure-state edges g = 0,
+    g tau = k pi and g tau = pi/2 + k pi, k <= 2, of the resonant vacuum."""
+    edges = [k * math.pi / (2.0 * tc) for k in range(5)]
+    offsets = (0.0, 1e-15, 1e-12, 1e-9)
+    return np.array(sorted({abs(e + s * d) for e in edges for d in offsets for s in (-1, 1)}))
+
+
+@pytest.mark.parametrize("u", [0.0, 0.2, 2.0])
+@pytest.mark.parametrize("tc", [0.05, math.pi / 4.0, 1.3, 3.0])
+def test_ml_fisher_matches_numeric_sld(tc, u):
+    # the one closed Fisher entry left, that of the likelihood bound, against
+    # Tr{rho L^2} of the eigenbasis L on the state kernel's vacuum family,
+    # on a grid and at the near-pure couplings where a branch of L diverges
+    g = np.concatenate([np.linspace(0.0, 3.0, 61), _near_pure_couplings(tc)])
+    rho, drho = reduced_state(g, Scenario(tau_c=tc, tau_f_gamma=u), VACUUM, derivative=True)
+    numeric = trace_product(square(sld_general(rho, drho)), rho.matrix)
+    closed = cr_bound_ml(ml_povm(GAUSS, tc, u), g).fisher
+    scale = np.maximum(np.abs(closed), np.abs(numeric))
+    assert np.all(np.abs(numeric - closed) <= 1e-13 * scale), np.max(np.abs(numeric - closed) / scale)
 
 
 def test_general_scenario_bound_holds():

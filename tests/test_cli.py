@@ -221,20 +221,7 @@ def test_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.ini"
     assert main(["mmse", "--config", str(missing)]) == 1
 
-    # uniform-prior likelihood POVM at zero interaction time: unbounded scale
-    zero_ml = tmp_path / "zero_ml.ini"
-    zero_ml.write_text("[prior]\nkind = uniform\n[scenario]\ng0_tau_c = 0.0\n")
-    zero_sweep = tmp_path / "zero_sweep.ini"
-    zero_sweep.write_text(
-        "[prior]\nkind = uniform\n"
-        "[sweep]\nquantity = ml_cost\naxis = tau_c\nlo = 0\nhi = 1\nn_points = 4\n"
-    )
     capsys.readouterr()
-    for argv in (["ml", "--config", str(zero_ml)], ["sweep", "--config", str(zero_sweep)]):
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-
     # a sweep past the point ceiling is refused before its grid is built
     many = tmp_path / "many.ini"
     many.write_text(
@@ -429,6 +416,66 @@ def test_infinite_result_is_written(tmp_path, capsys):
     header, row = capsys.readouterr().out.splitlines()
     assert header == "c_max,cost_max,avg_estimate"
     assert row.startswith("inf,")
+
+
+# likelihood runs that start at zero interaction time: case -> (command, config)
+_ZERO_TIME_RUNS = {
+    "ml": ("ml", "[scenario]\ng0_tau_c = 0.0\n"),
+    **{q: ("sweep", f"[sweep]\nquantity = {q}\naxis = tau_c\nlo = 0\nhi = 1\nn_points = 4\n")
+       for q in ("ml_cost", "ml_avg_estimate")},
+}
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+@pytest.mark.parametrize("case", sorted(_ZERO_TIME_RUNS))
+def test_zero_interaction_time_likelihood_rows(case, kind, tmp_path, capsys):
+    # at tau_c = 0 the traceless component is unconstrained for either
+    # prior: c_max = inf and f_z == 0, so the cost is the prior term alone
+    # and the mean estimate is the prior mean
+    command, text = _ZERO_TIME_RUNS[case]
+    path = tmp_path / "run.ini"
+    path.write_text(f"[prior]\nkind = {kind}\nsigma_over_g0 = 0.5\n" + text)
+    capsys.readouterr()
+    assert main([command, "--config", str(path)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    first = dict(zip(header.split(","), map(float, rows[0].split(","))))
+    prior_term = 1.0 / math.sqrt(4.0 * math.pi * 0.25) if kind == "gaussian" else 1.0 / math.sqrt(3.0)
+    assert first.get("axis", 0.0) == 0.0
+    assert first.get("c_max", math.inf) == math.inf
+    assert first.get("cost_max", prior_term) == pytest.approx(prior_term, rel=1e-15)
+    assert first.get("avg_estimate", 1.0) == 1.0
+    assert all(math.isfinite(float(x)) for row in rows[1:] for x in row.split(","))
+
+
+def test_mmse_bound_stays_below_mse_at_a_pure_state(tmp_path, capsys):
+    # Delta = 1.2 g0 and g = 0.8 g0 give l = g0, so l tau = pi leaves the
+    # qubit excited: the state is pure up to rounding, and the bound of
+    # the eigenbasis L must keep the ground Fisher term to stay below the MSE
+    path = tmp_path / "run.ini"
+    path.write_text("[prior]\nkind = gaussian\nsigma_over_g0 = 0.5\n[scenario]\n"
+                    f"delta_over_g0 = 1.2\ng0_tau_c = {math.pi!r}\ng_over_g0 = 0.8\n")
+    capsys.readouterr()
+    assert main(["mmse", "--config", str(path)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    values = dict(zip(header.split(","), map(float, row.split(","))))
+    assert 0.0 <= values["cr_bound"] <= values["mse"]
+
+
+@pytest.mark.parametrize("u", [0.0, 1e-13, 0.5])
+def test_state_ground_population_keeps_its_digits(u, tmp_path, capsys):
+    # at g tau_c = 1e-6 the ground population is ~1e-12 + u; formed as
+    # 1 - rho_ee it would keep only ~4 of its digits
+    import mpmath
+
+    path = tmp_path / "run.ini"
+    path.write_text(f"[scenario]\ng0_tau_c = 1e-6\ngamma_tau_f = {u!r}\n")
+    capsys.readouterr()
+    assert main(["state", "--config", str(path)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    rho_gg = float(row.split(",")[header.split(",").index("rho_gg")])
+    with mpmath.workdps(50):
+        ref = float(1 - mpmath.cos(mpmath.mpf(1e-6)) ** 2 * mpmath.exp(-mpmath.mpf(u)))
+    assert abs(rho_gg - ref) <= 1e-14 * ref
 
 
 _NONNEGATIVE_AXIS_SWEEPS = [

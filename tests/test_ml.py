@@ -146,6 +146,19 @@ def test_uniform_cmax_rejects_zero_interaction_time():
         uniform_cmax(GAUSS, 0.5)
 
 
+@pytest.mark.parametrize("tc", [0.0, 1e-160, 1e-300])
+def test_uniform_povm_unconstrained_where_the_peak_vanishes(tc):
+    # at tau_c = 0, and where the O(tau^2) peak of |cos(2 x tau_c) - K|
+    # underflows, the POVM is the Gaussian one at sin(2 g0 tau_c) = 0:
+    # c_max = inf, f_z == 0, the prior term as cost and g0 as mean estimate
+    unif = Prior.uniform(1.0, 1.0)
+    povm = uniform_ml_povm(unif, tc, 0.3)
+    assert povm.c_max == math.inf and f_z_moments(povm) == (0.0, 0.0)
+    assert uniform_cost_max(povm) == 1.0 / (2.0 * math.sqrt(3.0))
+    assert ml_average_estimate(povm, 0.7) == 1.0
+    assert ml_mse(povm, 0.7) == pytest.approx(1.0 + 0.3**2, rel=1e-15)
+
+
 def _uniform_cmax_enumerated(p, tc):
     # the cap by evaluating every stationary point j pi / (2 tau_c) of the
     # cosine inside the support, one by one

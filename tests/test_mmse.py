@@ -217,7 +217,7 @@ def test_mmse_invariants_across_scenarios(kind, sigma, log_tau, u, delta, alpha,
     res = mmse_estimator(gammas, u)
     assert -1e-12 <= res.c_min <= sigma**2 * (1.0 + 1e-12)
     g = np.linspace(0.1, 2.0, 9)
-    rep = cr_bound_mmse(res, g, sc, *reduced_state(g, sc, fld, derivative=True))
+    rep = cr_bound_mmse(res, g, *reduced_state(g, sc, fld, derivative=True))
     assert np.all(rep.mse >= rep.lower_bound - 1e-9)
 
 
