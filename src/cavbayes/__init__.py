@@ -7,13 +7,7 @@ accuracy lower bounds, plus sampling oracles and a scenario-runner CLI.
 """
 
 from .bounds import BoundReport, cr_bound_ml, cr_bound_mmse, sld_general
-from .dynamics import (
-    FieldState,
-    Scenario,
-    dissipative_state,
-    field_for,
-    reduced_state,
-)
+from .dynamics import FieldState, Scenario, field_for, reduced_state
 from .errors import (
     CavbayesError,
     ConfigError,

@@ -12,6 +12,12 @@ Commands
     tau-star  cost-minimizing interaction time
     verify    run the verification battery of :mod:`oracle` (exit 2 on failure)
 
+Each sweep quantity is one entry of ``_QUANTITIES``: the scenario family it
+evaluates, the axes it sweeps and its table columns.  The transit model,
+unitary or damped (kappa or in-cavity decay nonzero), is read off the
+``Scenario`` by the library's state and moment calls, so ``state``,
+``tau-star`` and the MMSE sweeps make one call whichever it is.
+
 Options (``--config``, ``--out``, ``--format``, ``--seed``) may come before
 or after the command.  Exit codes: 0 success, 1 config error (a non-finite
 config value, a negative ``tau_c`` or ``gamma_tau_f`` sweep range, a sweep
@@ -39,60 +45,49 @@ from . import bounds as bounds_mod
 from . import ml as ml_mod
 from . import mmse as mmse_mod
 from . import priors as priors_mod
-from .dynamics import (FieldState, Scenario, _auto_cutoff, dissipative_state, field_for,
-                       reduced_state)
+from .dynamics import FieldState, Scenario, _auto_cutoff, field_for, reduced_state
 from .errors import CavbayesError, ConfigError, DegenerateGamma0, UnsupportedCombination
 from .oracle import verify_all
 from .priors import Prior
 
 __all__ = ["SweepSpec", "Table", "run_sweep", "find_tau_star", "verify_all", "main"]
 
-QUANTITIES = (
-    "mmse_eigenvalues",
-    "mmse_cost",
-    "mmse_avg_estimate",
-    "mmse_cr_bound",
-    "ml_cost",
-    "ml_avg_estimate",
-    "ml_cr_bound",
-    "dissipative_cost",
-)
 AXES = ("tau_c", "g_over_g0", "delta", "gamma_tau_f")
 #: most points one sweep may hold
 MAX_SWEEP_POINTS = 10_000
 #: axes whose values are times or decay exponents, never negative
 _NONNEGATIVE_AXES = ("tau_c", "gamma_tau_f")
 
-_SUPPORTED_AXES = {
-    "mmse_eigenvalues": ("tau_c", "delta", "gamma_tau_f"),
-    "mmse_cost": ("tau_c", "delta", "gamma_tau_f"),
-    "mmse_avg_estimate": ("g_over_g0",),
-    "mmse_cr_bound": ("g_over_g0",),
-    "ml_cost": ("tau_c", "gamma_tau_f"),
-    "ml_avg_estimate": ("g_over_g0", "tau_c"),
-    "ml_cr_bound": ("g_over_g0",),
-    "dissipative_cost": ("tau_c",),
+_MMSE_AXES = ("tau_c", "delta", "gamma_tau_f")
+_MMSE_COLUMNS = ("axis", "eig_lo", "eig_hi", "c_min")
+#: sweep quantity -> (scenario family, supported axes, table columns)
+_QUANTITIES = {
+    "mmse_eigenvalues": ("unitary", _MMSE_AXES, _MMSE_COLUMNS),
+    "mmse_cost": ("unitary", _MMSE_AXES, _MMSE_COLUMNS),
+    "mmse_avg_estimate": ("unitary", ("g_over_g0",), (*_MMSE_COLUMNS, "avg_estimate")),
+    "mmse_cr_bound": ("unitary", ("g_over_g0",),
+                      (*_MMSE_COLUMNS, "avg_estimate", "cr_bound", "mse")),
+    "ml_cost": ("resonant vacuum", ("tau_c", "gamma_tau_f"), ("axis", "cost_max")),
+    "ml_avg_estimate": ("resonant vacuum", ("g_over_g0", "tau_c"), ("axis", "avg_estimate")),
+    "ml_cr_bound": ("resonant vacuum", ("g_over_g0",), ("axis", "mse", "cr_bound")),
+    "dissipative_cost": ("damped", ("tau_c",), ("axis", "c_min")),
 }
 #: float scenario knobs: config key -> Scenario field
 _SCENARIO_KEYS = {"g0_tau_c": "tau_c", "gamma_tau_f": "tau_f_gamma", "delta_over_g0": "delta",
                   "kappa_over_g0": "kappa", "gamma_over_g0": "gamma_cav"}
-#: config keys each scenario family pins to zero, and their Scenario fields
+#: config keys each scenario family pins to zero; ``damped`` also admits zero
+#: rates, which the damped ``Scenario`` itself does not cover
 _FAMILIES = {
     "unitary": ("kappa_over_g0", "gamma_over_g0"),
     "resonant vacuum": ("kappa_over_g0", "gamma_over_g0", "delta_over_g0", "alpha_abs"),
     "damped": ("delta_over_g0", "alpha_abs", "gamma_tau_f"),
 }
-_FAMILY_OF = {"mmse": "unitary", "ml": "resonant vacuum", "dissipative": "damped"}
 _KNOBS = {**_SCENARIO_KEYS, "alpha_abs": "alpha"}
 
 
-def _check_family(name: str, scenario: Scenario) -> None:
-    """Raise :class:`UnsupportedCombination` unless ``scenario`` is in the family
-    that ``name`` evaluates (``state`` and ``tau-star``: unitary or damped)."""
-    if name in ("state", "tau-star"):
-        family = "unitary" if scenario.is_unitary_transit else "damped"
-    else:
-        family = _FAMILY_OF.get(name.split("_")[0])
+def _check_family(name: str, family: Optional[str], scenario: Scenario) -> None:
+    """Raise :class:`UnsupportedCombination` unless ``scenario`` is in
+    ``family``, the one that ``name`` evaluates (None: every scenario)."""
     set_keys = [k for k in _FAMILIES.get(family, ()) if getattr(scenario, _KNOBS[k])]
     if set_keys:
         raise UnsupportedCombination(
@@ -113,14 +108,15 @@ class SweepSpec:
     scenario: Scenario
 
     def __post_init__(self):
-        if self.quantity not in QUANTITIES:
+        if self.quantity not in _QUANTITIES:
             raise UnsupportedCombination(f"unknown quantity {self.quantity!r}")
+        family, axes, _ = _QUANTITIES[self.quantity]
         if self.axis not in AXES:
             raise UnsupportedCombination(f"unknown axis {self.axis!r}")
-        if self.axis not in _SUPPORTED_AXES[self.quantity]:
+        if self.axis not in axes:
             raise UnsupportedCombination(
                 f"quantity {self.quantity!r} does not support axis {self.axis!r}; "
-                f"supported: {_SUPPORTED_AXES[self.quantity]}"
+                f"supported: {axes}"
             )
         if not self.lo < self.hi:
             raise UnsupportedCombination("sweep range must satisfy lo < hi")
@@ -128,7 +124,7 @@ class SweepSpec:
             raise UnsupportedCombination(f"sweep axis {self.axis!r} needs lo >= 0, got {self.lo!r}")
         if not 2 <= self.n_points <= MAX_SWEEP_POINTS:
             raise UnsupportedCombination(f"sweep needs 2 to {MAX_SWEEP_POINTS} points")
-        _check_family(self.quantity, self.scenario)
+        _check_family(self.quantity, family, self.scenario)
 
 
 @dataclass
@@ -141,13 +137,6 @@ def _mmse_results(prior: Prior, scenarios: list, field: FieldState):
     """Estimators at every scenario: one moment call, one batched solve."""
     gammas = mmse_mod.gamma_moments(prior, tuple(scenarios), field)
     return mmse_mod.mmse_estimator(gammas, [sc.tau_f_gamma for sc in scenarios])
-
-
-def _dissipative_costs(prior: Prior, scenario: Scenario, taus) -> np.ndarray:
-    gammas = mmse_mod.gamma_moments_dissipative(
-        prior, np.asarray(taus, dtype=float), scenario.gamma_cav, scenario.kappa
-    )
-    return mmse_mod.mmse_estimator(gammas).c_min
 
 
 _AXIS_FIELDS = {"tau_c": "tau_c", "delta": "delta", "gamma_tau_f": "tau_f_gamma"}
@@ -184,19 +173,18 @@ def _ml_rows(spec: SweepSpec, values: list) -> list:
 
 
 def _mmse_rows(spec: SweepSpec, values: list) -> list:
-    prior, q, scenario = spec.prior, spec.quantity, spec.scenario
-    if q == "dissipative_cost":  # swept along tau_c only
-        costs = _dissipative_costs(prior, scenario, values)
-        return [[v, float(c)] for v, c in zip(values, costs)]
-    if q in ("mmse_cost", "mmse_eigenvalues"):
-        scenarios = _along(scenario, spec.axis, values)
-        res = _mmse_results(prior, scenarios, field_for(scenario))
-        return [
-            [v, float(lo), float(hi), float(c)]
-            for v, lo, hi, c in zip(values, *res.estimates, res.c_min)
-        ]
-    rows = _pinned_rows(prior, scenario, values, bound=q == "mmse_cr_bound")
-    return [[v, *row] for v, row in zip(values, rows)]
+    """Estimator rows.  Along ``g_over_g0`` one estimator at the pinned
+    scenario serves every row; along the other axes one moment call and one
+    batched solve give an estimator per row, of which the quantity's
+    columns are printed."""
+    prior, scenario = spec.prior, spec.scenario
+    if spec.axis == "g_over_g0":
+        rows = _pinned_rows(prior, scenario, values, bound=spec.quantity == "mmse_cr_bound")
+        return [[v, *row] for v, row in zip(values, rows)]
+    res = _mmse_results(prior, _along(scenario, spec.axis, values), field_for(scenario))
+    named = {"eig_lo": res.estimates[0], "eig_hi": res.estimates[1], "c_min": res.c_min}
+    columns = [named[c] for c in _QUANTITIES[spec.quantity][2][1:]]
+    return [[v, *(float(c[i]) for c in columns)] for i, v in enumerate(values)]
 
 
 def _pinned_rows(prior: Prior, scenario: Scenario, g_over_g0: list, bound: bool) -> list:
@@ -217,33 +205,19 @@ def _pinned_rows(prior: Prior, scenario: Scenario, g_over_g0: list, bound: bool)
     return [[*head, *(float(c[i]) for c in columns)] for i in range(len(g))]
 
 
-_SWEEP_COLUMNS = {
-    "mmse_eigenvalues": ["axis", "eig_lo", "eig_hi", "c_min"],
-    "mmse_cost": ["axis", "eig_lo", "eig_hi", "c_min"],
-    "mmse_avg_estimate": ["axis", "eig_lo", "eig_hi", "c_min", "avg_estimate"],
-    "mmse_cr_bound": ["axis", "eig_lo", "eig_hi", "c_min", "avg_estimate", "cr_bound", "mse"],
-    "ml_cost": ["axis", "cost_max"],
-    "ml_avg_estimate": ["axis", "avg_estimate"],
-    "ml_cr_bound": ["axis", "mse", "cr_bound"],
-    "dissipative_cost": ["axis", "c_min"],
-}
-
-
 def run_sweep(spec: SweepSpec) -> Table:
     """Evaluate the configured quantity over the axis grid, in axis order.
 
-    MMSE quantities over ``tau_c``, ``delta`` and ``gamma_tau_f`` and the
-    dissipative cost take one moment call and one batched solve over the
-    whole axis; every quantity over ``g_over_g0`` takes one batched
-    evaluation over all couplings; likelihood quantities over ``tau_c`` and
-    ``gamma_tau_f`` build one POVM per row.
+    MMSE quantities over ``tau_c``, ``delta`` and ``gamma_tau_f``, the
+    damped ``dissipative_cost`` included, take one moment call and one
+    batched solve over the whole axis; every quantity over ``g_over_g0``
+    takes one batched evaluation over all couplings; likelihood quantities
+    over ``tau_c`` and ``gamma_tau_f`` build one POVM per row.
     """
+    family, _, columns = _QUANTITIES[spec.quantity]
     values = [float(v) for v in np.linspace(spec.lo, spec.hi, spec.n_points)]
-    if spec.quantity.startswith("ml_"):
-        rows = _ml_rows(spec, values)
-    else:
-        rows = _mmse_rows(spec, values)
-    return Table(columns=list(_SWEEP_COLUMNS[spec.quantity]), rows=rows)
+    rows = (_ml_rows if family == "resonant vacuum" else _mmse_rows)(spec, values)
+    return Table(columns=list(columns), rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +242,6 @@ def _golden_section(fun, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _tau_costs(prior: Prior, scenario: Scenario, fld: FieldState, taus) -> np.ndarray:
-    """Average minimum cost at each interaction time in ``taus``, the rest of
-    ``scenario`` pinned: one moment call and one batched solve."""
-    if scenario.is_unitary_transit:
-        return _mmse_results(prior, _along(scenario, "tau_c", taus), fld).c_min
-    return _dissipative_costs(prior, scenario, taus)
-
-
 _TAU_SCAN_POINTS = 300
 _TAU_TOL = 1e-4
 
@@ -286,18 +252,22 @@ def find_tau_star(prior: Prior, scenario: Scenario) -> float:
     Scans g0 tau_c in [0.05, 3] on a coarse grid of ``_TAU_SCAN_POINTS``,
     then refines the best bracket by golden-section search to ``_TAU_TOL``
     (absolute, in units of 1/g0).  The coarse scan guards against the
-    oscillatory cost landscape at larger photon numbers.  Dissipative
-    scenarios (kappa or in-cavity decay nonzero) are supported through the
-    damped state family.
+    oscillatory cost landscape at larger photon numbers.  The scan and each
+    refinement step are one moment call and one batched solve, damped
+    scenarios (kappa or in-cavity decay nonzero) included.
     """
     fld = field_for(scenario)
     g0 = prior.g0
+
+    def costs(taus):
+        return _mmse_results(prior, _along(scenario, "tau_c", taus), fld).c_min
+
     taus = np.linspace(0.05 / g0, 3.0 / g0, _TAU_SCAN_POINTS)
-    best = int(np.argmin(_tau_costs(prior, scenario, fld, taus)))
+    best = int(np.argmin(costs(taus)))
     lo = taus[max(0, best - 1)]
     hi = taus[min(len(taus) - 1, best + 1)]
     return _golden_section(
-        lambda tau: float(_tau_costs(prior, scenario, fld, [tau])[0]),
+        lambda tau: float(costs([tau])[0]),
         float(lo),
         float(hi),
         _TAU_TOL / g0,
@@ -434,12 +404,7 @@ def _config_echo(cfg: dict) -> dict:
 
 def _cmd_state(cfg: dict) -> Table:
     scenario = cfg["scenario"]
-    g = cfg["g"] * cfg["prior"].g0
-    if scenario.is_unitary_transit:
-        rho = reduced_state(g, scenario, field_for(scenario))
-    else:
-        rho = dissipative_state(g, scenario.tau_c, scenario.gamma_cav, scenario.kappa)
-    m = rho.matrix
+    m = reduced_state(cfg["g"] * cfg["prior"].g0, scenario, field_for(scenario)).matrix
     return Table(
         columns=["g_over_g0", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im"],
         rows=[[cfg["g"], m.ee, m.gg, m.eg.real, m.eg.imag]],
@@ -448,7 +413,7 @@ def _cmd_state(cfg: dict) -> Table:
 
 def _cmd_mmse(cfg: dict) -> Table:
     rows = _pinned_rows(cfg["prior"], cfg["scenario"], [cfg["g"]], bound=True)
-    return Table(columns=_SWEEP_COLUMNS["mmse_cr_bound"][1:], rows=rows)
+    return Table(columns=list(_QUANTITIES["mmse_cr_bound"][2][1:]), rows=rows)
 
 
 def _cmd_ml(cfg: dict) -> Table:
@@ -462,11 +427,14 @@ def _cmd_ml(cfg: dict) -> Table:
 def _cmd_tau_star(cfg: dict) -> Table:
     prior, scenario = cfg["prior"], cfg["scenario"]
     tau = find_tau_star(prior, scenario)
-    c_at = float(_tau_costs(prior, scenario, field_for(scenario), [tau])[0])
-    return Table(columns=["g0_tau_star", "c_min_at_tau_star"], rows=[[tau * prior.g0, c_at]])
+    res = _mmse_results(prior, _along(scenario, "tau_c", [tau]), field_for(scenario))
+    return Table(columns=["g0_tau_star", "c_min_at_tau_star"],
+                 rows=[[tau * prior.g0, float(res.c_min[0])]])
 
 
-_POINT_COMMANDS = {"state": _cmd_state, "mmse": _cmd_mmse, "ml": _cmd_ml, "tau-star": _cmd_tau_star}
+#: point command -> (scenario family, None for every scenario; handler)
+_POINT_COMMANDS = {"state": (None, _cmd_state), "mmse": ("unitary", _cmd_mmse),
+                   "ml": ("resonant vacuum", _cmd_ml), "tau-star": (None, _cmd_tau_star)}
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -508,8 +476,9 @@ def main(argv: Optional[list] = None) -> int:
             if args.command == "sweep":
                 table = run_sweep(cfg["sweep"])
             else:
-                _check_family(args.command, cfg["scenario"])
-                table = _POINT_COMMANDS[args.command](cfg)
+                family, command = _POINT_COMMANDS[args.command]
+                _check_family(args.command, family, cfg["scenario"])
+                table = command(cfg)
     except (ConfigError, UnsupportedCombination) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -15,10 +15,12 @@ with effective Rabi frequency l_n = sqrt(Delta^2/4 + g^2 n).  Tracing out the
 field yields the 2x2 state at the cavity exit; the flight multiplies the
 excited population by exp(-gamma tau_f) and the coherence by its square root.
 
-A fully dissipative in-cavity variant (resonant, vacuum field, cavity damping
-kappa and qubit decay gamma active during the transit) is provided through a
-closed-form excited population f(t), assembled in complex arithmetic so the
-oscillatory and overdamped regimes share one code path.
+A scenario with cavity damping kappa or qubit decay gamma active during the
+transit is the damped case of the same transit: resonant, vacuum field and no
+flight decay, with the closed-form excited population f(t) assembled in
+complex arithmetic so the oscillatory and overdamped regimes share one code
+path.  :func:`reduced_state` reads the transit model off the
+:class:`Scenario`, so callers make no choice between the two.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "Scenario",
     "FieldState",
     "reduced_state",
-    "dissipative_state",
     "field_for",
     "detector_matrix_elements",
 ]
@@ -63,8 +64,9 @@ class Scenario:
 
     All times and rates are in coupling units (g0 = 1 makes them the
     dimensionless products used throughout).  ``kappa``/``gamma_cav`` are the
-    in-cavity damping and decay rates of the dissipative variant and must be
-    zero on the unitary-transit path.
+    in-cavity damping and decay rates; either one nonzero makes the transit
+    damped, a model defined only at resonance, in vacuum and without flight
+    decay, so such a scenario refuses ``delta``, ``alpha`` and ``tau_f_gamma``.
     """
 
     tau_c: float
@@ -81,6 +83,10 @@ class Scenario:
                 raise ValueError(f"{name} must be nonnegative")
         if self.fock_cutoff is not None and not 0 <= self.fock_cutoff <= MAX_FOCK_CUTOFF:
             raise ValueError(f"fock_cutoff must be in [0, {MAX_FOCK_CUTOFF}]")
+        if (self.kappa or self.gamma_cav) and (self.delta or self.alpha or self.tau_f_gamma):
+            raise ValueError(
+                "a damped scenario (kappa or gamma_cav > 0) needs delta = alpha = tau_f_gamma = 0"
+            )
 
     @property
     def is_unitary_transit(self) -> bool:
@@ -305,7 +311,18 @@ def reduced_state(g, scenario: Scenario, field: FieldState, derivative: bool = F
     states, one entry per coupling, from one kernel call.  With
     ``derivative=True`` the exact d rho/dg (a traceless :class:`Hermitian2`
     of the same shape) is returned along with the state.
+
+    A damped scenario gives diag(f, 1 - f) with f from
+    :func:`dissipative_populations`; its transit starts in vacuum, so
+    ``field`` is not read; ``derivative=True`` raises ``ValueError`` there.
     """
+    if not scenario.is_unitary_transit:
+        if derivative:
+            raise ValueError("d rho/dg is not available for a damped transit")
+        f = dissipative_populations(g, scenario.tau_c, scenario.gamma_cav, scenario.kappa)
+        if np.ndim(g) == 0:
+            f = float(f[0])
+        return QubitState(Hermitian2(ee=f, gg=1.0 - f))
     elements = detector_matrix_elements(g, scenario, field, derivative=derivative, ground=True)
     if np.ndim(g) == 0:
         elements = [x[0].item() for x in elements]
@@ -359,22 +376,10 @@ def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np
     return val.real
 
 
-def dissipative_state(g: float, t: float, gamma: float, kappa: float) -> QubitState:
-    """State after a transit with in-cavity decay/damping active.
-
-    Resonant interaction, initial state |e>|0>.  ``gamma`` is the qubit decay
-    rate, ``kappa`` the cavity damping rate.  Reduces to the unitary vacuum
-    result cos^2(g t) when both rates vanish.  The population is
-    :func:`dissipative_populations` at the one coupling ``g``.
-    """
-    f = float(dissipative_populations(g, t, gamma, kappa)[0])
-    return QubitState(Hermitian2(ee=f, gg=1.0 - f))
-
-
 def dissipative_populations(
     g_values: np.ndarray, t, gamma: float, kappa: float
 ) -> np.ndarray:
-    """Vectorized excited population of the dissipative variant.
+    """Vectorized excited population of the damped transit.
 
     ``t`` is one time, giving one population per coupling, or a column of
     times, giving a (times x couplings) grid; the checks below hold over the

@@ -79,6 +79,13 @@ class MlPovm:
     :func:`uniform_cmax` raises, tau_c = 0 included), in which case f_z
     vanishes identically and the measurement returns prior draws.  The off-diagonal densities are zero by convention (they never
     enter the average cost).
+
+    At tau_c = 0 the state no longer depends on g, so every f_z with
+    |f_z| <= f_I gives the same cost and f_z == 0 is a convention: the mean
+    estimate is g0.  For the uniform prior this is not the tau_c -> 0 limit
+    of the optimal POVM, whose f_z stays nonzero; at sigma = g0 its mean
+    estimate at g = g0 tends to (3 - sqrt(3))/2 g0 = 0.63397... g0, so a
+    likelihood sweep from tau_c = 0 jumps at its first row by design.
     """
 
     prior: Prior
@@ -324,6 +331,9 @@ def uniform_cmax(prior: Prior, tau_c: float) -> float:
     Raises :class:`SinVanishes` where the peak falls below 1e-300: at
     tau_c = 0, where the cosine is constant, and below tau_c ~ 1e-150, where
     the O(tau^2) peak underflows; f_z then vanishes and the scale is unbounded.
+    That f_z == 0 is a convention of the degenerate problem, not the limit
+    of the POVM as tau_c -> 0 (see :class:`MlPovm`): the scale grows as
+    1/tau^2 while f_z shrinks as tau^2, so the product stays finite.
     """
     if prior.kind != priors_mod.UNIFORM:
         raise ValueError("uniform_cmax requires a uniform prior")

@@ -10,15 +10,17 @@ built from the detector-time state, so flight damping is already folded in;
 the conditional mean and MSE of an estimator take that state rho(g) itself.
 
 Every moment call takes a whole sweep axis: :func:`gamma_moments` a tuple of
-scenarios and :func:`gamma_moments_dissipative` an array of interaction
-times, each returning the batch of triples that :func:`mmse_estimator`
-solves in one call.  A single scenario or time is the batch of one through
-the same code.  At resonance every entry of G_k is a finite photon-ladder
-sum of the prior's exact moments M_k(omega) = int z(g) g^k e^{i omega g} dg
+scenarios, returning the batch of triples that :func:`mmse_estimator`
+solves in one call.  A single scenario is the batch of one through the same
+code.  The scenarios pick their transit model: at resonance every entry of
+G_k is a finite photon-ladder sum of the prior's exact moments
+M_k(omega) = int z(g) g^k e^{i omega g} dg
 (:func:`priors.characteristic_moments`), for any field, evaluated over one
-(points x ladder) grid of omega.  Detuned moments and the in-cavity damped
-variant integrate the state against the prior by quadrature; points whose
-node counts agree share one rule and one density-weighted moment matrix.
+(points x ladder) grid of omega.  Detuned moments integrate the state
+against the prior by quadrature, and damped scenarios go in one call to
+:func:`gamma_moments_dissipative`, which does the same for the damped
+populations; points whose node counts agree share one rule and one
+density-weighted moment matrix.
 Every batch is processed in chunks of at most ``_CHUNK_ELEMENTS`` grid
 elements, so a long sweep holds no larger arrays than a short one.
 """
@@ -235,11 +237,20 @@ def gamma_moments(
     unitary transits take the exact ladder sums of the prior's
     characteristic moments, for any field and flight decay; detuned ones
     integrate by quadrature (:func:`gamma_moments_quadrature`), and
-    ``n_points`` sizes only that quadrature.
+    ``n_points`` sizes only that quadrature.  Damped scenarios go to
+    :func:`gamma_moments_dissipative` in one call over all their times; a
+    batch must then be damped throughout and share one rate pair
+    (``ValueError`` otherwise), and ``field`` is not read.
     """
     single = not isinstance(scenario, tuple)
     scenarios = (scenario,) if single else scenario
-    resonant = [sc.delta == 0.0 and sc.is_unitary_transit for sc in scenarios]
+    rates = {(sc.gamma_cav, sc.kappa) for sc in scenarios}
+    if any(gamma or kappa for gamma, kappa in rates):
+        if len(rates) > 1:
+            raise ValueError("a damped batch needs one (gamma_cav, kappa) pair at all its points")
+        taus = np.array([sc.tau_c for sc in scenarios])
+        return gamma_moments_dissipative(prior, taus[0] if single else taus, *rates.pop())
+    resonant = [sc.delta == 0.0 for sc in scenarios]
     if all(resonant):
         out = _resonant_moments(prior, scenarios, field)
     else:
@@ -272,7 +283,8 @@ def gamma_moments_quadrature(prior: Prior, scenario, field: FieldState) -> Gamma
 def gamma_moments_dissipative(
     prior: Prior, tau_c, gamma: float, kappa: float
 ) -> GammaTriple:
-    """Moment operators for the in-cavity damped variant (diagonal states).
+    """Moment operators of the damped transit (diagonal states), the branch
+    :func:`gamma_moments` takes for damped scenarios.
 
     ``tau_c`` is one interaction time, giving one triple, or an array of
     them, giving the batch of triples in order.  Times sharing a node count

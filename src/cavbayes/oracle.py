@@ -29,7 +29,7 @@ import numpy as np
 
 from . import priors as priors_mod
 from .bounds import BoundReport, cr_bound_ml, cr_bound_mmse
-from .dynamics import (FieldState, Scenario, detector_matrix_elements, dissipative_state,
+from .dynamics import (FieldState, Scenario, detector_matrix_elements, dissipative_populations,
                        reduced_state)
 from .ml import (MlPovm, _contrast, _gaussian_sin_or_raise, conditional_pdf, cost_max, f_z_moments,
                  gaussian_bound_constants, gaussian_cmax, interval_audit, ml_average_estimate,
@@ -298,15 +298,18 @@ def sld(g: float, tau_c: float, gamma_tau_f: float) -> Hermitian2:
 
     rho(g) = diag(P, 1 - P) with P = cos^2(g tau_c) e^{-u} is diagonal, so
     L = diag(P'/P, -P'/(1 - P)): the analytic reference of
-    :func:`bounds.sld_general`.  Raises ``ValueError`` at the pure-state
-    edge, where cos(g tau_c) or 1 - P vanishes and a branch of L diverges.
+    :func:`bounds.sld_general`.  1 - P is formed as (1 - e^{-u}) +
+    e^{-u} sin^2(g tau_c), free of cancellation as P -> 1.  Raises
+    ``ValueError`` at the pure-state edge, where cos(g tau_c) or 1 - P
+    vanishes (|cos| <= 1e-12 or 1 - P <= 1e-24) and a branch of L diverges.
     """
-    c = math.cos(g * tau_c)
-    p = c * c * math.exp(-gamma_tau_f)
-    if abs(c) <= 1e-12 or 1.0 - p <= 1e-12:
+    c, s = math.cos(g * tau_c), math.sin(g * tau_c)
+    eu = math.exp(-gamma_tau_f)
+    p, q = c * c * eu, -math.expm1(-gamma_tau_f) + eu * s * s
+    if abs(c) <= 1e-12 or q <= 1e-24:
         raise ValueError(f"L diverges at the pure-state edge g tau_c = {g * tau_c}")
-    dp = -tau_c * math.sin(2.0 * g * tau_c) * math.exp(-gamma_tau_f)
-    return Hermitian2(ee=dp / p, gg=-dp / (1.0 - p))
+    dp = -tau_c * math.sin(2.0 * g * tau_c) * eu
+    return Hermitian2(ee=dp / p, gg=-dp / q)
 
 
 def first_power_bound(report: BoundReport):
@@ -483,7 +486,7 @@ def verify_all(seed: int = 0) -> dict:
     # dissipation-free limit agrees with the unitary path
     worst = 0.0
     for gt in np.linspace(0.0, 10.0, 41):
-        pop = dissipative_state(1.0, float(gt), 0.0, 0.0).excited_population
+        pop = float(dissipative_populations(1.0, float(gt), 0.0, 0.0)[0])
         worst = max(worst, abs(pop - math.cos(gt) ** 2))
     checks.append(_check("dissipative_zero_rate_limit", worst < 1e-10, error=worst))
 

@@ -15,7 +15,7 @@ from cavbayes.cli import find_tau_star
 from cavbayes.dynamics import (
     FieldState,
     Scenario,
-    dissipative_state,
+    dissipative_populations,
     field_for,
     reduced_state,
 )
@@ -29,7 +29,6 @@ from cavbayes.ml import (
 )
 from cavbayes.mmse import (
     gamma_moments,
-    gamma_moments_dissipative,
     gamma_moments_quadrature,
     limit_eigenvalue_tau0,
     mmse_estimator,
@@ -248,7 +247,7 @@ def test_criterion_11_monte_carlo_concordance():
 
 def test_criterion_12_dissipative_behavior():
     for gt in np.linspace(0.0, 10.0, 101):
-        pop = dissipative_state(1.0, float(gt), 0.0, 0.0).excited_population
+        pop = float(dissipative_populations(1.0, float(gt), 0.0, 0.0)[0])
         assert pop == pytest.approx(math.cos(gt) ** 2, abs=1e-10)
 
     details = []
@@ -256,10 +255,10 @@ def test_criterion_12_dissipative_behavior():
         tau = find_tau_star(prior, Scenario(tau_c=1.0))
         ideal = mmse_estimator(gamma_moments(prior, Scenario(tau_c=tau), VACUUM)).c_min
         strong = mmse_estimator(
-            gamma_moments_dissipative(prior, tau, gamma=0.014, kappa=0.246)
+            gamma_moments(prior, Scenario(tau_c=tau, gamma_cav=0.014, kappa=0.246), VACUUM)
         ).c_min
         intermediate = mmse_estimator(
-            gamma_moments_dissipative(prior, tau, gamma=0.6, kappa=0.6)
+            gamma_moments(prior, Scenario(tau_c=tau, gamma_cav=0.6, kappa=0.6), VACUUM)
         ).c_min
         assert ideal <= strong <= intermediate
         details.append(

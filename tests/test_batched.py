@@ -22,7 +22,6 @@ from cavbayes.dynamics import (
     FieldState,
     Scenario,
     dissipative_populations,
-    dissipative_state,
     field_for,
     reduced_state,
 )
@@ -74,13 +73,12 @@ def _scalar_rows(spec: SweepSpec) -> list:
         if spec.axis in _SCENARIO_FIELD:
             kw[_SCENARIO_FIELD[spec.axis]] = v
         sc = Scenario(**kw)
-        if spec.quantity == "dissipative_cost":
-            gammas = mmse_mod.gamma_moments_dissipative(prior, v, sc.gamma_cav, sc.kappa)
-            rows.append([v, mmse_mod.mmse_estimator(gammas).c_min])
-            continue
         res = mmse_mod.mmse_estimator(
             mmse_mod.gamma_moments(prior, sc, fld), sc.tau_f_gamma
         )
+        if spec.quantity == "dissipative_cost":
+            rows.append([v, res.c_min])
+            continue
         row = [v, res.estimates[0], res.estimates[1], res.c_min]
         if spec.axis == "g_over_g0":
             g = v * prior.g0
@@ -157,7 +155,8 @@ def _spy_batches(monkeypatch, module, name: str, size) -> list:
 def test_tau_star_coarse_scan_is_one_batch(monkeypatch):
     # the coarse scan makes one moment call and one solve over all its
     # points, the golden section one of each per refinement step, for a
-    # unitary and a damped scenario
+    # unitary and a damped scenario; a damped moment call makes exactly one
+    # call of the damped moments over all its points
     solves = _spy_batches(monkeypatch, mmse_mod, "mmse_estimator", lambda g, *a: np.size(g.gamma0.ee))
     moments = _spy_batches(
         monkeypatch, mmse_mod, "gamma_moments", lambda p, sc, *a: len(sc) if isinstance(sc, tuple) else 0
@@ -169,11 +168,10 @@ def test_tau_star_coarse_scan_is_one_batch(monkeypatch):
         for spy in (solves, moments, damped):
             spy.clear()
         find_tau_star(Prior.gaussian(1.0, 0.8), scenario)
-        calls, unused = (moments, damped) if scenario.is_unitary_transit else (damped, moments)
-        assert unused == []
-        assert calls[0] == solves[0] == 300
-        assert set(calls[1:]) == set(solves[1:]) == {1}
-        assert len(calls) == len(solves)
+        assert damped == ([] if scenario.kappa == 0.0 else moments)
+        assert moments[0] == solves[0] == 300
+        assert set(moments[1:]) == set(solves[1:]) == {1}
+        assert len(moments) == len(solves)
 
 
 _SWEEP_AXES = {
@@ -188,8 +186,10 @@ _SWEEP_AXES = {
 @pytest.mark.parametrize("name", sorted(_SWEEP_AXES))
 def test_sweep_makes_one_moment_call_in_bounded_chunks(name, monkeypatch):
     # a 300-point sweep makes one moment call over the whole axis and one
-    # solve, and every (points x columns) block it evaluates stays within
-    # the chunk budget (all but the vacuum tau sweep need several chunks)
+    # solve (for the damped cost that call makes one damped-moments call
+    # over all 300 times), and every (points x columns) block it evaluates
+    # stays within the chunk budget (all but the vacuum tau sweep need
+    # several chunks)
     quantity, axis, lo, hi, knobs = _SWEEP_AXES[name]
     moments = _spy_batches(monkeypatch, mmse_mod, "gamma_moments", lambda p, sc, *a: len(sc))
     damped = _spy_batches(monkeypatch, mmse_mod, "gamma_moments_dissipative", lambda p, tc, *a: len(tc))
@@ -212,7 +212,8 @@ def test_sweep_makes_one_moment_call_in_bounded_chunks(name, monkeypatch):
     scenario = Scenario(tau_c=0.6, tau_f_gamma=0.2 * (quantity != "dissipative_cost"), **knobs)
     spec = SweepSpec(quantity, axis, lo, hi, 300, PRIORS["gaussian"], scenario)
     assert len(run_sweep(spec).rows) == 300
-    assert moments + damped == solves == [300]
+    assert moments == solves == [300]
+    assert damped == ([300] if quantity == "dissipative_cost" else [])
     blocks = [size for spy in spies for size in spy] + chunk_sizes
     assert blocks and max(blocks) <= mmse_mod._CHUNK_ELEMENTS
     assert len(blocks) > 2 or name == "mmse_eigenvalues_tau"
@@ -448,7 +449,8 @@ def test_dissipative_populations_match_scalar_formula(gamma, kappa, t):
     assert pops.shape == nodes.shape
     np.testing.assert_allclose(pops, ref, rtol=1e-14, atol=1e-15)
     # the single-coupling state reads the same formula
-    f = dissipative_state(float(nodes[3]), t, gamma, kappa).excited_population
+    damped = Scenario(tau_c=t, gamma_cav=gamma, kappa=kappa)
+    f = reduced_state(float(nodes[3]), damped, FieldState.vacuum()).excited_population
     assert f == pytest.approx(min(max(ref[3], 0.0), 1.0), abs=1e-15)
     # a column of times gives one row per time, each equal to its own call
     times = np.array([[0.0], [t / 3.0], [t]])

@@ -70,6 +70,14 @@ def test_numeric_sld_matches_analytic_derivative():
         l_num = sld_general(*reduced_state(g, sc, VACUUM, derivative=True)).as_array()
         l_ref = sld(g, sc.tau_c, sc.tau_f_gamma).as_array()
         assert np.all(np.abs(l_num - l_ref) <= 1e-12 * np.abs(l_ref)), g
+    # the other edge, g tau = pi at u = 0 (P -> 1), where the L_gg branch
+    # 2 tau cos(g tau)/sin(g tau) grows without bound
+    sc = Scenario(tau_c=0.8)
+    edge = math.pi / sc.tau_c
+    for g in (edge - 1e-4, edge - 1e-6, edge - 1e-7, edge - 1e-8, edge + 1e-8, edge + 1e-6):
+        l_num = sld_general(*reduced_state(g, sc, VACUUM, derivative=True)).as_array()
+        l_ref = sld(g, sc.tau_c, sc.tau_f_gamma).as_array()
+        assert np.all(np.abs(l_num - l_ref) <= 1e-12 * np.abs(l_ref)), g
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

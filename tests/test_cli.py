@@ -59,16 +59,6 @@ def test_detuning_sweep_minimized_at_resonance():
     assert int(np.argmin(costs)) == 10  # the Delta = 0 row
 
 
-def test_dissipative_sweep_matches_unitary_at_zero_rates():
-    t_unitary = run_sweep(spec("mmse_cost", "tau_c", 0.1, 2.0, 40))
-    t_damped = run_sweep(spec("dissipative_cost", "tau_c", 0.1, 2.0, 40))
-    iu = t_unitary.columns.index("c_min")
-    idd = t_damped.columns.index("c_min")
-    for row_u, row_d in zip(t_unitary.rows, t_damped.rows):
-        assert row_u[0] == row_d[0]
-        assert row_u[iu] == pytest.approx(row_d[idd], abs=1e-9)
-
-
 def test_eigenvalue_sweep_columns():
     table = run_sweep(spec("mmse_eigenvalues", "tau_c", 0.2, 2.0, 10))
     assert table.columns == ["axis", "eig_lo", "eig_hi", "c_min"]

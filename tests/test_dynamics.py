@@ -13,12 +13,12 @@ from cavbayes.dynamics import (
     FieldState,
     Scenario,
     detector_matrix_elements,
-    dissipative_state,
+    dissipative_populations,
     field_for,
     reduced_state,
 )
 from cavbayes.errors import InvalidRate, TruncationTooSmall
-from cavbayes.mmse import gamma_moments, mmse_estimator
+from cavbayes.mmse import gamma_moments, gamma_moments_dissipative, mmse_estimator
 from cavbayes.priors import Prior
 from conftest import master_equation_excited_population, schrodinger_reduced_state
 
@@ -137,20 +137,68 @@ def test_undersized_ladder_rejected():
 
 def test_dissipative_zero_rates_match_unitary():
     for gt in np.linspace(0.0, 10.0, 101):
-        pop = dissipative_state(1.0, float(gt), 0.0, 0.0).excited_population
+        pop = float(dissipative_populations(1.0, float(gt), 0.0, 0.0)[0])
         assert pop == pytest.approx(math.cos(gt) ** 2, abs=1e-10)
         unitary = reduced_state(1.0, Scenario(tau_c=float(gt)), VACUUM)
         assert pop == pytest.approx(unitary.excited_population, abs=1e-10)
 
 
-def test_unitary_path_rejects_cavity_damping():
-    sc = Scenario(tau_c=1.0, kappa=0.3)
+def _damped(t: float, gamma: float, kappa: float) -> Scenario:
+    return Scenario(tau_c=t, gamma_cav=gamma, kappa=kappa)
+
+
+@pytest.mark.parametrize("gamma,kappa", [(0.3, 0.0), (0.0, 0.4), (0.2, 0.7), (3.0, 1.0)])
+def test_damped_reduced_state_is_the_damped_population(gamma, kappa):
+    # a damped scenario's state is diag(f, 1 - f) with f the damped
+    # population, bit for bit, for a scalar coupling and a batch
+    g = np.linspace(-0.5, 2.5, 13)
+    f = dissipative_populations(g, 1.3, gamma, kappa)
+    batch = reduced_state(g, _damped(1.3, gamma, kappa), VACUUM).matrix
+    assert np.array_equal(batch.ee, f) and np.array_equal(batch.gg, 1.0 - f)
+    assert np.all(batch.eg == 0.0)
+    for i in (0, 5, 12):
+        one = reduced_state(float(g[i]), _damped(1.3, gamma, kappa), VACUUM).matrix
+        assert (one.ee, one.gg, one.eg) == (f[i], 1.0 - f[i], 0j)
+        assert isinstance(one.ee, float)
+
+
+def test_damped_reduced_state_has_no_derivative():
     with pytest.raises(ValueError):
-        reduced_state(1.0, sc, VACUUM)
+        reduced_state(1.0, _damped(1.0, 0.0, 0.3), VACUUM, derivative=True)
+
+
+@pytest.mark.parametrize("knob", [{"delta": 0.5}, {"alpha": 1.0j}, {"tau_f_gamma": 0.2}])
+@pytest.mark.parametrize("rates", [{"kappa": 0.3}, {"gamma_cav": 0.2}])
+def test_damped_scenario_refuses_unitary_knobs(knob, rates):
+    # the damped transit is resonant, starts in vacuum and has no flight decay
+    with pytest.raises(ValueError):
+        Scenario(tau_c=1.0, **rates, **knob)
+    Scenario(tau_c=1.0, **knob)  # the same knob on a unitary transit
+
+
+def test_damped_moment_batches_are_damped_with_one_rate_pair():
+    prior = Prior.gaussian(1.0, 0.6)
+    mixed = (_damped(0.5, 0.2, 0.3), Scenario(tau_c=0.7))
+    unequal = (_damped(0.5, 0.2, 0.3), _damped(0.7, 0.2, 0.4))
+    for batch in (mixed, mixed[::-1], unequal):
+        with pytest.raises(ValueError):
+            gamma_moments(prior, batch, VACUUM)
+    # a damped batch equals its one call of the damped moments, and a
+    # single damped scenario their single triple
+    taus = np.array([0.5, 0.7, 1.9])
+    got = gamma_moments(prior, tuple(_damped(t, 0.2, 0.3) for t in taus), VACUUM)
+    ref = gamma_moments_dissipative(prior, taus, 0.2, 0.3)
+    one = gamma_moments(prior, _damped(0.7, 0.2, 0.3), VACUUM)
+    one_ref = gamma_moments_dissipative(prior, 0.7, 0.2, 0.3)
+    for name in ("gamma0", "gamma1", "gamma2"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert all(np.array_equal(getattr(a, e), getattr(b, e)) for e in ("ee", "gg", "eg"))
+        assert getattr(one, name) == getattr(one_ref, name)
 
 
 def test_dissipative_initial_state_is_excited():
-    assert dissipative_state(1.0, 0.0, 0.3, 0.7).excited_population == pytest.approx(1.0)
+    rho = reduced_state(1.0, _damped(0.0, 0.3, 0.7), VACUUM)
+    assert rho.excited_population == pytest.approx(1.0)
 
 
 def test_dissipative_matches_master_equation():
@@ -159,7 +207,7 @@ def test_dissipative_matches_master_equation():
         (1.0, 2.3, 0.6, 0.6),
         (0.8, 1.7, 3.9, 0.1),
     ]:
-        got = dissipative_state(g, t, gamma, kappa).excited_population
+        got = reduced_state(g, _damped(t, gamma, kappa), VACUUM).excited_population
         ref = master_equation_excited_population(g, t, gamma, kappa)
         assert got == pytest.approx(ref, abs=1e-8)
 
@@ -167,16 +215,16 @@ def test_dissipative_matches_master_equation():
 def test_dissipative_critical_damping_edge():
     # (gamma - kappa)^2 = 16 g^2: the complex root vanishes
     g = 0.25 * (3.0 - 1.0)
-    got = dissipative_state(g, 1.3, 3.0, 1.0).excited_population
+    got = reduced_state(g, _damped(1.3, 3.0, 1.0), VACUUM).excited_population
     ref = master_equation_excited_population(g, 1.3, 3.0, 1.0)
     assert got == pytest.approx(ref, abs=1e-10)
 
 
 def test_negative_rates_rejected():
     with pytest.raises(InvalidRate):
-        dissipative_state(1.0, 1.0, -0.1, 0.0)
+        dissipative_populations(1.0, 1.0, -0.1, 0.0)
     with pytest.raises(InvalidRate):
-        dissipative_state(1.0, 1.0, 0.0, -0.1)
+        dissipative_populations(1.0, 1.0, 0.0, -0.1)
 
 
 def test_scenario_validation():
@@ -273,7 +321,7 @@ def test_dissipative_rounding_excess_is_clamped(monkeypatch):
 
     for raw, clamped in ((1.0 + 5e-13, 1.0), (-5e-13, 0.0)):
         monkeypatch.setattr(dynamics, "_excited_fraction", lambda *a, raw=raw: np.array([raw]))
-        assert dissipative_state(1.0, 1.0, 0.2, 0.3).excited_population == clamped
+        assert reduced_state(1.0, _damped(1.0, 0.2, 0.3), VACUUM).excited_population == clamped
 
 
 def test_dissipative_excess_beyond_tolerance_raises(monkeypatch):
@@ -282,7 +330,7 @@ def test_dissipative_excess_beyond_tolerance_raises(monkeypatch):
     for raw in (1.0 + 1e-9, -1e-9):
         monkeypatch.setattr(dynamics, "_excited_fraction", lambda *a, raw=raw: np.array([raw]))
         with pytest.raises(ArithmeticError):
-            dissipative_state(1.0, 1.0, 0.2, 0.3)
+            reduced_state(1.0, _damped(1.0, 0.2, 0.3), VACUUM)
 
 
 def test_dissipative_excess_exits_with_numeric_error(monkeypatch, tmp_path, capsys):

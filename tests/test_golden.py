@@ -15,6 +15,7 @@ them only for a change that is meant to move the numbers, and say why in
 the change log.
 """
 
+import configparser
 import csv
 import json
 import math
@@ -22,6 +23,7 @@ import pathlib
 
 import pytest
 
+from cavbayes import cli
 from cavbayes.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
@@ -39,6 +41,17 @@ def test_golden_set_is_complete():
     assert len(CASES) >= 10
     for name in CASES:
         assert (GOLDEN / f"{name}.csv").exists(), name
+
+
+def test_golden_set_covers_every_sweep_quantity():
+    # a sweep quantity added without a reference CSV fails here
+    quantities = set()
+    for name in CASES:
+        parser = configparser.ConfigParser()
+        parser.read(GOLDEN / f"{name}.ini")
+        if parser.has_section("sweep"):
+            quantities.add(parser.get("sweep", "quantity").strip())
+    assert quantities == set(cli._QUANTITIES)
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -146,6 +146,18 @@ def test_uniform_cmax_rejects_zero_interaction_time():
         uniform_cmax(GAUSS, 0.5)
 
 
+def test_uniform_zero_time_convention_differs_from_the_short_time_limit():
+    # at tau_c = 0 every f_z within |f_z| <= f_I costs the same, and
+    # f_z == 0 is taken, so the mean estimate is g0; the optimal POVM's
+    # tau_c -> 0 limit keeps f_z != 0 (c_max ~ 1/tau^2, f_z ~ tau^2) and its
+    # mean at sigma = g = g0 is (3 - sqrt(3))/2: the jump is deliberate
+    unif = Prior.uniform(1.0, 1.0)
+    assert ml_average_estimate(uniform_ml_povm(unif, 0.0), 1.0) == 1.0
+    for tc in (1e-145, 1e-100, 1e-8):
+        avg = ml_average_estimate(uniform_ml_povm(unif, tc), 1.0)
+        assert avg == pytest.approx((3.0 - math.sqrt(3.0)) / 2.0, rel=1e-15), tc
+
+
 @pytest.mark.parametrize("tc", [0.0, 1e-160, 1e-300])
 def test_uniform_povm_unconstrained_where_the_peak_vanishes(tc):
     # at tau_c = 0, and where the O(tau^2) peak of |cos(2 x tau_c) - K|

@@ -275,6 +275,23 @@ def test_panel_rule_budget(kind, sigma):
     assert np.max(np.abs(fine - base)) <= 1e-12
 
 
+@pytest.mark.parametrize("prior", [Prior.gaussian(1.0, 0.6), Prior.gaussian(1.0, 1.5),
+                                   Prior.uniform(1.0, 0.6), Prior.uniform(1.0, 1.5)],
+                         ids=["gaussian-0.6", "gaussian-1.5", "uniform-0.6", "uniform-1.5"])
+def test_dissipative_moments_match_exact_at_zero_rates(prior):
+    # zero rates make a scenario unitary, so production takes the exact
+    # resonant moments there; the damped quadrature is held to them here.
+    # The Gaussian window's g^2-weighted tail costs up to 1.8e-13 at 1.5 g0
+    taus = np.linspace(0.1, 3.0, 59)
+    damped = gamma_moments_dissipative(prior, taus, 0.0, 0.0)
+    exact = gamma_moments(prior, tuple(Scenario(tau_c=t) for t in taus), VACUUM)
+    for name in MOMENTS:
+        d, e = getattr(damped, name), getattr(exact, name)
+        np.testing.assert_allclose(d.ee, e.ee, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(d.gg, e.gg, rtol=0.0, atol=1e-12)
+        assert not np.any(d.eg) and not np.any(e.eg)
+
+
 def test_gamma_moments_near_delta_prior():
     prior = Prior.gaussian(1.0, 1e-8)
     sc = Scenario(tau_c=0.7)
