@@ -10,8 +10,9 @@ Each report holds the conditional MSE, that bound, x' and Tr{rho L^2}, and
 nothing else.  The MMSE bound and L take the state they measure, rho(g) and
 d rho/dg from :func:`dynamics.reduced_state`, and the likelihood bound the
 POVM, whose flight decay it reads; none rebuilds a state.  Every MMSE report
-builds L in the eigenbasis of rho (:func:`sld_general`), for any field or
-detuning, and stays exact as rho nears a pure state.  The likelihood
+solves rho L + L rho = 2 d rho/dg for L (:func:`sld_general`) with the
+estimator's solver, :func:`qubit.solve_symmetric_product`, for any field
+or detuning, and stays exact as rho nears a pure state.  The likelihood
 strategy is defined on the diagonal resonant vacuum family alone, so its
 report takes P' and the Fisher entry in closed form.  The closed-form
 diagonal L and the first-power variant |x'|/Tr{rho L^2} are test
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import ml as ml_mod
 from .mmse import MmseResult, mse_of_estimator
-from .qubit import Hermitian2, QubitState, eigendecompose, square, trace_product
+from .qubit import Hermitian2, QubitState, solve_symmetric_product, square, trace_product
 
 __all__ = ["BoundReport", "sld_general", "cr_bound_mmse", "cr_bound_ml"]
 
@@ -74,39 +75,19 @@ def _diagonal_family(g: np.ndarray, tau_c: float, gamma_tau_f: float):
 
 
 def sld_general(rho: QubitState, drho: Hermitian2) -> Hermitian2:
-    """L of the state rho(g), built in its eigenbasis from d rho/dg.
+    """L of the state rho(g): the solution of rho L + L rho = 2 d rho/dg.
 
-    L_ij = 2 (d rho)_ij / (p_i + p_j); only entries whose pair sum is not
-    positive are set to zero (support convention at rank deficiency).  Near
-    a pure state a small p_i still carries a finite Fisher term
-    |d rho_ii|^2 / p_i, so no larger cut is safe: dropping it would shrink
-    Tr{rho L^2} and lift the bound above the MSE.  ``drho`` is the exact
-    derivative from the state kernel (:func:`dynamics.reduced_state` with
-    ``derivative=True``).  A batch of states gives the batch of L.
+    Solved in the eigenbasis of rho by the estimator's solver,
+    L_ij = 2 (d rho)_ij / (p_i + p_j), with no degeneracy floor: only
+    entries whose pair sum is not positive are set to zero (support
+    convention at rank deficiency).  Near a pure state a small p_i still
+    carries a finite Fisher term |d rho_ii|^2 / p_i, so no larger cut is
+    safe: dropping it would shrink Tr{rho L^2} and lift the bound above the
+    MSE.  ``drho`` is the exact derivative from the state kernel
+    (:func:`dynamics.reduced_state` with ``derivative=True``).  A batch of
+    states gives the batch of L.
     """
-    batch = rho.matrix.is_batch
-    m, d = (rho.matrix, drho) if batch else (
-        Hermitian2.stack([rho.matrix]),
-        Hermitian2.stack([drho]),
-    )
-    w, v = eigendecompose(m)
-    vh = v.conj().swapaxes(-1, -2)
-    dr_eig = vh @ d.as_array() @ v
-    pair = w[:, :, None] + w[:, None, :]
-    keep = pair > 0.0
-    # the parts are divided as reals: complex division takes 1/(p_i + p_j),
-    # which overflows for a subnormal pair sum and gives 0 * inf = NaN
-    l_eig = np.where(keep, 2.0 * dr_eig, 0.0)
-    safe = np.where(keep, pair, 1.0)
-    l_eig.real /= safe
-    l_eig.imag /= safe
-    l_mat = v @ l_eig @ vh
-    out = Hermitian2(
-        ee=l_mat[:, 0, 0].real,
-        gg=l_mat[:, 1, 1].real,
-        eg=0.5 * (l_mat[:, 0, 1] + np.conj(l_mat[:, 1, 0])),  # scrub asymmetry
-    )
-    return out if batch else out.row(0)
+    return solve_symmetric_product(rho.matrix, drho, pair_floor=-np.inf)
 
 
 def _report(g, mse, xprime, fisher) -> BoundReport:

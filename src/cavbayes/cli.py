@@ -162,9 +162,11 @@ def _ml_rows(spec: SweepSpec, values: list) -> list:
         else:
             columns = [ml_mod.ml_average_estimate(povm, g)]
         return [[v, *(float(c[i]) for c in columns)] for i, v in enumerate(values)]
+    pinned = spec.scenario
     rows = []
-    for v, sc in zip(values, _along(spec.scenario, spec.axis, values)):
-        povm = ml_mod.ml_povm(prior, sc.tau_c, sc.tau_f_gamma)
+    for v in values:
+        tau_c, u = (v, pinned.tau_f_gamma) if spec.axis == "tau_c" else (pinned.tau_c, v)
+        povm = ml_mod.ml_povm(prior, tau_c, u)
         if q == "ml_cost":
             rows.append([v, ml_mod.cost_max(povm)])
         else:

@@ -168,6 +168,12 @@ def _check_truncation(field: FieldState) -> None:
         )
 
 
+def _check_vacuum(field: FieldState) -> None:
+    """A damped transit starts in vacuum: refuse a field holding photons."""
+    if any(field.coefficients[1:]):
+        raise ValueError("a damped transit starts in vacuum, but the field has photons")
+
+
 def _derivative_ratio(ratio, cos, lam2, phase, tc):
     """R = (t cos(l t) - S)/l^2 for S = sin(l t)/l (``ratio``), regular at l = 0.
 
@@ -313,10 +319,12 @@ def reduced_state(g, scenario: Scenario, field: FieldState, derivative: bool = F
     of the same shape) is returned along with the state.
 
     A damped scenario gives diag(f, 1 - f) with f from
-    :func:`dissipative_populations`; its transit starts in vacuum, so
-    ``field`` is not read; ``derivative=True`` raises ``ValueError`` there.
+    :func:`dissipative_populations`; its transit starts in vacuum, so a
+    ``field`` with any amplitude above n = 0 raises ``ValueError``, as does
+    ``derivative=True``.
     """
     if not scenario.is_unitary_transit:
+        _check_vacuum(field)
         if derivative:
             raise ValueError("d rho/dg is not available for a damped transit")
         f = dissipative_populations(g, scenario.tau_c, scenario.gamma_cav, scenario.kappa)

@@ -36,6 +36,7 @@ from . import priors as priors_mod
 from .dynamics import (
     FieldState,
     _check_truncation,
+    _check_vacuum,
     detector_matrix_elements,
     dissipative_populations,
 )
@@ -239,8 +240,9 @@ def gamma_moments(
     integrate by quadrature (:func:`gamma_moments_quadrature`), and
     ``n_points`` sizes only that quadrature.  Damped scenarios go to
     :func:`gamma_moments_dissipative` in one call over all their times; a
-    batch must then be damped throughout and share one rate pair
-    (``ValueError`` otherwise), and ``field`` is not read.
+    batch must then be damped throughout and share one rate pair, and
+    ``field`` must be the vacuum the damped transit starts in (``ValueError``
+    otherwise).
     """
     single = not isinstance(scenario, tuple)
     scenarios = (scenario,) if single else scenario
@@ -248,6 +250,7 @@ def gamma_moments(
     if any(gamma or kappa for gamma, kappa in rates):
         if len(rates) > 1:
             raise ValueError("a damped batch needs one (gamma_cav, kappa) pair at all its points")
+        _check_vacuum(field)
         taus = np.array([sc.tau_c for sc in scenarios])
         return gamma_moments_dissipative(prior, taus[0] if single else taus, *rates.pop())
     resonant = [sc.delta == 0.0 for sc in scenarios]

@@ -7,12 +7,16 @@ matrices stores the same three entries as 1-D arrays with a leading batch
 axis; every routine here works on batches, and a single matrix is handled
 as a batch of one.
 
-The eigendecomposition uses the closed trace/determinant formulas rather
-than an iterative solver, and the symmetric operator equation
+The eigenvalues come from the closed trace/radius formulas and the
+eigenvectors from one Jacobi rotation of the traceless part, with no
+iterative solver.  The symmetric operator equation
 
-    G0 M + M G0 = 2 G1
+    A X + X A = 2 B,   A >= 0,
 
-is solved exactly in the eigenbasis of G0 via M_ij = 2 G1_ij / (l_i + l_j).
+is solved exactly in the eigenbasis of A via X_ij = 2 B_ij / (l_i + l_j).
+One solver serves both places the equation appears: the MMSE estimator
+(G0 M + M G0 = 2 G1) and the symmetrized logarithmic derivative
+(rho L + L rho = 2 d rho/dg).
 """
 
 from __future__ import annotations
@@ -34,17 +38,9 @@ __all__ = [
 ]
 
 _PHASE_TOL = 1e-300
-#: a matrix whose largest entry lies below this range is rescaled by a power
-#: of two before its eigenvalues are taken, and one above it before its
-#: eigenvectors are normalized, so squares neither under- nor overflow
-_SAFE_SCALE = (2.0**-500, 2.0**500)
-_EYE = np.eye(2, dtype=complex)
-_SWAP = _EYE[::-1].copy()
-_EYE.flags.writeable = False
-_SWAP.flags.writeable = False
-#: eigenvalue half-split, relative to |ee| + |gg|, below which eigenvectors
-#: are built from the exact split rather than the rounded eigenvalues
-_SPLIT_RESOLUTION = 1e-3
+#: a matrix whose largest entry lies below this is rescaled by a power of
+#: two before it is decomposed, so its entries keep their bits
+_TINY_SCALE = 2.0**-500
 
 
 @dataclass(frozen=True)
@@ -143,108 +139,60 @@ def square(m: Hermitian2) -> Hermitian2:
     return Hermitian2(ee=m.ee**2 + eg2, gg=m.gg**2 + eg2, eg=m.eg * (m.ee + m.gg))
 
 
-def _split(ee, gg, eg_abs):
-    """(mean, half_diff, r): the eigenvalues are mean - r and mean + r."""
-    half_diff = 0.5 * (ee - gg)
-    mean = 0.5 * (ee + gg)
-    # math.hypot, not numpy.hypot: the two differ in the last bit, and the
-    # estimator outputs are pinned to the former
-    r = np.fromiter(
-        map(math.hypot, np.ravel(half_diff), np.ravel(eg_abs)), dtype=float
-    ).reshape(np.shape(half_diff))
-    return mean, half_diff, r
-
-
-def _norms(vectors: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis, bit for bit numpy.linalg.norm.
-
-    Row-times-column products take the same BLAS dot as the norm of a
-    single vector, which rounds differently from an elementwise sum.
-    """
-    re, im = vectors.real[..., None, :], vectors.imag[..., None, :]
-    return np.sqrt(
-        (re @ re.swapaxes(-1, -2))[..., 0, 0] + (im @ im.swapaxes(-1, -2))[..., 0, 0]
-    )
-
-
 def eigendecompose(m: Hermitian2) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of ``m``.
 
     Returns ``(w, v)`` with ``w`` shape (2,) ascending and ``v`` shape (2, 2),
     eigenvector ``v[:, k]`` belonging to ``w[k]``; a batch gets shapes (N, 2)
-    and (N, 2, 2).  The phase convention makes the first nonzero component of
-    each eigenvector real and positive.
+    and (N, 2, 2).  The phase convention makes the first component above
+    ``_PHASE_TOL`` of each eigenvector real and positive.
+
+    The eigenvalues are mean -+ r with r = hypot((ee - gg)/2, |eg|), and
+    those of a diagonal matrix are its entries.  The eigenvectors are one
+    Jacobi rotation of the traceless part: with t = |eg| / (|ee - gg|/2 + r)
+    in [0, 1], c = 1/sqrt(1 + t^2), s = t c and e^{-i phi} = conj(eg)/|eg|,
+
+        v- = (s, -c e^{-i phi}),   v+ = (c, s e^{-i phi})   for ee > gg,
+
+    with s and c swapped otherwise, so they are orthonormal to rounding at
+    any eigenvalue split.
     """
     b = _as_batch(m)
     ee, gg, eg = b.ee, b.gg, b.eg
-    eg_abs = np.hypot(eg.real, eg.imag)  # = abs() of each entry, bit for bit
-    top = np.maximum(np.maximum(np.abs(ee), np.abs(gg)), eg_abs)
-    # subnormal entries keep too few bits for the split and the vectors:
+    top = np.maximum(np.maximum(np.abs(ee), np.abs(gg)), np.abs(eg))
+    # subnormal entries keep too few bits for the split and the rotation:
     # such matrices are scaled up exactly, their eigenvalues scaled back
-    tiny = top < _SAFE_SCALE[0]
+    tiny = top < _TINY_SCALE
     if tiny.any():
         up = np.where(tiny, -np.frexp(top)[1], 0)
         ee, gg = np.ldexp(ee, up), np.ldexp(gg, up)
         eg = np.ldexp(eg.real, up) + 1j * np.ldexp(eg.imag, up)
-        eg_abs = np.hypot(eg.real, eg.imag)
-        top = np.ldexp(top, up)
-    # diagonal: exact eigenvalues straight from the entries (the trace/radius
-    # formula would cancel a tiny entry against a large one), basis vectors
-    # ordered to match ascending eigenvalues
+    half_diff = 0.5 * (ee - gg)
+    eg_abs = np.abs(eg)
+    r = np.hypot(half_diff, eg_abs)
     diag = eg_abs == 0.0
-    w_diag = np.stack([np.minimum(ee, gg), np.maximum(ee, gg)], axis=-1)
-    v_diag = np.where((ee > gg)[:, None, None], _SWAP, _EYE)
-    if diag.all():
-        if tiny.any():
-            w_diag = np.ldexp(w_diag, -up[:, None])
-        return (w_diag, v_diag) if m.is_batch else (w_diag[0], v_diag[0])
+    w = np.stack([0.5 * (ee + gg) - r, 0.5 * (ee + gg) + r], axis=-1)
+    # the trace/radius formula would cancel a tiny entry against a large one
+    w[diag] = np.stack([np.minimum(ee, gg), np.maximum(ee, gg)], axis=-1)[diag]
 
-    mean, half_diff, r = _split(ee, gg, eg_abs)
-    w = np.stack([mean - r, mean + r], axis=-1)
-    # (m - lam) annihilates (eg, lam - ee) and (lam - gg, conj(eg)); per
-    # eigenvalue lam = w[:, k] pick the better-conditioned construction
-    cand = np.empty((2,) + w.shape + (2,), dtype=complex)  # [a|b, n, k, component]
-    cand[0, ..., 0] = eg[:, None]
-    cand[0, ..., 1] = w - ee[:, None]
-    cand[1, ..., 0] = w - gg[:, None]
-    cand[1, ..., 1] = np.conj(eg)[:, None]
-
-    # Rounding lam = mean -+ r costs lam - ee an absolute ulp of the mean,
-    # which swamps a split r small against the entries.  There the vectors
-    # come from the traceless part alone, with lam - ee = -half_diff -+ r
-    # exactly; it is scaled by a power of two first so r stays exact when the
-    # off-diagonal entry is tiny.
-    near = r < _SPLIT_RESOLUTION * (np.abs(ee) + np.abs(gg))
-    if near.any():
-        shift = -np.frexp(np.maximum(np.abs(half_diff[near]), eg_abs[near]))[1]
-        hd_s = np.ldexp(half_diff[near], shift)[:, None]
-        eg_near = eg[near]
-        eg_s = (np.ldexp(eg_near.real, shift) + 1j * np.ldexp(eg_near.imag, shift))[:, None]
-        r_s = np.array([-1.0, 1.0]) * np.hypot(hd_s, np.abs(eg_s))
-        cand[0, near, :, 0] = eg_s
-        cand[0, near, :, 1] = r_s - hd_s
-        cand[1, near, :, 0] = hd_s + r_s
-        cand[1, near, :, 1] = np.conj(eg_s)
-
-    if top.max() > _SAFE_SCALE[1]:
-        # a power-of-two rescale changes no bit of the unit vectors
-        shift = -np.frexp(np.abs(cand).max(axis=(0, 2, 3)))[1][:, None, None]
-        cand.real, cand.imag = np.ldexp(cand.real, shift), np.ldexp(cand.imag, shift)
-    norms = _norms(cand)
-    use_a = norms[0] >= norms[1]
-    norm = np.where(use_a, norms[0], norms[1])
-    norm[diag] = 1.0  # both candidates may vanish there; those rows are reset
-    vec = np.where(use_a[..., None], cand[0], cand[1]) / norm[..., None]
-    # rotate the first component above threshold to the positive real axis (a
-    # unit vector always has one)
-    mag = np.hypot(vec.real, vec.imag)
-    lead = mag[..., 0] > _PHASE_TOL
-    pivot_mag = np.where(lead, mag[..., 0], mag[..., 1])
-    pivot_mag[diag] = 1.0
-    vec *= (np.conj(np.where(lead, vec[..., 0], vec[..., 1])) / pivot_mag)[..., None]
-    v = vec.swapaxes(-1, -2)  # v[n, component, k]
-    w[diag] = w_diag[diag]
-    v[diag] = v_diag[diag]
+    t = eg_abs / np.where(diag, 1.0, np.abs(half_diff) + r)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    # e^{-i phi} from eg scaled to unit order, so a subnormal eg keeps its angle
+    k = -np.frexp(np.maximum(np.abs(eg.real), np.abs(eg.imag)))[1]
+    unit = np.where(diag, 1.0, np.ldexp(eg.real, k) - 1j * np.ldexp(eg.imag, k))
+    phase = unit / np.abs(unit)
+    lead = np.where(ee > gg, s, c)  # v- = (lead, -other e^{-i phi})
+    other = np.where(ee > gg, c, s)  # v+ = (other, lead e^{-i phi})
+    v = np.stack(
+        [np.stack([lead, other], axis=-1), np.stack([-other, lead], axis=-1) * phase[:, None]],
+        axis=-2,
+    )  # v[n, component, k]
+    # a first component at or below _PHASE_TOL hands the phase to the second
+    low = v[:, 0].real <= _PHASE_TOL
+    if low.any():
+        flipped = v * (np.conj(phase)[:, None] * np.array([-1.0, 1.0]))[:, None, :]
+        v = np.where(low[:, None, :], flipped, v)
     if tiny.any():
         w = np.ldexp(w, -up[:, None])
     return (w, v) if m.is_batch else (w[0], v[0])
@@ -258,8 +206,11 @@ def solve_symmetric_product(
     Worked in the eigenbasis of ``gamma0``: with G0 = V diag(l) V† the
     transformed solution is M_ij = 2 (V† G1 V)_ij / (l_i + l_j).  Raises
     :class:`DegenerateGamma0` when any needed pair sum l_i + l_j falls at or
-    below ``pair_floor``.  Batches are solved elementwise; ``pair_floor`` may
-    then hold one floor per matrix.
+    below ``pair_floor``.  Entries whose pair sum is not positive, which only
+    a negative floor lets through, are set to zero.  The real and imaginary
+    parts are divided as reals: complex division takes 1/(l_i + l_j), which
+    overflows for a subnormal pair sum.  Batches are solved elementwise;
+    ``pair_floor`` may then hold one floor per matrix.
     """
     g0 = _as_batch(gamma0)
     w, v = eigendecompose(g0)
@@ -274,9 +225,12 @@ def solve_symmetric_product(
             "operator equation is ill posed"
         )
     vh = v.swapaxes(-1, -2).conj()
-    g1t = vh @ _as_batch(gamma1).as_array() @ v
-    mt = 2.0 * g1t / pair
+    keep = pair > 0.0
+    mt = np.where(keep, 2.0 * (vh @ _as_batch(gamma1).as_array() @ v), 0.0)
+    safe = np.where(keep, pair, 1.0)
+    mt.real /= safe
+    mt.imag /= safe
     m = v @ mt @ vh
-    m = 0.5 * (m + m.swapaxes(-1, -2).conj())  # scrub roundoff asymmetry
-    out = Hermitian2(ee=m[:, 0, 0].real, gg=m[:, 1, 1].real, eg=m[:, 0, 1])
+    eg = 0.5 * (m[:, 0, 1] + np.conj(m[:, 1, 0]))  # scrub roundoff asymmetry
+    out = Hermitian2(ee=m[:, 0, 0].real, gg=m[:, 1, 1].real, eg=eg)
     return out if gamma0.is_batch else out.row(0)

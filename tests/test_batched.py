@@ -534,10 +534,11 @@ def test_batched_solve_satisfies_operator_equation(entries, shift):
         assert (single.ee, single.gg, single.eg) == (m.row(i).ee, m.row(i).gg, m.row(i).eg)
 
 
-@pytest.mark.parametrize("split", [0.0, 1e-18, 1e-12, 1e-6])
+@pytest.mark.parametrize("split", [0.0, 1e-18, 1e-12, 1e-6, 5e-4, 2e-3])
 @pytest.mark.parametrize("coupling", [1e-18j, 3e-13 + 1e-13j, 2e-9])
 def test_near_degenerate_weight_keeps_orthonormal_basis(split, coupling):
-    # the eigenvalue split sits at or below the rounding of the mean
+    # the eigenvalue split sits at or below the rounding of the mean, or a
+    # little below and above 1e-3 of the trace
     g0 = Hermitian2(0.5 + split, 0.5 - split, coupling)
     w, v = eigendecompose(g0)
     assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-14)
@@ -555,13 +556,24 @@ def test_near_degenerate_weight_keeps_orthonormal_basis(split, coupling):
         Hermitian2(0.0, 0.0, 5e-324 * (1 + 1j)),
         Hermitian2(1e-310, -3e-310, 2e-310 - 1e-311j),
         Hermitian2(2.0**-600, 0.0, 1j * 2.0**-601),
+        Hermitian2(1e300, -3e300, 2e300 + 1e299j),
+        Hermitian2(1e300, 1e300, -1e300j),
+        Hermitian2(1.0, 0.5, 5e-324 * (1 + 1j)),
     ],
 )
 def test_subnormal_matrix_keeps_orthonormal_basis(m):
+    # entries far below or above unit scale, whose squares under- or overflow,
+    # and a subnormal coherence beside unit-scale populations
     w, v = eigendecompose(m)
     assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-15)
     scale = np.max(np.abs(m.as_array()))
     assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - m.as_array())) <= 1e-15 * scale + 5e-324
+    if scale < 2.0**-500:
+        # rescaled exactly first: the basis of the matrix at unit scale, bit for bit
+        k = -np.frexp(scale)[1]
+        eg = complex(np.ldexp(m.eg.real, k), np.ldexp(m.eg.imag, k))
+        unit = Hermitian2(np.ldexp(m.ee, k), np.ldexp(m.gg, k), eg)
+        assert np.array_equal(eigendecompose(unit)[1], v)
     # the rescale touches that row only: its neighbours keep their bits
     batch = Hermitian2.stack([Hermitian2(0.3, 0.7, 0.2j), m, Hermitian2(1.0, -1.0, 0.5)])
     wb, vb = eigendecompose(batch)

@@ -215,36 +215,31 @@ def test_general_scenario_bound_holds():
 
 def test_numeric_bound_evaluates_state_once(monkeypatch):
     # rho(g) and its exact derivative come from the caller's one kernel
-    # call, which serves the conditional MSE and the SLD too; rho is
-    # diagonalized once, to build L, and L itself never is
-    from cavbayes import bounds, dynamics
+    # call, which serves the conditional MSE and the SLD too; L is one solve
+    # of the operator equation, so rho is diagonalized once and L never is
+    from cavbayes import bounds, dynamics, qubit
 
     calls = []
-    real_elements = dynamics.detector_matrix_elements
-    real_sld = bounds.sld_general
-    real_eig = bounds.eigendecompose
 
-    def count_elements(*args, **kwargs):
-        calls.append(("state", kwargs.get("derivative", False)))
-        return real_elements(*args, **kwargs)
+    def spy(module, name, tag):
+        real = getattr(module, name)
 
-    def count_sld(*args, **kwargs):
-        calls.append(("sld", None))
-        return real_sld(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append((tag, kwargs.get("derivative")))
+            return real(*args, **kwargs)
 
-    def count_eig(*args, **kwargs):
-        calls.append(("eig", None))
-        return real_eig(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
 
     sc = Scenario(tau_c=0.9, delta=0.4, alpha=1.2, tau_f_gamma=0.2)
     fld = field_for(sc)
     res = mmse_estimator(gamma_moments(GAUSS, sc, fld))
     before = mmse_bound(res, 0.8, sc, fld)
-    monkeypatch.setattr(dynamics, "detector_matrix_elements", count_elements)
-    monkeypatch.setattr(bounds, "sld_general", count_sld)
-    monkeypatch.setattr(bounds, "eigendecompose", count_eig)
+    spy(dynamics, "detector_matrix_elements", "state")
+    spy(bounds, "sld_general", "sld")
+    spy(bounds, "solve_symmetric_product", "solve")
+    spy(qubit, "eigendecompose", "eig")
     after = mmse_bound(res, 0.8, sc, fld)
-    assert calls == [("state", True), ("sld", None), ("eig", None)]
+    assert calls == [("state", True), ("sld", None), ("solve", None), ("eig", None)]
     assert after == before
 
 

@@ -196,6 +196,25 @@ def test_damped_moment_batches_are_damped_with_one_rate_pair():
         assert getattr(one, name) == getattr(one_ref, name)
 
 
+def test_damped_transit_refuses_a_field_with_photons():
+    # the damped transit starts in vacuum: an explicit field with any
+    # amplitude above n = 0 is an error, not silently read as vacuum
+    prior = Prior.gaussian(1.0, 0.6)
+    sc = Scenario(tau_c=1.0, kappa=0.3)
+    for field in (FieldState.coherent(2.0), FieldState(coefficients=(0j, 1.0 + 0j))):
+        with pytest.raises(ValueError, match="vacuum"):
+            reduced_state(0.8, sc, field)
+        with pytest.raises(ValueError, match="vacuum"):
+            gamma_moments(prior, sc, field)
+        with pytest.raises(ValueError, match="vacuum"):
+            gamma_moments(prior, (sc, Scenario(tau_c=1.5, kappa=0.3)), field)
+    # the field a damped scenario implies is vacuum, padded or not
+    for cutoff in (None, 0, 6):
+        field = field_for(Scenario(tau_c=1.0, kappa=0.3, fock_cutoff=cutoff))
+        assert reduced_state(0.8, sc, field) == reduced_state(0.8, sc, VACUUM)
+        assert gamma_moments(prior, sc, field) == gamma_moments(prior, sc, VACUUM)
+
+
 def test_dissipative_initial_state_is_excited():
     rho = reduced_state(1.0, _damped(0.0, 0.3, 0.7), VACUUM)
     assert rho.excited_population == pytest.approx(1.0)

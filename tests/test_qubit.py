@@ -19,15 +19,19 @@ def reconstruct(w, v):
     return sum(w[k] * np.outer(v[:, k], v[:, k].conj()) for k in range(2))
 
 
+def assert_phase_convention(v):
+    # the first component above 1e-300 of each eigenvector is real positive
+    for k in range(2):
+        lead = v[np.flatnonzero(np.abs(v[:, k]) > 1e-300)[0], k]
+        assert lead.imag == pytest.approx(0.0, abs=1e-14)
+        assert lead.real > 0
+
+
 def test_identity_eigendecomposition():
     w, v = eigendecompose(Hermitian2(1.0, 1.0))
     assert np.allclose(w, [1.0, 1.0])
     assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-14)
-    # phase convention: leading nonzero entries real positive
-    for k in range(2):
-        lead = v[np.flatnonzero(np.abs(v[:, k]) > 1e-14)[0], k]
-        assert lead.imag == pytest.approx(0.0, abs=1e-14)
-        assert lead.real > 0
+    assert_phase_convention(v)
 
 
 def test_diagonal_case_orders_ascending():
@@ -35,6 +39,10 @@ def test_diagonal_case_orders_ascending():
     assert np.allclose(w, [0.3, 0.7])
     assert np.allclose(np.abs(v[:, 0]), [0.0, 1.0])
     assert np.allclose(np.abs(v[:, 1]), [1.0, 0.0])
+    # the phase sits on the second component where the first is zero or,
+    # for a coherence far below the split, below 1e-300
+    for m in (Hermitian2(0.7, 0.3), Hermitian2(0.3, 0.7), Hermitian2(0.7, 0.3, -1e-310j)):
+        assert_phase_convention(eigendecompose(m)[1])
 
 
 def test_off_diagonal_spectrum():
