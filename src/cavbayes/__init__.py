@@ -19,7 +19,6 @@ from .errors import (
 )
 from .ml import (
     MlPovm,
-    conditional_pdf,
     f_z_moments,
     gaussian_cmax,
     gaussian_cost_max,
@@ -38,7 +37,7 @@ from .mmse import (
     mmse_estimator,
     mse_of_estimator,
 )
-from .oracle import McReport, mc_estimate_distribution, mc_quadratic_cost
+from .oracle import McReport, conditional_pdf, mc_estimate_distribution, mc_quadratic_cost
 from .priors import Prior, QuadratureRule, density, moments, quadrature
 from .qubit import Hermitian2, QubitState, eigendecompose, solve_symmetric_product
 

@@ -56,7 +56,6 @@ __all__ = [
     "uniform_cost_max",
     "ml_povm",
     "cost_max",
-    "conditional_pdf",
     "f_z_moments",
     "ml_average_estimate",
     "ml_mse",
@@ -439,17 +438,6 @@ def _contrast(povm: MlPovm, g):
     """c(g) = 2 cos^2(g tau_c) e^{-u} - 1 at the POVM's u: the weight of f_z in p(x|g)."""
     g = np.asarray(g, dtype=float)
     return 2.0 * np.cos(g * povm.tau_c) ** 2 * math.exp(-povm.gamma_tau_f) - 1.0
-
-
-def conditional_pdf(povm: MlPovm, g, g_tilde):
-    """Density of the recorded estimate given the true coupling.
-
-    p(x | g) = f_I(x) + f_z(x) (2 cos^2(g tau_c) e^{-u} - 1); vectorized over
-    the estimate argument.  An array ``g`` adds leading axes, one density
-    per coupling.
-    """
-    contrast = _contrast(povm, g)
-    return povm.f_i(g_tilde) + np.multiply.outer(contrast, povm.f_z(g_tilde))
 
 
 def f_z_moments(povm: MlPovm) -> tuple[float, float]:

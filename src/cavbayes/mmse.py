@@ -54,7 +54,6 @@ __all__ = [
     "GammaTriple",
     "MmseResult",
     "gamma_moments",
-    "gamma_moments_quadrature",
     "gamma_moments_dissipative",
     "mmse_estimator",
     "limit_eigenvalue_tau0",
@@ -102,18 +101,6 @@ class MmseResult:
             projectors=self.projectors[i],
             c_min=float(self.c_min[i]),
         )
-
-    def branch_estimates(self) -> tuple[float, float]:
-        """(excited-branch, ground-branch) estimates.
-
-        Branches are identified by eigenvector overlap with |e> and |g>;
-        meaningful for the diagonal (resonant, vacuum) case where the
-        estimator commutes with the bare qubit basis.
-        """
-        overlap_e = abs(self.projectors[0, 0]) ** 2
-        if overlap_e >= 0.5:
-            return self.estimates[0], self.estimates[1]
-        return self.estimates[1], self.estimates[0]
 
 
 def _chunks(count: int, width: int) -> list:
@@ -237,10 +224,10 @@ def gamma_moments(
     them (a sweep axis), giving the batch of triples in order.  Resonant
     unitary transits take the exact ladder sums of the prior's
     characteristic moments, for any field and flight decay; detuned ones
-    integrate by quadrature (:func:`gamma_moments_quadrature`), and
-    ``n_points`` sizes only that quadrature.  Damped scenarios go to
-    :func:`gamma_moments_dissipative` in one call over all their times; a
-    batch must then be damped throughout and share one rate pair, and
+    integrate by quadrature, and ``n_points`` sizes only that quadrature.
+    Damped scenarios go to :func:`gamma_moments_dissipative` in one call
+    over all their times; a batch must then be damped throughout and share
+    one rate pair, and
     ``field`` must be the vacuum the damped transit starts in (``ValueError``
     otherwise).
     """
@@ -265,21 +252,6 @@ def gamma_moments(
             exact = _resonant_moments(prior, [scenarios[i] for i in points], field)
             for entry, part in zip(out, exact):
                 entry[:, points] = part
-    return _triples(out, single=single)
-
-
-def gamma_moments_quadrature(prior: Prior, scenario, field: FieldState) -> GammaTriple:
-    """Moment operators by prior quadrature of the detector-time state: the
-    path at Delta != 0 and the oracle of the exact resonant path.
-
-    ``scenario`` is one scenario or a tuple of them, as in
-    :func:`gamma_moments`.  The node count is raised automatically so the
-    fastest Rabi oscillation, cos(2 l tau_c) at the ladder top, is resolved.
-    """
-    single = not isinstance(scenario, tuple)
-    scenarios = (scenario,) if single else scenario
-    out = _entries(len(scenarios))
-    _quadrature_moments(prior, scenarios, np.arange(len(scenarios)), field, None, out)
     return _triples(out, single=single)
 
 

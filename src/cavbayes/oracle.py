@@ -3,14 +3,16 @@
 closed forms against, and samplers of the measurement record.
 
 No production command (``state``, ``mmse``, ``ml``, ``sweep``, ``tau-star``)
-calls into this module.  The references re-derive the likelihood cost and
-f_z moments by quadrature and the Gaussian fixed-interval constants through
-the error function, and give the closed-form diagonal logarithmic
-derivative and the first-power variant of the accuracy bound, which only
-the tests read; the samplers check the analytic average costs and the
-exact likelihood mean estimate by simulating the record itself.  Like the
-likelihood evaluations, the estimate sampler and the display variant of
-the mean take the POVM and read its flight decay.
+calls into this module.  The references re-derive the estimator's moment
+operators, the likelihood cost and the f_z moments by quadrature and the
+Gaussian fixed-interval constants through the error function, and give the
+closed-form diagonal logarithmic derivative and the first-power variant of
+the accuracy bound, which only the tests read; the samplers check the
+analytic average costs and the exact likelihood mean estimate by simulating
+the record itself, the estimate sampler from the conditional density
+:func:`conditional_pdf`.  Like the likelihood evaluations, the estimate
+sampler and the display variant of the mean take the POVM and read its
+flight decay.
 
 Randomness uses the counter-based Philox generator keyed by an explicit
 seed, with Gaussian draws produced by inverse-CDF mapping of uniforms
@@ -31,10 +33,11 @@ from . import priors as priors_mod
 from .bounds import BoundReport, cr_bound_ml, cr_bound_mmse
 from .dynamics import (FieldState, Scenario, detector_matrix_elements, dissipative_populations,
                        reduced_state)
-from .ml import (MlPovm, _contrast, _gaussian_sin_or_raise, conditional_pdf, cost_max, f_z_moments,
+from .ml import (MlPovm, _contrast, _gaussian_sin_or_raise, cost_max, f_z_moments,
                  gaussian_bound_constants, gaussian_cmax, interval_audit, ml_average_estimate,
                  ml_povm, uniform_cmax)
-from .mmse import MmseResult, gamma_moments, gamma_moments_quadrature, mmse_estimator
+from .mmse import (GammaTriple, MmseResult, _entries, _quadrature_moments, _triples, gamma_moments,
+                   mmse_estimator)
 from .priors import Prior
 from .qubit import Hermitian2
 
@@ -43,7 +46,9 @@ __all__ = [
     "MlSampleReport",
     "mc_quadratic_cost",
     "mc_estimate_distribution",
+    "conditional_pdf",
     "sample_prior",
+    "gamma_moments_quadrature",
     "gaussian_bound_constants_erf",
     "average_cost_quadrature",
     "f_z_moments_quadrature",
@@ -146,6 +151,17 @@ def mc_quadratic_cost(
     )
 
 
+def conditional_pdf(povm: MlPovm, g, g_tilde):
+    """Density of the recorded estimate given the true coupling.
+
+    p(x | g) = f_I(x) + f_z(x) (2 cos^2(g tau_c) e^{-u} - 1); vectorized over
+    the estimate argument.  An array ``g`` adds leading axes, one density
+    per coupling.
+    """
+    contrast = _contrast(povm, g)
+    return povm.f_i(g_tilde) + np.multiply.outer(contrast, povm.f_z(g_tilde))
+
+
 def mc_estimate_distribution(povm: MlPovm, g: float, n: int, seed: int) -> MlSampleReport:
     """Sample the recorded-estimate distribution by inverse-CDF on a grid.
 
@@ -206,6 +222,27 @@ def mc_estimate_distribution(povm: MlPovm, g: float, n: int, seed: int) -> MlSam
         ks_statistic_vs_prior=ks,
         seed=seed,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluation of the moment operators
+
+
+def gamma_moments_quadrature(prior: Prior, scenario, field: FieldState) -> GammaTriple:
+    """Moment operators by prior quadrature of the detector-time state: the
+    oracle of the exact resonant path of :func:`mmse.gamma_moments`, through
+    the quadrature it takes at Delta != 0.
+
+    ``scenario`` is one scenario or a tuple of them, as in
+    :func:`mmse.gamma_moments`.  The node count is raised automatically so
+    the fastest Rabi oscillation, cos(2 l tau_c) at the ladder top, is
+    resolved.
+    """
+    single = not isinstance(scenario, tuple)
+    scenarios = (scenario,) if single else scenario
+    out = _entries(len(scenarios))
+    _quadrature_moments(prior, scenarios, np.arange(len(scenarios)), field, None, out)
+    return _triples(out, single=single)
 
 
 # ---------------------------------------------------------------------------

@@ -123,10 +123,6 @@ class QubitState:
     def as_array(self) -> np.ndarray:
         return self.matrix.as_array()
 
-    @property
-    def excited_population(self) -> float:
-        return self.matrix.ee
-
 
 def trace_product(a: Hermitian2, b: Hermitian2):
     """Tr{A B}, real for Hermitian A and B; elementwise over batches."""

@@ -21,6 +21,18 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     return mag * np.exp(1j * n * np.angle(alpha))
 
 
+def branch_estimates(result) -> tuple:
+    """(excited-branch, ground-branch) estimates of one ``MmseResult``.
+
+    Branches are identified by eigenvector overlap with |e> and |g>;
+    meaningful for the diagonal (resonant, vacuum) case where the estimator
+    commutes with the bare qubit basis.
+    """
+    if abs(result.projectors[0, 0]) ** 2 >= 0.5:
+        return result.estimates[0], result.estimates[1]
+    return result.estimates[1], result.estimates[0]
+
+
 def schrodinger_reduced_state(
     g: float, tau_c: float, delta: float, field_coeffs, gamma_tau_f: float = 0.0
 ) -> np.ndarray:

@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import branch_estimates
+
 from cavbayes.bounds import cr_bound_ml, cr_bound_mmse
 from cavbayes.cli import find_tau_star
 from cavbayes.dynamics import (
@@ -29,11 +31,11 @@ from cavbayes.ml import (
 )
 from cavbayes.mmse import (
     gamma_moments,
-    gamma_moments_quadrature,
     limit_eigenvalue_tau0,
     mmse_estimator,
 )
-from cavbayes.oracle import average_cost_quadrature, mc_estimate_distribution, mc_quadratic_cost
+from cavbayes.oracle import (average_cost_quadrature, gamma_moments_quadrature, mc_estimate_distribution,
+                             mc_quadratic_cost)
 from cavbayes.priors import Prior
 
 VACUUM = FieldState.vacuum()
@@ -82,7 +84,7 @@ def test_criterion_03_short_time_limit():
     details = []
     for prior in (GAUSS, UNIF):
         res = mmse_estimator(gamma_moments(prior, Scenario(tau_c=1e-5), VACUUM))
-        _, ground = res.branch_estimates()
+        _, ground = branch_estimates(res)
         limit = limit_eigenvalue_tau0(prior)
         assert ground == pytest.approx(limit, abs=1e-3 * prior.g0)
         details.append(f"{prior.kind}: {ground:.6f} vs {limit:.6f}")
@@ -90,7 +92,7 @@ def test_criterion_03_short_time_limit():
 
 
 def test_criterion_04_recommended_time():
-    tau = find_tau_star(UNIF, Scenario(tau_c=1.0))
+    tau, _ = find_tau_star(UNIF, Scenario(tau_c=1.0))
     assert 0.6 <= tau * UNIF.g0 <= 0.7
     report("04 recommended time", f"uniform prior g0*tau = {tau:.4f}")
 
@@ -98,12 +100,12 @@ def test_criterion_04_recommended_time():
 def test_criterion_05_detuning_and_decay():
     details = []
     for prior in (GAUSS, UNIF):
-        tau = find_tau_star(prior, Scenario(tau_c=1.0))
+        tau, _ = find_tau_star(prior, Scenario(tau_c=1.0))
         costs = [cost_unitary(prior, tau, delta=float(d)) for d in np.linspace(-3, 3, 21)]
         assert int(np.argmin(costs)) == 10  # the resonant row
         details.append(f"{prior.kind} detuning min at 0")
 
-    tau = find_tau_star(GAUSS, Scenario(tau_c=1.0))
+    tau, _ = find_tau_star(GAUSS, Scenario(tau_c=1.0))
     decay = [cost_unitary(GAUSS, tau, u=float(u)) for u in np.linspace(0.0, 10.0, 21)]
     assert np.all(np.diff(decay) >= -1e-12)
     assert abs(decay[-1] - GAUSS.sigma**2) <= 1e-3 * GAUSS.sigma**2
@@ -117,12 +119,12 @@ def test_criterion_06_coherent_field_ordering():
     per_alpha = {}
     for alpha in (0.0, 1.0, 2.0):
         sc = Scenario(tau_c=1.0, alpha=alpha)
-        tau = find_tau_star(GAUSS, sc)
+        tau, _ = find_tau_star(GAUSS, sc)
         per_alpha[alpha] = cost_unitary(GAUSS, tau, alpha=alpha)
     assert per_alpha[0.0] < per_alpha[1.0]
     assert per_alpha[0.0] < per_alpha[2.0]
 
-    tau0 = find_tau_star(GAUSS, Scenario(tau_c=1.0))
+    tau0, _ = find_tau_star(GAUSS, Scenario(tau_c=1.0))
     fixed = [cost_unitary(GAUSS, tau0, alpha=a) for a in (0.0, 1.0, 2.0)]
     assert fixed[0] < fixed[1] < fixed[2]
     report(
@@ -252,7 +254,7 @@ def test_criterion_12_dissipative_behavior():
 
     details = []
     for prior in (GAUSS, UNIF):
-        tau = find_tau_star(prior, Scenario(tau_c=1.0))
+        tau, _ = find_tau_star(prior, Scenario(tau_c=1.0))
         ideal = mmse_estimator(gamma_moments(prior, Scenario(tau_c=tau), VACUUM)).c_min
         strong = mmse_estimator(
             gamma_moments(prior, Scenario(tau_c=tau, gamma_cav=0.014, kappa=0.246), VACUUM)

@@ -21,7 +21,7 @@ from cavbayes.cli import (
     run_sweep,
     verify_all,
 )
-from cavbayes.dynamics import FieldState, Scenario
+from cavbayes.dynamics import FieldState, Scenario, field_for
 from cavbayes.errors import ConfigError, UnsupportedCombination
 from cavbayes.priors import Prior
 
@@ -93,21 +93,43 @@ def test_ml_cost_sweep_header():
 
 
 def test_tau_star_examples():
-    tau = find_tau_star(UNIF, Scenario(tau_c=1.0))
+    tau, c_min = find_tau_star(UNIF, Scenario(tau_c=1.0))
     assert 0.6 <= tau <= 0.7
     from cavbayes.mmse import gamma_moments, mmse_estimator
 
     c_star = mmse_estimator(gamma_moments(UNIF, Scenario(tau_c=tau), VACUUM)).c_min
     c_short = mmse_estimator(gamma_moments(UNIF, Scenario(tau_c=0.01), VACUUM)).c_min
+    assert c_min == pytest.approx(c_star, rel=1e-12)
     assert c_star < c_short and c_star < UNIF.sigma**2
 
-    sc1 = Scenario(tau_c=1.0, alpha=1.0)
-    tau1 = find_tau_star(GAUSS, sc1)
-    from cavbayes.dynamics import field_for
-
-    c0 = mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=find_tau_star(GAUSS, Scenario(tau_c=1.0))), VACUUM)).c_min
-    c1 = mmse_estimator(gamma_moments(GAUSS, dataclasses.replace(sc1, tau_c=tau1), field_for(sc1))).c_min
+    _, c0 = find_tau_star(GAUSS, Scenario(tau_c=1.0))
+    _, c1 = find_tau_star(GAUSS, Scenario(tau_c=1.0, alpha=1.0))
     assert c1 > c0
+
+
+@pytest.mark.parametrize("alpha", [12.0, 16.0])
+def test_tau_star_follows_the_field(alpha):
+    # the scan window shrinks with the Rabi rate of |alpha|^2 photons; a
+    # fixed [0.05, 3]/g0 window returned its lower edge here
+    from cavbayes.mmse import gamma_moments, mmse_estimator
+
+    scenario = Scenario(tau_c=1.0, alpha=alpha)
+    _, c_min = find_tau_star(GAUSS, scenario)
+    taus = np.linspace(0.005, 0.3, 3000)
+    scenarios = tuple(dataclasses.replace(scenario, tau_c=float(t)) for t in taus)
+    scan = mmse_estimator(gamma_moments(GAUSS, scenarios, field_for(scenario))).c_min
+    assert c_min <= scan.min()
+
+
+def test_tau_star_flat_cost_is_finite(tmp_path, capsys):
+    # at gamma tau_f = 40 the cost equals sigma^2 to rounding at every time,
+    # so the vertex steps meet flat or non-convex triples
+    cfg = tmp_path / "flat.ini"
+    cfg.write_text("[scenario]\ngamma_tau_f = 40\n")
+    assert main(["tau-star", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "g0_tau_star,c_min_at_tau_star"
+    assert np.all(np.isfinite([float(x) for x in out[1].split(",")]))
 
 
 # ---------------------------------------------------------------------------

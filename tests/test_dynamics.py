@@ -140,7 +140,7 @@ def test_dissipative_zero_rates_match_unitary():
         pop = float(dissipative_populations(1.0, float(gt), 0.0, 0.0)[0])
         assert pop == pytest.approx(math.cos(gt) ** 2, abs=1e-10)
         unitary = reduced_state(1.0, Scenario(tau_c=float(gt)), VACUUM)
-        assert pop == pytest.approx(unitary.excited_population, abs=1e-10)
+        assert pop == pytest.approx(unitary.matrix.ee, abs=1e-10)
 
 
 def _damped(t: float, gamma: float, kappa: float) -> Scenario:
@@ -217,7 +217,7 @@ def test_damped_transit_refuses_a_field_with_photons():
 
 def test_dissipative_initial_state_is_excited():
     rho = reduced_state(1.0, _damped(0.0, 0.3, 0.7), VACUUM)
-    assert rho.excited_population == pytest.approx(1.0)
+    assert rho.matrix.ee == pytest.approx(1.0)
 
 
 def test_dissipative_matches_master_equation():
@@ -226,7 +226,7 @@ def test_dissipative_matches_master_equation():
         (1.0, 2.3, 0.6, 0.6),
         (0.8, 1.7, 3.9, 0.1),
     ]:
-        got = reduced_state(g, _damped(t, gamma, kappa), VACUUM).excited_population
+        got = reduced_state(g, _damped(t, gamma, kappa), VACUUM).matrix.ee
         ref = master_equation_excited_population(g, t, gamma, kappa)
         assert got == pytest.approx(ref, abs=1e-8)
 
@@ -234,7 +234,7 @@ def test_dissipative_matches_master_equation():
 def test_dissipative_critical_damping_edge():
     # (gamma - kappa)^2 = 16 g^2: the complex root vanishes
     g = 0.25 * (3.0 - 1.0)
-    got = reduced_state(g, _damped(1.3, 3.0, 1.0), VACUUM).excited_population
+    got = reduced_state(g, _damped(1.3, 3.0, 1.0), VACUUM).matrix.ee
     ref = master_equation_excited_population(g, 1.3, 3.0, 1.0)
     assert got == pytest.approx(ref, abs=1e-10)
 
@@ -340,7 +340,7 @@ def test_dissipative_rounding_excess_is_clamped(monkeypatch):
 
     for raw, clamped in ((1.0 + 5e-13, 1.0), (-5e-13, 0.0)):
         monkeypatch.setattr(dynamics, "_excited_fraction", lambda *a, raw=raw: np.array([raw]))
-        assert reduced_state(1.0, _damped(1.0, 0.2, 0.3), VACUUM).excited_population == clamped
+        assert reduced_state(1.0, _damped(1.0, 0.2, 0.3), VACUUM).matrix.ee == clamped
 
 
 def test_dissipative_excess_beyond_tolerance_raises(monkeypatch):

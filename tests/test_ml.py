@@ -16,7 +16,6 @@ from cavbayes.bounds import cr_bound_ml
 from cavbayes import priors as priors_mod
 from cavbayes.errors import SinVanishes
 from cavbayes.ml import (
-    conditional_pdf,
     f_z_moments,
     gaussian_bound_constants,
     gaussian_cmax,
@@ -32,6 +31,7 @@ from cavbayes.ml import (
 )
 from cavbayes.oracle import (
     average_cost_quadrature,
+    conditional_pdf,
     f_z_moments_quadrature,
     gaussian_bound_constants_erf,
 )
