@@ -32,6 +32,7 @@ from .mmse import (
     GammaTriple,
     MmseResult,
     average_estimate,
+    find_tau_star,
     gamma_moments,
     limit_eigenvalue_tau0,
     mmse_estimator,

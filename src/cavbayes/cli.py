@@ -13,16 +13,18 @@ Commands
     verify    run the verification battery of :mod:`oracle` (exit 2 on failure)
 
 Each sweep quantity is one entry of ``_QUANTITIES``: the scenario family it
-evaluates, the axes it sweeps and its table columns.  The transit model,
-unitary or damped (kappa or in-cavity decay nonzero), is read off the
-``Scenario`` by the library's state and moment calls, so ``state``,
-``tau-star`` and the MMSE sweeps make one call whichever it is.
+evaluates, the axes it sweeps and its table columns; a sweep over ``tau_c``,
+``delta`` or ``gamma_tau_f`` sets that ``Scenario`` knob to the axis column.
+The ``Scenario`` also picks the transit model, so ``state``, ``tau-star``
+(:func:`mmse.find_tau_star`) and the MMSE sweeps make one library call
+whether it is unitary or damped (kappa or in-cavity decay nonzero).
 
 Options (``--config``, ``--out``, ``--format``, ``--seed``) may come before
 or after the command.  Exit codes: 0 success, 1 config error (a non-finite
 config value, a negative ``tau_c`` or ``gamma_tau_f`` sweep range, a sweep
-past ``MAX_SWEEP_POINTS``, a Fock ladder past ``dynamics.MAX_FOCK_CUTOFF``
-and a ``verify`` seed outside [0, 2**128) included), 2 verification failure,
+past ``MAX_SWEEP_POINTS``, a Fock ladder past ``dynamics.MAX_FOCK_CUTOFF``,
+a prior quadrature past ``priors.MAX_QUADRATURE_NODES`` nodes times ladder
+levels and a ``verify`` seed outside [0, 2**128) included), 2 verification failure,
 3 numeric error (degenerate scenario, or a NaN result from an overflow).
 """
 
@@ -36,7 +38,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -45,8 +47,9 @@ from . import bounds as bounds_mod
 from . import ml as ml_mod
 from . import mmse as mmse_mod
 from . import priors as priors_mod
-from .dynamics import FieldState, Scenario, _auto_cutoff, field_for, reduced_state
+from .dynamics import Scenario, _auto_cutoff, field_for, reduced_state
 from .errors import CavbayesError, ConfigError, DegenerateGamma0, UnsupportedCombination
+from .mmse import find_tau_star
 from .oracle import verify_all
 from .priors import Prior
 
@@ -57,13 +60,14 @@ AXES = ("tau_c", "g_over_g0", "delta", "gamma_tau_f")
 MAX_SWEEP_POINTS = 10_000
 #: axes whose values are times or decay exponents, never negative
 _NONNEGATIVE_AXES = ("tau_c", "gamma_tau_f")
+#: axis -> the Scenario field that an MMSE sweep along it sets as a column
+_AXIS_FIELDS = {"tau_c": "tau_c", "delta": "delta", "gamma_tau_f": "tau_f_gamma"}
 
-_MMSE_AXES = ("tau_c", "delta", "gamma_tau_f")
 _MMSE_COLUMNS = ("axis", "eig_lo", "eig_hi", "c_min")
 #: sweep quantity -> (scenario family, supported axes, table columns)
 _QUANTITIES = {
-    "mmse_eigenvalues": ("unitary", _MMSE_AXES, _MMSE_COLUMNS),
-    "mmse_cost": ("unitary", _MMSE_AXES, _MMSE_COLUMNS),
+    "mmse_eigenvalues": ("unitary", tuple(_AXIS_FIELDS), _MMSE_COLUMNS),
+    "mmse_cost": ("unitary", tuple(_AXIS_FIELDS), _MMSE_COLUMNS),
     "mmse_avg_estimate": ("unitary", ("g_over_g0",), (*_MMSE_COLUMNS, "avg_estimate")),
     "mmse_cr_bound": ("unitary", ("g_over_g0",),
                       (*_MMSE_COLUMNS, "avg_estimate", "cr_bound", "mse")),
@@ -133,21 +137,6 @@ class Table:
     rows: list
 
 
-def _mmse_results(prior: Prior, scenarios: list, field: FieldState):
-    """Estimators at every scenario: one moment call, one batched solve."""
-    gammas = mmse_mod.gamma_moments(prior, tuple(scenarios), field)
-    return mmse_mod.mmse_estimator(gammas, [sc.tau_f_gamma for sc in scenarios])
-
-
-_AXIS_FIELDS = {"tau_c": "tau_c", "delta": "delta", "gamma_tau_f": "tau_f_gamma"}
-
-
-def _along(scenario: Scenario, axis: str, values) -> list:
-    """``scenario`` with the ``axis`` knob set to each of ``values``."""
-    name, pinned = _AXIS_FIELDS[axis], vars(scenario)
-    return [Scenario(**{**pinned, name: float(v)}) for v in values]
-
-
 def _ml_rows(spec: SweepSpec, values: list) -> list:
     """Likelihood rows.  Along ``g_over_g0`` the POVM is fixed, so one POVM
     at the pinned scenario and one batched call serve every row; along
@@ -163,27 +152,23 @@ def _ml_rows(spec: SweepSpec, values: list) -> list:
             columns = [ml_mod.ml_average_estimate(povm, g)]
         return [[v, *(float(c[i]) for c in columns)] for i, v in enumerate(values)]
     pinned = spec.scenario
-    rows = []
-    for v in values:
-        tau_c, u = (v, pinned.tau_f_gamma) if spec.axis == "tau_c" else (pinned.tau_c, v)
-        povm = ml_mod.ml_povm(prior, tau_c, u)
-        if q == "ml_cost":
-            rows.append([v, ml_mod.cost_max(povm)])
-        else:
-            rows.append([v, ml_mod.ml_average_estimate(povm, prior.g0)])
-    return rows
+    pairs = ((v, pinned.tau_f_gamma) if spec.axis == "tau_c" else (pinned.tau_c, v) for v in values)
+    evaluate = ml_mod.cost_max if q == "ml_cost" else lambda p: ml_mod.ml_average_estimate(p, prior.g0)
+    return [[v, evaluate(ml_mod.ml_povm(prior, *pair))] for v, pair in zip(values, pairs)]
 
 
 def _mmse_rows(spec: SweepSpec, values: list) -> list:
     """Estimator rows.  Along ``g_over_g0`` one estimator at the pinned
-    scenario serves every row; along the other axes one moment call and one
-    batched solve give an estimator per row, of which the quantity's
-    columns are printed."""
+    scenario serves every row; along the other axes the axis is a column of
+    the scenario, and one moment call and one batched solve give an
+    estimator per row, of which the quantity's columns are printed."""
     prior, scenario = spec.prior, spec.scenario
     if spec.axis == "g_over_g0":
         rows = _pinned_rows(prior, scenario, values, bound=spec.quantity == "mmse_cr_bound")
         return [[v, *row] for v, row in zip(values, rows)]
-    res = _mmse_results(prior, _along(scenario, spec.axis, values), field_for(scenario))
+    column = replace(scenario, **{_AXIS_FIELDS[spec.axis]: tuple(values)})
+    gammas = mmse_mod.gamma_moments(prior, column, field_for(scenario))
+    res = mmse_mod.mmse_estimator(gammas, column.columns[1])
     named = {"eig_lo": res.estimates[0], "eig_hi": res.estimates[1], "c_min": res.c_min}
     columns = [named[c] for c in _QUANTITIES[spec.quantity][2][1:]]
     return [[v, *(float(c[i]) for c in columns)] for i, v in enumerate(values)]
@@ -195,7 +180,8 @@ def _pinned_rows(prior: Prior, scenario: Scenario, g_over_g0: list, bound: bool)
     cr_bound and mse.  One estimator and one state evaluation over all
     couplings serve every row; the ``mmse`` command is its row at one g."""
     fld = field_for(scenario)
-    result = _mmse_results(prior, [scenario], fld).row(0)
+    result = mmse_mod.mmse_estimator(mmse_mod.gamma_moments(prior, scenario, fld),
+                                     scenario.tau_f_gamma)
     g = np.array(g_over_g0) * prior.g0
     if bound:
         rho, drho = reduced_state(g, scenario, fld, derivative=True)
@@ -211,8 +197,8 @@ def run_sweep(spec: SweepSpec) -> Table:
     """Evaluate the configured quantity over the axis grid, in axis order.
 
     MMSE quantities over ``tau_c``, ``delta`` and ``gamma_tau_f``, the
-    damped ``dissipative_cost`` included, take one moment call and one
-    batched solve over the whole axis; every quantity over ``g_over_g0``
+    damped ``dissipative_cost`` included, take one moment call on the axis
+    column and one batched solve; every quantity over ``g_over_g0``
     takes one batched evaluation over all couplings; likelihood quantities
     over ``tau_c`` and ``gamma_tau_f`` build one POVM per row.
     """
@@ -220,61 +206,6 @@ def run_sweep(spec: SweepSpec) -> Table:
     values = [float(v) for v in np.linspace(spec.lo, spec.hi, spec.n_points)]
     rows = (_ml_rows if family == "resonant vacuum" else _mmse_rows)(spec, values)
     return Table(columns=list(columns), rows=rows)
-
-
-# ---------------------------------------------------------------------------
-# Recommended interaction time
-
-
-_TAU_SCAN_POINTS = 300
-#: ratio of the spacing of each vertex step's triple to the one before
-_STEP_SHRINK = 32.0
-
-
-def _vertex(taus: np.ndarray, c: np.ndarray) -> float:
-    """Vertex of the parabola through the costs ``c`` at three equally
-    spaced times ``taus``, moved at most one spacing from the centre; a flat
-    or non-convex triple keeps its centre."""
-    curvature = c[0] - 2.0 * c[1] + c[2]
-    if not curvature > 0.0:
-        return float(taus[1])
-    shift = min(max((c[0] - c[2]) / (2.0 * curvature), -1.0), 1.0)
-    return float(taus[1] + (taus[1] - taus[0]) * shift)
-
-
-def find_tau_star(prior: Prior, scenario: Scenario) -> tuple[float, float]:
-    """Interaction time minimizing the average minimum cost, and that cost.
-
-    A coarse scan of ``_TAU_SCAN_POINTS`` times over
-    [0.05, 3] / (g0 sqrt(1 + |alpha|^2)) guards against the oscillatory cost
-    landscape at larger photon numbers; the window shrinks with the Rabi
-    rate of the mean photon number |alpha|^2, not of the Fock cutoff, which
-    may sit far above it.  Two vertex steps then refine the best scan point.
-    Its triple (it and its neighbours) moves to its parabola's vertex, where
-    a triple at 1/``_STEP_SHRINK`` of the spacing is evaluated; that triple's
-    vertex centres a last triple at 1/``_STEP_SHRINK`` of the spacing again,
-    whose centre and cost are returned.  Against a fine zoom the result lies
-    within 2e-8 / g0 of the minimum and 4e-15 above its cost for vacuum,
-    coherent (|alpha| up to 16), detuned and damped scenarios.  A minimum at
-    a window edge is returned within 1/``_STEP_SHRINK`` of a scan spacing of
-    that edge.  The scan and each step are one moment call and one batched
-    solve, damped scenarios (kappa or in-cavity decay nonzero) included.
-    """
-    fld = field_for(scenario)
-
-    def costs(taus):
-        return _mmse_results(prior, _along(scenario, "tau_c", taus), fld).c_min
-
-    scale = prior.g0 * math.sqrt(1.0 + abs(scenario.alpha) ** 2)
-    taus = np.linspace(0.05 / scale, 3.0 / scale, _TAU_SCAN_POINTS)
-    c = costs(taus)
-    best = min(max(int(np.argmin(c)), 1), _TAU_SCAN_POINTS - 2)
-    triple, c = taus[best - 1:best + 2], c[best - 1:best + 2]
-    for _ in range(2):
-        spacing = (triple[1] - triple[0]) / _STEP_SHRINK
-        triple = _vertex(triple, c) + spacing * np.array([-1.0, 0.0, 1.0])
-        c = costs(triple)
-    return float(triple[1]), float(c[1])
 
 
 # ---------------------------------------------------------------------------

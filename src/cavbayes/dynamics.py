@@ -60,30 +60,38 @@ CLAMP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Scenario:
-    """Physical knobs of one estimation run.
+    """Physical knobs of one estimation run, or of a batch of them.
 
     All times and rates are in coupling units (g0 = 1 makes them the
     dimensionless products used throughout).  ``kappa``/``gamma_cav`` are the
     in-cavity damping and decay rates; either one nonzero makes the transit
     damped, a model defined only at resonance, in vacuum and without flight
     decay, so such a scenario refuses ``delta``, ``alpha`` and ``tau_f_gamma``.
+
+    ``tau_c``, ``tau_f_gamma`` and ``delta`` may each be a column, a tuple of
+    one float per point of a batch (see :attr:`columns`); every value is finite.
     """
 
-    tau_c: float
-    tau_f_gamma: float = 0.0
-    delta: float = 0.0
+    tau_c: float | tuple
+    tau_f_gamma: float | tuple = 0.0
+    delta: float | tuple = 0.0
     alpha: complex = 0j
     kappa: float = 0.0
     gamma_cav: float = 0.0
     fock_cutoff: Optional[int] = None  # None = automatic captured-mass rule
 
     def __post_init__(self):
-        for name in ("tau_c", "tau_f_gamma", "kappa", "gamma_cav"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        raw = (self.tau_c, self.tau_f_gamma, self.delta)
+        tau_c, tau_f_gamma, delta = [v if type(v) is tuple else (v,) for v in raw]
+        if len({len(v) for v in raw if type(v) is tuple}) > 1 or not (tau_c and tau_f_gamma and delta):
+            raise ValueError("the columns of tau_c, tau_f_gamma and delta need one nonzero length")
+        times_and_rates = (*tau_c, *tau_f_gamma, self.kappa, self.gamma_cav)
+        finite = (*times_and_rates, *delta, self.alpha.real, self.alpha.imag)
+        if not (all(map(math.isfinite, finite)) and min(times_and_rates) >= 0):
+            raise ValueError("every knob must be finite, and times and rates nonnegative")
         if self.fock_cutoff is not None and not 0 <= self.fock_cutoff <= MAX_FOCK_CUTOFF:
             raise ValueError(f"fock_cutoff must be in [0, {MAX_FOCK_CUTOFF}]")
-        if (self.kappa or self.gamma_cav) and (self.delta or self.alpha or self.tau_f_gamma):
+        if (self.kappa or self.gamma_cav) and (any(delta) or self.alpha or any(tau_f_gamma)):
             raise ValueError(
                 "a damped scenario (kappa or gamma_cav > 0) needs delta = alpha = tau_f_gamma = 0"
             )
@@ -92,6 +100,18 @@ class Scenario:
     def is_unitary_transit(self) -> bool:
         return self.kappa == 0.0 and self.gamma_cav == 0.0
 
+    @property
+    def is_column(self) -> bool:
+        """True when ``tau_c``, ``tau_f_gamma`` or ``delta`` holds a column."""
+        return tuple in (type(self.tau_c), type(self.tau_f_gamma), type(self.delta))
+
+    @property
+    def columns(self) -> np.ndarray:
+        """(tau_c, tau_f_gamma, delta) as the rows of a new (3, points) float array."""
+        raw = (self.tau_c, self.tau_f_gamma, self.delta)
+        n = max(len(v) if type(v) is tuple else 1 for v in raw)
+        return np.array([v if type(v) is tuple else (v,) * n for v in raw], dtype=float)
+
 
 def _auto_cutoff(alpha: complex) -> int:
     """Smallest N capturing >= 99% of the coherent mass, plus safety margin.
@@ -99,7 +119,7 @@ def _auto_cutoff(alpha: complex) -> int:
     The Poisson terms are formed in log space, so e^{-|alpha|^2} does not
     underflow; raises ``ValueError`` past ``MAX_FOCK_CUTOFF``.
     """
-    mean = abs(alpha) ** 2
+    mean = min(abs(alpha), MAX_FOCK_CUTOFF) ** 2  # a larger |alpha| misses too; no overflow
     if mean == 0.0:
         return 0
     log_mean = math.log(mean)
@@ -231,8 +251,8 @@ def detector_matrix_elements(
 
     so both flags give (a_ee, a_eg, a_gg, da_ee, da_eg).
     """
-    if not scenario.is_unitary_transit:
-        raise ValueError("unitary transit path requires kappa = gamma_cav = 0")
+    if not scenario.is_unitary_transit or scenario.is_column:
+        raise ValueError("the unitary state kernel takes a point with kappa = gamma_cav = 0")
     _check_truncation(field)
 
     g_values = np.atleast_1d(np.asarray(g_values, dtype=float))
@@ -321,12 +341,12 @@ def reduced_state(g, scenario: Scenario, field: FieldState, derivative: bool = F
     A damped scenario gives diag(f, 1 - f) with f from
     :func:`dissipative_populations`; its transit starts in vacuum, so a
     ``field`` with any amplitude above n = 0 raises ``ValueError``, as does
-    ``derivative=True``.
+    ``derivative=True``.  A column scenario raises ``ValueError``.
     """
     if not scenario.is_unitary_transit:
         _check_vacuum(field)
-        if derivative:
-            raise ValueError("d rho/dg is not available for a damped transit")
+        if derivative or scenario.is_column:
+            raise ValueError("a damped state takes a point scenario and has no d rho/dg")
         f = dissipative_populations(g, scenario.tau_c, scenario.gamma_cav, scenario.kappa)
         if np.ndim(g) == 0:
             f = float(f[0])

@@ -416,7 +416,9 @@ def uniform_cost_max(povm: MlPovm) -> float:
 
 def ml_povm(prior: Prior, tau_c: float, gamma_tau_f: float) -> MlPovm:
     """Optimal POVM for either prior kind (:func:`gaussian_ml_povm`,
-    :func:`uniform_ml_povm`)."""
+    :func:`uniform_ml_povm`); ``OverflowError`` where its phases overflow."""
+    if not math.isfinite(8.0 * (prior.g0 + prior.sigma) * tau_c):
+        raise OverflowError(f"tau_c = {tau_c!r} overflows the phases of the likelihood POVM")
     if prior.kind == priors_mod.GAUSSIAN:
         return gaussian_ml_povm(prior, tau_c, gamma_tau_f)
     return uniform_ml_povm(prior, tau_c, gamma_tau_f)

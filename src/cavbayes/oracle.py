@@ -228,21 +228,19 @@ def mc_estimate_distribution(povm: MlPovm, g: float, n: int, seed: int) -> MlSam
 # Reference evaluation of the moment operators
 
 
-def gamma_moments_quadrature(prior: Prior, scenario, field: FieldState) -> GammaTriple:
+def gamma_moments_quadrature(prior: Prior, scenario: Scenario, field: FieldState) -> GammaTriple:
     """Moment operators by prior quadrature of the detector-time state: the
     oracle of the exact resonant path of :func:`mmse.gamma_moments`, through
     the quadrature it takes at Delta != 0.
 
-    ``scenario`` is one scenario or a tuple of them, as in
-    :func:`mmse.gamma_moments`.  The node count is raised automatically so
-    the fastest Rabi oscillation, cos(2 l tau_c) at the ladder top, is
-    resolved.
+    It reads a point or column ``scenario`` as :func:`mmse.gamma_moments`
+    does.  The node count is raised automatically so the fastest Rabi
+    oscillation, cos(2 l tau_c) at the ladder top, is resolved.
     """
-    single = not isinstance(scenario, tuple)
-    scenarios = (scenario,) if single else scenario
-    out = _entries(len(scenarios))
-    _quadrature_moments(prior, scenarios, np.arange(len(scenarios)), field, None, out)
-    return _triples(out, single=single)
+    points = np.arange(scenario.columns.shape[1])
+    out = _entries(len(points))
+    _quadrature_moments(prior, scenario, points, field, None, out)
+    return _triples(out, single=not scenario.is_column)
 
 
 # ---------------------------------------------------------------------------

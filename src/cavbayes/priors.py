@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UnsupportedCombination
+
 __all__ = ["Prior", "QuadratureRule", "density", "moments", "characteristic_moments",
            "cosine_deficits", "quadrature"]
 
@@ -45,6 +47,8 @@ _PANEL_POINTS = 16
 MIN_NODES = 64
 #: default node count
 DEFAULT_NODES = 256
+#: most nodes times ladder levels of one rule, which bounds one point's state grid
+MAX_QUADRATURE_NODES = 2**21
 #: |x| below which the uniform law's s(x) = sin(x)/x terms come from series,
 #: and the coefficients (k = 1..16) of s - 1, x s' and x^2 (s'' + 1/3) there
 _SERIES_ARG = 1.0
@@ -262,16 +266,20 @@ def quadrature(
     return _composite_legendre(lo, hi, n_points, prior.sigma)
 
 
-def nodes_for_oscillation(prior: Prior, angular_rate: float) -> int:
+def nodes_for_oscillation(prior: Prior, angular_rate: float, levels: int = 1) -> int:
     """Node count resolving cos(angular_rate * g) with >= 8 nodes per period,
     and at least ``DEFAULT_NODES``.
 
     ``angular_rate`` is the largest angular frequency (in g) appearing in the
     integrand, e.g. 2 tau_c sqrt(n_max) for a photon ladder truncated at
-    n_max.
+    n_max; past ``MAX_QUADRATURE_NODES`` nodes times ``levels``, the ladder
+    levels at every node, it raises :class:`UnsupportedCombination`.
     """
     lo, hi = prior.window
     if angular_rate <= 0:
         return DEFAULT_NODES
     period = 2 * math.pi / angular_rate
-    return max(DEFAULT_NODES, math.ceil(8.0 * (hi - lo) / period))
+    need = 8.0 * (hi - lo) / period if period else math.inf
+    if not need * levels <= MAX_QUADRATURE_NODES:
+        raise UnsupportedCombination(f"{need:.3g} nodes x {levels} levels pass {MAX_QUADRATURE_NODES}")
+    return max(DEFAULT_NODES, math.ceil(need))

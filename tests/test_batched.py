@@ -142,8 +142,8 @@ def test_tau_star_unchanged(prior, scenario, expected):
     assert tau == pytest.approx(expected, rel=REL_TOL)
     fld = field_for(scenario)
     fine = np.linspace(tau - 1e-4, tau + 1e-4, 2001)
-    scenarios = tuple(dataclasses.replace(scenario, tau_c=float(t)) for t in fine)
-    scan = mmse_mod.mmse_estimator(mmse_mod.gamma_moments(prior, scenarios, fld)).c_min
+    column = dataclasses.replace(scenario, tau_c=tuple(fine.tolist()))
+    scan = mmse_mod.mmse_estimator(mmse_mod.gamma_moments(prior, column, fld)).c_min
     assert c_min <= scan.min() + 1e-14
 
 
@@ -167,7 +167,7 @@ def test_tau_star_coarse_scan_is_one_batch(monkeypatch):
     # the damped moments over all its points
     solves = _spy_batches(monkeypatch, mmse_mod, "mmse_estimator", lambda g, *a: np.size(g.gamma0.ee))
     moments = _spy_batches(
-        monkeypatch, mmse_mod, "gamma_moments", lambda p, sc, *a: len(sc) if isinstance(sc, tuple) else 0
+        monkeypatch, mmse_mod, "gamma_moments", lambda p, sc, *a: len(sc.columns[0]) if sc.is_column else 0
     )
     damped = _spy_batches(
         monkeypatch, mmse_mod, "gamma_moments_dissipative", lambda p, tc, *a: np.size(tc)
@@ -178,6 +178,37 @@ def test_tau_star_coarse_scan_is_one_batch(monkeypatch):
         find_tau_star(Prior.gaussian(1.0, 0.8), scenario)
         assert damped == ([] if scenario.kappa == 0.0 else moments)
         assert moments == solves == [300, 3, 3]
+
+
+_COLUMN_RUNS = {
+    "resonant_tau_sweep": ("sweep", "[scenario]\nalpha_abs = 2\n[sweep]\nquantity = mmse_cost\n"
+                                    "axis = tau_c\nlo = 0.05\nhi = 3\nn_points = 300\n"),
+    "damped_tau_sweep": ("sweep", "[scenario]\nkappa_over_g0 = 0.3\ngamma_over_g0 = 0.6\n[sweep]\n"
+                                  "quantity = dissipative_cost\naxis = tau_c\nlo = 0.05\nhi = 3\n"
+                                  "n_points = 300\n"),
+    "vacuum_tau_star": ("tau-star", ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COLUMN_RUNS))
+def test_run_builds_a_few_scenarios(name, monkeypatch, tmp_path):
+    # a sweep axis or the tau-star scan is one column Scenario, not one
+    # Scenario per point: the config's scenario, then one per moment call
+    built = []
+    real = Scenario.__post_init__
+    monkeypatch.setattr(Scenario, "__post_init__", lambda self: built.append(real(self)))
+    command, text = _COLUMN_RUNS[name]
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+    assert 2 <= len(built) <= 4
+
+
+def test_tau_star_is_one_library_function():
+    import cavbayes
+    from cavbayes import cli
+
+    assert cavbayes.find_tau_star is cli.find_tau_star is mmse_mod.find_tau_star
 
 
 _SWEEP_AXES = {
@@ -197,7 +228,7 @@ def test_sweep_makes_one_moment_call_in_bounded_chunks(name, monkeypatch):
     # stays within the chunk budget (all but the vacuum tau sweep need
     # several chunks)
     quantity, axis, lo, hi, knobs = _SWEEP_AXES[name]
-    moments = _spy_batches(monkeypatch, mmse_mod, "gamma_moments", lambda p, sc, *a: len(sc))
+    moments = _spy_batches(monkeypatch, mmse_mod, "gamma_moments", lambda p, sc, *a: len(sc.columns[0]))
     damped = _spy_batches(monkeypatch, mmse_mod, "gamma_moments_dissipative", lambda p, tc, *a: len(tc))
     solves = _spy_batches(monkeypatch, mmse_mod, "mmse_estimator", lambda g, *a: len(g.gamma0.ee))
     spies = [
@@ -260,10 +291,13 @@ def test_batch_rows_equal_batch_of_one(kind, sigma, points, field_size, budget):
     # and split over one or many chunks, is its batch-of-one call bit for bit
     prior = Prior(kind, 1.0, sigma)
     fld = _moment_field(*field_size)
-    scenarios = tuple(Scenario(tau_c=t, tau_f_gamma=u, delta=d) for t, u, d in points)
+    taus, us, deltas = zip(*points)
+    column = Scenario(tau_c=taus, tau_f_gamma=us, delta=deltas)
     with mock.patch.object(mmse_mod, "_CHUNK_ELEMENTS", budget):
-        batch = mmse_mod.gamma_moments(prior, scenarios, fld)
-    _assert_rows_equal_single_calls(batch, [mmse_mod.gamma_moments(prior, sc, fld) for sc in scenarios])
+        batch = mmse_mod.gamma_moments(prior, column, fld)
+    singles = [mmse_mod.gamma_moments(prior, Scenario(tau_c=t, tau_f_gamma=u, delta=d), fld)
+               for t, u, d in points]
+    _assert_rows_equal_single_calls(batch, singles)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -275,10 +309,12 @@ def test_batch_rows_equal_batch_of_one(kind, sigma, points, field_size, budget):
     budget=st.sampled_from([8192, 600, 1]),
 )
 def test_dissipative_batch_rows_equal_batch_of_one(kind, sigma, taus, rates, budget):
-    prior = Prior(kind, 1.0, sigma)
+    prior, (gamma, kappa) = Prior(kind, 1.0, sigma), rates
+    column = Scenario(tau_c=tuple(taus), gamma_cav=gamma, kappa=kappa)
     with mock.patch.object(mmse_mod, "_CHUNK_ELEMENTS", budget):
-        batch = mmse_mod.gamma_moments_dissipative(prior, np.array(taus), *rates)
-    singles = [mmse_mod.gamma_moments_dissipative(prior, t, *rates) for t in taus]
+        batch = mmse_mod.gamma_moments(prior, column, FieldState.vacuum())
+    singles = [mmse_mod.gamma_moments(prior, Scenario(tau_c=t, gamma_cav=gamma, kappa=kappa),
+                                      FieldState.vacuum()) for t in taus]
     _assert_rows_equal_single_calls(batch, singles)
 
 
@@ -625,8 +661,8 @@ def test_batched_solve_names_first_degenerate_entry():
 def test_batched_estimator_rows_equal_single_solves():
     prior = Prior.uniform(1.0, 0.7)
     us = [0.0, 0.5, 1.2]
-    scenarios = tuple(Scenario(tau_c=tc, tau_f_gamma=u) for tc, u in zip((0.3, 0.9, 1.7), us))
-    triples = mmse_mod.gamma_moments(prior, scenarios, FieldState.vacuum())
+    column = Scenario(tau_c=(0.3, 0.9, 1.7), tau_f_gamma=tuple(us))
+    triples = mmse_mod.gamma_moments(prior, column, FieldState.vacuum())
     batch = mmse_mod.mmse_estimator(triples, us)
     for i, u in enumerate(us):
         row = mmse_mod.GammaTriple(*(m.row(i) for m in (triples.gamma0, triples.gamma1, triples.gamma2)))

@@ -116,8 +116,8 @@ def test_tau_star_follows_the_field(alpha):
     scenario = Scenario(tau_c=1.0, alpha=alpha)
     _, c_min = find_tau_star(GAUSS, scenario)
     taus = np.linspace(0.005, 0.3, 3000)
-    scenarios = tuple(dataclasses.replace(scenario, tau_c=float(t)) for t in taus)
-    scan = mmse_estimator(gamma_moments(GAUSS, scenarios, field_for(scenario))).c_min
+    column = dataclasses.replace(scenario, tau_c=tuple(taus.tolist()))
+    scan = mmse_estimator(gamma_moments(GAUSS, column, field_for(scenario))).c_min
     assert c_min <= scan.min()
 
 
@@ -396,6 +396,7 @@ def test_nan_refusal_writes_one_stderr_line(tmp_path):
 _LADDER_RUNS = {
     "alpha_30": ("alpha_abs = 30\n", 0),
     "alpha_40": ("alpha_abs = 40\n", 1),
+    "alpha_1e160": ("alpha_abs = 1e160\n", 1),  # |alpha|^2 overflows
     "huge_cutoff": ("fock_cutoff = 1000000000\n", 1),
 }
 
@@ -416,6 +417,36 @@ def test_fock_ladder_ceiling(case, tmp_path):
     else:
         assert proc.stdout == "" and proc.stderr.startswith("config error: ")
         assert proc.stderr.count("\n") == 1
+
+
+# runs whose prior quadrature or likelihood phases would pass what a double
+# or the memory holds: case -> (command, config, exit code)
+_UNBOUNDED_RUNS = {
+    "tau_star_damped_wide_prior": (
+        "tau-star", "[prior]\nsigma_over_g0 = 1e9\n[scenario]\nkappa_over_g0 = 1\n", 1),
+    "tau_star_detuned_wide_prior": (
+        "tau-star", "[prior]\nsigma_over_g0 = 1e9\n[scenario]\ndelta_over_g0 = 0.3\n", 1),
+    "detuned_sweep_past_the_ceiling": (
+        "sweep", "[scenario]\ndelta_over_g0 = 0.3\nalpha_abs = 30\n"
+                 "[sweep]\nquantity = mmse_cost\naxis = tau_c\nlo = 0.1\nhi = 5\nn_points = 3\n", 1),
+    "ml_huge_tau": ("ml", "[scenario]\ng0_tau_c = 1.7e308\n", 3),
+    "ml_cost_to_huge_tau": (
+        "sweep", "[sweep]\nquantity = ml_cost\naxis = tau_c\nlo = 1\nhi = 1.7e308\nn_points = 3\n", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNBOUNDED_RUNS))
+def test_unbounded_run_is_refused_in_one_line(case, tmp_path, capsys):
+    # unguarded, the wide priors ask numpy for 15 GiB (MemoryError) and the
+    # likelihood phases reach math.sin(inf) (ValueError)
+    command, text, code = _UNBOUNDED_RUNS[case]
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main([command, "--config", str(path)]) == code
+    streams = capsys.readouterr()
+    assert streams.out == "" and streams.err.count("\n") == 1
+    assert streams.err.startswith("config error: " if code == 1 else "numeric error: ")
 
 
 def test_infinite_result_is_written(tmp_path, capsys):

@@ -177,16 +177,12 @@ def test_damped_scenario_refuses_unitary_knobs(knob, rates):
 
 
 def test_damped_moment_batches_are_damped_with_one_rate_pair():
+    # a damped tau_c column equals its one call of the damped moments, and
+    # a damped point scenario their single triple; a column scenario holds
+    # one rate pair by construction
     prior = Prior.gaussian(1.0, 0.6)
-    mixed = (_damped(0.5, 0.2, 0.3), Scenario(tau_c=0.7))
-    unequal = (_damped(0.5, 0.2, 0.3), _damped(0.7, 0.2, 0.4))
-    for batch in (mixed, mixed[::-1], unequal):
-        with pytest.raises(ValueError):
-            gamma_moments(prior, batch, VACUUM)
-    # a damped batch equals its one call of the damped moments, and a
-    # single damped scenario their single triple
     taus = np.array([0.5, 0.7, 1.9])
-    got = gamma_moments(prior, tuple(_damped(t, 0.2, 0.3) for t in taus), VACUUM)
+    got = gamma_moments(prior, _damped(tuple(taus.tolist()), 0.2, 0.3), VACUUM)
     ref = gamma_moments_dissipative(prior, taus, 0.2, 0.3)
     one = gamma_moments(prior, _damped(0.7, 0.2, 0.3), VACUUM)
     one_ref = gamma_moments_dissipative(prior, 0.7, 0.2, 0.3)
@@ -194,6 +190,48 @@ def test_damped_moment_batches_are_damped_with_one_rate_pair():
         a, b = getattr(got, name), getattr(ref, name)
         assert all(np.array_equal(getattr(a, e), getattr(b, e)) for e in ("ee", "gg", "eg"))
         assert getattr(one, name) == getattr(one_ref, name)
+
+
+_NON_FINITE = [
+    {"tau_c": math.nan},
+    {"tau_c": math.inf},
+    {"tau_c": 1.0, "delta": math.nan},
+    {"tau_c": 1.0, "delta": -math.inf},
+    {"tau_c": 1.0, "tau_f_gamma": math.inf},
+    {"tau_c": 1.0, "kappa": math.nan},
+    {"tau_c": 1.0, "gamma_cav": math.inf},
+    {"tau_c": 1.0, "alpha": complex(1.0, math.nan)},
+    {"tau_c": (0.5, math.nan)},
+    {"tau_c": 1.0, "delta": (0.2, math.inf)},
+    {"tau_c": (0.5, 0.7), "tau_f_gamma": (0.1, math.nan)},
+]
+
+
+@pytest.mark.parametrize("knobs", _NON_FINITE)
+def test_scenario_refuses_non_finite_knobs(knobs):
+    # a NaN or infinite knob, a column entry included, would give c_min = nan
+    # with estimates (0, 0) and no error
+    with pytest.raises(ValueError, match="finite"):
+        Scenario(**knobs)
+
+
+def test_column_scenario_broadcasts_and_refuses_state_calls():
+    column = Scenario(tau_c=(0.2, 0.5, 0.9), delta=0.4, alpha=1.0)
+    tau_c, tau_f_gamma, delta = column.columns
+    assert tau_c.tolist() == [0.2, 0.5, 0.9]
+    assert tau_f_gamma.tolist() == [0.0] * 3 and delta.tolist() == [0.4] * 3
+    assert column.is_column and not Scenario(tau_c=0.2).is_column
+    assert hash(column) == hash(Scenario(tau_c=(0.2, 0.5, 0.9), delta=0.4, alpha=1.0))
+    for knobs in ({"tau_c": ()}, {"tau_c": (0.2, 0.5), "delta": (0.1,)}, {"tau_c": (0.2, -0.5)}):
+        with pytest.raises(ValueError):
+            Scenario(**knobs)
+    # a tuple would broadcast silently against the photon ladder
+    fld = field_for(column)
+    with pytest.raises(ValueError):
+        detector_matrix_elements(np.linspace(0.5, 1.5, 4), column, fld)
+    for sc in (column, Scenario(tau_c=(0.2, 0.5), kappa=0.3)):
+        with pytest.raises(ValueError):
+            reduced_state(1.0, sc, field_for(sc))
 
 
 def test_damped_transit_refuses_a_field_with_photons():
@@ -207,7 +245,7 @@ def test_damped_transit_refuses_a_field_with_photons():
         with pytest.raises(ValueError, match="vacuum"):
             gamma_moments(prior, sc, field)
         with pytest.raises(ValueError, match="vacuum"):
-            gamma_moments(prior, (sc, Scenario(tau_c=1.5, kappa=0.3)), field)
+            gamma_moments(prior, Scenario(tau_c=(1.0, 1.5), kappa=0.3), field)
     # the field a damped scenario implies is vacuum, padded or not
     for cutoff in (None, 0, 6):
         field = field_for(Scenario(tau_c=1.0, kappa=0.3, fock_cutoff=cutoff))

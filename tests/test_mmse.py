@@ -226,8 +226,10 @@ def test_mmse_invariants_across_scenarios(kind, sigma, log_tau, u, delta, alpha,
 # detuned and dissipative moments over the benchmark ranges: sigma in
 # [0.2, 1.5], g0 tau <= 3, Delta <= 3, Fock cutoff <= 27
 _QUADRATURE_FIELDS = [FieldState.vacuum(), FieldState.coherent(1.5, 12), FieldState.coherent(3.0, 27)]
-_DETUNED = tuple(
-    Scenario(tau_c=t, tau_f_gamma=0.3, delta=d) for t in (0.05, 0.7, 1.6, 3.0) for d in (0.3, 1.5, 3.0)
+_DETUNED = Scenario(
+    tau_c=tuple(t for t in (0.05, 0.7, 1.6, 3.0) for d in (0.3, 1.5, 3.0)),
+    tau_f_gamma=0.3,
+    delta=(0.3, 1.5, 3.0) * 4,
 )
 _DAMPED_TIMES = np.array([0.05, 0.7, 1.6, 3.0])
 _DAMPED_RATES = [(0.05, 1.0), (1.0, 0.05), (0.5, 0.5)]
@@ -286,7 +288,7 @@ def test_dissipative_moments_match_exact_at_zero_rates(prior):
     # The Gaussian window's g^2-weighted tail costs up to 1.8e-13 at 1.5 g0
     taus = np.linspace(0.1, 3.0, 59)
     damped = gamma_moments_dissipative(prior, taus, 0.0, 0.0)
-    exact = gamma_moments(prior, tuple(Scenario(tau_c=t) for t in taus), VACUUM)
+    exact = gamma_moments(prior, Scenario(tau_c=tuple(taus.tolist())), VACUUM)
     for name in MOMENTS:
         d, e = getattr(damped, name), getattr(exact, name)
         np.testing.assert_allclose(d.ee, e.ee, rtol=0.0, atol=1e-12)
