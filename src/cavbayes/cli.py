@@ -22,10 +22,13 @@ whether it is unitary or damped (kappa or in-cavity decay nonzero).
 Options (``--config``, ``--out``, ``--format``, ``--seed``) may come before
 or after the command.  Exit codes: 0 success, 1 config error (a non-finite
 config value, a negative ``tau_c`` or ``gamma_tau_f`` sweep range, a sweep
-past ``MAX_SWEEP_POINTS``, a Fock ladder past ``dynamics.MAX_FOCK_CUTOFF``,
-a prior quadrature past ``priors.MAX_QUADRATURE_NODES`` nodes times ladder
-levels and a ``verify`` seed outside [0, 2**128) included), 2 verification failure,
-3 numeric error (degenerate scenario, or a NaN result from an overflow).
+past ``MAX_SWEEP_POINTS``, a Fock ladder past ``dynamics.MAX_FOCK_CUTOFF``
+or an ``alpha_abs`` above it, a prior quadrature past
+``priors.MAX_QUADRATURE_NODES`` nodes times ladder levels, a ``verify`` seed
+outside [0, 2**128), a usage error such as an unknown command, a bad
+``--format`` or a non-integer ``--seed``, and an ``--out`` path that cannot
+be opened or written included), 2 verification failure, 3 numeric error
+(degenerate scenario, or a NaN result from an overflow).  ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -47,11 +50,12 @@ from . import bounds as bounds_mod
 from . import ml as ml_mod
 from . import mmse as mmse_mod
 from . import priors as priors_mod
-from .dynamics import Scenario, _auto_cutoff, field_for, reduced_state
+from .dynamics import MAX_FOCK_CUTOFF, Scenario, _auto_cutoff, field_for, reduced_state
 from .errors import CavbayesError, ConfigError, DegenerateGamma0, UnsupportedCombination
 from .mmse import find_tau_star
 from .oracle import verify_all
 from .priors import Prior
+from .qubit import Hermitian2, QubitState
 
 __all__ = ["SweepSpec", "Table", "run_sweep", "find_tau_star", "verify_all", "main"]
 
@@ -174,21 +178,32 @@ def _mmse_rows(spec: SweepSpec, values: list) -> list:
     return [[v, *(float(c[i]) for c in columns)] for i, v in enumerate(values)]
 
 
+def _joined(parts) -> Hermitian2:
+    """The batches ``parts`` of 2x2 matrices as one batch, in order."""
+    return Hermitian2(*(np.concatenate([getattr(m, k) for m in parts]) for k in ("ee", "gg", "eg")))
+
+
 def _pinned_rows(prior: Prior, scenario: Scenario, g_over_g0: list, bound: bool) -> list:
     """One row per coupling in ``g_over_g0`` of the estimator at the pinned
     scenario: eig_lo, eig_hi, c_min, avg_estimate and, with ``bound``,
-    cr_bound and mse.  One estimator and one state evaluation over all
-    couplings serve every row; the ``mmse`` command is its row at one g."""
+    cr_bound and mse.  One estimator serves every row; the states are
+    evaluated in chunks of couplings (:func:`mmse._chunks` over the ladder),
+    so a long sweep holds no larger state grid than a short one, and the
+    means and bounds run once over all of them.  The ``mmse`` command is
+    its row at one g."""
     fld = field_for(scenario)
     result = mmse_mod.mmse_estimator(mmse_mod.gamma_moments(prior, scenario, fld),
                                      scenario.tau_f_gamma)
     g = np.array(g_over_g0) * prior.g0
+    states = [reduced_state(g[rows], scenario, fld, derivative=bound)
+              for rows in mmse_mod._chunks(len(g), len(fld.coefficients))]
     if bound:
-        rho, drho = reduced_state(g, scenario, fld, derivative=True)
-        rep = bounds_mod.cr_bound_mmse(result, g, rho, drho)
-        columns = [mmse_mod.average_estimate(result, rho), rep.lower_bound, rep.mse]
-    else:
-        columns = [mmse_mod.average_estimate(result, reduced_state(g, scenario, fld))]
+        states, slopes = zip(*states)
+    rho = QubitState(_joined([s.matrix for s in states]))
+    columns = [mmse_mod.average_estimate(result, rho)]
+    if bound:
+        rep = bounds_mod.cr_bound_mmse(result, g, rho, _joined(slopes))
+        columns += [rep.lower_bound, rep.mse]
     head = [result.estimates[0], result.estimates[1], result.c_min]
     return [[*head, *(float(c[i]) for c in columns)] for i in range(len(g))]
 
@@ -258,8 +273,13 @@ def load_config(path: Optional[str]) -> dict:
             fock_cutoff=cutoff,
             **{attr: number("scenario", key) for key, attr in _SCENARIO_KEYS.items()},
         )
-        if cutoff is None:
-            _auto_cutoff(alpha)  # refuses a ladder past MAX_FOCK_CUTOFF before any run
+        # a ladder past MAX_FOCK_CUTOFF is refused before any run; no explicit
+        # cutoff holds a larger |alpha| either, whose |alpha|^2 may overflow
+        if cutoff is None or abs(alpha) > MAX_FOCK_CUTOFF:
+            try:
+                _auto_cutoff(alpha)
+            except ValueError as exc:
+                raise ConfigError(f"[scenario] alpha_abs: {exc}") from exc
         cfg = {
             "prior": Prior(prior_kind, 1.0, sigma),
             "scenario": scenario,
@@ -292,12 +312,16 @@ def _out_file(path: str):
     in place and cut at the end of what was written, not truncated when
     opened: on ext4 a truncation to zero makes the close start write-back
     (``auto_da_alloc``), a blocking wait on every rewrite of an output file
-    whose cost follows the disk, not the computation."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", newline="\n") as fh:
-        yield fh
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
+    whose cost follows the disk, not the computation.  An ``OSError`` from
+    opening or writing ``path`` is raised as a :class:`ConfigError` naming it."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", newline="\n") as fh:
+            yield fh
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path!r}: {exc.strerror or exc}") from exc
 
 
 def write_table(table: Table, fmt: str, out, config_echo: Optional[dict] = None):
@@ -369,8 +393,16 @@ _POINT_COMMANDS = {"state": (None, _cmd_state), "mmse": ("unitary", _cmd_mmse),
                    "ml": ("resonant vacuum", _cmd_ml), "tau-star": (None, _cmd_tau_star)}
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as a :class:`ConfigError`, so it exits 1 with one
+    line instead of argparse's exit 2, which ``verify`` uses for a failure."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cavbayes",
         description="Bayesian coupling-strength estimation for a driven qubit-cavity transit",
     )
@@ -379,9 +411,8 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--seed", type=int, default=0, help="seed for verify")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -411,6 +442,18 @@ def main(argv: Optional[list] = None) -> int:
                 family, command = _POINT_COMMANDS[args.command]
                 _check_family(args.command, family, cfg["scenario"])
                 table = command(cfg)
+        # NaN passes every range check (its comparisons are false), so it is
+        # caught here; inf is a legal value (an unbounded c_max)
+        if np.isnan(np.asarray(table.rows, dtype=float)).any():
+            print("numeric error: the result holds NaN", file=sys.stderr)
+            return 3
+        echo = _config_echo(cfg)
+        if args.out:
+            with _out_file(args.out) as fh:
+                write_table(table, args.format, fh, echo)
+        else:
+            write_table(table, args.format, sys.stdout, echo)
+        return 0
     except (ConfigError, UnsupportedCombination) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -420,19 +463,6 @@ def main(argv: Optional[list] = None) -> int:
     except CavbayesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    # NaN passes every range check (its comparisons are false), so it is
-    # caught here; inf is a legal value (an unbounded c_max)
-    if np.isnan(np.asarray(table.rows, dtype=float)).any():
-        print("numeric error: the result holds NaN", file=sys.stderr)
-        return 3
-
-    echo = _config_echo(cfg)
-    if args.out:
-        with _out_file(args.out) as fh:
-            write_table(table, args.format, fh, echo)
-    else:
-        write_table(table, args.format, sys.stdout, echo)
-    return 0
 
 
 if __name__ == "__main__":

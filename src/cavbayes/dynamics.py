@@ -213,8 +213,9 @@ def _derivative_ratio(ratio, cos, lam2, phase, tc):
     small = phase < _SERIES_PHASE
     if small.any():
         x2 = phase[small] ** 2
-        ratio[small] = tc * (1 - x2 / 6 * (1 - x2 / 20 * (1 - x2 / 42 * (1 - x2 / 72))))
-        rem[small] = tc**3 * (
+        t = np.broadcast_to(tc, phase.shape)[small]
+        ratio[small] = t * (1 - x2 / 6 * (1 - x2 / 20 * (1 - x2 / 42 * (1 - x2 / 72))))
+        rem[small] = t**3 * (
             -1 / 3 + x2 / 30 * (1 - x2 / 28 * (1 - x2 / 54 * (1 - x2 / 88)))
         )
     return rem
@@ -232,7 +233,13 @@ def detector_matrix_elements(
     Sums the photon-ladder contributions for every coupling value at once;
     used by the moment integrals, the state and bound evaluations and the
     Monte-Carlo paths.  Flight damping is applied as exp(-gamma tau_f) on
-    the population and exp(-gamma tau_f/2) on the coherence.
+    the population and exp(-gamma tau_f/2) on the coherence.  A column
+    ``scenario`` gives (points x couplings) arrays over its (tau_c,
+    tau_f_gamma, delta) columns, and each row equals bit for bit the 1-D
+    arrays of its point scenario, the batch of one.  Each early-out is
+    decided once per call: the resonant-vacuum shortcut and the Delta = 0
+    early-outs when no point of the column is detuned, and the empty-ladder
+    early-out (no coherence) when the field is the vacuum alone.
 
     Sector n holds cos^2(l_n t) + (Delta^2/4) S_n^2 with S_n = sin(l_n t)/l_n;
     the coherence pairs the bracket cos(l_{m+1} t) - i (Delta/2) S_{m+1} with
@@ -251,15 +258,19 @@ def detector_matrix_elements(
 
     so both flags give (a_ee, a_eg, a_gg, da_ee, da_eg).
     """
-    if not scenario.is_unitary_transit or scenario.is_column:
-        raise ValueError("the unitary state kernel takes a point with kappa = gamma_cav = 0")
+    if not scenario.is_unitary_transit:
+        raise ValueError("the unitary state kernel takes kappa = gamma_cav = 0")
     _check_truncation(field)
 
     g_values = np.atleast_1d(np.asarray(g_values, dtype=float))
     coeff = np.asarray(field.coefficients, dtype=complex)
     n_max = len(coeff) - 1
-    tc, delta = scenario.tau_c, scenario.delta
+    tc, u, delta = scenario.columns[:, :, None, None]  # (points, 1, 1) each
+    detuned = bool(delta.any())
     quarter = delta**2 / 4
+
+    def rows(out):  # a point scenario is the batch of one
+        return out if scenario.is_column else tuple(x[0] for x in out)
 
     # sectors n = 1 .. n_max+1 hold amplitude a_{n-1}; column j is n = j + 1
     ns = np.arange(1, n_max + 2)
@@ -269,17 +280,18 @@ def detector_matrix_elements(
     phase = lam * tc
     cos = np.cos(phase)
     weight = np.abs(coeff) ** 2
-    damp = math.exp(-scenario.tau_f_gamma)
-    root_damp = math.sqrt(damp)
+    damp = np.exp(-u[..., 0])
+    root_damp = np.sqrt(damp)
 
-    if not (delta or n_max or derivative or ground):  # resonant vacuum: cos^2 alone
-        return (cos * cos) @ weight * damp, np.zeros(len(g_values), dtype=complex)
+    if not (detuned or n_max or derivative or ground):  # resonant vacuum: cos^2 alone
+        a_ee = (cos * cos) @ weight * damp
+        return rows((a_ee, np.zeros(a_ee.shape, dtype=complex)))
 
     ratio = np.sin(phase) / np.maximum(lam, _TINY)
-    if derivative and (delta or n_max):  # R enters only through these
+    if derivative and (detuned or n_max):  # R enters only through these
         rem = _derivative_ratio(ratio, cos, lam2, phase, tc)
     sector = cos * cos
-    if delta:
+    if detuned:
         sector += quarter * ratio * ratio
     a_ee = sector @ weight * damp
 
@@ -293,38 +305,38 @@ def detector_matrix_elements(
 
         def ladder_sum(re, im):
             # (re + i im) @ pair_amp for real re (or None) and im
-            total = (im @ pair_parts).view(complex)[:, 0] * 1j
+            total = (im @ pair_parts).view(complex)[..., 0] * 1j
             if re is not None:
-                total += (re @ pair_parts).view(complex)[:, 0]
+                total += (re @ pair_parts).view(complex)[..., 0]
             return total * root_damp
 
-        s_m, s_m1, c_m1 = ratio[:, :-1], ratio[:, 1:], cos[:, 1:]
+        s_m, s_m1, c_m1 = ratio[..., :-1], ratio[..., 1:], cos[..., 1:]
         swing = np.outer(g_values, np.sqrt(ns[:-1])) * s_m
-        a_eg = ladder_sum(delta / 2 * s_m1 * swing if delta else None, c_m1 * swing)
+        a_eg = ladder_sum(delta / 2 * s_m1 * swing if detuned else None, c_m1 * swing)
     else:
-        a_eg = np.zeros(len(g_values), dtype=complex)
+        a_eg = np.zeros(a_ee.shape, dtype=complex)
     out = (a_ee, a_eg)
     if ground:
-        rest = -math.expm1(-scenario.tau_f_gamma) + damp * (1.0 - weight.sum())
+        rest = -np.expm1(-u[..., 0]) + damp * (1.0 - weight.sum())
         out += (rest + (g2n * ratio * ratio) @ weight * damp,)
     if not derivative:
-        return out
+        return rows(out)
 
     g_col = g_values[:, None]
-    slope = quarter * rem - tc * cos if delta else -tc * cos
+    slope = quarter * rem - tc * cos if detuned else -tc * cos
     da_ee = (2.0 * g_col * ns * ratio * slope) @ weight * damp
     if n_max:
         # i d(bracket swing) = g (m+1) [(Delta/2) R_{m+1} - i t S_{m+1}] swing
         #                      + [(Delta/2) S_{m+1} + i cos(l_{m+1} t)] d swing
-        d_swing = np.sqrt(ns[:-1]) * (s_m + g2n[:, :-1] * rem[:, :-1])
+        d_swing = np.sqrt(ns[:-1]) * (s_m + g2n[:, :-1] * rem[..., :-1])
         g_up = g_col * ns[1:]
         da_eg = ladder_sum(
-            delta / 2 * (g_up * rem[:, 1:] * swing + s_m1 * d_swing) if delta else None,
+            delta / 2 * (g_up * rem[..., 1:] * swing + s_m1 * d_swing) if detuned else None,
             c_m1 * d_swing - tc * g_up * s_m1 * swing,
         )
     else:
         da_eg = np.zeros_like(a_eg)
-    return out + (da_ee, da_eg)
+    return rows(out + (da_ee, da_eg))
 
 
 def reduced_state(g, scenario: Scenario, field: FieldState, derivative: bool = False):
@@ -343,10 +355,12 @@ def reduced_state(g, scenario: Scenario, field: FieldState, derivative: bool = F
     ``field`` with any amplitude above n = 0 raises ``ValueError``, as does
     ``derivative=True``.  A column scenario raises ``ValueError``.
     """
+    if scenario.is_column:
+        raise ValueError("the reduced state takes a point scenario")
     if not scenario.is_unitary_transit:
         _check_vacuum(field)
-        if derivative or scenario.is_column:
-            raise ValueError("a damped state takes a point scenario and has no d rho/dg")
+        if derivative:
+            raise ValueError("a damped state has no d rho/dg")
         f = dissipative_populations(g, scenario.tau_c, scenario.gamma_cav, scenario.kappa)
         if np.ndim(g) == 0:
             f = float(f[0])

@@ -20,9 +20,13 @@ exact moments M_k(omega) = int z(g) g^k e^{i omega g} dg
 against the prior by quadrature, and damped scenarios go in one call to
 :func:`gamma_moments_dissipative`, which does the same for the damped
 populations; points whose node counts agree share one rule and one
-density-weighted moment matrix.
+density-weighted moment matrix.  The detuned points of one rule take one
+state-kernel call per chunk, on a column :class:`Scenario` of them; every
+point of it is detuned, so of the kernel's early-outs only the empty-ladder
+one is taken, for a vacuum field.
 Every batch is processed in chunks of at most ``_CHUNK_ELEMENTS`` grid
-elements, so a long sweep holds no larger arrays than a short one.
+elements (points x nodes x ladder levels on the detuned path), and never
+less than one point, so a long sweep holds no larger arrays than a short one.
 """
 
 from __future__ import annotations
@@ -126,15 +130,16 @@ def _triples(entries, single: bool) -> GammaTriple:
     return GammaTriple(*(Hermitian2(ee=ee[k], gg=gg[k], eg=eg[k]) for k in range(3)))
 
 
-def _integrate(prior: Prior, counts: list, points, states, out) -> None:
+def _integrate(prior: Prior, counts: list, points, states, out, levels: int) -> None:
     """Moment operators by prior quadrature, written to columns ``points`` of
     ``out``; ``counts`` holds the node count of each point.
 
     Points sharing a node count share one rule and its (3, nodes) weights
     w z(g) g^k.  ``states(nodes, cols)`` gives the (cols x nodes) excited
     populations and coherences (None for diagonal states) of one chunk of
-    them.  Each (k, point) sum runs along its own contiguous node axis, so a
-    point's entries do not depend on the other points of its chunk.
+    them, whose state grid holds ``levels`` ladder levels per node.  Each
+    (k, point) sum runs along its own contiguous node axis, so a point's
+    entries do not depend on the other points of its chunk.
     """
     groups = {}
     for n, i in zip(counts, points):
@@ -145,7 +150,7 @@ def _integrate(prior: Prior, counts: list, points, states, out) -> None:
         wz = rule.weights * density(prior, rule.nodes)
         wk = np.stack([wz * rule.nodes**k for k in (0, 1, 2)])[:, None, :]
         members = np.array(members)
-        for rows in _chunks(len(members), len(rule.nodes)):
+        for rows in _chunks(len(members), len(rule.nodes) * levels):
             cols = members[rows]
             a_ee, a_eg = states(rule.nodes, cols)
             ee[:, cols] = (wk * a_ee).sum(axis=-1)
@@ -200,19 +205,18 @@ def _quadrature_moments(
 ) -> None:
     """Moment operators by prior quadrature of the points ``points`` of
     ``scenario``, written to those columns of ``out``; the state kernel runs
-    point by point, on a point scenario each, over the nodes of its rule."""
-    tc, u, delta = scenario.columns.tolist()
+    once per rule and chunk, on the chunk's sub-column of ``scenario``."""
+    columns = scenario.columns
     levels = len(field.coefficients)
-    counts = [priors_mod.nodes_for_oscillation(prior, 2.0 * tc[i] * math.sqrt(levels), levels)
-              if n_points is None else n_points for i in points]
+    counts = [priors_mod.nodes_for_oscillation(prior, 2.0 * t * math.sqrt(levels), levels)
+              if n_points is None else n_points for t in columns[0, points].tolist()]
 
     def states(nodes, cols):
-        point_scenarios = (Scenario(tc[i], u[i], delta[i], scenario.alpha,
-                                    fock_cutoff=scenario.fock_cutoff) for i in cols)
-        a_ee, a_eg = zip(*(detector_matrix_elements(nodes, sc, field) for sc in point_scenarios))
-        return np.array(a_ee), np.array(a_eg)
+        chunk = Scenario(*map(tuple, columns[:, cols].tolist()), scenario.alpha,
+                         fock_cutoff=scenario.fock_cutoff)
+        return detector_matrix_elements(nodes, chunk, field)
 
-    _integrate(prior, counts, points, states, out)
+    _integrate(prior, counts, points, states, out, levels)
 
 
 def gamma_moments(
@@ -257,7 +261,7 @@ def gamma_moments_dissipative(
     _integrate(
         prior, counts, range(len(taus)),
         lambda nodes, cols: (dissipative_populations(nodes, taus[cols, None], gamma, kappa), None),
-        out,
+        out, 1,
     )
     return _triples(out, single=np.ndim(tau_c) == 0)
 

@@ -180,28 +180,35 @@ def test_tau_star_coarse_scan_is_one_batch(monkeypatch):
         assert moments == solves == [300, 3, 3]
 
 
+# name -> (command, config, most Scenarios built, most state-kernel calls)
 _COLUMN_RUNS = {
     "resonant_tau_sweep": ("sweep", "[scenario]\nalpha_abs = 2\n[sweep]\nquantity = mmse_cost\n"
-                                    "axis = tau_c\nlo = 0.05\nhi = 3\nn_points = 300\n"),
+                                    "axis = tau_c\nlo = 0.05\nhi = 3\nn_points = 300\n", 4, 0),
     "damped_tau_sweep": ("sweep", "[scenario]\nkappa_over_g0 = 0.3\ngamma_over_g0 = 0.6\n[sweep]\n"
                                   "quantity = dissipative_cost\naxis = tau_c\nlo = 0.05\nhi = 3\n"
-                                  "n_points = 300\n"),
-    "vacuum_tau_star": ("tau-star", ""),
+                                  "n_points = 300\n", 4, 0),
+    "vacuum_tau_star": ("tau-star", "", 4, 0),
+    "detuned_tau_sweep": ("sweep", "[scenario]\ndelta_over_g0 = 0.8\n[sweep]\nquantity = mmse_cost\n"
+                                   "axis = tau_c\nlo = 0.05\nhi = 3\nn_points = 300\n", 21, 19),
+    "detuned_tau_star": ("tau-star", "[scenario]\ndelta_over_g0 = 0.5\n", 25, 21),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_COLUMN_RUNS))
 def test_run_builds_a_few_scenarios(name, monkeypatch, tmp_path):
     # a sweep axis or the tau-star scan is one column Scenario, not one
-    # Scenario per point: the config's scenario, then one per moment call
+    # Scenario per point: the config's scenario, then one per moment call;
+    # a detuned moment call adds one per state-kernel call, each over a
+    # chunk of points sharing a quadrature rule
     built = []
     real = Scenario.__post_init__
     monkeypatch.setattr(Scenario, "__post_init__", lambda self: built.append(real(self)))
-    command, text = _COLUMN_RUNS[name]
+    kernel = _spy_batches(monkeypatch, mmse_mod, "detector_matrix_elements", lambda g, sc, *a: 1)
+    command, text, most_built, most_calls = _COLUMN_RUNS[name]
     cfg = tmp_path / "run.ini"
     cfg.write_text(text)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
-    assert 2 <= len(built) <= 4
+    assert 2 <= len(built) <= most_built and len(kernel) <= most_calls
 
 
 def test_tau_star_is_one_library_function():
@@ -353,8 +360,8 @@ def test_pinned_estimator_resolved_once_per_g_sweep(monkeypatch):
 @pytest.mark.parametrize("field_kind", ["vacuum", "coherent_detuned"])
 @pytest.mark.parametrize("quantity", ["mmse_avg_estimate", "mmse_cr_bound"])
 def test_g_sweep_evaluates_state_once(quantity, field_kind, monkeypatch):
-    # every row of a g_over_g0 sweep comes from one state-kernel call, with
-    # the derivative only where the bound needs it
+    # every row of a g_over_g0 sweep within one chunk comes from one
+    # state-kernel call, with the derivative only where the bound needs it
     from cavbayes import dynamics
 
     calls = []
@@ -369,6 +376,22 @@ def test_g_sweep_evaluates_state_once(quantity, field_kind, monkeypatch):
     spec = SweepSpec(quantity, "g_over_g0", 0.3, 1.7, 11, PRIORS["gaussian"], scenario)
     assert len(run_sweep(spec).rows) == 11
     assert calls == [(11, quantity == "mmse_cr_bound")]
+
+
+def test_long_g_sweep_evaluates_states_in_chunks(monkeypatch):
+    # a g_over_g0 sweep past one chunk evaluates its states chunk by chunk,
+    # each (couplings x ladder) grid within the budget, and its rows agree
+    # with one evaluation over all couplings
+    from cavbayes import dynamics
+
+    scenario = Scenario(tau_c=0.9, tau_f_gamma=0.2, **FIELDS["coherent_detuned"])
+    spec = SweepSpec("mmse_cr_bound", "g_over_g0", 0.3, 1.7, 400, PRIORS["gaussian"], scenario)
+    with mock.patch.object(mmse_mod, "_CHUNK_ELEMENTS", 10**9):
+        whole = run_sweep(spec).rows
+    calls = _spy_batches(monkeypatch, dynamics, "detector_matrix_elements", lambda g, *a: len(g))
+    _assert_rows_close(run_sweep(spec).rows, whole)
+    levels = len(field_for(scenario).coefficients)
+    assert sum(calls) == 400 and len(calls) > 2 and max(calls) * levels <= mmse_mod._CHUNK_ELEMENTS
 
 
 def _spy_povm_and_rule_calls(monkeypatch) -> list:

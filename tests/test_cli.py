@@ -397,6 +397,7 @@ _LADDER_RUNS = {
     "alpha_30": ("alpha_abs = 30\n", 0),
     "alpha_40": ("alpha_abs = 40\n", 1),
     "alpha_1e160": ("alpha_abs = 1e160\n", 1),  # |alpha|^2 overflows
+    "alpha_1e160_cutoff_5": ("alpha_abs = 1e160\nfock_cutoff = 5\n", 1),
     "huge_cutoff": ("fock_cutoff = 1000000000\n", 1),
 }
 
@@ -417,6 +418,7 @@ def test_fock_ladder_ceiling(case, tmp_path):
     else:
         assert proc.stdout == "" and proc.stderr.startswith("config error: ")
         assert proc.stderr.count("\n") == 1
+        assert ("alpha_abs" in proc.stderr) == case.startswith("alpha")
 
 
 # runs whose prior quadrature or likelihood phases would pass what a double
@@ -569,6 +571,43 @@ def test_verify_seed_range_ends_pass(seed, position, tmp_path, capsys):
     assert main(argv) == 0
     report = json.loads(out.read_text())
     assert report["passed"] and report["seed"] == seed
+
+
+# usage errors exit 1 with one line, like every config error, so exit 2
+# keeps meaning a failed verification: case -> (arguments, message)
+_USAGE_ERRORS = {
+    "bad_format": (["state", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    "non_integer_seed": (["verify", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    "unknown_command": (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_USAGE_ERRORS))
+def test_usage_error_is_a_config_error(case, capsys):
+    argv, message = _USAGE_ERRORS[case]
+    capsys.readouterr()
+    assert main(argv) == 1
+    streams = capsys.readouterr()
+    assert streams.out == "" and streams.err.startswith(f"config error: {message}")
+    assert streams.err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0 and capsys.readouterr().out.startswith("usage: cavbayes")
+
+
+@pytest.mark.parametrize("target", ["directory", "missing_parent"])
+@pytest.mark.parametrize("command", ["mmse", "verify"])
+def test_unwritable_out_is_a_config_error(command, target, tmp_path, capsys):
+    # a table and the verify report alike: one line naming the path, no traceback
+    path = str(tmp_path if target == "directory" else tmp_path / "missing" / "x.csv")
+    capsys.readouterr()
+    assert main([command, "--out", path]) == 1
+    streams = capsys.readouterr()
+    assert streams.out == "" and streams.err.count("\n") == 1
+    assert streams.err.startswith(f"config error: cannot write --out {path!r}: ")
 
 
 _PRODUCTION_RUNS = {

@@ -225,10 +225,23 @@ def test_column_scenario_broadcasts_and_refuses_state_calls():
     for knobs in ({"tau_c": ()}, {"tau_c": (0.2, 0.5), "delta": (0.1,)}, {"tau_c": (0.2, -0.5)}):
         with pytest.raises(ValueError):
             Scenario(**knobs)
-    # a tuple would broadcast silently against the photon ladder
-    fld = field_for(column)
-    with pytest.raises(ValueError):
-        detector_matrix_elements(np.linspace(0.5, 1.5, 4), column, fld)
+    # every row of a column kernel call is its point call bit for bit, over
+    # detuned columns like those of the quadrature moments; g = 0.05 puts
+    # phases below the series threshold of the derivative
+    g = np.array([0.0, 0.05, 0.7, 1.5])
+    points = list(zip((0.2, 0.5, 0.9), (0.0, 0.3, 1.1), (0.4, -0.7, 1.3)))
+    for alpha, cutoff in ((0.0, None), (1.4 * cmath.exp(0.3j), 10)):
+        sc = Scenario(*zip(*points), alpha, fock_cutoff=cutoff)
+        fld = field_for(sc)
+        for ground, derivative, count in ((0, 0, 2), (1, 0, 3), (0, 1, 4), (1, 1, 5)):
+            flags = {"ground": bool(ground), "derivative": bool(derivative)}
+            batch = detector_matrix_elements(g, sc, fld, **flags)
+            for i, point in enumerate(points):
+                single = detector_matrix_elements(g, Scenario(*point, alpha), fld, **flags)
+                assert len(batch) == len(single) == count
+                for rows, one in zip(batch, single):
+                    assert rows.shape == (3, 4) and one.shape == (4,)
+                    assert rows[i].tobytes() == one.tobytes(), (alpha, flags, i)
     for sc in (column, Scenario(tau_c=(0.2, 0.5), kappa=0.3)):
         with pytest.raises(ValueError):
             reduced_state(1.0, sc, field_for(sc))

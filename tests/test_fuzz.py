@@ -1,12 +1,15 @@
-"""Config fuzz of the command-line front end.
+"""Config and option fuzz of the command-line front end.
 
 Every command runs on drawn ``[prior]``, ``[scenario]`` and ``[sweep]``
 values: finite, NaN, +-inf, negative, zero, huge and non-numeric ones, for
-every sweep quantity and axis.  Each run either exits 0 with no NaN in its
+every sweep quantity and axis, and on drawn ``--format``, ``--seed`` and
+``--out`` options, valid or not, the last a new file, a directory or a file
+under a missing directory.  Each run either exits 0 with no NaN in its
 output, or exits 1 (config) or 3 (numeric) with exactly one line on stderr,
-counting any warning it raises; it never raises.  A valid sweep holds at
-most 64 points and a valid explicit Fock cutoff at most 40 levels, so that
-no draw runs long.
+counting any warning it raises; it never raises.  ``verify`` may also exit
+2, a failed check, with nothing on stderr.  A valid sweep holds at most 64
+points and a valid explicit Fock cutoff at most 40 levels, so that no draw
+runs long.
 """
 
 import contextlib
@@ -47,6 +50,13 @@ _EDGE = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
 ).map(repr) | st.sampled_from(["", "abc", "1,5", "0x10", "1e999", "--1", "%", "None",
                                 "1025", "10001", "2.5"])
+#: option values, mostly valid; None leaves the option out
+_FORMATS = st.sampled_from(["csv", "json", "csv", "json", "xml", "", "CSV"])
+_SEEDS = st.none() | st.integers(0, 2**128 - 1).map(str) | st.sampled_from(
+    ["-1", str(2**128), "abc", "1.5", "", "0x10", "1e3"])
+#: --out relative to a fresh directory: a new file, the directory itself,
+#: a file under a missing directory
+_OUTS = st.sampled_from([None, "out.txt", ".", "missing/out.txt"])
 
 
 @st.composite
@@ -90,18 +100,24 @@ def _run(argv: list) -> tuple:
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(run=_runs(), fmt=st.sampled_from(["csv", "json"]))
-def test_every_config_exits_cleanly(run, fmt, tmp_path_factory):
+@given(run=_runs(), fmt=_FORMATS, seed=_SEEDS, target=_OUTS)
+def test_every_config_exits_cleanly(run, fmt, seed, target, tmp_path_factory):
     command, sections = run
-    path = tmp_path_factory.mktemp("fuzz") / "run.ini"
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = folder / "run.ini"
     path.write_text("".join(
         f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in body.items())
         for name, body in sections.items()
     ))
-    code, out, err, caught = _run([command, "--config", str(path), "--format", fmt])
+    argv = [command, "--config", str(path), "--format", fmt]
+    argv += [] if seed is None else ["--seed", seed]
+    argv += [] if target is None else ["--out", str(folder / target)]
+    code, out, err, caught = _run(argv)
     assert not caught, [str(w.message) for w in caught]  # a warning is one more stderr line
-    if code == 0:
-        assert not err and "nan" not in out.lower()
+    written = (folder / target).read_text() if target and (folder / target).is_file() else ""
+    if code in (0, 2):
+        assert not err and "nan" not in (out + written).lower()
+        assert code == 0 or command == "verify"
     else:
         assert code in (1, 3) and len(err) == 1, (code, err)
         assert err[0].startswith("config error:" if code == 1 else ("numeric error:", "error:"))
