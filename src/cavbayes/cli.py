@@ -23,7 +23,8 @@ Options (``--config``, ``--out``, ``--format``, ``--seed``) may come before
 or after the command.  Exit codes: 0 success, 1 config error (a non-finite
 config value, a negative ``tau_c`` or ``gamma_tau_f`` sweep range, a sweep
 past ``MAX_SWEEP_POINTS``, a Fock ladder past ``dynamics.MAX_FOCK_CUTOFF``
-or an ``alpha_abs`` above it, a prior quadrature past
+or an ``alpha_abs`` above it, an explicit ``fock_cutoff`` whose ladder
+misses more than 1% of the ``alpha_abs`` mass, a prior quadrature past
 ``priors.MAX_QUADRATURE_NODES`` nodes times ladder levels, a ``verify`` seed
 outside [0, 2**128), a usage error such as an unknown command, a bad
 ``--format`` or a non-integer ``--seed``, and an ``--out`` path that cannot
@@ -50,8 +51,10 @@ from . import bounds as bounds_mod
 from . import ml as ml_mod
 from . import mmse as mmse_mod
 from . import priors as priors_mod
-from .dynamics import MAX_FOCK_CUTOFF, Scenario, _auto_cutoff, field_for, reduced_state
-from .errors import CavbayesError, ConfigError, DegenerateGamma0, UnsupportedCombination
+from .dynamics import (MAX_FOCK_CUTOFF, Scenario, _auto_cutoff, _check_truncation, field_for,
+                       reduced_state)
+from .errors import (CavbayesError, ConfigError, DegenerateGamma0, TruncationTooSmall,
+                     UnsupportedCombination)
 from .mmse import find_tau_star
 from .oracle import verify_all
 from .priors import Prior
@@ -280,6 +283,11 @@ def load_config(path: Optional[str]) -> dict:
                 _auto_cutoff(alpha)
             except ValueError as exc:
                 raise ConfigError(f"[scenario] alpha_abs: {exc}") from exc
+        else:
+            try:
+                _check_truncation(field_for(scenario))
+            except TruncationTooSmall as exc:
+                raise ConfigError(f"[scenario] fock_cutoff: {exc}") from exc
         cfg = {
             "prior": Prior(prior_kind, 1.0, sigma),
             "scenario": scenario,

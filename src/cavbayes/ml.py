@@ -121,11 +121,13 @@ class MlPovm:
             out = -self._fz_scale * (2.0 * np.sin(tc * x) ** 2 + k_excess)
         return out if out.ndim else float(out)
 
-    def interval_integral(self, lo, hi, sign: int = 1, scale: float = 1.0):
-        """Exact integral of f_I + sign * scale * f_z over [lo, hi].
+    def interval_parts(self, lo, hi):
+        """Exact integrals (of f_I, of f_z) over [lo, hi].
 
-        ``scale`` rescales f_z only (used by positivity audits probing
-        inflated normalization constants).  Vectorized over interval arrays.
+        The mass of f_I + s f_z over an interval is ``part_i + s * part_z``,
+        so one call serves both signs and any rescaled f_z (positivity audits
+        probe inflated normalization constants).  Vectorized over interval
+        arrays.
         """
         from scipy.special import erf
 
@@ -145,14 +147,14 @@ class MlPovm:
                 (_y_minus_sin(2.0 * tc * hi) - _y_minus_sin(2.0 * tc * lo)) / (2.0 * tc)
                 + _uniform_offset_excess(self.prior, tc) * (hi - lo)
             )
-        out = part_i + sign * scale * part_z
-        return out if out.ndim else float(out)
+        return part_i, part_z
 
     def completeness(self) -> tuple[float, float]:
         """(integral of f_I, integral of f_z) over the support window."""
-        lo, hi = self.window
-        tot_plus = self.interval_integral(lo, hi, sign=1)
-        tot_minus = self.interval_integral(lo, hi, sign=-1)
+        part_i, part_z = self.interval_parts(*self.window)
+        # from the masses of f_I +- f_z, whose rounding the verify report pins
+        # as its completeness_error
+        tot_plus, tot_minus = float(part_i + part_z), float(part_i - part_z)
         return 0.5 * (tot_plus + tot_minus), 0.5 * (tot_plus - tot_minus)
 
 
@@ -560,8 +562,9 @@ def interval_audit(
     worst_low = math.inf
     worst_high = -math.inf
     violations = 0
+    part_i, part_z = povm.interval_parts(a, b)
     for sign in (1, -1):
-        vals = povm.interval_integral(a, b, sign=sign, scale=scale)
+        vals = part_i + sign * scale * part_z
         worst_low = min(worst_low, float(np.min(vals)))
         worst_high = max(worst_high, float(np.max(vals)))
         violations += int(np.sum((vals < -AUDIT_TOL) | (vals > 1.0 + AUDIT_TOL)))

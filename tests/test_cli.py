@@ -234,6 +234,12 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["mmse", "--config", str(missing)]) == 1
 
     capsys.readouterr()
+    # an explicit Fock ladder too short for the amplitude is a config choice
+    short = tmp_path / "short.ini"
+    short.write_text("[scenario]\nalpha_abs = 3\nfock_cutoff = 5\n")
+    assert main(["state", "--config", str(short)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: [scenario] fock_cutoff: field ladder captures only 0.115691 of the mass\n")
     # a sweep past the point ceiling is refused before its grid is built
     many = tmp_path / "many.ini"
     many.write_text(

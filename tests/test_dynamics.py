@@ -394,6 +394,31 @@ def test_dissipative_rounding_excess_is_clamped(monkeypatch):
         assert reduced_state(1.0, _damped(1.0, 0.2, 0.3), VACUUM).matrix.ee == clamped
 
 
+_RATE = st.one_of(st.just(0.0), st.floats(0.0, 20.0), st.floats(0.0, 1e-2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    t=st.one_of(st.floats(0.0, 20.0), st.floats(0.0, 1e-1)),
+    gamma=_RATE,
+    kappa=_RATE,
+    g=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=32),
+    near_critical=st.floats(-1e-4, 1e-4),
+)
+def test_dissipative_raw_excess_within_four_ulp(t, gamma, kappa, g, near_critical):
+    # the rounding excess that CLAMP_TOL = 1e-12 absorbs, measured on the raw
+    # fraction over couplings of the +-8 sigma windows, transit times and
+    # rates up to 20 g0, the near-critical couplings |gamma - kappa|/4 included
+    from cavbayes import dynamics
+
+    crit = abs(gamma - kappa) / 4.0
+    nodes = np.array([*g, 0.0, 1e-8, crit, crit * (1.0 + near_critical)])
+    f = dynamics._excited_fraction(nodes, t, gamma, kappa)
+    ulp = np.spacing(1.0)
+    assert np.all(f >= -4.0 * ulp) and np.all(f <= 1.0 + 4.0 * ulp)
+    assert 4.0 * ulp < dynamics.CLAMP_TOL
+
+
 def test_dissipative_excess_beyond_tolerance_raises(monkeypatch):
     from cavbayes import dynamics
 

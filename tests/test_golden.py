@@ -8,9 +8,10 @@ axis, both priors, vacuum, detuned, coherent and dissipative fields, five
 likelihood sweeps (``ml_cost`` over ``tau_c`` with the uniform
 prior, ``ml_avg_estimate`` over ``g_over_g0`` with the uniform and over
 ``tau_c`` with the Gaussian prior, ``ml_cr_bound`` with both priors), and
-``tau-star`` for the three field kinds.  ``verify_seed_7.json`` is the
-report of ``verify --seed 7``: its check names and order, pass flags and
-notes must match exactly, and every number to 1e-12 relative.  Regenerate
+``tau-star`` for the three field kinds.  ``verify_seed_<s>.json`` is the
+report of ``verify --seed <s>`` for s = 0, 7 and 63: its check names and
+order, pass flags and notes must match exactly, and every number to 1e-12
+relative.  Regenerate
 them only for a change that is meant to move the numbers, and say why in
 the change log.
 """
@@ -73,12 +74,13 @@ def test_output_matches_golden(name, tmp_path):
     assert worst <= REL_TOL
 
 
-def test_verify_report_matches_golden(tmp_path, capsys):
+@pytest.mark.parametrize("seed", [0, 7, 63])
+def test_verify_report_matches_golden(seed, tmp_path, capsys):
     out = tmp_path / "report.json"
-    assert main(["verify", "--seed", "7", "--out", str(out)]) == 0
+    assert main(["verify", "--seed", str(seed), "--out", str(out)]) == 0
     capsys.readouterr()
     report = json.loads(out.read_text())
-    ref = json.loads((GOLDEN / "verify_seed_7.json").read_text())
+    ref = json.loads((GOLDEN / f"verify_seed_{seed}.json").read_text())
     assert report.keys() == ref.keys()
     assert (report["seed"], report["passed"]) == (ref["seed"], ref["passed"])
     assert report["notes"] == ref["notes"]
