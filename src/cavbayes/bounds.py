@@ -22,7 +22,7 @@ references in :mod:`cavbayes.oracle`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class BoundReport:
     """Conditional MSE of a strategy at one coupling value, with its bound.
 
     The report of a batch of couplings holds one entry per coupling in every
-    field; :meth:`row` is the report of one coupling.
+    field; that of one coupling holds numpy scalars.
     """
 
     g: float
@@ -46,9 +46,6 @@ class BoundReport:
     lower_bound: float
     sensitivity: float  # x'(g)
     fisher: float  # Tr{rho L^2}
-
-    def row(self, i: int) -> "BoundReport":
-        return BoundReport(*(float(getattr(self, f.name)[i]) for f in fields(self)))
 
 
 def _diagonal_family(g: np.ndarray, tau_c: float, gamma_tau_f: float):
@@ -90,8 +87,8 @@ def sld_general(rho: QubitState, drho: Hermitian2) -> Hermitian2:
     return solve_symmetric_product(rho.matrix, drho, pair_floor=-np.inf)
 
 
-def _report(g, mse, xprime, fisher) -> BoundReport:
-    """Batch report; a zero Fisher entry gives a zero bound.
+def _report(g: np.ndarray, mse, xprime, fisher) -> BoundReport:
+    """Report of the couplings ``g``; a zero Fisher entry gives a zero bound.
 
     On the resonant vacuum family a stationary state has x' = 0 as well, and
     where a branch of L diverges the Fisher entry, and so the bound, is the
@@ -99,7 +96,7 @@ def _report(g, mse, xprime, fisher) -> BoundReport:
     """
     informative = fisher > 0.0
     bound = np.where(informative, xprime**2 / np.where(informative, fisher, 1.0), 0.0)
-    return BoundReport(g, mse, bound, xprime, fisher)
+    return BoundReport(g[()], mse, bound[()], xprime, fisher)
 
 
 def cr_bound_mmse(result: MmseResult, g, rho: QubitState, drho: Hermitian2) -> BoundReport:
@@ -110,17 +107,13 @@ def cr_bound_mmse(result: MmseResult, g, rho: QubitState, drho: Hermitian2) -> B
     d rho is (m_ee - m_gg) d rho_ee + 2 Re(m_eg conj(d rho_eg)), free of the
     cancellation of the two diagonal products; the Fisher entry is
     Tr{rho L^2} with L from :func:`sld_general`.  An array ``g`` gives a
-    batch report (see :meth:`BoundReport.row`); a scalar is a batch of one.
+    batch report, a scalar the report of one coupling.
     """
-    batch = np.ndim(g) > 0
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    if not batch:
-        rho, drho = QubitState(Hermitian2.stack([rho.matrix])), Hermitian2.stack([drho])
+    g = np.asarray(g, dtype=float)
     m = result.m_min
     xprime = (m.ee - m.gg) * drho.ee + 2.0 * (m.eg * np.conj(drho.eg)).real
     fisher = trace_product(square(sld_general(rho, drho)), rho.matrix)
-    rep = _report(g, mse_of_estimator(result, g, rho), xprime, fisher)
-    return rep if batch else rep.row(0)
+    return _report(g, mse_of_estimator(result, g, rho), xprime, fisher)
 
 
 def cr_bound_ml(povm: ml_mod.MlPovm, g) -> BoundReport:
@@ -129,13 +122,11 @@ def cr_bound_ml(povm: ml_mod.MlPovm, g) -> BoundReport:
     The mean estimate is g0 + c(g) m1 with c(g) = 2 P(g) - 1, so the response
     slope is x'(g) = 2 P'(g) m1; m1 = int x f_z dx and the MSE come from the
     exact f_z moments of :func:`ml.f_z_moments`, with no quadrature, and the
-    flight decay u is the POVM's own.  An array ``g`` gives a batch report
-    (see :meth:`BoundReport.row`); a scalar is a batch of one.
+    flight decay u is the POVM's own.  An array ``g`` gives a batch report,
+    a scalar the report of one coupling.
     """
-    batch = np.ndim(g) > 0
-    g = np.atleast_1d(np.asarray(g, dtype=float))
+    g = np.asarray(g, dtype=float)
     mse = ml_mod.ml_mse(povm, g)
     m1, _ = ml_mod.f_z_moments(povm)
     dp, fisher = _diagonal_family(g, povm.tau_c, povm.gamma_tau_f)
-    rep = _report(g, mse, 2.0 * m1 * dp, fisher)
-    return rep if batch else rep.row(0)
+    return _report(g, mse, 2.0 * m1 * dp, fisher)

@@ -17,10 +17,11 @@ excited population by exp(-gamma tau_f) and the coherence by its square root.
 
 A scenario with cavity damping kappa or qubit decay gamma active during the
 transit is the damped case of the same transit: resonant, vacuum field and no
-flight decay, with the closed-form excited population f(t) assembled in
-complex arithmetic so the oscillatory and overdamped regimes share one code
-path.  :func:`reduced_state` reads the transit model off the
-:class:`Scenario`, so callers make no choice between the two.
+flight decay, with the closed-form excited population f(t) the square of a
+real amplitude: cos and sin in the oscillatory regime, cosh and sinh folded
+with the decay envelope in the overdamped one, so neither overflows.
+:func:`reduced_state` reads the transit model off the :class:`Scenario`, so
+callers make no choice between the two.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ MAX_FOCK_CUTOFF = 1024
 #: their Taylor series
 _SERIES_PHASE = 0.1
 _TINY = 1e-300
-#: rounding excess of the dissipative excited fraction over [0, 1] that is
-#: clamped away; a larger excess is an error
+#: rounding excess of the dissipative excited fraction above 1 that is
+#: clamped away; a larger excess is an error (a square is never below 0)
 CLAMP_TOL = 1e-12
 
 
@@ -380,42 +381,41 @@ def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np
     """Excited-state population of the damped resonant vacuum model.
 
     Evaluated elementwise over ``g_values`` broadcast against ``t`` (a
-    column of times gives one row per time) from
+    column of times gives one row per time) as the square f = c^2 of the
+    real excited amplitude
 
-        f(t) = e^{-(gamma+kappa)t/2} [ cosh(s) + 2 g^2 t^2 C2(s)
-                                       + (kappa-gamma)(t/2) S1(s) ],
+        c(t) = e^{-(gamma+kappa)t/4} [ C + b S ],   b = (kappa-gamma) t/4,
 
-    with s = Omega t / 2, Omega = sqrt((gamma-kappa)^2 - 16 g^2) taken as a
-    principal-branch complex root, C2(s) = (cosh s - 1)/s^2 and
-    S1(s) = sinh(s)/s; this grouping is an algebraically equivalent
-    rearrangement of the standard damped-Rabi solution and satisfies
-    f(0) = 1 identically.  With h = s/2 and q = sinh(h)/h every term comes
-    from sinh(h) and cosh(h) without cancellation near Omega = 0:
-    cosh s = 1 + 2 (h q)^2, C2 = q^2 / 2 and S1 = q cosh(h); q is summed
-    from its series below |h| = 5e-5, so the Omega -> 0 point is regular.
-    Raises ArithmeticError if any value keeps an imaginary residue of 1e-12
-    or more.
+    with h^2 = b^2 - g^2 t^2: C = cosh h and S = sinh(h)/h when h^2 > 0
+    (overdamped), C = cos r and S = sin(r)/r with r = sqrt(-h^2) otherwise.
+    This is the standard damped-Rabi solution, with f(0) = 1 identically.
+    S is summed from its series 1 + h^2/6 below r = |h| = 5e-5, so the
+    critical point h = 0 is regular.  Overdamped, the envelope is folded
+    into e^{r - (gamma+kappa)t/4} <= 1, whose exponent is formed as
+    -(|b| - r) - min(gamma, kappa) t/2 with |b| - r = g^2 t^2 / (r + |b|),
+    against C e^{-r} = 1 + m/2 and S e^{-r} = -m/(2r) with m = expm1(-2r);
+    for gamma > kappa the bracket is taken as e^{-r} - (|b| - r) S.  So
+    nothing overflows on a long transit and nothing cancels but at a true
+    zero of c.
     """
     g = np.asarray(g_values, dtype=float)
-    omega = np.sqrt(((gamma - kappa) ** 2 - 16.0 * g**2).astype(complex))
-    h = omega * (t / 4.0)
-    series = np.abs(h) < 5e-5
-    h_far = np.where(series, 1.0, h)  # the quotient divides by h
-    q = np.sinh(h_far) / h_far
-    if series.any():
-        h2 = h[series] ** 2
-        q[series] = 1.0 + h2 / 6.0 + h2 * h2 / 120.0
-    hq = h * q
-    val = np.exp(-(gamma + kappa) * t / 2.0) * (
-        1.0 + 2.0 * hq * hq + (g * t) ** 2 * (q * q)
-        + (kappa - gamma) * (t / 2.0) * q * np.cosh(h)
-    )
-    residue = np.abs(val.imag)
-    if np.any(residue >= 1e-12):
-        raise ArithmeticError(
-            f"imaginary residue {val.imag.flat[np.argmax(residue)]} in excited fraction"
-        )
-    return val.real
+    h2 = ((gamma - kappa) ** 2 - 16.0 * g**2) * (t * t / 16.0)
+    r = np.sqrt(np.abs(h2))
+    b = (kappa - gamma) * (t / 4.0)
+    over = h2 > 0.0
+    lag = (g * t) ** 2 / np.maximum(r + np.abs(b), _TINY)  # |b| - r where overdamped
+    m = np.expm1(-2.0 * r)
+    near = r < 5e-5
+    sin_part = np.where(over, -0.5 * m, np.sin(r)) / np.where(near, 1.0, r)
+    if near.any():
+        sin_part[near] = (1.0 + h2[near] / 6.0) * np.exp(-np.where(over, r, 0.0)[near])
+    if kappa >= gamma:
+        amp = np.where(over, 1.0 + 0.5 * m, np.cos(r)) + b * sin_part
+    else:
+        amp = np.where(over, 1.0 + m - lag * sin_part, np.cos(r) + b * sin_part)
+    envelope = np.where(over, -lag - min(gamma, kappa) * t / 2.0, -(gamma + kappa) * t / 4.0)
+    c = np.exp(envelope) * amp
+    return c * c
 
 
 def dissipative_populations(
@@ -425,16 +425,16 @@ def dissipative_populations(
 
     ``t`` is one time, giving one population per coupling, or a column of
     times, giving a (times x couplings) grid; the checks below hold over the
-    whole grid.  Rounding may carry f(t) past [0, 1] by at most
-    ``CLAMP_TOL``, which is clamped; anything further raises ArithmeticError.
+    whole grid.  f(t) is a square, so never negative; rounding may carry it
+    past 1 by at most ``CLAMP_TOL``, which is clamped, and anything further
+    raises ArithmeticError.
     """
     if gamma < 0 or kappa < 0:
         raise InvalidRate(f"rates must be nonnegative, got gamma={gamma} kappa={kappa}")
     if np.any(np.asarray(t) < 0):
         raise ValueError("time must be nonnegative")
     f = _excited_fraction(np.atleast_1d(g_values), t, gamma, kappa)
-    lo, hi = f.min(), f.max()
-    if lo < -CLAMP_TOL or hi > 1.0 + CLAMP_TOL:
-        bad = lo if lo < -CLAMP_TOL else hi
-        raise ArithmeticError(f"excited fraction {float(bad)!r} outside [0, 1] beyond {CLAMP_TOL}")
-    return f if 0.0 <= lo and hi <= 1.0 else np.clip(f, 0.0, 1.0)
+    hi = f.max()
+    if hi > 1.0 + CLAMP_TOL:
+        raise ArithmeticError(f"excited fraction {float(hi)!r} above 1 beyond {CLAMP_TOL}")
+    return f if hi <= 1.0 else np.minimum(f, 1.0)

@@ -91,23 +91,15 @@ class MmseResult:
     """Optimal estimator, its spectral data, and the attained average cost.
 
     ``estimates`` are the eigenvalues of the estimator in ascending order;
-    ``projectors[:, k]`` is the measurement direction yielding estimate k.
-    The result of a batch of moment operators holds every field with a
-    leading batch axis; :meth:`row` is the result of one batch entry.
+    ``projectors[..., :, k]`` is the measurement direction yielding
+    estimate k.  The result of a batch of moment operators holds every field
+    with the leading batch axis; that of one triple holds numpy scalars.
     """
 
     m_min: Hermitian2
     estimates: tuple[float, float]
     projectors: np.ndarray
     c_min: float
-
-    def row(self, i: int) -> "MmseResult":
-        return MmseResult(
-            m_min=self.m_min.row(i),
-            estimates=(float(self.estimates[0][i]), float(self.estimates[1][i])),
-            projectors=self.projectors[i],
-            c_min=float(self.c_min[i]),
-        )
 
 
 def _chunks(count: int, width: int) -> list:
@@ -278,13 +270,8 @@ def mmse_estimator(gammas: GammaTriple, gamma_tau_f=0.0) -> MmseResult:
 
     A batch of moment operators (from one moment call over a sweep axis) is
     solved in one call, with ``gamma_tau_f`` a scalar or one value per entry;
-    a single triple is solved as a batch of one.
+    a single triple is the shape-() case of the same expressions.
     """
-    batch = gammas.gamma0.is_batch
-    if not batch:
-        gammas = GammaTriple(
-            *(Hermitian2.stack([m]) for m in (gammas.gamma0, gammas.gamma1, gammas.gamma2))
-        )
     floor = 1e-14 * np.minimum(1.0, np.exp(-np.asarray(gamma_tau_f, dtype=float)))
     m = solve_symmetric_product(gammas.gamma0, gammas.gamma1, pair_floor=floor)
     w, v = eigendecompose(m)
@@ -293,10 +280,9 @@ def mmse_estimator(gammas: GammaTriple, gamma_tau_f=0.0) -> MmseResult:
     c_min = np.trace(
         gammas.gamma2.as_array() - m_arr @ g0_arr @ m_arr, axis1=-2, axis2=-1
     ).real
-    result = MmseResult(
-        m_min=m, estimates=(w[:, 0], w[:, 1]), projectors=v, c_min=c_min
+    return MmseResult(
+        m_min=m, estimates=(w[..., 0][()], w[..., 1][()]), projectors=v, c_min=c_min
     )
-    return result if batch else result.row(0)
 
 
 def limit_eigenvalue_tau0(prior: Prior) -> float:

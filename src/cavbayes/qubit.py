@@ -2,10 +2,11 @@
 
 Matrices are stored by their three independent real degrees of freedom
 (both diagonal entries and the upper off-diagonal entry), so Hermiticity
-holds by construction.  Basis order is fixed as (|e>, |g>).  A batch of
-matrices stores the same three entries as 1-D arrays with a leading batch
-axis; every routine here works on batches, and a single matrix is handled
-as a batch of one.
+holds by construction.  Basis order is fixed as (|e>, |g>).  An array of
+matrices stores the same three entries as arrays of one shape S, and every
+routine here works elementwise over S; a single matrix is the shape-()
+case of the same numpy expressions, and its scalar results come back as
+numpy scalars.
 
 The eigenvalues come from the closed trace/radius formulas and the
 eigenvectors from one Jacobi rotation of the traceless part, with no
@@ -47,8 +48,8 @@ _TINY_SCALE = 2.0**-500
 class Hermitian2:
     """2x2 Hermitian matrix; ``ee``/``gg`` diagonal, ``eg`` upper entry.
 
-    With 1-D array entries of one length it is a batch of matrices (see
-    :meth:`stack` and :meth:`row`).
+    With array entries of one shape S it holds one matrix per element of S;
+    an ``eg`` left at its default zero broadcasts against them.
     """
 
     ee: float
@@ -56,7 +57,7 @@ class Hermitian2:
     eg: complex = 0j
 
     def as_array(self) -> np.ndarray:
-        """The (2, 2) complex matrix, or the (N, 2, 2) stack of a batch."""
+        """The (2, 2) complex matrix, or the S + (2, 2) array of entries of shape S."""
         ee = np.asarray(self.ee)
         out = np.empty(ee.shape + (2, 2), dtype=complex)
         out[..., 0, 0] = ee
@@ -65,44 +66,17 @@ class Hermitian2:
         out[..., 1, 1] = self.gg
         return out
 
-    @staticmethod
-    def stack(items) -> "Hermitian2":
-        """Batch holding the single matrices ``items`` in order."""
-        return Hermitian2(
-            ee=np.array([m.ee for m in items], dtype=float),
-            gg=np.array([m.gg for m in items], dtype=float),
-            eg=np.array([m.eg for m in items], dtype=complex),
-        )
-
-    @property
-    def is_batch(self) -> bool:
-        return getattr(self.ee, "ndim", 0) > 0
-
-    def row(self, i: int) -> "Hermitian2":
-        """Matrix ``i`` of a batch."""
-        eg = self.eg[i] if np.ndim(self.eg) else self.eg
-        return Hermitian2(ee=float(self.ee[i]), gg=float(self.gg[i]), eg=complex(eg))
-
     @property
     def trace(self) -> float:
         return self.ee + self.gg
-
-
-def _as_batch(m: Hermitian2) -> Hermitian2:
-    """``m`` as a batch whose three entries are 1-D arrays of one length."""
-    if not m.is_batch:
-        return Hermitian2.stack([m])
-    if np.ndim(m.eg) == 0:  # a batch left at the default zero coherence
-        return Hermitian2(m.ee, m.gg, np.full(np.shape(m.ee), m.eg, dtype=complex))
-    return m
 
 
 @dataclass(frozen=True)
 class QubitState:
     """Unit-trace, positive-semidefinite 2x2 density matrix.
 
-    Over a batch :class:`Hermitian2` it is a batch of states, and every
-    entry is checked.
+    Over an array :class:`Hermitian2` it is an array of states, and every
+    entry is checked; a single matrix takes the scalar ``math`` check.
     """
 
     matrix: Hermitian2
@@ -110,9 +84,9 @@ class QubitState:
     def __post_init__(self):
         m = self.matrix
         trace = m.trace
-        if m.is_batch:  # the entry farthest from unit trace stands for all
+        if getattr(m.ee, "ndim", 0):  # the entry farthest from unit trace stands for all
             lo = np.min(0.5 * trace - np.hypot(0.5 * (m.ee - m.gg), np.abs(m.eg)))
-            trace = trace[np.argmax(np.abs(trace - 1.0))]
+            trace = trace.flat[np.argmax(np.abs(trace - 1.0))]
         else:
             lo = 0.5 * trace - math.hypot(0.5 * (m.ee - m.gg), abs(m.eg))
         if abs(trace - 1.0) > 1e-12:
@@ -125,12 +99,12 @@ class QubitState:
 
 
 def trace_product(a: Hermitian2, b: Hermitian2):
-    """Tr{A B}, real for Hermitian A and B; elementwise over batches."""
+    """Tr{A B}, real for Hermitian A and B; elementwise over arrays."""
     return a.ee * b.ee + a.gg * b.gg + 2.0 * (a.eg * np.conj(b.eg)).real
 
 
 def square(m: Hermitian2) -> Hermitian2:
-    """M^2 of a Hermitian matrix (or of each matrix of a batch)."""
+    """M^2 of a Hermitian matrix (or of each matrix of an array)."""
     eg2 = m.eg.real**2 + m.eg.imag**2
     return Hermitian2(ee=m.ee**2 + eg2, gg=m.gg**2 + eg2, eg=m.eg * (m.ee + m.gg))
 
@@ -139,9 +113,9 @@ def eigendecompose(m: Hermitian2) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of ``m``.
 
     Returns ``(w, v)`` with ``w`` shape (2,) ascending and ``v`` shape (2, 2),
-    eigenvector ``v[:, k]`` belonging to ``w[k]``; a batch gets shapes (N, 2)
-    and (N, 2, 2).  The phase convention makes the first component above
-    ``_PHASE_TOL`` of each eigenvector real and positive.
+    eigenvector ``v[:, k]`` belonging to ``w[k]``; entries of shape S give
+    shapes S + (2,) and S + (2, 2).  The phase convention makes the first
+    component above ``_PHASE_TOL`` of each eigenvector real and positive.
 
     The eigenvalues are mean -+ r with r = hypot((ee - gg)/2, |eg|), and
     those of a diagonal matrix are its entries.  The eigenvectors are one
@@ -153,8 +127,8 @@ def eigendecompose(m: Hermitian2) -> tuple[np.ndarray, np.ndarray]:
     with s and c swapped otherwise, so they are orthonormal to rounding at
     any eigenvalue split.
     """
-    b = _as_batch(m)
-    ee, gg, eg = b.ee, b.gg, b.eg
+    ee, gg = np.asarray(m.ee, dtype=float), np.asarray(m.gg, dtype=float)
+    eg = np.asarray(m.eg, dtype=complex)
     top = np.maximum(np.maximum(np.abs(ee), np.abs(gg)), np.abs(eg))
     # subnormal entries keep too few bits for the split and the rotation:
     # such matrices are scaled up exactly, their eigenvalues scaled back
@@ -181,17 +155,17 @@ def eigendecompose(m: Hermitian2) -> tuple[np.ndarray, np.ndarray]:
     lead = np.where(ee > gg, s, c)  # v- = (lead, -other e^{-i phi})
     other = np.where(ee > gg, c, s)  # v+ = (other, lead e^{-i phi})
     v = np.stack(
-        [np.stack([lead, other], axis=-1), np.stack([-other, lead], axis=-1) * phase[:, None]],
+        [np.stack([lead, other], axis=-1), np.stack([-other, lead], axis=-1) * phase[..., None]],
         axis=-2,
-    )  # v[n, component, k]
+    )  # v[..., component, k]
     # a first component at or below _PHASE_TOL hands the phase to the second
-    low = v[:, 0].real <= _PHASE_TOL
+    low = v[..., 0, :].real <= _PHASE_TOL
     if low.any():
-        flipped = v * (np.conj(phase)[:, None] * np.array([-1.0, 1.0]))[:, None, :]
-        v = np.where(low[:, None, :], flipped, v)
+        flipped = v * (np.conj(phase)[..., None] * np.array([-1.0, 1.0]))[..., None, :]
+        v = np.where(low[..., None, :], flipped, v)
     if tiny.any():
-        w = np.ldexp(w, -up[:, None])
-    return (w, v) if m.is_batch else (w[0], v[0])
+        w = np.ldexp(w, -up[..., None])
+    return w, v
 
 
 def solve_symmetric_product(
@@ -205,28 +179,25 @@ def solve_symmetric_product(
     below ``pair_floor``.  Entries whose pair sum is not positive, which only
     a negative floor lets through, are set to zero.  The real and imaginary
     parts are divided as reals: complex division takes 1/(l_i + l_j), which
-    overflows for a subnormal pair sum.  Batches are solved elementwise;
-    ``pair_floor`` may then hold one floor per matrix.
+    overflows for a subnormal pair sum.  Arrays of matrices are solved
+    elementwise; ``pair_floor`` may then hold one floor per matrix.
     """
-    g0 = _as_batch(gamma0)
-    w, v = eigendecompose(g0)
-    pair = w[:, :, None] + w[:, None, :]
+    w, v = eigendecompose(gamma0)
+    pair = w[..., :, None] + w[..., None, :]
     floor = np.asarray(pair_floor, dtype=float)
-    bad = np.flatnonzero((pair <= floor[..., None, None]).any(axis=(1, 2)))
+    bad = np.flatnonzero((pair <= floor[..., None, None]).any(axis=(-2, -1)))
     if bad.size:
         i = bad[0]
-        floor_i = floor[i] if floor.ndim else floor
         raise DegenerateGamma0(
-            f"eigenvalue pair sums {pair[i].min()} <= {floor_i}: "
-            "operator equation is ill posed"
+            f"eigenvalue pair sums {pair.reshape(-1, 2, 2)[i].min()} <= "
+            f"{floor.reshape(-1)[i] if floor.ndim else floor}: operator equation is ill posed"
         )
     vh = v.swapaxes(-1, -2).conj()
     keep = pair > 0.0
-    mt = np.where(keep, 2.0 * (vh @ _as_batch(gamma1).as_array() @ v), 0.0)
+    mt = np.where(keep, 2.0 * (vh @ gamma1.as_array() @ v), 0.0)
     safe = np.where(keep, pair, 1.0)
     mt.real /= safe
     mt.imag /= safe
     m = v @ mt @ vh
-    eg = 0.5 * (m[:, 0, 1] + np.conj(m[:, 1, 0]))  # scrub roundoff asymmetry
-    out = Hermitian2(ee=m[:, 0, 0].real, gg=m[:, 1, 1].real, eg=eg)
-    return out if gamma0.is_batch else out.row(0)
+    eg = 0.5 * (m[..., 0, 1] + np.conj(m[..., 1, 0]))  # scrub roundoff asymmetry
+    return Hermitian2(ee=m[..., 0, 0].real[()], gg=m[..., 1, 1].real[()], eg=eg[()])

@@ -26,6 +26,11 @@ _RUNS = [
     ),
     ("sweep", "[scenario]\nkappa_over_g0 = 0.3\ngamma_over_g0 = 0.6\n[sweep]\n"
               "quantity = dissipative_cost\naxis = tau_c\nlo = 0.1\nhi = 2\nn_points = 7\n"),
+    ("state", "[scenario]\ng0_tau_c = 2.0\nkappa_over_g0 = 0.4\ngamma_over_g0 = 0.7\n"),
+    ("sweep", "[scenario]\nalpha_abs = 1.0\ndelta_over_g0 = 0.4\n[sweep]\n"
+              "quantity = mmse_cr_bound\naxis = g_over_g0\nlo = 0.5\nhi = 1.5\nn_points = 7\n"),
+    ("sweep", "[scenario]\ng0_tau_c = 0.9\n[sweep]\n"
+              "quantity = ml_cr_bound\naxis = g_over_g0\nlo = 0.5\nhi = 1.5\nn_points = 7\n"),
 ]
 
 

