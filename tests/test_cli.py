@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import inspect
+import io
 import json
 import math
 import os
@@ -11,15 +12,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cavbayes import oracle
 from cavbayes.cli import (
     SweepSpec,
+    Table,
     find_tau_star,
     load_config,
     main,
     run_sweep,
     verify_all,
+    write_table,
 )
 from cavbayes.dynamics import FieldState, Scenario, field_for
 from cavbayes.errors import ConfigError, UnsupportedCombination
@@ -164,6 +168,83 @@ def test_load_config_roundtrip(tmp_path):
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/run.ini")
+
+
+# INI bodies -> (section, Scenario or SweepSpec field, value load_config reads):
+# a built-in default sits in its own section, so a [DEFAULT] key never
+# overrides it, and %(key)s in that section resolves to it
+_CONFIG_SEMANTICS = {
+    "default_section_under_empty_scenario": (
+        "[DEFAULT]\ng0_tau_c = 2.0\n[scenario]\n", "scenario", "tau_c", 0.6),
+    "default_section_under_set_scenario": (
+        "[DEFAULT]\ng0_tau_c = 2.0\n[scenario]\ngamma_tau_f = 0.1\n", "scenario", "tau_c", 0.6),
+    "default_section_without_scenario": ("[DEFAULT]\ng0_tau_c = 2.0\n", "scenario", "tau_c", 0.6),
+    "default_section_prior": ("[DEFAULT]\nsigma_over_g0 = 3.0\n[prior]\n", "prior", "sigma", 1.0),
+    "interpolated_builtin_default": (
+        "[scenario]\ndelta_over_g0 = %(g0_tau_c)s\n", "scenario", "delta", 0.6),
+    "interpolated_set_value": (
+        "[scenario]\ng0_tau_c = 0.9\ndelta_over_g0 = %(g0_tau_c)s\n", "scenario", "delta", 0.9),
+    "interpolated_default_section": (
+        "[DEFAULT]\nshift = 0.25\n[scenario]\ndelta_over_g0 = %(shift)s\n", "scenario", "delta",
+        0.25),
+    "default_section_fills_sweep": (
+        "[DEFAULT]\nn_points = 5\n[sweep]\nquantity = mmse_cost\naxis = tau_c\nlo = 0.1\n"
+        "hi = 1.5\n", "sweep", "n_points", 5),
+    "escaped_percent_unread_key": (
+        "[scenario]\nnote = 5%% off\nbad = %\ng0_tau_c = 0.7\n", "scenario", "tau_c", 0.7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONFIG_SEMANTICS))
+def test_config_defaults_and_interpolation(case, tmp_path):
+    body, section, field, value = _CONFIG_SEMANTICS[case]
+    path = tmp_path / "run.ini"
+    path.write_text(body)
+    assert getattr(load_config(str(path))[section], field) == value
+
+
+# INI bodies whose interpolation fails -> the one stderr line of ``state``
+_INTERPOLATION_ERRORS = {
+    "bare_percent": ("[scenario]\ng0_tau_c = %\n",
+                     "config error: '%' must be followed by '%' or '(', found: '%'\n"),
+    "trailing_percent": ("[scenario]\ng0_tau_c = 0.5%\n",
+                         "config error: '%' must be followed by '%' or '(', found: '%'\n"),
+    "escaped_percent": ("[scenario]\ng0_tau_c = 0.5%%\n",
+                        "config error: could not convert string to float: '0.5%'\n"),
+    "missing_reference": (
+        "[scenario]\ng0_tau_c = %(kind)s\n",
+        "config error: Bad value substitution: option 'g0_tau_c' in section 'scenario' contains "
+        "an interpolation key 'kind' which is not a valid option name. Raw value: '%(kind)s'\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INTERPOLATION_ERRORS))
+def test_config_interpolation_error_is_one_line(case, tmp_path, capsys):
+    body, err = _INTERPOLATION_ERRORS[case]
+    path = tmp_path / "run.ini"
+    path.write_text(body)
+    capsys.readouterr()
+    assert main(["state", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+_CELLS = st.one_of(st.floats(allow_nan=False),
+                   st.floats(allow_nan=False).map(np.float64),
+                   st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                                    2.2250738585072014e-308, 1e308, -1e308]),
+                   st.sampled_from([np.float64(x) for x in (math.inf, -math.inf, -0.0, 5e-324)]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(
+    lambda k: st.lists(st.lists(_CELLS, min_size=k, max_size=k), min_size=1, max_size=4)))
+def test_csv_lines_are_sixteen_digit_floats(rows):
+    out = io.StringIO()
+    columns = [f"c{i}" for i in range(len(rows[0]))]
+    write_table(Table(columns=columns, rows=rows), "csv", out)
+    lines = out.getvalue().split("\n")
+    assert lines[0] == ",".join(columns) and lines[-1] == ""
+    assert lines[1:-1] == [",".join(f"{x:.16e}" for x in row) for row in rows]
 
 
 def test_sweep_csv_output_is_deterministic(tmp_path):

@@ -15,7 +15,8 @@ field with an explicit Fock cutoff, ``state`` coherent detuned and damped,
 and ``ml`` with both priors.  ``verify_seed_<s>.json`` is the
 report of ``verify --seed <s>`` for s = 0, 7 and 63: its check names and
 order, pass flags and notes must match exactly, and every number to 1e-12
-relative.  Regenerate
+relative.  ``point_<command>_<case>.json`` is the ``--format json`` output of each
+point golden, compared byte for byte.  Regenerate
 them only for a change that is meant to move the numbers, and say why in
 the change log.
 """
@@ -100,6 +101,23 @@ def test_point_json_rows_are_numbers(tmp_path):
     for row, ref in zip(payload["rows"], ref_rows):
         assert all(type(x) is float for x in row), row
         assert row == pytest.approx(ref, rel=REL_TOL, abs=0.0)
+
+
+POINTS = sorted(name for name in CASES if name.startswith("point_"))
+
+
+def test_every_point_golden_has_json_bytes():
+    assert POINTS and sorted(p.stem for p in GOLDEN.glob("*.json")
+                             if p.stem.startswith("point_")) == POINTS
+
+
+@pytest.mark.parametrize("name", POINTS)
+def test_point_json_matches_golden_bytes(name, tmp_path):
+    out = tmp_path / "out.json"
+    rc = main([_command(name), "--config", str(GOLDEN / f"{name}.ini"), "--out", str(out),
+               "--format", "json"])
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 @pytest.mark.parametrize("seed", [0, 7, 63])
