@@ -20,7 +20,15 @@ The ``Scenario`` also picks the transit model, so ``state``, ``tau-star``
 whether it is unitary or damped (kappa or in-cavity decay nonzero).
 
 Options (``--config``, ``--out``, ``--format``, ``--seed``) may come before
-or after the command.  Exit codes: 0 success, 1 config error (a non-finite
+or after the command; they are read by one flat argument parser, built when
+this module is imported, which each :func:`main` call only runs.
+:func:`load_config` reads the built-in defaults into their own sections
+before the file, so a ``[DEFAULT]`` key never overrides a built-in default
+and ``%(key)s`` in a section finds one; every value keeps ``ConfigParser``'s
+grammar, interpolation and messages, and only a value holding a ``%`` is
+interpolated, which leaves any other value unchanged.  A table is one
+float array, written in one write: CSV cells as ``%.16e``, or one indented
+JSON document.  Exit codes: 0 success, 1 config error (a non-finite
 config value, a negative ``tau_c`` or ``gamma_tau_f`` sweep range, a sweep
 past ``MAX_SWEEP_POINTS``, a Fock ladder past ``dynamics.MAX_FOCK_CUTOFF``
 or an ``alpha_abs`` above it, an explicit ``fock_cutoff`` whose ladder
@@ -140,11 +148,17 @@ class SweepSpec:
 
 @dataclass
 class Table:
+    """Named columns over rows: ``rows`` is the 2-D float array of the cells,
+    one row per output line (nested sequences of floats are taken as one)."""
+
     columns: list
-    rows: list
+    rows: np.ndarray
+
+    def __post_init__(self):
+        self.rows = np.asarray(self.rows, dtype=float)
 
 
-def _ml_rows(spec: SweepSpec, values: list) -> list:
+def _ml_rows(spec: SweepSpec, values: list) -> np.ndarray:
     """Likelihood rows.  Along ``g_over_g0`` the POVM is fixed, so one POVM
     at the pinned scenario and one batched call serve every row; along
     ``tau_c`` and ``gamma_tau_f`` each row builds its own POVM."""
@@ -157,28 +171,28 @@ def _ml_rows(spec: SweepSpec, values: list) -> list:
             columns = [rep.mse, rep.lower_bound]
         else:
             columns = [ml_mod.ml_average_estimate(povm, g)]
-        return [[v, *(float(c[i]) for c in columns)] for i, v in enumerate(values)]
+        return np.column_stack([values, *columns])
     pinned = spec.scenario
     pairs = ((v, pinned.tau_f_gamma) if spec.axis == "tau_c" else (pinned.tau_c, v) for v in values)
     evaluate = ml_mod.cost_max if q == "ml_cost" else lambda p: ml_mod.ml_average_estimate(p, prior.g0)
     return [[v, evaluate(ml_mod.ml_povm(prior, *pair))] for v, pair in zip(values, pairs)]
 
 
-def _mmse_rows(spec: SweepSpec, values: list) -> list:
+def _mmse_rows(spec: SweepSpec, values: list) -> np.ndarray:
     """Estimator rows.  Along ``g_over_g0`` one estimator at the pinned
     scenario serves every row; along the other axes the axis is a column of
     the scenario, and one moment call and one batched solve give an
     estimator per row, of which the quantity's columns are printed."""
     prior, scenario = spec.prior, spec.scenario
     if spec.axis == "g_over_g0":
-        rows = _pinned_rows(prior, scenario, values, bound=spec.quantity == "mmse_cr_bound")
-        return [[v, *row] for v, row in zip(values, rows)]
+        return np.column_stack(
+            [values, _pinned_rows(prior, scenario, values, bound=spec.quantity == "mmse_cr_bound")])
     column = replace(scenario, **{_AXIS_FIELDS[spec.axis]: tuple(values)})
     gammas = mmse_mod.gamma_moments(prior, column, field_for(scenario))
     res = mmse_mod.mmse_estimator(gammas, column.columns[1])
     named = {"eig_lo": res.estimates[0], "eig_hi": res.estimates[1], "c_min": res.c_min}
     columns = [named[c] for c in _QUANTITIES[spec.quantity][2][1:]]
-    return [[v, *(float(c[i]) for c in columns)] for i, v in enumerate(values)]
+    return np.column_stack([values, *columns])
 
 
 def _joined(parts) -> Hermitian2:
@@ -186,7 +200,7 @@ def _joined(parts) -> Hermitian2:
     return Hermitian2(*(np.concatenate([getattr(m, k) for m in parts]) for k in ("ee", "gg", "eg")))
 
 
-def _pinned_rows(prior: Prior, scenario: Scenario, g_over_g0: list, bound: bool) -> list:
+def _pinned_rows(prior: Prior, scenario: Scenario, g_over_g0: list, bound: bool) -> np.ndarray:
     """One row per coupling in ``g_over_g0`` of the estimator at the pinned
     scenario: eig_lo, eig_hi, c_min, avg_estimate and, with ``bound``,
     cr_bound and mse.  One estimator serves every row; the states are
@@ -208,7 +222,7 @@ def _pinned_rows(prior: Prior, scenario: Scenario, g_over_g0: list, bound: bool)
         rep = bounds_mod.cr_bound_mmse(result, g, rho, _joined(slopes))
         columns += [rep.lower_bound, rep.mse]
     head = [result.estimates[0], result.estimates[1], result.c_min]
-    return [[*head, *(float(c[i]) for c in columns)] for i in range(len(g))]
+    return np.column_stack(np.broadcast_arrays(*head, *columns))
 
 
 def run_sweep(spec: SweepSpec) -> Table:
@@ -221,7 +235,7 @@ def run_sweep(spec: SweepSpec) -> Table:
     over ``tau_c`` and ``gamma_tau_f`` build one POVM per row.
     """
     family, _, columns = _QUANTITIES[spec.quantity]
-    values = [float(v) for v in np.linspace(spec.lo, spec.hi, spec.n_points)]
+    values = np.linspace(spec.lo, spec.hi, spec.n_points).tolist()
     rows = (_ml_rows if family == "resonant vacuum" else _mmse_rows)(spec, values)
     return Table(columns=list(columns), rows=rows)
 
@@ -246,10 +260,34 @@ _DEFAULTS = {
 }
 
 
+class _Interpolation(configparser.BasicInterpolation):
+    """``BasicInterpolation`` for the values that hold a ``%``.  It leaves a
+    value without one as it is, so such a value is passed on without its
+    lookups."""
+
+    def before_get(self, parser, section, option, value, defaults):
+        if "%" not in value:
+            return value
+        return super().before_get(parser, section, option, value, defaults)
+
+    def before_set(self, parser, section, option, value):
+        if "%" not in value:
+            return value
+        return super().before_set(parser, section, option, value)
+
+
+_INTERPOLATION = _Interpolation()
+
+
 def load_config(path: Optional[str]) -> dict:
     """Flat key-value sections; unknown or non-finite values raise
-    :class:`ConfigError`."""
-    parser = configparser.ConfigParser()
+    :class:`ConfigError`.
+
+    The built-in defaults are read into their own sections before the file,
+    so a file's key overrides its default, a ``[DEFAULT]`` key does not, and
+    ``%(key)s`` finds a default in its section; every value is read with
+    ``ConfigParser``'s grammar, interpolation and messages."""
+    parser = configparser.ConfigParser(interpolation=_INTERPOLATION)
     parser.read_dict(_DEFAULTS)
     if path is not None:
         read = parser.read(path)
@@ -257,7 +295,7 @@ def load_config(path: Optional[str]) -> dict:
             raise ConfigError(f"cannot read config file {path!r}")
 
     def number(section: str, key: str) -> float:
-        value = parser.getfloat(section, key)
+        value = float(parser.get(section, key))
         if not math.isfinite(value):
             raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
         return value
@@ -299,19 +337,13 @@ def load_config(path: Optional[str]) -> dict:
                 axis=parser.get("sweep", "axis").strip(),
                 lo=number("sweep", "lo"),
                 hi=number("sweep", "hi"),
-                n_points=parser.getint("sweep", "n_points"),
+                n_points=int(parser.get("sweep", "n_points")),
                 prior=cfg["prior"],
                 scenario=scenario,
             )
         return cfg
     except (configparser.Error, ValueError, UnsupportedCombination) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.16e}"
-    return str(x)
 
 
 @contextlib.contextmanager
@@ -333,16 +365,18 @@ def _out_file(path: str):
 
 
 def write_table(table: Table, fmt: str, out, config_echo: Optional[dict] = None):
+    """Write ``table`` to ``out`` in one write: CSV cells as ``%.16e`` (17
+    significant digits), or indented JSON with ``config_echo`` beside it."""
+    rows = table.rows
     if fmt == "csv":
-        out.write(",".join(table.columns) + "\n")
-        for row in table.rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+        line = ",".join(["%.16e"] * rows.shape[1]) + "\n"
+        text = ",".join(table.columns) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
     else:
-        payload = {"columns": table.columns, "rows": table.rows}
+        payload = {"columns": table.columns, "rows": rows.tolist()}
         if config_echo is not None:
             payload["config"] = config_echo
-        json.dump(payload, out, sort_keys=True, indent=2, default=str)
-        out.write("\n")
+        text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
+    out.write(text)
 
 
 def _config_echo(cfg: dict) -> dict:
@@ -371,10 +405,8 @@ def _config_echo(cfg: dict) -> dict:
 def _cmd_state(cfg: dict) -> Table:
     scenario = cfg["scenario"]
     m = reduced_state(cfg["g"] * cfg["prior"].g0, scenario, field_for(scenario)).matrix
-    return Table(
-        columns=["g_over_g0", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im"],
-        rows=[[cfg["g"], m.ee, m.gg, m.eg.real, m.eg.imag]],
-    )
+    return Table(columns=["g_over_g0", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im"],
+                 rows=[[cfg["g"], m.ee, m.gg, m.eg.real, m.eg.imag]])
 
 
 def _cmd_mmse(cfg: dict) -> Table:
@@ -409,18 +441,22 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+#: the one parser of the process; parsing leaves it unchanged, so every
+#: ``main`` call reuses it
+_PARSER = _ArgumentParser(
+    prog="cavbayes",
+    description="Bayesian coupling-strength estimation for a driven qubit-cavity transit",
+)
+_PARSER.add_argument("command", choices=("state", "mmse", "ml", "sweep", "tau-star", "verify"))
+_PARSER.add_argument("--config", default=None, help="INI config file")
+_PARSER.add_argument("--out", default=None, help="output path (default stdout)")
+_PARSER.add_argument("--format", choices=("csv", "json"), default="csv")
+_PARSER.add_argument("--seed", type=int, default=0, help="seed for verify")
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = _ArgumentParser(
-        prog="cavbayes",
-        description="Bayesian coupling-strength estimation for a driven qubit-cavity transit",
-    )
-    parser.add_argument("command", choices=("state", "mmse", "ml", "sweep", "tau-star", "verify"))
-    parser.add_argument("--config", default=None, help="INI config file")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, default=0, help="seed for verify")
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -452,10 +488,10 @@ def main(argv: Optional[list] = None) -> int:
                 table = command(cfg)
         # NaN passes every range check (its comparisons are false), so it is
         # caught here; inf is a legal value (an unbounded c_max)
-        if np.isnan(np.asarray(table.rows, dtype=float)).any():
+        if np.isnan(table.rows).any():
             print("numeric error: the result holds NaN", file=sys.stderr)
             return 3
-        echo = _config_echo(cfg)
+        echo = _config_echo(cfg) if args.format == "json" else None
         if args.out:
             with _out_file(args.out) as fh:
                 write_table(table, args.format, fh, echo)

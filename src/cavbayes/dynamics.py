@@ -386,29 +386,34 @@ def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np
 
         c(t) = e^{-(gamma+kappa)t/4} [ C + b S ],   b = (kappa-gamma) t/4,
 
-    with h^2 = b^2 - g^2 t^2: C = cosh h and S = sinh(h)/h when h^2 > 0
-    (overdamped), C = cos r and S = sin(r)/r with r = sqrt(-h^2) otherwise.
+    with h^2 = b^2 - g^2 t^2 = D t^2/16, D = (gamma-kappa)^2 - 16 g^2:
+    C = cosh h and S = sinh(h)/h when D > 0 (overdamped), C = cos r and
+    S = sin(r)/r otherwise, with r = |h| = sqrt|D| t/4.
     This is the standard damped-Rabi solution, with f(0) = 1 identically.
-    S is summed from its series 1 + h^2/6 below r = |h| = 5e-5, so the
+    S is summed from its series 1 + h^2/6 below r = 5e-5, so the
     critical point h = 0 is regular.  Overdamped, the envelope is folded
     into e^{r - (gamma+kappa)t/4} <= 1, whose exponent is formed as
-    -(|b| - r) - min(gamma, kappa) t/2 with |b| - r = g^2 t^2 / (r + |b|),
+    -(|b| - r) - min(gamma, kappa) t/2 with
+    |b| - r = 4 g^2 t / (sqrt|D| + |kappa-gamma|),
     against C e^{-r} = 1 + m/2 and S e^{-r} = -m/(2r) with m = expm1(-2r);
-    for gamma > kappa the bracket is taken as e^{-r} - (|b| - r) S.  So
-    nothing overflows on a long transit and nothing cancels but at a true
-    zero of c.
+    for gamma > kappa the bracket is taken as e^{-r} - (|b| - r) S.  No term
+    holds t^2, so nothing overflows on a long transit (a huge t gives f = 0),
+    and nothing cancels but at a true zero of c.
     """
     g = np.asarray(g_values, dtype=float)
-    h2 = ((gamma - kappa) ** 2 - 16.0 * g**2) * (t * t / 16.0)
-    r = np.sqrt(np.abs(h2))
+    disc = (gamma - kappa) ** 2 - 16.0 * g**2
+    root = np.sqrt(np.abs(disc))
+    r = root * (t / 4.0)
     b = (kappa - gamma) * (t / 4.0)
-    over = h2 > 0.0
-    lag = (g * t) ** 2 / np.maximum(r + np.abs(b), _TINY)  # |b| - r where overdamped
+    over = np.broadcast_to(disc > 0.0, r.shape)
+    # |b| - r where overdamped
+    lag = 4.0 * g**2 * t / np.maximum(root + abs(kappa - gamma), _TINY)
     m = np.expm1(-2.0 * r)
     near = r < 5e-5
     sin_part = np.where(over, -0.5 * m, np.sin(r)) / np.where(near, 1.0, r)
     if near.any():
-        sin_part[near] = (1.0 + h2[near] / 6.0) * np.exp(-np.where(over, r, 0.0)[near])
+        rn, on = r[near], over[near]
+        sin_part[near] = (1.0 + np.where(on, rn, -rn) * rn / 6.0) * np.exp(-np.where(on, rn, 0.0))
     if kappa >= gamma:
         amp = np.where(over, 1.0 + 0.5 * m, np.cos(r)) + b * sin_part
     else:

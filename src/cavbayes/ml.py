@@ -103,7 +103,7 @@ class MlPovm:
             out = density(self.prior, x)
         else:
             out = np.full_like(x, 1.0 / (2.0 * math.sqrt(3.0) * self.prior.sigma))
-        return out if out.ndim else float(out)
+        return out[()]
 
     def f_z(self, x):
         x = np.asarray(x, dtype=float)
@@ -119,7 +119,7 @@ class MlPovm:
             # their relative precision as tau_c -> 0, where c_max grows as 1/tau^2
             k_excess = _uniform_offset_excess(self.prior, tc)
             out = -self._fz_scale * (2.0 * np.sin(tc * x) ** 2 + k_excess)
-        return out if out.ndim else float(out)
+        return out[()]
 
     def interval_parts(self, lo, hi):
         """Exact integrals (of f_I, of f_z) over [lo, hi].
@@ -480,11 +480,11 @@ def f_z_moments(povm: MlPovm) -> tuple[float, float]:
 def ml_average_estimate(povm: MlPovm, g):
     """Mean recorded estimate int x p(x|g) dx = g0 + c(g) m1.
 
-    An array ``g`` gives one mean per entry; a scalar gives a float.
+    An array ``g`` gives one mean per entry; a scalar gives a numpy scalar.
     """
     m1, _ = f_z_moments(povm)
     out = povm.prior.g0 + _contrast(povm, g) * m1
-    return out if out.ndim else float(out)
+    return out[()]
 
 
 def ml_mse(povm: MlPovm, g):
@@ -498,7 +498,7 @@ def ml_mse(povm: MlPovm, g):
         + (povm.prior.g0 - g) ** 2
         + _contrast(povm, g) * (m2 - 2.0 * g * m1)
     )
-    return out if out.ndim else float(out)
+    return out[()]
 
 
 # ---------------------------------------------------------------------------

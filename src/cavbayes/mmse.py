@@ -299,7 +299,7 @@ def average_estimate(result: MmseResult, rho: QubitState):
     """Mean recorded estimate Tr{M rho(g)} in the detector state ``rho`` at
     the true coupling; a batch of states gives one mean per entry."""
     avg = trace_product(result.m_min, rho.matrix)
-    return avg if np.ndim(avg) else float(avg)
+    return avg[()]
 
 
 def mse_of_estimator(result: MmseResult, g, rho: QubitState):
@@ -308,7 +308,7 @@ def mse_of_estimator(result: MmseResult, g, rho: QubitState):
     m = result.m_min
     dev = Hermitian2(ee=m.ee - g, gg=m.gg - g, eg=m.eg)
     mse = trace_product(square(dev), rho.matrix)
-    return mse if np.ndim(g) else float(mse)
+    return mse[()]
 
 
 #: times of the coarse tau-star scan

@@ -390,7 +390,7 @@ def first_power_bound(report: BoundReport):
     informative = fisher > 0.0
     ratio = np.abs(report.sensitivity) / np.where(informative, fisher, 1.0)
     out = np.where(informative, ratio, 0.0)
-    return out if out.ndim else float(out)
+    return out[()]
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ class QuadratureRule:
         """Integral of a function sampled on the nodes; a (..., nodes) array
         gives one integral per row."""
         out = np.sum(self.weights * values, axis=-1)
-        return out if out.ndim else float(out)
+        return out[()]
 
     def expect(self, prior: "Prior", values: np.ndarray) -> float:
         """Prior expectation of a function sampled on the nodes."""

@@ -1,6 +1,5 @@
 """Scenario runner: sweeps, config handling, output formats, exit codes."""
 
-import argparse
 import dataclasses
 import inspect
 import io
@@ -9,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -385,17 +385,32 @@ def test_options_parse_before_or_after_command(case, position, tmp_path, capsys)
     assert got == run([command, *rest, *option])
 
 
-def test_one_argument_parser_per_request(monkeypatch, capsys):
-    built = []
-    init = argparse.ArgumentParser.__init__
+def test_one_argument_parser_per_request():
+    # one flat parser, no subparsers, built once per process: importing
+    # ``cli`` builds exactly one ArgumentParser, and no request, failing or
+    # not, builds another
+    import cavbayes
 
-    def spy(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
+    code = textwrap.dedent("""
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
-    assert main(["state"]) == 0
-    assert len(built) == 1
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        argparse.ArgumentParser.__init__ = spy
+        from cavbayes import cli
+        assert len(built) == 1, built
+        codes = [cli.main(argv) for argv in (["state"], ["ml"], ["bogus"])]
+        assert codes == [0, 0, 1], codes
+        assert len(built) == 1, built
+    """)
+    src = os.path.dirname(os.path.dirname(cavbayes.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 _FLOAT_KEYS = [
@@ -434,9 +449,6 @@ _OVERFLOWING_RUNS = {
     # g^2 n overflows in the state kernel
     "state_huge_g": ("state", "[scenario]\ng_over_g0 = 1e160\n"),
     "mmse_huge_g": ("mmse", "[scenario]\ng_over_g0 = 1e160\n"),
-    # (g t)^2 overflows in the dissipative populations
-    "dissipative_state_huge_tau": (
-        "state", "[scenario]\ng0_tau_c = 1e300\nkappa_over_g0 = 0.5\ngamma_over_g0 = 0.1\n"),
     "mmse_avg_estimate_sweep_to_huge_g": (
         "sweep", "[sweep]\nquantity = mmse_avg_estimate\naxis = g_over_g0\nlo = 1\n"
                  "hi = 1e200\nn_points = 3\n"),
@@ -457,6 +469,22 @@ def test_nan_result_is_a_numeric_error(case, tmp_path, capsys):
     assert streams.err.startswith("numeric error:")
     assert streams.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kappa,gamma", [(0.5, 0.1), (5.0, 0.7), (0.1, 0.5), (60.0, 0.0)])
+def test_damped_state_at_huge_tau_is_ground(kappa, gamma, tmp_path, capsys):
+    # the damped amplitude holds no t^2 term, so g0 tau = 1e300 decays to
+    # the ground state instead of overflowing into NaN
+    path = tmp_path / "run.ini"
+    path.write_text("[prior]\nkind = gaussian\nsigma_over_g0 = 0.5\n[scenario]\n"
+                    f"g0_tau_c = 1e300\nkappa_over_g0 = {kappa}\ngamma_over_g0 = {gamma}\n")
+    capsys.readouterr()
+    assert main(["state", "--config", str(path)]) == 0
+    streams = capsys.readouterr()
+    assert streams.err == ""
+    header, row = streams.out.splitlines()
+    values = dict(zip(header.split(","), map(float, row.split(","))))
+    assert values["rho_ee"] == 0.0 and values["rho_gg"] == 1.0
 
 
 def _run_cli(argv, timeout=60):
