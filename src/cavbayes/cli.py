@@ -22,13 +22,10 @@ whether it is unitary or damped (kappa or in-cavity decay nonzero).
 Options (``--config``, ``--out``, ``--format``, ``--seed``) may come before
 or after the command; they are read by one flat argument parser, built when
 this module is imported, which each :func:`main` call only runs.
-:func:`load_config` reads the built-in defaults into their own sections
-before the file, so a ``[DEFAULT]`` key never overrides a built-in default
-and ``%(key)s`` in a section finds one; every value keeps ``ConfigParser``'s
-grammar, interpolation and messages, and only a value holding a ``%`` is
-interpolated, which leaves any other value unchanged.  A table is one
-float array, written in one write: CSV cells as ``%.16e``, or one indented
-JSON document.  Exit codes: 0 success, 1 config error (a non-finite
+:func:`load_config` gives every INI the meaning ``ConfigParser`` gives it
+over the built-in defaults: a ``[DEFAULT]`` key never overrides a built-in
+default, and ``%(key)s`` finds one.  A table is one float array, written in
+one write.  Exit codes: 0 success, 1 config error (a non-finite
 config value, a negative ``tau_c`` or ``gamma_tau_f`` sweep range, a sweep
 past ``MAX_SWEEP_POINTS``, a Fock ladder past ``dynamics.MAX_FOCK_CUTOFF``
 or an ``alpha_abs`` above it, an explicit ``fock_cutoff`` whose ladder
@@ -175,7 +172,8 @@ def _ml_rows(spec: SweepSpec, values: list) -> np.ndarray:
     pinned = spec.scenario
     pairs = ((v, pinned.tau_f_gamma) if spec.axis == "tau_c" else (pinned.tau_c, v) for v in values)
     evaluate = ml_mod.cost_max if q == "ml_cost" else lambda p: ml_mod.ml_average_estimate(p, prior.g0)
-    return [[v, evaluate(ml_mod.ml_povm(prior, *pair))] for v, pair in zip(values, pairs)]
+    rows = [[v, evaluate(ml_mod.ml_povm(prior, *pair))] for v, pair in zip(values, pairs)]
+    return np.array(rows)
 
 
 def _mmse_rows(spec: SweepSpec, values: list) -> np.ndarray:
@@ -285,8 +283,10 @@ def load_config(path: Optional[str]) -> dict:
 
     The built-in defaults are read into their own sections before the file,
     so a file's key overrides its default, a ``[DEFAULT]`` key does not, and
-    ``%(key)s`` finds a default in its section; every value is read with
-    ``ConfigParser``'s grammar, interpolation and messages."""
+    ``%(key)s`` finds a default in its section.  Every value keeps
+    ``ConfigParser``'s grammar, interpolation and messages; only a value
+    holding a ``%`` goes through the interpolation, which would return any
+    other value unchanged."""
     parser = configparser.ConfigParser(interpolation=_INTERPOLATION)
     parser.read_dict(_DEFAULTS)
     if path is not None:
@@ -405,8 +405,10 @@ def _config_echo(cfg: dict) -> dict:
 def _cmd_state(cfg: dict) -> Table:
     scenario = cfg["scenario"]
     m = reduced_state(cfg["g"] * cfg["prior"].g0, scenario, field_for(scenario)).matrix
-    return Table(columns=["g_over_g0", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im"],
-                 rows=[[cfg["g"], m.ee, m.gg, m.eg.real, m.eg.imag]])
+    return Table(
+        columns=["g_over_g0", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im"],
+        rows=[[cfg["g"], m.ee, m.gg, m.eg.real, m.eg.imag]],
+    )
 
 
 def _cmd_mmse(cfg: dict) -> Table:

@@ -405,14 +405,14 @@ def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np
     root = np.sqrt(np.abs(disc))
     r = root * (t / 4.0)
     b = (kappa - gamma) * (t / 4.0)
-    over = np.broadcast_to(disc > 0.0, r.shape)
+    over = disc > 0.0
     # |b| - r where overdamped
     lag = 4.0 * g**2 * t / np.maximum(root + abs(kappa - gamma), _TINY)
     m = np.expm1(-2.0 * r)
     near = r < 5e-5
     sin_part = np.where(over, -0.5 * m, np.sin(r)) / np.where(near, 1.0, r)
     if near.any():
-        rn, on = r[near], over[near]
+        rn, on = r[near], np.broadcast_to(over, r.shape)[near]
         sin_part[near] = (1.0 + np.where(on, rn, -rn) * rn / 6.0) * np.exp(-np.where(on, rn, 0.0))
     if kappa >= gamma:
         amp = np.where(over, 1.0 + 0.5 * m, np.cos(r)) + b * sin_part
