@@ -20,21 +20,22 @@ The ``Scenario`` also picks the transit model, so ``state``, ``tau-star``
 whether it is unitary or damped (kappa or in-cavity decay nonzero).
 
 Options (``--config``, ``--out``, ``--format``, ``--seed``) may come before
-or after the command; they are read by one flat argument parser, built when
-this module is imported, which each :func:`main` call only runs.
-:func:`load_config` gives every INI the meaning ``ConfigParser`` gives it
-over the built-in defaults: a ``[DEFAULT]`` key never overrides a built-in
-default, and ``%(key)s`` finds one.  A table is one float array, written in
-one write.  Exit codes: 0 success, 1 config error (a non-finite
-config value, a negative ``tau_c`` or ``gamma_tau_f`` sweep range, a sweep
-past ``MAX_SWEEP_POINTS``, a Fock ladder past ``dynamics.MAX_FOCK_CUTOFF``
-or an ``alpha_abs`` above it, an explicit ``fock_cutoff`` whose ladder
-misses more than 1% of the ``alpha_abs`` mass, a prior quadrature past
-``priors.MAX_QUADRATURE_NODES`` nodes times ladder levels, a ``verify`` seed
-outside [0, 2**128), a usage error such as an unknown command, a bad
-``--format`` or a non-integer ``--seed``, and an ``--out`` path that cannot
-be opened or written included), 2 verification failure, 3 numeric error
-(degenerate scenario, or a NaN result from an overflow).  ``--help`` exits 0.
+or after the command; the one flat argument parser and the one config parser
+are built when this module is imported, and each :func:`main` call reuses them.
+:func:`load_config` gives every INI the meaning ``ConfigParser`` gives it over
+the built-in defaults: a ``[DEFAULT]`` key never overrides a built-in default,
+and ``%(key)s`` finds one.  A table is one float array, written in one write.
+Exit codes: 0 success, 1 config error (a config file that cannot be read or
+parsed, a non-finite config value, a negative ``tau_c`` or ``gamma_tau_f``
+sweep range, a sweep past ``MAX_SWEEP_POINTS``, a Fock ladder past
+``dynamics.MAX_FOCK_CUTOFF`` or an ``alpha_abs`` above it, an explicit
+``fock_cutoff`` whose ladder misses more than 1% of the ``alpha_abs`` mass, a
+prior quadrature past ``priors.MAX_QUADRATURE_NODES`` nodes times ladder
+levels, a ``verify`` seed outside [0, 2**128), a usage error such as an
+unknown command, a bad ``--format`` or a non-integer ``--seed``, and an
+``--out`` path that cannot be opened or written included), 2 verification
+failure, 3 numeric error (degenerate scenario, or a NaN result from an
+overflow).  ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -156,24 +157,19 @@ class Table:
 
 
 def _ml_rows(spec: SweepSpec, values: list) -> np.ndarray:
-    """Likelihood rows.  Along ``g_over_g0`` the POVM is fixed, so one POVM
-    at the pinned scenario and one batched call serve every row; along
-    ``tau_c`` and ``gamma_tau_f`` each row builds its own POVM."""
-    prior, q = spec.prior, spec.quantity
-    if spec.axis == "g_over_g0":
-        povm = ml_mod.ml_povm(prior, spec.scenario.tau_c, spec.scenario.tau_f_gamma)
-        g = np.array(values) * prior.g0
-        if q == "ml_cr_bound":
-            rep = bounds_mod.cr_bound_ml(povm, g)
-            columns = [rep.mse, rep.lower_bound]
-        else:
-            columns = [ml_mod.ml_average_estimate(povm, g)]
-        return np.column_stack([values, *columns])
-    pinned = spec.scenario
-    pairs = ((v, pinned.tau_f_gamma) if spec.axis == "tau_c" else (pinned.tau_c, v) for v in values)
-    evaluate = ml_mod.cost_max if q == "ml_cost" else lambda p: ml_mod.ml_average_estimate(p, prior.g0)
-    rows = [[v, evaluate(ml_mod.ml_povm(prior, *pair))] for v, pair in zip(values, pairs)]
-    return np.array(rows)
+    """Likelihood rows from one POVM: along ``tau_c`` or ``gamma_tau_f`` the axis
+    is its column, and along ``g_over_g0`` the pinned POVM serves every coupling."""
+    prior, q, pinned = spec.prior, spec.quantity, spec.scenario
+    axis = np.array(values)
+    knobs = {"tau_c": pinned.tau_c, "gamma_tau_f": pinned.tau_f_gamma, spec.axis: axis}
+    povm = ml_mod.ml_povm(prior, knobs["tau_c"], knobs["gamma_tau_f"])
+    g = axis * prior.g0 if spec.axis == "g_over_g0" else prior.g0
+    if q == "ml_cr_bound":
+        rep = bounds_mod.cr_bound_ml(povm, g)
+        columns = [rep.mse, rep.lower_bound]
+    else:
+        columns = [ml_mod.cost_max(povm) if q == "ml_cost" else ml_mod.ml_average_estimate(povm, g)]
+    return np.column_stack([values, *columns])
 
 
 def _mmse_rows(spec: SweepSpec, values: list) -> np.ndarray:
@@ -230,7 +226,7 @@ def run_sweep(spec: SweepSpec) -> Table:
     damped ``dissipative_cost`` included, take one moment call on the axis
     column and one batched solve; every quantity over ``g_over_g0``
     takes one batched evaluation over all couplings; likelihood quantities
-    over ``tau_c`` and ``gamma_tau_f`` build one POVM per row.
+    over ``tau_c`` and ``gamma_tau_f`` build one POVM over the axis column.
     """
     family, _, columns = _QUANTITIES[spec.quantity]
     values = np.linspace(spec.lo, spec.hi, spec.n_points).tolist()
@@ -274,25 +270,25 @@ class _Interpolation(configparser.BasicInterpolation):
         return super().before_set(parser, section, option, value)
 
 
-_INTERPOLATION = _Interpolation()
+#: the one config parser of the process, emptied and refilled by each load_config
+_INI = configparser.ConfigParser(interpolation=_Interpolation())
 
 
 def load_config(path: Optional[str]) -> dict:
-    """Flat key-value sections; unknown or non-finite values raise
-    :class:`ConfigError`.
+    """Flat key-value sections; unknown or non-finite values and a file that
+    cannot be read or parsed raise :class:`ConfigError` with a one-line message.
 
     The built-in defaults are read into their own sections before the file,
     so a file's key overrides its default, a ``[DEFAULT]`` key does not, and
     ``%(key)s`` finds a default in its section.  Every value keeps
     ``ConfigParser``'s grammar, interpolation and messages; only a value
     holding a ``%`` goes through the interpolation, which would return any
-    other value unchanged."""
-    parser = configparser.ConfigParser(interpolation=_INTERPOLATION)
+    other value unchanged.  The one parser is emptied first, so no call sees
+    an earlier one's keys."""
+    parser = _INI
+    parser.clear()
+    parser.defaults().clear()  # clear() keeps the [DEFAULT] keys
     parser.read_dict(_DEFAULTS)
-    if path is not None:
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path!r}")
 
     def number(section: str, key: str) -> float:
         value = float(parser.get(section, key))
@@ -301,6 +297,8 @@ def load_config(path: Optional[str]) -> dict:
         return value
 
     try:
+        if path is not None and not parser.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
         prior_kind = parser.get("prior", "kind").strip().lower()
         if prior_kind not in (priors_mod.GAUSSIAN, priors_mod.UNIFORM):
             raise ConfigError(f"unknown prior kind {prior_kind!r}")
@@ -343,7 +341,8 @@ def load_config(path: Optional[str]) -> dict:
             )
         return cfg
     except (configparser.Error, ValueError, UnsupportedCombination) as exc:
-        raise ConfigError(str(exc)) from exc
+        # a parse error names its file and line on lines of their own
+        raise ConfigError(" ".join(map(str.strip, str(exc).splitlines()))) from exc
 
 
 @contextlib.contextmanager
@@ -405,10 +404,8 @@ def _config_echo(cfg: dict) -> dict:
 def _cmd_state(cfg: dict) -> Table:
     scenario = cfg["scenario"]
     m = reduced_state(cfg["g"] * cfg["prior"].g0, scenario, field_for(scenario)).matrix
-    return Table(
-        columns=["g_over_g0", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im"],
-        rows=[[cfg["g"], m.ee, m.gg, m.eg.real, m.eg.imag]],
-    )
+    return Table(columns=["g_over_g0", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im"],
+                 rows=[[cfg["g"], m.ee, m.gg, m.eg.real, m.eg.imag]])
 
 
 def _cmd_mmse(cfg: dict) -> Table:

@@ -390,42 +390,39 @@ def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np
     C = cosh h and S = sinh(h)/h when D > 0 (overdamped), C = cos r and
     S = sin(r)/r otherwise, with r = |h| = sqrt|D| t/4.
     This is the standard damped-Rabi solution, with f(0) = 1 identically.
-    S is summed from its series 1 + h^2/6 below r = 5e-5, so the
-    critical point h = 0 is regular.  Overdamped, the envelope is folded
-    into e^{r - (gamma+kappa)t/4} <= 1, whose exponent is formed as
-    -(|b| - r) - min(gamma, kappa) t/2 with
-    |b| - r = 4 g^2 t / (sqrt|D| + |kappa-gamma|),
-    against C e^{-r} = 1 + m/2 and S e^{-r} = -m/(2r) with m = expm1(-2r);
-    for gamma > kappa the bracket is taken as e^{-r} - (|b| - r) S.  No term
-    holds t^2, so nothing overflows on a long transit (a huge t gives f = 0),
-    and nothing cancels but at a true zero of c.
+    Overdamped, the envelope is folded into e^{r - (gamma+kappa)t/4} <= 1,
+    whose exponent is formed as -(|b| - r) - min(gamma, kappa) t/2 with
+    |b| - r = 4 g^2 t / (sqrt|D| + |kappa-gamma|), against C e^{-r} = 1 + m/2
+    and r S e^{-r} = -m/2 with m = expm1(-2r); for gamma > kappa the bracket
+    is taken as e^{-r} - (|b| - r) S.  b S = ((kappa-gamma)/sqrt|D|) r S and
+    (|b| - r) S = 16 g^2 r S/(sqrt|D| (sqrt|D| + |kappa-gamma|)) hold no t
+    (S = 1 where D = 0), and no term holds t^2, so nothing overflows on a
+    long transit (a huge t gives f = 0) and nothing cancels but at a true
+    zero of c.
     """
     g = np.asarray(g_values, dtype=float)
     disc = (gamma - kappa) ** 2 - 16.0 * g**2
     root = np.sqrt(np.abs(disc))
     r = root * (t / 4.0)
-    b = (kappa - gamma) * (t / 4.0)
     over = disc > 0.0
     # |b| - r where overdamped
     lag = 4.0 * g**2 * t / np.maximum(root + abs(kappa - gamma), _TINY)
     m = np.expm1(-2.0 * r)
-    near = r < 5e-5
-    sin_part = np.where(over, -0.5 * m, np.sin(r)) / np.where(near, 1.0, r)
-    if near.any():
-        rn, on = r[near], np.broadcast_to(over, r.shape)[near]
-        sin_part[near] = (1.0 + np.where(on, rn, -rn) * rn / 6.0) * np.exp(-np.where(on, rn, 0.0))
+    r_sin = np.where(over, -0.5 * m, np.sin(r))
+    crit = root == 0.0
+    root_d = np.where(crit, 1.0, root)
+    b_sin = np.where(crit, (kappa - gamma) * (t / 4.0), (kappa - gamma) / root_d * r_sin)
     if kappa >= gamma:
-        amp = np.where(over, 1.0 + 0.5 * m, np.cos(r)) + b * sin_part
+        amp = np.where(over, 1.0 + 0.5 * m, np.cos(r)) + b_sin
     else:
-        amp = np.where(over, 1.0 + m - lag * sin_part, np.cos(r) + b * sin_part)
+        lag_sin = 16.0 * g**2 / (root_d * (root_d + abs(kappa - gamma))) * r_sin
+        amp = np.where(over, 1.0 + m - lag_sin, np.cos(r) + b_sin)
     envelope = np.where(over, -lag - min(gamma, kappa) * t / 2.0, -(gamma + kappa) * t / 4.0)
     c = np.exp(envelope) * amp
     return c * c
 
 
-def dissipative_populations(
-    g_values: np.ndarray, t, gamma: float, kappa: float
-) -> np.ndarray:
+def dissipative_populations(g_values: np.ndarray, t, gamma: float, kappa: float) -> np.ndarray:
     """Vectorized excited population of the damped transit.
 
     ``t`` is one time, giving one population per coupling, or a column of

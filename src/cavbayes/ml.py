@@ -24,6 +24,10 @@ the bound slope need only the exact moments int x f_z and int x^2 f_z
 positivity audits over any intervals reflect the densities themselves;
 scipy is imported only inside them.
 
+A POVM holds tau_c and gamma tau_f as arrays, 0-d for a point, and its
+constants, cost and moments are masked array expressions over them: a sweep
+along either is one POVM.
+
 Two functions here serve verification only.  :func:`gaussian_bound_constants`
 gives the Gaussian fixed-interval constants c1/c2 of the half-period integral
 inequalities, which never fall below the cap; :func:`interval_audit` probes
@@ -37,6 +41,7 @@ closed forms, and the battery that runs them, lives in :mod:`oracle`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +79,12 @@ AUDIT_TOL = 1e-9
 class MlPovm:
     """Measurement densities (f_I, f_z) of a likelihood-optimal POVM.
 
-    ``c_max`` is +inf when sin(2 g0 tau_c) = 0 (uniform prior: where
-    :func:`uniform_cmax` raises, tau_c = 0 included), in which case f_z
-    vanishes identically and the measurement returns prior draws.  The off-diagonal densities are zero by convention (they never
-    enter the average cost).
+    ``tau_c``, ``gamma_tau_f``, ``c_max`` and the f_z scale are arrays of
+    the builder's shapes, numpy scalars for a point; densities, interval
+    masses and audits take a point.  ``c_max`` is +inf where sin(2 g0 tau_c)
+    = 0 (uniform prior: where :func:`uniform_cmax` raises, tau_c = 0
+    included); f_z vanishes there and the measurement returns prior draws.
+    The off-diagonal densities are zero by convention (never in the cost).
 
     At tau_c = 0 the state no longer depends on g, so every f_z with
     |f_z| <= f_I gives the same cost and f_z == 0 is a convention: the mean
@@ -88,10 +95,10 @@ class MlPovm:
     """
 
     prior: Prior
-    tau_c: float
-    gamma_tau_f: float
-    c_max: float
-    _fz_scale: float  # Gaussian: c sin(2 g0 tau_c); uniform: c itself (0 if c = inf)
+    tau_c: np.ndarray
+    gamma_tau_f: np.ndarray
+    c_max: np.ndarray
+    _fz_scale: np.ndarray  # Gaussian: c sin(2 g0 tau_c); uniform: c itself (0 if c = inf)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -109,11 +116,8 @@ class MlPovm:
         x = np.asarray(x, dtype=float)
         g0, sig, tc = self.prior.g0, self.prior.sigma, self.tau_c
         if self.prior.kind == priors_mod.GAUSSIAN:
-            out = (
-                -self._fz_scale
-                * np.sin(2.0 * tc * (x - g0))
-                * np.exp(-((x - g0) ** 2) / (2.0 * sig**2))
-            )
+            out = -self._fz_scale * np.sin(2.0 * tc * (x - g0)) * np.exp(
+                -((x - g0) ** 2) / (2.0 * sig**2))
         else:
             # cos(2 x tau_c) - K = -2 sin^2(x tau_c) - (K - 1): both terms keep
             # their relative precision as tau_c -> 0, where c_max grows as 1/tau^2
@@ -137,9 +141,7 @@ class MlPovm:
         if self.prior.kind == priors_mod.GAUSSIAN:
             rt2s = math.sqrt(2.0) * sig
             part_i = 0.5 * (erf((hi - g0) / rt2s) - erf((lo - g0) / rt2s))
-            part_z = -self._fz_scale * _gaussian_sine_band(
-                lo - g0, hi - g0, sig, 2.0 * tc
-            )
+            part_z = -self._fz_scale * _gaussian_sine_band(lo - g0, hi - g0, sig, 2.0 * tc)
         else:
             part_i = (hi - lo) / (2.0 * math.sqrt(3.0) * sig)
             # the primitive of -2 sin^2(x tau_c) - (K - 1), as in f_z
@@ -181,23 +183,39 @@ def _y_minus_sin(y):
     return np.where(small, series, y - np.sin(y))
 
 
-def _s_minus_cos(x: float) -> float:
+def _by_size(x, series, direct):
+    """series(x) below x = 1, direct(x) from there: each branch reads only its
+    own entries (the rest read 1/2 or 1), and a branch no entry takes is skipped."""
+    x = np.asarray(x, dtype=float)[()]
+    small = x < 1.0
+    if isinstance(small, np.bool_):  # a point takes its one branch
+        return series(x) if small else direct(x)
+    if not small.any():
+        return direct(x)
+    return _where(small, series(_where(small, x, 0.5)), direct(_where(small, 1.0, x)))
+
+
+def _where(cond, a, b):
+    """``np.where``; a point (one bool) picks its entry without building arrays."""
+    return (a if cond else b) if isinstance(cond, (bool, np.bool_)) else np.where(cond, a, b)
+
+
+def _s_minus_cos(x):
     """sin(x)/x - cos(x) = sum_{k>=1} (-1)^(k+1) 2k x^(2k)/(2k+1)!, from the
     series below x = 1, where it vanishes as x^2/3."""
-    if x >= 1.0:
-        return math.sin(x) / x - math.cos(x)
-    return _odd_factorial_series(x, lambda k: (-1) ** (k + 1) * 2 * k, 1)
+    return _by_size(x, lambda t: _odd_factorial_series(t, lambda k: (-1) ** (k + 1) * 2 * k, 1),
+                    lambda t: np.sin(t) / t - np.cos(t))
 
 
-def _uniform_second_bracket(x: float) -> float:
-    """s - 3 (s - cos x)/x^2 with s = sin(x)/x; below x = 1, where it
-    vanishes as -x^2/15, it is sum_{k>=2} (-1)^(k+1) 4k(k-1) x^(2k-2)/(2k+1)!."""
-    if x >= 1.0:
-        return math.sin(x) / x - 3.0 * _s_minus_cos(x) / (x * x)
-    return _odd_factorial_series(x, lambda k: (-1) ** (k + 1) * 4 * k * (k - 1), 2) / (x * x)
+def _uniform_second_bracket(x, s_minus_cos):
+    """s - 3 (s - cos x)/x^2 with s = sin(x)/x, given s - cos x; below x = 1, where
+    it vanishes as -x^2/15, it is sum_{k>=2} (-1)^(k+1) 4k(k-1) x^(2k-2)/(2k+1)!."""
+    return _by_size(x, lambda t: _odd_factorial_series(
+        t, lambda k: (-1) ** (k + 1) * 4 * k * (k - 1), 2) / (t * t),
+        lambda t: np.sin(t) / t - 3.0 * s_minus_cos / (t * t))
 
 
-def _uniform_offset_excess(prior: Prior, tau_c: float) -> float:
+def _uniform_offset_excess(prior: Prior, tau_c):
     """K - 1 for the support average K of cos(2 x tau_c), free of cancellation.
 
     K = s(A) cos(B) with s(A) = sin(A)/A, so
@@ -206,13 +224,55 @@ def _uniform_offset_excess(prior: Prior, tau_c: float) -> float:
 
     and below A = 1 s(A) - 1 = sum_{k>=1} (-1)^k A^(2k)/(2k+1)! is summed.
     """
-    big_a = 2.0 * math.sqrt(3.0) * prior.sigma * tau_c
+    big_a = 2.0 * math.sqrt(3.0) * prior.sigma * np.asarray(tau_c, dtype=float)
     big_b = 2.0 * prior.g0 * tau_c
-    if big_a >= 1.0:
-        s_minus_one = math.sin(big_a) / big_a - 1.0
-    else:
-        s_minus_one = _odd_factorial_series(big_a, lambda k: (-1) ** k, 1)
-    return s_minus_one * math.cos(big_b) - 2.0 * math.sin(big_b / 2.0) ** 2
+    s_minus_one = _by_size(big_a, lambda a: _odd_factorial_series(a, lambda k: (-1) ** k, 1),
+                           lambda a: np.sin(a) / a - 1.0)
+    return s_minus_one * np.cos(big_b) - 2.0 * np.sin(big_b / 2.0) ** 2
+
+
+def _cmax_and_scale(prior: Prior, tau_c: np.ndarray) -> tuple:
+    """(c_max, f_z scale) over the array ``tau_c``: the cap of :func:`gaussian_cmax`
+    or :func:`uniform_cmax`, with c_max = +inf and a zero scale where unbounded."""
+    if prior.kind == priors_mod.GAUSSIAN:
+        s = np.sin(2.0 * prior.g0 * tau_c)
+        free = np.abs(s) < _SIN_FLOOR
+        cap = 1.0 / (math.sqrt(2.0 * math.pi) * prior.sigma * np.maximum(np.abs(s), _SIN_FLOOR))
+        return _where(free, math.inf, cap), _where(free, 0.0, cap * s)
+    if (tau_c < 0).any():
+        raise ValueError("tau_c must be nonnegative")
+    k_excess = _uniform_offset_excess(prior, tau_c)
+    lo, hi = prior.support
+    # cos(2 x tau_c) - K = -2 sin^2(x tau_c) - (K - 1): both terms keep their
+    # relative precision as tau_c -> 0, where the difference itself is O(tau^2)
+    peak = np.maximum(*(np.abs(2.0 * np.sin(tau_c * x) ** 2 + k_excess) for x in (lo, hi)))
+    # at the stationary points x = j pi / (2 tau_c), sin^2(x tau_c) is j mod 2,
+    # so the first two in the support, j = k_lo and k_lo + 1, stand for all
+    k_lo = np.ceil(2.0 * tau_c * lo / math.pi)
+    span = np.floor(2.0 * tau_c * hi / math.pi) - k_lo
+    for odd, present in ((k_lo % 2.0, span >= 0.0), (1.0 - k_lo % 2.0, span >= 1.0)):
+        peak = np.maximum(peak, np.abs(2.0 * odd + k_excess) * present)
+    free = peak < 1e-300
+    cap = 1.0 / (2.0 * math.sqrt(3.0) * prior.sigma * np.maximum(peak, 1e-300))
+    return _where(free, math.inf, cap), _where(free, 0.0, cap)
+
+
+def _point_cmax(prior: Prior, tau_c: float, kind: str) -> float:
+    """The cap at one time for a ``kind`` prior; :class:`SinVanishes` where unbounded."""
+    if prior.kind != kind:
+        raise ValueError(f"{kind}_cmax requires a {kind} prior")
+    c_max, _ = _cmax_and_scale(prior, np.asarray(tau_c, dtype=float)[()])
+    if c_max == math.inf:
+        raise SinVanishes(f"tau_c = {float(tau_c)!r}: traceless component unconstrained")
+    return c_max
+
+
+def _povm(prior: Prior, tau_c, gamma_tau_f, kind: str) -> MlPovm:
+    if prior.kind != kind:
+        raise ValueError(f"{kind}_ml_povm requires a {kind} prior")
+    tau_c = np.asarray(tau_c, dtype=float)[()]
+    return MlPovm(prior, tau_c, np.asarray(gamma_tau_f, dtype=float)[()],
+                  *_cmax_and_scale(prior, tau_c))
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +282,7 @@ def _uniform_offset_excess(prior: Prior, tau_c: float) -> float:
 def _gaussian_sin_or_raise(prior: Prior, tau_c: float) -> float:
     s = math.sin(2.0 * prior.g0 * tau_c)
     if abs(s) < _SIN_FLOOR:
-        raise SinVanishes(
-            f"sin(2 g0 tau_c) = {s}: traceless component unconstrained"
-        )
+        raise SinVanishes(f"sin(2 g0 tau_c) = {s}: traceless component unconstrained")
     return s
 
 
@@ -268,31 +326,23 @@ def gaussian_cmax(prior: Prior, tau_c: float) -> float:
     because sin(a x) < 1 on the half-period window, and c2 >= c1 because
     I0 <= 1/2.
 
-    Raises :class:`SinVanishes` when sin(2 g0 tau_c) = 0; callers then use a
-    vanishing f_z with the scale reported as +inf.
+    Raises :class:`SinVanishes` when sin(2 g0 tau_c) = 0; the POVM builders
+    then use a vanishing f_z with the scale reported as +inf.
     """
-    sin_b = _gaussian_sin_or_raise(prior, tau_c)
-    return 1.0 / (math.sqrt(2.0 * math.pi) * prior.sigma * abs(sin_b))
+    return _point_cmax(prior, tau_c, priors_mod.GAUSSIAN)
 
 
-def gaussian_ml_povm(prior: Prior, tau_c: float, gamma_tau_f: float = 0.0) -> MlPovm:
+def gaussian_ml_povm(prior: Prior, tau_c, gamma_tau_f=0.0) -> MlPovm:
     """Optimal POVM densities for the Gaussian prior.
 
     f_I is the prior density itself; f_z is the prior envelope times
     -c_max sin(2 g0 tau_c) sin(2 tau_c (x - g0)).  When sin(2 g0 tau_c) = 0
     the constraint disappears, c_max is reported as +inf and f_z == 0.
     """
-    if prior.kind != priors_mod.GAUSSIAN:
-        raise ValueError("gaussian_ml_povm requires a Gaussian prior")
-    try:
-        c_max = gaussian_cmax(prior, tau_c)
-        scale = c_max * math.sin(2.0 * prior.g0 * tau_c)
-    except SinVanishes:
-        c_max, scale = math.inf, 0.0
-    return MlPovm(prior=prior, tau_c=tau_c, gamma_tau_f=gamma_tau_f, c_max=c_max, _fz_scale=scale)
+    return _povm(prior, tau_c, gamma_tau_f, priors_mod.GAUSSIAN)
 
 
-def gaussian_cost_max(povm: MlPovm) -> float:
+def gaussian_cost_max(povm: MlPovm):
     """Maximized average cost for the Gaussian-prior POVM.
 
     Closed form 1/sqrt(4 pi sigma^2)
@@ -304,13 +354,9 @@ def gaussian_cost_max(povm: MlPovm) -> float:
         raise ValueError("gaussian_cost_max requires a Gaussian-prior POVM")
     sig, tc = povm.prior.sigma, povm.tau_c
     base = 1.0 / math.sqrt(4.0 * math.pi * sig**2)
-    csin2 = povm._fz_scale * math.sin(2.0 * povm.prior.g0 * tc)
-    return base + (
-        math.exp(-povm.gamma_tau_f)
-        * (1.0 - math.exp(-4.0 * sig**2 * tc**2))
-        / (2.0 * math.sqrt(2.0))
-        * csin2
-    )
+    csin2 = povm._fz_scale * np.sin(2.0 * povm.prior.g0 * tc)
+    envelope = np.exp(-povm.gamma_tau_f) * (1.0 - np.exp(-4.0 * sig**2 * tc**2))
+    return (base + envelope / (2.0 * math.sqrt(2.0)) * csin2)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -336,44 +382,20 @@ def uniform_cmax(prior: Prior, tau_c: float) -> float:
     of the POVM as tau_c -> 0 (see :class:`MlPovm`): the scale grows as
     1/tau^2 while f_z shrinks as tau^2, so the product stays finite.
     """
-    if prior.kind != priors_mod.UNIFORM:
-        raise ValueError("uniform_cmax requires a uniform prior")
-    if tau_c < 0:
-        raise ValueError("tau_c must be nonnegative")
-    sig = prior.sigma
-    k_excess = _uniform_offset_excess(prior, tau_c)
-    lo, hi = prior.support
-    # cos(2 x tau_c) - K = -2 sin^2(x tau_c) - (K - 1): both terms keep their
-    # relative precision as tau_c -> 0, where the difference itself is O(tau^2)
-    peak = max(abs(2.0 * math.sin(tau_c * x) ** 2 + k_excess) for x in (lo, hi))
-    # at the stationary points x = j pi / (2 tau_c), sin^2(x tau_c) is 0 for
-    # even j and 1 for odd j, so the first two in the support stand for all
-    k_lo = math.ceil(2.0 * tau_c * lo / math.pi)
-    k_hi = math.floor(2.0 * tau_c * hi / math.pi)
-    for j in range(k_lo, min(k_hi, k_lo + 1) + 1):
-        peak = max(peak, abs(2.0 * (j % 2) + k_excess))
-    if peak < 1e-300:
-        raise SinVanishes(f"tau_c = {tau_c!r}: traceless component unconstrained")
-    return 1.0 / (2.0 * math.sqrt(3.0) * sig * peak)
+    return _point_cmax(prior, tau_c, priors_mod.UNIFORM)
 
 
-def uniform_ml_povm(prior: Prior, tau_c: float, gamma_tau_f: float = 0.0) -> MlPovm:
+def uniform_ml_povm(prior: Prior, tau_c, gamma_tau_f=0.0) -> MlPovm:
     """Optimal POVM densities for the uniform prior.
 
     f_I is the flat density; f_z = c_max [cos(2 x tau_c) - K] with K the
     support-average of the cosine, so f_z integrates to zero exactly.  Where
     :func:`uniform_cmax` finds no constraint, c_max = +inf and f_z == 0.
     """
-    if prior.kind != priors_mod.UNIFORM:
-        raise ValueError("uniform_ml_povm requires a uniform prior")
-    try:
-        c_max = scale = uniform_cmax(prior, tau_c)
-    except SinVanishes:
-        c_max, scale = math.inf, 0.0
-    return MlPovm(prior=prior, tau_c=tau_c, gamma_tau_f=gamma_tau_f, c_max=c_max, _fz_scale=scale)
+    return _povm(prior, tau_c, gamma_tau_f, priors_mod.UNIFORM)
 
 
-def _uniform_cost_bracket(big_a: float, big_b: float) -> float:
+def _uniform_cost_bracket(big_a, big_b):
     """1/2 - sin^2(A) cos^2(B)/A^2 + sin(2A) cos(2B)/(4A), free of cancellation.
 
     Regrouped as T(A) + sin^2(B) s (s - cos A) with s = sin(A)/A and
@@ -383,20 +405,18 @@ def _uniform_cost_bracket(big_a: float, big_b: float) -> float:
 
         T(A) = sum_{m>=2} (-1)^m (m-1)/(2m+2) (2A)^(2m) / (2m+1)!,
 
-    and s - cos A from :func:`_s_minus_cos`; at A = 0 the bracket is 0.
+    and s - cos A from :func:`_s_minus_cos`; A > 0.
     """
-    if big_a >= 1.0:
-        return (
-            0.5
-            - (math.sin(big_a) * math.cos(big_b)) ** 2 / big_a**2
-            + math.sin(2.0 * big_a) * math.cos(2.0 * big_b) / (4.0 * big_a)
-        )
-    t_sum = _odd_factorial_series(2.0 * big_a, lambda m: (-1) ** m * (m - 1) / (2 * m + 2), 2)
-    s = math.sin(big_a) / big_a if big_a else 1.0
-    return t_sum + math.sin(big_b) ** 2 * s * _s_minus_cos(big_a)
+
+    def series(a):
+        t_sum = _odd_factorial_series(2.0 * a, lambda m: (-1) ** m * (m - 1) / (2 * m + 2), 2)
+        return t_sum + np.sin(big_b) ** 2 * (np.sin(a) / a) * _s_minus_cos(a)
+
+    return _by_size(big_a, series, lambda a: 0.5 - (np.sin(a) * np.cos(big_b)) ** 2 / a**2
+                    + np.sin(2.0 * a) * np.cos(2.0 * big_b) / (4.0 * a))
 
 
-def uniform_cost_max(povm: MlPovm) -> float:
+def uniform_cost_max(povm: MlPovm):
     """Maximized average cost for the uniform-prior POVM.
 
     Closed form with A = 2 sqrt(3) sigma tau_c, B = 2 g0 tau_c:
@@ -409,24 +429,26 @@ def uniform_cost_max(povm: MlPovm) -> float:
     """
     if povm.prior.kind != priors_mod.UNIFORM:
         raise ValueError("uniform_cost_max requires a uniform-prior POVM")
-    g0, sig, tc = povm.prior.g0, povm.prior.sigma, povm.tau_c
+    g0, sig, k = povm.prior.g0, povm.prior.sigma, povm._fz_scale
+    tc = _where(k == 0.0, 1.0, povm.tau_c)  # f_z == 0 there: any time weighs nothing
     bracket = _uniform_cost_bracket(2.0 * math.sqrt(3.0) * sig * tc, 2.0 * g0 * tc)
-    return 1.0 / (2.0 * math.sqrt(3.0) * sig) + povm._fz_scale * math.exp(
-        -povm.gamma_tau_f
-    ) * bracket
+    return (1.0 / (2.0 * math.sqrt(3.0) * sig) + k * np.exp(-povm.gamma_tau_f) * bracket)[()]
 
 
-def ml_povm(prior: Prior, tau_c: float, gamma_tau_f: float) -> MlPovm:
+def ml_povm(prior: Prior, tau_c, gamma_tau_f) -> MlPovm:
     """Optimal POVM for either prior kind (:func:`gaussian_ml_povm`,
-    :func:`uniform_ml_povm`); ``OverflowError`` where its phases overflow."""
-    if not math.isfinite(8.0 * (prior.g0 + prior.sigma) * tau_c):
-        raise OverflowError(f"tau_c = {tau_c!r} overflows the phases of the likelihood POVM")
-    if prior.kind == priors_mod.GAUSSIAN:
-        return gaussian_ml_povm(prior, tau_c, gamma_tau_f)
-    return uniform_ml_povm(prior, tau_c, gamma_tau_f)
+    :func:`uniform_ml_povm`) over arrays of ``tau_c`` and ``gamma_tau_f``;
+    ``OverflowError`` where a phase of any entry overflows."""
+    tc = np.asarray(tau_c, dtype=float)
+    finite = np.abs(tc) <= sys.float_info.max / (8.0 * (prior.g0 + prior.sigma))
+    if not finite.all():
+        bad = float(tc.flat[np.argmin(finite)])
+        raise OverflowError(f"tau_c = {bad!r} overflows the phases of the likelihood POVM")
+    build = gaussian_ml_povm if prior.kind == priors_mod.GAUSSIAN else uniform_ml_povm
+    return build(prior, tau_c, gamma_tau_f)
 
 
-def cost_max(povm: MlPovm) -> float:
+def cost_max(povm: MlPovm):
     """Maximized average cost for either prior kind (:func:`gaussian_cost_max`,
     :func:`uniform_cost_max`)."""
     if povm.prior.kind == priors_mod.GAUSSIAN:
@@ -441,10 +463,10 @@ def cost_max(povm: MlPovm) -> float:
 def _contrast(povm: MlPovm, g):
     """c(g) = 2 cos^2(g tau_c) e^{-u} - 1 at the POVM's u: the weight of f_z in p(x|g)."""
     g = np.asarray(g, dtype=float)
-    return 2.0 * np.cos(g * povm.tau_c) ** 2 * math.exp(-povm.gamma_tau_f) - 1.0
+    return 2.0 * np.cos(g * povm.tau_c) ** 2 * np.exp(-povm.gamma_tau_f) - 1.0
 
 
-def f_z_moments(povm: MlPovm) -> tuple[float, float]:
+def f_z_moments(povm: MlPovm) -> tuple:
     """(m1, m2) = (int x f_z dx, int x^2 f_z dx), exactly.
 
     With k the stored f_z scale: for the Gaussian prior
@@ -458,22 +480,20 @@ def f_z_moments(povm: MlPovm) -> tuple[float, float]:
     both brackets summed from their series below x = 1, where they vanish
     as x^2 while k grows as 1/tau_c^2.  A zero scale (f_z == 0) gives (0, 0).
     """
-    g0, sig, tc = povm.prior.g0, povm.prior.sigma, povm.tau_c
-    k = povm._fz_scale
-    if k == 0.0:
-        return 0.0, 0.0
+    g0, sig, k, tc = povm.prior.g0, povm.prior.sigma, povm._fz_scale, povm.tau_c
     if povm.prior.kind == priors_mod.GAUSSIAN:
-        m1 = -2.0 * math.sqrt(2.0 * math.pi) * k * sig**3 * tc * math.exp(
-            -2.0 * sig**2 * tc**2
-        )
-        return m1, 2.0 * g0 * m1
-    h = math.sqrt(3.0) * sig
-    x = 2.0 * tc * h
-    big_b = 2.0 * g0 * tc
-    m1 = -k * math.sin(big_b) * 2.0 * h * h * _s_minus_cos(x) / x
-    m2 = 2.0 * g0 * m1 + k * math.cos(big_b) * (4.0 * h**3 / 3.0) * (
-        _uniform_second_bracket(x)
-    )
+        m1 = -2.0 * math.sqrt(2.0 * math.pi) * k * sig**3 * tc * np.exp(-2.0 * sig**2 * tc**2)
+        m2 = 2.0 * g0 * m1
+    else:
+        # f_z == 0 where k == 0: any time serves, and 1 keeps the brackets finite
+        tc = _where(k == 0.0, 1.0, tc)
+        h = math.sqrt(3.0) * sig
+        x = 2.0 * tc * h
+        big_b = 2.0 * g0 * tc
+        s_minus_cos = _s_minus_cos(x)
+        m1 = -k * np.sin(big_b) * 2.0 * h * h * s_minus_cos / x
+        m2 = 2.0 * g0 * m1 + k * np.cos(big_b) * (4.0 * h**3 / 3.0) * _uniform_second_bracket(
+            x, s_minus_cos)
     return m1, m2
 
 
@@ -483,8 +503,7 @@ def ml_average_estimate(povm: MlPovm, g):
     An array ``g`` gives one mean per entry; a scalar gives a numpy scalar.
     """
     m1, _ = f_z_moments(povm)
-    out = povm.prior.g0 + _contrast(povm, g) * m1
-    return out[()]
+    return (povm.prior.g0 + _contrast(povm, g) * m1)[()]
 
 
 def ml_mse(povm: MlPovm, g):
@@ -493,12 +512,8 @@ def ml_mse(povm: MlPovm, g):
     :func:`ml_average_estimate`."""
     m1, m2 = f_z_moments(povm)
     g = np.asarray(g, dtype=float)
-    out = (
-        povm.prior.sigma**2
-        + (povm.prior.g0 - g) ** 2
-        + _contrast(povm, g) * (m2 - 2.0 * g * m1)
-    )
-    return out[()]
+    return (povm.prior.sigma**2 + (povm.prior.g0 - g) ** 2
+            + _contrast(povm, g) * (m2 - 2.0 * g * m1))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +556,11 @@ def interval_audit(
     # the support boundary, where only one-sided slivers can go negative
     n_anchor = min(64, n_intervals // 8)
     if n_anchor >= 2:
-        anchor_w = np.exp(
-            np.linspace(math.log(period / 1024.0), math.log(span), n_anchor // 2)
-        )
+        anchor_w = np.exp(np.linspace(math.log(period / 1024.0), math.log(span), n_anchor // 2))
         a_anchor = np.concatenate([np.full_like(anchor_w, lo), hi - anchor_w])
         b_anchor = np.concatenate([lo + anchor_w, np.full_like(anchor_w, hi)])
     else:
-        a_anchor = np.empty(0)
-        b_anchor = np.empty(0)
+        a_anchor = b_anchor = np.empty(0)
 
     n_rand = n_intervals - len(a_anchor)
     centers = rng.uniform(lo, hi, size=n_rand)
@@ -559,18 +571,12 @@ def interval_audit(
     a = np.concatenate([a_anchor, np.maximum(centers - widths / 2.0, lo)])
     b = np.concatenate([b_anchor, np.minimum(centers + widths / 2.0, hi)])
 
-    worst_low = math.inf
-    worst_high = -math.inf
-    violations = 0
+    worst_low, worst_high, violations = math.inf, -math.inf, 0
     part_i, part_z = povm.interval_parts(a, b)
     for sign in (1, -1):
         vals = part_i + sign * scale * part_z
         worst_low = min(worst_low, float(np.min(vals)))
         worst_high = max(worst_high, float(np.max(vals)))
         violations += int(np.sum((vals < -AUDIT_TOL) | (vals > 1.0 + AUDIT_TOL)))
-    return AuditResult(
-        n_intervals=n_intervals,
-        n_violations=violations,
-        worst_low=worst_low,
-        worst_high=worst_high,
-    )
+    return AuditResult(n_intervals=n_intervals, n_violations=violations,
+                       worst_low=worst_low, worst_high=worst_high)

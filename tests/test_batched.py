@@ -437,11 +437,12 @@ _ML_SWEEPS = [
 @pytest.mark.parametrize("prior_kind", ["gaussian", "uniform"])
 @pytest.mark.parametrize("quantity,axis,lo,hi", _ML_SWEEPS)
 def test_ml_sweeps_build_no_quadrature_rule(quantity, axis, lo, hi, prior_kind, monkeypatch):
+    # every axis takes one POVM: along tau_c and gamma_tau_f its column
     calls = _spy_povm_and_rule_calls(monkeypatch)
     scenario = Scenario(tau_c=0.9, tau_f_gamma=0.2)
     spec = SweepSpec(quantity, axis, lo, hi, 7, PRIORS[prior_kind], scenario)
     assert len(run_sweep(spec).rows) == 7
-    assert "quadrature" not in calls and calls
+    assert calls == [f"{prior_kind}_ml_povm"]
 
 
 @pytest.mark.parametrize("prior_kind", ["gaussian", "uniform"])

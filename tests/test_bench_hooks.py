@@ -31,6 +31,11 @@ _RUNS = [
               "quantity = mmse_cr_bound\naxis = g_over_g0\nlo = 0.5\nhi = 1.5\nn_points = 7\n"),
     ("sweep", "[scenario]\ng0_tau_c = 0.9\n[sweep]\n"
               "quantity = ml_cr_bound\naxis = g_over_g0\nlo = 0.5\nhi = 1.5\nn_points = 7\n"),
+    *(
+        ("sweep", f"[prior]\nkind = {kind}\n[scenario]\ngamma_tau_f = 0.2\n[sweep]\n"
+                  f"quantity = ml_cost\naxis = {axis}\nlo = 0\nhi = 2\nn_points = 7\n")
+        for kind in ("gaussian", "uniform") for axis in ("tau_c", "gamma_tau_f")
+    ),
 ]
 
 

@@ -228,6 +228,58 @@ def test_config_interpolation_error_is_one_line(case, tmp_path, capsys):
     assert capsys.readouterr() == ("", err)
 
 
+# a first INI, then a probe whose result must not depend on it: a [DEFAULT]
+# key, a [sweep] section and an interpolation target of the first read are
+# gone from the reused parser; each probe fails in a fresh process, where a
+# leak would let it pass
+_LEAK_PROBES = {
+    "default_key": ("[DEFAULT]\nn_points = 5\n", "sweep",
+                    "[sweep]\nquantity = ml_cost\naxis = tau_c\nlo = 0.1\nhi = 1\n"),
+    "sweep_section": (
+        "[sweep]\nquantity = ml_cost\naxis = tau_c\nlo = 0.1\nhi = 1\nn_points = 3\n", "sweep",
+        "[scenario]\ng0_tau_c = 0.7\n"),
+    "interpolation_target": ("[prior]\nwidth = 0.3\n", "ml",
+                             "[prior]\nsigma_over_g0 = %(width)s\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LEAK_PROBES))
+def test_reused_config_parser_keeps_nothing_between_calls(case, tmp_path, capsys):
+    first, command, probe = _LEAK_PROBES[case]
+    (tmp_path / "first.ini").write_text(first)
+    (tmp_path / "probe.ini").write_text(probe)
+    argv = [command, "--config", str(tmp_path / "probe.ini")]
+    fresh = _run_cli(argv)
+    assert fresh.returncode == 1 and fresh.stderr.startswith("config error: ")
+    main([command, "--config", str(tmp_path / "first.ini")])
+    capsys.readouterr()
+    assert main(argv) == fresh.returncode
+    assert capsys.readouterr() == (fresh.stdout, fresh.stderr)
+
+
+# files the INI reader itself refuses
+_MALFORMED_INI = {
+    "no_section_header": b"garbage\n",
+    "duplicate_section": b"[prior]\nsigma_over_g0 = 0.3\n[prior]\nkind = uniform\n",
+    "not_utf8": b"\xff\xfe[prior]\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INI))
+def test_malformed_config_is_one_config_error_line(case, tmp_path, capsys):
+    bad, good = tmp_path / "bad.ini", tmp_path / "good.ini"
+    bad.write_bytes(_MALFORMED_INI[case])
+    good.write_text("[prior]\nkind = uniform\n[scenario]\ng0_tau_c = 0.9\n")
+    capsys.readouterr()
+    assert main(["state", "--config", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: ") and err.count("\n") == 1, err
+    # a valid call on the reused parser holds nothing of the failed read
+    fresh = _run_cli(["ml", "--config", str(good)])
+    assert main(["ml", "--config", str(good)]) == fresh.returncode == 0
+    assert capsys.readouterr() == (fresh.stdout, fresh.stderr)
+
+
 _CELLS = st.one_of(st.floats(allow_nan=False),
                    st.floats(allow_nan=False).map(np.float64),
                    st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -471,20 +523,23 @@ def test_nan_result_is_a_numeric_error(case, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kappa,gamma", [(0.5, 0.1), (5.0, 0.7), (0.1, 0.5), (60.0, 0.0)])
+@pytest.mark.parametrize("kappa,gamma",
+                         [(0.5, 0.1), (5.0, 0.7), (0.1, 0.5), (60.0, 0.0), (0.0, 60.0)])
 def test_damped_state_at_huge_tau_is_ground(kappa, gamma, tmp_path, capsys):
-    # the damped amplitude holds no t^2 term, so g0 tau = 1e300 decays to
-    # the ground state instead of overflowing into NaN
+    # the damped amplitude holds no t^2 term and forms b S and (|b| - r) S
+    # free of t, so g0 tau = 1e300, and the float maximum, decay to the
+    # ground state instead of overflowing into NaN
     path = tmp_path / "run.ini"
-    path.write_text("[prior]\nkind = gaussian\nsigma_over_g0 = 0.5\n[scenario]\n"
-                    f"g0_tau_c = 1e300\nkappa_over_g0 = {kappa}\ngamma_over_g0 = {gamma}\n")
-    capsys.readouterr()
-    assert main(["state", "--config", str(path)]) == 0
-    streams = capsys.readouterr()
-    assert streams.err == ""
-    header, row = streams.out.splitlines()
-    values = dict(zip(header.split(","), map(float, row.split(","))))
-    assert values["rho_ee"] == 0.0 and values["rho_gg"] == 1.0
+    for tau in ("1e300", "1.7e308"):
+        path.write_text("[prior]\nkind = gaussian\nsigma_over_g0 = 0.5\n[scenario]\n"
+                        f"g0_tau_c = {tau}\nkappa_over_g0 = {kappa}\ngamma_over_g0 = {gamma}\n")
+        capsys.readouterr()
+        assert main(["state", "--config", str(path)]) == 0, tau
+        streams = capsys.readouterr()
+        assert streams.err == ""
+        header, row = streams.out.splitlines()
+        values = dict(zip(header.split(","), map(float, row.split(","))))
+        assert values["rho_ee"] == 0.0 and values["rho_gg"] == 1.0, tau
 
 
 def _run_cli(argv, timeout=60):

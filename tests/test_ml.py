@@ -474,6 +474,47 @@ def test_batched_likelihood_rows_equal_scalar_calls(prior):
     assert conditional_pdf(povm, g, xs).shape == (7, 50)
 
 
+def _close_entries(column, points, rel=4e-15):
+    """Each entry of ``column`` against its point call: equal (inf and zeros
+    included) or within ``rel`` relative."""
+    column = np.broadcast_to(column, (len(points),))
+    for x, y in zip(column, points):
+        assert x == y or abs(x - y) <= rel * max(abs(x), abs(y)), (x, y)
+
+
+def _times(g0: float):
+    # generic times, tau = 0, times at and below the uniform peak's underflow
+    # (tau <= 1e-150) and multiples of pi/(2 g0), where sin(2 g0 tau) = 0
+    return st.one_of(st.floats(0.0, 4.0), st.sampled_from([0.0, 1e-300, 1e-200, 1e-150]),
+                     st.integers(0, 8).map(lambda j: j * math.pi / (2.0 * g0)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["gaussian", "uniform", "special"]), g0=st.floats(0.3, 3.0),
+       sigma=st.floats(0.05, 3.0), g=st.floats(0.0, 3.0), data=st.data())
+def test_time_and_decay_columns_match_point_calls(kind, g0, sigma, g, data):
+    # one POVM over a column of times, or of decay exponents, is the point
+    # POVM entry by entry: constants, cost, f_z moments and mean estimate;
+    # "special" is the uniform prior on [0, 2 g0] at its quarter-period time
+    if kind == "special":
+        prior, extra = Prior.uniform(g0, g0 / math.sqrt(3.0)), [math.pi / (4.0 * g0)]
+    else:
+        prior, extra = Prior(kind, g0, sigma), []
+    taus = data.draw(st.lists(_times(g0), min_size=1, max_size=12)) + extra
+    us = data.draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6))
+    column = ml_povm(prior, np.array(taus), us[0])
+    points = [ml_povm(prior, tc, us[0]) for tc in taus]
+    _close_entries(column.c_max, [p.c_max for p in points])
+    _close_entries(ml_mod.cost_max(column), [ml_mod.cost_max(p) for p in points])
+    for k, moment in enumerate(f_z_moments(column)):
+        _close_entries(moment, [f_z_moments(p)[k] for p in points])
+    _close_entries(ml_average_estimate(column, g), [ml_average_estimate(p, g) for p in points])
+    decays = ml_povm(prior, taus[0], np.array(us))
+    points = [ml_povm(prior, taus[0], u) for u in us]
+    _close_entries(ml_mod.cost_max(decays), [ml_mod.cost_max(p) for p in points])
+    _close_entries(ml_average_estimate(decays, g), [ml_average_estimate(p, g) for p in points])
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     kind=st.sampled_from(["gaussian", "uniform"]),
