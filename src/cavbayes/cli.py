@@ -21,7 +21,9 @@ whether it is unitary or damped (kappa or in-cavity decay nonzero).
 
 Options (``--config``, ``--out``, ``--format``, ``--seed``) may come before
 or after the command; the one flat argument parser and the one config parser
-are built when this module is imported, and each :func:`main` call reuses them.
+are built when this module is imported, and each :func:`main` call reuses them,
+so :func:`main` and :func:`load_config` are not thread-safe: a process runs
+one call at a time.
 :func:`load_config` gives every INI the meaning ``ConfigParser`` gives it over
 the built-in defaults: a ``[DEFAULT]`` key never overrides a built-in default,
 and ``%(key)s`` finds one.  A table is one float array, written in one write.
@@ -284,7 +286,8 @@ def load_config(path: Optional[str]) -> dict:
     ``ConfigParser``'s grammar, interpolation and messages; only a value
     holding a ``%`` goes through the interpolation, which would return any
     other value unchanged.  The one parser is emptied first, so no call sees
-    an earlier one's keys."""
+    an earlier one's keys; it is shared, so calls must not overlap (not
+    thread-safe)."""
     parser = _INI
     parser.clear()
     parser.defaults().clear()  # clear() keeps the [DEFAULT] keys
@@ -404,8 +407,10 @@ def _config_echo(cfg: dict) -> dict:
 def _cmd_state(cfg: dict) -> Table:
     scenario = cfg["scenario"]
     m = reduced_state(cfg["g"] * cfg["prior"].g0, scenario, field_for(scenario)).matrix
-    return Table(columns=["g_over_g0", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im"],
-                 rows=[[cfg["g"], m.ee, m.gg, m.eg.real, m.eg.imag]])
+    return Table(
+        columns=["g_over_g0", "rho_ee", "rho_gg", "rho_eg_re", "rho_eg_im"],
+        rows=[[cfg["g"], m.ee, m.gg, m.eg.real, m.eg.imag]],
+    )
 
 
 def _cmd_mmse(cfg: dict) -> Table:

@@ -422,7 +422,9 @@ def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np
     return c * c
 
 
-def dissipative_populations(g_values: np.ndarray, t, gamma: float, kappa: float) -> np.ndarray:
+def dissipative_populations(
+    g_values: np.ndarray, t, gamma: float, kappa: float
+) -> np.ndarray:
     """Vectorized excited population of the damped transit.
 
     ``t`` is one time, giving one population per coupling, or a column of

@@ -116,8 +116,11 @@ class MlPovm:
         x = np.asarray(x, dtype=float)
         g0, sig, tc = self.prior.g0, self.prior.sigma, self.tau_c
         if self.prior.kind == priors_mod.GAUSSIAN:
-            out = -self._fz_scale * np.sin(2.0 * tc * (x - g0)) * np.exp(
-                -((x - g0) ** 2) / (2.0 * sig**2))
+            out = (
+                -self._fz_scale
+                * np.sin(2.0 * tc * (x - g0))
+                * np.exp(-((x - g0) ** 2) / (2.0 * sig**2))
+            )
         else:
             # cos(2 x tau_c) - K = -2 sin^2(x tau_c) - (K - 1): both terms keep
             # their relative precision as tau_c -> 0, where c_max grows as 1/tau^2
@@ -141,7 +144,9 @@ class MlPovm:
         if self.prior.kind == priors_mod.GAUSSIAN:
             rt2s = math.sqrt(2.0) * sig
             part_i = 0.5 * (erf((hi - g0) / rt2s) - erf((lo - g0) / rt2s))
-            part_z = -self._fz_scale * _gaussian_sine_band(lo - g0, hi - g0, sig, 2.0 * tc)
+            part_z = -self._fz_scale * _gaussian_sine_band(
+                lo - g0, hi - g0, sig, 2.0 * tc
+            )
         else:
             part_i = (hi - lo) / (2.0 * math.sqrt(3.0) * sig)
             # the primitive of -2 sin^2(x tau_c) - (K - 1), as in f_z
@@ -184,20 +189,10 @@ def _y_minus_sin(y):
 
 
 def _by_size(x, series, direct):
-    """series(x) below x = 1, direct(x) from there: each branch reads only its
-    own entries (the rest read 1/2 or 1), and a branch no entry takes is skipped."""
-    x = np.asarray(x, dtype=float)[()]
-    small = x < 1.0
-    if isinstance(small, np.bool_):  # a point takes its one branch
-        return series(x) if small else direct(x)
-    if not small.any():
-        return direct(x)
-    return _where(small, series(_where(small, x, 0.5)), direct(_where(small, 1.0, x)))
-
-
-def _where(cond, a, b):
-    """``np.where``; a point (one bool) picks its entry without building arrays."""
-    return (a if cond else b) if isinstance(cond, (bool, np.bool_)) else np.where(cond, a, b)
+    """series(x) below x = 1, direct(x) from there; each branch reads only its
+    own entries (the rest read 1/2 or 1)."""
+    small = np.asarray(x) < 1.0
+    return np.where(small, series(np.where(small, x, 0.5)), direct(np.where(small, 1.0, x)))
 
 
 def _s_minus_cos(x):
@@ -238,7 +233,7 @@ def _cmax_and_scale(prior: Prior, tau_c: np.ndarray) -> tuple:
         s = np.sin(2.0 * prior.g0 * tau_c)
         free = np.abs(s) < _SIN_FLOOR
         cap = 1.0 / (math.sqrt(2.0 * math.pi) * prior.sigma * np.maximum(np.abs(s), _SIN_FLOOR))
-        return _where(free, math.inf, cap), _where(free, 0.0, cap * s)
+        return np.where(free, math.inf, cap)[()], np.where(free, 0.0, cap * s)[()]
     if (tau_c < 0).any():
         raise ValueError("tau_c must be nonnegative")
     k_excess = _uniform_offset_excess(prior, tau_c)
@@ -254,7 +249,7 @@ def _cmax_and_scale(prior: Prior, tau_c: np.ndarray) -> tuple:
         peak = np.maximum(peak, np.abs(2.0 * odd + k_excess) * present)
     free = peak < 1e-300
     cap = 1.0 / (2.0 * math.sqrt(3.0) * prior.sigma * np.maximum(peak, 1e-300))
-    return _where(free, math.inf, cap), _where(free, 0.0, cap)
+    return np.where(free, math.inf, cap)[()], np.where(free, 0.0, cap)[()]
 
 
 def _point_cmax(prior: Prior, tau_c: float, kind: str) -> float:
@@ -282,7 +277,9 @@ def _povm(prior: Prior, tau_c, gamma_tau_f, kind: str) -> MlPovm:
 def _gaussian_sin_or_raise(prior: Prior, tau_c: float) -> float:
     s = math.sin(2.0 * prior.g0 * tau_c)
     if abs(s) < _SIN_FLOOR:
-        raise SinVanishes(f"sin(2 g0 tau_c) = {s}: traceless component unconstrained")
+        raise SinVanishes(
+            f"sin(2 g0 tau_c) = {s}: traceless component unconstrained"
+        )
     return s
 
 
@@ -430,7 +427,7 @@ def uniform_cost_max(povm: MlPovm):
     if povm.prior.kind != priors_mod.UNIFORM:
         raise ValueError("uniform_cost_max requires a uniform-prior POVM")
     g0, sig, k = povm.prior.g0, povm.prior.sigma, povm._fz_scale
-    tc = _where(k == 0.0, 1.0, povm.tau_c)  # f_z == 0 there: any time weighs nothing
+    tc = np.where(k == 0.0, 1.0, povm.tau_c)  # f_z == 0 there: any time weighs nothing
     bracket = _uniform_cost_bracket(2.0 * math.sqrt(3.0) * sig * tc, 2.0 * g0 * tc)
     return (1.0 / (2.0 * math.sqrt(3.0) * sig) + k * np.exp(-povm.gamma_tau_f) * bracket)[()]
 
@@ -486,7 +483,7 @@ def f_z_moments(povm: MlPovm) -> tuple:
         m2 = 2.0 * g0 * m1
     else:
         # f_z == 0 where k == 0: any time serves, and 1 keeps the brackets finite
-        tc = _where(k == 0.0, 1.0, tc)
+        tc = np.where(k == 0.0, 1.0, tc)
         h = math.sqrt(3.0) * sig
         x = 2.0 * tc * h
         big_b = 2.0 * g0 * tc
@@ -503,7 +500,8 @@ def ml_average_estimate(povm: MlPovm, g):
     An array ``g`` gives one mean per entry; a scalar gives a numpy scalar.
     """
     m1, _ = f_z_moments(povm)
-    return (povm.prior.g0 + _contrast(povm, g) * m1)[()]
+    out = povm.prior.g0 + _contrast(povm, g) * m1
+    return out[()]
 
 
 def ml_mse(povm: MlPovm, g):
@@ -512,8 +510,12 @@ def ml_mse(povm: MlPovm, g):
     :func:`ml_average_estimate`."""
     m1, m2 = f_z_moments(povm)
     g = np.asarray(g, dtype=float)
-    return (povm.prior.sigma**2 + (povm.prior.g0 - g) ** 2
-            + _contrast(povm, g) * (m2 - 2.0 * g * m1))[()]
+    out = (
+        povm.prior.sigma**2
+        + (povm.prior.g0 - g) ** 2
+        + _contrast(povm, g) * (m2 - 2.0 * g * m1)
+    )
+    return out[()]
 
 
 # ---------------------------------------------------------------------------
@@ -556,11 +558,14 @@ def interval_audit(
     # the support boundary, where only one-sided slivers can go negative
     n_anchor = min(64, n_intervals // 8)
     if n_anchor >= 2:
-        anchor_w = np.exp(np.linspace(math.log(period / 1024.0), math.log(span), n_anchor // 2))
+        anchor_w = np.exp(
+            np.linspace(math.log(period / 1024.0), math.log(span), n_anchor // 2)
+        )
         a_anchor = np.concatenate([np.full_like(anchor_w, lo), hi - anchor_w])
         b_anchor = np.concatenate([lo + anchor_w, np.full_like(anchor_w, hi)])
     else:
-        a_anchor = b_anchor = np.empty(0)
+        a_anchor = np.empty(0)
+        b_anchor = np.empty(0)
 
     n_rand = n_intervals - len(a_anchor)
     centers = rng.uniform(lo, hi, size=n_rand)
@@ -571,12 +576,18 @@ def interval_audit(
     a = np.concatenate([a_anchor, np.maximum(centers - widths / 2.0, lo)])
     b = np.concatenate([b_anchor, np.minimum(centers + widths / 2.0, hi)])
 
-    worst_low, worst_high, violations = math.inf, -math.inf, 0
+    worst_low = math.inf
+    worst_high = -math.inf
+    violations = 0
     part_i, part_z = povm.interval_parts(a, b)
     for sign in (1, -1):
         vals = part_i + sign * scale * part_z
         worst_low = min(worst_low, float(np.min(vals)))
         worst_high = max(worst_high, float(np.max(vals)))
         violations += int(np.sum((vals < -AUDIT_TOL) | (vals > 1.0 + AUDIT_TOL)))
-    return AuditResult(n_intervals=n_intervals, n_violations=violations,
-                       worst_low=worst_low, worst_high=worst_high)
+    return AuditResult(
+        n_intervals=n_intervals,
+        n_violations=violations,
+        worst_low=worst_low,
+        worst_high=worst_high,
+    )
