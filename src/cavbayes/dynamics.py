@@ -395,10 +395,12 @@ def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np
     |b| - r = 4 g^2 t / (sqrt|D| + |kappa-gamma|), against C e^{-r} = 1 + m/2
     and r S e^{-r} = -m/2 with m = expm1(-2r); for gamma > kappa the bracket
     is taken as e^{-r} - (|b| - r) S.  b S = ((kappa-gamma)/sqrt|D|) r S and
-    (|b| - r) S = 16 g^2 r S/(sqrt|D| (sqrt|D| + |kappa-gamma|)) hold no t
-    (S = 1 where D = 0), and no term holds t^2, so nothing overflows on a
-    long transit (a huge t gives f = 0) and nothing cancels but at a true
-    zero of c.
+    (|b| - r) S = 16 g^2 r S/(sqrt|D| (sqrt|D| + |kappa-gamma|)) hold no t.
+    At D = 0, where S = 1, b S = (kappa-gamma) t/4 is left out of the
+    bracket and added to c as ((kappa-gamma)/4) (t e^{-(gamma+kappa)t/4}),
+    which stays bounded.  No term holds t^2, so nothing overflows on a long
+    transit (a huge t gives f = 0) and nothing cancels but at a true zero of
+    c.
     """
     g = np.asarray(g_values, dtype=float)
     disc = (gamma - kappa) ** 2 - 16.0 * g**2
@@ -411,14 +413,17 @@ def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np
     r_sin = np.where(over, -0.5 * m, np.sin(r))
     crit = root == 0.0
     root_d = np.where(crit, 1.0, root)
-    b_sin = np.where(crit, (kappa - gamma) * (t / 4.0), (kappa - gamma) / root_d * r_sin)
+    b_sin = np.where(crit, 0.0, (kappa - gamma) / root_d * r_sin)
     if kappa >= gamma:
         amp = np.where(over, 1.0 + 0.5 * m, np.cos(r)) + b_sin
     else:
         lag_sin = 16.0 * g**2 / (root_d * (root_d + abs(kappa - gamma))) * r_sin
         amp = np.where(over, 1.0 + m - lag_sin, np.cos(r) + b_sin)
     envelope = np.where(over, -lag - min(gamma, kappa) * t / 2.0, -(gamma + kappa) * t / 4.0)
-    c = np.exp(envelope) * amp
+    decay = np.exp(envelope)
+    c = decay * amp
+    if crit.any():
+        c = c + np.where(crit, (kappa - gamma) / 4.0 * (t * decay), 0.0)
     return c * c
 
 

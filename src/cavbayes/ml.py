@@ -195,11 +195,15 @@ def _by_size(x, series, direct):
     return np.where(small, series(np.where(small, x, 0.5)), direct(np.where(small, 1.0, x)))
 
 
+def _s_minus_cos_series(x):
+    """sin(x)/x - cos(x) = sum_{k>=1} (-1)^(k+1) 2k x^(2k)/(2k+1)!, for |x| <= 2."""
+    return _odd_factorial_series(x, lambda k: (-1) ** (k + 1) * 2 * k, 1)
+
+
 def _s_minus_cos(x):
-    """sin(x)/x - cos(x) = sum_{k>=1} (-1)^(k+1) 2k x^(2k)/(2k+1)!, from the
-    series below x = 1, where it vanishes as x^2/3."""
-    return _by_size(x, lambda t: _odd_factorial_series(t, lambda k: (-1) ** (k + 1) * 2 * k, 1),
-                    lambda t: np.sin(t) / t - np.cos(t))
+    """sin(x)/x - cos(x), from :func:`_s_minus_cos_series` below x = 1, where
+    it vanishes as x^2/3."""
+    return _by_size(x, _s_minus_cos_series, lambda t: np.sin(t) / t - np.cos(t))
 
 
 def _uniform_second_bracket(x, s_minus_cos):
@@ -402,12 +406,12 @@ def _uniform_cost_bracket(big_a, big_b):
 
         T(A) = sum_{m>=2} (-1)^m (m-1)/(2m+2) (2A)^(2m) / (2m+1)!,
 
-    and s - cos A from :func:`_s_minus_cos`; A > 0.
+    and s - cos A from :func:`_s_minus_cos_series`; A > 0.
     """
 
     def series(a):
         t_sum = _odd_factorial_series(2.0 * a, lambda m: (-1) ** m * (m - 1) / (2 * m + 2), 2)
-        return t_sum + np.sin(big_b) ** 2 * (np.sin(a) / a) * _s_minus_cos(a)
+        return t_sum + np.sin(big_b) ** 2 * (np.sin(a) / a) * _s_minus_cos_series(a)
 
     return _by_size(big_a, series, lambda a: 0.5 - (np.sin(a) * np.cos(big_b)) ** 2 / a**2
                     + np.sin(2.0 * a) * np.cos(2.0 * big_b) / (4.0 * a))

@@ -160,6 +160,102 @@ def test_verify_takes_each_interval_set_once(monkeypatch):
     assert calls == [1, 2000, 2000] * 2
 
 
+def _point_result(result: MmseResult, i: int) -> MmseResult:
+    m = result.m_min
+    return MmseResult(m_min=Hermitian2(ee=m.ee[i], gg=m.gg[i], eg=m.eg[i]),
+                      estimates=(result.estimates[0][i], result.estimates[1][i]),
+                      projectors=result.projectors[i], c_min=result.c_min[i])
+
+
+@pytest.mark.parametrize("column,field", [
+    (Scenario(tau_c=(math.pi / 4.0, 0.6, 1.0)), VACUUM),
+    (Scenario(tau_c=(0.4, 0.9, 1.3), tau_f_gamma=(0.0, 0.2, 0.5), delta=(0.0, 0.7, 0.3)),
+     FieldState.coherent(1.0, cutoff=6)),
+])
+def test_column_cost_reports_equal_their_point_calls(column, field):
+    result = mmse_estimator(gamma_moments(GAUSS, column, field), column.tau_f_gamma)
+    reports = mc_quadratic_cost(result, GAUSS, column, field, 10**4, SEED)
+    assert len(reports) == 3
+    for i, (point, report) in enumerate(zip(column.columns.T.tolist(), reports)):
+        assert report == mc_quadratic_cost(_point_result(result, i), GAUSS, Scenario(*point),
+                                           field, 10**4, SEED)
+
+
+def test_column_cost_needs_one_estimator_per_point():
+    column = Scenario(tau_c=(0.6, 1.0))
+    result = mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=0.6), VACUUM))
+    with pytest.raises(ValueError):
+        mc_quadratic_cost(result, GAUSS, column, VACUUM, 10**4, SEED)
+
+
+@pytest.mark.parametrize("kind", sorted(PRIORS))
+def test_coupling_array_reports_equal_their_point_calls(kind):
+    povm = ml_povm(PRIORS[kind], math.pi / 4.0, 0.3)
+    couplings = np.array([0.7, 1.0, 1.3])
+    reports = mc_estimate_distribution(povm, couplings, 10**4, SEED)
+    assert len(reports) == 3
+    for g, report in zip(couplings.tolist(), reports):
+        point = mc_estimate_distribution(povm, g, 10**4, SEED)
+        assert report == point and np.array_equal(report.samples, point.samples)
+
+
+def test_verify_flags_a_stream_that_changes_between_runs(monkeypatch):
+    # the determinism check compares two complete runs of the seed, so a
+    # generator that hands out another stream on its second use must fail it
+    uses = []
+    generator = oracle._generator
+
+    def drifting(seed):
+        uses.append(seed)
+        return generator(seed + 1 if len(uses) == 2 else seed)
+
+    monkeypatch.setattr(oracle, "_generator", drifting)
+    report = verify_all(seed=7)
+    passed = {check["name"]: check["passed"] for check in report["checks"]}
+    assert not passed["mc_determinism"] and not report["passed"]
+
+
+def test_verify_draws_each_monte_carlo_stream_once(monkeypatch):
+    # one verify draws the couplings and the outcome uniforms once per run of
+    # the cost check (two runs, for determinism), the estimate uniforms once
+    # for all couplings, and the zero-rate populations in one call
+    class Recording:
+        def __init__(self, rng):
+            self.rng, self.sizes = rng, []
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def random(self, n):
+            self.sizes.append(n)
+            return self.rng.random(n)
+
+    generators, prior_draws, population_calls = [], [], []
+    generator, sample, populations = (oracle._generator, oracle.sample_prior,
+                                      oracle.dissipative_populations)
+
+    def recording(seed):
+        generators.append(Recording(generator(seed)))
+        return generators[-1]
+
+    def counted_sample(*args):
+        prior_draws.append(args[1])
+        return sample(*args)
+
+    def counted_populations(*args):
+        population_calls.append(np.shape(args[1]))
+        return populations(*args)
+
+    monkeypatch.setattr(oracle, "_generator", recording)
+    monkeypatch.setattr(oracle, "sample_prior", counted_sample)
+    monkeypatch.setattr(oracle, "dissipative_populations", counted_populations)
+    assert verify_all(seed=7)["passed"]
+    n = 10**5
+    assert prior_draws == [n, n]
+    assert [g.sizes for g in generators] == [[], [n, n], [n, n], [n]]
+    assert population_calls == [(41, 1)]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     kind=st.sampled_from(sorted(PRIORS)),
