@@ -421,9 +421,7 @@ def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np
         amp = np.where(over, 1.0 + m - lag_sin, np.cos(r) + b_sin)
     envelope = np.where(over, -lag - min(gamma, kappa) * t / 2.0, -(gamma + kappa) * t / 4.0)
     decay = np.exp(envelope)
-    c = decay * amp
-    if crit.any():
-        c = c + np.where(crit, (kappa - gamma) / 4.0 * (t * decay), 0.0)
+    c = decay * amp + np.where(crit, (kappa - gamma) / 4.0, 0.0) * (t * decay)
     return c * c
 
 
