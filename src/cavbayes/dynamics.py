@@ -237,10 +237,12 @@ def detector_matrix_elements(
     the population and exp(-gamma tau_f/2) on the coherence.  A column
     ``scenario`` gives (points x couplings) arrays over its (tau_c,
     tau_f_gamma, delta) columns, and each row equals bit for bit the 1-D
-    arrays of its point scenario, the batch of one.  Each early-out is
-    decided once per call: the resonant-vacuum shortcut and the Delta = 0
-    early-outs when no point of the column is detuned, and the empty-ladder
-    early-out (no coherence) when the field is the vacuum alone.
+    arrays of its point scenario, the batch of one.  Early-outs, decided once
+    per call: first a resonant one-level call without flags builds no ladder,
+    a_ee = |a_0|^2 cos^2(g t) e^{-u} (the ladder's bits, as sqrt(fl(g^2)) =
+    |g| and cos is even, but finite past |g| = 1.3e154, where the ladder's
+    g^2 overflows to NaN); then the Delta = 0 ones when no point is detuned,
+    and the empty-ladder one (no coherence) when the field is the vacuum alone.
 
     Sector n holds cos^2(l_n t) + (Delta^2/4) S_n^2 with S_n = sin(l_n t)/l_n;
     the coherence pairs the bracket cos(l_{m+1} t) - i (Delta/2) S_{m+1} with
@@ -269,9 +271,19 @@ def detector_matrix_elements(
     tc, u, delta = scenario.columns[:, :, None, None]  # (points, 1, 1) each
     detuned = bool(delta.any())
     quarter = delta**2 / 4
+    weight = np.abs(coeff) ** 2
+    damp = np.exp(-u[..., 0])
 
     def rows(out):  # a point scenario is the batch of one
         return out if scenario.is_column else tuple(x[0] for x in out)
+
+    if not (detuned or n_max or derivative or ground):  # resonant vacuum: cos^2 alone
+        a_ee = g_values * tc[..., 0]  # l_1 = sqrt(fl(g^2)) = |g|, and cos is even
+        np.cos(a_ee, out=a_ee)
+        a_ee *= a_ee
+        a_ee *= weight[0]
+        a_ee *= damp
+        return rows((a_ee, np.zeros(a_ee.shape, dtype=complex)))
 
     # sectors n = 1 .. n_max+1 hold amplitude a_{n-1}; column j is n = j + 1
     ns = np.arange(1, n_max + 2)
@@ -280,14 +292,7 @@ def detector_matrix_elements(
     lam = np.sqrt(lam2)
     phase = lam * tc
     cos = np.cos(phase)
-    weight = np.abs(coeff) ** 2
-    damp = np.exp(-u[..., 0])
     root_damp = np.sqrt(damp)
-
-    if not (detuned or n_max or derivative or ground):  # resonant vacuum: cos^2 alone
-        a_ee = (cos * cos) @ weight * damp
-        return rows((a_ee, np.zeros(a_ee.shape, dtype=complex)))
-
     ratio = np.sin(phase) / np.maximum(lam, _TINY)
     if derivative and (detuned or n_max):  # R enters only through these
         rem = _derivative_ratio(ratio, cos, lam2, phase, tc)
@@ -398,18 +403,19 @@ def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np
     (|b| - r) S = 16 g^2 r S/(sqrt|D| (sqrt|D| + |kappa-gamma|)) hold no t.
     At D = 0, where S = 1, b S = (kappa-gamma) t/4 is left out of the
     bracket and added to c as ((kappa-gamma)/4) (t e^{-(gamma+kappa)t/4}),
-    which stays bounded.  No term holds t^2, so nothing overflows on a long
-    transit (a huge t gives f = 0) and nothing cancels but at a true zero of
-    c.
+    which stays bounded.  No term holds t^2; on a long transit only r, 2r,
+    |b| - r and the envelope exponent overflow, silently, to the +-inf whose
+    limit f = 0 is meant, and nothing cancels but at a true zero of c.
     """
     g = np.asarray(g_values, dtype=float)
     disc = (gamma - kappa) ** 2 - 16.0 * g**2
     root = np.sqrt(np.abs(disc))
-    r = root * (t / 4.0)
     over = disc > 0.0
-    # |b| - r where overdamped
-    lag = 4.0 * g**2 * t / np.maximum(root + abs(kappa - gamma), _TINY)
-    m = np.expm1(-2.0 * r)
+    with np.errstate(over="ignore"):  # inf is the long-transit limit; lag = |b| - r
+        r = root * (t / 4.0)
+        lag = 4.0 * g**2 * t / np.maximum(root + abs(kappa - gamma), _TINY)
+        m = np.expm1(-2.0 * r)
+        envelope = np.where(over, -lag - min(gamma, kappa) * t / 2.0, -(gamma + kappa) * t / 4.0)
     r_sin = np.where(over, -0.5 * m, np.sin(r))
     crit = root == 0.0
     root_d = np.where(crit, 1.0, root)
@@ -419,7 +425,6 @@ def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np
     else:
         lag_sin = 16.0 * g**2 / (root_d * (root_d + abs(kappa - gamma))) * r_sin
         amp = np.where(over, 1.0 + m - lag_sin, np.cos(r) + b_sin)
-    envelope = np.where(over, -lag - min(gamma, kappa) * t / 2.0, -(gamma + kappa) * t / 4.0)
     decay = np.exp(envelope)
     c = decay * amp + np.where(crit, (kappa - gamma) / 4.0, 0.0) * (t * decay)
     return c * c

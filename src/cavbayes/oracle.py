@@ -541,11 +541,11 @@ def verify_all(seed: int = 0) -> dict:
     violations = 0
     worst_gap = 0.0
     g_grid = np.linspace(0.2, 1.8, 25)
+    sc = Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2)
+    rho, drho = reduced_state(g_grid, sc, vac, derivative=True)
     for prior in (gauss, unif):
-        sc = Scenario(tau_c=math.pi / 4.0, tau_f_gamma=0.2)
         result = mmse_estimator(gamma_moments(prior, sc, vac), sc.tau_f_gamma)
         povm = ml_povm(prior, sc.tau_c, sc.tau_f_gamma)
-        rho, drho = reduced_state(g_grid, sc, vac, derivative=True)
         for rep in (cr_bound_mmse(result, g_grid, rho, drho), cr_bound_ml(povm, g_grid)):
             gap = rep.mse - rep.lower_bound
             worst_gap = min(worst_gap, float(gap.min()))

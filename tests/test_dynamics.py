@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -290,6 +291,24 @@ def test_dissipative_critical_damping_edge():
     assert got == pytest.approx(ref, abs=1e-10)
 
 
+
+# rate pairs (gamma, kappa), each at its critical coupling g = |gamma - kappa|/4
+_CRITICAL_RATES = [(0.0, 8.0), (8.0, 0.0), (0.1, 0.5), (0.5, 0.1), (0.7, 5.0), (5.0, 0.7),
+                   (0.0, 60.0), (60.0, 0.0), (1.0, 2.0), (2.0, 1.0)]
+
+
+@pytest.mark.parametrize("t", [1e300, 1.7e308, np.array([[1e300], [1.7e308]])],
+                         ids=["1e300", "1.7e308", "column"])
+def test_critical_population_at_huge_time_is_zero_without_warnings(t):
+    # |b| - r and the envelope exponent reach -inf, their intended limit, and
+    # the error filter turns any numpy warning into a failure
+    assert not dissipative_populations(2.0, t, 0.0, 8.0).any()
+    for gamma, kappa in _CRITICAL_RATES:
+        g = abs(gamma - kappa) / 4.0
+        f = dissipative_populations(np.array([g, -g]), t, gamma, kappa)
+        assert not f.any() and f.shape == np.broadcast_shapes(np.shape(t), (2,))
+
+
 def test_negative_rates_rejected():
     with pytest.raises(InvalidRate):
         dissipative_populations(1.0, 1.0, -0.1, 0.0)
@@ -384,6 +403,48 @@ def test_batched_state_rows_equal_scalar_calls():
         ):
             assert got == pytest.approx(ref, rel=1e-15, abs=1e-16)
         assert d_one.gg == -d_one.ee
+
+
+
+_COUPLINGS = st.one_of(st.floats(-20.0, 20.0), st.floats(-1e-154, 1e-154),
+                       st.floats(-1e150, 1e150))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.lists(_COUPLINGS, min_size=1, max_size=40),
+       points=st.lists(st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 30.0)),
+                       min_size=1, max_size=4))
+def test_resonant_vacuum_kernel_is_the_ladder_cos_squared(g, points):
+    # the no-flag vacuum call skips the ladder, yet l_1 = sqrt(fl(g^2)) = |g|
+    # (or the phase is too small to move cos from 1) and cos is even, so it
+    # keeps the bits of the ground=True call, which still sums the ladder
+    g = np.array(g)
+    tc, u = (np.array(col)[:, None] for col in zip(*points))
+    column = Scenario(tau_c=tuple(tc[:, 0]), tau_f_gamma=tuple(u[:, 0]))
+    a_ee, a_eg = detector_matrix_elements(g, column, VACUUM)
+    ladder = detector_matrix_elements(g, column, VACUUM, ground=True)[0]
+    assert a_ee.tobytes() == ladder.tobytes() == (np.cos(g * tc) ** 2 * np.exp(-u)).tobytes()
+    assert a_eg.dtype == complex and a_eg.shape == a_ee.shape
+    assert a_eg.tobytes() == bytes(a_eg.nbytes)
+    for i, (t, gamma_tau) in enumerate(points):
+        one = detector_matrix_elements(g, Scenario(tau_c=t, tau_f_gamma=gamma_tau), VACUUM)
+        assert one[0].tobytes() == a_ee[i].tobytes()
+        assert one[1].tobytes() == a_eg[i].tobytes()
+
+
+def test_resonant_vacuum_kernel_allocates_no_ladder():
+    # a_ee (8 bytes a coupling) and the complex zero a_eg (16) are all it
+    # holds at once: no g^2 n, l_n or phase arrays of the ladder path
+    n = 10**5
+    g = np.linspace(-3.0, 3.0, n)
+    sc = Scenario(tau_c=(math.pi / 4.0,), tau_f_gamma=(0.2,))
+    tracemalloc.start()
+    try:
+        detector_matrix_elements(g, sc, VACUUM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 8 * n
 
 
 def test_dissipative_rounding_excess_is_clamped(monkeypatch):
