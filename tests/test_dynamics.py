@@ -291,7 +291,6 @@ def test_dissipative_critical_damping_edge():
     assert got == pytest.approx(ref, abs=1e-10)
 
 
-
 # rate pairs (gamma, kappa), each at its critical coupling g = |gamma - kappa|/4
 _CRITICAL_RATES = [(0.0, 8.0), (8.0, 0.0), (0.1, 0.5), (0.5, 0.1), (0.7, 5.0), (5.0, 0.7),
                    (0.0, 60.0), (60.0, 0.0), (1.0, 2.0), (2.0, 1.0)]
@@ -403,7 +402,6 @@ def test_batched_state_rows_equal_scalar_calls():
         ):
             assert got == pytest.approx(ref, rel=1e-15, abs=1e-16)
         assert d_one.gg == -d_one.ee
-
 
 
 _COUPLINGS = st.one_of(st.floats(-20.0, 20.0), st.floats(-1e-154, 1e-154),
