@@ -70,7 +70,8 @@ class Scenario:
     decay, so such a scenario refuses ``delta``, ``alpha`` and ``tau_f_gamma``.
 
     ``tau_c``, ``tau_f_gamma`` and ``delta`` may each be a column, a tuple of
-    one float per point of a batch (see :attr:`columns`); every value is finite.
+    one float per point of a batch; floats alone make a point, the 0-d case
+    of the columns (see :attr:`columns`).  Every value is finite.
     """
 
     tau_c: float | tuple
@@ -102,16 +103,11 @@ class Scenario:
         return self.kappa == 0.0 and self.gamma_cav == 0.0
 
     @property
-    def is_column(self) -> bool:
-        """True when ``tau_c``, ``tau_f_gamma`` or ``delta`` holds a column."""
-        return tuple in (type(self.tau_c), type(self.tau_f_gamma), type(self.delta))
-
-    @property
     def columns(self) -> np.ndarray:
-        """(tau_c, tau_f_gamma, delta) as the rows of a new (3, points) float array."""
+        """(tau_c, tau_f_gamma, delta) as a new float array, (3,) for a point or (3, points)."""
         raw = (self.tau_c, self.tau_f_gamma, self.delta)
-        n = max(len(v) if type(v) is tuple else 1 for v in raw)
-        return np.array([v if type(v) is tuple else (v,) * n for v in raw], dtype=float)
+        n = max(len(v) if type(v) is tuple else 0 for v in raw)
+        return np.array([v if type(v) is tuple or not n else (v,) * n for v in raw], dtype=float)
 
 
 def _auto_cutoff(alpha: complex) -> int:
@@ -237,12 +233,13 @@ def detector_matrix_elements(
     the population and exp(-gamma tau_f/2) on the coherence.  A column
     ``scenario`` gives (points x couplings) arrays over its (tau_c,
     tau_f_gamma, delta) columns, and each row equals bit for bit the 1-D
-    arrays of its point scenario, the batch of one.  Early-outs, decided once
-    per call: first a resonant one-level call without flags builds no ladder,
-    a_ee = |a_0|^2 cos^2(g t) e^{-u} (the ladder's bits, as sqrt(fl(g^2)) =
-    |g| and cos is even, but finite past |g| = 1.3e154, where the ladder's
-    g^2 overflows to NaN); then the Delta = 0 ones when no point is detuned,
-    and the empty-ladder one (no coherence) when the field is the vacuum alone.
+    arrays of its point scenario, the 0-d case; a scalar ``g_values`` is one
+    coupling.  Early-outs, decided once per call: first a resonant one-level
+    call without flags builds no ladder, a_ee = |a_0|^2 cos^2(g t) e^{-u}
+    (the ladder's bits, as sqrt(fl(g^2)) = |g| and cos is even, but finite
+    past |g| = 1.3e154, where the ladder's g^2 overflows to NaN); then the
+    Delta = 0 ones when no point is detuned, and the empty-ladder one (no
+    coherence) when the field is the vacuum alone.
 
     Sector n holds cos^2(l_n t) + (Delta^2/4) S_n^2 with S_n = sin(l_n t)/l_n;
     the coherence pairs the bracket cos(l_{m+1} t) - i (Delta/2) S_{m+1} with
@@ -268,14 +265,11 @@ def detector_matrix_elements(
     g_values = np.atleast_1d(np.asarray(g_values, dtype=float))
     coeff = np.asarray(field.coefficients, dtype=complex)
     n_max = len(coeff) - 1
-    tc, u, delta = scenario.columns[:, :, None, None]  # (points, 1, 1) each
+    tc, u, delta = scenario.columns[..., None, None]  # (1, 1) or (points, 1, 1) each
     detuned = bool(delta.any())
     quarter = delta**2 / 4
     weight = np.abs(coeff) ** 2
     damp = np.exp(-u[..., 0])
-
-    def rows(out):  # a point scenario is the batch of one
-        return out if scenario.is_column else tuple(x[0] for x in out)
 
     if not (detuned or n_max or derivative or ground):  # resonant vacuum: cos^2 alone
         a_ee = g_values * tc[..., 0]  # l_1 = sqrt(fl(g^2)) = |g|, and cos is even
@@ -283,7 +277,7 @@ def detector_matrix_elements(
         a_ee *= a_ee
         a_ee *= weight[0]
         a_ee *= damp
-        return rows((a_ee, np.zeros(a_ee.shape, dtype=complex)))
+        return a_ee, np.zeros(a_ee.shape, dtype=complex)
 
     # sectors n = 1 .. n_max+1 hold amplitude a_{n-1}; column j is n = j + 1
     ns = np.arange(1, n_max + 2)
@@ -326,7 +320,7 @@ def detector_matrix_elements(
         rest = -np.expm1(-u[..., 0]) + damp * (1.0 - weight.sum())
         out += (rest + (g2n * ratio * ratio) @ weight * damp,)
     if not derivative:
-        return rows(out)
+        return out
 
     g_col = g_values[:, None]
     slope = quarter * rem - tc * cos if detuned else -tc * cos
@@ -342,7 +336,7 @@ def detector_matrix_elements(
         )
     else:
         da_eg = np.zeros_like(a_eg)
-    return rows(out + (da_ee, da_eg))
+    return out + (da_ee, da_eg)
 
 
 def reduced_state(g, scenario: Scenario, field: FieldState, derivative: bool = False):
@@ -352,7 +346,8 @@ def reduced_state(g, scenario: Scenario, field: FieldState, derivative: bool = F
     free-flight decay factors; the ground population is the kernel's a_gg,
     exact as the state nears |e><e|.  Unit trace and positivity are enforced
     by the returned :class:`QubitState`.  An array ``g`` gives the batch of
-    states, one entry per coupling, from one kernel call.  With
+    states, one entry per coupling, from one kernel call, and a scalar its
+    0-d case, a state of numpy scalars.  With
     ``derivative=True`` the exact d rho/dg (a traceless :class:`Hermitian2`
     of the same shape) is returned along with the state.
 
@@ -361,19 +356,17 @@ def reduced_state(g, scenario: Scenario, field: FieldState, derivative: bool = F
     ``field`` with any amplitude above n = 0 raises ``ValueError``, as does
     ``derivative=True``.  A column scenario raises ``ValueError``.
     """
-    if scenario.is_column:
+    if scenario.columns.ndim > 1:
         raise ValueError("the reduced state takes a point scenario")
     if not scenario.is_unitary_transit:
         _check_vacuum(field)
         if derivative:
             raise ValueError("a damped state has no d rho/dg")
         f = dissipative_populations(g, scenario.tau_c, scenario.gamma_cav, scenario.kappa)
-        if np.ndim(g) == 0:
-            f = float(f[0])
+        f = f.reshape(np.shape(g))[()]
         return QubitState(Hermitian2(ee=f, gg=1.0 - f))
     elements = detector_matrix_elements(g, scenario, field, derivative=derivative, ground=True)
-    if np.ndim(g) == 0:
-        elements = [x[0].item() for x in elements]
+    elements = [x.reshape(np.shape(g))[()] for x in elements]
     a_ee, a_eg, a_gg = elements[:3]
     state = QubitState(Hermitian2(ee=a_ee, gg=a_gg, eg=a_eg))
     if not derivative:
@@ -405,7 +398,9 @@ def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np
     bracket and added to c as ((kappa-gamma)/4) (t e^{-(gamma+kappa)t/4}),
     which stays bounded.  No term holds t^2; on a long transit only r, 2r,
     |b| - r and the envelope exponent overflow, silently, to the +-inf whose
-    limit f = 0 is meant, and nothing cancels but at a true zero of c.
+    limit f = 0 is meant, and nothing cancels but at a true zero of c.  An
+    overflowed r reaches sin and cos only under an envelope of 1 (zero
+    rates), where f has no limit and reads NaN.
     """
     g = np.asarray(g_values, dtype=float)
     disc = (gamma - kappa) ** 2 - 16.0 * g**2
@@ -416,16 +411,17 @@ def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np
         lag = 4.0 * g**2 * t / np.maximum(root + abs(kappa - gamma), _TINY)
         m = np.expm1(-2.0 * r)
         envelope = np.where(over, -lag - min(gamma, kappa) * t / 2.0, -(gamma + kappa) * t / 4.0)
-    r_sin = np.where(over, -0.5 * m, np.sin(r))
+    decay = np.exp(envelope)
+    phase = np.where(over | (decay == 0.0), 0.0, r)  # r where the oscillation is read
+    r_sin = np.where(over, -0.5 * m, np.sin(phase))
     crit = root == 0.0
     root_d = np.where(crit, 1.0, root)
     b_sin = np.where(crit, 0.0, (kappa - gamma) / root_d * r_sin)
     if kappa >= gamma:
-        amp = np.where(over, 1.0 + 0.5 * m, np.cos(r)) + b_sin
+        amp = np.where(over, 1.0 + 0.5 * m, np.cos(phase)) + b_sin
     else:
         lag_sin = 16.0 * g**2 / (root_d * (root_d + abs(kappa - gamma))) * r_sin
-        amp = np.where(over, 1.0 + m - lag_sin, np.cos(r) + b_sin)
-    decay = np.exp(envelope)
+        amp = np.where(over, 1.0 + m - lag_sin, np.cos(phase) + b_sin)
     c = decay * amp + np.where(crit, (kappa - gamma) / 4.0, 0.0) * (t * decay)
     return c * c
 

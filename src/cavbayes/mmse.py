@@ -12,7 +12,8 @@ the conditional mean and MSE of an estimator take that state rho(g) itself.
 Every moment call takes a whole sweep axis: :func:`gamma_moments` reads a
 column :class:`Scenario` and returns the batch of triples, one per point,
 that :func:`mmse_estimator` solves in one call.  A point scenario is the
-batch of one through the same code.  The scenario picks its transit model: at
+0-d case of the same code, and its triple holds numpy scalars.  The
+scenario picks its transit model: at
 resonance every entry of G_k is a finite photon-ladder sum of the prior's
 exact moments M_k(omega) = int z(g) g^k e^{i omega g} dg
 (:func:`priors.characteristic_moments`), for any field, evaluated over one
@@ -97,9 +98,9 @@ class MmseResult:
     """
 
     m_min: Hermitian2
-    estimates: tuple[float, float]
+    estimates: tuple[np.float64 | np.ndarray, np.float64 | np.ndarray]
     projectors: np.ndarray
-    c_min: float
+    c_min: np.float64 | np.ndarray
 
 
 def _chunks(count: int, width: int) -> list:
@@ -113,12 +114,10 @@ def _entries(count: int) -> tuple:
     return np.empty((3, count)), np.empty((3, count)), np.empty((3, count), dtype=complex)
 
 
-def _triples(entries, single: bool) -> GammaTriple:
-    """The batch of triples from (3, points) entry arrays, or with ``single``
-    the one triple of their only point."""
-    ee, gg, eg = entries
-    if single:
-        ee, gg, eg = ee[:, 0].tolist(), gg[:, 0].tolist(), eg[:, 0].tolist()
+def _triples(entries, shape: tuple) -> GammaTriple:
+    """The triples from (3, points) entry arrays, with entries of ``shape``:
+    () for a point (numpy scalars), (points,) for a column."""
+    ee, gg, eg = (x.reshape(3, *shape) for x in entries)
     return GammaTriple(*(Hermitian2(ee=ee[k], gg=gg[k], eg=eg[k]) for k in range(3)))
 
 
@@ -198,7 +197,7 @@ def _quadrature_moments(
     """Moment operators by prior quadrature of the points ``points`` of
     ``scenario``, written to those columns of ``out``; the state kernel runs
     once per rule and chunk, on the chunk's sub-column of ``scenario``."""
-    columns = scenario.columns
+    columns = scenario.columns.reshape(3, -1)
     levels = len(field.coefficients)
     counts = [priors_mod.nodes_for_oscillation(prior, 2.0 * t * math.sqrt(levels), levels)
               if n_points is None else n_points for t in columns[0, points].tolist()]
@@ -216,8 +215,9 @@ def gamma_moments(
 ) -> GammaTriple:
     """Moment operators of the detector-time state.
 
-    A point ``scenario`` gives one triple; a column scenario gives the batch
-    of triples, one per point in column order.  Resonant unitary transits
+    A column ``scenario`` gives the batch of triples, one per point in
+    column order, and a point scenario, its 0-d case, one triple of numpy
+    scalars.  Resonant unitary transits
     take the exact ladder sums of the prior's characteristic moments, for
     any field and flight decay; detuned points integrate by quadrature, and
     ``n_points`` sizes only that quadrature.  A damped scenario goes to
@@ -225,16 +225,16 @@ def gamma_moments(
     ``field`` must then be the vacuum the damped transit starts in
     (``ValueError`` otherwise).
     """
-    tc, _, delta = columns = scenario.columns
+    columns = scenario.columns
     if not scenario.is_unitary_transit:
         _check_vacuum(field)
-        taus = tc if scenario.is_column else tc[0]
-        return gamma_moments_dissipative(prior, taus, scenario.gamma_cav, scenario.kappa)
+        return gamma_moments_dissipative(prior, columns[0], scenario.gamma_cav, scenario.kappa)
+    tc, _, delta = flat = columns.reshape(3, -1)
     out = _entries(len(tc))
-    _resonant_moments(prior, columns, delta == 0.0, field, out)
+    _resonant_moments(prior, flat, delta == 0.0, field, out)
     if delta.any():
         _quadrature_moments(prior, scenario, np.flatnonzero(delta), field, n_points, out)
-    return _triples(out, single=not scenario.is_column)
+    return _triples(out, columns.shape[1:])
 
 
 def gamma_moments_dissipative(
@@ -243,9 +243,9 @@ def gamma_moments_dissipative(
     """Moment operators of the damped transit (diagonal states), the branch
     :func:`gamma_moments` takes for damped scenarios.
 
-    ``tau_c`` is one interaction time, giving one triple, or an array of
-    them, giving the batch of triples in order.  Times sharing a node count
-    share one rule, and each chunk of them one population grid.
+    ``tau_c`` is an array of interaction times, giving the batch of triples
+    in order, or one time, its 0-d case, giving one triple.  Times sharing a
+    node count share one rule, and each chunk of them one population grid.
     """
     taus = np.atleast_1d(np.asarray(tau_c, dtype=float))
     counts = [priors_mod.nodes_for_oscillation(prior, 2.0 * float(t)) for t in taus]
@@ -255,7 +255,7 @@ def gamma_moments_dissipative(
         lambda nodes, cols: (dissipative_populations(nodes, taus[cols, None], gamma, kappa), None),
         out, 1,
     )
-    return _triples(out, single=np.ndim(tau_c) == 0)
+    return _triples(out, np.shape(tau_c))
 
 
 def mmse_estimator(gammas: GammaTriple, gamma_tau_f=0.0) -> MmseResult:

@@ -171,23 +171,23 @@ def mc_quadratic_cost(
     """
     if n < 10**4:
         raise ValueError("need at least 1e4 samples for a stable z-score")
-    columns = scenario.columns.T.tolist()
+    points = scenario.columns.reshape(3, -1).T.tolist()
     projectors = np.reshape(result.projectors, (-1, 2, 2))
     estimates = np.reshape(result.estimates, (2, -1))
     c_min = np.reshape(result.c_min, -1)
-    if len(projectors) != len(columns):
+    if len(projectors) != len(points):
         raise ValueError("the result needs one estimator per point of the scenario")
     rng = _generator(seed)
     gs = sample_prior(prior, n, rng)
     picks = rng.random(n)
     reports = []
-    for i, (tau_c, tau_f_gamma, delta) in enumerate(columns):
+    for i, (tau_c, tau_f_gamma, delta) in enumerate(points):
         point = dataclasses.replace(scenario, tau_c=tau_c, tau_f_gamma=tau_f_gamma, delta=delta)
         mean, stderr = _loss_moments(gs, picks, point, field, projectors[i], estimates[:, i])
         z = abs(mean - c_min[i]) / stderr if stderr > 0 else math.inf
         reports.append(McReport(n_samples=n, empirical_cost=mean, standard_error=stderr,
                                 analytic_cost=c_min[i], z_score=z, seed=seed))
-    return reports if scenario.is_column else reports[0]
+    return reports if scenario.columns.ndim > 1 else reports[0]
 
 
 def _loss_moments(gs, picks, point: Scenario, field: FieldState, v, estimates):
@@ -293,10 +293,10 @@ def gamma_moments_quadrature(prior: Prior, scenario: Scenario, field: FieldState
     does.  The node count is raised automatically so the fastest Rabi
     oscillation, cos(2 l tau_c) at the ladder top, is resolved.
     """
-    points = np.arange(scenario.columns.shape[1])
+    points = np.arange(scenario.columns[0].size)
     out = _entries(len(points))
     _quadrature_moments(prior, scenario, points, field, None, out)
-    return _triples(out, single=not scenario.is_column)
+    return _triples(out, scenario.columns.shape[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def density(prior: Prior, g) -> np.ndarray | float:
         out = np.where(
             (g_arr >= lo) & (g_arr <= hi), 1.0 / (2 * math.sqrt(3.0) * prior.sigma), 0.0
         )
-    return float(out) if np.isscalar(g) else out
+    return out[()]
 
 
 def moments(prior: Prior) -> tuple[float, float]:

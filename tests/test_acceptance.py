@@ -1,14 +1,17 @@
-"""Acceptance suite: one test per release criterion.
+"""Acceptance suite: one test per release criterion, then the model's exact
+invariants as properties over a box of priors and scenarios.
 
 Run `pytest tests/test_acceptance.py -v` to get one pass/fail line per
 criterion.  Every tolerance is pinned here; measured values are printed for
 the record.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import branch_estimates
 
@@ -267,3 +270,56 @@ def test_criterion_12_dissipative_behavior():
             f"{prior.kind}: {ideal:.4f} <= {strong:.4f} <= {intermediate:.4f}"
         )
     report("12 dissipative behavior", "; ".join(details))
+
+
+# ---------------------------------------------------------------------------
+# Exact invariants of the model, as properties over the box: both priors,
+# sigma in [0.2, 1.5] (g0 = 1), |Delta| <= 2, |alpha| <= 2, g0 tau_c in
+# [0.1, 3] and u = gamma tau_f in [0, 1].
+
+_INVARIANT_BOX = {
+    "kind": st.sampled_from(["gaussian", "uniform"]),
+    "sigma": st.floats(0.2, 1.5),
+    "delta": st.floats(-2.0, 2.0),
+    "amplitude": st.floats(0.0, 2.0),
+    "phase": st.floats(0.0, 2.0 * math.pi),
+    "tau_c": st.floats(0.1, 3.0),
+    "u": st.floats(0.0, 1.0),
+}
+_INVARIANT_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def _c_min(prior, tau_c, delta, alpha, u):
+    sc = Scenario(tau_c=tau_c, delta=delta, alpha=alpha, tau_f_gamma=u)
+    return mmse_estimator(gamma_moments(prior, sc, field_for(sc)), u).c_min
+
+
+@_INVARIANT_SETTINGS
+@given(**_INVARIANT_BOX)
+def test_invariant_detuning_sign(kind, sigma, delta, amplitude, phase, tau_c, u):
+    # c_min(Delta) = c_min(-Delta): bit for bit for alpha >= 0, whose
+    # detuning flip is the sign of Re a_eg; a complex alpha mirrors it only
+    # with its own conjugate, so there it holds to the field-phase tolerance
+    prior = Prior(kind, 1.0, sigma)
+    assert _c_min(prior, tau_c, delta, amplitude, u) == _c_min(prior, tau_c, -delta, amplitude, u)
+    alpha = amplitude * cmath.exp(1j * phase)
+    mirrored, cost = _c_min(prior, tau_c, -delta, alpha, u), _c_min(prior, tau_c, delta, alpha, u)
+    assert abs(mirrored - cost) <= 1e-13 * abs(cost)
+
+
+@_INVARIANT_SETTINGS
+@given(**_INVARIANT_BOX)
+def test_invariant_field_phase(kind, sigma, delta, amplitude, phase, tau_c, u):
+    # c_min does not depend on the phase of alpha, to 1e-13 relative
+    prior = Prior(kind, 1.0, sigma)
+    phased = _c_min(prior, tau_c, delta, amplitude * cmath.exp(1j * phase), u)
+    real = _c_min(prior, tau_c, delta, amplitude, u)
+    assert abs(phased - real) <= 1e-13 * abs(real)
+
+
+@_INVARIANT_SETTINGS
+@given(**_INVARIANT_BOX)
+def test_invariant_prior_bound(kind, sigma, delta, amplitude, phase, tau_c, u):
+    # the prior mean is an estimator, so the optimal cost is at most sigma^2
+    prior = Prior(kind, 1.0, sigma)
+    assert _c_min(prior, tau_c, delta, amplitude * cmath.exp(1j * phase), u) <= sigma**2

@@ -27,6 +27,7 @@ from cavbayes.dynamics import (
     reduced_state,
 )
 from cavbayes.errors import DegenerateGamma0
+from cavbayes.oracle import gamma_moments_quadrature
 from cavbayes.priors import Prior
 from cavbayes.qubit import Hermitian2, eigendecompose, solve_symmetric_product
 
@@ -167,7 +168,7 @@ def test_tau_star_coarse_scan_is_one_batch(monkeypatch):
     # the damped moments over all its points
     solves = _spy_batches(monkeypatch, mmse_mod, "mmse_estimator", lambda g, *a: np.size(g.gamma0.ee))
     moments = _spy_batches(
-        monkeypatch, mmse_mod, "gamma_moments", lambda p, sc, *a: len(sc.columns[0]) if sc.is_column else 0
+        monkeypatch, mmse_mod, "gamma_moments", lambda p, sc, *a: sc.columns.shape[1] if sc.columns.ndim == 2 else 0
     )
     damped = _spy_batches(
         monkeypatch, mmse_mod, "gamma_moments_dissipative", lambda p, tc, *a: np.size(tc)
@@ -278,11 +279,34 @@ def _moment_field(amplitude: float, phase: float, cutoff: int) -> FieldState:
     return fld if fld.captured_mass >= 0.99 else FieldState.coherent(alpha)
 
 
+def _assert_point_is_row(row, point, where):
+    # a point call gives numpy scalars with the bits of its row
+    for x, y in zip(row, point):
+        assert isinstance(y, np.generic) and np.ndim(y) == 0, where
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), where
+
+
 def _assert_rows_equal_single_calls(batch, singles):
     for i, single in enumerate(singles):
         for name in ("gamma0", "gamma1", "gamma2"):
             b, one = getattr(batch, name), getattr(single, name)
-            assert (b.ee[i], b.gg[i], b.eg[i]) == (one.ee, one.gg, one.eg), (i, name)
+            _assert_point_is_row((b.ee[i], b.gg[i], b.eg[i]), (one.ee, one.gg, one.eg), (i, name))
+
+
+def _assert_states_are_rows(prior, g, scenario, fld, derivative):
+    # reduced_state and the prior density at each scalar coupling are the
+    # 0-d rows of their calls on the coupling array; a damped state keeps
+    # the default eg = 0
+    states = reduced_state(g, scenario, fld, derivative=derivative)
+    states = states if derivative else (states,)
+    names = ("ee", "gg", "eg") if scenario.is_unitary_transit else ("ee", "gg")
+    densities = priors_mod.density(prior, g)
+    for j, coupling in enumerate(g.tolist()):
+        points = reduced_state(coupling, scenario, fld, derivative=derivative)
+        for m, one in zip(states, points if derivative else (points,)):
+            m, one = getattr(m, "matrix", m), getattr(one, "matrix", one)
+            _assert_point_is_row([getattr(m, k)[j] for k in names], [getattr(one, k) for k in names], j)
+        _assert_point_is_row((densities[j],), (priors_mod.density(prior, coupling),), j)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -295,16 +319,23 @@ def _assert_rows_equal_single_calls(batch, singles):
 )
 def test_batch_rows_equal_batch_of_one(kind, sigma, points, field_size, budget):
     # every row of a batched moment call, resonant and detuned points mixed
-    # and split over one or many chunks, is its batch-of-one call bit for bit
+    # and split over one or many chunks, is its point call bit for bit, and
+    # the point call gives 0-d entries; so is every row of the quadrature
+    # oracle, and a point's state at each scalar coupling
     prior = Prior(kind, 1.0, sigma)
     fld = _moment_field(*field_size)
     taus, us, deltas = zip(*points)
     column = Scenario(tau_c=taus, tau_f_gamma=us, delta=deltas)
+    singles = [Scenario(tau_c=t, tau_f_gamma=u, delta=d) for t, u, d in points]
     with mock.patch.object(mmse_mod, "_CHUNK_ELEMENTS", budget):
         batch = mmse_mod.gamma_moments(prior, column, fld)
-    singles = [mmse_mod.gamma_moments(prior, Scenario(tau_c=t, tau_f_gamma=u, delta=d), fld)
-               for t, u, d in points]
-    _assert_rows_equal_single_calls(batch, singles)
+        quadrature = gamma_moments_quadrature(prior, column, fld)
+    _assert_rows_equal_single_calls(batch, [mmse_mod.gamma_moments(prior, sc, fld) for sc in singles])
+    _assert_rows_equal_single_calls(quadrature, [gamma_moments_quadrature(prior, sc, fld) for sc in singles])
+    # the ladder sums are matrix-vector products, whose last bit may depend
+    # on how many couplings one call holds, so each coupling is its own array
+    for coupling in (0.0, 0.4, 1.3):
+        _assert_states_are_rows(prior, np.array([coupling]), singles[0], fld, derivative=True)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -316,13 +347,19 @@ def test_batch_rows_equal_batch_of_one(kind, sigma, points, field_size, budget):
     budget=st.sampled_from([8192, 600, 1]),
 )
 def test_dissipative_batch_rows_equal_batch_of_one(kind, sigma, taus, rates, budget):
+    # the damped twin, through gamma_moments and gamma_moments_dissipative alike
     prior, (gamma, kappa) = Prior(kind, 1.0, sigma), rates
     column = Scenario(tau_c=tuple(taus), gamma_cav=gamma, kappa=kappa)
+    singles = [Scenario(tau_c=t, gamma_cav=gamma, kappa=kappa) for t in taus]
     with mock.patch.object(mmse_mod, "_CHUNK_ELEMENTS", budget):
         batch = mmse_mod.gamma_moments(prior, column, FieldState.vacuum())
-    singles = [mmse_mod.gamma_moments(prior, Scenario(tau_c=t, gamma_cav=gamma, kappa=kappa),
-                                      FieldState.vacuum()) for t in taus]
-    _assert_rows_equal_single_calls(batch, singles)
+        direct = mmse_mod.gamma_moments_dissipative(prior, np.array(taus), gamma, kappa)
+    _assert_rows_equal_single_calls(
+        batch, [mmse_mod.gamma_moments(prior, sc, FieldState.vacuum()) for sc in singles])
+    _assert_rows_equal_single_calls(
+        direct, [mmse_mod.gamma_moments_dissipative(prior, t, gamma, kappa) for t in taus])
+    _assert_states_are_rows(prior, np.array([0.0, 0.4, 1.3]), singles[0], FieldState.vacuum(),
+                            derivative=False)
 
 
 @pytest.mark.parametrize("quantity", ["mmse_cost", "dissipative_cost"])

@@ -524,17 +524,19 @@ def test_nan_result_is_a_numeric_error(case, tmp_path, capsys):
 
 
 _HUGE_TAU_RATES = [(0.5, 0.1, 1.0), (5.0, 0.7, 1.0), (0.1, 0.5, 1.0), (60.0, 0.0, 1.0),
-                   (0.0, 60.0, 1.0), (8.0, 0.0, 2.0), (0.0, 8.0, 2.0)]
+                   (0.0, 60.0, 1.0), (8.0, 0.0, 2.0), (0.0, 8.0, 2.0), (0.1, 0.1, 3.0)]
 
 
 @pytest.mark.parametrize("kappa,gamma,g", _HUGE_TAU_RATES,
-                         ids=[f"{k}-{r}" + ("" if g == 1.0 else "-critical")
+                         ids=[f"{k}-{r}" + ("-critical" if abs(k - r) == 4 * g else "")
                               for k, r, g in _HUGE_TAU_RATES])
 def test_damped_state_at_huge_tau_is_ground(kappa, gamma, g, tmp_path, capsys):
     # the damped amplitude holds no t^2 term and forms b S and (|b| - r) S
     # free of t, so g0 tau = 1e300, and the float maximum, decay to the
-    # ground state instead of overflowing into NaN; the last two pairs sit
-    # at critical damping, |kappa - gamma| = 4 g, where b S = (kappa - gamma) t/4
+    # ground state instead of overflowing into NaN; two pairs sit at
+    # critical damping, |kappa - gamma| = 4 g, where b S = (kappa - gamma) t/4,
+    # and the last is underdamped, with r = sqrt|D| t/4 past the float
+    # maximum at 1.7e308
     path = tmp_path / "run.ini"
     for tau in ("1e300", "1.7e308"):
         path.write_text("[prior]\nkind = gaussian\nsigma_over_g0 = 0.5\n[scenario]\n"

@@ -221,7 +221,7 @@ def test_column_scenario_broadcasts_and_refuses_state_calls():
     tau_c, tau_f_gamma, delta = column.columns
     assert tau_c.tolist() == [0.2, 0.5, 0.9]
     assert tau_f_gamma.tolist() == [0.0] * 3 and delta.tolist() == [0.4] * 3
-    assert column.is_column and not Scenario(tau_c=0.2).is_column
+    assert column.columns.shape == (3, 3) and Scenario(tau_c=0.2).columns.shape == (3,)
     assert hash(column) == hash(Scenario(tau_c=(0.2, 0.5, 0.9), delta=0.4, alpha=1.0))
     for knobs in ({"tau_c": ()}, {"tau_c": (0.2, 0.5), "delta": (0.1,)}, {"tau_c": (0.2, -0.5)}):
         with pytest.raises(ValueError):
@@ -306,6 +306,16 @@ def test_critical_population_at_huge_time_is_zero_without_warnings(t):
         g = abs(gamma - kappa) / 4.0
         f = dissipative_populations(np.array([g, -g]), t, gamma, kappa)
         assert not f.any() and f.shape == np.broadcast_shapes(np.shape(t), (2,))
+    # an underdamped and an overdamped coupling, whose r = sqrt|D| t/4
+    # overflows at 1.7e308: sin and cos never see it under a vanished envelope
+    for g, gamma, kappa in ((3.0, 0.1, 0.1), (1.0, 0.0, 60.0)):
+        assert not dissipative_populations(g, t, gamma, kappa).any()
+
+
+def test_undamped_population_at_overflowed_phase_is_nan():
+    # with zero rates the envelope is 1, and cos^2 of an infinite phase has no limit
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(dissipative_populations(3.0, 1.7e308, 0.0, 0.0)).all()
 
 
 def test_negative_rates_rejected():
