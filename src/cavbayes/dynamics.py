@@ -168,7 +168,8 @@ class FieldState:
         n = np.arange(n_max + 1)
         log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
         log_mag = -abs(alpha) ** 2 / 2 + n * math.log(abs(alpha)) - 0.5 * log_fact
-        phase = np.exp(1j * n * np.angle(alpha)) if alpha.imag or alpha.real < 0 else 1.0
+        # a real alpha takes its sign exactly, as (-1)^n for alpha < 0
+        phase = np.exp(1j * n * np.angle(alpha)) if alpha.imag else np.sign(alpha.real) ** n
         coeff = np.exp(log_mag) * phase
         return FieldState(coefficients=tuple(coeff))
 

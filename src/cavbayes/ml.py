@@ -26,7 +26,10 @@ scipy is imported only inside them.
 
 A POVM holds tau_c and gamma tau_f as arrays, 0-d for a point, and its
 constants, cost and moments are masked array expressions over them: a sweep
-along either is one POVM.
+along either is one POVM.  A uniform POVM keeps the prior's centered
+transform at omega = 2 tau_c (:func:`priors._centered_transform`, which sums
+the s(x) = sin(x)/x series for the MMSE moments too); its cap, f_z, cost and
+moments read that one pass.
 
 Two functions here serve verification only.  :func:`gaussian_bound_constants`
 gives the Gaussian fixed-interval constants c1/c2 of the half-period integral
@@ -99,6 +102,7 @@ class MlPovm:
     gamma_tau_f: np.ndarray
     c_max: np.ndarray
     _fz_scale: np.ndarray  # Gaussian: c sin(2 g0 tau_c); uniform: c itself (0 if c = inf)
+    _sinc: tuple  # uniform: (s, 1 - s, phi1, phi2, sigma^2 - phi2) at omega = 2 tau_c; else ()
 
     @property
     def window(self) -> tuple[float, float]:
@@ -124,7 +128,7 @@ class MlPovm:
         else:
             # cos(2 x tau_c) - K = -2 sin^2(x tau_c) - (K - 1): both terms keep
             # their relative precision as tau_c -> 0, where c_max grows as 1/tau^2
-            k_excess = _uniform_offset_excess(self.prior, tc)
+            k_excess = _uniform_offset_excess(self.prior, tc, self._sinc[1])
             out = -self._fz_scale * (2.0 * np.sin(tc * x) ** 2 + k_excess)
         return out[()]
 
@@ -152,7 +156,7 @@ class MlPovm:
             # the primitive of -2 sin^2(x tau_c) - (K - 1), as in f_z
             part_z = -self._fz_scale * (
                 (_y_minus_sin(2.0 * tc * hi) - _y_minus_sin(2.0 * tc * lo)) / (2.0 * tc)
-                + _uniform_offset_excess(self.prior, tc) * (hi - lo)
+                + _uniform_offset_excess(self.prior, tc, self._sinc[1]) * (hi - lo)
             )
         return part_i, part_z
 
@@ -188,59 +192,33 @@ def _y_minus_sin(y):
     return np.where(small, series, y - np.sin(y))
 
 
-def _by_size(x, series, direct):
-    """series(x) below x = 1, direct(x) from there; each branch reads only its
-    own entries (the rest read 1/2 or 1)."""
-    small = np.asarray(x) < 1.0
-    return np.where(small, series(np.where(small, x, 0.5)), direct(np.where(small, 1.0, x)))
-
-
-def _s_minus_cos_series(x):
-    """sin(x)/x - cos(x) = sum_{k>=1} (-1)^(k+1) 2k x^(2k)/(2k+1)!, for |x| <= 2."""
-    return _odd_factorial_series(x, lambda k: (-1) ** (k + 1) * 2 * k, 1)
-
-
-def _s_minus_cos(x):
-    """sin(x)/x - cos(x), from :func:`_s_minus_cos_series` below x = 1, where
-    it vanishes as x^2/3."""
-    return _by_size(x, _s_minus_cos_series, lambda t: np.sin(t) / t - np.cos(t))
-
-
-def _uniform_second_bracket(x, s_minus_cos):
-    """s - 3 (s - cos x)/x^2 with s = sin(x)/x, given s - cos x; below x = 1, where
-    it vanishes as -x^2/15, it is sum_{k>=2} (-1)^(k+1) 4k(k-1) x^(2k-2)/(2k+1)!."""
-    return _by_size(x, lambda t: _odd_factorial_series(
-        t, lambda k: (-1) ** (k + 1) * 4 * k * (k - 1), 2) / (t * t),
-        lambda t: np.sin(t) / t - 3.0 * s_minus_cos / (t * t))
-
-
-def _uniform_offset_excess(prior: Prior, tau_c):
+def _uniform_offset_excess(prior: Prior, tau_c, one_minus_s):
     """K - 1 for the support average K of cos(2 x tau_c), free of cancellation.
 
-    K = s(A) cos(B) with s(A) = sin(A)/A, so
+    K = s(A) cos(B) with s(A) = sin(A)/A, A = 2 sqrt(3) sigma tau_c and
+    B = 2 g0 tau_c, so, given 1 - s(A) from the POVM's transform,
 
-        K - 1 = (s(A) - 1) cos(B) - 2 sin^2(B/2),
-
-    and below A = 1 s(A) - 1 = sum_{k>=1} (-1)^k A^(2k)/(2k+1)! is summed.
+        K - 1 = -(1 - s(A)) cos(B) - 2 sin^2(B/2).
     """
-    big_a = 2.0 * math.sqrt(3.0) * prior.sigma * np.asarray(tau_c, dtype=float)
     big_b = 2.0 * prior.g0 * tau_c
-    s_minus_one = _by_size(big_a, lambda a: _odd_factorial_series(a, lambda k: (-1) ** k, 1),
-                           lambda a: np.sin(a) / a - 1.0)
-    return s_minus_one * np.cos(big_b) - 2.0 * np.sin(big_b / 2.0) ** 2
+    return -one_minus_s * np.cos(big_b) - 2.0 * np.sin(big_b / 2.0) ** 2
 
 
 def _cmax_and_scale(prior: Prior, tau_c: np.ndarray) -> tuple:
-    """(c_max, f_z scale) over the array ``tau_c``: the cap of :func:`gaussian_cmax`
-    or :func:`uniform_cmax`, with c_max = +inf and a zero scale where unbounded."""
+    """(c_max, f_z scale, transform) over the array ``tau_c``: the cap of
+    :func:`gaussian_cmax` or :func:`uniform_cmax`, with c_max = +inf and a zero
+    scale where unbounded, and the uniform POVM's transform (() if Gaussian)."""
     if prior.kind == priors_mod.GAUSSIAN:
         s = np.sin(2.0 * prior.g0 * tau_c)
         free = np.abs(s) < _SIN_FLOOR
         cap = 1.0 / (math.sqrt(2.0 * math.pi) * prior.sigma * np.maximum(np.abs(s), _SIN_FLOOR))
-        return np.where(free, math.inf, cap)[()], np.where(free, 0.0, cap * s)[()]
+        return np.where(free, math.inf, cap)[()], np.where(free, 0.0, cap * s)[()], ()
     if (tau_c < 0).any():
         raise ValueError("tau_c must be nonnegative")
-    k_excess = _uniform_offset_excess(prior, tau_c)
+    # the transform returns >= 1-d arrays; each part takes tau_c's shape
+    parts = priors_mod._centered_transform(prior, 2.0 * tau_c)
+    sinc = tuple(part.reshape(np.shape(tau_c)) for part in parts)
+    k_excess = _uniform_offset_excess(prior, tau_c, sinc[1])
     lo, hi = prior.support
     # cos(2 x tau_c) - K = -2 sin^2(x tau_c) - (K - 1): both terms keep their
     # relative precision as tau_c -> 0, where the difference itself is O(tau^2)
@@ -253,14 +231,14 @@ def _cmax_and_scale(prior: Prior, tau_c: np.ndarray) -> tuple:
         peak = np.maximum(peak, np.abs(2.0 * odd + k_excess) * present)
     free = peak < 1e-300
     cap = 1.0 / (2.0 * math.sqrt(3.0) * prior.sigma * np.maximum(peak, 1e-300))
-    return np.where(free, math.inf, cap)[()], np.where(free, 0.0, cap)[()]
+    return np.where(free, math.inf, cap)[()], np.where(free, 0.0, cap)[()], sinc
 
 
 def _point_cmax(prior: Prior, tau_c: float, kind: str) -> float:
     """The cap at one time for a ``kind`` prior; :class:`SinVanishes` where unbounded."""
     if prior.kind != kind:
         raise ValueError(f"{kind}_cmax requires a {kind} prior")
-    c_max, _ = _cmax_and_scale(prior, np.asarray(tau_c, dtype=float)[()])
+    c_max = _cmax_and_scale(prior, np.asarray(tau_c, dtype=float)[()])[0]
     if c_max == math.inf:
         raise SinVanishes(f"tau_c = {float(tau_c)!r}: traceless component unconstrained")
     return c_max
@@ -396,25 +374,22 @@ def uniform_ml_povm(prior: Prior, tau_c, gamma_tau_f=0.0) -> MlPovm:
     return _povm(prior, tau_c, gamma_tau_f, priors_mod.UNIFORM)
 
 
-def _uniform_cost_bracket(big_a, big_b):
+def _uniform_cost_bracket(big_a, big_b, s, s_minus_cos):
     """1/2 - sin^2(A) cos^2(B)/A^2 + sin(2A) cos(2B)/(4A), free of cancellation.
 
     Regrouped as T(A) + sin^2(B) s (s - cos A) with s = sin(A)/A and
-    T(A) = 1/2 + sin(2A)/(4A) - s^2.  As A -> 0, T and s - cos A vanish as
-    A^4/45 and A^2/3 while c_max grows as 1/A^2, so below A = 1 both are
-    summed from their Taylor series instead of differenced:
+    T(A) = 1/2 + sin(2A)/(4A) - s^2, given s and s - cos A from the POVM's
+    transform.  As A -> 0, T vanishes as A^4/45 while c_max grows as 1/A^2,
+    so below A = 1 it is summed from its Taylor series instead of differenced:
 
-        T(A) = sum_{m>=2} (-1)^m (m-1)/(2m+2) (2A)^(2m) / (2m+1)!,
-
-    and s - cos A from :func:`_s_minus_cos_series`; A > 0.
+        T(A) = sum_{m>=2} (-1)^m (m-1)/(2m+2) (2A)^(2m) / (2m+1)!.
     """
-
-    def series(a):
-        t_sum = _odd_factorial_series(2.0 * a, lambda m: (-1) ** m * (m - 1) / (2 * m + 2), 2)
-        return t_sum + np.sin(big_b) ** 2 * (np.sin(a) / a) * _s_minus_cos_series(a)
-
-    return _by_size(big_a, series, lambda a: 0.5 - (np.sin(a) * np.cos(big_b)) ** 2 / a**2
-                    + np.sin(2.0 * a) * np.cos(2.0 * big_b) / (4.0 * a))
+    small = big_a < 1.0  # each branch reads only its own entries
+    series = _odd_factorial_series(2.0 * np.where(small, big_a, 0.5),
+                                   lambda m: (-1) ** m * (m - 1) / (2 * m + 2), 2)
+    a = np.where(small, 1.0, big_a)
+    t_part = np.where(small, series, 0.5 + np.sin(2.0 * a) / (4.0 * a) - s * s)
+    return t_part + np.sin(big_b) ** 2 * s * s_minus_cos
 
 
 def uniform_cost_max(povm: MlPovm):
@@ -430,10 +405,12 @@ def uniform_cost_max(povm: MlPovm):
     """
     if povm.prior.kind != priors_mod.UNIFORM:
         raise ValueError("uniform_cost_max requires a uniform-prior POVM")
-    g0, sig, k = povm.prior.g0, povm.prior.sigma, povm._fz_scale
-    tc = np.where(k == 0.0, 1.0, povm.tau_c)  # f_z == 0 there: any time weighs nothing
-    bracket = _uniform_cost_bracket(2.0 * math.sqrt(3.0) * sig * tc, 2.0 * g0 * tc)
-    return (1.0 / (2.0 * math.sqrt(3.0) * sig) + k * np.exp(-povm.gamma_tau_f) * bracket)[()]
+    g0, sig, k, tc = povm.prior.g0, povm.prior.sigma, povm._fz_scale, povm.tau_c
+    phi, _, phi1, _, _ = povm._sinc
+    h = math.sqrt(3.0) * sig
+    big_a = 2.0 * h * tc
+    bracket = _uniform_cost_bracket(big_a, 2.0 * g0 * tc, phi, big_a * phi1 / h)
+    return (1.0 / (2.0 * h) + k * np.exp(-povm.gamma_tau_f) * bracket)[()]
 
 
 def ml_povm(prior: Prior, tau_c, gamma_tau_f) -> MlPovm:
@@ -472,29 +449,30 @@ def f_z_moments(povm: MlPovm) -> tuple:
 
     With k the stored f_z scale: for the Gaussian prior
     m1 = -2 sqrt(2 pi) k sigma^3 tau_c e^{-2 sigma^2 tau_c^2} and m2 = 2 g0 m1;
-    for the uniform prior, with h = sqrt(3) sigma, x = 2 tau_c h,
-    s = sin(x)/x and B = 2 g0 tau_c,
+    for the uniform prior, with h = sqrt(3) sigma, B = 2 g0 tau_c and the
+    POVM's transform (phi, phi1, phi2) at x = 2 tau_c h,
 
-        m1 = -k sin(B) 2 h^2 (s - cos x) / x,
-        m2 = 2 g0 m1 + k cos(B) (4 h^3 / 3) (s - 3 (s - cos x) / x^2),
+        m1 = -2 h k sin(B) phi1,
+        m2 = 2 g0 m1 + 2 h k cos(B) (phi2 - sigma^2 phi).
 
-    both brackets summed from their series below x = 1, where they vanish
-    as x^2 while k grows as 1/tau_c^2.  A zero scale (f_z == 0) gives (0, 0).
+    Both vanish as x^2 while k grows as 1/tau_c^2.  phi1 keeps its digits
+    from the transform's series; the second bracket is the difference
+    sigma^2 (1 - phi) - (sigma^2 - phi2) of two series terms below x = 1 and
+    2 sigma^2 (phi - 3 phi1/(h x)) from there, where the difference loses
+    digits at wide priors.  A zero scale (f_z == 0) gives (0, 0).
     """
     g0, sig, k, tc = povm.prior.g0, povm.prior.sigma, povm._fz_scale, povm.tau_c
     if povm.prior.kind == priors_mod.GAUSSIAN:
         m1 = -2.0 * math.sqrt(2.0 * math.pi) * k * sig**3 * tc * np.exp(-2.0 * sig**2 * tc**2)
         m2 = 2.0 * g0 * m1
     else:
-        # f_z == 0 where k == 0: any time serves, and 1 keeps the brackets finite
-        tc = np.where(k == 0.0, 1.0, tc)
-        h = math.sqrt(3.0) * sig
-        x = 2.0 * tc * h
-        big_b = 2.0 * g0 * tc
-        s_minus_cos = _s_minus_cos(x)
-        m1 = -k * np.sin(big_b) * 2.0 * h * h * s_minus_cos / x
-        m2 = 2.0 * g0 * m1 + k * np.cos(big_b) * (4.0 * h**3 / 3.0) * _uniform_second_bracket(
-            x, s_minus_cos)
+        phi, one_minus, phi1, _, var_minus = povm._sinc
+        h, var = math.sqrt(3.0) * sig, sig**2
+        x, big_b = 2.0 * h * tc, 2.0 * g0 * tc
+        m1 = -2.0 * h * k * np.sin(big_b) * phi1
+        bracket = np.where(x < 1.0, var * one_minus - var_minus,
+                           2.0 * var * (phi - 3.0 * phi1 / (h * np.maximum(x, 1.0))))
+        m2 = 2.0 * g0 * m1 + 2.0 * h * k * np.cos(big_b) * bracket
     return m1, m2
 
 

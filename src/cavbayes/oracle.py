@@ -154,7 +154,7 @@ def mc_quadratic_cost(
     field: FieldState,
     n: int,
     seed: int,
-) -> McReport | list[McReport]:
+) -> list[McReport]:
     """Simulate the measurement record and average the squared error.
 
     Per sample: draw g from the prior, form the detector state, draw the
@@ -162,12 +162,12 @@ def mc_quadratic_cost(
     eigenprojectors, and record (estimate - g)^2.  The analytic reference is
     the attained minimum average cost.
 
-    A point ``scenario`` gives one :class:`McReport`.  A column scenario,
-    with the batched ``result`` of its points, gives a list of them in
-    column order.  The couplings and the outcome uniforms are drawn once and
-    serve every point, so each report equals that of its point call; each
-    point takes its own state-kernel call on them, and its arrays are freed
-    before the next point's.
+    Gives one :class:`McReport` per point of ``scenario``, with the batched
+    ``result`` of its points, in column order (a list of one for a point).
+    The couplings and the outcome uniforms are drawn once and serve every
+    point, so each report equals that of its point call; each point takes
+    its own state-kernel call on them, and its arrays are freed before the
+    next point's.
     """
     if n < 10**4:
         raise ValueError("need at least 1e4 samples for a stable z-score")
@@ -187,7 +187,7 @@ def mc_quadratic_cost(
         z = abs(mean - c_min[i]) / stderr if stderr > 0 else math.inf
         reports.append(McReport(n_samples=n, empirical_cost=mean, standard_error=stderr,
                                 analytic_cost=c_min[i], z_score=z, seed=seed))
-    return reports if scenario.columns.ndim > 1 else reports[0]
+    return reports
 
 
 def _loss_moments(gs, picks, point: Scenario, field: FieldState, v, estimates):
@@ -237,7 +237,7 @@ def _cdf_table(povm: MlPovm, g: float) -> tuple[np.ndarray, np.ndarray]:
 
 def mc_estimate_distribution(
     povm: MlPovm, g, n: int, seed: int
-) -> MlSampleReport | list[MlSampleReport]:
+) -> list[MlSampleReport]:
     """Sample the recorded-estimate distribution by inverse-CDF on a grid.
 
     The uniforms are sorted before linear interpolation inverts them through
@@ -248,9 +248,9 @@ def mc_estimate_distribution(
     collapse onto it) from them when read.  Reports the empirical mean
     against the exact mean estimate of :func:`ml.ml_average_estimate`.
 
-    A scalar ``g`` gives one :class:`MlSampleReport`; an array of couplings
-    gives a list of them in order, each equal to its point call with the
-    same samples, since one sorted uniform stream is inverted through each
+    Gives one :class:`MlSampleReport` per coupling of ``g`` in order (a list
+    of one for a scalar), each equal to its point call with the same
+    samples, since one sorted uniform stream is inverted through each
     coupling's table.
 
     Error budget of the table: the sampled law is the piecewise-linear CDF
@@ -277,7 +277,7 @@ def mc_estimate_distribution(
         reports.append(MlSampleReport(n_samples=n, mean=mean, analytic_mean=exact_mean,
                                       standard_error=stderr, z_score=z, seed=seed,
                                       prior=povm.prior, samples=samples))
-    return reports if np.ndim(g) else reports[0]
+    return reports
 
 
 # ---------------------------------------------------------------------------

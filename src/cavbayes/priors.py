@@ -163,7 +163,9 @@ def _centered_transform(prior: Prior, omega) -> tuple:
     phi = s, phi1 = -h s', phi2 = -h^2 s'' with h = sqrt(3) sigma and
     s(x) = sin(x)/x at x = h omega.  The differences vanish as omega -> 0
     and keep their digits through expm1 (Gaussian) or, below
-    |x| = ``_SERIES_ARG``, the series of s - 1, x s' and x^2 (s'' + 1/3).
+    |x| = ``_SERIES_ARG``, the series of s - 1, x s' and x^2 (s'' + 1/3),
+    which are 0 where x^2 underflows.  The MMSE moments below and the
+    uniform likelihood POVM (at omega = 2 tau_c, :mod:`ml`) read this one pass.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     var = prior.sigma**2
@@ -181,7 +183,7 @@ def _centered_transform(prior: Prior, omega) -> tuple:
     s_less, d2s_third = s - 1.0, 1.0 / 3.0 - s - 2.0 * ds / xd
     if small.any():
         xs = x[small]
-        xs_d = np.where(xs == 0.0, 1.0, xs)  # every series vanishes at x = 0
+        xs_d = np.where(xs * xs == 0.0, 1.0, xs)  # every series is 0 where x^2 is
         series = _odd_factorial_series(xs, lambda k: _SINC_COEF[k - 1], 1)
         s_less[small] = series[0]
         s[small] = 1.0 + series[0]

@@ -671,6 +671,21 @@ def test_zero_interaction_time_likelihood_rows(case, kind, tmp_path, capsys):
     assert all(math.isfinite(float(x)) for row in rows[1:] for x in row.split(","))
 
 
+@pytest.mark.parametrize("tau", ["1e-170", "1e-300"])
+def test_uniform_mmse_where_the_phase_squared_underflows(tau, tmp_path, capsys):
+    # (sqrt(3) sigma omega)^2 underflows to 0 at these times while the phase
+    # itself does not: the transform's series terms are 0 there, not 0/0, so
+    # the state carries no information and c_min is the prior variance
+    path = tmp_path / "run.ini"
+    path.write_text("[prior]\nkind = uniform\nsigma_over_g0 = 0.5\n[scenario]\n"
+                    f"g0_tau_c = {tau}\nalpha_abs = 1\nfock_cutoff = 5\n")
+    capsys.readouterr()
+    assert main(["mmse", "--config", str(path)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    values = dict(zip(header.split(","), map(float, row.split(","))))
+    assert values["c_min"] == pytest.approx(0.25, rel=1e-14)
+
+
 def test_mmse_bound_stays_below_mse_at_a_pure_state(tmp_path, capsys):
     # Delta = 1.2 g0 and g = 0.8 g0 give l = g0, so l tau = pi leaves the
     # qubit excited: the state is pure up to rounding, and the bound of

@@ -158,6 +158,23 @@ def test_uniform_zero_time_convention_differs_from_the_short_time_limit():
         assert avg == pytest.approx((3.0 - math.sqrt(3.0)) / 2.0, rel=1e-15), tc
 
 
+def test_uniform_povm_takes_one_transform_pass(monkeypatch):
+    # the cap, f_z, cost, moments and interval masses all read the one
+    # s(x) transform that the POVM keeps
+    calls = []
+    transform = priors_mod._centered_transform
+    monkeypatch.setattr(priors_mod, "_centered_transform",
+                        lambda *args: calls.append(args) or transform(*args))
+    prior = Prior.uniform(1.0, 0.5)
+    povm = uniform_ml_povm(prior, np.linspace(0.0, 3.0, 7), 0.2)
+    uniform_cost_max(povm)
+    ml_mse(povm, 0.9)
+    point = uniform_ml_povm(prior, 0.4, 0.2)
+    point.f_z(0.7)
+    point.interval_parts(0.5, 1.2)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("tc", [0.0, 1e-160, 1e-300])
 def test_uniform_povm_unconstrained_where_the_peak_vanishes(tc):
     # at tau_c = 0, and where the O(tau^2) peak of |cos(2 x tau_c) - K|
@@ -174,7 +191,8 @@ def test_uniform_povm_unconstrained_where_the_peak_vanishes(tc):
 def _uniform_cmax_enumerated(p, tc):
     # the cap by evaluating every stationary point j pi / (2 tau_c) of the
     # cosine inside the support, one by one
-    k_excess = ml_mod._uniform_offset_excess(p, tc)
+    one_minus_s = priors_mod._centered_transform(p, 2.0 * tc)[1][0]
+    k_excess = ml_mod._uniform_offset_excess(p, tc, one_minus_s)
     lo, hi = p.support
     k_lo = math.ceil(2.0 * tc * lo / math.pi)
     k_hi = math.floor(2.0 * tc * hi / math.pi)
@@ -320,7 +338,7 @@ def test_uniform_cmax_matches_high_precision_reference(sigma):
         assert uniform_cmax(Prior.uniform(1.0, sigma), tc) == pytest.approx(ref, rel=1e-12), tc
 
 
-@pytest.mark.parametrize("sigma", [0.2, 0.55, 1.0, 1.5])
+@pytest.mark.parametrize("sigma", [0.2, 0.55, 1.0, 1.5, 3.0])
 @pytest.mark.parametrize("u", [0.0, 0.6])
 def test_uniform_cost_matches_high_precision_reference(sigma, u):
     # the closed-form bracket cancels to O(tau^4) while c_max grows as
@@ -433,16 +451,20 @@ def _fz_moments_reference(povm) -> tuple[float, float]:
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
-@pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0, 1.5, 3.0])
 def test_fz_moments_match_high_precision_reference(kind, sigma):
     # the uniform brackets vanish as x^2 while c_max grows as 1/tau^2: both
-    # moments must hold full relative precision down to g0 tau = 1e-8
+    # moments must hold full relative precision down to g0 tau = 1e-8, with
+    # no absolute floor (at sigma = 3 the second bracket taken as a
+    # difference throughout reads 1.2e-14); the Gaussian reference resolves
+    # moments of order e^{-2 sigma^2 tau^2} only to 1e-12 absolute
     n_tau = 25 if kind == "uniform" else 8
+    floor = 0.0 if kind == "uniform" else 1e-12
     for tc in np.geomspace(1e-8, 3.0, n_tau):
         povm = ml_povm(Prior(kind, 1.0, sigma), float(tc), 0.3)
         got, want = f_z_moments(povm), _fz_moments_reference(povm)
         for m, ref in zip(got, want):
-            assert m == pytest.approx(ref, rel=1e-14), tc
+            assert m == pytest.approx(ref, rel=1e-14, abs=floor), tc
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "uniform"])

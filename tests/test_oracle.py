@@ -34,7 +34,7 @@ SEED = 20260810
 def test_full_swap_cost_is_prior_variance():
     sc = Scenario(tau_c=math.pi / 2.0)
     res = mmse_estimator(gamma_moments(GAUSS, sc, VACUUM))
-    rep = mc_quadratic_cost(res, GAUSS, sc, VACUUM, 10**5, SEED)
+    [rep] = mc_quadratic_cost(res, GAUSS, sc, VACUUM, 10**5, SEED)
     assert rep.analytic_cost == pytest.approx(1.0, abs=1e-12)
     assert rep.z_score < 3.0
 
@@ -48,24 +48,24 @@ def test_engineered_constant_estimator_on_delta_prior():
         projectors=np.eye(2, dtype=complex),
         c_min=0.0,
     )
-    rep = mc_quadratic_cost(res, prior, sc, VACUUM, 10**4, SEED)
+    [rep] = mc_quadratic_cost(res, prior, sc, VACUUM, 10**4, SEED)
     assert rep.empirical_cost == pytest.approx(0.0, abs=1e-12)
 
 
 def test_quarter_period_cost_concordance():
     sc = Scenario(tau_c=math.pi / 4.0)
     res = mmse_estimator(gamma_moments(GAUSS, sc, VACUUM))
-    rep = mc_quadratic_cost(res, GAUSS, sc, VACUUM, 10**6, SEED)
+    [rep] = mc_quadratic_cost(res, GAUSS, sc, VACUUM, 10**6, SEED)
     assert rep.z_score < 3.0
 
 
 def test_reports_are_deterministic_under_seed():
     sc = Scenario(tau_c=0.9, tau_f_gamma=0.2)
     res = mmse_estimator(gamma_moments(GAUSS, sc, VACUUM))
-    rep1 = mc_quadratic_cost(res, GAUSS, sc, VACUUM, 10**5, SEED)
-    rep2 = mc_quadratic_cost(res, GAUSS, sc, VACUUM, 10**5, SEED)
+    [rep1] = mc_quadratic_cost(res, GAUSS, sc, VACUUM, 10**5, SEED)
+    [rep2] = mc_quadratic_cost(res, GAUSS, sc, VACUUM, 10**5, SEED)
     assert rep1 == rep2
-    rep3 = mc_quadratic_cost(res, GAUSS, sc, VACUUM, 10**5, SEED + 1)
+    [rep3] = mc_quadratic_cost(res, GAUSS, sc, VACUUM, 10**5, SEED + 1)
     assert rep3.empirical_cost != rep1.empirical_cost
 
 
@@ -79,7 +79,7 @@ def test_sample_size_guard():
 def test_uninformative_povm_samples_the_prior():
     povm = gaussian_ml_povm(GAUSS, math.pi / 2.0, 0.0)  # f_z == 0
     n = 10**5
-    rep = mc_estimate_distribution(povm, 1.0, n, SEED)
+    [rep] = mc_estimate_distribution(povm, 1.0, n, SEED)
     assert rep.ks_statistic_vs_prior < 1.63 / math.sqrt(n)  # 1% level
     assert rep.analytic_mean == pytest.approx(1.0, abs=1e-9)
 
@@ -87,14 +87,14 @@ def test_uninformative_povm_samples_the_prior():
 def test_uniform_special_case_mean_estimate():
     prior = Prior.uniform(1.0, 1.0 / math.sqrt(3.0))
     povm = uniform_ml_povm(prior, math.pi / 4.0, 0.0)
-    rep = mc_estimate_distribution(povm, 1.0, 10**5, SEED)
+    [rep] = mc_estimate_distribution(povm, 1.0, 10**5, SEED)
     assert rep.analytic_mean == pytest.approx(1.0, abs=1e-9)
     assert rep.z_score < 3.0
 
 
 def test_gaussian_mean_estimate_concordance():
     povm = gaussian_ml_povm(GAUSS, math.pi / 4.0, 0.0)
-    rep = mc_estimate_distribution(povm, 1.2, 10**5, SEED)
+    [rep] = mc_estimate_distribution(povm, 1.2, 10**5, SEED)
     assert rep.z_score < 3.0
     assert rep.histogram.sum() == rep.n_samples
 
@@ -107,7 +107,7 @@ PRIORS = {"gaussian": GAUSS, "uniform": Prior.uniform(1.0, 1.0)}
 @pytest.fixture(scope="module", params=sorted(PRIORS))
 def sampled(request):
     povm = ml_povm(PRIORS[request.param], math.pi / 4.0, 0.0)
-    return povm, mc_estimate_distribution(povm, 1.3, 10**5, SEED)
+    return povm, mc_estimate_distribution(povm, 1.3, 10**5, SEED)[0]
 
 
 def test_ascending_draws_are_the_sorted_draw_order_inversions(sampled):
@@ -177,8 +177,8 @@ def test_column_cost_reports_equal_their_point_calls(column, field):
     reports = mc_quadratic_cost(result, GAUSS, column, field, 10**4, SEED)
     assert len(reports) == 3
     for i, (point, report) in enumerate(zip(column.columns.T.tolist(), reports)):
-        assert report == mc_quadratic_cost(_point_result(result, i), GAUSS, Scenario(*point),
-                                           field, 10**4, SEED)
+        assert [report] == mc_quadratic_cost(_point_result(result, i), GAUSS, Scenario(*point),
+                                             field, 10**4, SEED)
 
 
 def test_column_cost_needs_one_estimator_per_point():
@@ -195,7 +195,7 @@ def test_coupling_array_reports_equal_their_point_calls(kind):
     reports = mc_estimate_distribution(povm, couplings, 10**4, SEED)
     assert len(reports) == 3
     for g, report in zip(couplings.tolist(), reports):
-        point = mc_estimate_distribution(povm, g, 10**4, SEED)
+        [point] = mc_estimate_distribution(povm, g, 10**4, SEED)
         assert report == point and np.array_equal(report.samples, point.samples)
 
 
@@ -285,7 +285,7 @@ def test_born_probability_in_real_arithmetic():
     field = FieldState.coherent(1.0, cutoff=6)
     sc = Scenario(tau_c=0.9, delta=0.7)
     res = mmse_estimator(gamma_moments(GAUSS, sc, field))
-    rep = mc_quadratic_cost(res, GAUSS, sc, field, 10**5, SEED)
+    [rep] = mc_quadratic_cost(res, GAUSS, sc, field, 10**5, SEED)
 
     rng = oracle._generator(SEED)
     gs = sample_prior(GAUSS, 10**5, rng)
