@@ -102,12 +102,15 @@ class Scenario:
     def is_unitary_transit(self) -> bool:
         return self.kappa == 0.0 and self.gamma_cav == 0.0
 
-    @property
+    @cached_property
     def columns(self) -> np.ndarray:
-        """(tau_c, tau_f_gamma, delta) as a new float array, (3,) for a point or (3, points)."""
+        """(tau_c, tau_f_gamma, delta) as a read-only float array, (3,) for a
+        point or (3, points), computed once per scenario."""
         raw = (self.tau_c, self.tau_f_gamma, self.delta)
         n = max(len(v) if type(v) is tuple else 0 for v in raw)
-        return np.array([v if type(v) is tuple or not n else (v,) * n for v in raw], dtype=float)
+        out = np.array([v if type(v) is tuple or not n else (v,) * n for v in raw], dtype=float)
+        out.flags.writeable = False
+        return out
 
 
 def _auto_cutoff(alpha: complex) -> int:
@@ -257,7 +260,9 @@ def detector_matrix_elements(
         d bracket/dg = -g (m+1) [t S_{m+1} + i (Delta/2) R_{m+1}],
         d swing/dg   = sqrt(m) (S_m + g^2 m R_m),
 
-    so both flags give (a_ee, a_eg, a_gg, da_ee, da_eg).
+    so both flags give (a_ee, a_eg, a_gg, da_ee, da_eg).  A one-level
+    field has no coherence: its a_eg and da_eg are one read-only complex
+    zero array, broadcast over the couplings, which holds no memory.
     """
     if not scenario.is_unitary_transit:
         raise ValueError("the unitary state kernel takes kappa = gamma_cav = 0")
@@ -278,7 +283,7 @@ def detector_matrix_elements(
         a_ee *= a_ee
         a_ee *= weight[0]
         a_ee *= damp
-        return a_ee, np.zeros(a_ee.shape, dtype=complex)
+        return a_ee, np.broadcast_to(0j, a_ee.shape)
 
     # sectors n = 1 .. n_max+1 hold amplitude a_{n-1}; column j is n = j + 1
     ns = np.arange(1, n_max + 2)
@@ -315,7 +320,7 @@ def detector_matrix_elements(
         swing = np.outer(g_values, np.sqrt(ns[:-1])) * s_m
         a_eg = ladder_sum(delta / 2 * s_m1 * swing if detuned else None, c_m1 * swing)
     else:
-        a_eg = np.zeros(a_ee.shape, dtype=complex)
+        a_eg = np.broadcast_to(0j, a_ee.shape)
     out = (a_ee, a_eg)
     if ground:
         rest = -np.expm1(-u[..., 0]) + damp * (1.0 - weight.sum())
@@ -336,7 +341,7 @@ def detector_matrix_elements(
             c_m1 * d_swing - tc * g_up * s_m1 * swing,
         )
     else:
-        da_eg = np.zeros_like(a_eg)
+        da_eg = a_eg
     return out + (da_ee, da_eg)
 
 

@@ -215,9 +215,7 @@ def _cmax_and_scale(prior: Prior, tau_c: np.ndarray) -> tuple:
         return np.where(free, math.inf, cap)[()], np.where(free, 0.0, cap * s)[()], ()
     if (tau_c < 0).any():
         raise ValueError("tau_c must be nonnegative")
-    # the transform returns >= 1-d arrays; each part takes tau_c's shape
-    parts = priors_mod._centered_transform(prior, 2.0 * tau_c)
-    sinc = tuple(part.reshape(np.shape(tau_c)) for part in parts)
+    sinc = priors_mod._centered_transform(prior, 2.0 * tau_c)
     k_excess = _uniform_offset_excess(prior, tau_c, sinc[1])
     lo, hi = prior.support
     # cos(2 x tau_c) - K = -2 sin^2(x tau_c) - (K - 1): both terms keep their

@@ -196,16 +196,18 @@ def _quadrature_moments(
 ) -> None:
     """Moment operators by prior quadrature of the points ``points`` of
     ``scenario``, written to those columns of ``out``; the state kernel runs
-    once per rule and chunk, on the chunk's sub-column of ``scenario``."""
+    once per rule and chunk, on the chunk's sub-column of ``scenario``, or
+    on ``scenario`` itself for a point."""
     columns = scenario.columns.reshape(3, -1)
     levels = len(field.coefficients)
     counts = [priors_mod.nodes_for_oscillation(prior, 2.0 * t * math.sqrt(levels), levels)
               if n_points is None else n_points for t in columns[0, points].tolist()]
 
     def states(nodes, cols):
-        chunk = Scenario(*map(tuple, columns[:, cols].tolist()), scenario.alpha,
-                         fock_cutoff=scenario.fock_cutoff)
-        return detector_matrix_elements(nodes, chunk, field)
+        chunk = scenario if scenario.columns.ndim == 1 else Scenario(
+            *map(tuple, columns[:, cols].tolist()), scenario.alpha, fock_cutoff=scenario.fock_cutoff)
+        a_ee, a_eg = detector_matrix_elements(nodes, chunk, field)
+        return a_ee, a_eg if levels > 1 else None  # a one-level field has no coherence
 
     _integrate(prior, counts, points, states, out, levels)
 

@@ -20,9 +20,10 @@ through scipy's normal quantile ``ndtri``, so a seed fixes the draws.  Each
 sampler call draws its streams once and serves every point it is given:
 the cost sampler's couplings and outcome uniforms every time of a column
 scenario, and the estimate sampler's sorted uniforms every coupling of an
-array.  Beside those shared streams the cost sampler keeps only the arrays
-of the point it is on, freed before the next point, and the estimate
-sampler the samples of each report it returns; neither builds a
+array.  Beside those shared streams the cost sampler keeps two n-sample
+work arrays, in which the loss arithmetic of every point runs in place,
+and the state-kernel arrays of the point it is on; the estimate sampler
+keeps the samples of each report it returns.  Neither builds a
 (points x samples) grid.  ``verify`` runs the cost sampler twice in full,
 so its determinism check compares two independent runs of the seed.
 Totals are numpy's pairwise sums: fixed for a fixed order of the values,
@@ -137,14 +138,20 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 def sample_prior(prior: Prior, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw couplings from the prior by inverse-CDF transform of uniforms."""
+    """Draw couplings from the prior by inverse-CDF transform of uniforms,
+    in place on the uniforms' array: g0 + sigma ndtri(u) or lo + (hi - lo) u."""
     from scipy.special import ndtri
 
     u = rng.random(n)
     if prior.kind == priors_mod.GAUSSIAN:
-        return prior.g0 + prior.sigma * ndtri(u)
+        ndtri(u, out=u)
+        u *= prior.sigma
+        u += prior.g0
+        return u
     lo, hi = prior.support
-    return lo + (hi - lo) * u
+    u *= hi - lo
+    u += lo
+    return u
 
 
 def mc_quadratic_cost(
@@ -166,8 +173,9 @@ def mc_quadratic_cost(
     ``result`` of its points, in column order (a list of one for a point).
     The couplings and the outcome uniforms are drawn once and serve every
     point, so each report equals that of its point call; each point takes
-    its own state-kernel call on them, and its arrays are freed before the
-    next point's.
+    its own state-kernel call on them, and the loss arithmetic of every
+    point runs in place in that call's excited population and in two
+    n-sample work arrays shared by all points.
     """
     if n < 10**4:
         raise ValueError("need at least 1e4 samples for a stable z-score")
@@ -180,34 +188,62 @@ def mc_quadratic_cost(
     rng = _generator(seed)
     gs = sample_prior(prior, n, rng)
     picks = rng.random(n)
+    work = np.empty((2, n))
     reports = []
     for i, (tau_c, tau_f_gamma, delta) in enumerate(points):
         point = dataclasses.replace(scenario, tau_c=tau_c, tau_f_gamma=tau_f_gamma, delta=delta)
-        mean, stderr = _loss_moments(gs, picks, point, field, projectors[i], estimates[:, i])
+        mean, stderr = _loss_moments(gs, picks, point, field, projectors[i], estimates[:, i], work)
         z = abs(mean - c_min[i]) / stderr if stderr > 0 else math.inf
         reports.append(McReport(n_samples=n, empirical_cost=mean, standard_error=stderr,
                                 analytic_cost=c_min[i], z_score=z, seed=seed))
     return reports
 
 
-def _loss_moments(gs, picks, point: Scenario, field: FieldState, v, estimates):
+def _loss_moments(gs, picks, point: Scenario, field: FieldState, v, estimates, work):
     """(mean, standard error) of the squared error over the couplings ``gs``
     at one point, whose record picks the first estimate where ``picks`` lies
-    below its Born probability; every array of n samples made here is freed
-    on return."""
+    below its Born probability.
+
+    Everything runs in place, in the kernel's a_ee and the two rows of the
+    (2, n) array ``work``, in the order of
+
+        p = clip(|v00|^2 a_ee + |v01|^2 (1 - a_ee)
+                 + 2 (Re w Re a_eg + Im w Im a_eg), 0, 1),   w = conj(v00) v01,
+        x = (f e0 + (1 - f) e1 - g)^2,                       f = [pick < p],
+
+    with v0 the eigenvector of the first (ascending) estimate, and the
+    coherence term only for a field with photons (a one-level field's a_eg
+    is zero, and p + 0 = p for p >= +0).  f is 1.0 or 0.0, so f e0 +
+    (1 - f) e1 is the picked estimate exactly.  The statistics are numpy's
+    own: mean = add.reduce(x)/n and the standard error sqrt(add.reduce((x -
+    mean)^2)/(n - 1))/sqrt(n), the bits of ``np.mean`` and ``np.std(ddof=1)``.
+    """
     a_ee, a_eg = detector_matrix_elements(gs, point, field)
-    # Born probability of the first (ascending) estimate: v0
     v0 = v[:, 0]
-    # 2 Re(w conj(a_eg)) in real arithmetic: no complex temporaries of n samples
     w = np.conj(v0[0]) * v0[1]
-    p_first = (
-        abs(v0[0]) ** 2 * a_ee
-        + abs(v0[1]) ** 2 * (1.0 - a_ee)
-        + 2.0 * (w.real * a_eg.real + w.imag * a_eg.imag)
-    )
-    p_first = np.clip(p_first, 0.0, 1.0)
-    losses = (np.where(picks < p_first, *estimates) - gs) ** 2
-    return float(np.mean(losses)), float(np.std(losses, ddof=1) / math.sqrt(len(gs)))
+    p, rest = a_ee, np.subtract(1.0, a_ee, out=work[0])
+    rest *= abs(v0[1]) ** 2
+    p *= abs(v0[0]) ** 2
+    p += rest
+    if len(field.coefficients) > 1:
+        # 2 Re(w conj(a_eg)) in real arithmetic: no complex temporaries of n samples
+        coherence = np.multiply(a_eg.real, w.real, out=work[0])
+        coherence += np.multiply(a_eg.imag, w.imag, out=work[1])
+        coherence *= 2.0
+        p += coherence
+    np.clip(p, 0.0, 1.0, out=p)
+    x = np.less(picks, p, out=work[1])
+    second = np.subtract(1.0, x, out=work[0])
+    second *= estimates[1]
+    x *= estimates[0]
+    x += second
+    x -= gs
+    np.square(x, out=x)
+    n = len(gs)
+    mean = np.add.reduce(x) / n
+    x -= mean
+    np.square(x, out=x)
+    return float(mean), math.sqrt(np.add.reduce(x) / (n - 1)) / math.sqrt(n)
 
 
 def conditional_pdf(povm: MlPovm, g, g_tilde):

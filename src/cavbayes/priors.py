@@ -156,7 +156,8 @@ def _odd_factorial_series(x, coef, k0: int):
 
 
 def _centered_transform(prior: Prior, omega) -> tuple:
-    """(phi, 1 - phi, phi1, phi2, sigma^2 - phi2) over the array ``omega``.
+    """(phi, 1 - phi, phi1, phi2, sigma^2 - phi2) over the array ``omega``,
+    each of ``omega``'s shape (numpy scalars for a scalar).
 
     phi = E e^{i omega y}, E y e^{i omega y} = i phi1 and
     E y^2 e^{i omega y} = phi2 for y = g - g0, all real.  Uniform law:
@@ -167,7 +168,7 @@ def _centered_transform(prior: Prior, omega) -> tuple:
     which are 0 where x^2 underflows.  The MMSE moments below and the
     uniform likelihood POVM (at omega = 2 tau_c, :mod:`ml`) read this one pass.
     """
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    omega = np.asarray(omega, dtype=float)
     var = prior.sigma**2
     if prior.kind == GAUSSIAN:
         a = var * omega * omega
@@ -175,7 +176,7 @@ def _centered_transform(prior: Prior, omega) -> tuple:
         e, one_minus = np.exp(half), -np.expm1(half)
         return e, one_minus, var * omega * e, var * e * (1.0 - a), var * (one_minus + a * e)
     h = math.sqrt(3.0) * prior.sigma
-    x = h * omega
+    x = h * np.atleast_1d(omega)  # masked assignments below need an array
     small = np.abs(x) < _SERIES_ARG
     xd = np.where(small, 1.0, x)
     s = np.sin(xd) / xd
@@ -189,11 +190,13 @@ def _centered_transform(prior: Prior, omega) -> tuple:
         s[small] = 1.0 + series[0]
         ds[small] = series[1] / xs_d
         d2s_third[small] = series[2] / xs_d**2
-    return s, -s_less, -h * ds, var - h * h * d2s_third, h * h * d2s_third
+    parts = s, -s_less, -h * ds, var - h * h * d2s_third, h * h * d2s_third
+    return tuple(part.reshape(omega.shape)[()] for part in parts)
 
 
 def characteristic_moments(prior: Prior, omega) -> tuple:
-    """(M0, M1, M2), M_k = int z(g) g^k e^{i omega g} dg, over the array ``omega``.
+    """(M0, M1, M2), M_k = int z(g) g^k e^{i omega g} dg, over the array ``omega``
+    and of its shape.
 
     Gaussian: e^{i omega g0 - sigma^2 omega^2/2} times 1, m and m^2 + sigma^2
     with m = g0 + i sigma^2 omega.  Uniform: e^{i omega g0} times s,
@@ -206,7 +209,8 @@ def characteristic_moments(prior: Prior, omega) -> tuple:
 
 
 def cosine_deficits(prior: Prior, omega) -> tuple:
-    """(D0, D1, D2), D_k = mu_k - Re M_k = int z g^k (1 - cos omega g) dg.
+    """(D0, D1, D2), D_k = mu_k - Re M_k = int z g^k (1 - cos omega g) dg, of
+    the shape of ``omega``.
 
     mu_k are the prior moments.  With theta = omega g0, every term of
     D0 = (1 - phi) + phi (1 - cos theta), D1 = g0 D0 + phi1 sin theta and

@@ -223,6 +223,11 @@ def test_column_scenario_broadcasts_and_refuses_state_calls():
     assert tau_f_gamma.tolist() == [0.0] * 3 and delta.tolist() == [0.4] * 3
     assert column.columns.shape == (3, 3) and Scenario(tau_c=0.2).columns.shape == (3,)
     assert hash(column) == hash(Scenario(tau_c=(0.2, 0.5, 0.9), delta=0.4, alpha=1.0))
+    # built once per scenario and read-only, for a point and for a column
+    for sc in (Scenario(tau_c=0.2, delta=0.4), column):
+        assert sc.columns is sc.columns
+        with pytest.raises(ValueError):
+            sc.columns[0, ...] = 1.0
     for knobs in ({"tau_c": ()}, {"tau_c": (0.2, 0.5), "delta": (0.1,)}, {"tau_c": (0.2, -0.5)}):
         with pytest.raises(ValueError):
             Scenario(**knobs)

@@ -191,7 +191,7 @@ def test_uniform_povm_unconstrained_where_the_peak_vanishes(tc):
 def _uniform_cmax_enumerated(p, tc):
     # the cap by evaluating every stationary point j pi / (2 tau_c) of the
     # cosine inside the support, one by one
-    one_minus_s = priors_mod._centered_transform(p, 2.0 * tc)[1][0]
+    one_minus_s = priors_mod._centered_transform(p, 2.0 * tc)[1]
     k_excess = ml_mod._uniform_offset_excess(p, tc, one_minus_s)
     lo, hi = p.support
     k_lo = math.ceil(2.0 * tc * lo / math.pi)

@@ -277,25 +277,42 @@ def test_cdf_table_bias_within_budget(kind, sigma, g0_tau, u, g):
     assert abs(table_mean - exact) <= 1e-3 * stderr
 
 
-def test_born_probability_in_real_arithmetic():
-    # a detuned coherent field gives a complex coherence and complex
-    # eigenvectors.  numpy's complex product may fuse a multiply-add, so the
+@pytest.mark.parametrize("kind", sorted(PRIORS))
+@pytest.mark.parametrize("sc,field", [
+    pytest.param(Scenario(tau_c=(math.pi / 4.0, 0.6, 1.0), tau_f_gamma=0.4), VACUUM,
+                 id="vacuum_tau_column"),
+    pytest.param(Scenario(tau_c=0.9, delta=0.7), FieldState.coherent(1.0, cutoff=6),
+                 id="coherent_detuned"),
+])
+def test_born_probability_in_real_arithmetic(sc, field, kind):
+    # each report's statistics are numpy's own over the draw-order losses,
+    # built with np.where from the Born probability of the first estimate.
+    # A detuned coherent field gives a complex coherence and complex
+    # eigenvectors; numpy's complex product may fuse a multiply-add, so the
     # real form of 2 Re(w conj(a_eg)) can differ from it in the last bit
     # (the vacuum coherence is zero, where both read 0), and no draw moves
-    field = FieldState.coherent(1.0, cutoff=6)
-    sc = Scenario(tau_c=0.9, delta=0.7)
-    res = mmse_estimator(gamma_moments(GAUSS, sc, field))
-    [rep] = mc_quadratic_cost(res, GAUSS, sc, field, 10**5, SEED)
+    prior, n = PRIORS[kind], 10**5
+    res = mmse_estimator(gamma_moments(prior, sc, field), sc.tau_f_gamma)
+    reports = mc_quadratic_cost(res, prior, sc, field, n, SEED)
 
     rng = oracle._generator(SEED)
-    gs = sample_prior(GAUSS, 10**5, rng)
-    a_ee, a_eg = detector_matrix_elements(gs, sc, field)
-    v0 = res.projectors[:, 0]
-    w = np.conj(v0[0]) * v0[1]
-    assert np.iscomplexobj(a_eg) and np.any(a_eg.imag) and w.imag
-    assert np.allclose(2.0 * np.real(w * np.conj(a_eg)),
-                       2.0 * (w.real * a_eg.real + w.imag * a_eg.imag), rtol=0.0, atol=1e-16)
-    p_first = np.clip(abs(v0[0]) ** 2 * a_ee + abs(v0[1]) ** 2 * (1.0 - a_ee)
-                      + 2.0 * np.real(w * np.conj(a_eg)), 0.0, 1.0)
-    estimates = np.where(rng.random(10**5) < p_first, *res.estimates)
-    assert rep.empirical_cost == float(np.mean((estimates - gs) ** 2))
+    gs = sample_prior(prior, n, rng)
+    picks = rng.random(n)
+    projectors = np.reshape(res.projectors, (-1, 2, 2))
+    estimates = np.reshape(res.estimates, (2, -1))
+    points = sc.columns.reshape(3, -1).T.tolist()
+    assert len(reports) == len(points)
+    for i, (point, rep) in enumerate(zip(points, reports)):
+        a_ee, a_eg = detector_matrix_elements(gs, Scenario(*point), field)
+        v0 = projectors[i][:, 0]
+        w = np.conj(v0[0]) * v0[1]
+        coherence = 2.0 * np.real(w * np.conj(a_eg))
+        if field.cutoff:
+            assert np.iscomplexobj(a_eg) and np.any(a_eg.imag) and w.imag
+        assert np.allclose(coherence, 2.0 * (w.real * a_eg.real + w.imag * a_eg.imag),
+                           rtol=0.0, atol=1e-16)
+        p_first = np.clip(abs(v0[0]) ** 2 * a_ee + abs(v0[1]) ** 2 * (1.0 - a_ee) + coherence,
+                          0.0, 1.0)
+        losses = (np.where(picks < p_first, *estimates[:, i]) - gs) ** 2
+        assert rep.empirical_cost == float(np.mean(losses))
+        assert rep.standard_error == float(np.std(losses, ddof=1) / math.sqrt(n))

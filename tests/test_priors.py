@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cavbayes.priors import Prior, density, moments, quadrature
+from cavbayes.priors import (Prior, characteristic_moments, cosine_deficits, density, moments,
+                             quadrature)
 
 
 def test_gaussian_density_at_mode():
@@ -71,6 +72,11 @@ def test_closed_form_integrals_across_sizes(kind, n_points):
         }
         for ref, got in checks.items():
             assert got == pytest.approx(ref, abs=1e-9)
+        # the exact transforms at a scalar omega: 0-d, like every point result
+        moments_k, deficits = characteristic_moments(p, 2 * tau), cosine_deficits(p, 2 * tau)
+        assert [np.shape(m) for m in (*moments_k, *deficits)] == [()] * 6
+        assert moments_k[0] == pytest.approx(complex(ref_c, ref_s), abs=1e-9)
+        assert deficits[0] == pytest.approx(1.0 - ref_c, abs=1e-9)
 
 
 def test_parameter_validation():
