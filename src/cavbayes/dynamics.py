@@ -384,9 +384,9 @@ def reduced_state(g, scenario: Scenario, field: FieldState, derivative: bool = F
 def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np.ndarray:
     """Excited-state population of the damped resonant vacuum model.
 
-    Evaluated elementwise over ``g_values`` broadcast against ``t`` (a
-    column of times gives one row per time) as the square f = c^2 of the
-    real excited amplitude
+    Evaluated elementwise over ``g_values`` broadcast against ``t``, one
+    time or a column of times (one row per time, ahead of the coupling axes),
+    as the square f = c^2 of the real excited amplitude
 
         c(t) = e^{-(gamma+kappa)t/4} [ C + b S ],   b = (kappa-gamma) t/4,
 
@@ -394,42 +394,58 @@ def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np
     C = cosh h and S = sinh(h)/h when D > 0 (overdamped), C = cos r and
     S = sin(r)/r otherwise, with r = |h| = sqrt|D| t/4.
     This is the standard damped-Rabi solution, with f(0) = 1 identically.
-    Overdamped, the envelope is folded into e^{r - (gamma+kappa)t/4} <= 1,
-    whose exponent is formed as -(|b| - r) - min(gamma, kappa) t/2 with
+    Each coupling's regime is decided once, from D over the couplings.  All
+    take the oscillatory pass, one sin and one cos over the grid with
+    b S = ((kappa-gamma)/sqrt|D|) sin r under e^{-(gamma+kappa)t/4}, one exp
+    per time: the amplitude of |g| > |gamma-kappa|/4.  The critical ones,
+    D = 0 and S = 1, read it at r = 0 and add b S = (kappa-gamma) t/4 to c as
+    ((kappa-gamma)/4) (t e^{-(gamma+kappa)t/4}), which stays bounded.  The
+    overdamped ones, |g| < |gamma-kappa|/4 (a band of a sorted rule's nodes,
+    often empty), are rewritten on their own entries with the envelope folded
+    into e^{r - (gamma+kappa)t/4} <= 1, whose exponent is formed as
+    -(|b| - r) - min(gamma, kappa) t/2 with
     |b| - r = 4 g^2 t / (sqrt|D| + |kappa-gamma|), against C e^{-r} = 1 + m/2
     and r S e^{-r} = -m/2 with m = expm1(-2r); for gamma > kappa the bracket
     is taken as e^{-r} - (|b| - r) S.  b S = ((kappa-gamma)/sqrt|D|) r S and
     (|b| - r) S = 16 g^2 r S/(sqrt|D| (sqrt|D| + |kappa-gamma|)) hold no t.
-    At D = 0, where S = 1, b S = (kappa-gamma) t/4 is left out of the
-    bracket and added to c as ((kappa-gamma)/4) (t e^{-(gamma+kappa)t/4}),
-    which stays bounded.  No term holds t^2; on a long transit only r, 2r,
-    |b| - r and the envelope exponent overflow, silently, to the +-inf whose
-    limit f = 0 is meant, and nothing cancels but at a true zero of c.  An
-    overflowed r reaches sin and cos only under an envelope of 1 (zero
-    rates), where f has no limit and reads NaN.
+    No term holds t^2; on a long transit only r, 2r, |b| - r and the
+    envelope exponents overflow, silently, to the +-inf whose limit f = 0 is
+    meant, and nothing cancels but at a true zero of c.  A time whose
+    envelope is 0 reads r = 0, so an overflowed r reaches sin and cos only
+    under an envelope of 1 (zero rates), where f has no limit and reads NaN.
     """
     g = np.asarray(g_values, dtype=float)
-    disc = (gamma - kappa) ** 2 - 16.0 * g**2
+    g2 = g**2
+    disc = (gamma - kappa) ** 2 - 16.0 * g2
     root = np.sqrt(np.abs(disc))
-    over = disc > 0.0
-    with np.errstate(over="ignore"):  # inf is the long-transit limit; lag = |b| - r
-        r = root * (t / 4.0)
-        lag = 4.0 * g**2 * t / np.maximum(root + abs(kappa - gamma), _TINY)
-        m = np.expm1(-2.0 * r)
-        envelope = np.where(over, -lag - min(gamma, kappa) * t / 2.0, -(gamma + kappa) * t / 4.0)
-    decay = np.exp(envelope)
-    phase = np.where(over | (decay == 0.0), 0.0, r)  # r where the oscillation is read
-    r_sin = np.where(over, -0.5 * m, np.sin(phase))
-    crit = root == 0.0
-    root_d = np.where(crit, 1.0, root)
-    b_sin = np.where(crit, 0.0, (kappa - gamma) / root_d * r_sin)
-    if kappa >= gamma:
-        amp = np.where(over, 1.0 + 0.5 * m, np.cos(phase)) + b_sin
-    else:
-        lag_sin = 16.0 * g**2 / (root_d * (root_d + abs(kappa - gamma))) * r_sin
-        amp = np.where(over, 1.0 + m - lag_sin, np.cos(phase) + b_sin)
-    c = decay * amp + np.where(crit, (kappa - gamma) / 4.0, 0.0) * (t * decay)
-    return c * c
+    over, crit = disc > 0.0, disc == 0.0
+    with np.errstate(over="ignore"):  # inf is the long-transit limit
+        decay = np.exp(-(gamma + kappa) * t / 4.0)  # the oscillatory envelope, one per time
+        c = root * (t / 4.0)  # r
+        if not decay.all():
+            c[np.broadcast_to(decay == 0.0, c.shape)] = 0.0
+        s = np.sin(c)
+        np.cos(c, out=c)
+        s *= (kappa - gamma) / (root + crit)  # 1 for the critical ones, whose sin r is 0
+        c += s
+        c *= decay
+        if crit.any():
+            c[..., crit] += np.broadcast_to((kappa - gamma) / 4.0 * (t * decay), c.shape)[..., crit]
+        if over.any():  # the overdamped couplings against the times as a column
+            tb, g2b, rb = np.reshape(t, (-1, 1)), g2[over], root[over]
+            den = rb + abs(kappa - gamma)  # |b| - r = 4 g^2 t / den
+            m = np.expm1(-0.5 * rb * tb)  # -2r: scaling by 2 and 4 is exact, tiny r aside
+            half = 0.5 * m  # -r S e^{-r}
+            if kappa >= gamma:
+                amp = 1.0 + half
+                amp -= (kappa - gamma) / rb * half
+            else:
+                amp = 1.0 + m
+                amp += 16.0 * g2b / (rb * den) * half
+            amp *= np.exp(-4.0 * g2b * tb / den - min(gamma, kappa) * tb / 2.0)
+            c[..., over] = amp
+    c *= c
+    return c
 
 
 def dissipative_populations(
@@ -445,7 +461,7 @@ def dissipative_populations(
     """
     if gamma < 0 or kappa < 0:
         raise InvalidRate(f"rates must be nonnegative, got gamma={gamma} kappa={kappa}")
-    if np.any(np.asarray(t) < 0):
+    if (np.asarray(t) < 0).any():
         raise ValueError("time must be nonnegative")
     f = _excited_fraction(np.atleast_1d(g_values), t, gamma, kappa)
     hi = f.max()

@@ -20,11 +20,12 @@ exact moments M_k(omega) = int z(g) g^k e^{i omega g} dg
 (points x ladder) grid of omega.  Detuned moments integrate the state
 against the prior by quadrature, and damped scenarios go in one call to
 :func:`gamma_moments_dissipative`, which does the same for the damped
-populations; points whose node counts agree share one rule and one
-density-weighted moment matrix.  The detuned points of one rule take one
-state-kernel call per chunk, on a column :class:`Scenario` of them; every
-point of it is detuned, so of the kernel's early-outs only the empty-ladder
-one is taken, for a vacuum field.
+populations.  The node counts of all points come from one array call of
+:func:`priors.nodes_for_oscillation`, and points whose counts agree share
+one rule and one density-weighted moment matrix.  The detuned points of
+one rule take one state-kernel call per chunk, on a column
+:class:`Scenario` of them; every point of it is detuned, so of the kernel's
+early-outs only the empty-ladder one is taken, for a vacuum field.
 Every batch is processed in chunks of at most ``_CHUNK_ELEMENTS`` grid
 elements (points x nodes x ladder levels on the detuned path), and never
 less than one point, so a long sweep holds no larger arrays than a short one.
@@ -121,7 +122,7 @@ def _triples(entries, shape: tuple) -> GammaTriple:
     return GammaTriple(*(Hermitian2(ee=ee[k], gg=gg[k], eg=eg[k]) for k in range(3)))
 
 
-def _integrate(prior: Prior, counts: list, points, states, out, levels: int) -> None:
+def _integrate(prior: Prior, counts: np.ndarray, points: np.ndarray, states, out, levels: int) -> None:
     """Moment operators by prior quadrature, written to columns ``points`` of
     ``out``; ``counts`` holds the node count of each point.
 
@@ -132,15 +133,12 @@ def _integrate(prior: Prior, counts: list, points, states, out, levels: int) -> 
     (k, point) sum runs along its own contiguous node axis, so a point's
     entries do not depend on the other points of its chunk.
     """
-    groups = {}
-    for n, i in zip(counts, points):
-        groups.setdefault(n, []).append(i)
     ee, gg, eg = out
-    for n, members in groups.items():
+    for n in dict.fromkeys(counts.tolist()):
         rule = priors_mod.quadrature(prior, n)
         wz = rule.weights * density(prior, rule.nodes)
         wk = np.stack([wz * rule.nodes**k for k in (0, 1, 2)])[:, None, :]
-        members = np.array(members)
+        members = points[counts == n]
         for rows in _chunks(len(members), len(rule.nodes) * levels):
             cols = members[rows]
             a_ee, a_eg = states(rule.nodes, cols)
@@ -200,8 +198,10 @@ def _quadrature_moments(
     on ``scenario`` itself for a point."""
     columns = scenario.columns.reshape(3, -1)
     levels = len(field.coefficients)
-    counts = [priors_mod.nodes_for_oscillation(prior, 2.0 * t * math.sqrt(levels), levels)
-              if n_points is None else n_points for t in columns[0, points].tolist()]
+    if n_points is None:
+        counts = priors_mod.nodes_for_oscillation(prior, 2.0 * columns[0, points] * math.sqrt(levels), levels)
+    else:
+        counts = np.full(len(points), n_points)
 
     def states(nodes, cols):
         chunk = scenario if scenario.columns.ndim == 1 else Scenario(
@@ -250,10 +250,10 @@ def gamma_moments_dissipative(
     node count share one rule, and each chunk of them one population grid.
     """
     taus = np.atleast_1d(np.asarray(tau_c, dtype=float))
-    counts = [priors_mod.nodes_for_oscillation(prior, 2.0 * float(t)) for t in taus]
+    counts = priors_mod.nodes_for_oscillation(prior, 2.0 * taus)
     out = _entries(len(taus))
     _integrate(
-        prior, counts, range(len(taus)),
+        prior, counts, np.arange(len(taus)),
         lambda nodes, cols: (dissipative_populations(nodes, taus[cols, None], gamma, kappa), None),
         out, 1,
     )

@@ -208,7 +208,7 @@ def _loss_moments(gs, picks, point: Scenario, field: FieldState, v, estimates, w
     (2, n) array ``work``, in the order of
 
         p = clip(|v00|^2 a_ee + |v01|^2 (1 - a_ee)
-                 + 2 (Re w Re a_eg + Im w Im a_eg), 0, 1),   w = conj(v00) v01,
+                 + 2 (Re w Re a_eg - Im w Im a_eg), 0, 1),   w = conj(v00) v01,
         x = (f e0 + (1 - f) e1 - g)^2,                       f = [pick < p],
 
     with v0 the eigenvector of the first (ascending) estimate, and the
@@ -226,9 +226,9 @@ def _loss_moments(gs, picks, point: Scenario, field: FieldState, v, estimates, w
     p *= abs(v0[0]) ** 2
     p += rest
     if len(field.coefficients) > 1:
-        # 2 Re(w conj(a_eg)) in real arithmetic: no complex temporaries of n samples
+        # 2 Re(w a_eg) in real arithmetic: no complex temporaries of n samples
         coherence = np.multiply(a_eg.real, w.real, out=work[0])
-        coherence += np.multiply(a_eg.imag, w.imag, out=work[1])
+        coherence -= np.multiply(a_eg.imag, w.imag, out=work[1])
         coherence *= 2.0
         p += coherence
     np.clip(p, 0.0, 1.0, out=p)

@@ -272,20 +272,21 @@ def quadrature(
     return _composite_legendre(lo, hi, n_points, prior.sigma)
 
 
-def nodes_for_oscillation(prior: Prior, angular_rate: float, levels: int = 1) -> int:
+def nodes_for_oscillation(prior: Prior, angular_rate, levels: int = 1):
     """Node count resolving cos(angular_rate * g) with >= 8 nodes per period,
     and at least ``DEFAULT_NODES``.
 
     ``angular_rate`` is the largest angular frequency (in g) appearing in the
     integrand, e.g. 2 tau_c sqrt(n_max) for a photon ladder truncated at
-    n_max; past ``MAX_QUADRATURE_NODES`` nodes times ``levels``, the ladder
-    levels at every node, it raises :class:`UnsupportedCombination`.
+    n_max; an array of rates gives an integer array of counts, one per
+    element, and one rate its 0-d case.  Past ``MAX_QUADRATURE_NODES`` nodes
+    times ``levels``, the ladder levels at every node, it raises
+    :class:`UnsupportedCombination` for the first such rate.
     """
     lo, hi = prior.window
-    if angular_rate <= 0:
-        return DEFAULT_NODES
-    period = 2 * math.pi / angular_rate
-    need = 8.0 * (hi - lo) / period if period else math.inf
-    if not need * levels <= MAX_QUADRATURE_NODES:
-        raise UnsupportedCombination(f"{need:.3g} nodes x {levels} levels pass {MAX_QUADRATURE_NODES}")
-    return max(DEFAULT_NODES, math.ceil(need))
+    with np.errstate(divide="ignore"):  # a zero rate needs no nodes, an infinite one infinitely many
+        need = 8.0 * (hi - lo) / (2 * math.pi / np.maximum(angular_rate, 0.0))
+    if not need.max(initial=0.0) * levels <= MAX_QUADRATURE_NODES:  # NaN included
+        first = np.extract(~(need * levels <= MAX_QUADRATURE_NODES), need)[0]
+        raise UnsupportedCombination(f"{first:.3g} nodes x {levels} levels pass {MAX_QUADRATURE_NODES}")
+    return np.maximum(np.ceil(need), DEFAULT_NODES).astype(int)[()]

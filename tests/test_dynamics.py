@@ -323,6 +323,61 @@ def test_undamped_population_at_overflowed_phase_is_nan():
         assert np.isnan(dissipative_populations(3.0, 1.7e308, 0.0, 0.0)).all()
 
 
+def _excited_fraction_both_regimes(g_values, t, gamma, kappa):
+    """The damped excited population with both regimes evaluated on every
+    (time, coupling) entry and picked by np.where: the per-entry arithmetic
+    the production kernel keeps while it decides each coupling's regime once."""
+    g = np.asarray(g_values, dtype=float)
+    disc = (gamma - kappa) ** 2 - 16.0 * g**2
+    root = np.sqrt(np.abs(disc))
+    over = disc > 0.0
+    with np.errstate(over="ignore"):
+        r = root * (t / 4.0)
+        lag = 4.0 * g**2 * t / np.maximum(root + abs(kappa - gamma), 1e-300)
+        m = np.expm1(-2.0 * r)
+        envelope = np.where(over, -lag - min(gamma, kappa) * t / 2.0, -(gamma + kappa) * t / 4.0)
+    decay = np.exp(envelope)
+    phase = np.where(over | (decay == 0.0), 0.0, r)
+    r_sin = np.where(over, -0.5 * m, np.sin(phase))
+    crit = root == 0.0
+    root_d = np.where(crit, 1.0, root)
+    b_sin = np.where(crit, 0.0, (kappa - gamma) / root_d * r_sin)
+    if kappa >= gamma:
+        amp = np.where(over, 1.0 + 0.5 * m, np.cos(phase)) + b_sin
+    else:
+        lag_sin = 16.0 * g**2 / (root_d * (root_d + abs(kappa - gamma))) * r_sin
+        amp = np.where(over, 1.0 + m - lag_sin, np.cos(phase) + b_sin)
+    c = decay * amp + np.where(crit, (kappa - gamma) / 4.0, 0.0) * (t * decay)
+    return c * c
+
+
+_EDGE_TIMES = [0.0, 1e-300, 1e300, 1.7e308]
+
+
+@pytest.mark.parametrize("gamma,kappa", [(0.0, 0.0), (0.6, 0.6), (0.0, 0.9), (1.3, 0.0), (0.2, 0.7),
+                                         (0.7, 0.2), (3.0, 20.0), (60.0, 0.0)])
+def test_dissipative_populations_bits_of_both_regime_formula(gamma, kappa):
+    # every entry, NaN included (zero rates at an overflowed phase), equals
+    # the np.where formula bit for bit: the critical couplings +-|gamma-kappa|/4,
+    # 0 and +-1e-300 among seeded ones, at times from 0 to 1.7e308 taken
+    # one at a time and as a column, for scalar, 1-D and 2-D couplings
+    rng = np.random.default_rng(28)
+    crit = abs(gamma - kappa) / 4.0
+    g = np.concatenate([[crit, -crit, 0.0, 1e-300, -1e-300, crit / 3.0, -crit / 2.0],
+                        rng.normal(1.0, 1.5, 41), rng.uniform(-crit, crit, 8)])
+    times = np.concatenate([_EDGE_TIMES, rng.uniform(0.0, 12.0, 12)])
+    cases = [(g, times[:, None]), (g.reshape(4, 14), times[:, None, None])]
+    cases += [(x, t) for t in times.tolist() for x in (g, g.reshape(4, 14), g[5])]
+    nan = False
+    with np.errstate(invalid="ignore"):
+        for x, t in cases:
+            got = dissipative_populations(x, t, gamma, kappa)
+            ref = np.minimum(_excited_fraction_both_regimes(np.atleast_1d(x), t, gamma, kappa), 1.0)
+            assert got.shape == ref.shape and np.array_equal(got, ref, equal_nan=True), (x, t)
+            nan |= bool(np.isnan(ref).any())
+    assert nan == (gamma == kappa == 0.0)
+
+
 def test_negative_rates_rejected():
     with pytest.raises(InvalidRate):
         dissipative_populations(1.0, 1.0, -0.1, 0.0)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import erf
 
 from cavbayes import oracle
-from cavbayes.dynamics import FieldState, Scenario, detector_matrix_elements
+from cavbayes.dynamics import FieldState, Scenario, detector_matrix_elements, field_for
 from cavbayes.ml import (MlPovm, gaussian_ml_povm, ml_average_estimate, ml_mse, ml_povm,
                          uniform_ml_povm)
 from cavbayes.mmse import (
@@ -286,10 +286,10 @@ def test_cdf_table_bias_within_budget(kind, sigma, g0_tau, u, g):
 ])
 def test_born_probability_in_real_arithmetic(sc, field, kind):
     # each report's statistics are numpy's own over the draw-order losses,
-    # built with np.where from the Born probability of the first estimate.
-    # A detuned coherent field gives a complex coherence and complex
-    # eigenvectors; numpy's complex product may fuse a multiply-add, so the
-    # real form of 2 Re(w conj(a_eg)) can differ from it in the last bit
+    # built with np.where from the Born probability <v0|rho|v0> of the first
+    # estimate.  A detuned coherent field gives a complex coherence and
+    # complex eigenvectors; numpy's complex product may fuse a multiply-add,
+    # so the real form of 2 Re(w a_eg) can differ from it in the last bit
     # (the vacuum coherence is zero, where both read 0), and no draw moves
     prior, n = PRIORS[kind], 10**5
     res = mmse_estimator(gamma_moments(prior, sc, field), sc.tau_f_gamma)
@@ -306,13 +306,32 @@ def test_born_probability_in_real_arithmetic(sc, field, kind):
         a_ee, a_eg = detector_matrix_elements(gs, Scenario(*point), field)
         v0 = projectors[i][:, 0]
         w = np.conj(v0[0]) * v0[1]
-        coherence = 2.0 * np.real(w * np.conj(a_eg))
+        coherence = 2.0 * np.real(w * a_eg)
         if field.cutoff:
             assert np.iscomplexobj(a_eg) and np.any(a_eg.imag) and w.imag
-        assert np.allclose(coherence, 2.0 * (w.real * a_eg.real + w.imag * a_eg.imag),
+        assert np.allclose(coherence, 2.0 * (w.real * a_eg.real - w.imag * a_eg.imag),
                            rtol=0.0, atol=1e-16)
-        p_first = np.clip(abs(v0[0]) ** 2 * a_ee + abs(v0[1]) ** 2 * (1.0 - a_ee) + coherence,
-                          0.0, 1.0)
+        born = abs(v0[0]) ** 2 * a_ee + abs(v0[1]) ** 2 * (1.0 - a_ee) + coherence
+        rho = np.array([[a_ee, a_eg], [np.conj(a_eg), 1.0 - a_ee]])
+        assert np.allclose(born, np.einsum("i,ijn,j->n", np.conj(v0), rho, v0).real,
+                           rtol=0.0, atol=1e-15)
+        p_first = np.clip(born, 0.0, 1.0)
         losses = (np.where(picks < p_first, *estimates[:, i]) - gs) ** 2
         assert rep.empirical_cost == float(np.mean(losses))
         assert rep.standard_error == float(np.std(losses, ddof=1) / math.sqrt(n))
+
+
+@pytest.mark.parametrize("kind", sorted(PRIORS))
+@pytest.mark.parametrize("sc", [
+    pytest.param(Scenario(tau_c=0.9, alpha=1.0, fock_cutoff=6), id="coherent_resonant"),
+    pytest.param(Scenario(tau_c=0.9, delta=0.7, alpha=1.0, fock_cutoff=6), id="coherent_detuned"),
+    pytest.param(Scenario(tau_c=(0.4, 1.6), delta=(0.0, -1.1), alpha=-0.5 + 1.2j, fock_cutoff=10,
+                          tau_f_gamma=0.3), id="complex_alpha_column"),
+])
+def test_coherent_sampled_cost_meets_minimum(sc, kind):
+    # the coherence enters the Born probability as 2 Re(w a_eg); with its
+    # sign flipped the resonant Gaussian point reads 1.232 against 0.898
+    prior, field = PRIORS[kind], field_for(sc)
+    res = mmse_estimator(gamma_moments(prior, sc, field), sc.tau_f_gamma)
+    for rep in mc_quadratic_cost(res, prior, sc, field, 10**5, 5):
+        assert rep.z_score < 4.0, rep

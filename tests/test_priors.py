@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from cavbayes.priors import (Prior, characteristic_moments, cosine_deficits, density, moments,
-                             quadrature)
+from cavbayes.errors import UnsupportedCombination
+from cavbayes.priors import (DEFAULT_NODES, MAX_QUADRATURE_NODES, Prior, characteristic_moments,
+                             cosine_deficits, density, moments, nodes_for_oscillation, quadrature)
 
 
 def test_gaussian_density_at_mode():
@@ -90,3 +91,51 @@ def test_parameter_validation():
         quadrature(Prior.gaussian(1.0, 1.0), 32)
     with pytest.raises(ValueError):
         quadrature(Prior.gaussian(1.0, 1.0), 256, kind="gauss_hermite_mapped")
+
+
+def _nodes_reference(prior: Prior, angular_rate: float, levels: int) -> int:
+    """The scalar node-count rule in Python floats, one rate at a time."""
+    lo, hi = prior.window
+    if angular_rate <= 0:
+        return DEFAULT_NODES
+    period = 2 * math.pi / angular_rate
+    need = 8.0 * (hi - lo) / period if period else math.inf
+    if not need * levels <= MAX_QUADRATURE_NODES:
+        raise UnsupportedCombination(f"{need:.3g} nodes x {levels} levels pass {MAX_QUADRATURE_NODES}")
+    return max(DEFAULT_NODES, math.ceil(need))
+
+
+def _passes(prior, rate, levels) -> bool:
+    try:
+        _nodes_reference(prior, float(rate), levels)
+    except UnsupportedCombination:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("levels", [1, 7])
+@pytest.mark.parametrize("prior", [Prior.gaussian(1.0, 0.3), Prior.uniform(2.0, 1.5)], ids=["gauss", "uniform"])
+def test_node_counts_of_an_array_match_each_rate(prior, levels):
+    # the array form is the scalar rule elementwise: rate 0 and negative
+    # rates take DEFAULT_NODES, the rates at the MAX_QUADRATURE_NODES edge
+    # pass where the scalar rule passes, and a refused rate (inf, past the
+    # edge, NaN) raises the scalar rule's message
+    lo, hi = prior.window
+    edge = MAX_QUADRATURE_NODES / levels * (2 * math.pi) / (8.0 * (hi - lo))
+    near = edge * (1.0 + np.arange(-4, 5) * np.finfo(float).eps)
+    fits = np.array([_passes(prior, r, levels) for r in near])
+    assert fits.any() and not fits.all()  # the edge lies among them
+    rates = np.array([0.0, -0.0, -3.0, -np.inf, 1e-300, 0.1, 2.0, 7.3, 40.0, 613.0, *near[fits]])
+    counts = nodes_for_oscillation(prior, rates, levels)
+    expected = [_nodes_reference(prior, float(r), levels) for r in rates]
+    assert counts.dtype.kind == "i" and counts.tolist() == expected
+    assert [nodes_for_oscillation(prior, r, levels) for r in rates] == expected
+    grid = nodes_for_oscillation(prior, rates[:10].reshape(2, 5), levels)
+    assert grid.tolist() == [expected[:5], expected[5:10]]
+    past = 2.0 * edge  # two refused rates: the message names the first
+    for bad in (np.inf, past, np.nan):
+        with pytest.raises(UnsupportedCombination) as scalar:
+            _nodes_reference(prior, bad, levels)
+        with pytest.raises(UnsupportedCombination) as array:
+            nodes_for_oscillation(prior, np.array([1.0, bad, 3.0 * edge, 0.0]), levels)
+        assert str(array.value) == str(scalar.value)
