@@ -454,15 +454,17 @@ def dissipative_populations(
     """Vectorized excited population of the damped transit.
 
     ``t`` is one time, giving one population per coupling, or a column of
-    times, giving a (times x couplings) grid; the checks below hold over the
-    whole grid.  f(t) is a square, so never negative; rounding may carry it
-    past 1 by at most ``CLAMP_TOL``, which is clamped, and anything further
-    raises ArithmeticError.
+    times, giving a (times x couplings) grid; every time must be finite and
+    nonnegative, and the checks below hold over the whole grid.  f(t) is a
+    square, so never negative; rounding may carry it past 1 by at most
+    ``CLAMP_TOL``, which is clamped, and anything further raises
+    ArithmeticError.
     """
     if gamma < 0 or kappa < 0:
         raise InvalidRate(f"rates must be nonnegative, got gamma={gamma} kappa={kappa}")
-    if (np.asarray(t) < 0).any():
-        raise ValueError("time must be nonnegative")
+    t_arr = np.asarray(t)
+    if not ((t_arr >= 0) & (t_arr < math.inf)).all():  # NaN included
+        raise ValueError("time must be finite and nonnegative")
     f = _excited_fraction(np.atleast_1d(g_values), t, gamma, kappa)
     hi = f.max()
     if hi > 1.0 + CLAMP_TOL:

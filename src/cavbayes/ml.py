@@ -28,8 +28,9 @@ A POVM holds tau_c and gamma tau_f as arrays, 0-d for a point, and its
 constants, cost and moments are masked array expressions over them: a sweep
 along either is one POVM.  A uniform POVM keeps the prior's centered
 transform at omega = 2 tau_c (:func:`priors._centered_transform`, which sums
-the s(x) = sin(x)/x series for the MMSE moments too); its cap, f_z, cost and
-moments read that one pass.
+the s(x) = sin(x)/x series for the MMSE moments too), the cost's bracket
+T(A) included; its cap, f_z, cost and moments read that one pass, and this
+module sums no series of its own.
 
 Two functions here serve verification only.  :func:`gaussian_bound_constants`
 gives the Gaussian fixed-interval constants c1/c2 of the half-period integral
@@ -51,7 +52,7 @@ import numpy as np
 
 from . import priors as priors_mod
 from .errors import SinVanishes
-from .priors import Prior, _odd_factorial_series, density
+from .priors import Prior, density
 
 __all__ = [
     "MlPovm",
@@ -102,7 +103,7 @@ class MlPovm:
     gamma_tau_f: np.ndarray
     c_max: np.ndarray
     _fz_scale: np.ndarray  # Gaussian: c sin(2 g0 tau_c); uniform: c itself (0 if c = inf)
-    _sinc: tuple  # uniform: (s, 1 - s, phi1, phi2, sigma^2 - phi2) at omega = 2 tau_c; else ()
+    _sinc: tuple  # uniform: K - 1 and (s, 1 - s, phi1, sigma^2 - phi2, T) at omega = 2 tau_c; else ()
 
     @property
     def window(self) -> tuple[float, float]:
@@ -128,8 +129,7 @@ class MlPovm:
         else:
             # cos(2 x tau_c) - K = -2 sin^2(x tau_c) - (K - 1): both terms keep
             # their relative precision as tau_c -> 0, where c_max grows as 1/tau^2
-            k_excess = _uniform_offset_excess(self.prior, tc, self._sinc[1])
-            out = -self._fz_scale * (2.0 * np.sin(tc * x) ** 2 + k_excess)
+            out = -self._fz_scale * (2.0 * np.sin(tc * x) ** 2 + self._sinc[0])
         return out[()]
 
     def interval_parts(self, lo, hi):
@@ -156,7 +156,7 @@ class MlPovm:
             # the primitive of -2 sin^2(x tau_c) - (K - 1), as in f_z
             part_z = -self._fz_scale * (
                 (_y_minus_sin(2.0 * tc * hi) - _y_minus_sin(2.0 * tc * lo)) / (2.0 * tc)
-                + _uniform_offset_excess(self.prior, tc, self._sinc[1]) * (hi - lo)
+                + self._sinc[0] * (hi - lo)
             )
         return part_i, part_z
 
@@ -185,38 +185,32 @@ def _gaussian_sine_band(t_lo, t_hi, sigma: float, k: float):
 
 
 def _y_minus_sin(y):
-    """y - sin(y), summed from its series below |y| = 1, where it cancels."""
-    small = np.abs(y) < 1.0
+    """y - sin(y) = y (1 - s(y)); below |y| = ``priors._SERIES_ARG``, where it
+    cancels, 1 - s is 0 - (s - 1) from the sinc series' first row, +0 (so the
+    product takes y's sign) where the series underflows."""
+    small = np.abs(y) < priors_mod._SERIES_ARG
     y_small = np.where(small, y, 0.0)
-    series = y_small * _odd_factorial_series(y_small, lambda k: (-1) ** (k + 1), 1)
-    return np.where(small, series, y - np.sin(y))
-
-
-def _uniform_offset_excess(prior: Prior, tau_c, one_minus_s):
-    """K - 1 for the support average K of cos(2 x tau_c), free of cancellation.
-
-    K = s(A) cos(B) with s(A) = sin(A)/A, A = 2 sqrt(3) sigma tau_c and
-    B = 2 g0 tau_c, so, given 1 - s(A) from the POVM's transform,
-
-        K - 1 = -(1 - s(A)) cos(B) - 2 sin^2(B/2).
-    """
-    big_b = 2.0 * prior.g0 * tau_c
-    return -one_minus_s * np.cos(big_b) - 2.0 * np.sin(big_b / 2.0) ** 2
+    return np.where(small, y_small * (0.0 - priors_mod._sinc_series(y_small, 1)[0]), y - np.sin(y))
 
 
 def _cmax_and_scale(prior: Prior, tau_c: np.ndarray) -> tuple:
     """(c_max, f_z scale, transform) over the array ``tau_c``: the cap of
     :func:`gaussian_cmax` or :func:`uniform_cmax`, with c_max = +inf and a zero
-    scale where unbounded, and the uniform POVM's transform (() if Gaussian)."""
+    scale where unbounded, and the uniform POVM's K - 1 and transform parts
+    (() if Gaussian)."""
+    if not (tau_c >= 0).all():  # NaN included
+        raise ValueError("tau_c must be nonnegative")
     if prior.kind == priors_mod.GAUSSIAN:
         s = np.sin(2.0 * prior.g0 * tau_c)
         free = np.abs(s) < _SIN_FLOOR
         cap = 1.0 / (math.sqrt(2.0 * math.pi) * prior.sigma * np.maximum(np.abs(s), _SIN_FLOOR))
         return np.where(free, math.inf, cap)[()], np.where(free, 0.0, cap * s)[()], ()
-    if (tau_c < 0).any():
-        raise ValueError("tau_c must be nonnegative")
-    sinc = priors_mod._centered_transform(prior, 2.0 * tau_c)
-    k_excess = _uniform_offset_excess(prior, tau_c, sinc[1])
+    phi, one_minus, phi1, _, var_minus, t_part = priors_mod._centered_transform(
+        prior, 2.0 * tau_c, cost=True)
+    # K - 1 for the support average K = s(A) cos(B) of cos(2 x tau_c), with
+    # A = 2 sqrt(3) sigma tau_c and B = 2 g0 tau_c, free of cancellation
+    big_b = 2.0 * prior.g0 * tau_c
+    k_excess = -one_minus * np.cos(big_b) - 2.0 * np.sin(big_b / 2.0) ** 2
     lo, hi = prior.support
     # cos(2 x tau_c) - K = -2 sin^2(x tau_c) - (K - 1): both terms keep their
     # relative precision as tau_c -> 0, where the difference itself is O(tau^2)
@@ -229,7 +223,8 @@ def _cmax_and_scale(prior: Prior, tau_c: np.ndarray) -> tuple:
         peak = np.maximum(peak, np.abs(2.0 * odd + k_excess) * present)
     free = peak < 1e-300
     cap = 1.0 / (2.0 * math.sqrt(3.0) * prior.sigma * np.maximum(peak, 1e-300))
-    return np.where(free, math.inf, cap)[()], np.where(free, 0.0, cap)[()], sinc
+    return (np.where(free, math.inf, cap)[()], np.where(free, 0.0, cap)[()],
+            (k_excess, phi, one_minus, phi1, var_minus, t_part))
 
 
 def _point_cmax(prior: Prior, tau_c: float, kind: str) -> float:
@@ -372,24 +367,6 @@ def uniform_ml_povm(prior: Prior, tau_c, gamma_tau_f=0.0) -> MlPovm:
     return _povm(prior, tau_c, gamma_tau_f, priors_mod.UNIFORM)
 
 
-def _uniform_cost_bracket(big_a, big_b, s, s_minus_cos):
-    """1/2 - sin^2(A) cos^2(B)/A^2 + sin(2A) cos(2B)/(4A), free of cancellation.
-
-    Regrouped as T(A) + sin^2(B) s (s - cos A) with s = sin(A)/A and
-    T(A) = 1/2 + sin(2A)/(4A) - s^2, given s and s - cos A from the POVM's
-    transform.  As A -> 0, T vanishes as A^4/45 while c_max grows as 1/A^2,
-    so below A = 1 it is summed from its Taylor series instead of differenced:
-
-        T(A) = sum_{m>=2} (-1)^m (m-1)/(2m+2) (2A)^(2m) / (2m+1)!.
-    """
-    small = big_a < 1.0  # each branch reads only its own entries
-    series = _odd_factorial_series(2.0 * np.where(small, big_a, 0.5),
-                                   lambda m: (-1) ** m * (m - 1) / (2 * m + 2), 2)
-    a = np.where(small, 1.0, big_a)
-    t_part = np.where(small, series, 0.5 + np.sin(2.0 * a) / (4.0 * a) - s * s)
-    return t_part + np.sin(big_b) ** 2 * s * s_minus_cos
-
-
 def uniform_cost_max(povm: MlPovm):
     """Maximized average cost for the uniform-prior POVM.
 
@@ -398,16 +375,20 @@ def uniform_cost_max(povm: MlPovm):
         1/(2 sqrt(3) sigma) + c_max e^{-u} [ 1/2
             - sin^2(A) cos^2(B) / A^2 + sin(2A) cos(2B) / (4A) ],
 
-    the bracket evaluated by :func:`_uniform_cost_bracket` and weighted by
-    the stored f_z scale, which is 0 where c_max = inf (at tau_c = 0).
+    the bracket weighted by the stored f_z scale, which is 0 where
+    c_max = inf (at tau_c = 0).  It is free of cancellation regrouped as
+    T(A) + sin^2(B) s (s - cos A) with s = sin(A)/A, s - cos A = -A s'(A)
+    and T(A) = 1/2 + sin(2A)/(4A) - s^2, all read from the POVM's transform.
+    T vanishes as A^4/45 while c_max grows as 1/A^2; the transform sums it
+    from its series below A = 1.
     """
     if povm.prior.kind != priors_mod.UNIFORM:
         raise ValueError("uniform_cost_max requires a uniform-prior POVM")
     g0, sig, k, tc = povm.prior.g0, povm.prior.sigma, povm._fz_scale, povm.tau_c
-    phi, _, phi1, _, _ = povm._sinc
+    _, phi, _, phi1, _, t_part = povm._sinc
     h = math.sqrt(3.0) * sig
     big_a = 2.0 * h * tc
-    bracket = _uniform_cost_bracket(big_a, 2.0 * g0 * tc, phi, big_a * phi1 / h)
+    bracket = t_part + np.sin(2.0 * g0 * tc) ** 2 * phi * (big_a * phi1 / h)
     return (1.0 / (2.0 * h) + k * np.exp(-povm.gamma_tau_f) * bracket)[()]
 
 
@@ -464,12 +445,12 @@ def f_z_moments(povm: MlPovm) -> tuple:
         m1 = -2.0 * math.sqrt(2.0 * math.pi) * k * sig**3 * tc * np.exp(-2.0 * sig**2 * tc**2)
         m2 = 2.0 * g0 * m1
     else:
-        phi, one_minus, phi1, _, var_minus = povm._sinc
-        h, var = math.sqrt(3.0) * sig, sig**2
+        _, phi, one_minus, phi1, var_minus, _ = povm._sinc
+        h, var, x_min = math.sqrt(3.0) * sig, sig**2, priors_mod._SERIES_ARG
         x, big_b = 2.0 * h * tc, 2.0 * g0 * tc
         m1 = -2.0 * h * k * np.sin(big_b) * phi1
-        bracket = np.where(x < 1.0, var * one_minus - var_minus,
-                           2.0 * var * (phi - 3.0 * phi1 / (h * np.maximum(x, 1.0))))
+        bracket = np.where(x < x_min, var * one_minus - var_minus,
+                           2.0 * var * (phi - 3.0 * phi1 / (h * np.maximum(x, x_min))))
         m2 = 2.0 * g0 * m1 + 2.0 * h * k * np.cos(big_b) * bracket
     return m1, m2
 

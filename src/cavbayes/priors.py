@@ -50,9 +50,11 @@ DEFAULT_NODES = 256
 #: most nodes times ladder levels of one rule, which bounds one point's state grid
 MAX_QUADRATURE_NODES = 2**21
 #: |x| below which the uniform law's s(x) = sin(x)/x terms come from series,
-#: and the coefficients (k = 1..16) of s - 1, x s' and x^2 (s'' + 1/3) there
+#: and the coefficients (k = 1..16) of s - 1, x s', x^2 (s'' + 1/3) and
+#: x s' - 2 (s - 1) there
 _SERIES_ARG = 1.0
-_SINC_COEF = [(-1) ** k * np.c_[[1.0, 2 * k, 2 * k * (2 * k - 1) * (k > 1)]] for k in range(1, 17)]
+_SINC_COEF = np.array([(-1) ** k * np.c_[[1.0, 2 * k, 2 * k * (2 * k - 1) * (k > 1), 2 * k - 2]]
+                       for k in range(1, 17)])
 
 
 @dataclass(frozen=True)
@@ -140,24 +142,27 @@ def moments(prior: Prior) -> tuple[float, float]:
     return prior.g0, prior.sigma**2
 
 
-def _odd_factorial_series(x, coef, k0: int):
-    """sum_{k>=k0} coef(k) x^(2k) / (2k+1)!, elementwise, for |x| <= 2.
+def _sinc_series(x, rows: int = 4):
+    """The first ``rows`` of the sums sum_k _SINC_COEF[k-1] x^(2k) / (2k+1)!,
+    k = 1..16, over the array ``x`` (|x| <= 1), stacked on a leading axis:
+    s - 1, x s', x^2 (s'' + 1/3) and x s' - 2 (s - 1) for s(x) = sin(x)/x.
 
-    Sixteen terms are summed; for the coefficients used here, at most
-    quadratic in k, the dropped tail is below 1e-20 of the sum.
+    The coefficients are at most quadratic in k, so the dropped tail is below
+    1e-20 of each sum.
     """
-    x2 = x * x
-    power = x2**k0 / math.factorial(2 * k0 + 1)
+    x2 = np.ravel(x * x)
+    power = x2 / 6.0
     total = 0.0
-    for k in range(k0, k0 + 16):
-        total = total + coef(k) * power
+    for k, coef in enumerate(_SINC_COEF[:, :rows], start=1):
+        total = total + coef * power
         power = power * x2 / ((2 * k + 2) * (2 * k + 3))
-    return total
+    return total.reshape((rows,) + np.shape(x))
 
 
-def _centered_transform(prior: Prior, omega) -> tuple:
-    """(phi, 1 - phi, phi1, phi2, sigma^2 - phi2) over the array ``omega``,
-    each of ``omega``'s shape (numpy scalars for a scalar).
+def _centered_transform(prior: Prior, omega, cost: bool = False) -> tuple:
+    """(phi, 1 - phi, phi1, phi2, sigma^2 - phi2, T) over the array ``omega``,
+    each of ``omega``'s shape (numpy scalars for a scalar); T is None for the
+    Gaussian law and unless ``cost`` is set.
 
     phi = E e^{i omega y}, E y e^{i omega y} = i phi1 and
     E y^2 e^{i omega y} = phi2 for y = g - g0, all real.  Uniform law:
@@ -167,6 +172,10 @@ def _centered_transform(prior: Prior, omega) -> tuple:
     |x| = ``_SERIES_ARG``, the series of s - 1, x s' and x^2 (s'' + 1/3),
     which are 0 where x^2 underflows.  The MMSE moments below and the
     uniform likelihood POVM (at omega = 2 tau_c, :mod:`ml`) read this one pass.
+    The POVM's cost bracket T = 1/2 + sin(2x)/(4x) - s^2 vanishes as x^4/45:
+    the series gives (1/2) [r + (s - 1)(x s' - (s - 1))], r = x s' - 2 (s - 1),
+    two terms from +x^4 on (1e-15 relative), and the direct form above keeps
+    2e-16 absolute (6e-15 relative next to x = 1).
     """
     omega = np.asarray(omega, dtype=float)
     var = prior.sigma**2
@@ -174,7 +183,7 @@ def _centered_transform(prior: Prior, omega) -> tuple:
         a = var * omega * omega
         half = -a / 2.0
         e, one_minus = np.exp(half), -np.expm1(half)
-        return e, one_minus, var * omega * e, var * e * (1.0 - a), var * (one_minus + a * e)
+        return e, one_minus, var * omega * e, var * e * (1.0 - a), var * (one_minus + a * e), None
     h = math.sqrt(3.0) * prior.sigma
     x = h * np.atleast_1d(omega)  # masked assignments below need an array
     small = np.abs(x) < _SERIES_ARG
@@ -182,16 +191,19 @@ def _centered_transform(prior: Prior, omega) -> tuple:
     s = np.sin(xd) / xd
     ds = (np.cos(xd) - s) / xd
     s_less, d2s_third = s - 1.0, 1.0 / 3.0 - s - 2.0 * ds / xd
+    t_part = 0.5 + np.sin(2.0 * xd) / (4.0 * xd) - s * s if cost else None
     if small.any():
         xs = x[small]
         xs_d = np.where(xs * xs == 0.0, 1.0, xs)  # every series is 0 where x^2 is
-        series = _odd_factorial_series(xs, lambda k: _SINC_COEF[k - 1], 1)
-        s_less[small] = series[0]
-        s[small] = 1.0 + series[0]
-        ds[small] = series[1] / xs_d
-        d2s_third[small] = series[2] / xs_d**2
-    parts = s, -s_less, -h * ds, var - h * h * d2s_third, h * h * d2s_third
-    return tuple(part.reshape(omega.shape)[()] for part in parts)
+        a, x_ds, x2_d2s, *r = _sinc_series(xs, 4 if cost else 3)
+        s_less[small] = a
+        s[small] = 1.0 + a
+        ds[small] = x_ds / xs_d
+        d2s_third[small] = x2_d2s / xs_d**2
+        if cost:
+            t_part[small] = 0.5 * (r[0] + a * (x_ds - a))
+    parts = s, -s_less, -h * ds, var - h * h * d2s_third, h * h * d2s_third, t_part
+    return tuple(part if part is None else part.reshape(omega.shape)[()] for part in parts)
 
 
 def characteristic_moments(prior: Prior, omega) -> tuple:
@@ -202,7 +214,7 @@ def characteristic_moments(prior: Prior, omega) -> tuple:
     with m = g0 + i sigma^2 omega.  Uniform: e^{i omega g0} times s,
     g0 s - i h s' and g0^2 s - 2 i g0 h s' - h^2 s'' (see _centered_transform).
     """
-    phi, _, phi1, phi2, _ = _centered_transform(prior, omega)
+    phi, _, phi1, phi2, _, _ = _centered_transform(prior, omega)
     g0 = prior.g0
     rot = np.exp(1j * g0 * np.asarray(omega, dtype=float))
     return rot * phi, rot * (g0 * phi + 1j * phi1), rot * (g0 * g0 * phi + 2j * g0 * phi1 + phi2)
@@ -217,7 +229,7 @@ def cosine_deficits(prior: Prior, omega) -> tuple:
     D2 = g0^2 D0 + (sigma^2 - phi2) + phi2 (1 - cos theta) + 2 g0 phi1 sin theta
     is nonnegative as omega -> 0, so none cancels (1 - cos = 2 sin^2(theta/2)).
     """
-    phi, one_minus, phi1, phi2, var_minus = _centered_transform(prior, omega)
+    phi, one_minus, phi1, phi2, var_minus, _ = _centered_transform(prior, omega)
     g0 = prior.g0
     theta = g0 * np.asarray(omega, dtype=float)
     versine, swing = 2.0 * np.sin(theta / 2.0) ** 2, phi1 * np.sin(theta)

@@ -6,6 +6,8 @@ damped variant, and direct quadrature re-derivations.  Production formulas
 are always checked against one of these, never against themselves.
 """
 
+import math
+
 import numpy as np
 from scipy import linalg
 from scipy.special import gammaln
@@ -143,3 +145,16 @@ def matrix_exp_product_integral(g0_arr: np.ndarray, g1_arr: np.ndarray) -> np.nd
             e = linalg.expm(-g0_arr * point)
             total += wt * half * (e @ g1_arr @ e)
     return 2.0 * total
+
+
+def odd_factorial_series(x, coef, k0: int):
+    """sum_{k>=k0} coef(k) x^(2k) / (2k+1)! over sixteen terms: the loop the
+    sinc series ran before it took one fixed coefficient matrix, kept to pin
+    the bits of that matrix's sum."""
+    x2 = x * x
+    power = x2**k0 / math.factorial(2 * k0 + 1)
+    total = 0.0
+    for k in range(k0, k0 + 16):
+        total = total + coef(k) * power
+        power = power * x2 / ((2 * k + 2) * (2 * k + 3))
+    return total

@@ -385,6 +385,15 @@ def test_negative_rates_rejected():
         dissipative_populations(1.0, 1.0, 0.0, -0.1)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, np.array([[0.5], [math.nan], [2.0]])],
+                         ids=["nan", "inf", "-inf", "column_with_nan"])
+def test_non_finite_times_rejected(t):
+    # Scenario refuses these times; the kernel must not return NaN for them
+    for gamma, kappa in ((0.0, 0.0), (0.3, 0.8), (0.8, 0.3)):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            dissipative_populations(np.array([0.0, 0.1, 1.0]), t, gamma, kappa)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(tau_c=-1.0)

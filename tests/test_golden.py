@@ -16,7 +16,7 @@ and ``ml`` with both priors.  ``verify_seed_<s>.json`` is the
 report of ``verify --seed <s>`` for s = 0, 7 and 63: its check names and
 order, pass flags and notes must match exactly, and every number to 1e-12
 relative.  ``point_<command>_<case>.json`` is the ``--format json`` output of each
-point golden, compared byte for byte.  Regenerate
+point golden; it and the point CSV are compared byte for byte.  Regenerate
 them only for a change that is meant to move the numbers, and say why in
 the change log.
 """
@@ -118,6 +118,14 @@ def test_point_json_matches_golden_bytes(name, tmp_path):
                "--format", "json"])
     assert rc == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", POINTS)
+def test_point_csv_matches_golden_bytes(name, tmp_path):
+    out = tmp_path / "out.csv"
+    rc = main([_command(name), "--config", str(GOLDEN / f"{name}.ini"), "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("seed", [0, 7, 63])

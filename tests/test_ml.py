@@ -36,6 +36,7 @@ from cavbayes.oracle import (
     gaussian_bound_constants_erf,
 )
 from cavbayes.priors import Prior
+from conftest import odd_factorial_series
 
 GAUSS = Prior.gaussian(1.0, 1.0)
 
@@ -160,19 +161,59 @@ def test_uniform_zero_time_convention_differs_from_the_short_time_limit():
 
 def test_uniform_povm_takes_one_transform_pass(monkeypatch):
     # the cap, f_z, cost, moments and interval masses all read the one
-    # s(x) transform that the POVM keeps
-    calls = []
-    transform = priors_mod._centered_transform
+    # s(x) transform that the POVM keeps, and a build with its cost and MSE
+    # sums the sinc series once, in that transform
+    calls, sums = [], []
+    transform, series = priors_mod._centered_transform, priors_mod._sinc_series
     monkeypatch.setattr(priors_mod, "_centered_transform",
-                        lambda *args: calls.append(args) or transform(*args))
+                        lambda *args, **kwargs: calls.append(args) or transform(*args, **kwargs))
+    monkeypatch.setattr(priors_mod, "_sinc_series", lambda *args: sums.append(args) or series(*args))
     prior = Prior.uniform(1.0, 0.5)
-    povm = uniform_ml_povm(prior, np.linspace(0.0, 3.0, 7), 0.2)
+    povm = uniform_ml_povm(prior, np.linspace(0.0, 3.0, 7), 0.2)  # 2 entries below A = 1
     uniform_cost_max(povm)
     ml_mse(povm, 0.9)
+    assert len(sums) == 1
     point = uniform_ml_povm(prior, 0.4, 0.2)
     point.f_z(0.7)
     point.interval_parts(0.5, 1.2)
     assert len(calls) == 2
+
+
+def _former_y_minus_sin(y):
+    # y - sin(y) as the likelihood POVM summed it before the sinc series
+    # took one coefficient matrix: its own series below |y| = 1
+    small = np.abs(y) < 1.0
+    y_small = np.where(small, y, 0.0)
+    series = y_small * odd_factorial_series(y_small, lambda k: (-1) ** (k + 1), 1)
+    return np.where(small, series, y - np.sin(y))
+
+
+def test_y_minus_sin_keeps_the_former_bits():
+    rng = np.random.default_rng(29)
+    edge = np.array([0.0, 5e-324, 1e-300, 1e-160, np.nextafter(priors_mod._SERIES_ARG, 0.0),
+                     priors_mod._SERIES_ARG, np.nextafter(priors_mod._SERIES_ARG, 2.0), 3.0, 1e6])
+    y = np.concatenate([edge, -edge, rng.uniform(-2.0, 2.0, 200), 10.0 ** rng.uniform(-9.0, 0.3, 100)])
+    assert ml_mod._y_minus_sin(y).tobytes() == _former_y_minus_sin(y).tobytes()
+    for v in y[:18]:
+        assert ml_mod._y_minus_sin(v).tobytes() == _former_y_minus_sin(v).tobytes()
+
+
+@pytest.mark.parametrize("prior", [GAUSS, Prior.uniform(1.0, 0.5)], ids=["gaussian", "uniform"])
+@pytest.mark.parametrize("tc", [-0.7, -1e-300, math.nan, np.array([0.3, -0.7]), np.array([0.3, math.nan])],
+                         ids=["negative", "tiny_negative", "nan", "column_negative", "column_nan"])
+def test_negative_or_nan_time_refused_by_both_priors(prior, tc):
+    # one check ahead of the prior kind: a Gaussian build must not return
+    # the POVM of |tau_c|, and NaN fails it too
+    build, cmax = ((gaussian_ml_povm, gaussian_cmax) if prior.kind == priors_mod.GAUSSIAN
+                   else (uniform_ml_povm, uniform_cmax))
+    with pytest.raises(ValueError, match="tau_c must be nonnegative"):
+        build(prior, tc, 0.0)
+    if not np.isnan(tc).any():  # ml_povm refuses NaN earlier, as an overflowing phase
+        with pytest.raises(ValueError, match="tau_c must be nonnegative"):
+            ml_povm(prior, tc, 0.0)
+    if np.ndim(tc) == 0:
+        with pytest.raises(ValueError, match="tau_c must be nonnegative"):
+            cmax(prior, tc)
 
 
 @pytest.mark.parametrize("tc", [0.0, 1e-160, 1e-300])
@@ -191,8 +232,7 @@ def test_uniform_povm_unconstrained_where_the_peak_vanishes(tc):
 def _uniform_cmax_enumerated(p, tc):
     # the cap by evaluating every stationary point j pi / (2 tau_c) of the
     # cosine inside the support, one by one
-    one_minus_s = priors_mod._centered_transform(p, 2.0 * tc)[1]
-    k_excess = ml_mod._uniform_offset_excess(p, tc, one_minus_s)
+    k_excess = uniform_ml_povm(p, tc)._sinc[0]  # K - 1
     lo, hi = p.support
     k_lo = math.ceil(2.0 * tc * lo / math.pi)
     k_hi = math.floor(2.0 * tc * hi / math.pi)

@@ -2,12 +2,15 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from cavbayes.errors import UnsupportedCombination
-from cavbayes.priors import (DEFAULT_NODES, MAX_QUADRATURE_NODES, Prior, characteristic_moments,
+from cavbayes.priors import (_SERIES_ARG, DEFAULT_NODES, MAX_QUADRATURE_NODES, Prior,
+                             _centered_transform, _sinc_series, characteristic_moments,
                              cosine_deficits, density, moments, nodes_for_oscillation, quadrature)
+from conftest import odd_factorial_series
 
 
 def test_gaussian_density_at_mode():
@@ -78,6 +81,74 @@ def test_closed_form_integrals_across_sizes(kind, n_points):
         assert [np.shape(m) for m in (*moments_k, *deficits)] == [()] * 6
         assert moments_k[0] == pytest.approx(complex(ref_c, ref_s), abs=1e-9)
         assert deficits[0] == pytest.approx(1.0 - ref_c, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the uniform law's sinc series and the likelihood bracket T(x)
+
+# the three coefficient rows of s - 1, x s' and x^2 (s'' + 1/3) before the
+# fourth row joined them
+_FORMER_SINC_COEF = [(-1) ** k * np.c_[[1.0, 2 * k, 2 * k * (2 * k - 1) * (k > 1)]]
+                     for k in range(1, 17)]
+_NEXT_TO_SWITCH = [np.nextafter(_SERIES_ARG, 0.0), _SERIES_ARG, np.nextafter(_SERIES_ARG, 2.0)]
+
+
+def _series_arguments():
+    # seeded arguments, the zero and underflow edges and the floats at the switch
+    rng = np.random.default_rng(29)
+    edge = np.array([0.0, 5e-324, 1e-300, 1e-160, *_NEXT_TO_SWITCH])
+    return np.concatenate([edge, -edge, rng.uniform(-1.0, 1.0, 200), 10.0 ** rng.uniform(-9.0, 0.3, 100)])
+
+
+def test_sinc_series_rows_keep_the_former_bits():
+    x = _series_arguments()
+    rows = _sinc_series(x)
+    former = odd_factorial_series(x, lambda k: _FORMER_SINC_COEF[k - 1], 1)
+    assert rows.shape == (4, len(x)) and rows[:3].tobytes() == former.tobytes()
+    # r = x s' - 2 (s - 1) has no x^2 term to cancel; its own coefficients
+    assert rows[3].tobytes() == odd_factorial_series(x, lambda k: (-1) ** k * (2 * k - 2), 1).tobytes()
+    # the leading rows alone, and any shape: a point gives a column, a grid a grid per row
+    assert _sinc_series(x, 3).tobytes() == former.tobytes()
+    assert _sinc_series(x[5], 1).tobytes() == rows[:1, 5].tobytes()
+    assert _sinc_series(x[:300].reshape(20, 15)).tobytes() == rows[:, :300].tobytes()
+
+
+def _former_cost_bracket_t(big_a):
+    # T(A) = 1/2 + sin(2A)/(4A) - s^2 as the likelihood cost summed it before
+    # the transform did: its own series in 2A below A = 1, the direct form above
+    small = big_a < 1.0
+    series = odd_factorial_series(2.0 * np.where(small, big_a, 0.5),
+                                  lambda m: (-1) ** m * (m - 1) / (2 * m + 2), 2)
+    a = np.where(small, 1.0, big_a)
+    s = np.sin(a) / a
+    return np.where(small, series, 0.5 + np.sin(2.0 * a) / (4.0 * a) - s * s)
+
+
+def test_cost_bracket_from_the_transform_against_mpmath():
+    # T vanishes as x^4/45; from the series rows it keeps 1e-15 relative below
+    # the switch, and the direct form above it differences terms of order one
+    p = Prior.uniform(1.0, 0.5)
+    h = math.sqrt(3.0) * p.sigma
+    rng = np.random.default_rng(29)
+    omega = np.concatenate([10.0 ** rng.uniform(-8.0, math.log10(2.0), 1000),
+                            rng.uniform(0.5, 2.0, 1000), _NEXT_TO_SWITCH, [2.0]]) / h
+    x = h * omega
+    t_part = _centered_transform(p, omega, cost=True)[5]
+    assert _centered_transform(p, omega)[5] is None
+    assert _centered_transform(Prior.gaussian(1.0, 0.5), omega, cost=True)[5] is None
+    with mp.workdps(80):
+        ref = np.array([float(0.5 + mp.sin(2 * a) / (4 * a) - (mp.sin(a) / a) ** 2)
+                        for a in map(mp.mpf, x.tolist())])
+    small = x < _SERIES_ARG
+    assert small.sum() > 500 and (~small).sum() > 500
+    err = np.abs(t_part - ref)
+    assert np.all(err[small] <= 1e-15 * ref[small])
+    assert np.all(err <= 1e-15 * ref + 2.2e-16)
+    # against the former sums: the direct form keeps its bits, the series
+    # moves by less than 1e-15 relative
+    former = _former_cost_bracket_t(x)
+    assert t_part[~small].tobytes() == former[~small].tobytes()
+    assert np.all(np.abs(t_part - former)[small] <= 1e-15 * former[small])
 
 
 def test_parameter_validation():
