@@ -190,7 +190,7 @@ def _y_minus_sin(y):
     product takes y's sign) where the series underflows."""
     small = np.abs(y) < priors_mod._SERIES_ARG
     y_small = np.where(small, y, 0.0)
-    return np.where(small, y_small * (0.0 - priors_mod._sinc_series(y_small, 1)[0]), y - np.sin(y))
+    return np.where(small, y_small * (0.0 - priors_mod._sinc_series(y_small)[0]), y - np.sin(y))
 
 
 def _cmax_and_scale(prior: Prior, tau_c: np.ndarray) -> tuple:
@@ -205,8 +205,7 @@ def _cmax_and_scale(prior: Prior, tau_c: np.ndarray) -> tuple:
         free = np.abs(s) < _SIN_FLOOR
         cap = 1.0 / (math.sqrt(2.0 * math.pi) * prior.sigma * np.maximum(np.abs(s), _SIN_FLOOR))
         return np.where(free, math.inf, cap)[()], np.where(free, 0.0, cap * s)[()], ()
-    phi, one_minus, phi1, _, var_minus, t_part = priors_mod._centered_transform(
-        prior, 2.0 * tau_c, cost=True)
+    phi, one_minus, phi1, _, var_minus, t_part = priors_mod._centered_transform(prior, 2.0 * tau_c)
     # K - 1 for the support average K = s(A) cos(B) of cos(2 x tau_c), with
     # A = 2 sqrt(3) sigma tau_c and B = 2 g0 tau_c, free of cancellation
     big_b = 2.0 * prior.g0 * tau_c
@@ -397,7 +396,8 @@ def ml_povm(prior: Prior, tau_c, gamma_tau_f) -> MlPovm:
     :func:`uniform_ml_povm`) over arrays of ``tau_c`` and ``gamma_tau_f``;
     ``OverflowError`` where a phase of any entry overflows."""
     tc = np.asarray(tau_c, dtype=float)
-    finite = np.abs(tc) <= sys.float_info.max / (8.0 * (prior.g0 + prior.sigma))
+    # NaN passes here, for the time check that both priors share
+    finite = ~(np.abs(tc) > sys.float_info.max / (8.0 * (prior.g0 + prior.sigma)))
     if not finite.all():
         bad = float(tc.flat[np.argmin(finite)])
         raise OverflowError(f"tau_c = {bad!r} overflows the phases of the likelihood POVM")

@@ -142,10 +142,10 @@ def moments(prior: Prior) -> tuple[float, float]:
     return prior.g0, prior.sigma**2
 
 
-def _sinc_series(x, rows: int = 4):
-    """The first ``rows`` of the sums sum_k _SINC_COEF[k-1] x^(2k) / (2k+1)!,
-    k = 1..16, over the array ``x`` (|x| <= 1), stacked on a leading axis:
-    s - 1, x s', x^2 (s'' + 1/3) and x s' - 2 (s - 1) for s(x) = sin(x)/x.
+def _sinc_series(x):
+    """The sums sum_k _SINC_COEF[k-1] x^(2k) / (2k+1)!, k = 1..16, over the
+    array ``x`` (|x| <= 1), stacked on a leading axis: s - 1, x s',
+    x^2 (s'' + 1/3) and x s' - 2 (s - 1) for s(x) = sin(x)/x.
 
     The coefficients are at most quadratic in k, so the dropped tail is below
     1e-20 of each sum.
@@ -153,16 +153,16 @@ def _sinc_series(x, rows: int = 4):
     x2 = np.ravel(x * x)
     power = x2 / 6.0
     total = 0.0
-    for k, coef in enumerate(_SINC_COEF[:, :rows], start=1):
+    for k, coef in enumerate(_SINC_COEF, start=1):
         total = total + coef * power
         power = power * x2 / ((2 * k + 2) * (2 * k + 3))
-    return total.reshape((rows,) + np.shape(x))
+    return total.reshape(_SINC_COEF.shape[1:2] + np.shape(x))
 
 
-def _centered_transform(prior: Prior, omega, cost: bool = False) -> tuple:
+def _centered_transform(prior: Prior, omega) -> tuple:
     """(phi, 1 - phi, phi1, phi2, sigma^2 - phi2, T) over the array ``omega``,
     each of ``omega``'s shape (numpy scalars for a scalar); T is None for the
-    Gaussian law and unless ``cost`` is set.
+    Gaussian law.
 
     phi = E e^{i omega y}, E y e^{i omega y} = i phi1 and
     E y^2 e^{i omega y} = phi2 for y = g - g0, all real.  Uniform law:
@@ -191,19 +191,18 @@ def _centered_transform(prior: Prior, omega, cost: bool = False) -> tuple:
     s = np.sin(xd) / xd
     ds = (np.cos(xd) - s) / xd
     s_less, d2s_third = s - 1.0, 1.0 / 3.0 - s - 2.0 * ds / xd
-    t_part = 0.5 + np.sin(2.0 * xd) / (4.0 * xd) - s * s if cost else None
+    t_part = 0.5 + np.sin(2.0 * xd) / (4.0 * xd) - s * s
     if small.any():
         xs = x[small]
         xs_d = np.where(xs * xs == 0.0, 1.0, xs)  # every series is 0 where x^2 is
-        a, x_ds, x2_d2s, *r = _sinc_series(xs, 4 if cost else 3)
+        a, x_ds, x2_d2s, r = _sinc_series(xs)
         s_less[small] = a
         s[small] = 1.0 + a
         ds[small] = x_ds / xs_d
         d2s_third[small] = x2_d2s / xs_d**2
-        if cost:
-            t_part[small] = 0.5 * (r[0] + a * (x_ds - a))
+        t_part[small] = 0.5 * (r + a * (x_ds - a))
     parts = s, -s_less, -h * ds, var - h * h * d2s_third, h * h * d2s_third, t_part
-    return tuple(part if part is None else part.reshape(omega.shape)[()] for part in parts)
+    return tuple(part.reshape(omega.shape)[()] for part in parts)
 
 
 def characteristic_moments(prior: Prior, omega) -> tuple:
