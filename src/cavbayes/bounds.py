@@ -74,13 +74,13 @@ def _diagonal_family(g: np.ndarray, tau_c: float, gamma_tau_f: float):
 def sld_general(rho: QubitState, drho: Hermitian2) -> Hermitian2:
     """L of the state rho(g): the solution of rho L + L rho = 2 d rho/dg.
 
-    Solved in the eigenbasis of rho by the estimator's solver,
-    L_ij = 2 (d rho)_ij / (p_i + p_j), with no degeneracy floor: only
-    entries whose pair sum is not positive are set to zero (support
-    convention at rank deficiency).  Near a pure state a small p_i still
-    carries a finite Fisher term |d rho_ii|^2 / p_i, so no larger cut is
-    safe: dropping it would shrink Tr{rho L^2} and lift the bound above the
-    MSE.  ``drho`` is the exact derivative from the state kernel
+    Solved by the estimator's solver, whose Bloch form gives the eigenbasis
+    solution L_ij = 2 (d rho)_ij / (p_i + p_j) without diagonalizing rho,
+    and with no degeneracy floor: only entries whose pair sum is not
+    positive are set to zero (support convention at rank deficiency).  Near
+    a pure state a small p_i still carries a finite Fisher term
+    |d rho_ii|^2 / p_i, so no larger cut is safe: dropping it would shrink
+    Tr{rho L^2} and lift the bound above the MSE.  ``drho`` is the exact derivative from the state kernel
     (:func:`dynamics.reduced_state` with ``derivative=True``).  A batch of
     states gives the batch of L.
     """
@@ -111,7 +111,7 @@ def cr_bound_mmse(result: MmseResult, g, rho: QubitState, drho: Hermitian2) -> B
     """
     g = np.asarray(g, dtype=float)
     m = result.m_min
-    xprime = (m.ee - m.gg) * drho.ee + 2.0 * (m.eg * np.conj(drho.eg)).real
+    xprime = (m.ee - m.gg) * drho.ee + 2.0 * (m.eg.real * drho.eg.real + m.eg.imag * drho.eg.imag)
     fisher = trace_product(square(sld_general(rho, drho)), rho.matrix)
     return _report(g, mse_of_estimator(result, g, rho), xprime, fisher)
 

@@ -263,27 +263,35 @@ def gamma_moments_dissipative(
 def mmse_estimator(gammas: GammaTriple, gamma_tau_f=0.0) -> MmseResult:
     """Solve for the optimal estimator and its average cost.
 
-    The flight damping is already folded into the moment operators;
-    ``gamma_tau_f`` only rescales the degeneracy floor of the operator
-    solve.  Heavy flight decay shrinks the excited-row entries of every
-    moment operator by the same exp(-gamma tau_f), leaving their ratios
-    (hence the estimator) well conditioned, so genuinely ill-posed inputs
-    are flagged relative to that known scale rather than in absolute terms.
+    The pair floor of the operator solve guards against rounding in the
+    eigenvalues of G0.  A diagonal G0 (zero coherence: every resonant
+    vacuum and damped triple) has exact eigenvalues, so its floor is 0 and
+    M_ii = G1_ii / G0_ii is taken as is wherever G0_ii > 0.  Any other G0
+    takes the floor 1e-14 min(1, exp(-gamma tau_f)): the flight damping is
+    already folded into the moment operators, and ``gamma_tau_f`` only
+    rescales this floor.  Heavy flight decay shrinks the excited-row entries
+    of every moment operator by the same exp(-gamma tau_f), leaving their
+    ratios (hence the estimator) well conditioned, so genuinely ill-posed
+    inputs are flagged relative to that known scale rather than in absolute
+    terms.  The cost Tr{G2 - M G0 M} is taken as Tr G2 - Tr{M G1}, equal
+    for the solution M, with each diagonal product beside its own G2 entry:
+    for a diagonal G0 each pair is the cost of one outcome.
 
     A batch of moment operators (from one moment call over a sweep axis) is
     solved in one call, with ``gamma_tau_f`` a scalar or one value per entry;
     a single triple is the shape-() case of the same expressions.
     """
-    floor = 1e-14 * np.minimum(1.0, np.exp(-np.asarray(gamma_tau_f, dtype=float)))
-    m = solve_symmetric_product(gammas.gamma0, gammas.gamma1, pair_floor=floor)
+    g0, g1, g2 = gammas.gamma0, gammas.gamma1, gammas.gamma2
+    floor = np.where(
+        np.asarray(g0.eg) == 0.0, 0.0,
+        1e-14 * np.minimum(1.0, np.exp(-np.asarray(gamma_tau_f, dtype=float))),
+    )
+    m = solve_symmetric_product(g0, g1, pair_floor=floor)
     w, v = eigendecompose(m)
-    m_arr = m.as_array()
-    g0_arr = gammas.gamma0.as_array()
-    c_min = np.trace(
-        gammas.gamma2.as_array() - m_arr @ g0_arr @ m_arr, axis1=-2, axis2=-1
-    ).real
+    c_min = (g2.ee - m.ee * g1.ee) + (g2.gg - m.gg * g1.gg) - 2.0 * (
+        m.eg.real * g1.eg.real + m.eg.imag * g1.eg.imag)
     return MmseResult(
-        m_min=m, estimates=(w[..., 0][()], w[..., 1][()]), projectors=v, c_min=c_min
+        m_min=m, estimates=(w[..., 0][()], w[..., 1][()]), projectors=v, c_min=c_min[()]
     )
 
 

@@ -158,3 +158,25 @@ def odd_factorial_series(x, coef, k0: int):
         total = total + coef(k) * power
         power = power * x2 / ((2 * k + 2) * (2 * k + 3))
     return total
+
+
+def matmul_solve(gamma0, gamma1, pair_floor=1e-14):
+    """G0 M + M G0 = 2 G1 by the eigenbasis products M = V M' V†, with
+    M'_ij = 2 (V† G1 V)_ij / (l_i + l_j): the stacked-matmul solve the
+    Bloch form replaced, kept as a second oracle for its accuracy."""
+    from cavbayes.errors import DegenerateGamma0
+    from cavbayes.qubit import Hermitian2, eigendecompose
+
+    w, v = eigendecompose(gamma0)
+    pair = w[..., :, None] + w[..., None, :]
+    if np.any(pair <= pair_floor):
+        raise DegenerateGamma0(f"eigenvalue pair sums {pair.min()} <= {pair_floor}")
+    vh = v.swapaxes(-1, -2).conj()
+    keep = pair > 0.0
+    mt = np.where(keep, 2.0 * (vh @ gamma1.as_array() @ v), 0.0)
+    safe = np.where(keep, pair, 1.0)
+    mt.real /= safe
+    mt.imag /= safe
+    m = v @ mt @ vh
+    eg = 0.5 * (m[..., 0, 1] + np.conj(m[..., 1, 0]))
+    return Hermitian2(ee=m[..., 0, 0].real[()], gg=m[..., 1, 1].real[()], eg=eg[()])

@@ -29,7 +29,7 @@ from cavbayes.dynamics import (
 from cavbayes.errors import DegenerateGamma0
 from cavbayes.oracle import gamma_moments_quadrature
 from cavbayes.priors import Prior
-from cavbayes.qubit import Hermitian2, eigendecompose, solve_symmetric_product
+from cavbayes.qubit import Hermitian2, QubitState, eigendecompose, solve_symmetric_product
 
 REL_TOL = 1e-12
 
@@ -744,6 +744,47 @@ def test_batched_solve_names_first_degenerate_entry():
             _stack([_row(g1, 0), _row(g1, 2)]),
             pair_floor=np.array([0.5, 0.7]),
         )
+
+
+@pytest.mark.parametrize("field_kind", ["detuned", "coherent", "coherent_detuned"])
+def test_batched_sld_rows_equal_single_calls(field_kind):
+    # the SLD of a batch of states is the 0-d call on each state, bit for bit,
+    # at pure-state edges (rank-deficient rho) as well
+    sc = Scenario(tau_c=0.9, tau_f_gamma=0.2, **FIELDS[field_kind])
+    g = np.concatenate([np.linspace(0.0, 3.0, 37), [math.pi / 1.8, 1e-9]])
+    rho, drho = reduced_state(g, sc, field_for(sc), derivative=True)
+    batch = bounds_mod.sld_general(rho, drho)
+    for i in range(len(g)):
+        single = bounds_mod.sld_general(QubitState(_row(rho.matrix, i)), _row(drho, i))
+        assert (single.ee, single.gg, single.eg) == (batch.ee[i], batch.gg[i], batch.eg[i])
+
+
+def test_estimator_and_sld_make_no_matrix_products(monkeypatch):
+    # the solve and the cost are elementwise real arithmetic: no stacked
+    # (2, 2) product and no dense matrix is formed, for a batch or a point
+    calls = []
+    real_matmul, real_as_array = np.matmul, Hermitian2.as_array
+
+    def matmul(*args, **kwargs):
+        calls.append("matmul")
+        return real_matmul(*args, **kwargs)
+
+    def as_array(self):
+        calls.append("as_array")
+        return real_as_array(self)
+
+    sc = Scenario(tau_c=(0.3, 0.9, 1.7), tau_f_gamma=0.2, **FIELDS["coherent_detuned"])
+    point = dataclasses.replace(sc, tau_c=0.9)
+    fld = field_for(sc)
+    triples = [mmse_mod.gamma_moments(PRIORS["gaussian"], s, fld) for s in (sc, point)]
+    states = [reduced_state(g, point, fld, derivative=True) for g in (np.linspace(0.3, 1.7, 5), 0.8)]
+    monkeypatch.setattr(np, "matmul", matmul)
+    monkeypatch.setattr(Hermitian2, "as_array", as_array)
+    for triple in triples:
+        mmse_mod.mmse_estimator(triple, 0.2)
+    for rho, drho in states:
+        bounds_mod.sld_general(rho, drho)
+    assert calls == []
 
 
 def test_batched_estimator_rows_equal_single_solves():

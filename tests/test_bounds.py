@@ -216,7 +216,8 @@ def test_general_scenario_bound_holds():
 def test_numeric_bound_evaluates_state_once(monkeypatch):
     # rho(g) and its exact derivative come from the caller's one kernel
     # call, which serves the conditional MSE and the SLD too; L is one solve
-    # of the operator equation, so rho is diagonalized once and L never is
+    # of the operator equation in Bloch form, so neither rho nor L is
+    # diagonalized
     from cavbayes import bounds, dynamics, qubit
 
     calls = []
@@ -239,7 +240,7 @@ def test_numeric_bound_evaluates_state_once(monkeypatch):
     spy(bounds, "solve_symmetric_product", "solve")
     spy(qubit, "eigendecompose", "eig")
     after = mmse_bound(res, 0.8, sc, fld)
-    assert calls == [("state", True), ("sld", None), ("solve", None), ("eig", None)]
+    assert calls == [("state", True), ("sld", None), ("solve", None)]
     assert after == before
 
 

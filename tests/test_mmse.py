@@ -378,6 +378,38 @@ def test_zero_time_without_decay_is_degenerate():
         mmse_estimator(gamma_moments(GAUSS, Scenario(tau_c=0.0), VACUUM))
 
 
+@pytest.mark.parametrize("kappa,tau_c", [(0.4, 100.0), (5.0, 60.0)])
+@pytest.mark.parametrize("prior", [GAUSS, UNIF, Prior.gaussian(1.0, 0.5)])
+def test_long_damped_transit_solves_its_diagonal_gamma0(kappa, tau_c, prior):
+    # the excited weight of a long damped transit lies far below the 1e-14
+    # floor of a non-diagonal Gamma0, but a diagonal Gamma0 has exact
+    # eigenvalues: each branch is the ratio G1_ii / G0_ii, and the cost
+    # stays within [0, sigma^2] to rounding (G0_gg rounds to 1 for the
+    # uniform prior, which leaves c_min an ulp above sigma^2)
+    g = gamma_moments(prior, Scenario(tau_c=tau_c, kappa=kappa, gamma_cav=0.7), VACUUM)
+    assert 0.0 < g.gamma0.ee < 1e-18 and g.gamma0.eg == 0.0
+    res = mmse_estimator(g)
+    assert res.m_min.ee == g.gamma1.ee / g.gamma0.ee
+    assert res.m_min.gg == g.gamma1.gg / g.gamma0.gg
+    assert res.m_min.eg == 0.0
+    assert 0.0 <= res.c_min <= prior.sigma**2 * (1.0 + 1e-15)
+
+
+@pytest.mark.parametrize("kappa,tau_c", [(0.4, 100.0), (5.0, 60.0)])
+def test_long_damped_sweep_exits_zero(kappa, tau_c, tmp_path):
+    from cavbayes.cli import main
+
+    cfg = tmp_path / "damped.ini"
+    cfg.write_text(
+        f"[scenario]\nkappa_over_g0 = {kappa}\ngamma_over_g0 = 0.7\n"
+        f"[sweep]\nquantity = dissipative_cost\naxis = tau_c\nlo = 1.0\nhi = {tau_c}\nn_points = 12\n"
+    )
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    c_min = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+    assert np.all((0.0 <= c_min) & (c_min <= 1.0))
+
+
 def test_ground_branch_short_time_limit():
     assert limit_eigenvalue_tau0(GAUSS) == pytest.approx(2.0)
     assert limit_eigenvalue_tau0(Prior.gaussian(1.0, 1e-6)) == pytest.approx(1.0, abs=1e-9)
