@@ -192,29 +192,27 @@ def solve_symmetric_product(
 ) -> Hermitian2:
     """Solve G0 M + M G0 = 2 G1 for Hermitian M, with G0 >= 0.
 
-    The eigenbasis solution M_ij = 2 (V† G1 V)_ij / (l_i + l_j), with
-    G0 = V diag(l) V†, written out in Bloch form.  With G0 = a0 I + a.sigma
-    and G1 = b0 I + b.sigma, eigenvalues l_lo, l_hi = a0 -+ |a| (the
-    entries of a diagonal G0, exactly) and the axis n = a/|a| of the upper
-    eigenvector, the diagonal of V† G1 V is b'_lo,hi = b0 -+ n.b and
+    The eigenbasis solution M_ij = 2 (V† G1 V)_ij / (l_i + l_j), written out
+    in Bloch form.  With G0 = a0 I + a.sigma, G1 = b0 I + b.sigma, the
+    eigenvalues l_lo,hi = a0 -+ |a| (the entries of a diagonal G0, exactly),
+    the axis n = a/|a| of the upper eigenvector and its projectors
+    P_lo,hi = (I -+ n.sigma)/2,
 
-        M = x0 I + x.sigma,   x0 = (b'_lo/l_lo + b'_hi/l_hi) / 2,
-        x = (b'_hi/l_hi - b'_lo/l_lo)/2 n + 2 (b - (n.b) n) / (l_lo + l_hi).
+        M = sum_k (b'_k / l_k) P_k + 2 (b - (n.b) n).sigma / (l_lo + l_hi),
+        b'_k = Tr{P_k G1} = b0 -+ n.b,
 
-    The vectors are taken in the coordinates ((ee - gg)/2, Re eg, Im eg),
-    in which dot products are the Bloch ones.  M and b' are evaluated on
-    the projectors P_lo,hi = (I -+ n.sigma)/2, as M = sum (b'/l) P plus the
-    transverse term, with b' = Tr{P G1}: their diagonal weights (1 -+ n_z)/2
+    in the coordinates ((ee - gg)/2, Re eg, Im eg), in which dot products
+    are the Bloch ones.  The diagonal weights (1 -+ n_z)/2 of the projectors
     are formed free of cancellation, so a diagonal G0 gives
-    M_ii = G1_ii / G0_ii exactly, where x0 +- x_z would lose a small entry
-    beside a large one.  Everything is real arithmetic on the entry arrays,
-    with no eigenvectors, complex products or matrix products, so each
-    matrix of a batch has the bits of its single call.  Rounding enters
-    through n and the eigenvalues: against a 50-digit solve the entries of
-    M hold 1e-15 of the largest one over the moment operators of every
-    transit model.  A G0 whose largest entry lies below ``_TINY_SCALE`` is
-    solved with G0 and G1 lifted by the same exact power of two, which
-    leaves M unchanged.
+    M_ii = G1_ii / G0_ii exactly; the form x0 I + x.sigma would lose a
+    small diagonal entry beside a large one.  Everything is real arithmetic
+    on the entry arrays, with no eigenvectors, complex products or matrix
+    products, so each matrix of a batch has the bits of its single call.
+    Rounding enters through n and the eigenvalues: against a 50-digit solve
+    the entries of M hold 1e-15 of the largest one over the moment
+    operators of every transit model.  A G0 whose largest entry lies below
+    ``_TINY_SCALE`` is solved with G0 and G1 lifted by the same exact power
+    of two, which leaves M unchanged.
 
     Raises :class:`DegenerateGamma0` when any of the pair sums 2 l_lo,
     l_lo + l_hi and 2 l_hi falls at or below ``pair_floor``.  The terms
@@ -239,10 +237,8 @@ def solve_symmetric_product(
         raise DegenerateGamma0(
             f"eigenvalue pair sums {low.flat[i]} <= {floor.flat[i]}: operator equation is ill posed"
         )
-    # the axis n = a/|a| of the upper eigenvector, +z for G0 = a0 I, and the
-    # weights <e|P|e> of the projectors P_lo,hi = (I -+ n.sigma)/2, with
-    # (1 - |nz|)/2 = t^2 / (2 (1 + |nz|)) free of cancellation: 0 and 1
-    # exactly for a diagonal G0
+    # n is +z for G0 = a0 I; the weights <e|P_lo,hi|e> take the smaller
+    # (1 - |nz|)/2 as t^2 / (2 (1 + |nz|)), 0 and 1 exactly for a diagonal G0
     scalar = r == 0.0
     unit = np.where(scalar, 1.0, r)
     nz, n_re, n_im, t = (half + scalar) / unit, re / unit, im / unit, eg_abs / unit
@@ -251,13 +247,12 @@ def solve_symmetric_product(
     bz = 0.5 * (b_ee - b_gg)
     nb_t = n_re * b_re + n_im * b_im
     nb = nz * bz + nb_t
-    # b'_lo,hi = Tr{P_lo,hi G1}; a pair sum that is not positive divides by
-    # inf, so its term is zero
+    # a pair sum that is not positive divides by inf, so its term is zero
     q_lo = (e_lo * b_ee + e_hi * b_gg - nb_t) / np.where(lo > 0.0, lo, np.inf)
     q_hi = (e_hi * b_ee + e_lo * b_gg + nb_t) / np.where(hi > 0.0, hi, np.inf)
     half_pair = 0.5 * (lo + hi)
     half_pair = np.where(half_pair > 0.0, half_pair, np.inf)
-    x_z = (bz - nb * nz) / half_pair  # x = 2 (b - (n.b) n) / (l_lo + l_hi)
+    x_z = (bz - nb * nz) / half_pair
     dq = 0.5 * (q_hi - q_lo)
     eg = np.empty(np.shape(q_lo), dtype=complex)
     eg.real = dq * n_re + (b_re - nb * n_re) / half_pair
