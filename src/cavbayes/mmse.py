@@ -92,15 +92,16 @@ class GammaTriple:
 class MmseResult:
     """Optimal estimator, its spectral data, and the attained average cost.
 
-    ``estimates`` are the eigenvalues of the estimator in ascending order;
-    ``projectors[..., :, k]`` is the measurement direction yielding
-    estimate k.  The result of a batch of moment operators holds every field
-    with the leading batch axis; that of one triple holds numpy scalars.
+    ``estimates`` are the eigenvalues of the estimator in ascending order,
+    and ``projectors`` the eigenprojectors (P_lo, P_hi) of the measurement,
+    parallel to them: outcome k records estimate k.  The result of a batch
+    of moment operators holds every field (every projector entry) with the
+    leading batch axis; that of one triple holds numpy scalars.
     """
 
     m_min: Hermitian2
     estimates: tuple[np.float64 | np.ndarray, np.float64 | np.ndarray]
-    projectors: np.ndarray
+    projectors: tuple[Hermitian2, Hermitian2]
     c_min: np.float64 | np.ndarray
 
 
@@ -287,12 +288,10 @@ def mmse_estimator(gammas: GammaTriple, gamma_tau_f=0.0) -> MmseResult:
         1e-14 * np.minimum(1.0, np.exp(-np.asarray(gamma_tau_f, dtype=float))),
     )
     m = solve_symmetric_product(g0, g1, pair_floor=floor)
-    w, v = eigendecompose(m)
+    estimates, projectors = eigendecompose(m)
     c_min = (g2.ee - m.ee * g1.ee) + (g2.gg - m.gg * g1.gg) - 2.0 * (
         m.eg.real * g1.eg.real + m.eg.imag * g1.eg.imag)
-    return MmseResult(
-        m_min=m, estimates=(w[..., 0][()], w[..., 1][()]), projectors=v, c_min=c_min[()]
-    )
+    return MmseResult(m_min=m, estimates=estimates, projectors=projectors, c_min=c_min[()])
 
 
 def limit_eigenvalue_tau0(prior: Prior) -> float:

@@ -21,10 +21,11 @@ sampler call draws its streams once and serves every point it is given:
 the cost sampler's couplings and outcome uniforms every time of a column
 scenario, and the estimate sampler's sorted uniforms every coupling of an
 array.  Beside those shared streams the cost sampler keeps two n-sample
-work arrays, in which the loss arithmetic of every point runs in place,
-and the state-kernel arrays of the point it is on; the estimate sampler
-keeps the samples of each report it returns.  Neither builds a
-(points x samples) grid.  ``verify`` runs the cost sampler twice in full,
+work arrays, in which the loss arithmetic of every point runs in place
+(its Born probability Tr{P_lo rho} read from the entries of the first
+eigenprojector), and the state-kernel arrays of the point it is on; the
+estimate sampler keeps the samples of each report it returns.  Neither
+builds a (points x samples) grid.  ``verify`` runs the cost sampler twice in full,
 so its determinism check compares two independent runs of the seed.
 Totals are numpy's pairwise sums: fixed for a fixed order of the values,
 but a reordering may move their last bits (the estimate sampler's ascending
@@ -180,10 +181,11 @@ def mc_quadratic_cost(
     if n < 10**4:
         raise ValueError("need at least 1e4 samples for a stable z-score")
     points = scenario.columns.reshape(3, -1).T.tolist()
-    projectors = np.reshape(result.projectors, (-1, 2, 2))
+    p_lo = result.projectors[0]
+    born = [np.reshape(x, -1) for x in np.broadcast_arrays(p_lo.ee, p_lo.gg, p_lo.eg)]
     estimates = np.reshape(result.estimates, (2, -1))
     c_min = np.reshape(result.c_min, -1)
-    if len(projectors) != len(points):
+    if len(born[0]) != len(points):
         raise ValueError("the result needs one estimator per point of the scenario")
     rng = _generator(seed)
     gs = sample_prior(prior, n, rng)
@@ -192,43 +194,43 @@ def mc_quadratic_cost(
     reports = []
     for i, (tau_c, tau_f_gamma, delta) in enumerate(points):
         point = dataclasses.replace(scenario, tau_c=tau_c, tau_f_gamma=tau_f_gamma, delta=delta)
-        mean, stderr = _loss_moments(gs, picks, point, field, projectors[i], estimates[:, i], work)
+        mean, stderr = _loss_moments(gs, picks, point, field, Hermitian2(*(x[i] for x in born)),
+                                     estimates[:, i], work)
         z = abs(mean - c_min[i]) / stderr if stderr > 0 else math.inf
         reports.append(McReport(n_samples=n, empirical_cost=mean, standard_error=stderr,
                                 analytic_cost=c_min[i], z_score=z, seed=seed))
     return reports
 
 
-def _loss_moments(gs, picks, point: Scenario, field: FieldState, v, estimates, work):
+def _loss_moments(gs, picks, point: Scenario, field: FieldState, p_lo: Hermitian2, estimates,
+                  work):
     """(mean, standard error) of the squared error over the couplings ``gs``
     at one point, whose record picks the first estimate where ``picks`` lies
-    below its Born probability.
+    below its Born probability Tr{P_lo rho}.
 
     Everything runs in place, in the kernel's a_ee and the two rows of the
     (2, n) array ``work``, in the order of
 
-        p = clip(|v00|^2 a_ee + |v01|^2 (1 - a_ee)
-                 + 2 (Re w Re a_eg - Im w Im a_eg), 0, 1),   w = conj(v00) v01,
-        x = (f e0 + (1 - f) e1 - g)^2,                       f = [pick < p],
+        p = clip(P_ee a_ee + P_gg (1 - a_ee)
+                 + 2 (Re P_eg Re a_eg + Im P_eg Im a_eg), 0, 1),
+        x = (f e0 + (1 - f) e1 - g)^2,                    f = [pick < p],
 
-    with v0 the eigenvector of the first (ascending) estimate, and the
-    coherence term only for a field with photons (a one-level field's a_eg
-    is zero, and p + 0 = p for p >= +0).  f is 1.0 or 0.0, so f e0 +
+    with P = ``p_lo`` the projector of the first (ascending) estimate, and
+    the coherence term only for a field with photons (a one-level field's
+    a_eg is zero, and p + 0 = p for p >= +0).  f is 1.0 or 0.0, so f e0 +
     (1 - f) e1 is the picked estimate exactly.  The statistics are numpy's
     own: mean = add.reduce(x)/n and the standard error sqrt(add.reduce((x -
     mean)^2)/(n - 1))/sqrt(n), the bits of ``np.mean`` and ``np.std(ddof=1)``.
     """
     a_ee, a_eg = detector_matrix_elements(gs, point, field)
-    v0 = v[:, 0]
-    w = np.conj(v0[0]) * v0[1]
     p, rest = a_ee, np.subtract(1.0, a_ee, out=work[0])
-    rest *= abs(v0[1]) ** 2
-    p *= abs(v0[0]) ** 2
+    rest *= p_lo.gg
+    p *= p_lo.ee
     p += rest
     if len(field.coefficients) > 1:
-        # 2 Re(w a_eg) in real arithmetic: no complex temporaries of n samples
-        coherence = np.multiply(a_eg.real, w.real, out=work[0])
-        coherence -= np.multiply(a_eg.imag, w.imag, out=work[1])
+        # 2 Re(P_eg conj(a_eg)) in real arithmetic: no complex temporaries of n samples
+        coherence = np.multiply(a_eg.real, p_lo.eg.real, out=work[0])
+        coherence += np.multiply(a_eg.imag, p_lo.eg.imag, out=work[1])
         coherence *= 2.0
         p += coherence
     np.clip(p, 0.0, 1.0, out=p)

@@ -12,7 +12,7 @@ exact (:func:`characteristic_moments`, :func:`cosine_deficits`).  Other
 integrals against the prior (detuned or dissipative moment operators,
 verification oracles) use composite Gauss-Legendre panels, and there the
 Gaussian support is truncated at +-8 sigma.  The neglected tail mass is
-2 Q(8) = 1.2e-15 and, weighted by g^2, 2 (g0^2 Q(8) + sigma^2 (8 phi(8) +
+2 Q(8) = 1.2e-15 and, weighted by g^2, it is 2 (g0^2 Q(8) + sigma^2 (8 phi(8) +
 Q(8))) = 1.2e-15 g0^2 + 8.2e-14 sigma^2 (Q and phi the standard normal tail
 and density), which bounds every entry of a moment operator: below 1e-13
 absolute for sigma <= g0 = 1, 1.9e-13 at sigma = 1.5.  Node counts can be

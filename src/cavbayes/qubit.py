@@ -8,15 +8,17 @@ routine here works elementwise over S; a single matrix is the shape-()
 case of the same numpy expressions, and its scalar results come back as
 numpy scalars.
 
-The eigenvalues come from the closed trace/radius formulas and the
-eigenvectors from one Jacobi rotation of the traceless part, with no
-iterative solver.  The symmetric operator equation
+One spectral construction serves every routine here: the Bloch form
+A = a0 I + r n.sigma, with the eigenvalues a0 -+ r from the closed
+trace/radius formulas and the eigenprojectors P_lo,hi = (I -+ n.sigma)/2,
+with no eigenvectors and no iterative solver.  :func:`eigendecompose` returns
+them, and the symmetric operator equation
 
     A X + X A = 2 B,   A >= 0,
 
 has the eigenbasis solution X_ij = 2 B_ij / (l_i + l_j), which
-:func:`solve_symmetric_product` writes out in Bloch form (A = a0 I + a.sigma)
-on the real entry arrays, with no eigenvectors and no matrix products.
+:func:`solve_symmetric_product` writes out on the same projectors, as real
+arithmetic on the entry arrays with no matrix products.
 One solver serves both places the equation appears: the MMSE estimator
 (G0 M + M G0 = 2 G1) and the symmetrized logarithmic derivative
 (rho L + L rho = 2 d rho/dg).  The solve and Tr{A B} are real arithmetic on
@@ -42,7 +44,6 @@ __all__ = [
     "trace_product",
 ]
 
-_PHASE_TOL = 1e-300
 #: a matrix whose largest entry lies below this is rescaled by a power of
 #: two before it is decomposed, so its entries keep their bits
 _TINY_SCALE = 2.0**-500
@@ -59,16 +60,6 @@ class Hermitian2:
     ee: float
     gg: float
     eg: complex = 0j
-
-    def as_array(self) -> np.ndarray:
-        """The (2, 2) complex matrix, or the S + (2, 2) array of entries of shape S."""
-        ee = np.asarray(self.ee)
-        out = np.empty(ee.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = ee
-        out[..., 0, 1] = self.eg
-        out[..., 1, 0] = np.conj(self.eg)
-        out[..., 1, 1] = self.gg
-        return out
 
     @property
     def trace(self) -> float:
@@ -97,9 +88,6 @@ class QubitState:
             raise ValueError(f"trace {float(trace)!r} differs from 1")
         if lo < -1e-12:
             raise ValueError(f"state not positive semidefinite (min eigenvalue {lo})")
-
-    def as_array(self) -> np.ndarray:
-        return self.matrix.as_array()
 
 
 def trace_product(a: Hermitian2, b: Hermitian2):
@@ -135,23 +123,33 @@ def _spectrum(ee, gg, eg_abs):
     return half, r, lo, np.where(diag, np.maximum(ee, gg), mean + r)
 
 
-def eigendecompose(m: Hermitian2) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of ``m``.
+def _axis(half, r, eg_abs):
+    """Divisor u, axis component n_z, transverse length t = |eg|/u and the
+    diagonal weights <e|P_lo,hi|e> = (1 -+ n_z)/2 of the eigenprojectors
+    P_lo,hi = (I -+ n.sigma)/2 of the matrices with half split ``half``,
+    radius ``r`` and |eg| ``eg_abs``.  u is r, and 1 for a multiple of I,
+    whose axis is +z.  The smaller weight (1 - |n_z|)/2 is taken as
+    t^2 / (2 (1 + |n_z|)), free of cancellation, so the weights of a
+    diagonal matrix are 0 and 1 exactly."""
+    scalar = r == 0.0
+    unit = np.where(scalar, 1.0, r)
+    nz, t = (half + scalar) / unit, eg_abs / unit
+    small = 0.5 * t * t / (1.0 + np.abs(nz))
+    return unit, nz, t, small - np.minimum(nz, 0.0), small + np.maximum(nz, 0.0)
 
-    Returns ``(w, v)`` with ``w`` shape (2,) ascending and ``v`` shape (2, 2),
-    eigenvector ``v[:, k]`` belonging to ``w[k]``; entries of shape S give
-    shapes S + (2,) and S + (2, 2).  The phase convention makes the first
-    component above ``_PHASE_TOL`` of each eigenvector real and positive.
+
+def eigendecompose(m: Hermitian2) -> tuple[tuple, tuple[Hermitian2, Hermitian2]]:
+    """Eigenvalues ``(lo, hi)`` in ascending order and eigenprojectors
+    ``(P_lo, P_hi)`` of ``m``; entries of shape S give eigenvalues and
+    projector entries of shape S, and numpy scalars for a single matrix.
 
     The eigenvalues are mean -+ r with r = hypot((ee - gg)/2, |eg|), and
-    those of a diagonal matrix are its entries.  The eigenvectors are one
-    Jacobi rotation of the traceless part: with t = |eg| / (|ee - gg|/2 + r)
-    in [0, 1], c = 1/sqrt(1 + t^2), s = t c and e^{-i phi} = conj(eg)/|eg|,
-
-        v- = (s, -c e^{-i phi}),   v+ = (c, s e^{-i phi})   for ee > gg,
-
-    with s and c swapped otherwise, so they are orthonormal to rounding at
-    any eigenvalue split.
+    those of a diagonal matrix are its entries.  The projectors
+    P_lo,hi = (I -+ n.sigma)/2 (n = +z for a multiple of I) take their
+    diagonals from :func:`_axis`, 0s and 1s exactly for a diagonal matrix,
+    and P_hi its upper entry t e^{i phi}/2 for eg = |eg| e^{i phi}, with
+    e^{i phi} from eg scaled to unit order, so a subnormal coherence keeps
+    its angle.
     """
     ee, gg = np.asarray(m.ee, dtype=float), np.asarray(m.gg, dtype=float)
     eg = np.asarray(m.eg, dtype=complex)
@@ -160,31 +158,16 @@ def eigendecompose(m: Hermitian2) -> tuple[np.ndarray, np.ndarray]:
         ee, gg = np.ldexp(ee, up), np.ldexp(gg, up)
         eg = np.ldexp(eg.real, up) + 1j * np.ldexp(eg.imag, up)
     eg_abs = np.abs(eg)
-    half_diff, r, lo, hi = _spectrum(ee, gg, eg_abs)
-    diag = eg_abs == 0.0
-    w = np.stack([lo, hi], axis=-1)
-
-    t = eg_abs / np.where(diag, 1.0, np.abs(half_diff) + r)
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    # e^{-i phi} from eg scaled to unit order, so a subnormal eg keeps its angle
+    half, r, lo, hi = _spectrum(ee, gg, eg_abs)
+    _, _, t, e_lo, e_hi = _axis(half, r, eg_abs)
     k = -np.frexp(np.maximum(np.abs(eg.real), np.abs(eg.imag)))[1]
-    unit = np.where(diag, 1.0, np.ldexp(eg.real, k) - 1j * np.ldexp(eg.imag, k))
-    phase = unit / np.abs(unit)
-    above = ee > gg
-    lead = np.where(above, s, c)  # v- = (lead, -other e^{-i phi})
-    other = np.where(above, c, s)  # v+ = (other, lead e^{-i phi})
-    v = np.empty(np.shape(lead) + (2, 2), dtype=complex)  # v[..., component, k]
-    v[..., 0, 0], v[..., 0, 1] = lead, other
-    v[..., 1, 0], v[..., 1, 1] = -other * phase, lead * phase
-    # a first component at or below _PHASE_TOL hands the phase to the second
-    low = v[..., 0, :].real <= _PHASE_TOL
-    if low.any():
-        flipped = v * (np.conj(phase)[..., None] * np.array([-1.0, 1.0]))[..., None, :]
-        v = np.where(low[..., None, :], flipped, v)
+    scaled = np.ldexp(eg.real, k) + 1j * np.ldexp(eg.imag, k)
+    coherence = 0.5 * t * scaled / np.where(eg_abs == 0.0, 1.0, np.abs(scaled))
     if up is not None:
-        w = np.ldexp(w, -up[..., None])
-    return w, v
+        lo, hi = np.ldexp(lo, -up), np.ldexp(hi, -up)
+    e_lo, e_hi = e_lo[()], e_hi[()]
+    return (lo[()], hi[()]), (
+        Hermitian2(e_lo, e_hi, (-coherence)[()]), Hermitian2(e_hi, e_lo, coherence[()]))
 
 
 def solve_symmetric_product(
@@ -203,7 +186,7 @@ def solve_symmetric_product(
 
     in the coordinates ((ee - gg)/2, Re eg, Im eg), in which dot products
     are the Bloch ones.  The diagonal weights (1 -+ n_z)/2 of the projectors
-    are formed free of cancellation, so a diagonal G0 gives
+    are those of :func:`_axis`, free of cancellation, so a diagonal G0 gives
     M_ii = G1_ii / G0_ii exactly; the form x0 I + x.sigma would lose a
     small diagonal entry beside a large one.  Everything is real arithmetic
     on the entry arrays, with no eigenvectors, complex products or matrix
@@ -237,13 +220,8 @@ def solve_symmetric_product(
         raise DegenerateGamma0(
             f"eigenvalue pair sums {low.flat[i]} <= {floor.flat[i]}: operator equation is ill posed"
         )
-    # n is +z for G0 = a0 I; the weights <e|P_lo,hi|e> take the smaller
-    # (1 - |nz|)/2 as t^2 / (2 (1 + |nz|)), 0 and 1 exactly for a diagonal G0
-    scalar = r == 0.0
-    unit = np.where(scalar, 1.0, r)
-    nz, n_re, n_im, t = (half + scalar) / unit, re / unit, im / unit, eg_abs / unit
-    small = 0.5 * t * t / (1.0 + np.abs(nz))
-    e_lo, e_hi = small - np.minimum(nz, 0.0), small + np.maximum(nz, 0.0)
+    unit, nz, _, e_lo, e_hi = _axis(half, r, eg_abs)
+    n_re, n_im = re / unit, im / unit
     bz = 0.5 * (b_ee - b_gg)
     nb_t = n_re * b_re + n_im * b_im
     nb = nz * bz + nb_t

@@ -23,14 +23,44 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     return mag * np.exp(1j * n * np.angle(alpha))
 
 
+def dense(m) -> np.ndarray:
+    """The (2, 2) complex matrix of a ``Hermitian2`` or ``QubitState``, or the
+    S + (2, 2) array of one with entries of shape S."""
+    m = getattr(m, "matrix", m)
+    ee = np.asarray(m.ee)
+    out = np.empty(ee.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = ee
+    out[..., 0, 1] = m.eg
+    out[..., 1, 0] = np.conj(m.eg)
+    out[..., 1, 1] = m.gg
+    return out
+
+
+def assert_projectors(m, slack=0.0):
+    """Eigenvalues and dense eigenprojectors of the single matrix ``m``, held
+    to ascending order, P_lo + P_hi = I and P^2 = P within 1e-15, and
+    lo P_lo + hi P_hi = m within 1e-15 of its largest entry plus ``slack``."""
+    from cavbayes.qubit import eigendecompose
+
+    (lo, hi), (p_lo, p_hi) = eigendecompose(m)
+    d_lo, d_hi, m_dense = dense(p_lo), dense(p_hi), dense(m)
+    assert lo <= hi
+    assert np.max(np.abs(d_lo + d_hi - np.eye(2))) <= 1e-15
+    for p in (d_lo, d_hi):
+        assert np.max(np.abs(p @ p - p)) <= 1e-15
+    scale = np.max(np.abs(m_dense))
+    assert np.max(np.abs(lo * d_lo + hi * d_hi - m_dense)) <= 1e-15 * scale + slack
+    return (lo, hi), d_lo, d_hi
+
+
 def branch_estimates(result) -> tuple:
     """(excited-branch, ground-branch) estimates of one ``MmseResult``.
 
-    Branches are identified by eigenvector overlap with |e> and |g>;
-    meaningful for the diagonal (resonant, vacuum) case where the estimator
-    commutes with the bare qubit basis.
+    Branches are identified by the weight <e|P_lo|e> of the first
+    projector; meaningful for the diagonal (resonant, vacuum) case where the
+    estimator commutes with the bare qubit basis.
     """
-    if abs(result.projectors[0, 0]) ** 2 >= 0.5:
+    if result.projectors[0].ee >= 0.5:
         return result.estimates[0], result.estimates[1]
     return result.estimates[1], result.estimates[0]
 
@@ -162,18 +192,19 @@ def odd_factorial_series(x, coef, k0: int):
 
 def matmul_solve(gamma0, gamma1, pair_floor=1e-14):
     """G0 M + M G0 = 2 G1 by the eigenbasis products M = V M' V†, with
-    M'_ij = 2 (V† G1 V)_ij / (l_i + l_j): the stacked-matmul solve the
-    Bloch form replaced, kept as a second oracle for its accuracy."""
+    M'_ij = 2 (V† G1 V)_ij / (l_i + l_j) and V from numpy's dense ``eigh``:
+    the stacked-matmul solve the Bloch form replaced, kept as a second
+    oracle for its accuracy."""
     from cavbayes.errors import DegenerateGamma0
-    from cavbayes.qubit import Hermitian2, eigendecompose
+    from cavbayes.qubit import Hermitian2
 
-    w, v = eigendecompose(gamma0)
+    w, v = np.linalg.eigh(dense(gamma0))
     pair = w[..., :, None] + w[..., None, :]
     if np.any(pair <= pair_floor):
         raise DegenerateGamma0(f"eigenvalue pair sums {pair.min()} <= {pair_floor}")
     vh = v.swapaxes(-1, -2).conj()
     keep = pair > 0.0
-    mt = np.where(keep, 2.0 * (vh @ gamma1.as_array() @ v), 0.0)
+    mt = np.where(keep, 2.0 * (vh @ dense(gamma1) @ v), 0.0)
     safe = np.where(keep, pair, 1.0)
     mt.real /= safe
     mt.imag /= safe

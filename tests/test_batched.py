@@ -13,7 +13,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cavbayes import bounds as bounds_mod
 from cavbayes import mmse as mmse_mod
@@ -30,6 +30,7 @@ from cavbayes.errors import DegenerateGamma0
 from cavbayes.oracle import gamma_moments_quadrature
 from cavbayes.priors import Prior
 from cavbayes.qubit import Hermitian2, QubitState, eigendecompose, solve_symmetric_product
+from conftest import assert_projectors, dense
 
 REL_TOL = 1e-12
 
@@ -625,35 +626,66 @@ def _batch(entries) -> Hermitian2:
     return _stack([Hermitian2(a, b, complex(c, d)) for a, b, c, d in entries])
 
 
-@settings(max_examples=60, deadline=None)
-@given(_hermitian_batches())
+def _spectral_rows(m: Hermitian2):
+    """(eigenvalues (2,), dense P_lo and P_hi) of the batch ``m``, row by row."""
+    (lo, hi), (p_lo, p_hi) = eigendecompose(m)
+    return list(zip(np.stack([lo, hi], axis=-1), dense(p_lo), dense(p_hi)))
+
+
+def _assert_rows_are_single_calls(m: Hermitian2, rows, slack=0.0):
+    # every batch row is the single-matrix call, bit for bit, and that call's
+    # projectors hold (conftest.assert_projectors)
+    for i, (w, d_lo, d_hi) in enumerate(rows):
+        (lo, hi), p_lo, p_hi = assert_projectors(_row(m, i), slack)
+        assert (lo, hi) == tuple(w)
+        assert np.array_equal(p_lo, d_lo) and np.array_equal(p_hi, d_hi)
+
+
+#: entries from 0 and subnormals to 1e300, each matrix mixing scales
+_WIDE_ENTRY = st.one_of(
+    st.just(0.0), st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 997)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[_WIDE_ENTRY] * 4), min_size=1, max_size=12))
+@example([(0.0, 0.0, 5e-324, 5e-324)])
+@example([(0.7, 0.3, 0.0, -1e-310)])
+@example([(0.5, 0.5, 3e-320, -2e-320)])
 def test_batched_eigendecomposition_matches_eigh(entries):
     m = _batch(entries)
-    w, v = eigendecompose(m)
-    dense = m.as_array()
-    ref = np.linalg.eigvalsh(dense)
-    scale = 1.0 + np.max(np.abs(dense), axis=(1, 2))
-    assert np.all(np.abs(w - ref) <= 1e-12 * scale[:, None])
-    eye = np.eye(2)
-    for i in range(len(entries)):
-        assert np.allclose(v[i].conj().T @ v[i], eye, atol=1e-12)
-        recon = v[i] @ np.diag(w[i]) @ v[i].conj().T
-        assert np.max(np.abs(recon - dense[i])) <= 1e-12 * scale[i]
-        # every batch entry is the single-matrix call, bit for bit
-        w1, v1 = eigendecompose(_row(m, i))
-        assert np.array_equal(w1, w[i]) and np.array_equal(v1, v[i])
+    rows = _spectral_rows(m)
+    ref = np.linalg.eigvalsh(dense(m))
+    for i, (a, b, c, d) in enumerate(entries):
+        w, d_lo, d_hi = rows[i]
+        scale = np.max(np.abs(dense(_row(m, i))))
+        assert np.all(np.abs(w - ref[i]) <= 4e-15 * scale + 1e-323)
+        # the eigenvalues are mean -+ r with r from np.abs(eg), at unit scale
+        # for a matrix below 2^-500, and the entries of a diagonal matrix
+        k = -np.frexp(scale)[1] if scale < 2.0**-500 else 0
+        ee, gg, eg = np.ldexp(a, k), np.ldexp(b, k), complex(np.ldexp(c, k), np.ldexp(d, k))
+        r = np.hypot(0.5 * (ee - gg), np.abs(eg))
+        mean = 0.5 * (ee + gg)
+        if eg == 0.0:
+            assert tuple(w) == (min(a, b), max(a, b))
+            upper = float(a > b) if a != b else 1.0
+            assert np.array_equal(d_hi, np.diag([upper, 1.0 - upper]))
+            assert np.array_equal(d_lo, np.diag([1.0 - upper, upper]))
+        else:
+            assert tuple(w) == (np.ldexp(mean - r, -k), np.ldexp(mean + r, -k))
+    # a subnormal eigenvalue rounds lo P_lo + hi P_hi to its spacing
+    _assert_rows_are_single_calls(m, rows, slack=1e-323)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_hermitian_batches(), st.floats(0.05, 2.0))
 def test_batched_solve_satisfies_operator_equation(entries, shift):
-    x = _batch(entries).as_array()
+    x = dense(_batch(entries))
     g0_dense = x @ np.conj(np.swapaxes(x, -1, -2)) + shift * np.eye(2)
-    g1_dense = _batch(entries[::-1]).as_array()
+    g1_dense = dense(_batch(entries[::-1]))
     g0 = Hermitian2(ee=g0_dense[:, 0, 0].real, gg=g0_dense[:, 1, 1].real, eg=g0_dense[:, 0, 1])
     g1 = Hermitian2(ee=g1_dense[:, 0, 0].real, gg=g1_dense[:, 1, 1].real, eg=g1_dense[:, 0, 1])
     m = solve_symmetric_product(g0, g1)
-    m_dense = m.as_array()
+    m_dense = dense(m)
     residual = g0_dense @ m_dense + m_dense @ g0_dense - 2.0 * g1_dense
     scale = 1.0 + np.max(np.abs(g1_dense), axis=(1, 2)) * (
         1.0 + np.max(np.abs(g0_dense), axis=(1, 2)) / shift
@@ -668,15 +700,14 @@ def test_batched_solve_satisfies_operator_equation(entries, shift):
 @pytest.mark.parametrize("coupling", [1e-18j, 3e-13 + 1e-13j, 2e-9])
 def test_near_degenerate_weight_keeps_orthonormal_basis(split, coupling):
     # the eigenvalue split sits at or below the rounding of the mean, or a
-    # little below and above 1e-3 of the trace
+    # little below and above 1e-3 of the trace: the projectors stay an
+    # orthogonal resolution of I
     g0 = Hermitian2(0.5 + split, 0.5 - split, coupling)
-    w, v = eigendecompose(g0)
-    assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-14)
-    assert np.allclose(v @ np.diag(w) @ v.conj().T, g0.as_array(), atol=1e-15)
+    assert_projectors(g0)
     g1 = Hermitian2(0.3, -0.1, 0.2 + 0.4j)
-    m = solve_symmetric_product(g0, g1).as_array()
-    g0_arr = g0.as_array()
-    residual = g0_arr @ m + m @ g0_arr - 2.0 * g1.as_array()
+    m = dense(solve_symmetric_product(g0, g1))
+    g0_arr = dense(g0)
+    residual = g0_arr @ m + m @ g0_arr - 2.0 * dense(g1)
     assert np.max(np.abs(residual)) < 1e-14
 
 
@@ -689,27 +720,25 @@ def test_near_degenerate_weight_keeps_orthonormal_basis(split, coupling):
         Hermitian2(1e300, -3e300, 2e300 + 1e299j),
         Hermitian2(1e300, 1e300, -1e300j),
         Hermitian2(1.0, 0.5, 5e-324 * (1 + 1j)),
+        Hermitian2(0.7, 0.3, -1e-310j),
+        Hermitian2(0.5, 0.5, 3e-320 - 2e-320j),
     ],
 )
 def test_subnormal_matrix_keeps_orthonormal_basis(m):
     # entries far below or above unit scale, whose squares under- or overflow,
-    # and a subnormal coherence beside unit-scale populations
-    w, v = eigendecompose(m)
-    assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-15)
-    scale = np.max(np.abs(m.as_array()))
-    assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - m.as_array())) <= 1e-15 * scale + 5e-324
-    if scale < 2.0**-500:
-        # rescaled exactly first: the basis of the matrix at unit scale, bit for bit
-        k = -np.frexp(scale)[1]
-        eg = complex(np.ldexp(m.eg.real, k), np.ldexp(m.eg.imag, k))
-        unit = Hermitian2(np.ldexp(m.ee, k), np.ldexp(m.gg, k), eg)
-        assert np.array_equal(eigendecompose(unit)[1], v)
+    # and a subnormal coherence beside unit-scale populations: beside equal
+    # ones it sets the axis, whose angle comes from eg at unit scale
     # the rescale touches that row only: its neighbours keep their bits
     batch = _stack([Hermitian2(0.3, 0.7, 0.2j), m, Hermitian2(1.0, -1.0, 0.5)])
-    wb, vb = eigendecompose(batch)
-    for i, row in enumerate([Hermitian2(0.3, 0.7, 0.2j), m, Hermitian2(1.0, -1.0, 0.5)]):
-        w1, v1 = eigendecompose(row)
-        assert np.array_equal(w1, wb[i]) and np.array_equal(v1, vb[i])
+    rows = _spectral_rows(batch)
+    _assert_rows_are_single_calls(batch, rows, slack=1e-323)
+    scale = np.max(np.abs(dense(m)))
+    if scale < 2.0**-500:
+        # rescaled exactly first: the projectors of the matrix at unit scale, bit for bit
+        k = -np.frexp(scale)[1]
+        eg = complex(np.ldexp(m.eg.real, k), np.ldexp(m.eg.imag, k))
+        _, u_lo, u_hi = assert_projectors(Hermitian2(np.ldexp(m.ee, k), np.ldexp(m.gg, k), eg))
+        assert np.array_equal(u_lo, rows[1][1]) and np.array_equal(u_hi, rows[1][2])
 
 
 def test_mixed_batch_rows_equal_single_calls():
@@ -721,13 +750,7 @@ def test_mixed_batch_rows_equal_single_calls():
         Hermitian2(0.2, 0.9, 0.3 - 0.1j),
         Hermitian2(3e-160, 1e-160, 2e-160 + 1e-160j),
     ]
-    w, v = eigendecompose(_stack(rows))
-    for i, m in enumerate(rows):
-        w1, v1 = eigendecompose(m)
-        assert np.array_equal(w1, w[i]) and np.array_equal(v1, v[i])
-        assert np.allclose(v1.conj().T @ v1, np.eye(2), atol=1e-14)
-        scale = np.max(np.abs(m.as_array()))
-        assert np.allclose(v1 @ np.diag(w1) @ v1.conj().T, m.as_array(), atol=1e-14 * scale)
+    _assert_rows_are_single_calls(_stack(rows), _spectral_rows(_stack(rows)))
 
 
 def test_batched_solve_names_first_degenerate_entry():
@@ -761,17 +784,14 @@ def test_batched_sld_rows_equal_single_calls(field_kind):
 
 def test_estimator_and_sld_make_no_matrix_products(monkeypatch):
     # the solve and the cost are elementwise real arithmetic: no stacked
-    # (2, 2) product and no dense matrix is formed, for a batch or a point
+    # (2, 2) product is made, for a batch or a point, and no dense matrix
+    # can be formed
     calls = []
-    real_matmul, real_as_array = np.matmul, Hermitian2.as_array
+    real_matmul = np.matmul
 
     def matmul(*args, **kwargs):
         calls.append("matmul")
         return real_matmul(*args, **kwargs)
-
-    def as_array(self):
-        calls.append("as_array")
-        return real_as_array(self)
 
     sc = Scenario(tau_c=(0.3, 0.9, 1.7), tau_f_gamma=0.2, **FIELDS["coherent_detuned"])
     point = dataclasses.replace(sc, tau_c=0.9)
@@ -779,12 +799,12 @@ def test_estimator_and_sld_make_no_matrix_products(monkeypatch):
     triples = [mmse_mod.gamma_moments(PRIORS["gaussian"], s, fld) for s in (sc, point)]
     states = [reduced_state(g, point, fld, derivative=True) for g in (np.linspace(0.3, 1.7, 5), 0.8)]
     monkeypatch.setattr(np, "matmul", matmul)
-    monkeypatch.setattr(Hermitian2, "as_array", as_array)
     for triple in triples:
         mmse_mod.mmse_estimator(triple, 0.2)
     for rho, drho in states:
         bounds_mod.sld_general(rho, drho)
     assert calls == []
+    assert not hasattr(Hermitian2, "as_array")
 
 
 def test_batched_estimator_rows_equal_single_solves():
@@ -798,7 +818,8 @@ def test_batched_estimator_rows_equal_single_solves():
         single = mmse_mod.mmse_estimator(row, u)
         assert (batch.estimates[0][i], batch.estimates[1][i]) == single.estimates
         assert batch.c_min[i] == single.c_min
-        assert np.array_equal(batch.projectors[i], single.projectors)
+        for p, p1 in zip(batch.projectors, single.projectors):
+            assert (p.ee[i], p.gg[i], p.eg[i]) == (p1.ee, p1.gg, p1.eg)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from cavbayes.mmse import gamma_moments, mmse_estimator
 from cavbayes.oracle import first_power_bound, sld
 from cavbayes.priors import Prior
 from cavbayes.qubit import square, trace_product
+from conftest import dense
 
 VACUUM = FieldState.vacuum()
 GAUSS = Prior.gaussian(1.0, 1.0)
@@ -45,7 +46,7 @@ def test_sld_defining_identity_on_grid():
     for g in np.linspace(0.1, 2.5, 50):
         if abs(math.cos(g * tc)) < 1e-6:
             continue
-        l_arr = sld(float(g), tc, u).as_array()
+        l_arr = dense(sld(float(g), tc, u))
         rho = rho_diag(g, tc, u)
         residual = 0.5 * (l_arr @ rho + rho @ l_arr) - drho_diag(g, tc, u)
         assert np.max(np.abs(residual)) < 1e-9
@@ -59,24 +60,24 @@ def test_sld_singular_at_pure_state_edge():
 def test_numeric_sld_matches_analytic_derivative():
     sc = Scenario(tau_c=0.8, tau_f_gamma=0.3)
     for g in (0.5, 1.0, 1.7):
-        l_num = sld_general(*reduced_state(g, sc, VACUUM, derivative=True)).as_array()
-        l_ref = sld(g, sc.tau_c, sc.tau_f_gamma).as_array()
+        l_num = dense(sld_general(*reduced_state(g, sc, VACUUM, derivative=True)))
+        l_ref = dense(sld(g, sc.tau_c, sc.tau_f_gamma))
         assert np.max(np.abs(l_num - l_ref)) < 1e-12
     # within 1e-6 of the edge g tau = pi/2 (P -> 0) the excited pair sum 2P
     # falls below 1e-12, and a cut there would drop the L_ee branch, of
     # size 2 tau / |cos(g tau)| ~ 1e6 and more: compared relative to it
     edge = math.pi / (2.0 * sc.tau_c)
     for g in (edge - 1e-6, edge - 1e-7, edge + 1e-8, edge + 1e-6):
-        l_num = sld_general(*reduced_state(g, sc, VACUUM, derivative=True)).as_array()
-        l_ref = sld(g, sc.tau_c, sc.tau_f_gamma).as_array()
+        l_num = dense(sld_general(*reduced_state(g, sc, VACUUM, derivative=True)))
+        l_ref = dense(sld(g, sc.tau_c, sc.tau_f_gamma))
         assert np.all(np.abs(l_num - l_ref) <= 1e-12 * np.abs(l_ref)), g
     # the other edge, g tau = pi at u = 0 (P -> 1), where the L_gg branch
     # 2 tau cos(g tau)/sin(g tau) grows without bound
     sc = Scenario(tau_c=0.8)
     edge = math.pi / sc.tau_c
     for g in (edge - 1e-4, edge - 1e-6, edge - 1e-7, edge - 1e-8, edge + 1e-8, edge + 1e-6):
-        l_num = sld_general(*reduced_state(g, sc, VACUUM, derivative=True)).as_array()
-        l_ref = sld(g, sc.tau_c, sc.tau_f_gamma).as_array()
+        l_num = dense(sld_general(*reduced_state(g, sc, VACUUM, derivative=True)))
+        l_ref = dense(sld(g, sc.tau_c, sc.tau_f_gamma))
         assert np.all(np.abs(l_num - l_ref) <= 1e-12 * np.abs(l_ref)), g
 
 
@@ -96,9 +97,9 @@ def test_numeric_sld_defining_identity(tc, delta, alpha_abs, alpha_phase, u):
     sc = Scenario(tau_c=tc, delta=delta, alpha=alpha_abs * complex(math.cos(alpha_phase),
                   math.sin(alpha_phase)), tau_f_gamma=u)
     rho, drho = reduced_state(np.linspace(0.05, 2.5, 32), sc, field_for(sc), derivative=True)
-    r, l_op = rho.as_array(), sld_general(rho, drho).as_array()
+    r, l_op = dense(rho), dense(sld_general(rho, drho))
     full_rank = np.linalg.eigvalsh(r)[:, 0] > 1e-6
-    residual = 0.5 * (l_op @ r + r @ l_op) - drho.as_array()
+    residual = 0.5 * (l_op @ r + r @ l_op) - dense(drho)
     assert np.max(np.abs(residual[full_rank]), initial=0.0) <= 1e-12
 
 

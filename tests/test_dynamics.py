@@ -21,7 +21,7 @@ from cavbayes.dynamics import (
 from cavbayes.errors import InvalidRate, TruncationTooSmall
 from cavbayes.mmse import gamma_moments, gamma_moments_dissipative, mmse_estimator
 from cavbayes.priors import Prior
-from conftest import master_equation_excited_population, schrodinger_reduced_state
+from conftest import dense, master_equation_excited_population, schrodinger_reduced_state
 
 VACUUM = FieldState.vacuum()
 
@@ -54,7 +54,7 @@ def test_reduced_state_matches_joint_expm_oracle():
     g, tc = 1.0, 2.0
     sc = Scenario(tau_c=tc, delta=0.5 * g, alpha=1.0)
     fld = field_for(sc)
-    got = reduced_state(g, sc, fld).as_array()
+    got = dense(reduced_state(g, sc, fld))
     ref = schrodinger_reduced_state(g, tc, sc.delta, fld.coefficients)
     assert np.max(np.abs(got - ref)) < 1e-8
 
@@ -70,7 +70,7 @@ def test_reduced_state_matches_joint_expm_oracle():
 def test_reduced_state_oracle_sweep(g, tc, delta, alpha, u):
     sc = Scenario(tau_c=tc, delta=delta, alpha=alpha, tau_f_gamma=u)
     fld = field_for(sc)
-    got = reduced_state(g, sc, fld).as_array()
+    got = dense(reduced_state(g, sc, fld))
     ref = schrodinger_reduced_state(g, tc, delta, fld.coefficients, u)
     assert np.max(np.abs(got - ref)) < 1e-8
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import branch_estimates
+from conftest import branch_estimates, dense
 
 from cavbayes import priors as priors_mod
 from cavbayes.bounds import cr_bound_mmse
@@ -26,7 +26,6 @@ from cavbayes.mmse import (
 )
 from cavbayes.oracle import gamma_moments_quadrature
 from cavbayes.priors import Prior
-from cavbayes.qubit import eigendecompose
 
 VACUUM = FieldState.vacuum()
 GAUSS = Prior.gaussian(1.0, 1.0)
@@ -489,10 +488,9 @@ def test_mse_matches_spectral_decomposition():
     res = mmse_estimator(gamma_moments(GAUSS, sc, fld))
     g = 1.2
     state = reduced_state(g, sc, fld)
-    rho = state.as_array()
-    w, v = eigendecompose(res.m_min)
+    rho = dense(state)
     expected = sum(
-        (w[k] - g) ** 2 * float(np.real(v[:, k].conj() @ rho @ v[:, k]))
-        for k in range(2)
+        (w - g) ** 2 * float(np.trace(dense(p) @ rho).real)
+        for w, p in zip(res.estimates, res.projectors)
     )
     assert mse_of_estimator(res, g, state) == pytest.approx(expected, abs=1e-12)

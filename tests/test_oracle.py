@@ -25,6 +25,7 @@ from cavbayes.oracle import (
 )
 from cavbayes.priors import Prior
 from cavbayes.qubit import Hermitian2
+from conftest import dense
 
 VACUUM = FieldState.vacuum()
 GAUSS = Prior.gaussian(1.0, 1.0)
@@ -45,7 +46,7 @@ def test_engineered_constant_estimator_on_delta_prior():
     res = MmseResult(
         m_min=Hermitian2(1.0, 1.0),
         estimates=(1.0, 1.0),
-        projectors=np.eye(2, dtype=complex),
+        projectors=(Hermitian2(1.0, 0.0), Hermitian2(0.0, 1.0)),
         c_min=0.0,
     )
     [rep] = mc_quadratic_cost(res, prior, sc, VACUUM, 10**4, SEED)
@@ -162,9 +163,9 @@ def test_verify_takes_each_interval_set_once(monkeypatch):
 
 def _point_result(result: MmseResult, i: int) -> MmseResult:
     m = result.m_min
-    return MmseResult(m_min=Hermitian2(ee=m.ee[i], gg=m.gg[i], eg=m.eg[i]),
-                      estimates=(result.estimates[0][i], result.estimates[1][i]),
-                      projectors=result.projectors[i], c_min=result.c_min[i])
+    row = [Hermitian2(ee=x.ee[i], gg=x.gg[i], eg=x.eg[i]) for x in (m, *result.projectors)]
+    return MmseResult(m_min=row[0], estimates=(result.estimates[0][i], result.estimates[1][i]),
+                      projectors=tuple(row[1:]), c_min=result.c_min[i])
 
 
 @pytest.mark.parametrize("column,field", [
@@ -286,10 +287,10 @@ def test_cdf_table_bias_within_budget(kind, sigma, g0_tau, u, g):
 ])
 def test_born_probability_in_real_arithmetic(sc, field, kind):
     # each report's statistics are numpy's own over the draw-order losses,
-    # built with np.where from the Born probability <v0|rho|v0> of the first
-    # estimate.  A detuned coherent field gives a complex coherence and
-    # complex eigenvectors; numpy's complex product may fuse a multiply-add,
-    # so the real form of 2 Re(w a_eg) can differ from it in the last bit
+    # built with np.where from the Born probability Tr{P_lo rho} of the first
+    # estimate.  A detuned coherent field gives a complex coherence and a
+    # complex P_lo; numpy's complex product may fuse a multiply-add, so the
+    # real form of 2 Re(conj(P_eg) a_eg) can differ from it in the last bit
     # (the vacuum coherence is zero, where both read 0), and no draw moves
     prior, n = PRIORS[kind], 10**5
     res = mmse_estimator(gamma_moments(prior, sc, field), sc.tau_f_gamma)
@@ -298,20 +299,23 @@ def test_born_probability_in_real_arithmetic(sc, field, kind):
     rng = oracle._generator(SEED)
     gs = sample_prior(prior, n, rng)
     picks = rng.random(n)
-    projectors = np.reshape(res.projectors, (-1, 2, 2))
+    p_lo = [np.reshape(x, -1) for x in (res.projectors[0].ee, res.projectors[0].gg,
+                                        res.projectors[0].eg)]
+    v = np.reshape(np.linalg.eigh(dense(res.m_min))[1], (-1, 2, 2))
     estimates = np.reshape(res.estimates, (2, -1))
     points = sc.columns.reshape(3, -1).T.tolist()
     assert len(reports) == len(points)
     for i, (point, rep) in enumerate(zip(points, reports)):
         a_ee, a_eg = detector_matrix_elements(gs, Scenario(*point), field)
-        v0 = projectors[i][:, 0]
-        w = np.conj(v0[0]) * v0[1]
-        coherence = 2.0 * np.real(w * a_eg)
+        p_ee, p_gg, p_eg = (x[i] for x in p_lo)
+        coherence = 2.0 * np.real(np.conj(p_eg) * a_eg)
         if field.cutoff:
-            assert np.iscomplexobj(a_eg) and np.any(a_eg.imag) and w.imag
-        assert np.allclose(coherence, 2.0 * (w.real * a_eg.real - w.imag * a_eg.imag),
+            assert np.iscomplexobj(a_eg) and np.any(a_eg.imag) and p_eg.imag
+        assert np.allclose(coherence, 2.0 * (p_eg.real * a_eg.real + p_eg.imag * a_eg.imag),
                            rtol=0.0, atol=1e-16)
-        born = abs(v0[0]) ** 2 * a_ee + abs(v0[1]) ** 2 * (1.0 - a_ee) + coherence
+        born = p_ee * a_ee + p_gg * (1.0 - a_ee) + coherence
+        # against <v0|rho|v0> with v0 numpy's dense eigenvector of the first estimate
+        v0 = v[i][:, 0]
         rho = np.array([[a_ee, a_eg], [np.conj(a_eg), 1.0 - a_ee]])
         assert np.allclose(born, np.einsum("i,ijn,j->n", np.conj(v0), rho, v0).real,
                            rtol=0.0, atol=1e-15)

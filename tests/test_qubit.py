@@ -1,4 +1,4 @@
-"""2x2 Hermitian algebra: eigendecomposition and the symmetric solve."""
+"""2x2 Hermitian algebra: eigenvalues and eigenprojectors, and the symmetric solve."""
 
 import math
 
@@ -16,65 +16,50 @@ from cavbayes.qubit import (
     eigendecompose,
     solve_symmetric_product,
 )
-from conftest import matmul_solve, matrix_exp_product_integral
-
-
-def reconstruct(w, v):
-    return sum(w[k] * np.outer(v[:, k], v[:, k].conj()) for k in range(2))
-
-
-def assert_phase_convention(v):
-    # the first component above 1e-300 of each eigenvector is real positive
-    for k in range(2):
-        lead = v[np.flatnonzero(np.abs(v[:, k]) > 1e-300)[0], k]
-        assert lead.imag == pytest.approx(0.0, abs=1e-14)
-        assert lead.real > 0
+from conftest import assert_projectors, dense, matmul_solve, matrix_exp_product_integral
 
 
 def test_identity_eigendecomposition():
-    w, v = eigendecompose(Hermitian2(1.0, 1.0))
-    assert np.allclose(w, [1.0, 1.0])
-    assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-14)
-    assert_phase_convention(v)
+    # a multiple of I has the axis +z: P_lo = |g><g| and P_hi = |e><e|
+    (lo, hi), (p_lo, p_hi) = eigendecompose(Hermitian2(1.0, 1.0))
+    assert (lo, hi) == (1.0, 1.0)
+    assert (p_lo.ee, p_lo.gg, p_lo.eg) == (0.0, 1.0, 0.0)
+    assert (p_hi.ee, p_hi.gg, p_hi.eg) == (1.0, 0.0, 0.0)
 
 
 def test_diagonal_case_orders_ascending():
-    w, v = eigendecompose(Hermitian2(0.7, 0.3))
-    assert np.allclose(w, [0.3, 0.7])
-    assert np.allclose(np.abs(v[:, 0]), [0.0, 1.0])
-    assert np.allclose(np.abs(v[:, 1]), [1.0, 0.0])
-    # the phase sits on the second component where the first is zero or,
-    # for a coherence far below the split, below 1e-300
-    for m in (Hermitian2(0.7, 0.3), Hermitian2(0.3, 0.7), Hermitian2(0.7, 0.3, -1e-310j)):
-        assert_phase_convention(eigendecompose(m)[1])
+    # the eigenvalues of a diagonal matrix are its entries, and its
+    # projectors are 0s and 1s exactly
+    for ee, gg in ((0.7, 0.3), (0.3, 0.7), (5.4e-23, 1.0), (-2.0, 1e-310)):
+        (lo, hi), (p_lo, p_hi) = eigendecompose(Hermitian2(ee, gg))
+        assert (lo, hi) == (min(ee, gg), max(ee, gg))
+        upper = float(ee > gg)
+        assert (p_hi.ee, p_hi.gg, p_hi.eg) == (upper, 1.0 - upper, 0.0)
+        assert (p_lo.ee, p_lo.gg, p_lo.eg) == (1.0 - upper, upper, 0.0)
 
 
 def test_off_diagonal_spectrum():
-    w, _ = eigendecompose(Hermitian2(0.0, 0.0, 1.0 + 0j))
-    assert np.allclose(w, [-1.0, 1.0])
+    (lo, hi), (p_lo, p_hi) = eigendecompose(Hermitian2(0.0, 0.0, 1.0 + 0j))
+    assert (lo, hi) == (-1.0, 1.0)
+    assert (p_hi.ee, p_hi.gg, p_hi.eg) == (0.5, 0.5, 0.5)
+    assert (p_lo.ee, p_lo.gg, p_lo.eg) == (0.5, 0.5, -0.5)
 
 
 def test_reconstruction_on_random_matrices():
+    # the eigenvalues are mean -+ r bit for bit, with r from numpy's complex
+    # abs of eg (np.hypot of its parts differs in the last bit for a third
+    # of these draws)
     rng = np.random.default_rng(20260810)
-    worst = 0.0
     for _ in range(1000):
-        m = Hermitian2(
-            ee=rng.normal(),
-            gg=rng.normal(),
-            eg=complex(rng.normal(), rng.normal()),
-        )
-        w, v = eigendecompose(m)
-        assert w[0] <= w[1]
-        assert abs(np.vdot(v[:, 0], v[:, 1])) < 1e-12
-        assert abs(np.linalg.norm(v[:, 0]) - 1) < 1e-12
-        worst = max(worst, np.max(np.abs(reconstruct(w, v) - m.as_array())))
-    assert worst < 1e-12
+        m = Hermitian2(ee=rng.normal(), gg=rng.normal(), eg=complex(rng.normal(), rng.normal()))
+        r, mean = np.hypot(0.5 * (m.ee - m.gg), np.abs(m.eg)), 0.5 * (m.ee + m.gg)
+        assert assert_projectors(m)[0] == (mean - r, mean + r)
 
 
 def test_solve_with_scalar_weight():
     g1 = Hermitian2(0.4, -0.2, 0.3 + 0.1j)
     m = solve_symmetric_product(Hermitian2(0.5, 0.5), g1)
-    assert np.allclose(m.as_array(), 2.0 * g1.as_array(), atol=1e-14)
+    assert np.allclose(dense(m), 2.0 * dense(g1), atol=1e-14)
 
 
 def test_solve_diagonal_estimator_form():
@@ -97,10 +82,10 @@ def test_solve_matches_integral_oracle(trial):
     y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     g1_arr = 0.5 * (y + y.conj().T)
 
-    m = solve_symmetric_product(
+    m = dense(solve_symmetric_product(
         Hermitian2(ee=g0_arr[0, 0].real, gg=g0_arr[1, 1].real, eg=g0_arr[0, 1]),
         Hermitian2(ee=g1_arr[0, 0].real, gg=g1_arr[1, 1].real, eg=g1_arr[0, 1]),
-    ).as_array()
+    ))
     residual = g0_arr @ m + m @ g0_arr - 2 * g1_arr
     assert np.max(np.abs(residual)) < 1e-10
     assert np.max(np.abs(m - matrix_exp_product_integral(g0_arr, g1_arr))) < 1e-8
@@ -131,8 +116,8 @@ def _mp_solve(gamma0: Hermitian2, gamma1: Hermitian2, gamma2=None):
 def _relative_error(m: Hermitian2, ref) -> float:
     """Largest entry error of ``m`` against the mpmath ``ref``, relative to
     the largest entry of ``ref``."""
-    dense = m.as_array()
-    entries = [(complex(dense[i, j]), ref[i, j]) for i, j in np.ndindex(2, 2)]
+    m_dense = dense(m)
+    entries = [(complex(m_dense[i, j]), ref[i, j]) for i, j in np.ndindex(2, 2)]
     return float(max(abs(x - r) for x, r in entries) / max(abs(r) for _, r in entries))
 
 
@@ -183,8 +168,8 @@ def test_solve_against_mpmath_is_no_worse_than_matmul():
         ref, c_ref = _mp_solve(g0, g1, g2)
         res = mmse_estimator(GammaTriple(g0, g1, g2), u)
         old = matmul_solve(g0, g1, pair_floor=0.0)
-        dense = old.as_array()
-        c_old = np.trace(g2.as_array() - dense @ g0.as_array() @ dense).real
+        old_dense = dense(old)
+        c_old = np.trace(dense(g2) - old_dense @ dense(g0) @ old_dense).real
         m_err.append((_relative_error(res.m_min, ref), _relative_error(old, ref)))
         c_err.append(tuple(float(abs(c - c_ref) / abs(c_ref)) for c in (res.c_min, c_old)))
     for g0, g1 in _EDGE_PAIRS:
