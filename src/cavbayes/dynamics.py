@@ -381,7 +381,7 @@ def reduced_state(g, scenario: Scenario, field: FieldState, derivative: bool = F
     return state, Hermitian2(ee=da_ee, gg=-da_ee, eg=da_eg)
 
 
-def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np.ndarray:
+def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float, couplings=None) -> np.ndarray:
     """Excited-state population of the damped resonant vacuum model.
 
     Evaluated elementwise over ``g_values`` broadcast against ``t``, one
@@ -413,12 +413,10 @@ def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np
     meant, and nothing cancels but at a true zero of c.  A time whose
     envelope is 0 reads r = 0, so an overflowed r reaches sin and cos only
     under an envelope of 1 (zero rates), where f has no limit and reads NaN.
+    ``couplings``, the :func:`_damped_couplings` of ``g_values`` and the
+    rates, spares recomputing them.
     """
-    g = np.asarray(g_values, dtype=float)
-    g2 = g**2
-    disc = (gamma - kappa) ** 2 - 16.0 * g2
-    root = np.sqrt(np.abs(disc))
-    over, crit = disc > 0.0, disc == 0.0
+    root, over, crit, swing, band = _damped_couplings(g_values, gamma, kappa) if couplings is None else couplings
     with np.errstate(over="ignore"):  # inf is the long-transit limit
         decay = np.exp(-(gamma + kappa) * t / 4.0)  # the oscillatory envelope, one per time
         c = root * (t / 4.0)  # r
@@ -426,30 +424,53 @@ def _excited_fraction(g_values: np.ndarray, t, gamma: float, kappa: float) -> np
             c[np.broadcast_to(decay == 0.0, c.shape)] = 0.0
         s = np.sin(c)
         np.cos(c, out=c)
-        s *= (kappa - gamma) / (root + crit)  # 1 for the critical ones, whose sin r is 0
+        s *= swing
         c += s
         c *= decay
         if crit.any():
             c[..., crit] += np.broadcast_to((kappa - gamma) / 4.0 * (t * decay), c.shape)[..., crit]
-        if over.any():  # the overdamped couplings against the times as a column
-            tb, g2b, rb = np.reshape(t, (-1, 1)), g2[over], root[over]
-            den = rb + abs(kappa - gamma)  # |b| - r = 4 g^2 t / den
-            m = np.expm1(-0.5 * rb * tb)  # -2r: scaling by 2 and 4 is exact, tiny r aside
+        if band is not None:  # the overdamped couplings against the times as a column
+            tb = np.reshape(t, (-1, 1))
+            half_rate, bracket, neg_rate, den = band
+            m = np.expm1(half_rate * tb)  # -2r: scaling by 2 and 4 is exact, tiny r aside
             half = 0.5 * m  # -r S e^{-r}
             if kappa >= gamma:
                 amp = 1.0 + half
-                amp -= (kappa - gamma) / rb * half
+                amp -= bracket * half
             else:
                 amp = 1.0 + m
-                amp += 16.0 * g2b / (rb * den) * half
-            amp *= np.exp(-4.0 * g2b * tb / den - min(gamma, kappa) * tb / 2.0)
+                amp += bracket * half
+            amp *= np.exp(neg_rate * tb / den - min(gamma, kappa) * tb / 2.0)
             c[..., over] = amp
     c *= c
     return c
 
 
+def _damped_couplings(g_values: np.ndarray, gamma: float, kappa: float) -> tuple:
+    """The per-coupling constants of :func:`_excited_fraction`, which hold no
+    time: sqrt|D|, the overdamped and critical masks, the factor
+    (kappa-gamma)/sqrt|D| of the oscillatory swing (1 at the critical ones)
+    and, for a nonempty overdamped band, its -sqrt|D|/2, its bracket factor
+    (kappa-gamma)/sqrt|D| or 16 g^2/(sqrt|D| (sqrt|D| + |kappa-gamma|)),
+    its -4 g^2 and its sqrt|D| + |kappa-gamma|, else None.  A rule's chunks
+    of times share them.
+    """
+    g = np.asarray(g_values, dtype=float)
+    g2 = g**2
+    disc = (gamma - kappa) ** 2 - 16.0 * g2
+    root = np.sqrt(np.abs(disc))
+    over, crit = disc > 0.0, disc == 0.0
+    band = None
+    if over.any():
+        g2b, rb = g2[over], root[over]
+        den = rb + abs(kappa - gamma)  # |b| - r = 4 g^2 t / den
+        bracket = (kappa - gamma) / rb if kappa >= gamma else 16.0 * g2b / (rb * den)
+        band = -0.5 * rb, bracket, -4.0 * g2b, den
+    return root, over, crit, (kappa - gamma) / (root + crit), band
+
+
 def dissipative_populations(
-    g_values: np.ndarray, t, gamma: float, kappa: float
+    g_values: np.ndarray, t, gamma: float, kappa: float, *, couplings=None
 ) -> np.ndarray:
     """Vectorized excited population of the damped transit.
 
@@ -458,14 +479,16 @@ def dissipative_populations(
     nonnegative, and the checks below hold over the whole grid.  f(t) is a
     square, so never negative; rounding may carry it past 1 by at most
     ``CLAMP_TOL``, which is clamped, and anything further raises
-    ArithmeticError.
+    ArithmeticError.  ``couplings``, the :func:`_damped_couplings` of
+    ``g_values`` and the rates, lets the chunks of one rule's times share
+    the per-coupling constants.
     """
     if gamma < 0 or kappa < 0:
         raise InvalidRate(f"rates must be nonnegative, got gamma={gamma} kappa={kappa}")
     t_arr = np.asarray(t)
     if not ((t_arr >= 0) & (t_arr < math.inf)).all():  # NaN included
         raise ValueError("time must be finite and nonnegative")
-    f = _excited_fraction(np.atleast_1d(g_values), t, gamma, kappa)
+    f = _excited_fraction(np.atleast_1d(g_values), t, gamma, kappa, couplings)
     hi = f.max()
     if hi > 1.0 + CLAMP_TOL:
         raise ArithmeticError(f"excited fraction {float(hi)!r} above 1 beyond {CLAMP_TOL}")

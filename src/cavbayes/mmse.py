@@ -21,8 +21,11 @@ exact moments M_k(omega) = int z(g) g^k e^{i omega g} dg
 against the prior by quadrature, and damped scenarios go in one call to
 :func:`gamma_moments_dissipative`, which does the same for the damped
 populations.  The node counts of all points come from one array call of
-:func:`priors.nodes_for_oscillation`, and points whose counts agree share
-one rule and one density-weighted moment matrix.  The detuned points of
+:func:`priors.nodes_for_oscillation`: the fewest 16-point panels whose
+stated Gauss-Legendre bound at the point's top rate stays under 1e-14 (see
+:mod:`priors`).  Points whose counts agree share one rule, which records
+its bound at their top rate, and one density-weighted moment matrix; the
+damped points of one rule share its per-coupling constants too.  The detuned points of
 one rule take one state-kernel call per chunk, on a column
 :class:`Scenario` of them; every point of it is detuned, so of the kernel's
 early-outs only the empty-ladder one is taken, for a vacuum field.
@@ -44,6 +47,7 @@ from .dynamics import (
     Scenario,
     _check_truncation,
     _check_vacuum,
+    _damped_couplings,
     detector_matrix_elements,
     dissipative_populations,
     field_for,
@@ -80,12 +84,15 @@ class GammaTriple:
     """Zeroth through second prior-moment operators of the detector state.
 
     With batch :class:`Hermitian2` entries it holds one triple per point of
-    a sweep axis.
+    a sweep axis.  ``prior_moments`` is the (mean, variance) of the prior
+    the moment calls integrate over, which :func:`mmse_estimator` centres
+    the cost on; a triple built by hand may leave it None.
     """
 
     gamma0: Hermitian2
     gamma1: Hermitian2
     gamma2: Hermitian2
+    prior_moments: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -116,33 +123,44 @@ def _entries(count: int) -> tuple:
     return np.empty((3, count)), np.empty((3, count)), np.empty((3, count), dtype=complex)
 
 
-def _triples(entries, shape: tuple) -> GammaTriple:
-    """The triples from (3, points) entry arrays, with entries of ``shape``:
-    () for a point (numpy scalars), (points,) for a column."""
+def _triples(entries, shape: tuple, prior: Prior) -> GammaTriple:
+    """The triples over ``prior`` from (3, points) entry arrays, with entries
+    of ``shape``: () for a point (numpy scalars), (points,) for a column."""
     ee, gg, eg = (x.reshape(3, *shape) for x in entries)
-    return GammaTriple(*(Hermitian2(ee=ee[k], gg=gg[k], eg=eg[k]) for k in range(3)))
+    return GammaTriple(*(Hermitian2(ee=ee[k], gg=gg[k], eg=eg[k]) for k in range(3)),
+                       prior_moments=priors_mod.moments(prior))
 
 
-def _integrate(prior: Prior, counts: np.ndarray, points: np.ndarray, states, out, levels: int) -> None:
+def _integrate(prior: Prior, rates: np.ndarray, points: np.ndarray, kernel, out, levels: int,
+               n_points: int | None = None) -> None:
     """Moment operators by prior quadrature, written to columns ``points`` of
-    ``out``; ``counts`` holds the node count of each point.
+    ``out``; ``rates`` holds the top angular rate of each point's state.
 
-    Points sharing a node count share one rule and its (3, nodes) weights
-    w z(g) g^k.  ``states(nodes, cols)`` gives the (cols x nodes) excited
-    populations and coherences (None for diagonal states) of one chunk of
-    them, whose state grid holds ``levels`` ladder levels per node.  Each
+    One array call of :func:`priors.nodes_for_oscillation` sizes every point
+    (``n_points`` overrides it), and points sharing a node count share one
+    rule, which records its bound at their top rate, and its (3, nodes)
+    weights w z(g) g^k.  ``kernel(nodes)`` gives, once per rule, the
+    function of a chunk's columns ``cols`` that returns the (cols x nodes)
+    excited populations and coherences (None for diagonal states) of those
+    points, whose state grid holds ``levels`` ladder levels per node.  Each
     (k, point) sum runs along its own contiguous node axis, so a point's
     entries do not depend on the other points of its chunk.
     """
+    if n_points is None:
+        counts = priors_mod.nodes_for_oscillation(prior, rates, levels)
+    else:
+        counts = np.full(len(points), n_points)
     ee, gg, eg = out
     for n in dict.fromkeys(counts.tolist()):
-        rule = priors_mod.quadrature(prior, n)
+        sharing = counts == n
+        rule = priors_mod.quadrature(prior, n, angular_rate=float(rates[sharing].max()))
         wz = rule.weights * density(prior, rule.nodes)
         wk = np.stack([wz * rule.nodes**k for k in (0, 1, 2)])[:, None, :]
-        members = points[counts == n]
+        members = points[sharing]
+        states = kernel(rule.nodes)
         for rows in _chunks(len(members), len(rule.nodes) * levels):
             cols = members[rows]
-            a_ee, a_eg = states(rule.nodes, cols)
+            a_ee, a_eg = states(cols)
             ee[:, cols] = (wk * a_ee).sum(axis=-1)
             gg[:, cols] = (wk * (1.0 - a_ee)).sum(axis=-1)
             eg[:, cols] = 0.0 if a_eg is None else (wk * a_eg).sum(axis=-1)
@@ -199,18 +217,16 @@ def _quadrature_moments(
     on ``scenario`` itself for a point."""
     columns = scenario.columns.reshape(3, -1)
     levels = len(field.coefficients)
-    if n_points is None:
-        counts = priors_mod.nodes_for_oscillation(prior, 2.0 * columns[0, points] * math.sqrt(levels), levels)
-    else:
-        counts = np.full(len(points), n_points)
 
-    def states(nodes, cols):
-        chunk = scenario if scenario.columns.ndim == 1 else Scenario(
-            *map(tuple, columns[:, cols].tolist()), scenario.alpha, fock_cutoff=scenario.fock_cutoff)
-        a_ee, a_eg = detector_matrix_elements(nodes, chunk, field)
-        return a_ee, a_eg if levels > 1 else None  # a one-level field has no coherence
+    def kernel(nodes):
+        def states(cols):
+            chunk = scenario if scenario.columns.ndim == 1 else Scenario(
+                *map(tuple, columns[:, cols].tolist()), scenario.alpha, fock_cutoff=scenario.fock_cutoff)
+            a_ee, a_eg = detector_matrix_elements(nodes, chunk, field)
+            return a_ee, a_eg if levels > 1 else None  # a one-level field has no coherence
+        return states
 
-    _integrate(prior, counts, points, states, out, levels)
+    _integrate(prior, 2.0 * columns[0, points] * math.sqrt(levels), points, kernel, out, levels, n_points)
 
 
 def gamma_moments(
@@ -237,7 +253,7 @@ def gamma_moments(
     _resonant_moments(prior, flat, delta == 0.0, field, out)
     if delta.any():
         _quadrature_moments(prior, scenario, np.flatnonzero(delta), field, n_points, out)
-    return _triples(out, columns.shape[1:])
+    return _triples(out, columns.shape[1:], prior)
 
 
 def gamma_moments_dissipative(
@@ -248,17 +264,19 @@ def gamma_moments_dissipative(
 
     ``tau_c`` is an array of interaction times, giving the batch of triples
     in order, or one time, its 0-d case, giving one triple.  Times sharing a
-    node count share one rule, and each chunk of them one population grid.
+    node count share one rule and its per-coupling constants, and each chunk
+    of them one population grid.
     """
     taus = np.atleast_1d(np.asarray(tau_c, dtype=float))
-    counts = priors_mod.nodes_for_oscillation(prior, 2.0 * taus)
     out = _entries(len(taus))
-    _integrate(
-        prior, counts, np.arange(len(taus)),
-        lambda nodes, cols: (dissipative_populations(nodes, taus[cols, None], gamma, kappa), None),
-        out, 1,
-    )
-    return _triples(out, np.shape(tau_c))
+
+    def kernel(nodes):
+        couplings = _damped_couplings(nodes, gamma, kappa)
+        return lambda cols: (
+            dissipative_populations(nodes, taus[cols, None], gamma, kappa, couplings=couplings), None)
+
+    _integrate(prior, 2.0 * taus, np.arange(len(taus)), kernel, out, 1)
+    return _triples(out, np.shape(tau_c), prior)
 
 
 def mmse_estimator(gammas: GammaTriple, gamma_tau_f=0.0) -> MmseResult:
@@ -276,7 +294,12 @@ def mmse_estimator(gammas: GammaTriple, gamma_tau_f=0.0) -> MmseResult:
     inputs are flagged relative to that known scale rather than in absolute
     terms.  The cost Tr{G2 - M G0 M} is taken as Tr G2 - Tr{M G1}, equal
     for the solution M, with each diagonal product beside its own G2 entry:
-    for a diagonal G0 each pair is the cost of one outcome.
+    for a diagonal G0 each pair is the cost of one outcome.  A diagonal G0
+    of a triple that carries its ``prior_moments`` (m, s2) takes the cost
+    centred instead, s2 - sum_i (M_ii - m)(G1_ii - m G0_ii), equal for
+    exact moments: each product pairs two factors of one sign, so the cost
+    never exceeds the prior variance s2, which the rounded g0^2 + s2 inside
+    G2 could pass by an ulp once the measurement teaches almost nothing.
 
     A batch of moment operators (from one moment call over a sweep axis) is
     solved in one call, with ``gamma_tau_f`` a scalar or one value per entry;
@@ -291,6 +314,10 @@ def mmse_estimator(gammas: GammaTriple, gamma_tau_f=0.0) -> MmseResult:
     estimates, projectors = eigendecompose(m)
     c_min = (g2.ee - m.ee * g1.ee) + (g2.gg - m.gg * g1.gg) - 2.0 * (
         m.eg.real * g1.eg.real + m.eg.imag * g1.eg.imag)
+    if gammas.prior_moments is not None:
+        mean, var = gammas.prior_moments
+        centred = var - ((m.ee - mean) * (g1.ee - mean * g0.ee) + (m.gg - mean) * (g1.gg - mean * g0.gg))
+        c_min = np.where(floor == 0.0, centred, c_min)
     return MmseResult(m_min=m, estimates=estimates, projectors=projectors, c_min=c_min[()])
 
 

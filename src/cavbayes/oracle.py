@@ -328,13 +328,13 @@ def gamma_moments_quadrature(prior: Prior, scenario: Scenario, field: FieldState
     the quadrature it takes at Delta != 0.
 
     It reads a point or column ``scenario`` as :func:`mmse.gamma_moments`
-    does.  The node count is raised automatically so the fastest Rabi
-    oscillation, cos(2 l tau_c) at the ladder top, is resolved.
+    does, and sizes each point's rule by the stated bound at the fastest
+    Rabi oscillation, cos(2 l tau_c) at the ladder top, as that path does.
     """
     points = np.arange(scenario.columns[0].size)
     out = _entries(len(points))
     _quadrature_moments(prior, scenario, points, field, None, out)
-    return _triples(out, scenario.columns.shape[1:])
+    return _triples(out, scenario.columns.shape[1:], prior)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +400,11 @@ def average_cost_quadrature(povm: MlPovm) -> float:
 
     Independent of the closed forms; the diagonal of the conditional density
     appears because the delta-valued cost rewards probability mass placed at
-    the true value.
+    the true value.  The contrast and f_z each oscillate at 2 tau_c, so the
+    rule is sized for their product's 4 tau_c.
     """
-    n = priors_mod.nodes_for_oscillation(povm.prior, 2.0 * povm.tau_c)
-    rule = priors_mod.quadrature(povm.prior, n)
+    rate = 4.0 * povm.tau_c
+    rule = priors_mod.quadrature(povm.prior, priors_mod.nodes_for_oscillation(povm.prior, rate), angular_rate=rate)
     contrast = _contrast(povm, rule.nodes)
     p = povm.f_i(rule.nodes) + contrast * povm.f_z(rule.nodes)
     return rule.expect(povm.prior, p)
@@ -412,8 +413,8 @@ def average_cost_quadrature(povm: MlPovm) -> float:
 def f_z_moments_quadrature(povm: MlPovm) -> tuple[float, float]:
     """(int x f_z dx, int x^2 f_z dx) by quadrature over the prior window:
     the oracle of :func:`ml.f_z_moments`."""
-    n = priors_mod.nodes_for_oscillation(povm.prior, 2.0 * povm.tau_c)
-    rule = priors_mod.quadrature(povm.prior, n)
+    rate = 2.0 * povm.tau_c
+    rule = priors_mod.quadrature(povm.prior, priors_mod.nodes_for_oscillation(povm.prior, rate), angular_rate=rate)
     weighted = rule.nodes * povm.f_z(rule.nodes)
     return rule.integrate(weighted), rule.integrate(rule.nodes * weighted)
 

@@ -10,15 +10,30 @@ deviation ``sigma``:
 The moments M_k(omega) = int z(g) g^k e^{i omega g} dg, k = 0, 1, 2, are
 exact (:func:`characteristic_moments`, :func:`cosine_deficits`).  Other
 integrals against the prior (detuned or dissipative moment operators,
-verification oracles) use composite Gauss-Legendre panels, and there the
-Gaussian support is truncated at +-8 sigma.  The neglected tail mass is
-2 Q(8) = 1.2e-15 and, weighted by g^2, it is 2 (g0^2 Q(8) + sigma^2 (8 phi(8) +
-Q(8))) = 1.2e-15 g0^2 + 8.2e-14 sigma^2 (Q and phi the standard normal tail
-and density), which bounds every entry of a moment operator: below 1e-13
-absolute for sigma <= g0 = 1, 1.9e-13 at sigma = 1.5.  Node counts can be
-scaled up so oscillatory integrands cos(2 g tau) keep at least ~8 nodes per
-period; with 16 points per panel the moment operators stay within 1e-15 of
-a rule with 32 over g0 tau <= 3, Delta <= 3 and Fock cutoffs <= 27.
+verification oracles) use equal 16-point Gauss-Legendre panels over the
+prior's window, +-8.5 sigma for the Gaussian.  Its neglected tail, weighted
+by g^2, is 2 (g0^2 Q(w) + sigma^2 (w phi(w) + Q(w))) at w = 8.5 (Q and phi
+the standard normal tail and density): 1.9e-17 g0^2 + 1.4e-15 sigma^2, so
+below 1e-14 absolute for sigma <= 2 g0.
+
+A rule is sized by the error bound of Gauss-Legendre quadrature for
+integrands analytic in a Bernstein ellipse (Trefethen, Approximation Theory
+and Approximation Practice, Thm 19.3): on a panel of half-width h, 16
+points miss by at most h 64 M(rho) / (15 (rho^2 - 1) rho^32) when the
+integrand is bounded by M(rho) on the ellipse E_rho, whose height is
+y = h (rho - 1/rho)/2.  The moment integrands z(g) g^k a(g) are entire, and
+M(rho) takes three factors: e^{omega y} for the state's entries a(g) at
+their top angular rate omega (exact for cos^2(omega g/2) at resonance), the
+density's largest modulus on the ellipse (its growth e^{y^2 / 2 sigma^2}
+for the Gaussian) and max(1, |s|)^2 for the g^k factor with s = (g - g0)/
+sigma, which bounds the error of G_k in units of (|g0| + sigma)^k.  Summed
+over the panels and minimised over rho, the bound depends only on
+omega sigma and the window's half-width in sigma, so one table per prior
+kind and window, built on first use, serves every g0 and sigma.
+:func:`nodes_for_oscillation` gives the fewest panels whose bound stays
+under ``QUADRATURE_BUDGET`` = 1e-14, and every :class:`QuadratureRule`
+records the bound it spent, the window's tail included.  Rounding, a few
+ulps of the unit-scaled sums, comes on top.
 """
 
 from __future__ import annotations
@@ -40,13 +55,21 @@ UNIFORM = "uniform"
 GAUSS_LEGENDRE_COMPOSITE = "gauss_legendre_composite"
 
 #: Gaussian quadrature window half-width in units of sigma
-GAUSSIAN_TAIL_SIGMAS = 8.0
+GAUSSIAN_TAIL_SIGMAS = 8.5
 #: Gauss-Legendre points per panel
 _PANEL_POINTS = 16
 #: minimum admissible node count
 MIN_NODES = 64
 #: default node count
 DEFAULT_NODES = 256
+#: panels of the smallest rule
+_MIN_PANELS = MIN_NODES // _PANEL_POINTS
+#: stated error a sized rule may spend on its panels, per unit (|g0| + sigma)^k
+QUADRATURE_BUDGET = 1e-14
+#: panel counts of the bound table; larger rules are multiples of its top half
+_TABLE_PANELS = 128
+#: Bernstein-ellipse parameters the bound is minimised over
+_RHO = np.geomspace(1.02, 1e3, 48)
 #: most nodes times ladder levels of one rule, which bounds one point's state grid
 MAX_QUADRATURE_NODES = 2**21
 #: |x| below which the uniform law's s(x) = sin(x)/x terms come from series,
@@ -90,20 +113,31 @@ class Prior:
         return (self.g0 - half, self.g0 + half)
 
     @property
+    def window_sigmas(self) -> float:
+        """Half-width of :attr:`window` in units of sigma."""
+        return GAUSSIAN_TAIL_SIGMAS if self.kind == GAUSSIAN else math.sqrt(3.0)
+
+    @property
     def window(self) -> tuple[float, float]:
         """Finite integration window carrying all numerically relevant mass."""
         if self.kind == GAUSSIAN:
-            w = GAUSSIAN_TAIL_SIGMAS * self.sigma
+            w = self.window_sigmas * self.sigma
             return (self.g0 - w, self.g0 + w)
         return self.support
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Plain nodes/weights: sum(w * f(nodes)) approximates int f(g) dg."""
+    """Plain nodes/weights: sum(w * f(nodes)) approximates int f(g) dg.
+
+    ``bound`` is the rule's stated error for the moment integrands of the
+    state at the top rate it was built for, per unit (|g0| + sigma)^k,
+    the window's tail included (see the module docstring).
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
+    bound: float
 
     def __post_init__(self):
         if len(self.nodes) < MIN_NODES:
@@ -250,54 +284,137 @@ def _legendre_base() -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _composite_legendre(lo: float, hi: float, n_points: int, max_width: float) -> QuadratureRule:
-    """Panels of ``_PANEL_POINTS`` nodes, at least ``n_points`` nodes in all
-    and no panel wider than ``max_width``."""
-    panels = max(1, math.ceil(n_points / _PANEL_POINTS), math.ceil((hi - lo) / max_width))
+def _log_panel_sums(kind: str, half: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ln S, y) over ``_RHO`` for ``panels`` equal panels on [-half, half],
+    in units of sigma about g0.
+
+    The bound of the rule at top rate w is S e^{w y}, with
+    S = sum_p h 64 M_p / (15 (rho^2 - 1) rho^32) for the panel half-width h,
+    y = h (rho - 1/rho)/2 the height of each panel's ellipse and M_p the
+    largest |z| max(1, |s|)^2 on it: the density at the point of the panel's
+    real extent nearest the mean, times e^{y^2/2} for the Gaussian, and
+    the largest |s|^2 on it, (|c_p| + a)^2 + y^2 with a = h (rho + 1/rho)/2.
+    """
+    h = half / panels
+    centre = np.abs(h * (2.0 * np.arange(panels) + 1.0) - half)
+    rho = _RHO[:, None]
+    y, a = h * (rho - 1.0 / rho) / 2.0, h * (rho + 1.0 / rho) / 2.0
+    log_m = np.log(np.maximum(1.0, (centre + a) ** 2 + y * y))
+    if kind == GAUSSIAN:
+        log_m += (y * y - np.maximum(centre - a, 0.0) ** 2) / 2.0 - 0.5 * math.log(2.0 * math.pi)
+    else:
+        log_m -= math.log(2.0 * half)
+    top = log_m.max(axis=1)
+    log_pre = math.log(64.0 * h / 15.0) - np.log(_RHO * _RHO - 1.0) - 2 * _PANEL_POINTS * np.log(_RHO)
+    return log_pre + top + np.log(np.exp(log_m - top[:, None]).sum(axis=1)), y[:, 0]
+
+
+@functools.lru_cache(maxsize=None)
+def _bound_table(kind: str, half: float) -> tuple:
+    """(ln S, y, reach, fewest) of the rules of 1 .. ``_TABLE_PANELS`` panels
+    over a window of half-width ``half`` sigma, one row per panel count.
+
+    ``reach`` holds the top rate (times sigma) each rule admits under
+    ``QUADRATURE_BUDGET``, and ``fewest`` its running maximum from
+    ``_MIN_PANELS`` on, so the first entry of ``fewest`` at or above a rate
+    is the fewest admissible panels for it.
+    The rows depend on sigma only through ``half``, so a prior kind and
+    window share one table for every g0 and sigma.
+    """
+    log_s, y = map(np.array, zip(*(_log_panel_sums(kind, half, p) for p in range(1, _TABLE_PANELS + 1))))
+    reach = ((math.log(QUADRATURE_BUDGET) - log_s) / y).max(axis=1)
+    return log_s, y, reach, np.maximum.accumulate(reach[_MIN_PANELS - 1:])
+
+
+def _window_tail(prior: Prior) -> float:
+    """Bound of the integral outside the window, per unit (|g0| + sigma)^k:
+    int_{|s| > w} z s^2 ds = 2 (w phi(w) + Q(w)) for the Gaussian window of
+    w sigma (w >= 1), and 0 for the uniform law, whose window is its support."""
+    if prior.kind != GAUSSIAN:
+        return 0.0
+    w = prior.window_sigmas
+    return 2.0 * (w * math.exp(-w * w / 2.0) / math.sqrt(2.0 * math.pi) + math.erfc(w / math.sqrt(2.0)) / 2.0)
+
+
+def _rule_bound(prior: Prior, panels: int, angular_rate: float) -> float:
+    """Stated error bound of ``panels`` equal panels over the prior's window
+    at top rate ``angular_rate``, window tail included.
+
+    A rule of m P0 panels splits each of P0's panels into m, whose ellipses
+    at the same rho lie inside the parent's, so its S is at most P0's and
+    its y is P0's over m; the bound is the least over the divisors P0 of
+    ``panels`` in the table, or ``panels`` itself within it.
+    """
+    log_s, y, _, _ = _bound_table(prior.kind, prior.window_sigmas)
+    if panels <= _TABLE_PANELS:
+        rows, split = panels - 1, 1
+    else:
+        p0 = np.arange(1, _TABLE_PANELS + 1)
+        p0 = p0[panels % p0 == 0]
+        rows, split = p0 - 1, (panels // p0)[:, None]
+    log_b = log_s[rows] + (angular_rate * prior.sigma) * y[rows] / split
+    return math.exp(log_b.min()) + _window_tail(prior)
+
+
+def _composite_legendre(prior: Prior, panels: int, angular_rate: float) -> QuadratureRule:
+    """``panels`` equal panels of ``_PANEL_POINTS`` nodes over the prior's window."""
+    lo, hi = prior.window
     base_x, base_w = _legendre_base()
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     weights = (half[:, None] * base_w[None, :]).ravel()
-    return QuadratureRule(nodes=nodes, weights=weights)
+    return QuadratureRule(nodes=nodes, weights=weights, bound=_rule_bound(prior, panels, angular_rate))
 
 
 def quadrature(
-    prior: Prior, n_points: int = DEFAULT_NODES, kind: str = GAUSS_LEGENDRE_COMPOSITE
+    prior: Prior, n_points: int = DEFAULT_NODES, kind: str = GAUSS_LEGENDRE_COMPOSITE,
+    *, angular_rate: float = 0.0,
 ) -> QuadratureRule:
-    """Quadrature rule over the prior's window.
+    """Quadrature rule of ceil(``n_points`` / 16) equal 16-point
+    Gauss-Legendre panels over the prior's window.
 
-    ``n_points`` is a lower bound on the node count (rounded up to whole
-    panels) and must be at least 64.  Panels are additionally kept no wider
-    than one prior standard deviation, which resolves the moderately
-    oscillatory integrands arising at interaction times of a few periods;
-    faster oscillations should size the rule via ``nodes_for_oscillation``.
-    The composite Gauss-Legendre rule is the only ``kind``.
+    ``n_points`` is a lower bound on the node count and must be at least 64.
+    The rule records in ``bound`` its stated error for integrands of the
+    state at top angular rate ``angular_rate`` (see the module docstring);
+    :func:`nodes_for_oscillation` gives the fewest nodes holding that bound
+    to ``QUADRATURE_BUDGET``, and an oscillatory caller sizes its rule with
+    it.  The composite Gauss-Legendre rule is the only ``kind``.
     """
     if n_points < MIN_NODES:
         raise ValueError(f"n_points must be >= {MIN_NODES}")
     if kind != GAUSS_LEGENDRE_COMPOSITE:
         raise ValueError(f"unknown quadrature kind {kind!r}")
-    lo, hi = prior.window
-    return _composite_legendre(lo, hi, n_points, prior.sigma)
+    return _composite_legendre(prior, math.ceil(n_points / _PANEL_POINTS), angular_rate)
 
 
 def nodes_for_oscillation(prior: Prior, angular_rate, levels: int = 1):
-    """Node count resolving cos(angular_rate * g) with >= 8 nodes per period,
-    and at least ``DEFAULT_NODES``.
+    """Fewest nodes, in whole panels and at least ``MIN_NODES``, whose
+    stated bound at top rate ``angular_rate`` stays under
+    ``QUADRATURE_BUDGET``.
 
-    ``angular_rate`` is the largest angular frequency (in g) appearing in the
-    integrand, e.g. 2 tau_c sqrt(n_max) for a photon ladder truncated at
-    n_max; an array of rates gives an integer array of counts, one per
-    element, and one rate its 0-d case.  Past ``MAX_QUADRATURE_NODES`` nodes
-    times ``levels``, the ladder levels at every node, it raises
-    :class:`UnsupportedCombination` for the first such rate.
+    ``angular_rate`` is the largest angular frequency (in g) of the state,
+    e.g. 2 tau_c sqrt(n_max + 1) for a photon ladder truncated at n_max, and
+    a zero or negative rate the non-oscillatory case; an array of rates
+    gives an integer array of counts, one per element, and one rate its 0-d
+    case.  Up to ``_TABLE_PANELS`` panels the count is read off the lazily
+    built table of the prior's kind and window; past it the rule is m P0
+    panels for the P0 of the table's top half that gives the fewest, which
+    admits m times P0's rate (see :func:`_rule_bound`).  Past
+    ``MAX_QUADRATURE_NODES`` nodes times ``levels``, the ladder levels at
+    every node, it raises :class:`UnsupportedCombination` for the first such
+    rate.
     """
-    lo, hi = prior.window
-    with np.errstate(divide="ignore"):  # a zero rate needs no nodes, an infinite one infinitely many
-        need = 8.0 * (hi - lo) / (2 * math.pi / np.maximum(angular_rate, 0.0))
+    _, _, reach, fewest = _bound_table(prior.kind, prior.window_sigmas)
+    rate = np.atleast_1d(np.maximum(angular_rate, 0.0) * prior.sigma)  # NaN stays NaN
+    panels = np.searchsorted(fewest, rate) + float(_MIN_PANELS)
+    beyond = ~(rate <= fewest[-1])  # NaN included
+    if beyond.any():
+        top = _TABLE_PANELS // 2
+        panels[beyond] = (np.ceil(rate[beyond, None] / reach[top:]) * np.arange(top + 1, _TABLE_PANELS + 1)).min(axis=-1)
+    need = panels * _PANEL_POINTS
     if not need.max(initial=0.0) * levels <= MAX_QUADRATURE_NODES:  # NaN included
         first = np.extract(~(need * levels <= MAX_QUADRATURE_NODES), need)[0]
         raise UnsupportedCombination(f"{first:.3g} nodes x {levels} levels pass {MAX_QUADRATURE_NODES}")
-    return np.maximum(np.ceil(need), DEFAULT_NODES).astype(int)[()]
+    return need.astype(int).reshape(np.shape(angular_rate))[()]

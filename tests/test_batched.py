@@ -814,7 +814,8 @@ def test_batched_estimator_rows_equal_single_solves():
     triples = mmse_mod.gamma_moments(prior, column, FieldState.vacuum())
     batch = mmse_mod.mmse_estimator(triples, us)
     for i, u in enumerate(us):
-        row = mmse_mod.GammaTriple(*(_row(m, i) for m in (triples.gamma0, triples.gamma1, triples.gamma2)))
+        row = mmse_mod.GammaTriple(*(_row(m, i) for m in (triples.gamma0, triples.gamma1, triples.gamma2)),
+                                   triples.prior_moments)
         single = mmse_mod.mmse_estimator(row, u)
         assert (batch.estimates[0][i], batch.estimates[1][i]) == single.estimates
         assert batch.c_min[i] == single.c_min

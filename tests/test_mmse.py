@@ -17,6 +17,7 @@ from cavbayes.dynamics import (CUTOFF_MARGIN, FieldState, Scenario, _auto_cutoff
                                reduced_state)
 from cavbayes.errors import DegenerateGamma0
 from cavbayes.mmse import (
+    GammaTriple,
     average_estimate,
     gamma_moments,
     gamma_moments_dissipative,
@@ -245,37 +246,86 @@ def _quadrature_entries(prior: Prior) -> np.ndarray:
 
 @pytest.mark.parametrize("sigma", [0.2, 0.7, 1.5])
 def test_gaussian_window_budget(sigma, monkeypatch):
-    # the +-8 sigma window drops the tail mass 2 Q(8) and, weighted by g^2,
-    # 2 (g0^2 Q(8) + sigma^2 (8 phi(8) + Q(8))); a 12 sigma window moves no
-    # entry by more than that: under 1e-13 absolute up to sigma = 1, and
-    # 1.9e-13 at sigma = 1.5
+    # the +-w sigma window (w = 8.5) drops the tail mass 2 Q(w) and, weighted
+    # by g^2, 2 (g0^2 Q(w) + sigma^2 (w phi(w) + Q(w))); a 12 sigma window
+    # moves no entry by more than that, under 1e-13 absolute at every sigma
     prior = Prior.gaussian(1.0, sigma)
     base = _quadrature_entries(prior)
+    w = priors_mod.GAUSSIAN_TAIL_SIGMAS
     monkeypatch.setattr(priors_mod, "GAUSSIAN_TAIL_SIGMAS", 12.0)
     wide = _quadrature_entries(prior)
-    tail, phi = math.erfc(8.0 / math.sqrt(2.0)) / 2.0, math.exp(-32.0) / math.sqrt(2.0 * math.pi)
-    budget = 2.0 * (tail + sigma**2 * (8.0 * phi + tail)) + 1e-15 * (1.0 + sigma**2)
+    tail, phi = math.erfc(w / math.sqrt(2.0)) / 2.0, math.exp(-w * w / 2.0) / math.sqrt(2.0 * math.pi)
+    budget = 2.0 * (tail + sigma**2 * (w * phi + tail)) + 1e-15 * (1.0 + sigma**2)
     assert np.max(np.abs(wide - base)) <= budget
-    assert np.max(np.abs(wide - base)) <= (1e-13 if sigma <= 1.0 else 2e-13)
+    assert np.max(np.abs(wide - base)) <= 1e-13
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
 @pytest.mark.parametrize("sigma", [0.2, 0.7, 1.5])
 def test_panel_rule_budget(kind, sigma):
-    # 8 nodes per period of the fastest oscillation, 16 Gauss-Legendre points
-    # per panel: the same panels with 32 points each move no entry by 1e-12
+    # panels sized by the Gauss-Legendre bound, 16 points each: the same
+    # panels with 32 points each (the node count is panels times the panel
+    # points) move no entry by 1e-12
     prior = Prior(kind, 1.0, sigma)
     base = _quadrature_entries(prior)
-    real = priors_mod.quadrature
     priors_mod._legendre_base.cache_clear()
     try:
-        with mock.patch.object(priors_mod, "_PANEL_POINTS", 32), mock.patch.object(
-            priors_mod, "quadrature", lambda p, n: real(p, 2 * n)
-        ):
+        with mock.patch.object(priors_mod, "_PANEL_POINTS", 32):
             fine = _quadrature_entries(prior)
     finally:
         priors_mod._legendre_base.cache_clear()
     assert np.max(np.abs(fine - base)) <= 1e-12
+
+
+def _fine_nodes(prior: Prior, angular_rate, levels: int = 1):
+    """16 nodes per period of the top rate, and panels no wider than sigma/2."""
+    lo, hi = prior.window
+    need = np.maximum(16.0 * (hi - lo) * np.maximum(angular_rate, 0.0) / (2.0 * math.pi), 32.0 * (hi - lo) / prior.sigma)
+    return (16 * np.ceil(need / 16)).astype(int)[()]
+
+
+def _entries_per_unit(triple: GammaTriple, g0: float, sigma: float) -> np.ndarray:
+    """Every entry of G_k over (|g0| + sigma)^k, the unit of the stated bound."""
+    return np.array([getattr(getattr(triple, name), e) / (abs(g0) + sigma) ** k
+                     for k, name in enumerate(MOMENTS) for e in ("ee", "gg", "eg")])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["gaussian", "uniform"]),
+    sigma=st.floats(0.1, 2.0),
+    g0_tau=st.floats(0.05, 4.0),
+    delta=st.floats(0.0, 3.0),
+    alpha=st.floats(0.0, 5.0),
+    damped=st.one_of(st.none(), st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0))),
+)
+def test_stated_bound_holds_against_a_fine_reference(kind, sigma, g0_tau, delta, alpha, damped):
+    # the bound a sized rule states, window tail included, is never below its
+    # error against 16 nodes per period over +-12 sigma in panels of sigma/2,
+    # past a rounding allowance of 16 ulps of the unit-scaled entries; the
+    # quadrature oracle takes the detuned path's rule at Delta = 0 as well
+    prior = Prior(kind, 1.0, sigma)
+    if damped is None:
+        sc = Scenario(tau_c=g0_tau, delta=delta, alpha=alpha)
+        fld = field_for(sc)
+        levels = len(fld.coefficients)
+        rate = 2.0 * g0_tau * math.sqrt(levels)
+
+        def moments():
+            return gamma_moments_quadrature(prior, sc, fld)
+    else:
+        levels, rate = 1, 2.0 * g0_tau
+
+        def moments():
+            return gamma_moments_dissipative(prior, g0_tau, *damped)
+    bound = priors_mod.quadrature(
+        prior, priors_mod.nodes_for_oscillation(prior, rate, levels), angular_rate=rate).bound
+    got = _entries_per_unit(moments(), 1.0, sigma)
+    with mock.patch.object(priors_mod, "GAUSSIAN_TAIL_SIGMAS", 12.0), mock.patch.object(
+        priors_mod, "nodes_for_oscillation", _fine_nodes
+    ):
+        ref = _entries_per_unit(moments(), 1.0, sigma)
+    assert np.max(np.abs(got - ref)) <= bound + 16 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("prior", [Prior.gaussian(1.0, 0.6), Prior.gaussian(1.0, 1.5),

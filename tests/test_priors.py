@@ -1,5 +1,6 @@
 """Prior densities, moments, and quadrature accuracy."""
 
+import functools
 import math
 
 import mpmath as mp
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from cavbayes.errors import UnsupportedCombination
-from cavbayes.priors import (_SERIES_ARG, DEFAULT_NODES, MAX_QUADRATURE_NODES, Prior,
-                             _centered_transform, _sinc_series, characteristic_moments,
-                             cosine_deficits, density, moments, nodes_for_oscillation, quadrature)
+from cavbayes.priors import (_SERIES_ARG, _TABLE_PANELS, MAX_QUADRATURE_NODES, MIN_NODES, QUADRATURE_BUDGET,
+                             Prior, _centered_transform, _log_panel_sums, _sinc_series, _window_tail,
+                             characteristic_moments, cosine_deficits, density, moments, nodes_for_oscillation,
+                             quadrature)
 from conftest import odd_factorial_series
 
 
@@ -56,11 +58,13 @@ def test_gaussian_oscillatory_moment():
 @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
 @pytest.mark.parametrize("n_points", [64, 128, 256])
 def test_closed_form_integrals_across_sizes(kind, n_points):
+    # each time on a rule of at least ``n_points`` nodes, sized for its
+    # oscillation cos(2 g tau) as every oscillatory caller sizes its rule
     g0 = 1.0
     p = Prior(kind, g0, 1.0)
-    rule = quadrature(p, n_points)
     w = math.sqrt(3.0) * p.sigma
     for tau in (0.1, 1.0, 5.0):
+        rule = quadrature(p, max(n_points, nodes_for_oscillation(p, 2 * tau)))
         if kind == "gaussian":
             ref_c = math.exp(-2 * p.sigma**2 * tau**2) * math.cos(2 * g0 * tau)
             ref_s = math.exp(-2 * p.sigma**2 * tau**2) * math.sin(2 * g0 * tau)
@@ -162,16 +166,28 @@ def test_parameter_validation():
         quadrature(Prior.gaussian(1.0, 1.0), 256, kind="gauss_hermite_mapped")
 
 
+@functools.lru_cache(maxsize=None)
+def _reaches(kind: str, half: float) -> tuple:
+    """Top rate (times sigma) of 1 .. _TABLE_PANELS panels under the budget,
+    each from that rule's own panel sums."""
+    return tuple(float(np.max((math.log(QUADRATURE_BUDGET) - log_s) / y))
+                 for log_s, y in (_log_panel_sums(kind, half, p) for p in range(1, _TABLE_PANELS + 1)))
+
+
 def _nodes_reference(prior: Prior, angular_rate: float, levels: int) -> int:
-    """The scalar node-count rule in Python floats, one rate at a time."""
-    lo, hi = prior.window
-    if angular_rate <= 0:
-        return DEFAULT_NODES
-    period = 2 * math.pi / angular_rate
-    need = 8.0 * (hi - lo) / period if period else math.inf
+    """The node-count rule one rate at a time, without the table: the first
+    panel count from 4 up whose own bound admits the rate, and past the
+    table the least m P0 over its top half, whose rate is m times P0's."""
+    reach = _reaches(prior.kind, prior.window_sigmas)
+    rate = math.nan if math.isnan(angular_rate) else max(angular_rate, 0.0) * prior.sigma
+    panels = next((p for p in range(MIN_NODES // 16, _TABLE_PANELS + 1) if reach[p - 1] >= rate), None)
+    if panels is None:  # past the table, or NaN
+        top = range(_TABLE_PANELS // 2 + 1, _TABLE_PANELS + 1)
+        panels = min(p0 * math.ceil(rate / reach[p0 - 1]) if math.isfinite(rate) else rate for p0 in top)
+    need = 16 * panels
     if not need * levels <= MAX_QUADRATURE_NODES:
         raise UnsupportedCombination(f"{need:.3g} nodes x {levels} levels pass {MAX_QUADRATURE_NODES}")
-    return max(DEFAULT_NODES, math.ceil(need))
+    return need
 
 
 def _passes(prior, rate, levels) -> bool:
@@ -182,15 +198,28 @@ def _passes(prior, rate, levels) -> bool:
     return True
 
 
+def _node_edge(prior: Prior, levels: int) -> float:
+    """The rate past which the counts pass MAX_QUADRATURE_NODES, to an ulp."""
+    lo, hi = 0.0, 1.0
+    while _passes(prior, hi, levels):
+        lo, hi = hi, 2.0 * hi
+    while np.nextafter(lo, hi) < hi:
+        mid = lo + (hi - lo) / 2.0
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if _passes(prior, mid, levels) else (lo, mid)
+    return hi
+
+
 @pytest.mark.parametrize("levels", [1, 7])
 @pytest.mark.parametrize("prior", [Prior.gaussian(1.0, 0.3), Prior.uniform(2.0, 1.5)], ids=["gauss", "uniform"])
 def test_node_counts_of_an_array_match_each_rate(prior, levels):
     # the array form is the scalar rule elementwise: rate 0 and negative
-    # rates take DEFAULT_NODES, the rates at the MAX_QUADRATURE_NODES edge
-    # pass where the scalar rule passes, and a refused rate (inf, past the
-    # edge, NaN) raises the scalar rule's message
-    lo, hi = prior.window
-    edge = MAX_QUADRATURE_NODES / levels * (2 * math.pi) / (8.0 * (hi - lo))
+    # rates take the fewest panels of a non-oscillatory integrand, the rates
+    # at the MAX_QUADRATURE_NODES edge pass where the scalar rule passes,
+    # and a refused rate (inf, past the edge, NaN) raises the scalar rule's
+    # message
+    edge = _node_edge(prior, levels)
     near = edge * (1.0 + np.arange(-4, 5) * np.finfo(float).eps)
     fits = np.array([_passes(prior, r, levels) for r in near])
     assert fits.any() and not fits.all()  # the edge lies among them
