@@ -68,8 +68,9 @@ _MIN_PANELS = MIN_NODES // _PANEL_POINTS
 QUADRATURE_BUDGET = 1e-14
 #: panel counts of the bound table; larger rules are multiples of its top half
 _TABLE_PANELS = 128
-#: Bernstein-ellipse parameters the bound is minimised over
-_RHO = np.geomspace(1.02, 1e3, 48)
+#: Bernstein-ellipse parameters the bound is minimised over, geometric from
+#: 1.02 to 1e3 (a list, as np.geomspace would raise the import's peak memory)
+_RHO = np.array([1.02 * (1e3 / 1.02) ** (k / 47) for k in range(48)])
 #: most nodes times ladder levels of one rule, which bounds one point's state grid
 MAX_QUADRATURE_NODES = 2**21
 #: |x| below which the uniform law's s(x) = sin(x)/x terms come from series,
@@ -284,21 +285,32 @@ def _legendre_base() -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _log_panel_sums(kind: str, half: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ln S, y) over ``_RHO`` for ``panels`` equal panels on [-half, half],
-    in units of sigma about g0.
+def _heights(half: float, panels) -> np.ndarray:
+    """Heights y = h (rho - 1/rho)/2 over ``_RHO`` of the ellipses of panels
+    of half-width h = ``half`` / ``panels``; an array of counts gives a row each."""
+    h = half / np.asarray(panels, dtype=float)[..., None]
+    return h * (_RHO - 1.0 / _RHO) / 2.0
+
+
+def _log_panel_sums(kind: str, half: float, panels: int) -> np.ndarray:
+    """ln S over ``_RHO`` for ``panels`` equal panels on [-half, half], in
+    units of sigma about g0.
 
     The bound of the rule at top rate w is S e^{w y}, with
     S = sum_p h 64 M_p / (15 (rho^2 - 1) rho^32) for the panel half-width h,
-    y = h (rho - 1/rho)/2 the height of each panel's ellipse and M_p the
+    y (:func:`_heights`) the height of each panel's ellipse and M_p the
     largest |z| max(1, |s|)^2 on it: the density at the point of the panel's
     real extent nearest the mean, times e^{y^2/2} for the Gaussian, and
     the largest |s|^2 on it, (|c_p| + a)^2 + y^2 with a = h (rho + 1/rho)/2.
+    The panels mirror about the mean, so each distance |c_p| enters once
+    with its count.
     """
     h = half / panels
-    centre = np.abs(h * (2.0 * np.arange(panels) + 1.0) - half)
+    centre = half - h * (2.0 * np.arange((panels + 1) // 2) + 1.0)  # |c_p|, outermost first
+    count = np.full(len(centre), 2.0)
+    count[-1] -= panels % 2  # an odd rule's middle panel sits on the mean
     rho = _RHO[:, None]
-    y, a = h * (rho - 1.0 / rho) / 2.0, h * (rho + 1.0 / rho) / 2.0
+    y, a = _heights(half, panels)[:, None], h * (rho + 1.0 / rho) / 2.0
     log_m = np.log(np.maximum(1.0, (centre + a) ** 2 + y * y))
     if kind == GAUSSIAN:
         log_m += (y * y - np.maximum(centre - a, 0.0) ** 2) / 2.0 - 0.5 * math.log(2.0 * math.pi)
@@ -306,12 +318,12 @@ def _log_panel_sums(kind: str, half: float, panels: int) -> tuple[np.ndarray, np
         log_m -= math.log(2.0 * half)
     top = log_m.max(axis=1)
     log_pre = math.log(64.0 * h / 15.0) - np.log(_RHO * _RHO - 1.0) - 2 * _PANEL_POINTS * np.log(_RHO)
-    return log_pre + top + np.log(np.exp(log_m - top[:, None]).sum(axis=1)), y[:, 0]
+    return log_pre + top + np.log(np.exp(log_m - top[:, None]) @ count)
 
 
 @functools.lru_cache(maxsize=None)
 def _bound_table(kind: str, half: float) -> tuple:
-    """(ln S, y, reach, fewest) of the rules of 1 .. ``_TABLE_PANELS`` panels
+    """(ln S, reach, fewest) of the rules of 1 .. ``_TABLE_PANELS`` panels
     over a window of half-width ``half`` sigma, one row per panel count.
 
     ``reach`` holds the top rate (times sigma) each rule admits under
@@ -321,9 +333,10 @@ def _bound_table(kind: str, half: float) -> tuple:
     The rows depend on sigma only through ``half``, so a prior kind and
     window share one table for every g0 and sigma.
     """
-    log_s, y = map(np.array, zip(*(_log_panel_sums(kind, half, p) for p in range(1, _TABLE_PANELS + 1))))
-    reach = ((math.log(QUADRATURE_BUDGET) - log_s) / y).max(axis=1)
-    return log_s, y, reach, np.maximum.accumulate(reach[_MIN_PANELS - 1:])
+    panels = np.arange(1, _TABLE_PANELS + 1)
+    log_s = np.array([_log_panel_sums(kind, half, p) for p in panels])
+    reach = ((math.log(QUADRATURE_BUDGET) - log_s) / _heights(half, panels)).max(axis=1)
+    return log_s, reach, np.maximum.accumulate(reach[_MIN_PANELS - 1:])
 
 
 def _window_tail(prior: Prior) -> float:
@@ -345,14 +358,9 @@ def _rule_bound(prior: Prior, panels: int, angular_rate: float) -> float:
     its y is P0's over m; the bound is the least over the divisors P0 of
     ``panels`` in the table, or ``panels`` itself within it.
     """
-    log_s, y, _, _ = _bound_table(prior.kind, prior.window_sigmas)
-    if panels <= _TABLE_PANELS:
-        rows, split = panels - 1, 1
-    else:
-        p0 = np.arange(1, _TABLE_PANELS + 1)
-        p0 = p0[panels % p0 == 0]
-        rows, split = p0 - 1, (panels // p0)[:, None]
-    log_b = log_s[rows] + (angular_rate * prior.sigma) * y[rows] / split
+    log_s = _bound_table(prior.kind, prior.window_sigmas)[0]
+    p0 = panels if panels <= _TABLE_PANELS else np.flatnonzero(panels % np.arange(1, _TABLE_PANELS + 1) == 0) + 1
+    log_b = log_s[p0 - 1] + (angular_rate * prior.sigma) * _heights(prior.window_sigmas, panels)
     return math.exp(log_b.min()) + _window_tail(prior)
 
 
@@ -406,13 +414,14 @@ def nodes_for_oscillation(prior: Prior, angular_rate, levels: int = 1):
     every node, it raises :class:`UnsupportedCombination` for the first such
     rate.
     """
-    _, _, reach, fewest = _bound_table(prior.kind, prior.window_sigmas)
+    _, reach, fewest = _bound_table(prior.kind, prior.window_sigmas)
     rate = np.atleast_1d(np.maximum(angular_rate, 0.0) * prior.sigma)  # NaN stays NaN
     panels = np.searchsorted(fewest, rate) + float(_MIN_PANELS)
     beyond = ~(rate <= fewest[-1])  # NaN included
     if beyond.any():
         top = _TABLE_PANELS // 2
-        panels[beyond] = (np.ceil(rate[beyond, None] / reach[top:]) * np.arange(top + 1, _TABLE_PANELS + 1)).min(axis=-1)
+        split = np.ceil(rate[beyond, None] / reach[top:])
+        panels[beyond] = (split * np.arange(top + 1, _TABLE_PANELS + 1)).min(axis=-1)
     need = panels * _PANEL_POINTS
     if not need.max(initial=0.0) * levels <= MAX_QUADRATURE_NODES:  # NaN included
         first = np.extract(~(need * levels <= MAX_QUADRATURE_NODES), need)[0]

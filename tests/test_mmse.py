@@ -280,7 +280,8 @@ def test_panel_rule_budget(kind, sigma):
 def _fine_nodes(prior: Prior, angular_rate, levels: int = 1):
     """16 nodes per period of the top rate, and panels no wider than sigma/2."""
     lo, hi = prior.window
-    need = np.maximum(16.0 * (hi - lo) * np.maximum(angular_rate, 0.0) / (2.0 * math.pi), 32.0 * (hi - lo) / prior.sigma)
+    periods = (hi - lo) * np.maximum(angular_rate, 0.0) / (2.0 * math.pi)
+    need = np.maximum(16.0 * periods, 32.0 * (hi - lo) / prior.sigma)
     return (16 * np.ceil(need / 16)).astype(int)[()]
 
 

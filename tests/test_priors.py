@@ -9,7 +9,7 @@ import pytest
 
 from cavbayes.errors import UnsupportedCombination
 from cavbayes.priors import (_SERIES_ARG, _TABLE_PANELS, MAX_QUADRATURE_NODES, MIN_NODES, QUADRATURE_BUDGET,
-                             Prior, _centered_transform, _log_panel_sums, _sinc_series, _window_tail,
+                             Prior, _centered_transform, _heights, _log_panel_sums, _sinc_series, _window_tail,
                              characteristic_moments, cosine_deficits, density, moments, nodes_for_oscillation,
                              quadrature)
 from conftest import odd_factorial_series
@@ -170,8 +170,8 @@ def test_parameter_validation():
 def _reaches(kind: str, half: float) -> tuple:
     """Top rate (times sigma) of 1 .. _TABLE_PANELS panels under the budget,
     each from that rule's own panel sums."""
-    return tuple(float(np.max((math.log(QUADRATURE_BUDGET) - log_s) / y))
-                 for log_s, y in (_log_panel_sums(kind, half, p) for p in range(1, _TABLE_PANELS + 1)))
+    return tuple(float(np.max((math.log(QUADRATURE_BUDGET) - _log_panel_sums(kind, half, p)) / _heights(half, p)))
+                 for p in range(1, _TABLE_PANELS + 1))
 
 
 def _nodes_reference(prior: Prior, angular_rate: float, levels: int) -> int:
