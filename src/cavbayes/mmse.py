@@ -297,9 +297,11 @@ def mmse_estimator(gammas: GammaTriple, gamma_tau_f=0.0) -> MmseResult:
     for a diagonal G0 each pair is the cost of one outcome.  A diagonal G0
     of a triple that carries its ``prior_moments`` (m, s2) takes the cost
     centred instead, s2 - sum_i (M_ii - m)(G1_ii - m G0_ii), equal for
-    exact moments: each product pairs two factors of one sign, so the cost
-    never exceeds the prior variance s2, which the rounded g0^2 + s2 inside
-    G2 could pass by an ulp once the measurement teaches almost nothing.
+    exact moments: each product pairs two factors of one sign (up to their
+    rounding next to zero), so the cost does not exceed the prior variance
+    s2, which the rounded g0^2 + s2 inside G2 passes by an ulp once the
+    measurement teaches almost nothing.  The choice is made row by row, so
+    a batch row still equals its point call.
 
     A batch of moment operators (from one moment call over a sweep axis) is
     solved in one call, with ``gamma_tau_f`` a scalar or one value per entry;
@@ -314,7 +316,7 @@ def mmse_estimator(gammas: GammaTriple, gamma_tau_f=0.0) -> MmseResult:
     estimates, projectors = eigendecompose(m)
     c_min = (g2.ee - m.ee * g1.ee) + (g2.gg - m.gg * g1.gg) - 2.0 * (
         m.eg.real * g1.eg.real + m.eg.imag * g1.eg.imag)
-    if gammas.prior_moments is not None:
+    if gammas.prior_moments is not None:  # each diagonal row takes the centred cost
         mean, var = gammas.prior_moments
         centred = var - ((m.ee - mean) * (g1.ee - mean * g0.ee) + (m.gg - mean) * (g1.gg - mean * g0.gg))
         c_min = np.where(floor == 0.0, centred, c_min)

@@ -445,6 +445,31 @@ def test_long_damped_transit_solves_its_diagonal_gamma0(kappa, tau_c, prior):
     assert 0.0 <= res.c_min <= prior.sigma**2 * (1.0 + 1e-15)
 
 
+def test_diagonal_cost_never_passes_the_prior_variance():
+    # once a resonant vacuum transit teaches almost nothing, the rounded
+    # g0^2 + sigma^2 inside G2 put c_min an ulp above sigma^2 (Gaussian
+    # sigma = 1.2582855428437378 at g0 tau = 3); the centred cost of a
+    # diagonal Gamma0 does not, for long damped transits either
+    for sigma in (1.2582855428437378, 0.9, 1.5):
+        prior = Prior.gaussian(1.0, sigma)
+        column = Scenario(tau_c=tuple(np.linspace(2.0, 3.0, 101).tolist()))
+        assert np.all(mmse_estimator(gamma_moments(prior, column, VACUUM)).c_min <= sigma**2)
+    damped = mmse_estimator(gamma_moments(UNIF, Scenario(tau_c=100.0, kappa=0.4, gamma_cav=0.7), VACUUM))
+    assert damped.c_min <= UNIF.sigma**2
+
+
+def test_centred_cost_is_chosen_row_by_row():
+    # a coherent column whose first time is 0 holds one diagonal Gamma0
+    # beside coherent ones; every row keeps the bits of its point call
+    prior, times = Prior.uniform(1.0, 0.6), (0.0, 0.4, 1.1)
+    column = Scenario(tau_c=times, tau_f_gamma=0.3, alpha=1.2, fock_cutoff=12)
+    batch = mmse_estimator(gamma_moments(prior, column, field_for(column)), 0.3)
+    assert gamma_moments(prior, column, field_for(column)).gamma0.eg[0] == 0.0
+    for i, t in enumerate(times):
+        point = Scenario(tau_c=t, tau_f_gamma=0.3, alpha=1.2, fock_cutoff=12)
+        assert batch.c_min[i] == mmse_estimator(gamma_moments(prior, point, field_for(point)), 0.3).c_min
+
+
 @pytest.mark.parametrize("kappa,tau_c", [(0.4, 100.0), (5.0, 60.0)])
 def test_long_damped_sweep_exits_zero(kappa, tau_c, tmp_path):
     from cavbayes.cli import main
