@@ -23,12 +23,13 @@ against the prior by quadrature, and damped scenarios go in one call to
 populations.  The node counts of all points come from one array call of
 :func:`priors.nodes_for_oscillation`: the fewest 16-point panels whose
 stated Gauss-Legendre bound at the point's top rate stays under 1e-14 (see
-:mod:`priors`).  Points whose counts agree share one rule, which records
-its bound at their top rate, and one density-weighted moment matrix; the
-damped points of one rule share its per-coupling constants too.  The detuned points of
-one rule take one state-kernel call per chunk, on a column
-:class:`Scenario` of them; every point of it is detuned, so of the kernel's
-early-outs only the empty-ladder one is taken, for a vacuum field.
+:mod:`priors`).  Points whose counts agree share one rule, built for
+their top rate so that it states its bound there, and one
+density-weighted moment matrix; the damped points of one rule share its
+per-coupling constants too.  The detuned points of one rule take one
+state-kernel call per chunk, on a column :class:`Scenario` of them; every
+point of it is detuned, so of the kernel's early-outs only the
+empty-ladder one is taken, for a vacuum field.
 Every batch is processed in chunks of at most ``_CHUNK_ELEMENTS`` grid
 elements (points x nodes x ladder levels on the detuned path), and never
 less than one point, so a long sweep holds no larger arrays than a short one.
@@ -138,7 +139,7 @@ def _integrate(prior: Prior, rates: np.ndarray, points: np.ndarray, kernel, out,
 
     One array call of :func:`priors.nodes_for_oscillation` sizes every point
     (``n_points`` overrides it), and points sharing a node count share one
-    rule, which records its bound at their top rate, and its (3, nodes)
+    rule, built for their top rate, and its (3, nodes)
     weights w z(g) g^k.  ``kernel(nodes)`` gives, once per rule, the
     function of a chunk's columns ``cols`` that returns the (cols x nodes)
     excited populations and coherences (None for diagonal states) of those

@@ -401,7 +401,9 @@ def average_cost_quadrature(povm: MlPovm) -> float:
     Independent of the closed forms; the diagonal of the conditional density
     appears because the delta-valued cost rewards probability mass placed at
     the true value.  The contrast and f_z each oscillate at 2 tau_c, so the
-    rule is sized for their product's 4 tau_c.
+    rule is sized for their product's 4 tau_c.  Its recorded bound covers
+    the state's moment integrands, not this one: z f_I grows like z^2 off
+    the real axis.
     """
     rate = 4.0 * povm.tau_c
     rule = priors_mod.quadrature(povm.prior, priors_mod.nodes_for_oscillation(povm.prior, rate), angular_rate=rate)

@@ -32,8 +32,8 @@ omega sigma and the window's half-width in sigma, so one table per prior
 kind and window, built on first use, serves every g0 and sigma.
 :func:`nodes_for_oscillation` gives the fewest panels whose bound stays
 under ``QUADRATURE_BUDGET`` = 1e-14, and every :class:`QuadratureRule`
-records the bound it spent, the window's tail included.  Rounding, a few
-ulps of the unit-scaled sums, comes on top.
+states the bound it spends (``bound``, formed on first read), the window's
+tail included.  Rounding, a few ulps of the unit-scaled sums, comes on top.
 """
 
 from __future__ import annotations
@@ -131,14 +131,22 @@ class Prior:
 class QuadratureRule:
     """Plain nodes/weights: sum(w * f(nodes)) approximates int f(g) dg.
 
-    ``bound`` is the rule's stated error for the moment integrands of the
-    state at the top rate it was built for, per unit (|g0| + sigma)^k,
-    the window's tail included (see the module docstring).
+    The rule spans ``prior``'s window and was built for integrands of the
+    state at top angular rate ``angular_rate``; :attr:`bound` states its
+    error for them.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    bound: float
+    prior: Prior
+    angular_rate: float = 0.0
+
+    @functools.cached_property
+    def bound(self) -> float:
+        """Stated error for the moment integrands of the state at
+        ``angular_rate``, per unit (|g0| + sigma)^k, the window's tail
+        included (see the module docstring); formed on first read."""
+        return _rule_bound(self.prior, len(self.nodes) // _PANEL_POINTS, self.angular_rate)
 
     def __post_init__(self):
         if len(self.nodes) < MIN_NODES:
@@ -373,7 +381,7 @@ def _composite_legendre(prior: Prior, panels: int, angular_rate: float) -> Quadr
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     weights = (half[:, None] * base_w[None, :]).ravel()
-    return QuadratureRule(nodes=nodes, weights=weights, bound=_rule_bound(prior, panels, angular_rate))
+    return QuadratureRule(nodes=nodes, weights=weights, prior=prior, angular_rate=angular_rate)
 
 
 def quadrature(
@@ -415,15 +423,14 @@ def nodes_for_oscillation(prior: Prior, angular_rate, levels: int = 1):
     rate.
     """
     _, reach, fewest = _bound_table(prior.kind, prior.window_sigmas)
-    rate = np.atleast_1d(np.maximum(angular_rate, 0.0) * prior.sigma)  # NaN stays NaN
-    panels = np.searchsorted(fewest, rate) + float(_MIN_PANELS)
-    beyond = ~(rate <= fewest[-1])  # NaN included
-    if beyond.any():
+    rate = np.asarray(np.maximum(angular_rate, 0.0) * prior.sigma)  # NaN stays NaN
+    panels = np.searchsorted(fewest, rate) + _MIN_PANELS
+    if not rate.max(initial=0.0) <= fewest[-1]:  # past the table, NaN included
         top = _TABLE_PANELS // 2
-        split = np.ceil(rate[beyond, None] / reach[top:])
-        panels[beyond] = (split * np.arange(top + 1, _TABLE_PANELS + 1)).min(axis=-1)
+        split = np.ceil(rate[..., None] / reach[top:])
+        panels = np.where(rate <= fewest[-1], panels, (split * np.arange(top + 1, _TABLE_PANELS + 1)).min(axis=-1))
     need = panels * _PANEL_POINTS
-    if not need.max(initial=0.0) * levels <= MAX_QUADRATURE_NODES:  # NaN included
+    if not need.max(initial=0) * levels <= MAX_QUADRATURE_NODES:  # NaN included
         first = np.extract(~(need * levels <= MAX_QUADRATURE_NODES), need)[0]
         raise UnsupportedCombination(f"{first:.3g} nodes x {levels} levels pass {MAX_QUADRATURE_NODES}")
-    return need.astype(int).reshape(np.shape(angular_rate))[()]
+    return need.astype(int, copy=False)[()]
