@@ -341,9 +341,10 @@ def _bound_table(kind: str, half: float) -> tuple:
     The rows depend on sigma only through ``half``, so a prior kind and
     window share one table for every g0 and sigma.
     """
-    panels = np.arange(1, _TABLE_PANELS + 1)
-    log_s = np.array([_log_panel_sums(kind, half, p) for p in panels])
-    reach = ((math.log(QUADRATURE_BUDGET) - log_s) / _heights(half, panels)).max(axis=1)
+    log_s, reach = np.empty((_TABLE_PANELS, len(_RHO))), np.empty(_TABLE_PANELS)
+    for p in range(1, _TABLE_PANELS + 1):  # row by row, to hold no second table
+        log_s[p - 1] = _log_panel_sums(kind, half, p)
+        reach[p - 1] = ((math.log(QUADRATURE_BUDGET) - log_s[p - 1]) / _heights(half, p)).max()
     return log_s, reach, np.maximum.accumulate(reach[_MIN_PANELS - 1:])
 
 
